@@ -1,7 +1,7 @@
 // Package client is the Go client for a PLP server (cmd/plpd).
 //
-// A Client holds one TCP connection.  Dial performs the wire-protocol v2
-// handshake (version negotiation plus optional token authentication) and
+// A Client holds one TCP connection.  Dial performs the wire-protocol
+// handshake (protocol version plus optional token authentication) and
 // starts an asynchronous core: a reader goroutine matches response frames
 // to in-flight requests by ID, so any number of goroutines can keep
 // requests pipelined on the same connection.  DoAsync submits a
@@ -32,8 +32,8 @@
 //		if _, err := f.Wait(ctx); err != nil { ... }
 //	}
 //
-//	// Declarative plan (protocol v3): a dependent multi-phase transaction
-//	// — secondary probe feeding a routed update — in ONE round trip.
+//	// Declarative plan: a dependent multi-phase transaction — secondary
+//	// probe feeding a routed update — in ONE round trip.
 //	b := client.NewPlan()
 //	probe := b.LookupSecondary("subscribers", "sub_nbr", secKey).Ref()
 //	b.Then().Update("subscribers", nil, newLocation).KeyFrom(probe)
@@ -42,12 +42,6 @@
 // Cancelling a context abandons the in-flight request (its eventual
 // response is discarded) but leaves the connection usable; a transport
 // error fails every in-flight request and poisons the client.
-//
-// Against a pre-v2 server the handshake degrades gracefully: the client
-// detects the legacy response, marks the session v1 and serializes its
-// requests' completions by ID exactly as before.  DialContext with
-// DialOptions{Version: 1} skips the handshake entirely and produces a
-// legacy v1 session (no pipelining on the server side, no scans).
 package client
 
 import (
@@ -81,15 +75,12 @@ var (
 	ErrNotFound = errors.New("client: key not found")
 	// ErrAuth is returned by Dial when the server refused the token.
 	ErrAuth = errors.New("client: authentication failed")
-	// ErrVersion is returned when an operation needs a newer protocol
-	// version than the session negotiated (e.g. Scan on a v1 session).
-	ErrVersion = errors.New("client: operation not supported by negotiated protocol version")
 )
 
 // IsTransient reports whether an error is an abort the server tagged as
-// transient (protocol v3 retry hints): the caller may retry the identical
-// request.  Aborts without a hint — pre-v3 servers — report false, so
-// callers treat them as permanent, the safe default.
+// transient (the response's retry hint): the caller may retry the identical
+// request.  Aborts without a hint report false, so callers treat them as
+// permanent, the safe default.
 func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 
 // IsFollowerRefusal reports whether an error means the server is a
@@ -157,7 +148,7 @@ func (t *Txn) InsertSecondary(table, index string, secKey, primaryKey []byte) *T
 	return t
 }
 
-// DeleteSecondary appends a secondary-index entry delete (protocol v2).
+// DeleteSecondary appends a secondary-index entry delete.
 func (t *Txn) DeleteSecondary(table, index string, secKey []byte) *Txn {
 	t.statements = append(t.statements, wire.Statement{Op: wire.OpDeleteSecondary, Table: table, Index: index, Key: secKey})
 	return t
@@ -165,7 +156,7 @@ func (t *Txn) DeleteSecondary(table, index string, secKey []byte) *Txn {
 
 // Scan appends a bounded range scan of [lo, hi) — nil hi scans to the end —
 // returning at most limit records (0 selects the server default).  A scan
-// must be the only statement of its request (protocol v2).
+// must be the only statement of its request.
 func (t *Txn) Scan(table string, lo, hi []byte, limit int) *Txn {
 	t.statements = append(t.statements, wire.Statement{
 		Op: wire.OpScan, Table: table, Key: lo, KeyEnd: hi, Limit: uint32(max(limit, 0)),
@@ -175,17 +166,6 @@ func (t *Txn) Scan(table string, lo, hi []byte, limit int) *Txn {
 
 // Len returns the number of statements added so far.
 func (t *Txn) Len() int { return len(t.statements) }
-
-// minVersion returns the protocol version the transaction needs.
-func (t *Txn) minVersion() uint32 {
-	v := wire.V1
-	for _, st := range t.statements {
-		if mv := st.Op.MinVersion(); mv > v {
-			v = mv
-		}
-	}
-	return v
-}
 
 // Future is one in-flight request.  It completes exactly once: with the
 // server's response, with a transport error, or with the cancellation
@@ -228,10 +208,6 @@ type DialOptions struct {
 	// Token is presented during the handshake; the matching server token
 	// authenticates the session for OpControl.
 	Token string
-	// Version caps the protocol version offered in the handshake (0 offers
-	// the highest this build speaks).  Version 1 skips the handshake
-	// entirely and produces a legacy v1 session.
-	Version uint32
 	// Timeout bounds the TCP dial and the handshake round trip (0 means
 	// 10s).
 	Timeout time.Duration
@@ -281,7 +257,6 @@ func (p *RetryPolicy) backoff(attempt int) time.Duration {
 type Client struct {
 	conn     net.Conn
 	br       *bufio.Reader
-	version  uint32
 	authed   bool
 	readOnly bool
 	retry    *RetryPolicy
@@ -303,8 +278,7 @@ type Client struct {
 	readerDone chan struct{}
 }
 
-// Dial connects to a PLP server and negotiates the highest shared protocol
-// version.
+// Dial connects to a PLP server and performs the protocol handshake.
 func Dial(addr string) (*Client, error) {
 	return DialContext(context.Background(), addr, nil)
 }
@@ -314,9 +288,9 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	return DialContext(context.Background(), addr, &DialOptions{Timeout: timeout})
 }
 
-// DialContext connects, performs the protocol handshake (unless opts caps
-// the version at 1) and starts the client's reader goroutine.  The context
-// bounds the whole connection setup.
+// DialContext connects, performs the protocol handshake and starts the
+// client's reader goroutine.  The context bounds the whole connection
+// setup.
 func DialContext(ctx context.Context, addr string, opts *DialOptions) (*Client, error) {
 	var o DialOptions
 	if opts != nil {
@@ -324,9 +298,6 @@ func DialContext(ctx context.Context, addr string, opts *DialOptions) (*Client, 
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 10 * time.Second
-	}
-	if o.Version == 0 || o.Version > wire.MaxVersion {
-		o.Version = wire.MaxVersion
 	}
 	dctx, cancel := context.WithTimeout(ctx, o.Timeout)
 	defer cancel()
@@ -356,45 +327,34 @@ func DialContext(ctx context.Context, addr string, opts *DialOptions) (*Client, 
 		conn:       conn,
 		retry:      o.RetryPolicy,
 		br:         bufio.NewReaderSize(conn, 64<<10),
-		version:    wire.V1,
 		writeCh:    make(chan []byte, 256),
 		writerQuit: make(chan struct{}),
 		pending:    make(map[uint64]*Future),
 		streams:    make(map[uint64]chan *wire.ScanChunk),
 		readerDone: make(chan struct{}),
 	}
-	if o.Version >= wire.V2 {
-		if err := c.handshake(dctx, &o); err != nil {
-			_ = conn.Close()
-			return nil, err
-		}
+	if err := c.handshake(dctx, &o); err != nil {
+		_ = conn.Close()
+		return nil, err
 	}
 	go c.writeLoop()
 	go c.readLoop()
 	return c, nil
 }
 
-// handshake sends the HELLO and interprets the server's first frame.  A
-// pre-v2 server answers a HELLO with a decode-error response; the client
-// detects that and degrades the session to v1.
+// handshake sends the HELLO and interprets the server's HELLO-ACK.
 func (c *Client) handshake(ctx context.Context, o *DialOptions) error {
 	if dl, ok := ctx.Deadline(); ok {
 		_ = c.conn.SetDeadline(dl)
 		defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
 	}
-	hello := &wire.Hello{MaxVersion: o.Version, Token: []byte(o.Token)}
+	hello := &wire.Hello{MaxVersion: wire.Version, Token: []byte(o.Token)}
 	if err := wire.WriteFrame(c.conn, wire.EncodeHello(hello)); err != nil {
 		return err
 	}
 	payload, err := wire.ReadFrame(c.br)
 	if err != nil {
 		return fmt.Errorf("client: handshake: %w", err)
-	}
-	if !wire.IsHelloAck(payload) {
-		// A legacy server treated the HELLO as a request and replied with a
-		// decode error: stay on v1 and discard that response.
-		c.version = wire.V1
-		return nil
 	}
 	ack, err := wire.DecodeHelloAck(payload)
 	if err != nil {
@@ -406,19 +366,16 @@ func (c *Client) handshake(ctx context.Context, o *DialOptions) error {
 		}
 		return fmt.Errorf("client: handshake refused: %s", ack.Err)
 	}
-	c.version = ack.Version
+	if ack.Version != wire.Version {
+		return fmt.Errorf("client: handshake: server speaks protocol v%d, need v%d", ack.Version, wire.Version)
+	}
 	c.authed = ack.Authenticated
 	c.readOnly = ack.ReadOnly
 	return nil
 }
 
-// Version returns the negotiated protocol version of the session.
-func (c *Client) Version() uint32 { return c.version }
-
 // Authenticated reports whether the handshake authenticated the session
-// for control commands.  Legacy v1 sessions always report false — the v1
-// protocol has no handshake, so the client cannot know whether the server
-// requires a token (an open server still accepts their control commands).
+// for control commands.
 func (c *Client) Authenticated() bool { return c.authed }
 
 // ReadOnly reports whether the session is scoped read-only (the token
@@ -496,7 +453,7 @@ func (c *Client) readLoop() {
 			// A chunk without a stream belongs to an abandoned scan: drop it.
 			continue
 		}
-		resp, err := wire.DecodeResponseV(payload, c.version)
+		resp, err := wire.DecodeResponse(payload)
 		if err != nil {
 			c.fail(fmt.Errorf("client: bad response frame: %w", err))
 			return
@@ -560,33 +517,29 @@ func (c *Client) Close() error {
 // cancelled fails the future immediately); use Future.Wait to bound the
 // wait for the response.
 func (c *Client) DoAsync(ctx context.Context, t *Txn) *Future {
-	return c.submitAsync(ctx, t.minVersion(), func(id uint64) []byte {
-		return wire.EncodeRequestV(&wire.Request{ID: id, Statements: t.statements}, c.version)
+	return c.submitAsync(ctx, func(id uint64) []byte {
+		return wire.EncodeRequest(&wire.Request{ID: id, Statements: t.statements})
 	})
 }
 
 // DoPlanAsync submits a declarative plan (package plan) as one transaction
-// in one frame and returns its Future.  Requires a v3 session.
+// in one frame and returns its Future.
 func (c *Client) DoPlanAsync(ctx context.Context, p *plan.Plan) *Future {
 	if err := p.Validate(); err != nil {
 		f := &Future{done: make(chan struct{})}
 		f.complete(nil, err)
 		return f
 	}
-	return c.submitAsync(ctx, wire.V3, func(id uint64) []byte {
+	return c.submitAsync(ctx, func(id uint64) []byte {
 		return wire.EncodePlanRequest(id, p)
 	})
 }
 
 // submitAsync registers a future and enqueues the frame encode(id) builds.
-func (c *Client) submitAsync(ctx context.Context, need uint32, encode func(id uint64) []byte) *Future {
+func (c *Client) submitAsync(ctx context.Context, encode func(id uint64) []byte) *Future {
 	f := &Future{done: make(chan struct{})}
 	if err := ctx.Err(); err != nil {
 		f.complete(nil, err)
-		return f
-	}
-	if need > c.version {
-		f.complete(nil, fmt.Errorf("%w (need v%d, have v%d)", ErrVersion, need, c.version))
 		return f
 	}
 	c.mu.Lock()
@@ -647,23 +600,21 @@ func (c *Client) abandon(f *Future) {
 	c.mu.Unlock()
 }
 
-// cancelInFlight abandons the future and — on a v3 session — sends a
-// best-effort cancel frame so the server aborts the request's transaction
-// instead of completing it for nobody.
+// cancelInFlight abandons the future and sends a best-effort cancel frame
+// so the server aborts the request's transaction instead of completing it
+// for nobody.
 func (c *Client) cancelInFlight(f *Future) {
 	c.abandon(f)
-	if c.version >= wire.V3 {
-		c.enqueue(wire.EncodeCancelRequest(f.id))
-	}
+	c.enqueue(wire.EncodeCancelRequest(f.id))
 }
 
 // DoContext executes the transaction and returns the server's response,
 // honouring the context.  The returned error is non-nil for transport
 // failures, cancellations, and aborted transactions (ErrAborted, with the
-// server's message appended).  On a v3 session a cancellation also sends a
-// cancel frame aborting the server-side transaction.  With a RetryPolicy
-// installed, transient aborts are retried under jittered backoff before the
-// error surfaces.
+// server's message appended).  A cancellation also sends a cancel frame
+// aborting the server-side transaction.  With a RetryPolicy installed,
+// transient aborts are retried under jittered backoff before the error
+// surfaces.
 func (c *Client) DoContext(ctx context.Context, t *Txn) (*wire.Response, error) {
 	resp, err := c.doOnce(ctx, t)
 	for attempt := 1; c.shouldRetry(ctx, err, attempt); attempt++ {
@@ -718,7 +669,7 @@ func NewPlan() *plan.Builder { return plan.New() }
 // DoPlanContext executes a declarative plan as one transaction in one round
 // trip and returns the per-op results, indexed flat in phase order.
 // Aborted plans return the results (whose Err fields name the failing ops)
-// together with ErrAborted.  Requires a v3 session (ErrVersion otherwise).
+// together with ErrAborted.
 func (c *Client) DoPlanContext(ctx context.Context, p *plan.Plan) ([]plan.Result, error) {
 	resp, err := c.doPlanOnce(ctx, p)
 	for attempt := 1; c.shouldRetry(ctx, err, attempt); attempt++ {
@@ -864,7 +815,7 @@ func (c *Client) DeleteContext(ctx context.Context, table string, key []byte) er
 	return err
 }
 
-// DeleteSecondary removes one secondary-index entry (protocol v2).
+// DeleteSecondary removes one secondary-index entry.
 func (c *Client) DeleteSecondary(table, index string, secKey []byte) error {
 	_, err := c.Do(NewTxn().DeleteSecondary(table, index, secKey))
 	return err
@@ -876,9 +827,8 @@ func (c *Client) DeleteSecondaryContext(ctx context.Context, table, index string
 	return err
 }
 
-// Scan returns at most limit records of [lo, hi) in key order (protocol
-// v2).  A nil hi scans to the end of the table; limit 0 selects the server
-// default.
+// Scan returns at most limit records of [lo, hi) in key order.  A nil hi
+// scans to the end of the table; limit 0 selects the server default.
 func (c *Client) Scan(table string, lo, hi []byte, limit int) ([]wire.ScanEntry, error) {
 	return c.ScanContext(context.Background(), table, lo, hi, limit)
 }

@@ -70,13 +70,6 @@ func TestTxnBuilderV2Ops(t *testing.T) {
 	if NewTxn().Scan("t", nil, nil, -1).statements[0].Limit != 0 {
 		t.Fatal("negative limit not clamped to 0")
 	}
-	// Version requirements follow the ops.
-	if NewTxn().Get("t", nil).minVersion() != wire.V1 {
-		t.Fatal("v1 txn reported a higher version need")
-	}
-	if txn.minVersion() != wire.V2 {
-		t.Fatal("v2 txn did not report the v2 requirement")
-	}
 }
 
 func TestDialFailure(t *testing.T) {

@@ -27,10 +27,10 @@ import (
 // ErrNoShardMap is returned when no seed server answered with a shard map.
 var ErrNoShardMap = errors.New("client: no shard map available")
 
-// ShardMap fetches the server's current shard map.  Requires a v3 session;
-// a server running unsharded returns an error.
+// ShardMap fetches the server's current shard map; a server running
+// unsharded returns an error.
 func (c *Client) ShardMap(ctx context.Context) (*shard.Map, error) {
-	f := c.submitAsync(ctx, wire.V3, wire.EncodeShardMapRequest)
+	f := c.submitAsync(ctx, wire.EncodeShardMapRequest)
 	resp, err := f.Wait(ctx)
 	if err != nil && errors.Is(err, ctx.Err()) && ctx.Err() != nil {
 		c.abandon(f)

@@ -1,4 +1,4 @@
-// Streaming scans: the client side of the V3 SCAN / SCAN-CHUNK / SCAN-ACK
+// Streaming scans: the client side of the SCAN / SCAN-CHUNK / SCAN-ACK
 // exchange.  A ScanStream pulls entries chunk by chunk instead of buffering
 // the whole result in one Response, so arbitrarily large ranges move in
 // bounded memory on both ends.  Flow control is credit-based: the server
@@ -58,11 +58,8 @@ type ScanStream struct {
 }
 
 // ScanStream starts a streaming scan of [lo, hi) on table.  A nil hi scans
-// to the end; a nil opts uses defaults.  Requires a protocol-v3 session.
+// to the end; a nil opts uses defaults.
 func (c *Client) ScanStream(ctx context.Context, table string, lo, hi []byte, opts *ScanStreamOptions) (*ScanStream, error) {
-	if c.version < wire.V3 {
-		return nil, fmt.Errorf("%w: streaming scans need protocol v3, session is v%d", ErrVersion, c.version)
-	}
 	var o ScanStreamOptions
 	if opts != nil {
 		o = *opts

@@ -1,6 +1,6 @@
 // Netserver: serve a PLP engine over TCP and talk to it with the Go client.
 //
-// The example exercises the wire-protocol v2 surface end to end: the
+// The example exercises the wire-protocol surface end to end: the
 // authenticated handshake (the server requires a token for control
 // commands), synchronous CRUD, a multi-statement transaction through a
 // secondary index, a pipelined burst of asynchronous transactions on a
@@ -49,14 +49,14 @@ func main() {
 	defer srv.Close()
 	fmt.Printf("serving on %s\n", addr)
 
-	// Client side: the handshake negotiates protocol v2 and authenticates.
+	// Client side: the handshake authenticates the session.
 	ctx := context.Background()
 	c, err := client.DialContext(ctx, addr, &client.DialOptions{Token: token})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer c.Close()
-	fmt.Printf("negotiated protocol v%d (authenticated=%v)\n", c.Version(), c.Authenticated())
+	fmt.Printf("authenticated=%v\n", c.Authenticated())
 
 	// Simple CRUD...
 	if err := c.Ping([]byte("hello")); err != nil {

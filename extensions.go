@@ -142,10 +142,10 @@ var RecommendBoundaries = advisor.RecommendBoundaries
 // Network server (see internal/server, package client and cmd/plpd).
 //
 
-// Server exposes an engine over TCP using wire protocol v2: versioned
-// authenticated handshake, pipelined out-of-order execution, and
-// distributed range scans (see package wire for the protocol and package
-// client for the asynchronous Go client).
+// Server exposes an engine over TCP using the wire protocol: authenticated
+// handshake, pipelined out-of-order execution, and distributed range scans
+// (see package wire for the protocol and package client for the
+// asynchronous Go client).
 type Server = server.Server
 
 // NewServer returns a server for the engine.  Call Listen and Serve (or see

@@ -265,15 +265,18 @@ func (w *Worker) run(b batch) {
 		start = time.Now()
 		w.queueWait.Add(int64(start.Sub(b.enqueuedAt)) * timingSampleEvery)
 	}
+	// Tasks are credited before they run: a task typically signals its
+	// completion from inside exec, and a caller woken by that signal must
+	// already see the task counted.
 	if b.many == nil {
-		w.exec(&b.one)
 		w.executed.Add(1)
+		w.exec(&b.one)
 	} else {
 		ts := *b.many
+		w.executed.Add(uint64(len(ts)))
 		for i := range ts {
 			w.exec(&ts[i])
 		}
-		w.executed.Add(uint64(len(ts)))
 		PutTasks(b.many)
 	}
 	if !start.IsZero() {

@@ -411,3 +411,42 @@ func TestConcurrentQuiescesDoNotDeadlock(t *testing.T) {
 		t.Fatal("concurrent quiesces deadlocked")
 	}
 }
+
+// TestExecutedCountedBeforeCompletionSignal pins the ordering callers rely
+// on: a task that signals its completion and then keeps running (blocked
+// on hold here) is already counted, both as a single task and inside a
+// batch, so a reader woken by the signal never sees a stale Executed.
+func TestExecutedCountedBeforeCompletionSignal(t *testing.T) {
+	p := NewPool(1, 8, &cs.Stats{})
+	p.Start()
+	defer p.Stop()
+	w := p.Worker(0)
+
+	done := make(chan struct{})
+	hold := make(chan struct{})
+	// Registered after the deferred Stop, so it runs first: a failing
+	// check must not leave the worker parked on hold while Stop waits.
+	defer close(hold)
+	task := Task{Do: func(_ *Worker) {
+		done <- struct{}{}
+		<-hold
+	}}
+	if err := w.Submit(task); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if got := w.Stats().Executed; got != 1 {
+		t.Fatalf("single task: Executed=%d after its completion signal, want 1", got)
+	}
+	hold <- struct{}{}
+
+	ts := GetTasks()
+	*ts = append(*ts, task, Task{Do: func(_ *Worker) {}})
+	if err := w.SubmitBatch(ts); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if got := w.Stats().Executed; got != 3 {
+		t.Fatalf("batch: Executed=%d after the first task's completion signal, want 3", got)
+	}
+}

@@ -18,11 +18,13 @@ import (
 	"plp/plan"
 )
 
-// Plan-scan bounds, mirroring the wire server's v2 scan limits.
+// Plan-scan bounds.  They also bound a flat-statement OpScan, which the
+// wire server runs as a one-scan plan.
 const (
 	// DefaultPlanScanLimit is applied when a plan Scan asks for no limit.
 	DefaultPlanScanLimit = 1024
-	// MaxPlanScanLimit caps any plan Scan.
+	// MaxPlanScanLimit caps any plan Scan, protecting the server from a
+	// scan that would materialize an entire table into one response frame.
 	MaxPlanScanLimit = 65536
 )
 

@@ -307,17 +307,14 @@ func (f *Follower) streamOnce() (refused bool, err error) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
 
-	// Handshake: full-token V3 session.
-	hello := &wire.Hello{MaxVersion: wire.V3, Token: []byte(f.o.Token)}
+	// Handshake: full-token session.
+	hello := &wire.Hello{MaxVersion: wire.Version, Token: []byte(f.o.Token)}
 	if err := wire.WriteFrame(conn, wire.EncodeHello(hello)); err != nil {
 		return false, err
 	}
 	payload, err := wire.ReadFrame(br)
 	if err != nil {
 		return false, err
-	}
-	if !wire.IsHelloAck(payload) {
-		return false, errors.New("repl: primary is not a v2+ server")
 	}
 	ack, err := wire.DecodeHelloAck(payload)
 	if err != nil {
@@ -326,8 +323,8 @@ func (f *Follower) streamOnce() (refused bool, err error) {
 	if ack.Err != "" {
 		return true, fmt.Errorf("repl: handshake refused: %s", ack.Err)
 	}
-	if ack.Version < wire.V3 {
-		return true, fmt.Errorf("repl: primary speaks v%d, need v3", ack.Version)
+	if ack.Version != wire.Version {
+		return true, fmt.Errorf("repl: primary speaks protocol v%d, need v%d", ack.Version, wire.Version)
 	}
 
 	// Subscribe from the local durable horizon.
@@ -339,7 +336,7 @@ func (f *Follower) streamOnce() (refused bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	resp, err := wire.DecodeResponseV(payload, wire.V3)
+	resp, err := wire.DecodeResponse(payload)
 	if err != nil {
 		return false, err
 	}

@@ -77,15 +77,15 @@ func BenchmarkServerUpsertGet(b *testing.B) {
 	}
 }
 
-// BenchmarkServerSerialized1Conn measures the legacy execution model: a v1
-// session issuing one synchronous transaction at a time, so every operation
-// pays a full network round trip and the connection can keep at most one
+// BenchmarkServerSerialized1Conn measures the serial execution model: one
+// synchronous transaction in flight at a time, so every operation pays a
+// full network round trip and the connection can keep at most one
 // partition worker busy.
 func BenchmarkServerSerialized1Conn(b *testing.B) {
 	for _, workload := range []string{"upsert", "get"} {
 		b.Run(workload, func(b *testing.B) {
 			addr := benchServer(b, workload == "get")
-			c, err := client.DialContext(context.Background(), addr, &client.DialOptions{Version: 1})
+			c, err := client.Dial(addr)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -100,8 +100,8 @@ func BenchmarkServerSerialized1Conn(b *testing.B) {
 	}
 }
 
-// BenchmarkServerPipelined1Conn64 measures the v2 execution model on the
-// same workloads: one connection keeping 64 transactions in flight, with
+// BenchmarkServerPipelined1Conn64 measures the pipelined execution model on
+// the same workloads: one connection keeping 64 transactions in flight, with
 // the server's per-connection executor pool spreading them over the
 // partition workers and completing them out of order.
 func BenchmarkServerPipelined1Conn64(b *testing.B) {
@@ -134,15 +134,11 @@ func BenchmarkServerPipelined1Conn64(b *testing.B) {
 }
 
 // measureNetThroughput drives one connection for the given duration and
-// returns committed transactions per second — serialized (v1, one in
-// flight) or pipelined (v2, 64 in flight).
+// returns committed transactions per second — serialized (one in flight) or
+// pipelined (64 in flight).
 func measureNetThroughput(tb testing.TB, addr, workload string, pipelined bool, d time.Duration) float64 {
 	tb.Helper()
-	opts := &client.DialOptions{Version: 1}
-	if pipelined {
-		opts = nil
-	}
-	c, err := client.DialContext(context.Background(), addr, opts)
+	c, err := client.Dial(addr)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -292,7 +288,7 @@ func BenchmarkPlanProbeUpdate1RT(b *testing.B) {
 }
 
 // BenchmarkPerStatementProbeUpdate measures the identical logical
-// transaction as per-statement round trips (the pre-v3 surface).
+// transaction as per-statement round trips.
 func BenchmarkPerStatementProbeUpdate(b *testing.B) {
 	addr := benchPlanServer(b, 100_000)
 	c, err := client.Dial(addr)

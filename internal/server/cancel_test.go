@@ -9,38 +9,12 @@ package server
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"testing"
 
 	"plp/internal/engine"
 	"plp/internal/keyenc"
 	"plp/wire"
 )
-
-// dialRawV3 opens a raw connection and completes a v3 handshake.
-func dialRawV3(t *testing.T, addr string) net.Conn {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = conn.Close() })
-	if err := wire.WriteFrame(conn, wire.EncodeHello(&wire.Hello{MaxVersion: wire.V3})); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := wire.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ack, err := wire.DecodeHelloAck(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack.Err != "" || ack.Version < wire.V3 {
-		t.Fatalf("handshake: %+v", ack)
-	}
-	return conn
-}
 
 // TestCancelImmediatelyAfterSend hammers the tightest cancellation race the
 // wire allows: each request frame and its cancel frame leave in ONE TCP
@@ -50,7 +24,7 @@ func dialRawV3(t *testing.T, addr string) net.Conn {
 // must have no effect, a committed one must be readable.
 func TestCancelImmediatelyAfterSend(t *testing.T) {
 	_, _, addr := startServer(t, engine.PLPLeaf)
-	conn := dialRawV3(t, addr)
+	conn := dialRaw(t, addr)
 
 	const n = 300
 	committed := make(map[uint64]bool, n)
@@ -59,7 +33,7 @@ func TestCancelImmediatelyAfterSend(t *testing.T) {
 		req := &wire.Request{ID: i, Statements: []wire.Statement{{
 			Op: wire.OpUpsert, Table: "accounts", Key: keyenc.Uint64Key(i), Value: []byte(fmt.Sprintf("c-%d", i)),
 		}}}
-		if err := wire.WriteFrame(&buf, wire.EncodeRequestV(req, wire.V3)); err != nil {
+		if err := wire.WriteFrame(&buf, wire.EncodeRequest(req)); err != nil {
 			t.Fatal(err)
 		}
 		if err := wire.WriteFrame(&buf, wire.EncodeCancelRequest(i)); err != nil {
@@ -72,7 +46,7 @@ func TestCancelImmediatelyAfterSend(t *testing.T) {
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
-		resp, err := wire.DecodeResponseV(payload, wire.V3)
+		resp, err := wire.DecodeResponse(payload)
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
@@ -109,12 +83,12 @@ func TestCancelImmediatelyAfterSend(t *testing.T) {
 // observable contract: two responses, stream stays ordered and usable.
 func TestCancelWithReusedRequestID(t *testing.T) {
 	_, _, addr := startServer(t, engine.PLPLeaf)
-	conn := dialRawV3(t, addr)
+	conn := dialRaw(t, addr)
 
 	mkReq := func(key uint64) []byte {
-		return wire.EncodeRequestV(&wire.Request{ID: 42, Statements: []wire.Statement{{
+		return wire.EncodeRequest(&wire.Request{ID: 42, Statements: []wire.Statement{{
 			Op: wire.OpUpsert, Table: "accounts", Key: keyenc.Uint64Key(key), Value: []byte("dup"),
-		}}}, wire.V3)
+		}}})
 	}
 	for round := 0; round < 100; round++ {
 		var buf bytes.Buffer
@@ -131,7 +105,7 @@ func TestCancelWithReusedRequestID(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d response %d: %v", round, i, err)
 			}
-			resp, err := wire.DecodeResponseV(payload, wire.V3)
+			resp, err := wire.DecodeResponse(payload)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"net"
 	"strings"
 	"testing"
 
@@ -140,11 +139,7 @@ func TestControlInsideTransactionRejected(t *testing.T) {
 		{Op: wire.OpControl, Key: []byte("status")},
 		{Op: wire.OpUpsert, Table: "accounts", Key: keyenc.Uint64Key(2), Value: []byte("v")},
 	}}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialRaw(t, addr)
 	if err := wire.WriteFrame(conn, wire.EncodeRequest(raw)); err != nil {
 		t.Fatal(err)
 	}

@@ -962,7 +962,7 @@ func TestReplFailoverSIGKILL(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	if err := wire.WriteFrame(conn, wire.EncodeHello(&wire.Hello{MaxVersion: wire.V3})); err != nil {
+	if err := wire.WriteFrame(conn, wire.EncodeHello(&wire.Hello{MaxVersion: wire.Version})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := wire.ReadFrame(br); err != nil {
@@ -975,7 +975,7 @@ func TestReplFailoverSIGKILL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := wire.DecodeResponseV(payload, wire.V3)
+	resp, err := wire.DecodeResponse(payload)
 	if err != nil {
 		t.Fatal(err)
 	}

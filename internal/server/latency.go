@@ -59,13 +59,12 @@ func (h *latencyHist) observe(start time.Time) {
 	h.buckets[b].Add(1)
 }
 
-// The per-op-kind histograms: flat statement transactions, declarative
-// plans, one-shot distributed scans, and individual streaming-scan chunk
+// The per-op-kind histograms: flat statement requests (one-shot scans
+// included), declarative plans, and individual streaming-scan chunk
 // productions (engine chunk + frame encode + writer hand-off).
 var (
 	latStatements = &latencyHist{}
 	latPlan       = &latencyHist{}
-	latScan       = &latencyHist{}
 	latScanChunk  = &latencyHist{}
 )
 
@@ -75,7 +74,6 @@ var latencyKinds = []struct {
 }{
 	{"statements", latStatements},
 	{"plan", latPlan},
-	{"scan", latScan},
 	{"scan_chunk", latScanChunk},
 }
 
@@ -92,7 +90,7 @@ type LatencyStats struct {
 }
 
 // LatencySnapshot returns the process-wide sampled latency histograms by op
-// kind ("statements", "plan", "scan", "scan_chunk") — the same data expvar
+// kind ("statements", "plan", "scan_chunk") — the same data expvar
 // publishes as "plp_latency".
 func LatencySnapshot() map[string]LatencyStats {
 	out := make(map[string]LatencyStats, len(latencyKinds))

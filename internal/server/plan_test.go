@@ -26,9 +26,6 @@ func TestPlanOverWire(t *testing.T) {
 		t.Run(design.String(), func(t *testing.T) {
 			_, _, addr := startServer(t, design)
 			c := dial(t, addr)
-			if c.Version() < wire.V3 {
-				t.Fatalf("negotiated v%d, want v3", c.Version())
-			}
 
 			seed := client.NewPlan().
 				Insert("accounts", client.Uint64Key(42), []byte("balance")).
@@ -275,7 +272,7 @@ func TestCancelFrameSentOnContextCancellation(t *testing.T) {
 			}
 			if wire.IsHello(payload) {
 				_ = wire.WriteFrame(conn, wire.EncodeHelloAck(&wire.HelloAck{
-					Version: wire.V3, Authenticated: true}))
+					Version: wire.Version, Authenticated: true}))
 				continue
 			}
 			f, err := wire.DecodeFrameV3(payload)
@@ -318,16 +315,16 @@ func TestCancelFrameSentOnContextCancellation(t *testing.T) {
 // undone.
 func TestCancelAbortsServerSideTransaction(t *testing.T) {
 	e, srv, _ := startServer(t, engine.PLPLeaf)
-	cs := session{version: wire.V3, authed: true}
+	cs := session{authed: true}
 	sess := e.NewSession()
 	defer sess.Close()
 
 	// Pre-set flag: refused before execution.
 	flag := &atomic.Bool{}
 	flag.Store(true)
-	payload := wire.EncodeRequestV(&wire.Request{ID: 5, Statements: []wire.Statement{
+	payload := wire.EncodeRequest(&wire.Request{ID: 5, Statements: []wire.Statement{
 		{Op: wire.OpUpsert, Table: "accounts", Key: client.Uint64Key(1), Value: []byte("x")},
-	}}, wire.V3)
+	}})
 	resp := srv.handleFrame(sess, payload, cs, flag)
 	if resp.Committed || !strings.Contains(resp.Err, "cancel") {
 		t.Fatalf("queued-canceled request: %+v", resp)
@@ -335,23 +332,17 @@ func TestCancelAbortsServerSideTransaction(t *testing.T) {
 
 	// Mid-transaction cancel: first statement runs, flips the flag, the
 	// second statement aborts the transaction — including the first write.
-	flag = &atomic.Bool{}
 	p := plan.New().
 		Insert("accounts", client.Uint64Key(10), []byte("a")).
 		Then().
 		Insert("accounts", client.Uint64Key(11), []byte("b")).
 		MustBuild()
-	results := make([]plan.Result, p.NumOps())
 	calls := 0
 	hook := func() bool {
 		calls++
 		return calls > 1
 	}
-	ereq, _, err := e.CompilePlan(p, results, hook)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Execute(ereq); !errors.Is(err, engine.ErrPlanCanceled) {
+	if _, err := sess.ExecutePlanCanceled(p, hook); !errors.Is(err, engine.ErrPlanCanceled) {
 		t.Fatalf("err %v, want ErrPlanCanceled", err)
 	}
 	for _, k := range []uint64{10, 11} {
@@ -361,9 +352,8 @@ func TestCancelAbortsServerSideTransaction(t *testing.T) {
 	}
 }
 
-// TestV2ScanStillAlone pins the satellite's compatibility half: flat
-// statement requests keep the scans-alone restriction at every version,
-// while plans mix them freely (TestPlanOverWire).
+// TestV2ScanStillAlone pins that flat statement requests keep the
+// scans-alone restriction, while plans mix them freely (TestPlanOverWire).
 func TestV2ScanStillAlone(t *testing.T) {
 	_, _, addr := startServer(t, engine.PLPLeaf)
 	c := dial(t, addr)

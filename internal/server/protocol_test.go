@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -18,14 +19,11 @@ import (
 	"plp/wire"
 )
 
-// TestHandshakeNegotiation checks a default client negotiates the newest
-// protocol version on an open server and may issue control commands.
+// TestHandshakeNegotiation checks a default client completes the handshake
+// on an open server and may issue control commands.
 func TestHandshakeNegotiation(t *testing.T) {
 	_, srv, addr := startServer(t, engine.PLPLeaf)
 	c := dial(t, addr)
-	if c.Version() != wire.MaxVersion {
-		t.Fatalf("negotiated version %d, want %d", c.Version(), wire.MaxVersion)
-	}
 	if !c.Authenticated() {
 		t.Fatal("open server should authenticate every session")
 	}
@@ -35,8 +33,7 @@ func TestHandshakeNegotiation(t *testing.T) {
 }
 
 // TestHandshakeNegotiatesDownFromFutureVersion checks a client offering a
-// version the server does not speak is negotiated down to the server's
-// maximum.
+// version the server does not speak yet is served at the server's version.
 func TestHandshakeNegotiatesDownFromFutureVersion(t *testing.T) {
 	_, _, addr := startServer(t, engine.PLPLeaf)
 	conn, err := net.Dial("tcp", addr)
@@ -55,40 +52,53 @@ func TestHandshakeNegotiatesDownFromFutureVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.Version != wire.MaxVersion || ack.Err != "" {
-		t.Fatalf("ack %+v, want negotiated version %d", ack, wire.MaxVersion)
+	if ack.Version != wire.Version || ack.Err != "" {
+		t.Fatalf("ack %+v, want version %d", ack, wire.Version)
 	}
 }
 
-// TestV1ClientAgainstV2Server checks a legacy client (no HELLO) still
-// completes transactions — the backwards-compatibility acceptance bar.
-func TestV1ClientAgainstV2Server(t *testing.T) {
-	_, _, addr := startServer(t, engine.PLPLeaf)
-	c, err := client.DialContext(context.Background(), addr, &client.DialOptions{Version: 1})
-	if err != nil {
-		t.Fatal(err)
+// TestHandshakeRequired checks the server speaks one protocol: a
+// connection whose first frame is a request rather than a HELLO, and one
+// whose HELLO offers an older version, are both refused with an erroring
+// HELLO-ACK and closed, and neither counts as a session.
+func TestHandshakeRequired(t *testing.T) {
+	_, srv, addr := startServer(t, engine.PLPLeaf)
+	for _, tc := range []struct {
+		name  string
+		first []byte
+		want  string
+	}{
+		{"no hello", wire.EncodeRequest(&wire.Request{ID: 1, Statements: []wire.Statement{{Op: wire.OpPing}}}), "handshake required"},
+		{"hello offering v2", wire.EncodeHello(&wire.Hello{MaxVersion: 2}), "offers protocol v2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := wire.WriteFrame(conn, tc.first); err != nil {
+				t.Fatal(err)
+			}
+			payload, err := wire.ReadFrame(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ack, err := wire.DecodeHelloAck(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(ack.Err, tc.want) {
+				t.Fatalf("ack %+v, want a refusal mentioning %q", ack, tc.want)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := wire.ReadFrame(conn); !errors.Is(err, io.EOF) {
+				t.Fatalf("refused connection stayed open: %v", err)
+			}
+		})
 	}
-	t.Cleanup(func() { _ = c.Close() })
-	if c.Version() != wire.V1 {
-		t.Fatalf("version %d, want 1", c.Version())
-	}
-	key := client.Uint64Key(4711)
-	if err := c.Insert("accounts", key, []byte("legacy")); err != nil {
-		t.Fatal(err)
-	}
-	val, err := c.Get("accounts", key)
-	if err != nil || string(val) != "legacy" {
-		t.Fatalf("get: %q, %v", val, err)
-	}
-	txn := client.NewTxn().
-		Upsert("accounts", client.Uint64Key(1), []byte("a")).
-		Upsert("accounts", client.Uint64Key(2), []byte("b"))
-	if _, err := c.Do(txn); err != nil {
-		t.Fatal(err)
-	}
-	// v2-only operations must fail client-side on the v1 session.
-	if _, err := c.Scan("accounts", nil, nil, 10); !errors.Is(err, client.ErrVersion) {
-		t.Fatalf("scan on v1 session: %v, want ErrVersion", err)
+	if n := srv.Stats().Handshakes; n != 0 {
+		t.Fatalf("%d refused connections counted as sessions", n)
 	}
 }
 
@@ -123,19 +133,6 @@ func TestAuthToken(t *testing.T) {
 	}
 	if _, err := anon.Control("status", ""); err == nil || !strings.Contains(err.Error(), "authenticated") {
 		t.Fatalf("unauthenticated control: %v, want refusal", err)
-	}
-
-	// Legacy v1 sessions are likewise unauthenticated on a token server.
-	v1, err := client.DialContext(context.Background(), addr, &client.DialOptions{Version: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = v1.Close() })
-	if err := v1.Upsert("accounts", client.Uint64Key(11), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v1.Control("status", ""); err == nil {
-		t.Fatal("v1 control on a token server should be refused")
 	}
 
 	// The right token authenticates and control works.
@@ -176,7 +173,7 @@ func (b *blockingControl) Control(cmd, table string) (string, error) {
 
 // TestPipelinedOutOfOrderCompletion holds one request of a connection
 // blocked inside the server while a later request of the same connection
-// completes — the out-of-order property the v1 serial loop cannot provide.
+// completes — the out-of-order property a serial loop cannot provide.
 func TestPipelinedOutOfOrderCompletion(t *testing.T) {
 	_, srv, addr := startServer(t, engine.PLPLeaf)
 	bc := &blockingControl{entered: make(chan struct{}), gate: make(chan struct{})}
@@ -391,15 +388,13 @@ func TestDeleteSecondaryOverWire(t *testing.T) {
 // echoed back, so ID-matching clients do not desynchronize.
 func TestDecodeErrorEchoesRequestID(t *testing.T) {
 	_, _, addr := startServer(t, engine.PLPLeaf)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// A payload with a valid ID prefix and a hostile statement count.
+	conn := dialRaw(t, addr)
+	// A statement frame with a valid ID prefix and a hostile statement
+	// count.
 	payload := make([]byte, 16)
 	binary.LittleEndian.PutUint64(payload[:8], 7777)
-	binary.LittleEndian.PutUint32(payload[8:12], 0xFFFFFFFF)
+	payload[8] = byte(wire.FrameStatements)
+	binary.LittleEndian.PutUint32(payload[9:13], 0xFFFFFFFF)
 	if err := wire.WriteFrame(conn, payload); err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-// Replication endpoint: a follower's connection is an ordinary wire-v3
+// Replication endpoint: a follower's connection is an ordinary wire
 // session whose first post-handshake frame is a REPL-SUBSCRIBE.  The
 // connection then leaves the request/response pipeline for a dedicated
 // full-duplex loop — a streamer goroutine pushes durable log batches, the
@@ -141,7 +141,7 @@ func (s *Server) serveReplication(conn net.Conn, br *bufio.Reader, payload []byt
 	id, _ := wire.RequestID(payload)
 	refuse := func(msg string) {
 		resp := &wire.Response{ID: id, Err: msg}
-		_ = wire.WriteFrame(conn, wire.AppendResponseV(nil, resp, cs.version))
+		_ = wire.WriteFrame(conn, wire.AppendResponse(nil, resp))
 	}
 	f, err := wire.DecodeFrameV3(payload)
 	if err != nil {
@@ -190,7 +190,7 @@ func (s *Server) serveReplication(conn net.Conn, br *bufio.Reader, payload []byt
 	accept := &wire.Response{ID: id, Committed: true, Results: []wire.StatementResult{{
 		Found: true, Value: ackBlob,
 	}}}
-	if err := wire.WriteFrame(conn, wire.AppendResponseV(nil, accept, cs.version)); err != nil {
+	if err := wire.WriteFrame(conn, wire.AppendResponse(nil, accept)); err != nil {
 		return
 	}
 

@@ -1,33 +1,31 @@
 // Package server exposes a PLP engine over TCP using the wire protocol.
 //
-// The server speaks both wire-protocol versions.  A connection whose first
-// frame is a HELLO is a v2 session: the handshake negotiates the protocol
-// version and authenticates the optional token, and from then on the
-// connection is *pipelined* — one reader goroutine decodes frames, a
-// bounded per-connection pool of executor goroutines runs each request as
-// its own transaction on its own engine Session, and one writer goroutine
-// sends responses back in completion order, matched to requests by ID.
-// That keeps every partition worker of the engine busy from a single
-// connection, instead of serializing the connection on one request at a
-// time.  A connection that opens with a plain request is a legacy v1
-// session and keeps the old serial read-execute-write loop and its
-// in-order replies.
+// Every connection opens with the wire handshake, which checks the protocol
+// version and authenticates the optional token.  From then on the
+// connection is *pipelined*: one reader goroutine decodes frames, a bounded
+// per-connection pool of executor goroutines runs each request as its own
+// transaction on its own engine Session, and one writer goroutine sends
+// responses back in completion order, matched to requests by ID.  That
+// keeps every partition worker of the engine busy from a single connection,
+// instead of serializing the connection on one request at a time.
 //
-// The partition manager inside the engine does the actual work
-// distribution: the server only translates wire statements into routable
-// actions, exactly the role the "partition manager" layer of Section 3.1
-// plays for incoming transactions.
+// A transaction has one form on the server, a plan (package plan).  Plan
+// frames arrive as one; flat statement requests are translated into one.
+// Both then take the same path — admission checks, shard placement,
+// compilation by the engine, execution — so cancellation, retry hints and
+// shard ownership behave identically for both.  The partition manager
+// inside the engine does the actual work distribution: the server only
+// hands it plans, exactly the role the "partition manager" layer of Section
+// 3.1 plays for incoming transactions.
 package server
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/subtle"
 	"crypto/tls"
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,21 +39,16 @@ import (
 // ErrClosed is returned by Serve after Close has been called.
 var ErrClosed = errors.New("server: closed")
 
-// Pipelining and scan bounds.
+// Pipelining bounds.
 const (
-	// DefaultConnWorkers is the per-connection executor pool size for v2
-	// sessions: the number of requests of one connection that can execute
-	// concurrently inside the engine.
+	// DefaultConnWorkers is the per-connection executor pool size: the
+	// number of requests of one connection that can execute concurrently
+	// inside the engine.
 	DefaultConnWorkers = 16
 	// DefaultConnQueue is the per-connection bound on decoded requests
 	// waiting for an executor; together with the pool it caps a
 	// connection's in-flight requests (backpressure is the TCP window).
 	DefaultConnQueue = 64
-	// DefaultScanLimit is applied when an OpScan asks for no limit.
-	DefaultScanLimit = 1024
-	// MaxScanLimit caps any OpScan, protecting the server from a scan that
-	// would materialize an entire table into one response frame.
-	MaxScanLimit = 65536
 )
 
 // ControlHandler serves the wire protocol's OpControl statements — the
@@ -79,7 +72,7 @@ type CheckpointFunc func() (string, error)
 type Stats struct {
 	// Connections is the number of connections accepted so far.
 	Connections uint64
-	// Handshakes is the number of v2 sessions negotiated.
+	// Handshakes is the number of handshakes accepted.
 	Handshakes uint64
 	// AuthFailures is the number of sessions refused for a bad token.
 	AuthFailures uint64
@@ -95,8 +88,8 @@ type Server struct {
 	e *engine.Engine
 
 	// ConnWorkers and ConnQueue override the per-connection executor pool
-	// size and pending-request bound for v2 sessions (0 selects the
-	// defaults).  Set them before Serve.
+	// size and pending-request bound (0 selects the defaults).  Set them
+	// before Serve.
 	ConnWorkers int
 	ConnQueue   int
 
@@ -182,10 +175,9 @@ func (s *Server) SetCheckpointHandler(fn CheckpointFunc) {
 // SetAuthToken installs (or, with "", removes) the authentication token.
 // With a token set, only sessions whose HELLO presented the matching token
 // are authenticated: a wrong token is refused outright, and sessions
-// without a token — including every legacy v1 session — may run data
-// transactions but are refused OpControl.  Without a token every session is
-// authenticated.  The token is snapshotted per connection at handshake
-// time.
+// without a token may run data transactions but are refused OpControl.
+// Without a token every session is authenticated.  The token is
+// snapshotted per connection at handshake time.
 func (s *Server) SetAuthToken(token string) {
 	if token == "" {
 		s.token.Store(nil)
@@ -324,15 +316,15 @@ func (s *Server) Close() error {
 	return err
 }
 
-// session is the per-connection protocol state fixed by the handshake.
+// session is the per-connection state fixed by the handshake.
 type session struct {
-	version  uint32
 	authed   bool
 	readOnly bool
 }
 
-// serveConn sniffs the first frame for a handshake and dispatches the
-// connection to the serial (v1) or pipelined (v2) loop.
+// serveConn runs the handshake, then hands the connection to the
+// replication streamer (when its first frame subscribes) or to the
+// pipelined request loop.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -350,92 +342,64 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	tok := s.token.Load()
-	ro := s.roToken.Load()
-	cs := session{version: wire.V1, authed: tok == nil}
-	if wire.IsHello(first) {
-		hello, err := wire.DecodeHello(first)
-		if err != nil {
-			_ = wire.WriteFrame(conn, wire.EncodeHelloAck(&wire.HelloAck{
-				Version: wire.MaxVersion, Err: fmt.Sprintf("handshake: %v", err)}))
-			return
-		}
-		cs.version = hello.MaxVersion
-		if cs.version > wire.MaxVersion {
-			cs.version = wire.MaxVersion
-		}
-		if cs.version < wire.V1 {
-			cs.version = wire.V1
-		}
-		if (tok != nil || ro != nil) && len(hello.Token) > 0 {
-			switch {
-			case tok != nil && subtle.ConstantTimeCompare([]byte(*tok), hello.Token) == 1:
-				cs.authed = true
-			case ro != nil && subtle.ConstantTimeCompare([]byte(*ro), hello.Token) == 1:
-				// Read-only scope: data reads only, never control — even on
-				// a server whose control verbs are otherwise open.
-				cs.readOnly = true
-				cs.authed = false
-			default:
-				s.authFailures.Add(1)
-				_ = wire.WriteFrame(conn, wire.EncodeHelloAck(&wire.HelloAck{
-					Version: cs.version, Err: "authentication failed"}))
-				return
-			}
-		}
-		if err := wire.WriteFrame(conn, wire.EncodeHelloAck(&wire.HelloAck{
-			Version: cs.version, Authenticated: cs.authed, ReadOnly: cs.readOnly})); err != nil {
-			return
-		}
-		s.handshakes.Add(1)
-		first = nil
-	}
-	if cs.version >= wire.V3 {
-		// A replication subscription announces itself as the first
-		// post-handshake frame; everything else enters the pipelined loop
-		// with the frame it already read.
-		payload, err := wire.ReadFrame(br)
-		if err != nil {
-			return
-		}
-		if len(payload) > 8 && wire.FrameKind(payload[8]) == wire.FrameReplSubscribe {
-			s.serveReplication(conn, br, payload, cs)
-			return
-		}
-		s.servePipelined(conn, br, payload, cs)
+	cs, ok := s.handshake(conn, first)
+	if !ok {
 		return
 	}
-	if cs.version >= wire.V2 {
-		s.servePipelined(conn, br, nil, cs)
+	payload, err := wire.ReadFrame(br)
+	if err != nil {
 		return
 	}
-	s.serveSerial(conn, br, first, cs)
+	if len(payload) > 8 && wire.FrameKind(payload[8]) == wire.FrameReplSubscribe {
+		s.serveReplication(conn, br, payload, cs)
+		return
+	}
+	s.servePipelined(conn, br, payload, cs)
 }
 
-// serveSerial is the legacy v1 loop: one request at a time, responses in
-// request order.  first is a request frame already read by the handshake
-// sniff (nil when the session started with a HELLO that negotiated v1).
-func (s *Server) serveSerial(conn net.Conn, br *bufio.Reader, first []byte, cs session) {
-	sess := s.e.NewSession()
-	defer sess.Close()
-
-	payload := first
-	var encBuf []byte // reused response encode buffer for the session
-	for {
-		if payload == nil {
-			var err error
-			payload, err = wire.ReadFrame(br)
-			if err != nil {
-				return // connection closed or corrupt framing: drop the connection
-			}
-		}
-		resp := s.handleFrame(sess, payload, cs, nil)
-		payload = nil
-		encBuf = wire.AppendResponseV(encBuf[:0], resp, cs.version)
-		if err := wire.WriteFrame(conn, encBuf); err != nil {
-			return
+// handshake answers the connection's first frame, which must be a HELLO
+// offering at least wire.Version, and returns the session it establishes.
+// Anything else is refused with an erroring HELLO-ACK.
+func (s *Server) handshake(conn net.Conn, first []byte) (session, bool) {
+	refuse := func(msg string) (session, bool) {
+		_ = wire.WriteFrame(conn, wire.EncodeHelloAck(&wire.HelloAck{Version: wire.Version, Err: msg}))
+		return session{}, false
+	}
+	if !wire.IsHello(first) {
+		return refuse(fmt.Sprintf("handshake required: the first frame must be a protocol v%d HELLO", wire.Version))
+	}
+	hello, err := wire.DecodeHello(first)
+	if err != nil {
+		return refuse(fmt.Sprintf("handshake: %v", err))
+	}
+	if hello.MaxVersion < wire.Version {
+		return refuse(fmt.Sprintf("handshake: client offers protocol v%d, server requires v%d", hello.MaxVersion, wire.Version))
+	}
+	tok := s.token.Load()
+	ro := s.roToken.Load()
+	cs := session{authed: tok == nil}
+	if (tok != nil || ro != nil) && len(hello.Token) > 0 {
+		switch {
+		case tok != nil && subtle.ConstantTimeCompare([]byte(*tok), hello.Token) == 1:
+			cs.authed = true
+		case ro != nil && subtle.ConstantTimeCompare([]byte(*ro), hello.Token) == 1:
+			// Read-only scope: data reads only, never control — even on a
+			// server whose control verbs are otherwise open.
+			cs.readOnly = true
+			cs.authed = false
+		default:
+			s.authFailures.Add(1)
+			return refuse("authentication failed")
 		}
 	}
+	// Counted before the ack goes out, so a client that has read it sees
+	// its session in Stats.
+	s.handshakes.Add(1)
+	if err := wire.WriteFrame(conn, wire.EncodeHelloAck(&wire.HelloAck{
+		Version: wire.Version, Authenticated: cs.authed, ReadOnly: cs.readOnly})); err != nil {
+		return session{}, false
+	}
+	return cs, true
 }
 
 // workItem is one queued request frame plus its cancellation flag, set by
@@ -454,9 +418,9 @@ type outMsg struct {
 	raw  []byte
 }
 
-// servePipelined is the v2+ loop: this goroutine reads and decodes frames, a
-// bounded executor pool runs each request on its own engine session, and a
-// writer goroutine sends responses in completion order.  On v3 sessions the
+// servePipelined is the request loop: this goroutine reads and decodes
+// frames, a bounded executor pool runs each request on its own engine
+// session, and a writer goroutine sends responses in completion order.  The
 // reader also intercepts cancel frames — they must not queue behind the very
 // requests they cancel — and flips the named request's flag, which the
 // executing transaction polls before every op.
@@ -499,7 +463,7 @@ func (s *Server) servePipelined(conn net.Conn, br *bufio.Reader, first []byte, c
 			}
 			payload := m.raw
 			if payload == nil {
-				encBuf = wire.AppendResponseV(encBuf[:0], m.resp, cs.version)
+				encBuf = wire.AppendResponse(encBuf[:0], m.resp)
 				payload = encBuf
 			}
 			if err := wire.WriteFrame(bw, payload); err != nil {
@@ -522,7 +486,7 @@ func (s *Server) servePipelined(conn net.Conn, br *bufio.Reader, first []byte, c
 			sess := s.e.NewSession()
 			defer sess.Close()
 			for item := range work {
-				if cs.version >= wire.V3 && len(item.payload) > 8 && wire.FrameKind(item.payload[8]) == wire.FrameScan {
+				if len(item.payload) > 8 && wire.FrameKind(item.payload[8]) == wire.FrameScan {
 					// A streaming scan emits its chunks itself and holds
 					// this executor slot until the stream ends.
 					s.streamScan(item.payload, item.canceled, out, &scanFlows, connDone)
@@ -550,7 +514,7 @@ func (s *Server) servePipelined(conn net.Conn, br *bufio.Reader, first []byte, c
 				break
 			}
 		}
-		if cs.version >= wire.V3 && wire.IsScanAckFrame(payload) {
+		if wire.IsScanAckFrame(payload) {
 			// Scan credits are intercepted like cancels: they regulate
 			// executors already running, so they must never queue behind
 			// the very streams they pace.
@@ -558,7 +522,7 @@ func (s *Server) servePipelined(conn net.Conn, br *bufio.Reader, first []byte, c
 			payload = nil
 			continue
 		}
-		if cs.version >= wire.V3 && len(payload) > 8 && wire.FrameKind(payload[8]) == wire.FrameCancel {
+		if len(payload) > 8 && wire.FrameKind(payload[8]) == wire.FrameCancel {
 			// A cancel names an in-flight request by ID.  One for a request
 			// already completed (or never seen) is stale and ignored; one
 			// for a request still queued or executing flips its flag, and
@@ -593,70 +557,57 @@ func (s *Server) servePipelined(conn net.Conn, br *bufio.Reader, first []byte, c
 // still echoes the best-effort request ID so ID-matching clients stay in
 // sync.
 func (s *Server) handleFrame(sess *engine.Session, payload []byte, cs session, canceled *atomic.Bool) *wire.Response {
-	if cs.version >= wire.V3 {
-		f, err := wire.DecodeFrameV3(payload)
-		if err != nil {
-			id, _ := wire.RequestID(payload)
-			return &wire.Response{ID: id, Err: fmt.Sprintf("decode: %v", err)}
-		}
-		switch f.Kind {
-		case wire.FramePlan:
-			return s.executePlan(sess, f.ID, f.Plan, cs, canceled)
-		case wire.FrameCancel, wire.FrameScan, wire.FrameScanAck:
-			// Cancels, streaming scans and their acks are intercepted before
-			// handleFrame; one reaching here came over a transport that
-			// should not produce it (the serial v1 loop, a shard peer call).
-			return &wire.Response{ID: f.ID, Err: fmt.Sprintf("unexpected frame kind %d", f.Kind), Retry: wire.RetryPermanent}
-		case wire.FrameShardMap:
-			return s.executeShardMap(f.ID)
-		case wire.FramePrepare:
-			if s.followerMode.Load() {
-				return &wire.Response{ID: f.ID, Err: wire.FollowerPrefix + ": prepare refused — follower nodes take no transaction branches"}
-			}
-			return s.executePrepare(sess, f, cs)
-		case wire.FrameDecide:
-			if s.followerMode.Load() {
-				return &wire.Response{ID: f.ID, Err: wire.FollowerPrefix + ": decide refused — follower nodes take no transaction branches"}
-			}
-			return s.executeDecide(f, cs)
-		default:
-			return s.execute(sess, f.Req, cs, canceled)
-		}
-	}
-	req, err := wire.DecodeRequestV(payload, cs.version)
+	f, err := wire.DecodeFrameV3(payload)
 	if err != nil {
 		id, _ := wire.RequestID(payload)
 		return &wire.Response{ID: id, Err: fmt.Sprintf("decode: %v", err)}
 	}
-	return s.execute(sess, req, cs, canceled)
+	switch f.Kind {
+	case wire.FrameStatements:
+		return s.executeStatements(sess, f.Req, cs, canceled)
+	case wire.FramePlan:
+		return s.executePlan(sess, f.ID, f.Plan, cs, canceled)
+	case wire.FrameShardMap:
+		return s.executeShardMap(f.ID)
+	case wire.FramePrepare:
+		if s.followerMode.Load() {
+			return &wire.Response{ID: f.ID, Err: wire.FollowerPrefix + ": prepare refused — follower nodes take no transaction branches"}
+		}
+		return s.executePrepare(sess, f, cs)
+	case wire.FrameDecide:
+		if s.followerMode.Load() {
+			return &wire.Response{ID: f.ID, Err: wire.FollowerPrefix + ": decide refused — follower nodes take no transaction branches"}
+		}
+		return s.executeDecide(f, cs)
+	default:
+		// Cancels, streaming scans and their acks are intercepted before
+		// handleFrame, and replication frames belong to a subscription; one
+		// reaching here came over a transport that should not produce it.
+		return &wire.Response{ID: f.ID, Err: fmt.Sprintf("unexpected frame kind %d", f.Kind), Retry: wire.RetryPermanent}
+	}
 }
 
-// followerRefusal fills resp with a follower-mode write refusal.  When the
-// node knows a shard map it rides along in the results — after a failover
-// the ex-primary's refusals carry the post-promotion replica sets, so a
-// routing client adopts the new primary from the refusal itself instead of
-// hunting for a member that will answer a refresh.
+// followerRefusal fills resp with a follower-mode refusal.  When the node
+// knows a shard map it rides along in the results — after a failover the
+// ex-primary's refusals carry the post-promotion replica sets, so a routing
+// client adopts the new primary from the refusal itself instead of hunting
+// for a member that will answer a refresh.
 func (s *Server) followerRefusal(resp *wire.Response, msg string) *wire.Response {
-	resp.Err = msg
 	if m := s.ShardMap(); m != nil {
 		resp.Results = []wire.StatementResult{{Value: m.Encode()}}
 	}
+	return s.refuse(resp, msg)
+}
+
+// refuse aborts resp before it runs, for a reason a retry would repeat.
+func (s *Server) refuse(resp *wire.Response, msg string) *wire.Response {
+	resp.Err = msg
+	resp.Retry = wire.RetryPermanent
 	s.aborted.Add(1)
 	return resp
 }
 
-// writesOp reports whether a flat statement op modifies the database.
-func writesOp(op wire.OpType) bool {
-	switch op {
-	case wire.OpInsert, wire.OpUpdate, wire.OpUpsert, wire.OpDelete,
-		wire.OpInsertSecondary, wire.OpDeleteSecondary:
-		return true
-	default:
-		return false
-	}
-}
-
-// classifyAbort translates an execution error into the V3 retry hint: lock
+// classifyAbort translates an execution error into the retry hint: lock
 // timeouts (deadlock-avoidance aborts) are transient, everything else —
 // cancels, validation, data errors — reproduces on retry.
 func classifyAbort(err error) wire.RetryHint {
@@ -669,191 +620,101 @@ func classifyAbort(err error) wire.RetryHint {
 	return wire.RetryPermanent
 }
 
-// executePlan runs one declarative plan frame as a single transaction.
+// executePlan runs one plan frame as a single transaction.
 func (s *Server) executePlan(sess *engine.Session, id uint64, p *plan.Plan, cs session, canceled *atomic.Bool) *wire.Response {
 	s.requests.Add(1)
 	start := latPlan.sampleStart()
 	defer func() { latPlan.observe(start) }()
-	resp := &wire.Response{ID: id}
-	if cs.readOnly && p.Writes() {
-		resp.Err = "read-only session: plan contains write ops"
-		resp.Retry = wire.RetryPermanent
-		s.aborted.Add(1)
-		return resp
-	}
-	if s.followerMode.Load() && p.Writes() {
-		resp.Retry = wire.RetryPermanent
-		return s.followerRefusal(resp, wire.FollowerPrefix+": plan contains write ops — this node replicates a primary (write there, or promote this node)")
-	}
-	if s.followerMode.Load() && s.seeding() {
-		resp.Retry = wire.RetryPermanent
-		return s.followerRefusal(resp, wire.FollowerPrefix+": plan refused — this follower is mid re-seed and not yet a consistent replica (read another member)")
-	}
-	if canceled != nil && canceled.Load() {
-		resp.Err = engine.ErrPlanCanceled.Error()
-		resp.Retry = wire.RetryPermanent
-		s.aborted.Add(1)
-		return resp
-	}
-	results := make([]plan.Result, p.NumOps())
-	var hook func() bool
-	if canceled != nil {
-		hook = canceled.Load
-	}
-	ereq, finish, err := s.e.CompilePlan(p, results, hook)
-	if err != nil {
-		resp.Err = err.Error()
-		resp.Retry = wire.RetryPermanent
-		s.aborted.Add(1)
-		return resp
-	}
-	_, execErr := sess.Execute(ereq)
-	finish()
-	resp.Results = planResultsToWire(results)
-	if execErr != nil {
-		resp.Err = execErr.Error()
-		resp.Retry = classifyAbort(execErr)
-		s.aborted.Add(1)
-		return resp
-	}
-	resp.Committed = true
-	s.committed.Add(1)
-	return resp
+	return s.runTxn(sess, &wire.Response{ID: id}, p, nil, cs, canceled)
 }
 
-// planResultsToWire converts per-op plan results to wire statement results,
-// one per op in flat phase order.
-func planResultsToWire(rs []plan.Result) []wire.StatementResult {
-	out := make([]wire.StatementResult, len(rs))
-	for i, r := range rs {
-		sr := wire.StatementResult{Found: r.Found, Value: r.Value, Err: r.Err}
-		if len(r.Entries) > 0 {
-			sr.Entries = make([]wire.ScanEntry, len(r.Entries))
-			for j, e := range r.Entries {
-				sr.Entries[j] = wire.ScanEntry{Key: e.Key, Value: e.Value}
-			}
-		}
-		out[i] = sr
-	}
-	return out
-}
-
-// execute runs one wire request as a transaction.
-func (s *Server) execute(sess *engine.Session, req *wire.Request, cs session, canceled *atomic.Bool) *wire.Response {
+// executeStatements runs one flat statement request.  Pings and control
+// verbs never run as transactions: a request made only of them is answered
+// directly, and a control verb must be sent alone.  A scan must be sent
+// alone too.  Everything else is translated into a plan and takes the same
+// transaction path as a plan frame.
+func (s *Server) executeStatements(sess *engine.Session, req *wire.Request, cs session, canceled *atomic.Bool) *wire.Response {
 	s.requests.Add(1)
 	start := latStatements.sampleStart()
 	defer func() { latStatements.observe(start) }()
 	resp := &wire.Response{ID: req.ID, Results: make([]wire.StatementResult, len(req.Statements))}
-	if len(req.Statements) == 0 {
-		resp.Committed = true
-		s.committed.Add(1)
-		return resp
-	}
-	if cs.readOnly {
-		for _, st := range req.Statements {
-			if writesOp(st.Op) {
-				resp.Err = fmt.Sprintf("read-only session: %v refused", st.Op)
-				s.aborted.Add(1)
-				return resp
-			}
-		}
-	}
-	if s.followerMode.Load() {
-		for _, st := range req.Statements {
-			if writesOp(st.Op) {
-				return s.followerRefusal(resp, fmt.Sprintf("%s: %v refused — this node replicates a primary (write there, or promote this node)", wire.FollowerPrefix, st.Op))
-			}
-		}
-		if s.seeding() {
-			// Mid re-seed the engine was wiped and only partially rebuilt:
-			// a read here could report "not found" for committed rows.
-			// Pings and control verbs (probes, "repl status", "promote")
-			// must keep working so the cluster can manage the node.
-			for _, st := range req.Statements {
-				if st.Op != wire.OpPing && st.Op != wire.OpControl {
-					return s.followerRefusal(resp, fmt.Sprintf("%s: %v refused — this follower is mid re-seed and not yet a consistent replica (read another member)", wire.FollowerPrefix, st.Op))
-				}
-			}
-		}
-	}
-	if canceled != nil && canceled.Load() {
-		resp.Err = engine.ErrPlanCanceled.Error()
-		s.aborted.Add(1)
-		return resp
-	}
-
-	// Pings, control statements and scans never run as transactions; a
-	// request made only of pings/controls is answered directly, and a scan
-	// must be a request of its own (it executes on every partition worker
-	// at once, outside the phase machinery).
-	allAdmin := true
-	hasControl := false
-	hasScan := false
+	admin, hasControl, hasScan := 0, false, false
 	for _, st := range req.Statements {
 		switch st.Op {
 		case wire.OpPing:
+			admin++
 		case wire.OpControl:
+			admin++
 			hasControl = true
 		case wire.OpScan:
 			hasScan = true
-			allAdmin = false
-		default:
-			allAdmin = false
 		}
 	}
 	if hasScan && len(req.Statements) != 1 {
-		resp.Err = "scan statements must be sent alone, not inside a transaction"
-		s.aborted.Add(1)
-		return resp
+		return s.refuse(resp, "scan statements must be sent alone, not inside a transaction")
 	}
-	if hasControl && !allAdmin {
-		resp.Err = "control statements must be sent alone, not inside a transaction"
-		s.aborted.Add(1)
-		return resp
+	if hasControl && admin != len(req.Statements) {
+		return s.refuse(resp, "control statements must be sent alone, not inside a transaction")
 	}
-	if hasScan {
-		resp.Results[0] = s.executeScan(req.Statements[0])
-		if resp.Results[0].Err != "" {
-			resp.Err = resp.Results[0].Err
-			s.aborted.Add(1)
-			return resp
-		}
-		resp.Committed = true
-		s.committed.Add(1)
-		return resp
-	}
-	if allAdmin {
-		for i, st := range req.Statements {
-			if st.Op == wire.OpPing {
-				resp.Results[i] = wire.StatementResult{Found: true, Value: append([]byte(nil), st.Value...)}
-				continue
-			}
+	for i, st := range req.Statements {
+		switch st.Op {
+		case wire.OpPing:
+			resp.Results[i] = wire.StatementResult{Found: true, Value: append([]byte(nil), st.Value...)}
+		case wire.OpControl:
 			resp.Results[i] = s.executeControl(st, cs)
 		}
+	}
+	if admin == len(req.Statements) {
 		resp.Committed = true
 		s.committed.Add(1)
 		return resp
 	}
+	t := translate(req)
+	return s.runTxn(sess, resp, &t.plan, t, cs, canceled)
+}
 
-	// Shard routing: when this process serves one shard of a cluster, a
-	// request whose keys are owned elsewhere is either refused (wrong
-	// shard, map attached) or — when its keys span shards — executed here
-	// as a coordinated two-phase commit.  All-local requests fall through
-	// to the unchanged fast path below.
-	if ss := s.sharding.Load(); ss != nil {
-		if handled, sresp := s.routeShards(sess, ss, req, resp, canceled); handled {
-			return sresp
+// runTxn is the one transaction path.  A plan frame arrives as itself (t
+// nil); a statement request arrives translated (t non-nil, p == &t.plan).
+// Both pass the same checks — session scope, replication role,
+// cancellation, shard placement — before run compiles and executes p, and
+// both classify their abort the same way.
+func (s *Server) runTxn(sess *engine.Session, resp *wire.Response, p *plan.Plan, t *stmtTxn, cs session, canceled *atomic.Bool) *wire.Response {
+	writes := p.Writes()
+	if cs.readOnly && writes {
+		return s.refuse(resp, "read-only session: write ops refused")
+	}
+	if s.followerMode.Load() {
+		if writes {
+			return s.followerRefusal(resp, wire.FollowerPrefix+": write ops refused — this node replicates a primary (write there, or promote this node)")
+		}
+		if s.seeding() {
+			// Mid re-seed the engine was wiped and only partially rebuilt: a
+			// read here could report "not found" for committed rows.
+			return s.followerRefusal(resp, wire.FollowerPrefix+": reads refused — this follower is mid re-seed and not yet a consistent replica (read another member)")
 		}
 	}
-
-	ereq, err := s.buildRequest(req, resp.Results, canceled)
-	if err != nil {
-		resp.Err = err.Error()
-		resp.Retry = wire.RetryPermanent
-		s.aborted.Add(1)
-		return resp
+	if canceled != nil && canceled.Load() {
+		return s.refuse(resp, engine.ErrPlanCanceled.Error())
 	}
-	if _, err := sess.Execute(ereq); err != nil {
+	if ss := s.sharding.Load(); ss != nil {
+		m := ss.m.Load()
+		switch foreign, spans := placement(p, m, ss.self); {
+		case spans && t == nil:
+			return s.refuse(resp, "cross-shard plans are not supported: send each shard's ops as a plan of its own")
+		case spans:
+			return s.executeCoordinated(sess, ss, m, t, resp, canceled)
+		case foreign != ss.self:
+			s.aborted.Add(1)
+			return wrongShard(resp, m, foreign)
+		}
+	}
+	results, err := s.run(sess, p, "", canceled)
+	if t != nil {
+		t.collapse(resp.Results, results)
+	} else if results != nil {
+		resp.Results = planResultsToWire(results)
+	}
+	if err != nil {
 		resp.Err = err.Error()
 		resp.Retry = classifyAbort(err)
 		s.aborted.Add(1)
@@ -862,6 +723,138 @@ func (s *Server) execute(sess *engine.Session, req *wire.Request, cs session, ca
 	resp.Committed = true
 	s.committed.Add(1)
 	return resp
+}
+
+// run compiles p and executes it as one transaction or, with a gid,
+// prepares it as that gid's branch of a cross-shard commit.  It is the
+// server's only route into the engine's compiler.  The results are nil when
+// p did not compile.
+func (s *Server) run(sess *engine.Session, p *plan.Plan, gid string, canceled *atomic.Bool) ([]plan.Result, error) {
+	results := make([]plan.Result, p.NumOps())
+	var hook func() bool
+	if canceled != nil {
+		hook = canceled.Load
+	}
+	ereq, finish, err := s.e.CompilePlan(p, results, hook)
+	if err != nil {
+		return nil, err
+	}
+	if gid != "" {
+		_, err = sess.ExecutePrepare(ereq, gid)
+	} else {
+		_, err = sess.Execute(ereq)
+	}
+	finish()
+	return results, err
+}
+
+// resultToWire converts one plan op result to a wire statement result.
+func resultToWire(r plan.Result) wire.StatementResult {
+	sr := wire.StatementResult{Found: r.Found, Value: r.Value, Err: r.Err}
+	if len(r.Entries) > 0 {
+		sr.Entries = make([]wire.ScanEntry, len(r.Entries))
+		for j, e := range r.Entries {
+			sr.Entries[j] = wire.ScanEntry{Key: e.Key, Value: e.Value}
+		}
+	}
+	return sr
+}
+
+// planResultsToWire converts per-op plan results to wire statement results,
+// one per op in flat phase order.
+func planResultsToWire(rs []plan.Result) []wire.StatementResult {
+	out := make([]wire.StatementResult, len(rs))
+	for i, r := range rs {
+		out[i] = resultToWire(r)
+	}
+	return out
+}
+
+// stmtTxn is a flat statement request in plan form (see translate).
+type stmtTxn struct {
+	req  *wire.Request
+	plan plan.Plan
+	// slots maps each plan op, in flat order, to the index of the statement
+	// whose result it produces.  A GetBySecondary owns two adjacent ops.
+	slots []int
+}
+
+// stmtKinds maps each flat op that is a plan op of the same meaning to its
+// plan kind.  Pings and control verbs are never plan ops, and
+// GetBySecondary becomes two (see translate).
+var stmtKinds = [...]plan.Kind{
+	wire.OpGet:             plan.Get,
+	wire.OpInsert:          plan.Insert,
+	wire.OpUpdate:          plan.Update,
+	wire.OpUpsert:          plan.Upsert,
+	wire.OpDelete:          plan.Delete,
+	wire.OpInsertSecondary: plan.InsertSecondary,
+	wire.OpDeleteSecondary: plan.DeleteSecondary,
+	wire.OpScan:            plan.Scan,
+}
+
+// translate turns a flat statement request into a plan.  Statements are
+// packed into phases greedily: one that touches a table+key already in the
+// current phase starts a new phase, preserving the client-visible statement
+// order while letting independent statements execute in parallel on
+// different partitions.  A GetBySecondary is the paper's pattern for
+// non-partition-aligned indexes: a LookupSecondary phase probes the
+// (latched, conventional) secondary index, then a Get bound to the probe's
+// result is routed to the partition owning the primary key it returned.
+// Pings are skipped; the caller answers them inline.
+func translate(req *wire.Request) *stmtTxn {
+	t := &stmtTxn{req: req}
+	var phase []plan.Op
+	var touched map[string]struct{}
+	if len(req.Statements) > 1 {
+		touched = make(map[string]struct{})
+	}
+	flush := func() {
+		if len(phase) > 0 {
+			t.plan.Phases = append(t.plan.Phases, phase)
+			phase = nil
+			clear(touched)
+		}
+	}
+	for i, st := range req.Statements {
+		switch st.Op {
+		case wire.OpPing:
+			continue
+		case wire.OpGetBySecondary:
+			flush()
+			probe := int32(len(t.slots)) + 1 // bindings are 1-based flat indices
+			t.plan.Phases = append(t.plan.Phases,
+				[]plan.Op{{Kind: plan.LookupSecondary, Table: st.Table, Index: st.Index, Key: st.Key}},
+				[]plan.Op{{Kind: plan.Get, Table: st.Table, KeyFrom: probe}})
+			t.slots = append(t.slots, i, i)
+			continue
+		}
+		if touched != nil {
+			k := st.Table + "\x00" + string(st.Key)
+			if _, dup := touched[k]; dup {
+				flush()
+			}
+			touched[k] = struct{}{}
+		}
+		phase = append(phase, plan.Op{Kind: stmtKinds[st.Op], Table: st.Table, Index: st.Index,
+			Key: st.Key, Value: st.Value, KeyEnd: st.KeyEnd, Limit: st.Limit})
+		t.slots = append(t.slots, i)
+	}
+	flush()
+	return t
+}
+
+// collapse folds per-op plan results back into one result per statement.
+// The two ops of a GetBySecondary share a slot: the probe's result stands
+// when the probe missed or failed, otherwise the bound read's result
+// replaces it.  Nil results (the plan did not compile) leave out untouched.
+func (t *stmtTxn) collapse(out []wire.StatementResult, results []plan.Result) {
+	for i, r := range results {
+		if i > 0 && t.slots[i-1] == t.slots[i] && (!results[i-1].Found || results[i-1].Err != "") {
+			continue
+		}
+		out[t.slots[i]] = resultToWire(r)
+	}
 }
 
 // executeControl runs one control statement: the "checkpoint" verb through
@@ -906,225 +899,4 @@ func (s *Server) executeControl(st wire.Statement, cs session) wire.StatementRes
 		return wire.StatementResult{Err: err.Error()}
 	}
 	return wire.StatementResult{Found: true, Value: []byte(out)}
-}
-
-// executeScan runs one OpScan as a distributed partition scan (Section 3.3)
-// and returns the smallest `limit` records of [Key, KeyEnd) in key order.
-func (s *Server) executeScan(st wire.Statement) wire.StatementResult {
-	start := latScan.sampleStart()
-	defer func() { latScan.observe(start) }()
-	if st.Table == "" {
-		return wire.StatementResult{Err: "scan: missing table"}
-	}
-	limit := int(st.Limit)
-	if limit <= 0 || limit > MaxScanLimit {
-		if st.Limit > MaxScanLimit {
-			limit = MaxScanLimit
-		} else {
-			limit = DefaultScanLimit
-		}
-	}
-	var mu sync.Mutex
-	var entries []wire.ScanEntry
-	_, err := s.e.ScanRange(st.Table, st.Key, st.KeyEnd, limit, func(_ int, k, rec []byte) {
-		e := wire.ScanEntry{
-			Key:   append([]byte(nil), k...),
-			Value: append([]byte(nil), rec...),
-		}
-		mu.Lock()
-		entries = append(entries, e)
-		mu.Unlock()
-	})
-	if err != nil {
-		return wire.StatementResult{Err: fmt.Sprintf("scan: %v", err)}
-	}
-	// Each partition returned the smallest `limit` keys of its own
-	// sub-range, concurrently; sort their union and truncate to the
-	// globally smallest `limit` keys, in order.
-	sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].Key, entries[j].Key) < 0 })
-	if len(entries) > limit {
-		entries = entries[:limit]
-	}
-	return wire.StatementResult{Found: len(entries) > 0, Entries: entries}
-}
-
-// buildRequest translates wire statements into a routable engine request.
-// Statements are packed into phases greedily; a statement that touches a key
-// already written in the current phase starts a new phase, preserving the
-// client-visible ordering guarantees while still letting independent
-// statements execute in parallel on different partitions.  canceled, when
-// non-nil, is polled before every statement: a cancel frame aborts the
-// transaction at the next statement boundary.
-func (s *Server) buildRequest(req *wire.Request, results []wire.StatementResult, canceled *atomic.Bool) (*engine.Request, error) {
-	out := &engine.Request{}
-	checkCancel := func() error {
-		if canceled != nil && canceled.Load() {
-			return engine.ErrPlanCanceled
-		}
-		return nil
-	}
-
-	// Fast path for the dominant OLTP shape — one data statement per
-	// request: a single action, no phase bookkeeping.
-	if len(req.Statements) == 1 {
-		if st := req.Statements[0]; st.Op != wire.OpPing && st.Op != wire.OpGetBySecondary {
-			if st.Table == "" {
-				return nil, fmt.Errorf("statement 0: missing table")
-			}
-			if _, err := s.e.Table(st.Table); err != nil {
-				return nil, fmt.Errorf("statement 0: %v", err)
-			}
-			out.Phases = [][]engine.Action{{{
-				Table: st.Table,
-				Key:   st.Key,
-				Exec: func(c *engine.Ctx) error {
-					if err := checkCancel(); err != nil {
-						return err
-					}
-					res, err := execStatement(c, st)
-					if err != nil {
-						results[0] = wire.StatementResult{Err: err.Error()}
-						return err
-					}
-					results[0] = res
-					return nil
-				},
-			}}}
-			return out, nil
-		}
-	}
-
-	var phase []engine.Action
-	touched := make(map[string]struct{})
-
-	flush := func() {
-		if len(phase) > 0 {
-			out.Phases = append(out.Phases, phase)
-			phase = nil
-			touched = make(map[string]struct{})
-		}
-	}
-
-	for i, st := range req.Statements {
-		if st.Op == wire.OpPing {
-			results[i] = wire.StatementResult{Found: true, Value: append([]byte(nil), st.Value...)}
-			continue
-		}
-		if st.Table == "" {
-			return nil, fmt.Errorf("statement %d: missing table", i)
-		}
-		if _, err := s.e.Table(st.Table); err != nil {
-			return nil, fmt.Errorf("statement %d: %v", i, err)
-		}
-
-		if st.Op == wire.OpGetBySecondary {
-			// The paper's pattern for non-partition-aligned indexes: probe
-			// the (latched, conventional) secondary index first, then route
-			// the record access to the partition that owns the primary key
-			// it returned.
-			flush()
-			idx := i
-			stmt := st
-			var primaryKey []byte
-			out.Phases = append(out.Phases, []engine.Action{{
-				Table: stmt.Table,
-				Key:   stmt.Key,
-				Exec: func(c *engine.Ctx) error {
-					if err := checkCancel(); err != nil {
-						return err
-					}
-					pk, err := c.LookupSecondary(stmt.Table, stmt.Index, stmt.Key)
-					if errors.Is(err, engine.ErrNotFound) {
-						results[idx] = wire.StatementResult{Found: false}
-						return nil
-					}
-					if err != nil {
-						results[idx] = wire.StatementResult{Err: err.Error()}
-						return err
-					}
-					primaryKey = pk
-					return nil
-				},
-			}})
-			out.Phases = append(out.Phases, []engine.Action{{
-				Table: stmt.Table,
-				Key:   stmt.Key,
-				KeyFn: func() []byte {
-					if primaryKey != nil {
-						return primaryKey
-					}
-					return stmt.Key
-				},
-				Exec: func(c *engine.Ctx) error {
-					if primaryKey == nil {
-						return nil // the probe missed; result already set
-					}
-					val, err := c.Read(stmt.Table, primaryKey)
-					if err != nil {
-						results[idx] = wire.StatementResult{Err: err.Error()}
-						return err
-					}
-					results[idx] = wire.StatementResult{Found: true, Value: val}
-					return nil
-				},
-			}})
-			continue
-		}
-
-		key := string(st.Key)
-		if _, dup := touched[st.Table+"\x00"+key]; dup {
-			flush()
-		}
-		touched[st.Table+"\x00"+key] = struct{}{}
-
-		idx := i
-		stmt := st
-		phase = append(phase, engine.Action{
-			Table: stmt.Table,
-			Key:   stmt.Key,
-			Exec: func(c *engine.Ctx) error {
-				if err := checkCancel(); err != nil {
-					return err
-				}
-				res, err := execStatement(c, stmt)
-				if err != nil {
-					results[idx] = wire.StatementResult{Err: err.Error()}
-					return err
-				}
-				results[idx] = res
-				return nil
-			},
-		})
-	}
-	flush()
-	return out, nil
-}
-
-// execStatement performs one statement through the data-access layer.
-func execStatement(c *engine.Ctx, st wire.Statement) (wire.StatementResult, error) {
-	switch st.Op {
-	case wire.OpGet:
-		val, err := c.Read(st.Table, st.Key)
-		if errors.Is(err, engine.ErrNotFound) {
-			return wire.StatementResult{Found: false}, nil
-		}
-		if err != nil {
-			return wire.StatementResult{}, err
-		}
-		return wire.StatementResult{Found: true, Value: val}, nil
-	case wire.OpInsert:
-		return wire.StatementResult{Found: true}, c.Insert(st.Table, st.Key, st.Value)
-	case wire.OpUpdate:
-		return wire.StatementResult{Found: true}, c.Update(st.Table, st.Key, st.Value)
-	case wire.OpUpsert:
-		return wire.StatementResult{Found: true}, c.Upsert(st.Table, st.Key, st.Value)
-	case wire.OpDelete:
-		return wire.StatementResult{Found: true}, c.Delete(st.Table, st.Key)
-	case wire.OpInsertSecondary:
-		return wire.StatementResult{Found: true}, c.InsertSecondary(st.Table, st.Index, st.Key, st.Value)
-	case wire.OpDeleteSecondary:
-		return wire.StatementResult{Found: true}, c.DeleteSecondary(st.Table, st.Index, st.Key)
-	default:
-		return wire.StatementResult{}, fmt.Errorf("unsupported op %v", st.Op)
-	}
 }

@@ -51,6 +51,31 @@ func dial(t *testing.T, addr string) *client.Client {
 	return c
 }
 
+// dialRaw opens a raw connection and completes the handshake.
+func dialRaw(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	if err := wire.WriteFrame(conn, wire.EncodeHello(&wire.Hello{MaxVersion: wire.Version})); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack, err := wire.DecodeHelloAck(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.Err != "" || ack.Version != wire.Version {
+		t.Fatalf("handshake: %+v", ack)
+	}
+	return conn
+}
+
 func TestPing(t *testing.T) {
 	_, _, addr := startServer(t, engine.PLPLeaf)
 	c := dial(t, addr)
@@ -311,11 +336,7 @@ func TestMalformedFrameDropsConnection(t *testing.T) {
 
 	// A syntactically valid frame with a garbage payload gets an error
 	// response (the decode failure is reported, not fatal).
-	conn2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
+	conn2 := dialRaw(t, addr)
 	if err := wire.WriteFrame(conn2, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}

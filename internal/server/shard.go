@@ -48,6 +48,7 @@ import (
 
 	"plp/internal/engine"
 	"plp/internal/txn"
+	"plp/plan"
 	"plp/shard"
 	"plp/wire"
 )
@@ -216,16 +217,42 @@ func coordinatorOf(gid string) (int, bool) {
 	return id, true
 }
 
-// shardKeyed reports whether the statement routes by its primary key (the
-// ops the shard map can place).  Secondary-index ops and pings stay on the
-// shard that received them: secondary indexes are shard-local in v1.
-func shardKeyed(op wire.OpType) bool {
-	switch op {
-	case wire.OpGet, wire.OpInsert, wire.OpUpdate, wire.OpUpsert, wire.OpDelete:
-		return true
-	default:
-		return false
+// opOwner returns the shard op runs on.  A point op whose key the request
+// carries runs on that key's owner.  Secondary-index ops and scans stay on
+// the shard that received them (secondary indexes are shard-local), as do
+// ops keyed at execution time by a binding or a fan-out.
+func opOwner(op *plan.Op, m *shard.Map, self int) int {
+	switch op.Kind {
+	case plan.Get, plan.Insert, plan.Update, plan.Upsert, plan.Delete, plan.ReadModifyWrite:
+		if op.KeyFrom == plan.NoBind && op.EachFrom == plan.NoBind {
+			return m.Owner(op.Key)
+		}
 	}
+	return self
+}
+
+// placement is the one shard-ownership check, shared by statement requests,
+// plan frames and prepared branches.  foreign is the first shard other than
+// self that owns one of p's ops (self when there is none); spans reports
+// that p's ops fall on more than one shard.  So a plan runs here when
+// foreign == self, belongs to shard foreign when !spans, and otherwise
+// needs a cross-shard commit.
+func placement(p *plan.Plan, m *shard.Map, self int) (foreign int, spans bool) {
+	foreign = self
+	local := false
+	for _, ph := range p.Phases {
+		for i := range ph {
+			switch o := opOwner(&ph[i], m, self); {
+			case o == self:
+				local = true
+			case foreign == self:
+				foreign = o
+			case o != foreign:
+				spans = true
+			}
+		}
+	}
+	return foreign, spans || (local && foreign != self)
 }
 
 // wrongShard builds the routing refusal for a request owned by another
@@ -237,42 +264,6 @@ func wrongShard(resp *wire.Response, m *shard.Map, owner int) *wire.Response {
 	return resp
 }
 
-// routeShards classifies one statement request against the shard map.
-// handled=false means every key is local: the caller proceeds on the
-// unchanged single-shard path.  Otherwise the returned response is either a
-// wrong-shard refusal (all keys elsewhere) or the outcome of a coordinated
-// cross-shard commit (keys span shards).
-func (s *Server) routeShards(sess *engine.Session, ss *shardState, req *wire.Request, resp *wire.Response, canceled *atomic.Bool) (bool, *wire.Response) {
-	m := ss.m.Load()
-	owners := make([]int, len(req.Statements))
-	distinct := make(map[int]struct{}, 2)
-	for i, st := range req.Statements {
-		if st.Op == wire.OpPing {
-			owners[i] = ss.self
-			continue
-		}
-		if shardKeyed(st.Op) {
-			owners[i] = m.Owner(st.Key)
-		} else {
-			owners[i] = ss.self
-		}
-		distinct[owners[i]] = struct{}{}
-	}
-	if len(distinct) == 0 {
-		return false, nil // pings only; the admin path already handled them
-	}
-	if len(distinct) == 1 {
-		for o := range distinct {
-			if o == ss.self {
-				return false, nil
-			}
-			s.aborted.Add(1)
-			return true, wrongShard(resp, m, o)
-		}
-	}
-	return true, s.executeCoordinated(sess, ss, m, req, resp, owners, canceled)
-}
-
 // branch is one shard's slice of a cross-shard transaction.
 type branch struct {
 	owner int
@@ -280,25 +271,33 @@ type branch struct {
 	slots []int // original statement indices, for result scattering
 }
 
-// executeCoordinated runs a cross-shard request as its coordinator.
-func (s *Server) executeCoordinated(sess *engine.Session, ss *shardState, m *shard.Map, req *wire.Request, resp *wire.Response, owners []int, canceled *atomic.Bool) *wire.Response {
+// executeCoordinated runs a cross-shard statement request as its
+// coordinator.  Pings were answered by the caller.
+func (s *Server) executeCoordinated(sess *engine.Session, ss *shardState, m *shard.Map, t *stmtTxn, resp *wire.Response, canceled *atomic.Bool) *wire.Response {
 	// Split the statements into per-shard branches, preserving statement
-	// order within each branch.  Pings are answered inline.
+	// order within each branch.  A statement's owner is its ops' owner (a
+	// GetBySecondary's two ops both stay here).
 	var branches []*branch
 	byOwner := make(map[int]*branch, 2)
-	for i, st := range req.Statements {
-		if st.Op == wire.OpPing {
-			resp.Results[i] = wire.StatementResult{Found: true, Value: append([]byte(nil), st.Value...)}
-			continue
+	flat, prev := 0, -1
+	for _, ph := range t.plan.Phases {
+		for i := range ph {
+			slot := t.slots[flat]
+			flat++
+			if slot == prev {
+				continue // a GetBySecondary's bound read, placed with its probe
+			}
+			prev = slot
+			o := opOwner(&ph[i], m, ss.self)
+			b := byOwner[o]
+			if b == nil {
+				b = &branch{owner: o}
+				byOwner[o] = b
+				branches = append(branches, b)
+			}
+			b.stmts = append(b.stmts, t.req.Statements[slot])
+			b.slots = append(b.slots, slot)
 		}
-		b := byOwner[owners[i]]
-		if b == nil {
-			b = &branch{owner: owners[i]}
-			byOwner[owners[i]] = b
-			branches = append(branches, b)
-		}
-		b.stmts = append(b.stmts, st)
-		b.slots = append(b.slots, i)
 	}
 
 	gid := ss.gidFor()
@@ -373,11 +372,10 @@ func (s *Server) executeCoordinated(sess *engine.Session, ss *shardState, m *sha
 		if b.owner != ss.self {
 			continue
 		}
+		lt := translate(&wire.Request{ID: t.req.ID, Statements: b.stmts})
+		results, err := s.run(sess, &lt.plan, gid, canceled)
 		localResults := make([]wire.StatementResult, len(b.stmts))
-		ereq, err := s.buildRequest(&wire.Request{ID: req.ID, Statements: b.stmts}, localResults, canceled)
-		if err == nil {
-			_, err = sess.ExecutePrepare(ereq, gid)
-		}
+		lt.collapse(localResults, results)
 		for j, slot := range b.slots {
 			resp.Results[slot] = localResults[j]
 		}
@@ -435,7 +433,8 @@ func (s *Server) executeShardMap(id uint64) *wire.Response {
 }
 
 // executePrepare is the participant side of phase 1: execute the branch's
-// statements, force a prepare record under the frame's gid, and vote.
+// statements (translated like any statement request), force a prepare
+// record under the frame's gid, and vote.
 // Committed=true is a durable yes; anything else is a no (and the branch,
 // if it started, has already aborted locally).
 func (s *Server) executePrepare(sess *engine.Session, f *wire.Frame, cs session) *wire.Response {
@@ -460,18 +459,13 @@ func (s *Server) executePrepare(sess *engine.Session, f *wire.Frame, cs session)
 	// Re-check ownership under the map this participant currently holds: a
 	// coordinator routing on a stale map must not slip a foreign key in.
 	m := ss.m.Load()
-	for _, st := range f.Req.Statements {
-		if shardKeyed(st.Op) {
-			if o := m.Owner(st.Key); o != ss.self {
-				s.aborted.Add(1)
-				return wrongShard(resp, m, o)
-			}
-		}
+	t := translate(f.Req)
+	if foreign, _ := placement(&t.plan, m, ss.self); foreign != ss.self {
+		s.aborted.Add(1)
+		return wrongShard(resp, m, foreign)
 	}
-	ereq, err := s.buildRequest(f.Req, resp.Results, nil)
-	if err == nil {
-		_, err = sess.ExecutePrepare(ereq, f.GID)
-	}
+	results, err := s.run(sess, &t.plan, f.GID, nil)
+	t.collapse(resp.Results, results)
 	if err != nil {
 		resp.Err = err.Error()
 		s.aborted.Add(1)
@@ -596,7 +590,7 @@ func (ss *shardState) peer(m *shard.Map, shardID int) (*peerConn, error) {
 	return pc, nil
 }
 
-// peerConn is a minimal synchronous wire-v3 client for shard-to-shard
+// peerConn is a minimal synchronous wire-protocol client for shard-to-shard
 // traffic (prepares, decides, queries).  Calls are mutex-serialized — one
 // outstanding request per peer — which keeps response matching trivial; the
 // janitor and coordinator volumes do not need pipelining.  A failed call
@@ -637,7 +631,7 @@ func (p *peerConn) reset() {
 	}
 }
 
-// dial connects and completes the V3 handshake.  Caller holds p.mu.
+// dial connects and completes the handshake.  Caller holds p.mu.
 func (p *peerConn) dial() error {
 	conn, err := net.DialTimeout("tcp", p.addr, 2*time.Second)
 	if err != nil {
@@ -658,7 +652,7 @@ func (p *peerConn) dial() error {
 	// The handshake runs under the same deadline as the call that needs it;
 	// a peer that accepts but never answers must not block forever.
 	_ = conn.SetDeadline(time.Now().Add(p.deadline()))
-	hello := &wire.Hello{MaxVersion: wire.V3}
+	hello := &wire.Hello{MaxVersion: wire.Version}
 	if p.token != "" {
 		hello.Token = []byte(p.token)
 	}
@@ -681,9 +675,9 @@ func (p *peerConn) dial() error {
 		_ = conn.Close()
 		return fmt.Errorf("peer refused session: %s", ack.Err)
 	}
-	if ack.Version < wire.V3 {
+	if ack.Version != wire.Version {
 		_ = conn.Close()
-		return fmt.Errorf("peer speaks v%d, need v3", ack.Version)
+		return fmt.Errorf("peer speaks protocol v%d, need v%d", ack.Version, wire.Version)
 	}
 	p.conn = conn
 	p.br = br
@@ -721,7 +715,7 @@ func (p *peerConn) call(payload []byte) (*wire.Response, error) {
 			p.reset()
 			return nil, err
 		}
-		resp, err := wire.DecodeResponseV(buf, wire.V3)
+		resp, err := wire.DecodeResponse(buf)
 		if err != nil {
 			p.reset()
 			return nil, err

@@ -108,6 +108,48 @@ func TestWrongShardRefusalCarriesMap(t *testing.T) {
 	}
 }
 
+// TestPlanWrongShardRefused checks plan frames get the same ownership
+// check as statement requests: a plan whose keys all belong to another
+// shard is refused with the map attached, and one whose keys span shards
+// is refused outright (plans take no cross-shard commit) — in both cases
+// with no effect on either shard.
+func TestPlanWrongShardRefused(t *testing.T) {
+	nodes, _ := startShardCluster(t, 500_000)
+	c := dial(t, nodes[0].addr)
+
+	foreign := client.NewPlan().Upsert("kv", client.Uint64Key(600_000), []byte("x")).MustBuild()
+	resp, err := c.DoPlanAsync(context.Background(), foreign).Result()
+	if !errors.Is(err, client.ErrAborted) || !wire.IsWrongShard(resp.Err) {
+		t.Fatalf("misrouted plan: %v, want a wrong-shard abort", err)
+	}
+	if m, perr := shard.Parse(resp.Results[0].Value); perr != nil || m.Owner(client.Uint64Key(600_000)) != 1 {
+		t.Fatalf("refusal map: %v, %v", m, perr)
+	}
+	spanning := client.NewPlan().
+		Upsert("kv", client.Uint64Key(100), []byte("x")).
+		Upsert("kv", client.Uint64Key(700_000), []byte("x")).
+		MustBuild()
+	_, err = c.DoPlan(spanning)
+	if !errors.Is(err, client.ErrAborted) || client.IsTransient(err) || !strings.Contains(err.Error(), "cross-shard plans") {
+		t.Fatalf("cross-shard plan: %v, want a permanent cross-shard refusal", err)
+	}
+	for _, n := range nodes {
+		for _, k := range []uint64{100, 600_000, 700_000} {
+			if engineHasKey(t, n, k) {
+				t.Fatalf("refused plan left key %d on %s", k, n.addr)
+			}
+		}
+	}
+	// A plan wholly owned by the shard it is sent to still commits there.
+	local := client.NewPlan().Upsert("kv", client.Uint64Key(100), []byte("x")).MustBuild()
+	if _, err := c.DoPlan(local); err != nil {
+		t.Fatalf("local plan: %v", err)
+	}
+	if !engineHasKey(t, nodes[0], 100) || engineHasKey(t, nodes[1], 100) {
+		t.Fatal("local plan did not commit on its owning shard only")
+	}
+}
+
 func TestCrossShardCommitAtomicity(t *testing.T) {
 	nodes, _ := startShardCluster(t, 500_000)
 	c := dial(t, nodes[0].addr) // shard 0 coordinates
@@ -433,7 +475,7 @@ func TestPeerCallTimesOutOnHungPeer(t *testing.T) {
 		if _, err := wire.ReadFrame(br); err != nil { // HELLO
 			return
 		}
-		_ = wire.WriteFrame(conn, wire.EncodeHelloAck(&wire.HelloAck{Version: wire.V3}))
+		_ = wire.WriteFrame(conn, wire.EncodeHelloAck(&wire.HelloAck{Version: wire.Version}))
 		// Swallow frames and never answer; the read unblocks (and the
 		// goroutine exits) once the timed-out caller resets its end.
 		for {

@@ -40,7 +40,7 @@
 // introspectable ops with explicit data dependencies — the programmatic
 // form of the paper's Section 3.1 transaction flow graphs.  Because a plan
 // carries data instead of code, the identical value executes in-process and
-// travels whole over the wire in one protocol-v3 frame, so a networked
+// travels whole over the wire in one frame, so a networked
 // client runs a dependent multi-phase transaction in ONE round trip,
 // stored-procedure style.  The TATP UpdateLocation shape — probe a
 // non-partition-aligned secondary index, then route the update by whatever
@@ -67,8 +67,8 @@
 // all five designs execute the compiled plan identically — the differential
 // trace proves plan and closure surfaces equivalent, including under
 // crash/recovery.  Package client mirrors the API (client.NewPlan,
-// Client.DoPlan), and a context cancellation on a v3 session sends a wire
-// cancel frame that aborts the server-side transaction.
+// Client.DoPlan), and a context cancellation sends a wire cancel frame that
+// aborts the server-side transaction.
 //
 // # Query layer
 //
@@ -81,7 +81,7 @@
 // At 1% selectivity the scan_pushdown CI datapoint measures both the
 // speedup and the bytes-on-wire reduction against client-side filtering.
 //
-// Over protocol v3 a scan can stream instead of materializing: the server
+// Over the wire a scan can stream instead of materializing: the server
 // walks the partitions in key order and emits flow-controlled SCAN-CHUNK
 // frames (a per-stream credit window caps unacknowledged chunks, so a slow
 // consumer exerts backpressure instead of ballooning server memory), and
@@ -101,7 +101,7 @@
 // Aborted wire transactions carry a retry hint: client.IsTransient
 // distinguishes lock-timeout-style aborts worth retrying from permanent
 // ones, and the plp_latency expvar publishes sampled latency histograms
-// per operation kind (statements, plans, scans, scan-chunk emission).
+// per operation kind (statement requests, plans, scan-chunk emission).
 //
 // # Execution fast paths
 //
@@ -185,17 +185,19 @@
 //
 // # Network serving
 //
-// NewServer exposes an engine over TCP speaking wire protocol v2: sessions
-// open with a versioned handshake (negotiated down transparently for
-// legacy v1 clients) that optionally authenticates a token
-// (Server.SetAuthToken / plpd -token) gating the administrative control
-// verbs, and v2 connections are pipelined — the server decouples frame
-// reading from execution, runs each in-flight request on its own engine
-// session through a bounded per-connection executor pool, and returns
-// responses out of order matched by request ID, so a single connection can
-// keep every partition worker busy.  The wire surface covers transactions
-// over the full data-access layer plus bounded range scans (OpScan), which
-// execute as Section 3.3 distributed partition scans.  Package client is
+// NewServer exposes an engine over TCP speaking the wire protocol (package
+// wire; one version, no legacy dialects): sessions open with a handshake
+// that optionally authenticates a token (Server.SetAuthToken / plpd -token)
+// gating the administrative control verbs, and connections are pipelined —
+// the server decouples frame reading from execution, runs each in-flight
+// request on its own engine session through a bounded per-connection
+// executor pool, and returns responses out of order matched by request ID,
+// so a single connection can keep every partition worker busy.  A request
+// is either a plan frame or a flat statement list (including bounded range
+// scans, OpScan, which execute as Section 3.3 distributed partition scans);
+// the server translates statement lists into plans, so both run through one
+// transaction path — one compiler, one set of cancel, retry-hint and
+// shard-ownership rules.  Package client is
 // the matching asynchronous Go client (futures, context cancellation,
 // synchronous helpers on top), and package keys is the shared
 // order-preserving key encoding both sides build keys with.
@@ -220,7 +222,7 @@
 // client (client.DialSharded) adopts the attached map and forwards in the
 // same call, mirroring the executor's epoch-checked mis-route forwarding;
 // and one spanning shards commits through a coordinator-logged two-phase
-// protocol over wire v3 PREPARE/DECIDE frames: participants vote by forcing
+// protocol over wire PREPARE/DECIDE frames: participants vote by forcing
 // a prepare record and holding the branch prepared (locks held, undo
 // retained), the coordinator's durable decide record is the global commit
 // point, and presumed abort plus a janitor that chases lost decisions
@@ -233,9 +235,11 @@
 // decision whose log flush fails is treated as in doubt — branches stay
 // prepared and queries answer "decision pending" — rather than aborted,
 // since the appended decide record may still reach disk.
-// Secondary-index ops, scans and plans stay shard-local in v1, and a map
-// version bump moves ownership but not data; "plpctl shards" prints a
-// running daemon's map.
+// Secondary-index ops and scans stay shard-local in v1.  A plan frame gets
+// the same ownership check as a statement list — refused with the map when
+// its keys all live elsewhere — but no two-phase commit: a plan whose keys
+// span shards is refused.  A map version bump moves ownership but not
+// data; "plpctl shards" prints a running daemon's map.
 //
 // # Replication
 //
@@ -245,7 +249,7 @@
 // stream is "start from my durable LSN", and a promoted follower recovers
 // through the exact same torn-tail truncation path as a restarted primary.
 // A follower (plpd -follow <primary-addr>) subscribes over an ordinary
-// wire-v3 session (REPL-SUBSCRIBE / REPL-RECORDS / REPL-ACK frames),
+// wire session (REPL-SUBSCRIBE / REPL-RECORDS / REPL-ACK frames),
 // persists each shipped batch before acking, and applies committed
 // transactions through the restart-recovery path — whole transactions
 // only, under a partition-worker quiesce, so its reads (gets, secondary
@@ -266,7 +270,7 @@
 // epoch belongs to a fenced lineage — is no longer refused: the primary
 // converts the subscription into a snapshot re-seed, streaming a
 // transactionally consistent checkpoint image plus the log tail over the
-// same wire-v3 session (SEED frames).  The follower resets its data
+// same wire session (SEED frames).  The follower resets its data
 // directory, installs the image, adopts the primary's epoch and resumes an
 // ordinary subscription; seed chunks apply as idempotent upserts, so a
 // follower SIGKILLed mid-seed restarts and simply resumes.

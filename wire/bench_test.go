@@ -44,7 +44,7 @@ func BenchmarkEncodeDecodeResponse(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		payload := EncodeResponse(resp)
+		payload := AppendResponse(nil, resp)
 		if _, err := DecodeResponse(payload); err != nil {
 			b.Fatal(err)
 		}

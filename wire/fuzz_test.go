@@ -5,28 +5,25 @@ import (
 	"testing"
 )
 
-// FuzzDecodeRequest feeds hostile request payloads (truncated frames, bad
-// ops, corrupt length prefixes) through both protocol versions of the
-// decoder.  The decoder must never panic, and whatever it accepts must
-// re-encode/decode to the same request (the codec is its own oracle).
+// FuzzDecodeRequest feeds hostile statement request payloads (truncated
+// frames, bad ops, corrupt length prefixes) through the decoder.  The
+// decoder must never panic, and whatever it accepts must re-encode/decode
+// to the same request (the codec is its own oracle).
 func FuzzDecodeRequest(f *testing.F) {
-	f.Add([]byte{}, uint32(1))
-	f.Add(EncodeRequest(&Request{ID: 1, Statements: []Statement{{Op: OpPing, Value: []byte("x")}}}), uint32(1))
-	f.Add(EncodeRequestV(&Request{ID: 2, Statements: []Statement{
+	f.Add([]byte{})
+	f.Add(EncodeRequest(&Request{ID: 1, Statements: []Statement{{Op: OpPing, Value: []byte("x")}}}))
+	f.Add(EncodeRequest(&Request{ID: 2, Statements: []Statement{
 		{Op: OpUpsert, Table: "t", Key: []byte("k"), Value: []byte("v")},
 		{Op: OpScan, Table: "t", Key: []byte("a"), KeyEnd: []byte("z"), Limit: 10},
-	}}, V2), uint32(2))
+	}}))
 	// Hostile length prefix: a statement count of ~4 billion.
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}, uint32(2))
-	f.Fuzz(func(t *testing.T, payload []byte, version uint32) {
-		if version != V1 {
-			version = V2
-		}
-		req, err := DecodeRequestV(payload, version)
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, byte(FrameStatements), 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		req, err := DecodeRequest(payload)
 		if err != nil {
 			return
 		}
-		back, err := DecodeRequestV(EncodeRequestV(req, version), version)
+		back, err := DecodeRequest(EncodeRequest(req))
 		if err != nil {
 			t.Fatalf("re-decode of accepted request failed: %v", err)
 		}
@@ -46,26 +43,23 @@ func FuzzDecodeRequest(f *testing.F) {
 
 // FuzzDecodeResponse does the same for response payloads.
 func FuzzDecodeResponse(f *testing.F) {
-	f.Add([]byte{}, uint32(1))
-	f.Add(EncodeResponse(&Response{ID: 1, Committed: true, Results: []StatementResult{{Found: true, Value: []byte("v")}}}), uint32(1))
-	f.Add(EncodeResponseV(&Response{ID: 2, Results: []StatementResult{
+	f.Add([]byte{})
+	f.Add(AppendResponse(nil, &Response{ID: 1, Committed: true, Results: []StatementResult{{Found: true, Value: []byte("v")}}}))
+	f.Add(AppendResponse(nil, &Response{ID: 2, Retry: RetryTransient, Results: []StatementResult{
 		{Found: true, Entries: []ScanEntry{{Key: []byte("k"), Value: []byte("v")}}},
-	}}, V2), uint32(2))
-	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF}, uint32(2))
-	f.Fuzz(func(t *testing.T, payload []byte, version uint32) {
-		if version != V1 {
-			version = V2
-		}
-		resp, err := DecodeResponseV(payload, version)
+	}}))
+	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		resp, err := DecodeResponse(payload)
 		if err != nil {
 			return
 		}
-		back, err := DecodeResponseV(EncodeResponseV(resp, version), version)
+		back, err := DecodeResponse(AppendResponse(nil, resp))
 		if err != nil {
 			t.Fatalf("re-decode of accepted response failed: %v", err)
 		}
 		if back.ID != resp.ID || back.Committed != resp.Committed || back.Err != resp.Err ||
-			len(back.Results) != len(resp.Results) {
+			back.Retry != resp.Retry || len(back.Results) != len(resp.Results) {
 			t.Fatalf("round trip changed the response: %+v != %+v", back, resp)
 		}
 		for i := range resp.Results {
@@ -78,15 +72,15 @@ func FuzzDecodeResponse(f *testing.F) {
 	})
 }
 
-// FuzzDecodeFrameV3 feeds hostile V3 frames (plans, cancels, tagged
+// FuzzDecodeFrameV3 feeds hostile request frames (plans, cancels, tagged
 // statement requests) through the kind dispatcher.  It must never panic,
 // and any accepted plan frame must re-encode/decode identically.
 func FuzzDecodeFrameV3(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeCancelRequest(42))
-	f.Add(EncodeRequestV(&Request{ID: 1, Statements: []Statement{
+	f.Add(EncodeRequest(&Request{ID: 1, Statements: []Statement{
 		{Op: OpUpsert, Table: "t", Key: []byte("k"), Value: []byte("v")},
-	}}, V3))
+	}}))
 	{
 		b := []byte{}
 		b = append(b, 9, 0, 0, 0, 0, 0, 0, 0, 1) // ID, FramePlan
@@ -134,8 +128,8 @@ func FuzzDecodeFrameV3(f *testing.F) {
 
 // FuzzDecodeHello covers the handshake frames.
 func FuzzDecodeHello(f *testing.F) {
-	f.Add(EncodeHello(&Hello{MaxVersion: V2, Token: []byte("tok")}))
-	f.Add(EncodeHelloAck(&HelloAck{Version: V2, Authenticated: true}))
+	f.Add(EncodeHello(&Hello{MaxVersion: Version, Token: []byte("tok")}))
+	f.Add(EncodeHelloAck(&HelloAck{Version: Version, Authenticated: true}))
 	f.Add([]byte("PLP\xf7HELO"))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if h, err := DecodeHello(payload); err == nil {

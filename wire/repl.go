@@ -1,7 +1,7 @@
-// Replication frames: the V3 frame kinds that carry the WAL-shipping
+// Replication frames: the frame kinds that carry the WAL-shipping
 // stream between a primary and its followers.
 //
-// A follower opens an ordinary authenticated V3 connection and sends
+// A follower opens an ordinary authenticated connection and sends
 // REPL-SUBSCRIBE as its first frame: the LSN it wants the stream to start
 // at (its local durable horizon) and the replication epoch it last
 // followed (0 for a fresh follower).  The primary replies with an ordinary
@@ -19,7 +19,7 @@ package wire
 
 import "fmt"
 
-// The V3 replication frame kinds (continuing the FrameKind space).
+// The replication frame kinds (continuing the FrameKind space).
 const (
 	// FrameReplSubscribe asks the server to start streaming WAL records.
 	FrameReplSubscribe FrameKind = 6
@@ -31,7 +31,7 @@ const (
 	FrameReplAck FrameKind = 8
 )
 
-// The V3 seed/heartbeat frame kinds (9 and 10 belong to the scan stream).
+// The seed/heartbeat frame kinds (9 and 10 belong to the scan stream).
 const (
 	// FrameReplSeedBegin opens a snapshot re-seed: the stream that follows
 	// starts at SeedStart (the oldest retained LSN on the primary) instead

@@ -1,4 +1,4 @@
-// Streaming scans: the V3 SCAN / SCAN-CHUNK / SCAN-ACK frames.
+// Streaming scans: the SCAN / SCAN-CHUNK / SCAN-ACK frames.
 //
 // A bounded OpScan returns everything in one reply, which caps how much a
 // scan can return by what fits in one frame and buffers the whole result
@@ -29,7 +29,7 @@ import (
 	"plp/plan"
 )
 
-// The V3 streaming-scan frame kinds (continuing the FrameKind space).
+// The streaming-scan frame kinds (continuing the FrameKind space).
 const (
 	// FrameScan opens a streaming scan; the rows arrive as SCAN-CHUNK
 	// frames matched to the request ID.

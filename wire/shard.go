@@ -1,4 +1,4 @@
-// Sharding frames: the V3 frame kinds that carry the cross-process shard
+// Sharding frames: the frame kinds that carry the cross-process shard
 // map and the two-phase commit traffic between plpd processes.
 //
 // A SHARD-MAP frame asks the server for its current shard map; the reply is
@@ -17,7 +17,7 @@ package wire
 
 import "fmt"
 
-// The V3 sharding frame kinds (continuing the FrameKind space of wire.go).
+// The sharding frame kinds (continuing the FrameKind space of wire.go).
 const (
 	// FrameShardMap requests the server's current shard map.
 	FrameShardMap FrameKind = 3
@@ -62,28 +62,13 @@ func EncodeShardMapRequest(id uint64) []byte {
 
 // EncodePrepareRequest serializes a PREPARE payload: the branch's gid, the
 // shard-map version the coordinator routed under, and the statements of the
-// branch (V2 statement encoding).
+// branch (the statement request encoding).
 func EncodePrepareRequest(id uint64, gid string, mapVersion uint64, stmts []Statement) []byte {
-	size := 8 + 1 + 4 + len(gid) + 8 + 4
-	for _, s := range stmts {
-		size += 1 + 4 + len(s.Table) + 4 + len(s.Index) + 4 + len(s.Key) + 4 + len(s.Value) +
-			4 + len(s.KeyEnd) + 4
-	}
-	out := appendUint64(make([]byte, 0, size), id)
+	out := appendUint64(make([]byte, 0, 8+1+4+len(gid)+8+statementsSize(stmts)), id)
 	out = append(out, byte(FramePrepare))
 	out = appendString(out, gid)
 	out = appendUint64(out, mapVersion)
-	out = appendUint32(out, uint32(len(stmts)))
-	for _, s := range stmts {
-		out = append(out, byte(s.Op))
-		out = appendString(out, s.Table)
-		out = appendString(out, s.Index)
-		out = appendBytes(out, s.Key)
-		out = appendBytes(out, s.Value)
-		out = appendBytes(out, s.KeyEnd)
-		out = appendUint32(out, s.Limit)
-	}
-	return out
+	return appendStatements(out, stmts)
 }
 
 // EncodeDecideRequest serializes a DECIDE payload for the given gid.
@@ -103,31 +88,14 @@ func decodeShardFrame(f *Frame, r *reader) (*Frame, error) {
 	case FramePrepare:
 		f.GID = r.str()
 		f.MapVersion = r.uint64()
-		n := r.uint32()
-		req := &Request{ID: f.ID}
-		if max := uint32(len(r.buf) / 17); n > 0 && r.err == nil {
-			req.Statements = make([]Statement, 0, min(n, max))
-		}
-		for i := uint32(0); i < n && r.err == nil; i++ {
-			s := Statement{Op: OpType(r.byteVal())}
-			s.Table = r.str()
-			s.Index = r.str()
-			s.Key = r.bytes()
-			s.Value = r.bytes()
-			s.KeyEnd = r.bytes()
-			s.Limit = r.uint32()
-			if r.err == nil && !s.Op.validFor(V3) {
-				return nil, fmt.Errorf("%w: %d (prepare)", ErrBadOp, s.Op)
-			}
-			req.Statements = append(req.Statements, s)
-		}
-		if r.err != nil {
-			return nil, r.err
+		stmts, err := r.statements()
+		if err != nil {
+			return nil, err
 		}
 		if f.GID == "" {
 			return nil, fmt.Errorf("%w: prepare without gid", ErrShortPayload)
 		}
-		f.Req = req
+		f.Req = &Request{ID: f.ID, Statements: stmts}
 		return f, nil
 	case FrameDecide:
 		f.GID = r.str()

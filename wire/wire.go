@@ -8,73 +8,58 @@
 // little-endian binary encoding with length-prefixed byte fields.  Only the
 // standard library is used.
 //
-// # Versions and the handshake
+// # The handshake
 //
-// Three protocol versions exist:
+// The client's first frame is a HELLO carrying the protocol version it
+// speaks plus an optional authentication token.  The server answers with a
+// HELLO-ACK carrying the session's version, whether it is authenticated and
+// its scope (full or read-only; read-only sessions are refused write ops and
+// control verbs), then both sides switch to request/response frames.  A
+// HELLO offering less than Version, or a first frame that is not a HELLO, is
+// refused: the server replies with an erroring HELLO-ACK and closes the
+// connection.  A client offering more than Version is served at Version.
 //
-//   - V1 (legacy): no handshake.  The client's first frame is already a
-//     Request; the session is unversioned, unauthenticated, and the server
-//     answers every request in the order it was received.
-//   - V2: the client's first frame is a HELLO carrying the highest protocol
-//     version it speaks plus an optional authentication token.  The server
-//     answers with a HELLO-ACK carrying the negotiated version
-//     (min(client, server)) and whether the session is authenticated, then
-//     both sides switch to that version's request/response encoding.  On a
-//     V2 session requests are pipelined: the client may keep many requests
-//     in flight and the server completes them out of order, matching
-//     responses to requests by the client-chosen request ID.
-//   - V3: request frames are kind-tagged.  Besides flat statement requests
-//     (unchanged from V2), a frame can carry a whole declarative plan
-//     (package plan) — phases of typed ops with bindings, executed
-//     server-side as one transaction, one round trip for arbitrarily deep
-//     dependency chains — or a CANCEL naming an in-flight request ID, which
-//     aborts that request's server-side transaction.  The HELLO-ACK gains a
-//     session scope (full or read-only); read-only sessions are refused
-//     write ops and control verbs.
+// Requests are pipelined: the client may keep many requests in flight and
+// the server completes them out of order, matching responses to requests by
+// the client-chosen request ID.
 //
-// A HELLO frame is distinguished from a legacy request by an 8-byte magic
-// prefix; a V1 client's first request would need the request ID
-// 0x4F4C4548_F7504C50 to collide with it, which sequential-ID clients never
-// produce.  A V2 server therefore serves old V1 clients on the same port
-// with no configuration.
-//
-// # V2 payloads
+// # Payloads
 //
 // A HELLO is: magic "PLP\xf7HELO", uint32 max version, token bytes, uint32
-// reserved flags.  A HELLO-ACK is: magic "PLP\xf7HACK", uint32 negotiated
-// version, 1 authenticated byte, error string (non-empty means the server
-// refused the session and will close the connection).
+// reserved flags.  A HELLO-ACK is: magic "PLP\xf7HACK", uint32 version, 1
+// authenticated byte, error string (non-empty means the server refused the
+// session and will close the connection), 1 scope byte.
 //
-// A request is: uint64 ID, uint32 statement count, then per statement: op
-// byte, table, index, key, value (all length-prefixed); V2 appends the scan
-// end-key and a uint32 limit to each statement.  A response is: uint64 ID,
-// committed byte, transaction error string, uint32 result count, then per
-// result: found byte, value, error string; V2 appends a uint32 entry count
-// and that many key/value pairs (the scan results).
-//
-// # V3 payloads
-//
-// A V3 request frame is: uint64 ID, kind byte, then the kind's body.
-// Kind 0 (statements) is the V2 statement body.  Kind 1 (plan) is a uint32
-// phase count, then per phase a uint32 op count and that many ops (kind
-// byte; table, index, key, value, key-end, cond-value, mut-arg all
-// length-prefixed; uint32 limit; cond and mut bytes; uint32 key-from,
-// value-from and each-from bindings; a length-prefixed predicate encoding,
-// empty when the op has no filter).  Kind 2 (cancel) has no body: the
-// frame's ID is the ID of the request to cancel, and a cancel frame
+// A request frame is: uint64 ID, kind byte, then the kind's body.  Kind 0
+// (statements) is a uint32 statement count, then per statement: op byte,
+// table, index, key, value and scan end-key (all length-prefixed), and a
+// uint32 scan limit.  Kind 1 (plan) is a uint32 phase count, then per phase
+// a uint32 op count and that many ops (kind byte; table, index, key, value,
+// key-end, cond-value, mut-arg all length-prefixed; uint32 limit; cond and
+// mut bytes; uint32 key-from, value-from and each-from bindings; a
+// length-prefixed predicate encoding, empty when the op has no filter): a
+// whole declarative plan (package plan) executed server-side as one
+// transaction, one round trip for arbitrarily deep dependency chains.  Kind
+// 2 (cancel) has no body: the frame's ID is the ID of the request to cancel,
+// which aborts that request's server-side transaction; a cancel frame
 // receives no response of its own (the canceled request's response reports
-// the abort).  Kinds 9 and 10 open and flow-control streaming scans (see
-// scanstream.go).  V3 responses use the V2 encoding plus a trailing
+// the abort).  The shard (shard.go), replication (repl.go) and
+// streaming-scan (scanstream.go) kinds continue the numbering.
+//
+// A response is: uint64 ID, committed byte, transaction error string,
+// uint32 result count, then per result: found byte, value, error string, a
+// uint32 entry count and that many key/value pairs (scan results); then one
 // abort-classification byte (transient vs permanent, for client retry
-// policy), with one result per plan op in flat phase order.
+// policy).  A plan's response carries one result per op in flat phase
+// order.
 //
 // # Authentication
 //
 // A server started with a token (plpd -token) treats a session as
 // authenticated only if its HELLO presented the matching token: a wrong
-// token is refused outright, while a missing token (including every V1
-// session) yields an unauthenticated session that may run data transactions
-// but is refused OpControl.  A server with no token treats every session as
+// token is refused outright, while a missing token yields an
+// unauthenticated session that may run data transactions but is refused
+// OpControl.  A server with no token treats every session as
 // authenticated.
 package wire
 
@@ -101,27 +86,16 @@ var (
 // transaction but protects the server from corrupt length prefixes.
 const MaxFrameSize = 16 << 20
 
-// Protocol versions.
-const (
-	// V1 is the legacy protocol: no handshake, serial request execution.
-	V1 uint32 = 1
-	// V2 adds the authenticated handshake, pipelined out-of-order
-	// execution, range scans (OpScan) and secondary-index deletes
-	// (OpDeleteSecondary).
-	V2 uint32 = 2
-	// V3 adds kind-tagged request frames: declarative plan requests
-	// (package plan), cancel frames, and the read-only session scope.
-	V3 uint32 = 3
-	// MaxVersion is the highest version this build speaks.
-	MaxVersion = V3
-)
+// Version is the protocol version this build speaks, and the lowest it
+// accepts.
+const Version uint32 = 3
 
-// FrameKind tags a V3 request frame's body.
+// FrameKind tags a request frame's body.
 type FrameKind uint8
 
-// The V3 request frame kinds.
+// The request frame kinds.
 const (
-	// FrameStatements carries a flat statement transaction (the V2 body).
+	// FrameStatements carries a flat statement transaction.
 	FrameStatements FrameKind = 0
 	// FramePlan carries a whole declarative plan executed as one
 	// transaction.
@@ -162,15 +136,15 @@ const (
 	// outside any transaction, must be sent alone in a request, and require
 	// an authenticated session when the server has a token configured.
 	OpControl
-	// OpScan (V2) performs a bounded range scan: Key is the inclusive lower
+	// OpScan performs a bounded range scan: Key is the inclusive lower
 	// bound, KeyEnd the exclusive upper bound (nil means open), Limit the
 	// maximum number of records returned.  The engine distributes the scan
 	// to the partition-owning workers; results arrive in key order in the
 	// result's Entries.  A flat-statement scan must be sent alone in a
-	// request, at every protocol version; scans inside V3 plans execute
-	// within the transaction and mix freely with other ops.
+	// request; scans inside plans execute within the transaction and mix
+	// freely with other ops.
 	OpScan
-	// OpDeleteSecondary (V2) removes the secondary-index entry under Key in
+	// OpDeleteSecondary removes the secondary-index entry under Key in
 	// the index named by Index.  Deleting a missing entry is not an error.
 	OpDeleteSecondary
 )
@@ -205,21 +179,8 @@ func (o OpType) String() string {
 	}
 }
 
-// MinVersion returns the lowest protocol version that defines the op.
-func (o OpType) MinVersion() uint32 {
-	if o >= OpScan {
-		return V2
-	}
-	return V1
-}
-
-// validFor reports whether the op is defined at the given protocol version.
-func (o OpType) validFor(version uint32) bool {
-	if o < OpGet || o > OpDeleteSecondary {
-		return false
-	}
-	return o.MinVersion() <= version
-}
+// valid reports whether the op is defined.
+func (o OpType) valid() bool { return o >= OpGet && o <= OpDeleteSecondary }
 
 // Statement is one operation within a transaction.
 type Statement struct {
@@ -236,17 +197,17 @@ type Statement struct {
 	// OpInsertSecondary, or the echo payload for OpPing).
 	Value []byte
 	// KeyEnd is the exclusive upper bound of an OpScan (nil scans to the end
-	// of the table).  V2 only.
+	// of the table).
 	KeyEnd []byte
 	// Limit caps the number of records an OpScan returns (0 selects the
-	// server's default).  V2 only.
+	// server's default).
 	Limit uint32
 }
 
 // Request is one transaction submitted by a client.
 type Request struct {
-	// ID is chosen by the client and echoed in the response.  V2 clients
-	// keep many requests in flight and match responses to requests by it.
+	// ID is chosen by the client and echoed in the response.  Clients keep
+	// many requests in flight and match responses to requests by it.
 	ID uint64
 	// Statements execute in order as one transaction.
 	Statements []Statement
@@ -270,7 +231,7 @@ type StatementResult struct {
 	// Err is a non-empty statement error message; any statement error aborts
 	// the whole transaction.
 	Err string
-	// Entries holds an OpScan's records in key order.  V2 only.
+	// Entries holds an OpScan's records in key order.
 	Entries []ScanEntry
 }
 
@@ -280,8 +241,7 @@ type RetryHint uint8
 
 // The retry hints.
 const (
-	// RetryUnknown carries no classification (committed responses, pre-V3
-	// servers).
+	// RetryUnknown carries no classification (committed responses).
 	RetryUnknown RetryHint = 0
 	// RetryTransient marks an abort caused by transient contention —
 	// deadlock-avoidance lock timeouts, cross-shard prepare conflicts —
@@ -301,18 +261,17 @@ type Response struct {
 	Committed bool
 	// Err is the transaction-level error message (empty on commit).
 	Err string
-	// Retry classifies an abort as transient or permanent (V3; encoded as
-	// a trailing byte that pre-V3 decoders never read).
+	// Retry classifies an abort as transient or permanent.
 	Retry RetryHint
 	// Results holds one entry per statement, in order.
 	Results []StatementResult
 }
 
-// Hello is the first frame of a V2 session, sent by the client.
+// Hello is the first frame of a session, sent by the client.
 type Hello struct {
 	// MaxVersion is the highest protocol version the client speaks; the
-	// server negotiates the session down to min(MaxVersion, MaxVersion of
-	// the server).
+	// server refuses a hello below Version and serves anything above it at
+	// Version.
 	MaxVersion uint32
 	// Token is the optional authentication token.  Sessions that present no
 	// token to a token-protected server stay unauthenticated (data
@@ -322,7 +281,7 @@ type Hello struct {
 
 // HelloAck is the server's reply to a Hello.
 type HelloAck struct {
-	// Version is the negotiated protocol version of the session.
+	// Version is the protocol version of the session.
 	Version uint32
 	// Authenticated reports whether the session may issue OpControl.
 	Authenticated bool
@@ -330,14 +289,11 @@ type HelloAck struct {
 	// malformed hello); the server closes the connection after sending it.
 	Err string
 	// ReadOnly reports that the session authenticated with a read-only
-	// token (V3): write ops and control verbs are refused.  Encoded as a
-	// trailing scope byte that pre-V3 clients ignore.
+	// token: write ops and control verbs are refused.
 	ReadOnly bool
 }
 
-// Handshake frame magics.  The hello magic doubles as the V1/V2 sniff: a V1
-// request would need this exact little-endian request ID as its first frame
-// to be mistaken for a handshake.
+// Handshake frame magics.
 var (
 	helloMagic    = [8]byte{'P', 'L', 'P', 0xF7, 'H', 'E', 'L', 'O'}
 	helloAckMagic = [8]byte{'P', 'L', 'P', 0xF7, 'H', 'A', 'C', 'K'}
@@ -469,8 +425,7 @@ func DecodeHello(payload []byte) (*Hello, error) {
 	return h, nil
 }
 
-// EncodeHelloAck serializes a HELLO-ACK payload.  The scope byte is
-// appended last: pre-V3 decoders stop before it and are unaffected.
+// EncodeHelloAck serializes a HELLO-ACK payload.
 func EncodeHelloAck(a *HelloAck) []byte {
 	out := append([]byte(nil), helloAckMagic[:]...)
 	out = appendUint32(out, a.Version)
@@ -488,8 +443,7 @@ func EncodeHelloAck(a *HelloAck) []byte {
 	return out
 }
 
-// DecodeHelloAck parses a HELLO-ACK payload.  The scope byte is optional so
-// acks from pre-V3 servers still decode.
+// DecodeHelloAck parses a HELLO-ACK payload.
 func DecodeHelloAck(payload []byte) (*HelloAck, error) {
 	if !IsHelloAck(payload) {
 		return nil, ErrBadHello
@@ -498,11 +452,9 @@ func DecodeHelloAck(payload []byte) (*HelloAck, error) {
 	a := &HelloAck{Version: r.uint32()}
 	a.Authenticated = r.byteVal() == 1
 	a.Err = r.str()
+	a.ReadOnly = r.byteVal() == 1
 	if r.err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadHello, r.err)
-	}
-	if r.off < len(r.buf) {
-		a.ReadOnly = r.byteVal() == 1
 	}
 	return a, nil
 }
@@ -519,63 +471,67 @@ func RequestID(payload []byte) (uint64, bool) {
 	return binary.LittleEndian.Uint64(payload), true
 }
 
-// EncodeRequest serializes a request payload at protocol version V1.
-func EncodeRequest(req *Request) []byte { return EncodeRequestV(req, V1) }
+// EncodeRequest serializes a statement request payload (without the frame
+// header).
+func EncodeRequest(req *Request) []byte {
+	out := appendUint64(make([]byte, 0, 8+1+statementsSize(req.Statements)), req.ID)
+	out = append(out, byte(FrameStatements))
+	return appendStatements(out, req.Statements)
+}
 
-// EncodeRequestV serializes a request payload at the given protocol version
-// (without the frame header).  At V3 the body is tagged FrameStatements.
-func EncodeRequestV(req *Request, version uint32) []byte {
-	size := 8 + 4
-	if version >= V3 {
-		size++
+// DecodeRequest parses a statement request payload.  Other frame kinds are
+// rejected — use DecodeFrameV3 to dispatch them.  The returned request's
+// byte fields alias buf, which must not be modified or reused afterwards.
+func DecodeRequest(buf []byte) (*Request, error) {
+	r := &reader{buf: buf}
+	req := &Request{ID: r.uint64()}
+	if k := FrameKind(r.byteVal()); r.err == nil && k != FrameStatements {
+		return nil, fmt.Errorf("%w: frame kind %d is not a statement request", ErrBadOp, k)
 	}
-	for _, s := range req.Statements {
-		size += 1 + 4 + len(s.Table) + 4 + len(s.Index) + 4 + len(s.Key) + 4 + len(s.Value)
-		if version >= V2 {
-			size += 4 + len(s.KeyEnd) + 4
-		}
+	stmts, err := r.statements()
+	if err != nil {
+		return nil, err
 	}
-	out := appendUint64(make([]byte, 0, size), req.ID)
-	if version >= V3 {
-		out = append(out, byte(FrameStatements))
+	req.Statements = stmts
+	return req, nil
+}
+
+// statementsSize is the encoded size of a statement list.
+func statementsSize(stmts []Statement) int {
+	size := 4
+	for _, s := range stmts {
+		size += 1 + 4 + len(s.Table) + 4 + len(s.Index) + 4 + len(s.Key) + 4 + len(s.Value) +
+			4 + len(s.KeyEnd) + 4
 	}
-	out = appendUint32(out, uint32(len(req.Statements)))
-	for _, s := range req.Statements {
+	return size
+}
+
+// appendStatements appends a statement list: a uint32 count, then each
+// statement's fields.
+func appendStatements(out []byte, stmts []Statement) []byte {
+	out = appendUint32(out, uint32(len(stmts)))
+	for _, s := range stmts {
 		out = append(out, byte(s.Op))
 		out = appendString(out, s.Table)
 		out = appendString(out, s.Index)
 		out = appendBytes(out, s.Key)
 		out = appendBytes(out, s.Value)
-		if version >= V2 {
-			out = appendBytes(out, s.KeyEnd)
-			out = appendUint32(out, s.Limit)
-		}
+		out = appendBytes(out, s.KeyEnd)
+		out = appendUint32(out, s.Limit)
 	}
 	return out
 }
 
-// DecodeRequest parses a request payload at protocol version V1.
-func DecodeRequest(buf []byte) (*Request, error) { return DecodeRequestV(buf, V1) }
-
-// DecodeRequestV parses a request payload at the given protocol version.
-// Ops introduced after that version are rejected with ErrBadOp.  At V3 only
-// FrameStatements bodies are accepted — use DecodeFrameV3 to dispatch the
-// other frame kinds.  The returned request's byte fields alias buf, which
-// must not be modified or reused afterwards.
-func DecodeRequestV(buf []byte, version uint32) (*Request, error) {
-	r := &reader{buf: buf}
-	req := &Request{ID: r.uint64()}
-	if version >= V3 {
-		if k := FrameKind(r.byteVal()); r.err == nil && k != FrameStatements {
-			return nil, fmt.Errorf("%w: frame kind %d is not a statement request", ErrBadOp, k)
-		}
-	}
+// statements reads a statement list written by appendStatements, rejecting
+// unknown ops with ErrBadOp.
+func (r *reader) statements() ([]Statement, error) {
 	n := r.uint32()
+	var stmts []Statement
 	// Presize bounded by what the payload could physically hold (a
-	// statement is at least 17 bytes), so a hostile count cannot force a
+	// statement is at least 25 bytes), so a hostile count cannot force a
 	// huge allocation.
-	if max := uint32(len(buf) / 17); n > 0 && r.err == nil {
-		req.Statements = make([]Statement, 0, min(n, max))
+	if max := uint32(len(r.buf) / 25); n > 0 && r.err == nil {
+		stmts = make([]Statement, 0, min(n, max))
 	}
 	for i := uint32(0); i < n && r.err == nil; i++ {
 		s := Statement{Op: OpType(r.byteVal())}
@@ -583,24 +539,22 @@ func DecodeRequestV(buf []byte, version uint32) (*Request, error) {
 		s.Index = r.str()
 		s.Key = r.bytes()
 		s.Value = r.bytes()
-		if version >= V2 {
-			s.KeyEnd = r.bytes()
-			s.Limit = r.uint32()
+		s.KeyEnd = r.bytes()
+		s.Limit = r.uint32()
+		if r.err == nil && !s.Op.valid() {
+			return nil, fmt.Errorf("%w: %d", ErrBadOp, s.Op)
 		}
-		if r.err == nil && !s.Op.validFor(version) {
-			return nil, fmt.Errorf("%w: %d (protocol v%d)", ErrBadOp, s.Op, version)
-		}
-		req.Statements = append(req.Statements, s)
+		stmts = append(stmts, s)
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
-	return req, nil
+	return stmts, nil
 }
 
-// --- V3 frame codec (plans and cancels) ---
+// --- frame codec (plans and cancels) ---
 
-// Frame is one decoded V3 request frame.
+// Frame is one decoded request frame.
 type Frame struct {
 	// ID is the request ID (for FrameCancel, the ID of the request to
 	// cancel).
@@ -660,7 +614,7 @@ type Frame struct {
 const minEncodedOpBytes = 51
 
 // EncodePlanRequest serializes a plan request payload (without the frame
-// header) at protocol version V3.
+// header).
 func EncodePlanRequest(id uint64, p *plan.Plan) []byte {
 	size := 8 + 1 + 4
 	for _, ph := range p.Phases {
@@ -708,7 +662,7 @@ func EncodeCancelRequest(id uint64) []byte {
 	return append(out, byte(FrameCancel))
 }
 
-// DecodeFrameV3 parses one V3 request frame, dispatching on its kind.  The
+// DecodeFrameV3 parses one request frame, dispatching on its kind.  The
 // decoded frame's byte fields alias buf; the plan's structure is *not*
 // semantically validated here — the engine's compiler re-validates, so a
 // hostile peer gains nothing by skipping the client-side checks.
@@ -721,11 +675,11 @@ func DecodeFrameV3(buf []byte) (*Frame, error) {
 	}
 	switch f.Kind {
 	case FrameStatements:
-		req, err := DecodeRequestV(buf, V3)
+		stmts, err := r.statements()
 		if err != nil {
 			return nil, err
 		}
-		f.Req = req
+		f.Req = &Request{ID: f.ID, Statements: stmts}
 		return f, nil
 	case FrameCancel:
 		return f, nil
@@ -788,29 +742,17 @@ func DecodeFrameV3(buf []byte) (*Frame, error) {
 	}
 }
 
-// EncodeResponse serializes a response payload at protocol version V1.
-func EncodeResponse(resp *Response) []byte { return EncodeResponseV(resp, V1) }
-
-// EncodeResponseV serializes a response payload at the given protocol
-// version (without the frame header).
-func EncodeResponseV(resp *Response, version uint32) []byte {
-	return AppendResponseV(nil, resp, version)
-}
-
-// AppendResponseV appends the serialized response to dst and returns the
-// extended slice.  Servers reuse one buffer per connection across replies
-// (AppendResponseV(buf[:0], ...)) so steady-state response encoding
-// allocates nothing once the buffer has grown to the session's working
-// size.
-func AppendResponseV(dst []byte, resp *Response, version uint32) []byte {
+// AppendResponse appends the serialized response payload (without the
+// frame header) to dst and returns the extended slice.  Servers reuse one
+// buffer per connection across replies (AppendResponse(buf[:0], ...)) so
+// steady-state response encoding allocates nothing once the buffer has
+// grown to the session's working size.
+func AppendResponse(dst []byte, resp *Response) []byte {
 	size := 8 + 1 + 4 + len(resp.Err) + 4 + 1
 	for _, res := range resp.Results {
-		size += 1 + 4 + len(res.Value) + 4 + len(res.Err)
-		if version >= V2 {
-			size += 4
-			for _, e := range res.Entries {
-				size += 4 + len(e.Key) + 4 + len(e.Value)
-			}
+		size += 1 + 4 + len(res.Value) + 4 + len(res.Err) + 4
+		for _, e := range res.Entries {
+			size += 4 + len(e.Key) + 4 + len(e.Value)
 		}
 	}
 	if cap(dst)-len(dst) < size {
@@ -834,35 +776,25 @@ func AppendResponseV(dst []byte, resp *Response, version uint32) []byte {
 		out = append(out, found)
 		out = appendBytes(out, res.Value)
 		out = appendString(out, res.Err)
-		if version >= V2 {
-			out = appendUint32(out, uint32(len(res.Entries)))
-			for _, e := range res.Entries {
-				out = appendBytes(out, e.Key)
-				out = appendBytes(out, e.Value)
-			}
+		out = appendUint32(out, uint32(len(res.Entries)))
+		for _, e := range res.Entries {
+			out = appendBytes(out, e.Key)
+			out = appendBytes(out, e.Value)
 		}
 	}
-	// The retry hint trails the body: pre-V3 decoders stop before it.
-	if version >= V3 {
-		out = append(out, byte(resp.Retry))
-	}
-	return out
+	return append(out, byte(resp.Retry))
 }
 
-// DecodeResponse parses a response payload at protocol version V1.
-func DecodeResponse(buf []byte) (*Response, error) { return DecodeResponseV(buf, V1) }
-
-// DecodeResponseV parses a response payload at the given protocol version.
-// The returned response's byte fields alias buf, which must not be modified
-// or reused afterwards.
-func DecodeResponseV(buf []byte, version uint32) (*Response, error) {
+// DecodeResponse parses a response payload.  The returned response's byte
+// fields alias buf, which must not be modified or reused afterwards.
+func DecodeResponse(buf []byte) (*Response, error) {
 	r := &reader{buf: buf}
 	resp := &Response{ID: r.uint64()}
 	resp.Committed = r.byteVal() == 1
 	resp.Err = r.str()
 	n := r.uint32()
-	// Presize bounded by payload capacity (a result is at least 9 bytes).
-	if max := uint32(len(buf) / 9); n > 0 && r.err == nil {
+	// Presize bounded by payload capacity (a result is at least 13 bytes).
+	if max := uint32(len(buf) / 13); n > 0 && r.err == nil {
 		resp.Results = make([]StatementResult, 0, min(n, max))
 	}
 	for i := uint32(0); i < n && r.err == nil; i++ {
@@ -870,23 +802,18 @@ func DecodeResponseV(buf []byte, version uint32) (*Response, error) {
 		res.Found = r.byteVal() == 1
 		res.Value = r.bytes()
 		res.Err = r.str()
-		if version >= V2 {
-			m := r.uint32()
-			for j := uint32(0); j < m && r.err == nil; j++ {
-				var e ScanEntry
-				e.Key = r.bytes()
-				e.Value = r.bytes()
-				res.Entries = append(res.Entries, e)
-			}
+		m := r.uint32()
+		for j := uint32(0); j < m && r.err == nil; j++ {
+			var e ScanEntry
+			e.Key = r.bytes()
+			e.Value = r.bytes()
+			res.Entries = append(res.Entries, e)
 		}
 		resp.Results = append(resp.Results, res)
 	}
+	resp.Retry = RetryHint(r.byteVal())
 	if r.err != nil {
 		return nil, r.err
-	}
-	// The optional trailing retry hint (V3 servers always append it).
-	if version >= V3 && r.off < len(r.buf) {
-		resp.Retry = RetryHint(r.byteVal())
 	}
 	return resp, nil
 }

@@ -46,7 +46,7 @@ func TestResponseRoundTrip(t *testing.T) {
 			{Err: "boom"},
 		},
 	}
-	got, err := DecodeResponse(EncodeResponse(resp))
+	got, err := DecodeResponse(AppendResponse(nil, resp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 
 	aborted := &Response{ID: 8, Committed: false, Err: "duplicate key"}
-	got, err = DecodeResponse(EncodeResponse(aborted))
+	got, err = DecodeResponse(AppendResponse(nil, aborted))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,43 +67,43 @@ func TestResponseRoundTrip(t *testing.T) {
 // TestAppendResponseReusesBuffer proves the append form the server's
 // per-connection encode buffer relies on: successive responses encoded into
 // the same buffer round-trip correctly, reuse its capacity once grown, and
-// match the one-shot encoder byte for byte.
+// match a fresh encoding byte for byte.
 func TestAppendResponseReusesBuffer(t *testing.T) {
 	responses := []*Response{
 		{ID: 1, Committed: true, Results: []StatementResult{
 			{Found: true, Value: []byte("a-long-first-value-to-grow-the-buffer")},
 			{Found: true, Entries: []ScanEntry{{Key: []byte("k1"), Value: []byte("v1")}}},
 		}},
-		{ID: 2, Err: "aborted"},
+		{ID: 2, Err: "aborted", Retry: RetryPermanent},
 		{ID: 3, Committed: true, Results: []StatementResult{{Found: false}}},
 	}
 	var buf []byte
 	for _, resp := range responses {
-		buf = AppendResponseV(buf[:0], resp, V2)
-		if want := EncodeResponseV(resp, V2); !bytes.Equal(buf, want) {
-			t.Fatalf("append encoding differs from one-shot encoding for id %d", resp.ID)
+		buf = AppendResponse(buf[:0], resp)
+		if want := AppendResponse(nil, resp); !bytes.Equal(buf, want) {
+			t.Fatalf("reused-buffer encoding differs from a fresh encoding for id %d", resp.ID)
 		}
-		got, err := DecodeResponseV(append([]byte(nil), buf...), V2)
+		got, err := DecodeResponse(append([]byte(nil), buf...))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.ID != resp.ID || got.Committed != resp.Committed || got.Err != resp.Err {
+		if got.ID != resp.ID || got.Committed != resp.Committed || got.Err != resp.Err || got.Retry != resp.Retry {
 			t.Fatalf("round trip mismatch: %+v != %+v", got, resp)
 		}
 	}
 	grown := cap(buf)
-	buf = AppendResponseV(buf[:0], responses[2], V2)
+	buf = AppendResponse(buf[:0], responses[2])
 	if cap(buf) != grown {
 		t.Fatalf("small response reallocated the buffer: cap %d -> %d", grown, cap(buf))
 	}
 	// Appending to a non-empty prefix must preserve it.
 	prefix := []byte{0xde, 0xad}
-	out := AppendResponseV(append([]byte(nil), prefix...), responses[1], V1)
+	out := AppendResponse(append([]byte(nil), prefix...), responses[1])
 	if !bytes.Equal(out[:2], prefix) {
 		t.Fatal("append clobbered the existing prefix")
 	}
-	if want := EncodeResponseV(responses[1], V1); !bytes.Equal(out[2:], want) {
-		t.Fatal("appended payload differs from one-shot encoding")
+	if want := AppendResponse(nil, responses[1]); !bytes.Equal(out[2:], want) {
+		t.Fatal("appended payload differs from a fresh encoding")
 	}
 }
 
@@ -193,25 +193,20 @@ func TestOpTypeStrings(t *testing.T) {
 			t.Fatalf("bad or duplicate op label %q", s)
 		}
 		seen[s] = true
-		if !op.validFor(V2) {
-			t.Fatalf("op %v reported invalid at v2", op)
+		if !op.valid() {
+			t.Fatalf("op %v reported invalid", op)
 		}
 	}
-	if OpType(0).validFor(V2) || OpType(99).validFor(V2) {
+	if OpType(0).valid() || OpType(99).valid() {
 		t.Fatal("invalid ops reported valid")
 	}
 	if OpType(99).String() == "" {
 		t.Fatal("unknown op should still render")
 	}
-	// The v2 ops are version-gated: a v1 decoder rejects them.
-	if OpScan.validFor(V1) || OpDeleteSecondary.validFor(V1) {
-		t.Fatal("v2 ops reported valid at v1")
-	}
-	if OpScan.MinVersion() != V2 || OpGet.MinVersion() != V1 {
-		t.Fatal("wrong op minimum versions")
-	}
 }
 
+// TestV2RequestRoundTrip round-trips the scan and secondary-delete ops (the
+// ones protocol v2 introduced) with their scan bounds and limit.
 func TestV2RequestRoundTrip(t *testing.T) {
 	req := &Request{
 		ID: 99,
@@ -220,7 +215,7 @@ func TestV2RequestRoundTrip(t *testing.T) {
 			{Op: OpDeleteSecondary, Table: "acct", Index: "by_name", Key: []byte("alice")},
 		},
 	}
-	got, err := DecodeRequestV(EncodeRequestV(req, V2), V2)
+	got, err := DecodeRequest(EncodeRequest(req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,15 +226,13 @@ func TestV2RequestRoundTrip(t *testing.T) {
 	if got.Statements[1].Op != OpDeleteSecondary || got.Statements[1].Index != "by_name" {
 		t.Fatalf("delsec statement mismatch: %+v", got.Statements[1])
 	}
-	// The same payload decoded as v1 must fail: the op is out of range there.
-	if _, err := DecodeRequestV(EncodeRequestV(req, V2), V1); err == nil {
-		t.Fatal("v1 decoder accepted a v2-only op")
-	}
 }
 
+// TestV2ResponseRoundTrip round-trips scan entries and the retry hint, and
+// rejects every truncation.
 func TestV2ResponseRoundTrip(t *testing.T) {
 	resp := &Response{
-		ID: 5, Committed: true,
+		ID: 5, Committed: true, Retry: RetryTransient,
 		Results: []StatementResult{{
 			Found: true,
 			Entries: []ScanEntry{
@@ -248,26 +241,29 @@ func TestV2ResponseRoundTrip(t *testing.T) {
 			},
 		}},
 	}
-	got, err := DecodeResponseV(EncodeResponseV(resp, V2), V2)
+	full := AppendResponse(nil, resp)
+	got, err := DecodeResponse(full)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got.Retry != RetryTransient {
+		t.Fatalf("retry hint %d, want %d", got.Retry, RetryTransient)
 	}
 	if len(got.Results[0].Entries) != 2 ||
 		!bytes.Equal(got.Results[0].Entries[0].Key, []byte("k1")) ||
 		!bytes.Equal(got.Results[0].Entries[0].Value, []byte("v1")) {
 		t.Fatalf("entries mismatch: %+v", got.Results[0].Entries)
 	}
-	// Truncating the v2 payload anywhere must fail cleanly.
-	full := EncodeResponseV(resp, V2)
+	// Truncating the payload anywhere must fail cleanly.
 	for i := 0; i < len(full); i++ {
-		if _, err := DecodeResponseV(full[:i], V2); err == nil {
-			t.Fatalf("truncated v2 response of %d bytes accepted", i)
+		if _, err := DecodeResponse(full[:i]); err == nil {
+			t.Fatalf("truncated response of %d bytes accepted", i)
 		}
 	}
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	h := &Hello{MaxVersion: V2, Token: []byte("sekrit")}
+	h := &Hello{MaxVersion: Version, Token: []byte("sekrit")}
 	payload := EncodeHello(h)
 	if !IsHello(payload) {
 		t.Fatal("hello payload not recognized")
@@ -279,7 +275,7 @@ func TestHelloRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.MaxVersion != V2 || string(got.Token) != "sekrit" {
+	if got.MaxVersion != Version || string(got.Token) != "sekrit" {
 		t.Fatalf("hello mismatch: %+v", got)
 	}
 	// A plain request payload must never look like a hello.
@@ -300,9 +296,9 @@ func TestHelloRoundTrip(t *testing.T) {
 
 func TestHelloAckRoundTrip(t *testing.T) {
 	for _, a := range []*HelloAck{
-		{Version: V2, Authenticated: true},
-		{Version: V1, Authenticated: false},
-		{Version: V2, Err: "authentication failed"},
+		{Version: Version, Authenticated: true},
+		{Version: Version, Authenticated: false},
+		{Version: Version, Err: "authentication failed"},
 	} {
 		payload := EncodeHelloAck(a)
 		if !IsHelloAck(payload) || IsHello(payload) {

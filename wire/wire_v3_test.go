@@ -64,7 +64,7 @@ func TestV3StatementFrame(t *testing.T) {
 		{Op: OpUpsert, Table: "t", Key: []byte("k"), Value: []byte("v")},
 		{Op: OpScan, Table: "t", Key: []byte("a"), KeyEnd: []byte("b"), Limit: 3},
 	}}
-	payload := EncodeRequestV(req, V3)
+	payload := EncodeRequest(req)
 	f, err := DecodeFrameV3(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -72,14 +72,14 @@ func TestV3StatementFrame(t *testing.T) {
 	if f.Kind != FrameStatements || f.Req == nil || f.Req.ID != 7 || len(f.Req.Statements) != 2 {
 		t.Fatalf("frame %+v", f)
 	}
-	// DecodeRequestV at V3 accepts the same payload directly.
-	back, err := DecodeRequestV(payload, V3)
+	// DecodeRequest accepts the same payload directly...
+	back, err := DecodeRequest(payload)
 	if err != nil || back.ID != 7 {
-		t.Fatalf("DecodeRequestV(V3): %+v, %v", back, err)
+		t.Fatalf("DecodeRequest: %+v, %v", back, err)
 	}
 	// ...but rejects a plan frame.
-	if _, err := DecodeRequestV(EncodePlanRequest(8, samplePlan(t)), V3); err == nil {
-		t.Fatal("DecodeRequestV accepted a plan frame")
+	if _, err := DecodeRequest(EncodePlanRequest(8, samplePlan(t))); err == nil {
+		t.Fatal("DecodeRequest accepted a plan frame")
 	}
 }
 
@@ -95,10 +95,10 @@ func TestCancelFrame(t *testing.T) {
 }
 
 // TestHelloAckScopeByte checks the read-only scope survives a round trip
-// and that a pre-V3 ack (no scope byte) still decodes.
+// and that an ack without the scope byte is rejected.
 func TestHelloAckScopeByte(t *testing.T) {
 	for _, ro := range []bool{false, true} {
-		a, err := DecodeHelloAck(EncodeHelloAck(&HelloAck{Version: V3, Authenticated: !ro, ReadOnly: ro}))
+		a, err := DecodeHelloAck(EncodeHelloAck(&HelloAck{Version: Version, Authenticated: !ro, ReadOnly: ro}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,17 +106,9 @@ func TestHelloAckScopeByte(t *testing.T) {
 			t.Fatalf("ReadOnly %v, want %v", a.ReadOnly, ro)
 		}
 	}
-	// A v2-era ack stops after the error string.
-	legacy := append([]byte(nil), helloAckMagic[:]...)
-	legacy = appendUint32(legacy, V2)
-	legacy = append(legacy, 1)
-	legacy = appendString(legacy, "")
-	a, err := DecodeHelloAck(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.ReadOnly || !a.Authenticated || a.Version != V2 {
-		t.Fatalf("legacy ack %+v", a)
+	full := EncodeHelloAck(&HelloAck{Version: Version, Authenticated: true})
+	if a, err := DecodeHelloAck(full[:len(full)-1]); err == nil {
+		t.Fatalf("ack without a scope byte accepted: %+v", a)
 	}
 }
 
