@@ -102,9 +102,11 @@ func (s *Sharded) Map() *shard.Map {
 	return s.m
 }
 
-// Refresh fetches the shard map again through any reachable member —
-// primaries first, then replicas (a dead primary is exactly when the
-// replicas' copy matters) — and adopts it if newer.
+// Refresh fetches the shard map from every reachable member — primaries
+// and replicas (a dead primary is exactly when the replicas' copy matters)
+// — and adopts the newest if it is newer than the cached one.  Asking only
+// the first member that answers is not enough: after a failover a
+// still-following replica serves the stale map the promoted one replaced.
 func (s *Sharded) Refresh(ctx context.Context) error {
 	m := s.Map()
 	addrs := make([]string, 0, len(m.Shards))
@@ -117,6 +119,7 @@ func (s *Sharded) Refresh(ctx context.Context) error {
 		}
 	}
 	var lastErr error = ErrNoShardMap
+	var newest *shard.Map
 	for _, addr := range addrs {
 		c, err := s.clientFor(ctx, addr)
 		if err != nil {
@@ -128,10 +131,15 @@ func (s *Sharded) Refresh(ctx context.Context) error {
 			lastErr = err
 			continue
 		}
-		s.adopt(nm)
-		return nil
+		if newest == nil || nm.Version > newest.Version {
+			newest = nm
+		}
 	}
-	return fmt.Errorf("client: refreshing shard map: %w", lastErr)
+	if newest == nil {
+		return fmt.Errorf("client: refreshing shard map: %w", lastErr)
+	}
+	s.adopt(newest)
+	return nil
 }
 
 // adopt installs a map if its version is not older than the cached one.

@@ -10,6 +10,10 @@
 //	...serve...
 //	e.Checkpoint()                // bound the log tail; Truncate reclaims it
 //
+// Recover's analysis streams the log one record at a time (wal.Scan): on a
+// disk-backed engine it reads the segment files, because the log keeps no
+// durable records in memory.
+//
 // Recover restores, in order: the partition boundaries the last checkpoint
 // recorded (online repartitioning moves them away from the schema's initial
 // values, and the MRBTree sub-trees must be re-sliced the same way before

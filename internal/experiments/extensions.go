@@ -15,6 +15,7 @@ import (
 	"plp/internal/harness"
 	"plp/internal/keyenc"
 	"plp/internal/recovery"
+	"plp/internal/wal"
 	"plp/internal/workload/tatp"
 )
 
@@ -262,7 +263,12 @@ func ExtRecovery(s Scale) (*ExtRecoveryResult, error) {
 		return nil, fmt.Errorf("ext-recovery workload: %w", err)
 	}
 	res.TxnsExecuted = e.TxnStats().Committed
-	res.LogRecords = len(e.Log().Records())
+	if err := wal.Scan(e.Log(), func(*wal.Record) error {
+		res.LogRecords++
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("ext-recovery log scan: %w", err)
+	}
 
 	// "Crash": no orderly shutdown, no flush.  Build a fresh engine with the
 	// same schema and recover the log into it.

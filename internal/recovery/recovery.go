@@ -175,85 +175,24 @@ func (a *Analysis) InDoubt() map[string]uint64 {
 	return out
 }
 
-// Analyze scans the log and builds the recovery analysis.
+// Analyze scans the log and builds the recovery analysis.  It streams the
+// log one record at a time (wal.Scan) and never materializes it.
 func Analyze(log wal.Log) (*Analysis, error) {
 	if log == nil {
 		return nil, ErrNoLog
 	}
-	a := &Analysis{
+	an := analyzer{a: &Analysis{
 		Outcomes:  make(map[uint64]Outcome),
 		Prepared:  make(map[uint64]string),
 		Decisions: make(map[string]bool),
+	}}
+	if err := wal.Scan(log, func(r *wal.Record) error {
+		an.add(r)
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("recovery: reading the log: %w", err)
 	}
-
-	// In-progress checkpoint accumulation: chunks and meta since the last
-	// end marker.
-	var pendingChunks []logrec.CheckpointChunk
-	var pendingBegin wal.LSN
-	var pendingMeta *logrec.CheckpointMeta
-
-	records := log.Records()
-	a.TotalRecords = len(records)
-	for _, r := range records {
-		switch r.Type {
-		case wal.RecCommit:
-			a.Outcomes[r.Txn] = OutcomeCommitted
-		case wal.RecAbort:
-			a.Outcomes[r.Txn] = OutcomeAborted
-		case wal.RecInsert, wal.RecUpdate, wal.RecDelete:
-			mod, err := logrec.DecodeModification(r.Payload)
-			if err != nil {
-				a.UnparsedRecords++
-				continue
-			}
-			if _, seen := a.Outcomes[r.Txn]; !seen {
-				a.Outcomes[r.Txn] = OutcomeInFlight
-			}
-			a.Ops = append(a.Ops, Op{LSN: r.LSN, Txn: r.Txn, Type: r.Type, Mod: mod})
-		case wal.RecSMO, wal.RecRepartition:
-			a.StructuralRecords++
-		case wal.RecPrepare:
-			if _, seen := a.Outcomes[r.Txn]; !seen {
-				a.Outcomes[r.Txn] = OutcomeInFlight
-			}
-			a.Prepared[r.Txn] = string(r.Payload)
-		case wal.RecDecide:
-			a.Decisions[string(r.Payload)] = true
-		case wal.RecCheckpoint:
-			if chunk, ok, err := logrec.DecodeCheckpointChunk(r.Payload); err == nil && ok {
-				if len(pendingChunks) == 0 {
-					pendingBegin = r.LSN
-				}
-				pendingChunks = append(pendingChunks, chunk)
-				continue
-			}
-			if meta, ok, err := logrec.DecodeCheckpointMeta(r.Payload); err == nil && ok {
-				if len(pendingChunks) == 0 && pendingBegin == 0 {
-					pendingBegin = r.LSN
-				}
-				pendingMeta = &meta
-				continue
-			}
-			if end, ok, err := logrec.DecodeCheckpointEnd(r.Payload); err == nil && ok {
-				a.Snapshot = &Snapshot{
-					BeginLSN: pendingBegin,
-					EndLSN:   r.LSN,
-					Chunks:   pendingChunks,
-				}
-				if end.BeginLSN != 0 {
-					a.Snapshot.BeginLSN = wal.LSN(end.BeginLSN)
-				}
-				a.Meta = pendingMeta
-				pendingChunks = nil
-				pendingBegin = 0
-				pendingMeta = nil
-				continue
-			}
-			a.UnparsedRecords++
-		default:
-			a.UnparsedRecords++
-		}
-	}
+	a := an.a
 	// A prepared branch whose gid this node also durably decided to commit
 	// (the coordinator's own local branch, crashed between logging the
 	// decision and writing the branch's commit record) is promoted to a
@@ -265,4 +204,77 @@ func Analyze(log wal.Log) (*Analysis, error) {
 		}
 	}
 	return a, nil
+}
+
+// analyzer folds log records into an Analysis one at a time, carrying the
+// checkpoint being accumulated: chunks and meta since the last end marker.
+type analyzer struct {
+	a             *Analysis
+	pendingChunks []logrec.CheckpointChunk
+	pendingBegin  wal.LSN
+	pendingMeta   *logrec.CheckpointMeta
+}
+
+// add classifies one record.
+func (an *analyzer) add(r *wal.Record) {
+	a := an.a
+	a.TotalRecords++
+	switch r.Type {
+	case wal.RecCommit:
+		a.Outcomes[r.Txn] = OutcomeCommitted
+	case wal.RecAbort:
+		a.Outcomes[r.Txn] = OutcomeAborted
+	case wal.RecInsert, wal.RecUpdate, wal.RecDelete:
+		mod, err := logrec.DecodeModification(r.Payload)
+		if err != nil {
+			a.UnparsedRecords++
+			return
+		}
+		if _, seen := a.Outcomes[r.Txn]; !seen {
+			a.Outcomes[r.Txn] = OutcomeInFlight
+		}
+		a.Ops = append(a.Ops, Op{LSN: r.LSN, Txn: r.Txn, Type: r.Type, Mod: mod})
+	case wal.RecSMO, wal.RecRepartition:
+		a.StructuralRecords++
+	case wal.RecPrepare:
+		if _, seen := a.Outcomes[r.Txn]; !seen {
+			a.Outcomes[r.Txn] = OutcomeInFlight
+		}
+		a.Prepared[r.Txn] = string(r.Payload)
+	case wal.RecDecide:
+		a.Decisions[string(r.Payload)] = true
+	case wal.RecCheckpoint:
+		if chunk, ok, err := logrec.DecodeCheckpointChunk(r.Payload); err == nil && ok {
+			if len(an.pendingChunks) == 0 {
+				an.pendingBegin = r.LSN
+			}
+			an.pendingChunks = append(an.pendingChunks, chunk)
+			return
+		}
+		if meta, ok, err := logrec.DecodeCheckpointMeta(r.Payload); err == nil && ok {
+			if len(an.pendingChunks) == 0 && an.pendingBegin == 0 {
+				an.pendingBegin = r.LSN
+			}
+			an.pendingMeta = &meta
+			return
+		}
+		if end, ok, err := logrec.DecodeCheckpointEnd(r.Payload); err == nil && ok {
+			a.Snapshot = &Snapshot{
+				BeginLSN: an.pendingBegin,
+				EndLSN:   r.LSN,
+				Chunks:   an.pendingChunks,
+			}
+			if end.BeginLSN != 0 {
+				a.Snapshot.BeginLSN = wal.LSN(end.BeginLSN)
+			}
+			a.Meta = an.pendingMeta
+			an.pendingChunks = nil
+			an.pendingBegin = 0
+			an.pendingMeta = nil
+			return
+		}
+		a.UnparsedRecords++
+	default:
+		a.UnparsedRecords++
+	}
 }

@@ -115,7 +115,8 @@ type Subscription struct {
 	remote string
 	since  time.Time
 	start  wal.LSN
-	cursor wal.LSN // next LSN to ship (streamer goroutine only)
+	cursor wal.LSN     // next LSN to ship (streamer goroutine only)
+	reader *wal.Reader // reads the log at cursor (streamer goroutine only)
 	pin    int
 
 	// seed marks a subscription accepted via re-seed: the stream restarts
@@ -193,7 +194,7 @@ func (p *Primary) SubscribeOrSeed(start wal.LSN, followerEpoch uint64, node, rem
 // previous subscription (a crash or partition can leave it half-open for
 // a TCP timeout), so one physical node never holds two live entries.
 func (p *Primary) register(start wal.LSN, node, remote string, seed bool) *Subscription {
-	s := &Subscription{p: p, node: node, remote: remote, since: time.Now(), start: start, cursor: start}
+	s := &Subscription{p: p, node: node, remote: remote, since: time.Now(), start: start, cursor: start, reader: p.log.NewReader()}
 	if seed {
 		s.seed = true
 		s.seedStart = start
@@ -239,7 +240,7 @@ func (s *Subscription) Next(stop <-chan struct{}) ([]wal.Record, error) {
 			return nil, ErrSubscriptionClosed
 		default:
 		}
-		recs, err := s.p.log.ReadDurable(s.cursor, s.p.batchBytes)
+		recs, err := s.reader.ReadDurable(s.cursor, s.p.batchBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -400,7 +401,6 @@ type FollowerStatus struct {
 	AppliedLSN uint64
 	AckedLSN   uint64
 	LagBytes   uint64
-	LagRecords int
 	// Seeding reports a subscriber still inside its snapshot re-seed phase.
 	Seeding bool
 }
@@ -448,7 +448,6 @@ func (p *Primary) Status() PrimaryStatus {
 		}
 		if durable > acked {
 			f.LagBytes = durable - acked
-			f.LagRecords = p.log.RecordsBetween(wal.LSN(acked), wal.LSN(durable))
 		}
 		st.Followers = append(st.Followers, f)
 	}

@@ -1,7 +1,11 @@
 package repl
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -455,5 +459,96 @@ func TestEpochStateRoundTrip(t *testing.T) {
 	epoch, ok, err := ReadEpoch(dir)
 	if !ok || err != nil || epoch != 42 {
 		t.Fatalf("epoch=%d ok=%v err=%v", epoch, ok, err)
+	}
+}
+
+// catchUp subscribes flog at its durable LSN and applies shipped batches
+// the way Follower does — append verbatim, flush, ack — until it holds
+// everything durable on the primary.
+func catchUp(t *testing.T, p *Primary, plog, flog *wal.Durable) {
+	t.Helper()
+	s, err := p.Subscribe(flog.DurableLSN(), 0, "f", "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	stop := make(chan struct{})
+	for flog.DurableLSN() < plog.DurableLSN() {
+		recs, err := s.Next(stop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Ship the records as bytes, as the wire does.
+		shipped := make([]wal.Record, len(recs))
+		for i := range recs {
+			if shipped[i], err = wal.UnmarshalRecord(recs[i].Marshal()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := flog.AppendShipped(shipped); err != nil {
+			t.Fatal(err)
+		}
+		durable := flog.Flush(flog.CurrentLSN())
+		s.UpdateAck(uint64(durable), uint64(durable))
+	}
+}
+
+// logBytes concatenates a log directory's segment files in LSN order.
+func logBytes(t *testing.T, dir string) []byte {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []byte
+	for _, s := range segs {
+		b, err := os.ReadFile(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, b...)
+	}
+	return all
+}
+
+// TestFollowerCatchesUpFromClosedSegment: a follower whose durable LSN now
+// lies only in a closed segment file of the primary's log subscribes
+// there, streams the rest from the segment files, and ends up with a
+// byte-identical log.
+func TestFollowerCatchesUpFromClosedSegment(t *testing.T) {
+	pdir, fdir := t.TempDir(), t.TempDir()
+	opts := wal.DurableOptions{SegmentBytes: 4096}
+	plog, err := wal.OpenDurable(pdir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plog.Close()
+	flog, err := wal.OpenDurable(fdir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer flog.Close()
+	p := NewPrimary(plog, 1)
+
+	for i := uint64(1); i <= 10; i++ {
+		appendTxn(t, plog, i, fmt.Sprintf("k%03d", i), "first")
+	}
+	catchUp(t, p, plog, flog)
+	start := flog.DurableLSN()
+	for i := uint64(11); i <= 400; i++ {
+		appendTxn(t, plog, i, fmt.Sprintf("k%03d", i), "second-pass-value")
+	}
+	segs, _ := filepath.Glob(filepath.Join(pdir, "*.seg"))
+	var active uint64
+	if _, err := fmt.Sscanf(filepath.Base(segs[len(segs)-1]), "%016x", &active); err != nil || wal.LSN(active) <= start {
+		t.Fatalf("start LSN %d is not in a closed segment (active segment starts at %d, %d segments)", start, active, len(segs))
+	}
+
+	catchUp(t, p, plog, flog)
+	if flog.DurableLSN() != plog.DurableLSN() {
+		t.Fatalf("follower durable %d, primary %d", flog.DurableLSN(), plog.DurableLSN())
+	}
+	if !bytes.Equal(logBytes(t, fdir), logBytes(t, pdir)) {
+		t.Fatal("follower log is not byte-identical to the primary's")
 	}
 }

@@ -498,3 +498,30 @@ func TestPeerCallTimesOutOnHungPeer(t *testing.T) {
 		t.Fatal("timed-out call left the dead connection cached")
 	}
 }
+
+// TestRefreshAdoptsNewestMap: a router refreshing its map must take the
+// newest version any member serves, not the first answer — after a
+// failover, a member still following serves the map the promoted member
+// replaced, and adopting that one leaves the router dialling the dead
+// primary.
+func TestRefreshAdoptsNewestMap(t *testing.T) {
+	nodes, m := startShardCluster(t, 500_000)
+	ctx := context.Background()
+	sc, err := client.DialSharded(ctx, []string{nodes[0].addr, nodes[1].addr}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+
+	newer := m.Clone()
+	newer.Version = 2
+	if err := nodes[1].srv.UpdateShardMap(newer); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if v := sc.Map().Version; v != 2 {
+		t.Fatalf("router map version %d after refresh, want 2 (served by shard 1 only)", v)
+	}
+}

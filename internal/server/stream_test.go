@@ -370,8 +370,9 @@ func TestLatencyHistogramOverWire(t *testing.T) {
 // TestScanPushdownDatapoint emits the scan_pushdown BENCH_JSON line: a 1%
 // selectivity scan over padded rows, pushed down versus filtered
 // client-side, with wall time and bytes on the wire for both.  Pushdown
-// must win by at least 1.5× — only 1% of rows are encoded, shipped, and
-// decoded, so the margin is structural, not a timing accident.
+// must win by at least 1.5× (checked without the race detector) — only 1%
+// of rows are encoded, shipped, and decoded, so the margin is structural,
+// not a timing accident.
 func TestScanPushdownDatapoint(t *testing.T) {
 	const (
 		rows = 20000
@@ -429,7 +430,10 @@ func TestScanPushdownDatapoint(t *testing.T) {
 	fmt.Printf("BENCH_JSON {\"benchmark\":\"scan_pushdown\",\"rows\":%d,\"selectivity_pct\":1,\"client_filter_ms\":%.2f,\"pushdown_ms\":%.2f,\"speedup\":%.2f,\"client_filter_bytes\":%d,\"pushdown_bytes\":%d}\n",
 		rows, float64(clientDur.Microseconds())/1000, float64(pushDur.Microseconds())/1000,
 		speedup, clientBytes, pushBytes)
-	if speedup < 1.5 {
+	// Race-detector instrumentation compresses the wall-clock ratio
+	// (1.36-1.47x measured under -race), so it is asserted only without
+	// the detector; the bytes on the wire are asserted in every mode.
+	if speedup < 1.5 && !raceEnabled {
 		t.Fatalf("pushdown speedup %.2f, want >= 1.5", speedup)
 	}
 	if pushBytes*10 > clientBytes {

@@ -3,17 +3,19 @@
 // The in-memory devices (Consolidated, Naive) simulate durability by
 // advancing an atomic — right for the paper's memory-resident experiments,
 // disqualifying for a system that must survive kill -9.  Durable puts a real
-// log file behind the same Log interface:
+// log file behind the same Log interface, and keeps the log as bytes:
 //
-//   - Appends go to an in-memory tail under a short mutex (the record also
-//     stays cached in memory so Records()/recovery analysis never re-read
-//     the disk).
-//   - A background flush daemon drains the tail, writes the batch to the
+//   - Append assigns the LSN and encodes the record's on-disk frame (header,
+//     payload, CRC32 trailer) once, onto a pointer-free tail buffer, under a
+//     short mutex.
+//   - A background flush daemon swaps the tail out, writes its bytes to the
 //     active segment file in ONE write, fsyncs ONCE, and then advances the
 //     durable LSN and wakes every committer waiting at or below it.  That
 //     is group commit in the Aether style: the fsync cost is amortized over
 //     every transaction that joined the batch while the previous fsync was
-//     in flight.
+//     in flight.  A record leaves memory once it is durable; readers of
+//     durable history (recovery, replication streamers) read the segment
+//     files.
 //   - WaitDurable(lsn) is the commit-side half: kick the daemon, then sleep
 //     until the durable horizon passes lsn.  N concurrent committers pay
 //     ~1 fsync, not N.
@@ -22,19 +24,23 @@
 //     baseline the group-commit benchmark pair compares against.
 //
 // The log is segmented: the active segment rotates at SegmentBytes, and
-// Truncate (driven by checkpointing) unlinks whole segments whose records
-// all precede the truncation horizon.  On open, segments are replayed
-// sequentially with a per-record CRC; a torn tail record (the crash hit
-// mid-write) is cut off at the last valid prefix, which is exactly the
-// prefix the flusher had acknowledged.
+// Truncate (driven by checkpointing) raises the truncation horizon and
+// unlinks whole segments whose records all precede it.  On open, segments
+// are scanned sequentially with a per-record CRC; a torn tail record (the
+// crash hit mid-write) is cut off at the last valid prefix, which is
+// exactly the prefix the flusher had acknowledged.
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -54,6 +60,8 @@ const (
 	recordHeaderSize = 37
 	// recordTrailerSize is the CRC32 trailer framing each on-disk record.
 	recordTrailerSize = 4
+	// maxSpareBytes caps the batch buffer a flush keeps for reuse.
+	maxSpareBytes = 1 << 20
 )
 
 // DurableOptions tunes the disk-backed device.
@@ -68,38 +76,41 @@ type DurableOptions struct {
 	CSStats *cs.Stats
 }
 
-// segmentInfo describes one closed (no longer written) segment.
-type segmentInfo struct {
-	path  string
-	first LSN // LSN of the first record in the segment
-	last  LSN // LSN one past the last record's bytes (exclusive end)
-}
-
 // Durable is the disk-backed segmented log device.
 type Durable struct {
 	dir  string
 	opts DurableOptions
 
-	// mu guards the append state: LSN assignment, the unflushed tail, the
-	// in-memory record cache, and the condition variable committers sleep
-	// on.  It is never held across disk I/O.
+	// mu guards the append state: LSN assignment and the unflushed tail.
+	// It is never held across disk I/O.  Committers sleep on cond under
+	// waitMu instead, so a group flush's wake-up does not contend with
+	// appenders.
 	mu     sync.Mutex
+	next   LSN    // next LSN to assign
+	tail   []byte // frames appended but not yet handed to a flush
+	waitMu sync.Mutex
 	cond   *sync.Cond // broadcast whenever the durable horizon advances
-	next   LSN        // next LSN to assign
-	tail   []Record   // appended but not yet handed to a flush
-	mem    []Record   // every live record, LSN order (Records/recovery)
-	closed bool
+	closed atomic.Bool
 
-	// ioMu serializes everything that touches the filesystem: batch writes,
-	// fsyncs, segment rotation and truncation.  Truncate holds it for its
-	// whole critical section so a truncation can never interleave with an
-	// in-flight group flush (see Truncate).
-	ioMu       sync.Mutex
-	seg        *os.File
-	segPath    string
-	segFirst   LSN
-	segSize    int64
-	closedSegs []segmentInfo
+	// ioMu serializes batch writes, fsyncs, segment rotation, re-seeding
+	// and Truncate's swap of the segment list, so a truncation never
+	// interleaves with an in-flight group flush.
+	ioMu    sync.Mutex
+	seg     *os.File
+	segSize int64
+	spare   []byte // the last written batch, reused as the next tail
+
+	// segMu guards what readers of durable history look up.  Its writers
+	// also hold ioMu, so ioMu holders may read these without it.
+	segMu  sync.RWMutex
+	segs   []LSN  // each segment's first LSN, in order; the last is active
+	oldest LSN    // truncation horizon: the oldest retained record
+	gen    uint64 // bumped when ResetForSeed replaces the log
+
+	// truncMu serializes truncations, which walk and unlink segments
+	// without ioMu, with each other and with ResetForSeed: only its
+	// holders move oldest or gen.
+	truncMu sync.Mutex
 
 	durable atomic.Uint64
 
@@ -130,10 +141,10 @@ func NewDurable(dir string) (*Durable, error) {
 }
 
 // OpenDurable opens (or creates) a disk-backed log in dir.  Existing
-// segments are scanned sequentially: every CRC-valid record is loaded into
-// the in-memory cache and counted durable, and a torn tail (a crash in the
-// middle of a batch write) is truncated away.  Unless SyncEveryCommit is
-// set, the group-commit flush daemon is started.
+// segments are scanned sequentially: every CRC-valid record counts as
+// durable, and a torn tail (a crash in the middle of a batch write) is
+// truncated away.  Unless SyncEveryCommit is set, the group-commit flush
+// daemon is started.
 func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
@@ -145,11 +156,12 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 		dir:      dir,
 		opts:     opts,
 		next:     1, // LSN 0 is InvalidLSN
+		pins:     make(map[int]LSN),
 		flushReq: make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	d.cond = sync.NewCond(&d.mu)
+	d.cond = sync.NewCond(&d.waitMu)
 	if err := d.load(); err != nil {
 		return nil, err
 	}
@@ -166,24 +178,22 @@ func segmentName(lsn LSN) string {
 	return fmt.Sprintf("%016x%s", uint64(lsn), segmentSuffix)
 }
 
-// load scans the existing segments, rebuilds the in-memory cache, truncates
-// a torn tail and opens the active segment for appending.
+// segPath returns the path of the segment starting at first.
+func (d *Durable) segPath(first LSN) string { return filepath.Join(d.dir, segmentName(first)) }
+
+// load scans the existing segments without keeping their records,
+// truncates a torn tail and opens the active segment for appending.
 func (d *Durable) load() error {
 	entries, err := os.ReadDir(d.dir)
 	if err != nil {
 		return fmt.Errorf("wal: read log dir: %w", err)
 	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), segmentSuffix) {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names) // fixed-width hex prefix: lexical order is LSN order
-
 	torn := false
-	for _, name := range names {
-		path := filepath.Join(d.dir, name)
+	for _, e := range entries { // sorted by name, and so by LSN
+		name, path := e.Name(), filepath.Join(d.dir, e.Name())
+		if e.IsDir() || !strings.HasSuffix(name, segmentSuffix) {
+			continue
+		}
 		if torn {
 			// LSN continuity is already broken at an earlier torn tail; a
 			// later segment can only hold records the system never
@@ -191,121 +201,49 @@ func (d *Durable) load() error {
 			_ = os.Remove(path)
 			continue
 		}
-		recs, validLen, fileLen, err := readSegment(path)
-		if err != nil {
-			return err
+		var first uint64
+		if _, err := fmt.Sscanf(name, "%016x", &first); err != nil || segmentName(LSN(first)) != name {
+			return fmt.Errorf("wal: malformed segment name %q", name)
 		}
-		if validLen < fileLen {
+		r, err := openFrames(path, cursor{lsn: LSN(first)})
+		if err != nil {
+			return fmt.Errorf("wal: read segment: %w", err)
+		}
+		for r.next() != nil {
+		}
+		_ = r.f.Close()
+		if r.off < r.size {
 			// Torn tail: cut the file back to its valid prefix.
-			if err := os.Truncate(path, validLen); err != nil {
+			if err := os.Truncate(path, r.off); err != nil {
 				return fmt.Errorf("wal: truncate torn segment %s: %w", name, err)
 			}
 			torn = true
 		}
-		if len(recs) == 0 && validLen == 0 {
+		if r.off == 0 {
 			_ = os.Remove(path)
 			continue
 		}
-		d.mem = append(d.mem, recs...)
-	}
-	if n := len(d.mem); n > 0 {
-		last := d.mem[n-1]
-		d.next = last.LSN + LSN(last.encodedSize())
+		d.segs = append(d.segs, LSN(first))
+		d.next, d.segSize = r.lsn, r.off
 	}
 	d.durable.Store(uint64(d.next)) // everything on disk is durable
-
-	// Rebuild the closed-segment index and reopen the last segment for
-	// appending (or start fresh).
-	names = nil
-	entries, err = os.ReadDir(d.dir)
-	if err != nil {
-		return fmt.Errorf("wal: reread log dir: %w", err)
-	}
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), segmentSuffix) {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
+	if len(d.segs) == 0 {
+		d.oldest = d.next
 		return d.openSegment(d.next)
 	}
-	for i, name := range names {
-		path := filepath.Join(d.dir, name)
-		var first uint64
-		if _, err := fmt.Sscanf(name, "%016x", &first); err != nil {
-			return fmt.Errorf("wal: malformed segment name %q", name)
-		}
-		if i == len(names)-1 {
-			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return fmt.Errorf("wal: reopen segment: %w", err)
-			}
-			st, err := f.Stat()
-			if err != nil {
-				_ = f.Close()
-				return err
-			}
-			d.seg, d.segPath, d.segFirst, d.segSize = f, path, LSN(first), st.Size()
-			continue
-		}
-		// A closed segment's exclusive end is the next segment's first LSN.
-		var nextFirst uint64
-		if _, err := fmt.Sscanf(names[i+1], "%016x", &nextFirst); err != nil {
-			return fmt.Errorf("wal: malformed segment name %q", names[i+1])
-		}
-		d.closedSegs = append(d.closedSegs, segmentInfo{path: path, first: LSN(first), last: LSN(nextFirst)})
+	d.oldest = d.segs[0]
+	d.seg, err = os.OpenFile(d.segPath(d.segs[len(d.segs)-1]), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: reopen segment: %w", err)
 	}
 	return nil
-}
-
-// readSegment sequentially decodes one segment file.  It returns the valid
-// records, the byte length of the valid prefix, and the file's total length;
-// validLen < fileLen means the tail is torn or corrupt.
-func readSegment(path string) (recs []Record, validLen, fileLen int64, err error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("wal: read segment: %w", err)
-	}
-	fileLen = int64(len(buf))
-	off := int64(0)
-	for {
-		rest := buf[off:]
-		if len(rest) < recordHeaderSize+recordTrailerSize {
-			break
-		}
-		payloadLen := int64(binary.LittleEndian.Uint32(rest[33:]))
-		frame := int64(recordHeaderSize) + payloadLen + recordTrailerSize
-		if int64(len(rest)) < frame {
-			break
-		}
-		body := rest[:frame-recordTrailerSize]
-		want := binary.LittleEndian.Uint32(rest[frame-recordTrailerSize:])
-		if crc32.ChecksumIEEE(body) != want {
-			break
-		}
-		rec, derr := UnmarshalRecord(body)
-		if derr != nil {
-			break
-		}
-		if n := len(recs); n > 0 {
-			prev := recs[n-1]
-			if rec.LSN != prev.LSN+LSN(prev.encodedSize()) {
-				break // continuity violation: treat as corruption
-			}
-		}
-		recs = append(recs, rec)
-		off += frame
-	}
-	return recs, off, fileLen, nil
 }
 
 // openSegment creates a fresh segment whose first record will be at lsn and
 // makes it the active segment.  Caller must hold ioMu (or be single-threaded
 // during open).
 func (d *Durable) openSegment(lsn LSN) error {
-	path := filepath.Join(d.dir, segmentName(lsn))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := os.OpenFile(d.segPath(lsn), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
@@ -314,13 +252,20 @@ func (d *Durable) openSegment(lsn LSN) error {
 		_ = dirf.Sync()
 		_ = dirf.Close()
 	}
-	d.seg, d.segPath, d.segFirst, d.segSize = f, path, lsn, 0
+	d.seg, d.segSize = f, 0
+	d.segMu.Lock()
+	d.segs = append(d.segs, lsn)
+	d.segMu.Unlock()
 	return nil
 }
 
-// Append implements Log.  The record is assigned its LSN and parked on the
-// in-memory tail; the flush daemon is kicked so durability proceeds in the
-// background even for committers that never wait (LazyCommit).
+// Append implements Log.  The record is assigned its LSN and its frame is
+// encoded onto the in-memory tail.  Every record but a data record kicks
+// the flush daemon, so durability proceeds in the background even for
+// committers that never wait (LazyCommit).  A data record is not worth a
+// flush of its own: nothing needs it durable before its transaction's
+// commit or abort record, which kicks, and anyone who waits on it directly
+// (WaitDurable, Flush) kicks too.  One flush so takes a whole transaction.
 func (d *Durable) Append(r *Record) LSN {
 	size := LSN(r.encodedSize())
 	contended := !d.mu.TryLock()
@@ -329,14 +274,15 @@ func (d *Durable) Append(r *Record) LSN {
 	}
 	r.LSN = d.next
 	d.next += size
-	d.tail = append(d.tail, *r)
-	d.mem = append(d.mem, *r)
+	d.tail = appendFrame(d.tail, r)
 	d.mu.Unlock()
 
 	d.opts.CSStats.RecordClass(cs.LogMgr, cs.Fixed, contended)
 	d.appends.Add(1)
 	d.bytes.Add(uint64(size))
-	d.kick()
+	if !r.Type.isData() {
+		d.kick()
+	}
 	return r.LSN
 }
 
@@ -368,9 +314,9 @@ func (d *Durable) flushLoop() {
 	}
 }
 
-// flushOnce writes every outstanding tail record to the active segment,
-// fsyncs, advances the durable horizon and wakes waiting committers.  It is
-// called by the daemon (group mode) or inline by WaitDurable/Flush
+// flushOnce writes the outstanding tail to the active segment, fsyncs,
+// advances the durable horizon and wakes waiting committers.  It is called
+// by the daemon (group mode) or inline by WaitDurable/Flush
 // (SyncEveryCommit mode), always serialized on ioMu.
 //
 // forceSync makes an empty-batch call fsync anyway: the SyncEveryCommit
@@ -386,11 +332,16 @@ func (d *Durable) flushOnce(forceSync bool) {
 		return // closed: appends past the final drain are not durable
 	}
 
+	// The tail and the spare buffer alternate: a steady flush allocates nothing.
 	d.mu.Lock()
 	batch := d.tail
-	d.tail = nil
+	d.tail = d.spare[:0]
 	target := d.next // tail covered [durable, next): target is exact
 	d.mu.Unlock()
+	d.spare = nil
+	if cap(batch) <= maxSpareBytes {
+		d.spare = batch[:0]
+	}
 
 	if len(batch) == 0 {
 		if forceSync {
@@ -402,41 +353,32 @@ func (d *Durable) flushOnce(forceSync bool) {
 		return
 	}
 
-	// Encode the whole batch into one buffer, splitting at segment
-	// rotation points.
-	var buf []byte
-	for i := range batch {
-		r := &batch[i]
-		if d.segSize > 0 && d.segSize+int64(len(buf)) >= d.opts.SegmentBytes {
+	// Write the batch as is, split at the record boundaries where segments rotate.
+	start := 0
+	for off := 0; off < len(batch); off += frameLen(batch[off:]) {
+		if d.segSize > 0 && d.segSize+int64(off-start) >= d.opts.SegmentBytes {
 			// Rotate: flush what we have into the old segment first.
-			if err := d.writeAndSync(buf); err != nil {
+			if err := d.writeAndSync(batch[start:off]); err != nil {
 				d.fail(err)
-				return
 			}
-			buf = buf[:0]
-			d.closedSegs = append(d.closedSegs, segmentInfo{path: d.segPath, first: d.segFirst, last: r.LSN})
+			start = off
+			lsn, first := LSN(binary.LittleEndian.Uint64(batch[off:])), d.segs[len(d.segs)-1]
 			_ = d.seg.Close()
 			if hook := d.rotateHook.Load(); hook != nil {
-				(*hook)(d.segPath, d.segFirst, r.LSN)
+				(*hook)(d.segPath(first), first, lsn)
 			}
-			if err := d.openSegment(r.LSN); err != nil {
+			if err := d.openSegment(lsn); err != nil {
 				d.fail(err)
-				return
 			}
 		}
-		body := r.Marshal()
-		var crc [recordTrailerSize]byte
-		binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
-		buf = append(buf, body...)
-		buf = append(buf, crc[:]...)
 	}
-	if err := d.writeAndSync(buf); err != nil {
+	if err := d.writeAndSync(batch[start:]); err != nil {
 		d.fail(err)
-		return
 	}
 	d.flushes.Add(1)
 
-	d.advanceDurable(target)
+	d.durable.Store(uint64(target)) // flushes are serialized: it only grows
+	d.wake()
 }
 
 // writeAndSync appends buf to the active segment and fsyncs it.
@@ -454,21 +396,11 @@ func (d *Durable) writeAndSync(buf []byte) error {
 	return nil
 }
 
-// advanceDurable moves the durable horizon monotonically forward to target
-// and wakes every waiting committer.
-func (d *Durable) advanceDurable(target LSN) {
-	for {
-		cur := d.durable.Load()
-		if uint64(target) <= cur {
-			break
-		}
-		if d.durable.CompareAndSwap(cur, uint64(target)) {
-			break
-		}
-	}
-	d.mu.Lock()
+// wake wakes every committer parked on the durable horizon.
+func (d *Durable) wake() {
+	d.waitMu.Lock()
 	d.cond.Broadcast()
-	d.mu.Unlock()
+	d.waitMu.Unlock()
 }
 
 // fail marks a disk failure.  There is no good recovery from a log device
@@ -495,11 +427,11 @@ func (d *Durable) WaitDurable(lsn LSN) LSN {
 		return LSN(d.durable.Load())
 	}
 	d.kick()
-	d.mu.Lock()
-	for LSN(d.durable.Load()) <= lsn && !d.closed {
+	d.waitMu.Lock()
+	for LSN(d.durable.Load()) <= lsn && !d.closed.Load() {
 		d.cond.Wait()
 	}
-	d.mu.Unlock()
+	d.waitMu.Unlock()
 	return LSN(d.durable.Load())
 }
 
@@ -509,22 +441,15 @@ func (d *Durable) WaitDurable(lsn LSN) LSN {
 func (d *Durable) Flush(upto LSN) LSN {
 	d.mu.Lock()
 	target := d.next
-	closed := d.closed
 	d.mu.Unlock()
-	if closed || LSN(d.durable.Load()) >= target {
+	if d.closed.Load() || LSN(d.durable.Load()) >= target {
 		return LSN(d.durable.Load())
 	}
 	if d.opts.SyncEveryCommit {
 		d.flushOnce(false)
 		return LSN(d.durable.Load())
 	}
-	d.kick()
-	d.mu.Lock()
-	for LSN(d.durable.Load()) < target && !d.closed {
-		d.cond.Wait()
-	}
-	d.mu.Unlock()
-	return LSN(d.durable.Load())
+	return d.WaitDurable(target - 1)
 }
 
 // DurableLSN implements Log.
@@ -537,54 +462,66 @@ func (d *Durable) CurrentLSN() LSN {
 	return d.next
 }
 
-// Records implements Log.
+// Records implements Log: it flushes, then reads the segment files back.
 func (d *Durable) Records() []Record {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]Record(nil), d.mem...)
+	d.Flush(0)
+	for {
+		var out []Record
+		err := Scan(d, func(r *Record) error { out = append(out, *r); return nil })
+		if err == nil {
+			return out
+		}
+		if !errors.Is(err, ErrLogTruncated) {
+			panic(fmt.Sprintf("wal: durable log read failed: %v", err))
+		}
+		// A truncation or re-seed overtook the read: read what is retained now.
+	}
 }
 
-// Truncate implements Log.  Only whole closed segments strictly below the
-// (durable-clamped) horizon are unlinked; the in-memory cache drops the
-// matching prefix.  Holding ioMu for the whole operation means a truncation
-// can never interleave with an in-flight group flush: the flusher's
-// write → fsync → advance-durable sequence and the truncation's
-// clamp → unlink sequence are atomic with respect to each other, so the
-// durable LSN observed by committers never regresses (see
-// TestTruncateDuringGroupFlushNeverRegressesDurable).
+// Truncate implements Log.  The truncation horizon rises to the first
+// record boundary at or above upto (clamped to the durable LSN and the
+// retention pins), and whole closed segments below it are unlinked.
+// Finding that boundary means walking the frames below it, which can be
+// hundreds of megabytes; durable bytes never change, so the walk holds
+// neither ioMu nor mu and group flushes go on meanwhile.  Only the swap of
+// the segment list holds ioMu, so it never interleaves with a flush's
+// rotation; the unlinks hold truncMu alone, which ResetForSeed takes too.
+// A pin registered below upto during the walk cancels the truncation,
+// which then drops nothing.
 func (d *Durable) Truncate(upto LSN) int {
+	d.truncMu.Lock()
+	defer d.truncMu.Unlock()
+
+	upto = d.retentionFloor(min(upto, LSN(d.durable.Load()))) // durable, unpinned only
+	horizon, dropped := d.OldestLSN(), 0
+	if err := d.walk(&cursor{}, horizon, upto, func(body []byte) error {
+		horizon += LSN(len(body))
+		dropped++
+		return nil
+	}); err != nil {
+		// truncMu keeps the horizon and the segment list in place, so only
+		// a failing device gets here.
+		panic(fmt.Sprintf("wal: durable log read failed: %v", err))
+	}
+
 	d.ioMu.Lock()
-	defer d.ioMu.Unlock()
-
-	if dur := LSN(d.durable.Load()); upto > dur {
-		upto = dur
+	d.segMu.Lock()
+	if d.retentionFloor(upto) < upto {
+		d.segMu.Unlock()
+		d.ioMu.Unlock()
+		return 0
 	}
-	// Retention pins: never discard a record a live subscriber (or other
-	// pinned reader) still needs.
-	upto = d.retentionFloor(upto)
-
-	// Unlink whole segments whose every record precedes upto.
-	kept := d.closedSegs[:0]
-	for _, s := range d.closedSegs {
-		if s.last <= upto {
-			_ = os.Remove(s.path)
-			continue
-		}
-		kept = append(kept, s)
+	n := 0
+	for n < len(d.segs)-1 && d.segs[n+1] <= horizon {
+		n++ // segment n ends where n+1 begins, at or below the horizon
 	}
-	d.closedSegs = kept
-
-	// Drop the in-memory prefix (this is what recovery analysis reads, so
-	// it must agree with the Log-interface contract even where the disk
-	// still holds a partially-truncatable segment).
-	d.mu.Lock()
-	i := sort.Search(len(d.mem), func(i int) bool { return d.mem[i].LSN >= upto })
-	dropped := i
-	if i > 0 {
-		d.mem = append([]Record(nil), d.mem[i:]...)
+	doomed := d.segs[:n]
+	d.segs, d.oldest = d.segs[n:], horizon
+	d.segMu.Unlock()
+	d.ioMu.Unlock()
+	for _, first := range doomed {
+		_ = os.Remove(d.segPath(first))
 	}
-	d.mu.Unlock()
-
 	d.truncated.Add(uint64(dropped))
 	return dropped
 }
@@ -603,24 +540,16 @@ func (d *Durable) Stats() Stats {
 // active segment.  The engine calls it on graceful shutdown so the final
 // batch of lazy commits reaches the disk.
 func (d *Durable) Close() error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
+	if d.closed.Swap(true) {
 		return nil
 	}
-	d.closed = true
-	d.mu.Unlock()
-
 	if d.opts.SyncEveryCommit {
 		d.flushOnce(false)
 	} else {
 		close(d.stop)
 		<-d.done // daemon does the final drain
 	}
-	// Wake anything still parked in WaitDurable.
-	d.mu.Lock()
-	d.cond.Broadcast()
-	d.mu.Unlock()
+	d.wake() // anything still parked in WaitDurable
 
 	d.ioMu.Lock()
 	defer d.ioMu.Unlock()
@@ -632,5 +561,147 @@ func (d *Durable) Close() error {
 	return nil
 }
 
-// Dir returns the directory holding the log segments.
-func (d *Durable) Dir() string { return d.dir }
+// Reading durable history.  An LSN advances by a record's encoded size
+// without its CRC trailer, so an LSN's file offset is found by walking the
+// frame headers from the start of its segment.  Each walk starts from, and
+// leaves behind, a caller-held cursor, so a sequential reader (a Reader)
+// resumes where it stopped without a rescan.  Readers open segments
+// read-only and take only segMu.  A read that starts below the truncation
+// horizon, or that a truncation or re-seed overtakes, fails with
+// ErrLogTruncated.
+
+// cursor is a record boundary: the record at lsn starts at byte off of the
+// segment beginning at first, in segment-list generation gen.  The zero
+// cursor names no position.
+type cursor struct {
+	gen        uint64
+	first, lsn LSN
+	off        int64
+}
+
+// frameLen returns the length of the frame whose header starts b.
+func frameLen(b []byte) int {
+	return recordHeaderSize + int(binary.LittleEndian.Uint32(b[33:])) + recordTrailerSize
+}
+
+// frameReader walks the frames of one segment file from a record boundary.
+type frameReader struct {
+	f         *os.File
+	br        *bufio.Reader
+	buf       []byte
+	off, size int64 // offset of the next frame; file length when opened
+	lsn       LSN   // LSN the next frame must carry
+}
+
+// openFrames opens the segment at path for reading at the boundary c.
+func openFrames(path string, c cursor) (*frameReader, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		_ = f.Close()
+		return nil, err
+	}
+	rest := st.Size() - c.off
+	br := bufio.NewReaderSize(io.NewSectionReader(f, c.off, rest), int(min(rest, 64<<10)))
+	return &frameReader{f: f, br: br, off: c.off, size: st.Size(), lsn: c.lsn}, nil
+}
+
+// next returns the body (header and payload) of the next frame, or nil at
+// the end of the file and at the first torn, corrupt or out-of-sequence
+// frame; off and lsn then still name that frame, and the reader is spent.
+func (r *frameReader) next() []byte {
+	hdr, err := r.br.Peek(recordHeaderSize)
+	if err != nil {
+		return nil
+	}
+	n := frameLen(hdr)
+	if int64(n) > r.size-r.off {
+		return nil
+	}
+	r.buf = slices.Grow(r.buf[:0], n)[:n]
+	if _, err := io.ReadFull(r.br, r.buf); err != nil {
+		return nil
+	}
+	body := r.buf[:n-recordTrailerSize]
+	if LSN(binary.LittleEndian.Uint64(body)) != r.lsn ||
+		crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(r.buf[len(body):]) {
+		return nil
+	}
+	r.off += int64(n)
+	r.lsn += LSN(len(body))
+	return body
+}
+
+// walk calls fn with the body of every record in [from, limit), which must
+// be durable, until fn returns an error; walk returns it, unless the read
+// was overtaken (ErrLogTruncated).  A body is valid only during its call.
+// c is where the caller's previous walk stopped; walk resumes from it when
+// it can and leaves it at the record it stops at.
+func (d *Durable) walk(c *cursor, from, limit LSN, fn func(body []byte) error) error {
+	d.segMu.RLock()
+	gen := d.gen
+	d.segMu.RUnlock()
+	var err error
+	for lsn := from; lsn < limit && err == nil; {
+		var first LSN
+		if first, err = d.segmentFor(lsn, from, gen); err == nil {
+			lsn, err = d.walkSegment(c, first, gen, lsn, limit, fn)
+		}
+	}
+	// A truncation or re-seed that overtook the read, perhaps unlinking a
+	// segment under it, voids it.
+	if _, terr := d.segmentFor(from, from, gen); terr != nil {
+		return terr
+	}
+	return err
+}
+
+// walkSegment positions a reader at lsn in the segment starting at first,
+// from c when it lies in that segment at or before lsn, then passes fn the
+// records below limit.  It returns the LSN it stopped at: limit, the
+// segment's end, or the record fn refused.
+func (d *Durable) walkSegment(c *cursor, first LSN, gen uint64, lsn, limit LSN, fn func([]byte) error) (LSN, error) {
+	if c.gen != gen || c.first != first || c.lsn > lsn {
+		*c = cursor{gen: gen, first: first, lsn: first}
+	}
+	r, err := openFrames(d.segPath(first), *c)
+	if err != nil {
+		return lsn, err
+	}
+	defer r.f.Close()
+	for r.lsn < lsn && r.next() != nil {
+	}
+	if r.lsn != lsn {
+		return lsn, fmt.Errorf("wal: LSN %d is not a record boundary in %s", lsn, d.segPath(first))
+	}
+	for err == nil && r.lsn < limit {
+		c.lsn, c.off = r.lsn, r.off
+		body := r.next()
+		if body == nil {
+			break // the end of this segment
+		}
+		if err = fn(body); err == nil {
+			c.lsn, c.off = r.lsn, r.off
+		}
+	}
+	if c.lsn == lsn && err == nil {
+		return lsn, fmt.Errorf("wal: segment %s holds no record at LSN %d", d.segPath(first), lsn)
+	}
+	return c.lsn, err
+}
+
+// segmentFor returns the first LSN of the segment holding lsn, or
+// ErrLogTruncated once from lies below the truncation horizon or the log
+// was re-seeded after generation gen.
+func (d *Durable) segmentFor(lsn, from LSN, gen uint64) (LSN, error) {
+	d.segMu.RLock()
+	defer d.segMu.RUnlock()
+	i := sort.Search(len(d.segs), func(i int) bool { return d.segs[i] > lsn }) - 1
+	if from < d.oldest || gen != d.gen || i < 0 {
+		return 0, fmt.Errorf("%w: want %d, oldest retained %d", ErrLogTruncated, from, d.oldest)
+	}
+	return d.segs[i], nil
+}

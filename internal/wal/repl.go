@@ -13,79 +13,73 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 )
 
 // ErrLogTruncated is returned by ReadDurable when the requested start LSN
-// precedes the oldest retained record: the prefix a subscriber needs has
-// been truncated away, so it must be re-seeded (fresh copy) instead of
-// streamed to.
+// precedes the oldest retained record, or a truncation overtook the read:
+// the prefix a subscriber needs has been truncated away, so it must be
+// re-seeded (fresh copy) instead of streamed to.
 var ErrLogTruncated = errors.New("wal: requested LSN already truncated")
 
-// OldestLSN returns the LSN of the oldest record still retained (equal to
-// CurrentLSN when the log is empty or fully truncated).  A subscriber whose
-// start LSN precedes this cannot be served by streaming.
+// OldestLSN returns the truncation horizon: the LSN of the oldest record
+// still retained (equal to CurrentLSN when the log is empty or fully
+// truncated).  A subscriber whose start LSN precedes this cannot be served
+// by streaming.
 func (d *Durable) OldestLSN() LSN {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.mem) > 0 {
-		return d.mem[0].LSN
-	}
-	return d.next
+	d.segMu.RLock()
+	defer d.segMu.RUnlock()
+	return d.oldest
 }
 
-// ReadDurable returns durable records starting exactly at from, bounded by
-// maxBytes of encoded record size (always at least one record).  A nil
-// result with a nil error means the reader is caught up: from is the
-// durable horizon.  from must be a record boundary — a follower's durable
-// LSN always is, because durability only ever advances whole records.
+// ReadDurable reads durable records from the segment files, starting
+// exactly at from, bounded by maxBytes of encoded record size (always at
+// least one record).  A nil result with a nil error means the reader is
+// caught up: from is the durable horizon.  from must be a record boundary
+// — a follower's durable LSN always is, because durability only ever
+// advances whole records.  Each call finds from by walking its segment
+// from the start; a sequential reader uses a Reader instead.
 func (d *Durable) ReadDurable(from LSN, maxBytes int) ([]Record, error) {
-	durable := LSN(d.durable.Load())
+	return d.NewReader().ReadDurable(from, maxBytes)
+}
+
+// Reader reads a Durable's history from the segment files.  It remembers
+// where its last read stopped, so a sequential reader such as a
+// replication streamer resumes there instead of rescanning its segment.
+// A Reader is not safe for concurrent use.
+type Reader struct {
+	d   *Durable
+	pos cursor
+}
+
+// NewReader returns a reader of the log's durable history.
+func (d *Durable) NewReader() *Reader { return &Reader{d: d} }
+
+// ReadDurable is Durable.ReadDurable, resuming from where this reader's
+// previous read stopped when from lies at or past it in the same segment.
+func (r *Reader) ReadDurable(from LSN, maxBytes int) ([]Record, error) {
+	durable := LSN(r.d.durable.Load())
 	if from >= durable {
 		return nil, nil
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.mem) == 0 || from < d.mem[0].LSN {
-		return nil, fmt.Errorf("%w: want %d, oldest retained %d", ErrLogTruncated, from, d.OldestLSNLocked())
-	}
-	i := sort.Search(len(d.mem), func(i int) bool { return d.mem[i].LSN >= from })
-	if i == len(d.mem) || d.mem[i].LSN != from {
-		return nil, fmt.Errorf("wal: LSN %d is not a record boundary", from)
-	}
 	var out []Record
 	bytes := 0
-	for ; i < len(d.mem); i++ {
-		r := d.mem[i]
-		if r.LSN >= durable {
-			break
+	err := r.d.walk(&r.pos, from, durable, func(body []byte) error {
+		if len(out) > 0 && bytes+len(body) > maxBytes {
+			return errBatchFull
 		}
-		if len(out) > 0 && bytes+r.encodedSize() > maxBytes {
-			break
-		}
-		out = append(out, r)
-		bytes += r.encodedSize()
+		rec, _ := UnmarshalRecord(body)
+		out = append(out, rec)
+		bytes += len(body)
+		return nil
+	})
+	if err != nil && err != errBatchFull {
+		return nil, err
 	}
 	return out, nil
 }
 
-// RecordsBetween counts retained records with from <= LSN < to (lag
-// reporting for replication status).
-func (d *Durable) RecordsBetween(from, to LSN) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	i := sort.Search(len(d.mem), func(i int) bool { return d.mem[i].LSN >= from })
-	j := sort.Search(len(d.mem), func(i int) bool { return d.mem[i].LSN >= to })
-	return j - i
-}
-
-// OldestLSNLocked is OldestLSN for callers already holding mu.
-func (d *Durable) OldestLSNLocked() LSN {
-	if len(d.mem) > 0 {
-		return d.mem[0].LSN
-	}
-	return d.next
-}
+// errBatchFull stops a ReadDurable walk at its byte budget.
+var errBatchFull = errors.New("wal: batch full")
 
 // AppendShipped appends records shipped from a primary, keeping their
 // pre-assigned LSNs.  The batch must start exactly at the local append
@@ -97,24 +91,22 @@ func (d *Durable) AppendShipped(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	var total uint64
 	d.mu.Lock()
-	if d.closed {
+	if d.closed.Load() {
 		d.mu.Unlock()
 		return errors.New("wal: log closed")
 	}
-	want := d.next
+	mark, want := len(d.tail), d.next
 	for i := range recs {
 		if recs[i].LSN != want {
+			d.tail = d.tail[:mark]
 			d.mu.Unlock()
 			return fmt.Errorf("wal: shipped record %d has LSN %d, want %d (stream not contiguous)", i, recs[i].LSN, want)
 		}
-		size := LSN(recs[i].encodedSize())
-		want += size
-		total += uint64(size)
+		want += LSN(recs[i].encodedSize())
+		d.tail = appendFrame(d.tail, &recs[i])
 	}
-	d.tail = append(d.tail, recs...)
-	d.mem = append(d.mem, recs...)
+	total := uint64(want - d.next)
 	d.next = want
 	d.mu.Unlock()
 
@@ -124,45 +116,44 @@ func (d *Durable) AppendShipped(recs []Record) error {
 	return nil
 }
 
-// ResetForSeed discards the entire local log — memory cache, unflushed
-// tail, and every on-disk segment — and restarts the append horizon at
-// start, the first LSN of an incoming seed stream.  A follower too far
-// behind (or on a diverged lineage) calls this before applying SEED
-// frames: its history is being replaced wholesale, so nothing local is
-// worth keeping.  The caller must have quiesced its own appenders and hold
-// no WaitDurable parkers above start (the repl follower flushes
-// synchronously before acking, so its durable horizon equals its append
-// horizon whenever a re-seed begins).
+// ResetForSeed discards the entire local log — unflushed tail and every
+// on-disk segment — and restarts the append horizon at start, the first
+// LSN of an incoming seed stream.  A follower too far behind (or on a
+// diverged lineage) calls this before applying SEED frames: its history is
+// being replaced wholesale, so nothing local is worth keeping.  The caller
+// must have quiesced its own appenders and hold no WaitDurable parkers
+// above start (the repl follower flushes synchronously before acking, so
+// its durable horizon equals its append horizon whenever a re-seed begins).
 func (d *Durable) ResetForSeed(start LSN) error {
+	d.truncMu.Lock() // no truncation may unlink the segment it creates
+	defer d.truncMu.Unlock()
 	d.ioMu.Lock()
 	defer d.ioMu.Unlock()
 
 	d.mu.Lock()
-	if d.closed {
+	if d.closed.Load() {
 		d.mu.Unlock()
 		return errors.New("wal: log closed")
 	}
-	d.tail = nil
-	d.mem = nil
-	d.next = start
+	d.tail, d.next = d.tail[:0], start
 	d.mu.Unlock()
 
 	if d.seg != nil {
 		_ = d.seg.Close()
-		_ = os.Remove(d.segPath)
-		d.seg = nil
 	}
-	for _, s := range d.closedSegs {
-		_ = os.Remove(s.path)
+	d.segMu.Lock()
+	doomed := d.segs
+	d.segs, d.oldest = nil, start
+	d.gen++
+	d.segMu.Unlock()
+	for _, first := range doomed {
+		_ = os.Remove(d.segPath(first))
 	}
-	d.closedSegs = nil
 	if err := d.openSegment(start); err != nil {
 		return err
 	}
 	d.durable.Store(uint64(start))
-	d.mu.Lock()
-	d.cond.Broadcast()
-	d.mu.Unlock()
+	d.wake()
 	return nil
 }
 
@@ -174,9 +165,6 @@ func (d *Durable) ResetForSeed(start LSN) error {
 func (d *Durable) Pin(lsn LSN) int {
 	d.pinMu.Lock()
 	defer d.pinMu.Unlock()
-	if d.pins == nil {
-		d.pins = make(map[int]LSN)
-	}
 	d.pinSeq++
 	id := d.pinSeq
 	d.pins[id] = lsn

@@ -12,14 +12,16 @@
 //   - Naive: a single mutex around the buffer, provided for the ablation
 //     benchmark that shows why a scalable log buffer matters.
 //
-// The log is kept in memory (the paper's experiments are memory resident);
-// a background flusher advances the durable LSN to simulate group commit.
+// Both keep the log in memory, as the paper's experiments do; Durable
+// (durable.go) is the disk-backed device a server runs on.
 package wal
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -79,6 +81,12 @@ func (t RecordType) String() string {
 	}
 }
 
+// isData reports whether t is a data record (insert, delete or update):
+// one that changes a tuple on behalf of a transaction.
+func (t RecordType) isData() bool {
+	return t == RecInsert || t == RecDelete || t == RecUpdate
+}
+
 // Record is a single log record.
 type Record struct {
 	LSN     LSN
@@ -99,10 +107,24 @@ func (r *Record) encodedSize() int {
 // it to advance stream cursors.
 func (r *Record) EncodedSize() int { return r.encodedSize() }
 
-// Marshal encodes the record (without its own LSN, which is implied by its
-// position in the log).
+// Marshal encodes the record: its header (LSN included) and payload.
 func (r *Record) Marshal() []byte {
 	buf := make([]byte, r.encodedSize())
+	r.put(buf)
+	return buf
+}
+
+// appendFrame appends the record's on-disk frame to buf: its encoding
+// followed by a CRC32 trailer over that encoding.
+func appendFrame(buf []byte, r *Record) []byte {
+	n := len(buf)
+	buf = slices.Grow(buf, r.encodedSize()+recordTrailerSize)[:n+r.encodedSize()]
+	r.put(buf[n:])
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[n:]))
+}
+
+// put writes the record's encoding into buf[:r.encodedSize()].
+func (r *Record) put(buf []byte) {
 	binary.LittleEndian.PutUint64(buf[0:], uint64(r.LSN))
 	binary.LittleEndian.PutUint64(buf[8:], uint64(r.PrevLSN))
 	binary.LittleEndian.PutUint64(buf[16:], r.Txn)
@@ -110,7 +132,6 @@ func (r *Record) Marshal() []byte {
 	binary.LittleEndian.PutUint64(buf[25:], uint64(r.Page))
 	binary.LittleEndian.PutUint32(buf[33:], uint32(len(r.Payload)))
 	copy(buf[37:], r.Payload)
-	return buf
 }
 
 // UnmarshalRecord decodes a record previously produced by Marshal.
@@ -152,8 +173,9 @@ type Log interface {
 	DurableLSN() LSN
 	// CurrentLSN returns the LSN that the next appended record will receive.
 	CurrentLSN() LSN
-	// Records returns a copy of all appended records in LSN order (used by
-	// recovery-style consistency checks and tests).
+	// Records returns a copy of every retained record in LSN order, for
+	// consistency checks and tests.  It materializes the whole log, so
+	// recovery streams it with Scan instead.
 	Records() []Record
 	// Truncate discards every record with LSN < upto and returns the number
 	// of records dropped.  Checkpointing uses it to reclaim the log prefix
@@ -162,6 +184,25 @@ type Log interface {
 	Truncate(upto LSN) int
 	// Stats returns append/flush counters.
 	Stats() Stats
+}
+
+// Scan calls fn with every retained record in LSN order, stopping at the
+// first error fn returns.  Durable decodes its durable records one at a
+// time from the segment files; the in-memory devices walk Records.
+func Scan(l Log, fn func(*Record) error) error {
+	if d, ok := l.(*Durable); ok {
+		return d.walk(&cursor{}, d.OldestLSN(), d.DurableLSN(), func(body []byte) error {
+			r, _ := UnmarshalRecord(body)
+			return fn(&r)
+		})
+	}
+	rs := l.Records()
+	for i := range rs {
+		if err := fn(&rs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Stats reports log activity.
