@@ -426,7 +426,7 @@ func TestPropertyAgainstMapModel(t *testing.T) {
 				scanned := make(map[uint64][]byte)
 				if err := tree.Ascend(nil, func(k, v []byte) bool {
 					kv, _ := keyenc.DecodeUint64(k)
-					scanned[kv] = v
+					scanned[kv] = append([]byte(nil), v...)
 					return true
 				}); err != nil {
 					return false

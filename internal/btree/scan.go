@@ -12,12 +12,15 @@ import (
 )
 
 // ScanFunc is called for every key/value pair visited by a scan.  The slices
-// passed in are copies owned by the callback.  Returning false stops the
-// scan.
+// point into the pinned (and, on a latched tree, share-latched) leaf page:
+// they are valid only until the callback returns, and the callback must not
+// modify them.  A callback that keeps a key or value copies it.  Returning
+// false stops the scan.
 type ScanFunc func(key, value []byte) bool
 
 // AscendRange visits, in key order, every entry with lo <= key < hi.  A nil
-// lo starts from the smallest key; a nil hi scans to the end.
+// lo starts from the smallest key; a nil hi scans to the end.  Entries are
+// passed in place (see ScanFunc).
 func (t *Tree) AscendRange(tx *txn.Txn, lo, hi []byte, fn ScanFunc) error {
 	var f *bufferpool.Frame
 	var err error
@@ -50,9 +53,9 @@ func (t *Tree) AscendRange(tx *txn.Txn, lo, hi []byte, fn ScanFunc) error {
 				stop = true
 				break
 			}
-			kc := append([]byte(nil), k...)
-			vc := append([]byte(nil), v...)
-			if !fn(kc, vc) {
+			// Cap both slices so an append by the callback cannot write
+			// into the page.
+			if !fn(k[:len(k):len(k)], v[:len(v):len(v)]) {
 				stop = true
 				break
 			}
@@ -151,7 +154,7 @@ func (t *Tree) Count(tx *txn.Txn) (int, error) {
 func (t *Tree) MinKey(tx *txn.Txn) ([]byte, error) {
 	var out []byte
 	err := t.Ascend(tx, func(k, _ []byte) bool {
-		out = k
+		out = append([]byte(nil), k...)
 		return false
 	})
 	return out, err
@@ -217,13 +220,14 @@ func (t *Tree) walk(pid page.ID, st *StructStats) error {
 func (t *Tree) CheckInvariants() error {
 	// Keys strictly increasing across a full scan.
 	var prev []byte
+	first := true
 	var orderErr error
 	err := t.Ascend(nil, func(k, _ []byte) bool {
-		if prev != nil && bytes.Compare(prev, k) >= 0 {
+		if !first && bytes.Compare(prev, k) >= 0 {
 			orderErr = fmt.Errorf("btree: keys out of order: %x then %x", prev, k)
 			return false
 		}
-		prev = k
+		prev, first = append(prev[:0], k...), false
 		return true
 	})
 	if err != nil {

@@ -17,6 +17,8 @@ import (
 	"plp/internal/cs"
 	"plp/internal/heap"
 	"plp/internal/mrbtree"
+	"plp/internal/page"
+	"plp/internal/txn"
 	"plp/internal/wal"
 )
 
@@ -90,6 +92,43 @@ func (t *Table) Secondary(name string) (*mrbtree.Tree, error) {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchIndex, t.Def.Name, name)
 	}
 	return idx, nil
+}
+
+// AscendRecords visits, in key order, every record with lo <= key < hi (nil
+// bounds are open), resolving each primary-index value to its record: the
+// value itself on a clustered table, the heap record its RID names
+// otherwise.  Heap records are read through one heap.Reader, so a scan
+// fixes each heap page once per run of consecutive records on it.  key and
+// rec point into pinned pages and are valid only until fn returns; fn must
+// not modify them and copies what it keeps.  In Latched heap mode the
+// record's page latch is held while fn runs, so fn must not write to the
+// table.
+func (t *Table) AscendRecords(tx *txn.Txn, lo, hi []byte, fn func(key, rec []byte) bool) error {
+	if t.Def.Clustered {
+		return t.Primary.AscendRange(tx, lo, hi, fn)
+	}
+	r := t.Heap.NewReader(tx)
+	defer r.Close()
+	var innerErr error
+	err := t.Primary.AscendRange(tx, lo, hi, func(k, v []byte) bool {
+		rid, err := page.DecodeRID(v)
+		if err != nil {
+			innerErr = err
+			return false
+		}
+		rec, err := r.Get(rid)
+		if err != nil {
+			innerErr = err
+			return false
+		}
+		more := fn(k, rec)
+		r.Release()
+		return more
+	})
+	if err != nil {
+		return err
+	}
+	return innerErr
 }
 
 // Catalog is the table registry.

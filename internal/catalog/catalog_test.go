@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"plp/internal/bufferpool"
@@ -9,6 +10,7 @@ import (
 	"plp/internal/heap"
 	"plp/internal/keyenc"
 	"plp/internal/latch"
+	"plp/internal/page"
 	"plp/internal/wal"
 )
 
@@ -110,5 +112,53 @@ func TestTableIDsAreDistinct(t *testing.T) {
 	b, _ := c.CreateTable(TableDef{Name: "b"}, res)
 	if a.ID == b.ID {
 		t.Fatal("table IDs collide")
+	}
+}
+
+// TestAscendRecords checks that a range scan resolves primary-index values
+// to records on both storage layouts: RIDs through the heap on a plain
+// table, the values themselves on a clustered one.
+func TestAscendRecords(t *testing.T) {
+	for _, clustered := range []bool{false, true} {
+		c := New(&cs.Stats{})
+		tbl, err := c.CreateTable(TableDef{
+			Name:       "t",
+			Boundaries: [][]byte{keyenc.Uint64Key(50)},
+			Clustered:  clustered,
+		}, testResources())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(1); i <= 100; i++ {
+			v := []byte(fmt.Sprintf("row-%d", i))
+			if !clustered {
+				rid, err := tbl.Heap.Insert(nil, heap.SharedOwner, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v = page.EncodeRID(rid)
+			}
+			if err := tbl.Primary.Insert(nil, keyenc.Uint64Key(i), v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := uint64(40)
+		err = tbl.AscendRecords(nil, keyenc.Uint64Key(40), keyenc.Uint64Key(60), func(k, rec []byte) bool {
+			id, derr := keyenc.DecodeUint64(k)
+			if derr != nil || id != next {
+				t.Fatalf("clustered=%v: key %d (%v), want %d", clustered, id, derr, next)
+			}
+			if want := fmt.Sprintf("row-%d", id); string(rec) != want {
+				t.Fatalf("clustered=%v: record %q, want %q", clustered, rec, want)
+			}
+			next++
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next != 60 {
+			t.Fatalf("clustered=%v: scan stopped at %d, want 60", clustered, next)
+		}
 	}
 }

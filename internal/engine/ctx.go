@@ -487,7 +487,9 @@ func (c *Ctx) Delete(table string, key []byte) error {
 	return nil
 }
 
-// ReadRange visits every record with lo <= key < hi in key order.
+// ReadRange visits every record with lo <= key < hi in key order.  key and
+// rec point into pinned pages and are valid only until fn returns; fn must
+// not modify them and copies what it keeps (see catalog.AscendRecords).
 func (c *Ctx) ReadRange(table string, lo, hi []byte, fn func(key, rec []byte) bool) error {
 	tbl, err := c.eng.Table(table)
 	if err != nil {
@@ -500,27 +502,7 @@ func (c *Ctx) ReadRange(table string, lo, hi []byte, fn func(key, rec []byte) bo
 	if err := c.lockTable(tbl, lock.IS); err != nil {
 		return err
 	}
-	var innerErr error
-	err = tbl.Primary.AscendRange(c.tx, lo, hi, func(k, v []byte) bool {
-		rec := v
-		if !tbl.Def.Clustered {
-			rid, derr := page.DecodeRID(v)
-			if derr != nil {
-				innerErr = derr
-				return false
-			}
-			rec, derr = tbl.Heap.Get(c.tx, rid)
-			if derr != nil {
-				innerErr = derr
-				return false
-			}
-		}
-		return fn(k, rec)
-	})
-	if err != nil {
-		return err
-	}
-	return innerErr
+	return tbl.AscendRecords(c.tx, lo, hi, fn)
 }
 
 // secondary returns the named secondary index of table.

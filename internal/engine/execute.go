@@ -657,7 +657,8 @@ func (l *Loader) Read(table string, key []byte) ([]byte, error) {
 	return l.ctx.Read(table, key)
 }
 
-// ReadRange scans outside any transaction (consistency checks).
+// ReadRange scans outside any transaction (consistency checks).  As with
+// Ctx.ReadRange, key and rec are valid only until fn returns.
 func (l *Loader) ReadRange(table string, lo, hi []byte, fn func(key, rec []byte) bool) error {
 	return l.ctx.ReadRange(table, lo, hi, fn)
 }

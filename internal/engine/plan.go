@@ -560,25 +560,20 @@ func (e *Engine) compilePlanScan(op plan.Op, idx int, flt *plan.Filter, results 
 				if !ok {
 					return nil
 				}
-				n := 0
-				var local []plan.Entry
+				var local entryBuf
 				err := c.ReadRange(op.Table, lo, hi, func(k, rec []byte) bool {
 					if flt != nil && !flt.Eval(k, rec) {
 						return true
 					}
-					local = append(local, plan.Entry{
-						Key:   append([]byte(nil), k...),
-						Value: append([]byte(nil), rec...),
-					})
-					n++
-					return n < limit
+					local.add(k, rec)
+					return local.len() < limit
 				})
 				if err != nil {
 					st.fail(err.Error())
 					return err
 				}
 				st.mu.Lock()
-				st.ents = append(st.ents, local...)
+				st.ents = append(st.ents, local.entries()...)
 				st.mu.Unlock()
 				return nil
 			},

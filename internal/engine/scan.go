@@ -15,7 +15,9 @@ import (
 // ScanVisitor is called once per record during a parallel scan.  partition
 // is the logical partition that executed the visit (-1 when the scan ran
 // inline on the calling goroutine).  Visits from different partitions run
-// concurrently, so the visitor must be safe for concurrent use.
+// concurrently, so the visitor must be safe for concurrent use.  key and rec
+// point into pinned pages and are valid only until the visitor returns; it
+// must not modify them and copies what it keeps.
 type ScanVisitor func(partition int, key, rec []byte)
 
 // ParallelScanStats reports how a ScanTableParallel call executed.
@@ -302,6 +304,7 @@ func scanChunkRange(ctx *Ctx, table string, plo, phi, cursor, hi []byte, flt *pl
 		return res, nil
 	}
 	var lastKey []byte
+	var matched entryBuf
 	stopped, wasCanceled := false, false
 	err := ctx.ReadRange(table, clo, chi, func(k, rec []byte) bool {
 		if canceled != nil && canceled() {
@@ -311,17 +314,15 @@ func scanChunkRange(ctx *Ctx, table string, plo, phi, cursor, hi []byte, flt *pl
 		res.Scanned++
 		lastKey = append(lastKey[:0], k...)
 		if flt == nil || flt.Eval(k, rec) {
-			res.Entries = append(res.Entries, plan.Entry{
-				Key:   append([]byte(nil), k...),
-				Value: append([]byte(nil), rec...),
-			})
+			matched.add(k, rec)
 		}
-		if len(res.Entries) >= max || res.Scanned >= scanChunkExamineBudget {
+		if matched.len() >= max || res.Scanned >= scanChunkExamineBudget {
 			stopped = true
 			return false
 		}
 		return true
 	})
+	res.Entries = matched.entries()
 	if err != nil {
 		return res, err
 	}
@@ -346,6 +347,40 @@ func scanChunkRange(ctx *Ctx, table string, plo, phi, cursor, hi []byte, flt *pl
 		res.Next = append([]byte(nil), chi...)
 	}
 	return res, nil
+}
+
+// entryBuf collects copies of scanned entries in one byte buffer, so n
+// kept entries cost O(log n) allocations instead of two each.
+type entryBuf struct {
+	buf  []byte
+	ends []int // end offset in buf of each key and each value, alternating
+}
+
+// add appends copies of key and value.
+func (b *entryBuf) add(key, value []byte) {
+	b.buf = append(b.buf, key...)
+	b.ends = append(b.ends, len(b.buf))
+	b.buf = append(b.buf, value...)
+	b.ends = append(b.ends, len(b.buf))
+}
+
+// len returns the number of entries added.
+func (b *entryBuf) len() int { return len(b.ends) / 2 }
+
+// entries returns the added entries in order, each slice capped to its own
+// bytes of the shared buffer; nil when there are none.
+func (b *entryBuf) entries() []plan.Entry {
+	if len(b.ends) == 0 {
+		return nil
+	}
+	out := make([]plan.Entry, b.len())
+	start := 0
+	for i := range out {
+		ke, ve := b.ends[2*i], b.ends[2*i+1]
+		out[i] = plan.Entry{Key: b.buf[start:ke:ke], Value: b.buf[ke:ve:ve]}
+		start = ve
+	}
+	return out
 }
 
 // clipRange intersects the partition range [plo, phi) with the requested

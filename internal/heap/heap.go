@@ -235,6 +235,69 @@ func (f *File) Get(t *txn.Txn, rid page.RID) ([]byte, error) {
 	return out, nil
 }
 
+// Reader reads the records of a scan in place.  It keeps the current heap
+// page fixed while consecutive RIDs fall on it, so a scan over records
+// that share pages takes one buffer-pool critical section per page
+// instead of one per record.  In Latched mode Get takes the page's shared
+// latch and Release drops it, once per record exactly like File.Get; the
+// pin alone outlives Release, and a pin blocks nothing but eviction.
+// A Reader is used by one goroutine and must be closed.
+type Reader struct {
+	f       *File
+	t       *txn.Txn
+	frame   *bufferpool.Frame
+	latched bool
+}
+
+// NewReader returns a reader that attributes latch waits to t (may be nil).
+func (f *File) NewReader(t *txn.Txn) *Reader {
+	return &Reader{f: f, t: t}
+}
+
+// Get returns the record at rid.  The slice points into the page: it is
+// valid only until the next Release, Get or Close, and must not be
+// modified.  Every successful Get must be followed by Release before the
+// caller latches any other page.
+func (r *Reader) Get(rid page.RID) ([]byte, error) {
+	if r.frame != nil && r.frame.Page().ID() != rid.Page {
+		r.f.bp.Unfix(r.frame, false)
+		r.frame = nil
+	}
+	if r.frame == nil {
+		frame, err := r.f.bp.Fix(rid.Page)
+		if err != nil {
+			return nil, err
+		}
+		r.frame = frame
+	}
+	r.f.acquire(r.t, r.frame, latch.Shared)
+	r.latched = true
+	rec, err := r.frame.Page().Get(rid.Slot)
+	if err != nil {
+		r.Release()
+		return nil, fmt.Errorf("%w: %v", ErrNoSuchRecord, rid)
+	}
+	return rec[:len(rec):len(rec)], nil
+}
+
+// Release drops the latch Get took (a no-op in LatchFree mode or when no
+// record is held).  The page stays fixed.
+func (r *Reader) Release() {
+	if r.latched {
+		r.f.release(r.frame, latch.Shared)
+		r.latched = false
+	}
+}
+
+// Close releases any latch and unfixes the current page.
+func (r *Reader) Close() {
+	r.Release()
+	if r.frame != nil {
+		r.f.bp.Unfix(r.frame, false)
+		r.frame = nil
+	}
+}
+
 // Update replaces the record at rid with rec (the record must still fit on
 // its page; growth beyond the page is not supported by the workloads used
 // here).

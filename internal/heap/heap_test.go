@@ -316,3 +316,83 @@ func TestPropertyHeapAgainstModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReaderFixesOncePerPage checks the scan reader: one buffer-pool fix
+// per run of records on a page, one shared latch per record in Latched mode
+// and none in LatchFree mode, no pin left behind by Close, and the same
+// bytes File.Get returns.
+func TestReaderFixesOncePerPage(t *testing.T) {
+	for _, mode := range []AccessMode{Latched, LatchFree} {
+		f, ls := newFile(mode)
+		var rids []page.RID
+		for i := 0; i < 500; i++ {
+			rid, err := f.Insert(nil, SharedOwner, []byte(fmt.Sprintf("rec-%05d", i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids = append(rids, rid)
+		}
+		fixes0, latches0 := f.bp.Stats().Fixes, ls.Snapshot()
+		r := f.NewReader(nil)
+		for i, rid := range rids {
+			rec, err := r.Get(rid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("rec-%05d", i); string(rec) != want {
+				t.Fatalf("mode %d: record %v = %q, want %q", mode, rid, rec, want)
+			}
+			r.Release()
+		}
+		r.Close()
+		fixes := f.bp.Stats().Fixes - fixes0
+		latches := ls.Snapshot().Sub(latches0).Acquired[latch.KindHeap]
+		if pages := uint64(f.NumPages()); fixes != pages {
+			t.Fatalf("mode %d: %d fixes for %d records on %d pages, want one per page", mode, fixes, len(rids), pages)
+		}
+		wantLatches := uint64(len(rids))
+		if mode == LatchFree {
+			wantLatches = 0
+		}
+		if latches != wantLatches {
+			t.Fatalf("mode %d: %d heap latches, want %d", mode, latches, wantLatches)
+		}
+		for _, pid := range f.PagesOwnedBy(SharedOwner) {
+			frame, err := f.bp.Fix(pid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pins := frame.PinCount(); pins != 1 {
+				t.Fatalf("mode %d: page %v has %d pins after Close, want only this test's", mode, pid, pins)
+			}
+			f.bp.Unfix(frame, false)
+		}
+	}
+}
+
+// TestReaderMissingRecord checks that a deleted RID reports ErrNoSuchRecord
+// and leaves no latch held: an exclusive latch on the page still succeeds.
+func TestReaderMissingRecord(t *testing.T) {
+	f, _ := newFile(Latched)
+	rid, err := f.Insert(nil, SharedOwner, []byte("gone"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Delete(nil, rid); err != nil {
+		t.Fatal(err)
+	}
+	r := f.NewReader(nil)
+	defer r.Close()
+	if _, err := r.Get(rid); !errors.Is(err, ErrNoSuchRecord) {
+		t.Fatalf("Get of a deleted record: %v, want ErrNoSuchRecord", err)
+	}
+	frame, err := f.bp.Fix(rid.Page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.bp.Unfix(frame, false)
+	if !frame.Latch().TryAcquire(latch.Exclusive) {
+		t.Fatal("failed Get left the page latched")
+	}
+	frame.Latch().Release(latch.Exclusive)
+}

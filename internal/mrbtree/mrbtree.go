@@ -275,7 +275,8 @@ func (t *Tree) Delete(tx *txn.Txn, key []byte) (bool, error) {
 }
 
 // AscendRange visits every entry with lo <= key < hi in key order, crossing
-// partition boundaries as needed.
+// partition boundaries as needed.  Entries are passed in place; see
+// btree.ScanFunc for how long they stay valid.
 func (t *Tree) AscendRange(tx *txn.Txn, lo, hi []byte, fn btree.ScanFunc) error {
 	t.mu.RLock()
 	parts := append([]Partition(nil), t.parts...)

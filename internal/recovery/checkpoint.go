@@ -8,7 +8,6 @@ import (
 	"plp/internal/catalog"
 	"plp/internal/logrec"
 	"plp/internal/mrbtree"
-	"plp/internal/page"
 	"plp/internal/wal"
 )
 
@@ -137,12 +136,10 @@ func Checkpoint(sys System, chunkEntries int) (CheckpointStats, error) {
 	return st, err
 }
 
-// snapshotPrimary captures a table's logical contents: key → record image.
-// Non-clustered tables store RIDs in the primary index, so each value is
-// resolved through the heap.
+// snapshotPrimary captures a table's logical contents: key → record image,
+// read through catalog.AscendRecords.
 func snapshotPrimary(tbl *catalog.Table, chunkEntries int, emit func(logrec.CheckpointChunk)) error {
 	chunk := logrec.CheckpointChunk{Table: tbl.Def.Name}
-	var innerErr error
 	flush := func() {
 		if len(chunk.Keys) == 0 {
 			return
@@ -150,20 +147,7 @@ func snapshotPrimary(tbl *catalog.Table, chunkEntries int, emit func(logrec.Chec
 		emit(chunk)
 		chunk = logrec.CheckpointChunk{Table: tbl.Def.Name}
 	}
-	err := tbl.Primary.Ascend(nil, func(k, v []byte) bool {
-		rec := v
-		if !tbl.Def.Clustered {
-			rid, derr := page.DecodeRID(v)
-			if derr != nil {
-				innerErr = derr
-				return false
-			}
-			rec, derr = tbl.Heap.Get(nil, rid)
-			if derr != nil {
-				innerErr = derr
-				return false
-			}
-		}
+	err := tbl.AscendRecords(nil, nil, nil, func(k, rec []byte) bool {
 		chunk.Keys = append(chunk.Keys, append([]byte(nil), k...))
 		chunk.Values = append(chunk.Values, append([]byte(nil), rec...))
 		if len(chunk.Keys) >= chunkEntries {
@@ -173,9 +157,6 @@ func snapshotPrimary(tbl *catalog.Table, chunkEntries int, emit func(logrec.Chec
 	})
 	if err != nil {
 		return err
-	}
-	if innerErr != nil {
-		return innerErr
 	}
 	flush()
 	return nil
