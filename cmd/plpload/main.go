@@ -79,5 +79,5 @@ func main() {
 			tbl.Def.Name, st.Height, st.LeafPages, st.InteriorPages, st.Entries, heapPages, heapRecs)
 	}
 	bp := e.BufferPool().Stats()
-	fmt.Printf("\nbuffer pool: %d resident pages, %d fixes, %d misses\n", bp.Resident, bp.Fixes, bp.Misses)
+	fmt.Printf("\nbuffer pool: %d resident pages, %d fixes\n", bp.Resident, bp.Fixes)
 }

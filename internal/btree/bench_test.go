@@ -12,11 +12,8 @@ import (
 
 func benchTree(b *testing.B, latched bool, preload int) *Tree {
 	b.Helper()
-	bp := bufferpool.NewMemory(bufferpool.Config{LatchStats: &latch.Stats{}, CSStats: &cs.Stats{}})
-	tree, err := Create(bp, 1, Config{Latched: latched})
-	if err != nil {
-		b.Fatal(err)
-	}
+	bp := bufferpool.New(bufferpool.Config{LatchStats: &latch.Stats{}, CSStats: &cs.Stats{}})
+	tree := Create(bp, 1, Config{Latched: latched})
 	val := make([]byte, 64)
 	for i := 0; i < preload; i++ {
 		if err := tree.Insert(nil, keyenc.Uint64Key(uint64(i)), val); err != nil {

@@ -73,20 +73,17 @@ type Tree struct {
 
 // Create allocates an empty tree (a single empty leaf that permanently
 // serves as the root page).
-func Create(bp *bufferpool.Pool, id uint32, cfg Config) (*Tree, error) {
+func Create(bp *bufferpool.Pool, id uint32, cfg Config) *Tree {
 	if cfg.MaxSlotsPerNode > 0 && cfg.MaxSlotsPerNode < 4 {
 		cfg.MaxSlotsPerNode = 4
 	}
-	frame, err := bp.NewPage(page.KindIndexLeaf)
-	if err != nil {
-		return nil, err
-	}
+	frame := bp.NewPage(page.KindIndexLeaf)
 	p := frame.Page()
 	p.SetOwner(uint64(id))
 	setNodeLevel(p, 0)
 	root := p.ID()
-	bp.Unfix(frame, true)
-	return &Tree{bp: bp, cfg: cfg, id: id, root: root}, nil
+	bp.Unfix(frame)
+	return &Tree{bp: bp, cfg: cfg, id: id, root: root}
 }
 
 // Open returns a Tree over an existing root page (used when the MRBTree
@@ -146,9 +143,9 @@ func (t *Tree) unlatchNode(f *bufferpool.Frame, mode latch.Mode) {
 }
 
 // releaseNode unlatches and unfixes a node frame.
-func (t *Tree) releaseNode(f *bufferpool.Frame, mode latch.Mode, dirty bool) {
+func (t *Tree) releaseNode(f *bufferpool.Frame, mode latch.Mode) {
 	t.unlatchNode(f, mode)
-	t.bp.Unfix(f, dirty)
+	t.bp.Unfix(f)
 }
 
 // logSMO appends one SMO log record, if logging is configured.
@@ -194,7 +191,7 @@ func (t *Tree) Search(tx *txn.Txn, key []byte) ([]byte, bool, error) {
 			err = verr
 		}
 	}
-	t.releaseNode(f, latch.Shared, false)
+	t.releaseNode(f, latch.Shared)
 	if err != nil {
 		return nil, false, err
 	}
@@ -212,21 +209,21 @@ func (t *Tree) descendRead(tx *txn.Txn, key []byte) (*bufferpool.Frame, error) {
 	for !isLeaf(f.Page()) {
 		idx, serr := interiorSearch(f.Page(), key)
 		if serr != nil {
-			t.releaseNode(f, latch.Shared, false)
+			t.releaseNode(f, latch.Shared)
 			return nil, serr
 		}
 		_, child, eerr := interiorEntryAt(f.Page(), idx)
 		if eerr != nil {
-			t.releaseNode(f, latch.Shared, false)
+			t.releaseNode(f, latch.Shared)
 			return nil, eerr
 		}
 		cf, ferr := t.bp.Fix(child)
 		if ferr != nil {
-			t.releaseNode(f, latch.Shared, false)
+			t.releaseNode(f, latch.Shared)
 			return nil, ferr
 		}
 		t.latchNode(tx, cf, latch.Shared)
-		t.releaseNode(f, latch.Shared, false)
+		t.releaseNode(f, latch.Shared)
 		f = cf
 	}
 	return f, nil
@@ -248,26 +245,26 @@ func (t *Tree) descendWriteLeaf(tx *txn.Txn, key []byte) (*bufferpool.Frame, err
 	for {
 		idx, serr := interiorSearch(f.Page(), key)
 		if serr != nil {
-			t.releaseNode(f, latch.Shared, false)
+			t.releaseNode(f, latch.Shared)
 			return nil, serr
 		}
 		_, child, eerr := interiorEntryAt(f.Page(), idx)
 		if eerr != nil {
-			t.releaseNode(f, latch.Shared, false)
+			t.releaseNode(f, latch.Shared)
 			return nil, eerr
 		}
 		cf, ferr := t.bp.Fix(child)
 		if ferr != nil {
-			t.releaseNode(f, latch.Shared, false)
+			t.releaseNode(f, latch.Shared)
 			return nil, ferr
 		}
 		if isLeaf(cf.Page()) {
 			t.latchNode(tx, cf, latch.Exclusive)
-			t.releaseNode(f, latch.Shared, false)
+			t.releaseNode(f, latch.Shared)
 			return cf, nil
 		}
 		t.latchNode(tx, cf, latch.Shared)
-		t.releaseNode(f, latch.Shared, false)
+		t.releaseNode(f, latch.Shared)
 		f = cf
 	}
 }
@@ -295,7 +292,7 @@ func (t *Tree) descendWriteRoot(tx *txn.Txn) (*bufferpool.Frame, error) {
 			return f, nil
 		}
 		// Lost the race with a root raise; retry as an interior descent.
-		t.releaseNode(f, latch.Exclusive, false)
+		t.releaseNode(f, latch.Exclusive)
 	}
 }
 
@@ -324,34 +321,34 @@ func (t *Tree) insert(tx *txn.Txn, key, value []byte, upsert bool) error {
 	p := f.Page()
 	pos, found, err := leafSearch(p, key)
 	if err != nil {
-		t.releaseNode(f, latch.Exclusive, false)
+		t.releaseNode(f, latch.Exclusive)
 		return err
 	}
 	if found {
 		if !upsert {
-			t.releaseNode(f, latch.Exclusive, false)
+			t.releaseNode(f, latch.Exclusive)
 			return fmt.Errorf("%w: %x", ErrDuplicateKey, key)
 		}
 		err = t.updateLeafEntry(tx, f, pos, key, value)
 		if err == nil {
-			t.releaseNode(f, latch.Exclusive, true)
+			t.releaseNode(f, latch.Exclusive)
 			return nil
 		}
 		if !errors.Is(err, page.ErrPageFull) {
-			t.releaseNode(f, latch.Exclusive, false)
+			t.releaseNode(f, latch.Exclusive)
 			return err
 		}
 		// Fall through to the pessimistic path: replacing needs a split.
-		t.releaseNode(f, latch.Exclusive, false)
+		t.releaseNode(f, latch.Exclusive)
 		return t.insertPessimistic(tx, key, value, upsert)
 	}
 	if !nodeFull(p, len(entry), t.cfg.MaxSlotsPerNode) {
 		if err := p.InsertAt(pos, entry); err == nil {
-			t.releaseNode(f, latch.Exclusive, true)
+			t.releaseNode(f, latch.Exclusive)
 			return nil
 		}
 	}
-	t.releaseNode(f, latch.Exclusive, false)
+	t.releaseNode(f, latch.Exclusive)
 	return t.insertPessimistic(tx, key, value, upsert)
 }
 
@@ -373,7 +370,7 @@ func (t *Tree) Update(tx *txn.Txn, key, value []byte) error {
 	p := f.Page()
 	pos, found, err := leafSearch(p, key)
 	if err != nil || !found {
-		t.releaseNode(f, latch.Exclusive, false)
+		t.releaseNode(f, latch.Exclusive)
 		if err != nil {
 			return err
 		}
@@ -381,10 +378,10 @@ func (t *Tree) Update(tx *txn.Txn, key, value []byte) error {
 	}
 	err = t.updateLeafEntry(tx, f, pos, key, value)
 	if err == nil {
-		t.releaseNode(f, latch.Exclusive, true)
+		t.releaseNode(f, latch.Exclusive)
 		return nil
 	}
-	t.releaseNode(f, latch.Exclusive, false)
+	t.releaseNode(f, latch.Exclusive)
 	if errors.Is(err, page.ErrPageFull) {
 		return t.insertPessimistic(tx, key, value, true)
 	}
@@ -407,11 +404,11 @@ func (t *Tree) Delete(tx *txn.Txn, key []byte) (bool, error) {
 	p := f.Page()
 	pos, found, err := leafSearch(p, key)
 	if err != nil || !found {
-		t.releaseNode(f, latch.Exclusive, false)
+		t.releaseNode(f, latch.Exclusive)
 		return false, err
 	}
 	err = p.RemoveAt(pos)
-	t.releaseNode(f, latch.Exclusive, err == nil)
+	t.releaseNode(f, latch.Exclusive)
 	if err != nil {
 		return false, err
 	}
@@ -444,22 +441,22 @@ func (t *Tree) insertPessimistic(tx *txn.Txn, key, value []byte, upsert bool) er
 	p := leafFrame.Page()
 	pos, found, err := leafSearch(p, key)
 	if err != nil {
-		t.releasePath(path, false)
+		t.releasePath(path)
 		return err
 	}
 	if found {
 		if !upsert {
-			t.releasePath(path, false)
+			t.releasePath(path)
 			return fmt.Errorf("%w: %x", ErrDuplicateKey, key)
 		}
 		// Remove the old entry, then insert the new one (possibly splitting).
 		if err := p.RemoveAt(pos); err != nil {
-			t.releasePath(path, false)
+			t.releasePath(path)
 			return err
 		}
 	}
 	err = t.insertIntoLeafWithSplit(tx, path, key, value)
-	t.releasePath(path, true)
+	t.releasePath(path)
 	return err
 }
 
@@ -482,17 +479,17 @@ func (t *Tree) descendPessimistic(tx *txn.Txn, key []byte, leafEntrySize int) ([
 		}
 		idx, serr := interiorSearch(p, key)
 		if serr != nil {
-			t.releasePath(path, false)
+			t.releasePath(path)
 			return nil, serr
 		}
 		_, child, eerr := interiorEntryAt(p, idx)
 		if eerr != nil {
-			t.releasePath(path, false)
+			t.releasePath(path)
 			return nil, eerr
 		}
 		cf, ferr := t.bp.Fix(child)
 		if ferr != nil {
-			t.releasePath(path, false)
+			t.releasePath(path)
 			return nil, ferr
 		}
 		t.latchNode(tx, cf, latch.Exclusive)
@@ -503,7 +500,7 @@ func (t *Tree) descendPessimistic(tx *txn.Txn, key []byte, leafEntrySize int) ([
 			safe = interiorSafe(cf.Page(), t.cfg.MaxSlotsPerNode)
 		}
 		if safe {
-			t.releasePath(path, false)
+			t.releasePath(path)
 			path = path[:0]
 		}
 		path = append(path, cf)
@@ -512,9 +509,9 @@ func (t *Tree) descendPessimistic(tx *txn.Txn, key []byte, leafEntrySize int) ([
 }
 
 // releasePath unlatches and unfixes every frame in the path.
-func (t *Tree) releasePath(path []*bufferpool.Frame, dirty bool) {
+func (t *Tree) releasePath(path []*bufferpool.Frame) {
 	for i := len(path) - 1; i >= 0; i-- {
-		t.releaseNode(path[i], latch.Exclusive, dirty)
+		t.releaseNode(path[i], latch.Exclusive)
 	}
 }
 
@@ -531,7 +528,6 @@ func (t *Tree) insertIntoLeafWithSplit(tx *txn.Txn, path []*bufferpool.Frame, ke
 		if err != nil {
 			return err
 		}
-		leafFrame.MarkDirty()
 		return p.InsertAt(pos, entry)
 	}
 
@@ -555,10 +551,7 @@ func (t *Tree) insertIntoLeafWithSplit(tx *txn.Txn, path []*bufferpool.Frame, ke
 // sibling) and the right sibling's page ID.
 func (t *Tree) splitLeaf(tx *txn.Txn, leafFrame *bufferpool.Frame, key, value []byte) ([]byte, page.ID, error) {
 	p := leafFrame.Page()
-	rightFrame, err := t.bp.NewPage(page.KindIndexLeaf)
-	if err != nil {
-		return nil, 0, err
-	}
+	rightFrame := t.bp.NewPage(page.KindIndexLeaf)
 	right := rightFrame.Page()
 	right.SetOwner(p.Owner())
 	setNodeLevel(right, 0)
@@ -571,16 +564,16 @@ func (t *Tree) splitLeaf(tx *txn.Txn, leafFrame *bufferpool.Frame, key, value []
 	for i := mid; i < p.NumSlots(); i++ {
 		buf, gerr := p.GetAt(i)
 		if gerr != nil {
-			t.bp.Unfix(rightFrame, false)
+			t.bp.Unfix(rightFrame)
 			return nil, 0, gerr
 		}
 		if ierr := right.InsertAt(right.NumSlots(), buf); ierr != nil {
-			t.bp.Unfix(rightFrame, false)
+			t.bp.Unfix(rightFrame)
 			return nil, 0, ierr
 		}
 	}
 	if err := p.Truncate(mid); err != nil {
-		t.bp.Unfix(rightFrame, false)
+		t.bp.Unfix(rightFrame)
 		return nil, 0, err
 	}
 
@@ -593,32 +586,28 @@ func (t *Tree) splitLeaf(tx *txn.Txn, leafFrame *bufferpool.Frame, key, value []
 		if nf, ferr := t.bp.Fix(oldNext); ferr == nil {
 			t.latchNode(tx, nf, latch.Exclusive)
 			nf.Page().SetPrev(right.ID())
-			t.releaseNode(nf, latch.Exclusive, true)
+			t.releaseNode(nf, latch.Exclusive)
 		}
 	}
 
 	sepKey, err := leafKeyAt(right, 0)
 	if err != nil {
-		t.bp.Unfix(rightFrame, false)
+		t.bp.Unfix(rightFrame)
 		return nil, 0, err
 	}
 	sepKey = append([]byte(nil), sepKey...)
 
 	// Insert the pending entry into the correct half.
 	target := p
-	targetFrame := leafFrame
 	if bytes.Compare(key, sepKey) >= 0 {
 		target = right
-		targetFrame = rightFrame
 	}
 	pos, _, err := leafSearch(target, key)
 	if err == nil {
 		err = target.InsertAt(pos, encodeLeafEntry(key, value))
 	}
-	targetFrame.MarkDirty()
-	leafFrame.MarkDirty()
 	rightPID := right.ID()
-	t.bp.Unfix(rightFrame, true)
+	t.bp.Unfix(rightFrame)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -638,7 +627,6 @@ func (t *Tree) insertSeparator(tx *txn.Txn, path []*bufferpool.Frame, idx int, s
 		if err != nil {
 			return err
 		}
-		f.MarkDirty()
 		return p.InsertAt(pos, entry)
 	}
 	// The interior node must split.
@@ -661,10 +649,7 @@ func (t *Tree) insertSeparator(tx *txn.Txn, path []*bufferpool.Frame, idx int, s
 // the new right node's page ID.
 func (t *Tree) splitInterior(tx *txn.Txn, f *bufferpool.Frame, sepKey []byte, child page.ID) ([]byte, page.ID, error) {
 	p := f.Page()
-	rightFrame, err := t.bp.NewPage(page.KindIndexInterior)
-	if err != nil {
-		return nil, 0, err
-	}
+	rightFrame := t.bp.NewPage(page.KindIndexInterior)
 	right := rightFrame.Page()
 	right.SetOwner(p.Owner())
 	setNodeLevel(right, nodeLevel(p))
@@ -676,16 +661,16 @@ func (t *Tree) splitInterior(tx *txn.Txn, f *bufferpool.Frame, sepKey []byte, ch
 	for i := mid; i < p.NumSlots(); i++ {
 		buf, gerr := p.GetAt(i)
 		if gerr != nil {
-			t.bp.Unfix(rightFrame, false)
+			t.bp.Unfix(rightFrame)
 			return nil, 0, gerr
 		}
 		if ierr := right.InsertAt(right.NumSlots(), buf); ierr != nil {
-			t.bp.Unfix(rightFrame, false)
+			t.bp.Unfix(rightFrame)
 			return nil, 0, ierr
 		}
 	}
 	if err := p.Truncate(mid); err != nil {
-		t.bp.Unfix(rightFrame, false)
+		t.bp.Unfix(rightFrame)
 		return nil, 0, err
 	}
 
@@ -693,26 +678,22 @@ func (t *Tree) splitInterior(tx *txn.Txn, f *bufferpool.Frame, sepKey []byte, ch
 	// bound convention).
 	pushKey, _, err := interiorEntryAt(right, 0)
 	if err != nil {
-		t.bp.Unfix(rightFrame, false)
+		t.bp.Unfix(rightFrame)
 		return nil, 0, err
 	}
 	pushKey = append([]byte(nil), pushKey...)
 
 	// Insert the pending separator into the correct half.
 	target := p
-	targetFrame := f
 	if bytes.Compare(sepKey, pushKey) >= 0 {
 		target = right
-		targetFrame = rightFrame
 	}
 	pos, err := interiorInsertPos(target, sepKey)
 	if err == nil {
 		err = target.InsertAt(pos, encodeInteriorEntry(sepKey, child))
 	}
-	targetFrame.MarkDirty()
-	f.MarkDirty()
 	rightPID := right.ID()
-	t.bp.Unfix(rightFrame, true)
+	t.bp.Unfix(rightFrame)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -745,7 +726,7 @@ func (t *Tree) splitRoot(tx *txn.Txn, rootFrame *bufferpool.Frame, key, value []
 		return err
 	}
 	t.latchNode(tx, cf, latch.Exclusive)
-	defer t.releaseNode(cf, latch.Exclusive, true)
+	defer t.releaseNode(cf, latch.Exclusive)
 	if isLeaf(cf.Page()) {
 		pos, _, serr := leafSearch(cf.Page(), key)
 		if serr != nil {
@@ -776,7 +757,7 @@ func (t *Tree) splitRootWithSeparator(tx *txn.Txn, rootFrame *bufferpool.Frame, 
 		return err
 	}
 	t.latchNode(tx, cf, latch.Exclusive)
-	defer t.releaseNode(cf, latch.Exclusive, true)
+	defer t.releaseNode(cf, latch.Exclusive)
 	pos, err := interiorInsertPos(cf.Page(), sepKey)
 	if err != nil {
 		return err
@@ -796,15 +777,8 @@ func (t *Tree) raiseRoot(tx *txn.Txn, rootFrame *bufferpool.Frame) error {
 		childKind = page.KindIndexLeaf
 	}
 
-	leftFrame, err := t.bp.NewPage(childKind)
-	if err != nil {
-		return err
-	}
-	rightFrame, err := t.bp.NewPage(childKind)
-	if err != nil {
-		t.bp.Unfix(leftFrame, false)
-		return err
-	}
+	leftFrame := t.bp.NewPage(childKind)
+	rightFrame := t.bp.NewPage(childKind)
 	left, right := leftFrame.Page(), rightFrame.Page()
 	left.SetOwner(p.Owner())
 	right.SetOwner(p.Owner())
@@ -829,13 +803,13 @@ func (t *Tree) raiseRoot(tx *txn.Txn, rootFrame *bufferpool.Frame) error {
 		return nil
 	}
 	if err := copyRange(left, 0, mid); err != nil {
-		t.bp.Unfix(leftFrame, false)
-		t.bp.Unfix(rightFrame, false)
+		t.bp.Unfix(leftFrame)
+		t.bp.Unfix(rightFrame)
 		return err
 	}
 	if err := copyRange(right, mid, n); err != nil {
-		t.bp.Unfix(leftFrame, false)
-		t.bp.Unfix(rightFrame, false)
+		t.bp.Unfix(leftFrame)
+		t.bp.Unfix(rightFrame)
 		return err
 	}
 
@@ -844,8 +818,8 @@ func (t *Tree) raiseRoot(tx *txn.Txn, rootFrame *bufferpool.Frame) error {
 	if childKind == page.KindIndexLeaf {
 		k, kerr := leafKeyAt(right, 0)
 		if kerr != nil {
-			t.bp.Unfix(leftFrame, false)
-			t.bp.Unfix(rightFrame, false)
+			t.bp.Unfix(leftFrame)
+			t.bp.Unfix(rightFrame)
 			return kerr
 		}
 		sepKey = append([]byte(nil), k...)
@@ -854,8 +828,8 @@ func (t *Tree) raiseRoot(tx *txn.Txn, rootFrame *bufferpool.Frame) error {
 	} else {
 		k, _, kerr := interiorEntryAt(right, 0)
 		if kerr != nil {
-			t.bp.Unfix(leftFrame, false)
-			t.bp.Unfix(rightFrame, false)
+			t.bp.Unfix(leftFrame)
+			t.bp.Unfix(rightFrame)
 			return kerr
 		}
 		sepKey = append([]byte(nil), k...)
@@ -868,18 +842,17 @@ func (t *Tree) raiseRoot(tx *txn.Txn, rootFrame *bufferpool.Frame) error {
 	p.SetOwner(owner)
 	setNodeLevel(p, level+1)
 	if err := p.InsertAt(0, encodeInteriorEntry(nil, left.ID())); err != nil {
-		t.bp.Unfix(leftFrame, false)
-		t.bp.Unfix(rightFrame, false)
+		t.bp.Unfix(leftFrame)
+		t.bp.Unfix(rightFrame)
 		return err
 	}
 	if err := p.InsertAt(1, encodeInteriorEntry(sepKey, right.ID())); err != nil {
-		t.bp.Unfix(leftFrame, false)
-		t.bp.Unfix(rightFrame, false)
+		t.bp.Unfix(leftFrame)
+		t.bp.Unfix(rightFrame)
 		return err
 	}
-	rootFrame.MarkDirty()
-	t.bp.Unfix(leftFrame, true)
-	t.bp.Unfix(rightFrame, true)
+	t.bp.Unfix(leftFrame)
+	t.bp.Unfix(rightFrame)
 	t.countSplit()
 	t.logSMO(tx, rootID)
 	return nil

@@ -16,11 +16,8 @@ import (
 
 func newTestTree(t testing.TB, cfg Config) *Tree {
 	t.Helper()
-	bp := bufferpool.NewMemory(bufferpool.Config{LatchStats: &latch.Stats{}, CSStats: &cs.Stats{}})
-	tree, err := Create(bp, 1, cfg)
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
+	bp := bufferpool.New(bufferpool.Config{LatchStats: &latch.Stats{}, CSStats: &cs.Stats{}})
+	tree := Create(bp, 1, cfg)
 	return tree
 }
 
@@ -226,11 +223,8 @@ func TestConcurrentInsertSearch(t *testing.T) {
 
 func TestLatchFreeMode(t *testing.T) {
 	ls := &latch.Stats{}
-	bp := bufferpool.NewMemory(bufferpool.Config{LatchStats: ls, CSStats: &cs.Stats{}})
-	tree, err := Create(bp, 1, Config{Latched: false, MaxSlotsPerNode: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	bp := bufferpool.New(bufferpool.Config{LatchStats: ls, CSStats: &cs.Stats{}})
+	tree := Create(bp, 1, Config{Latched: false, MaxSlotsPerNode: 8})
 	for i := 0; i < 1000; i++ {
 		if err := tree.Insert(nil, keyenc.Uint64Key(uint64(i)), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -247,11 +241,8 @@ func TestLatchFreeMode(t *testing.T) {
 
 func TestLatchedModeCountsLatches(t *testing.T) {
 	ls := &latch.Stats{}
-	bp := bufferpool.NewMemory(bufferpool.Config{LatchStats: ls, CSStats: &cs.Stats{}})
-	tree, err := Create(bp, 1, Config{Latched: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	bp := bufferpool.New(bufferpool.Config{LatchStats: ls, CSStats: &cs.Stats{}})
+	tree := Create(bp, 1, Config{Latched: true})
 	for i := 0; i < 100; i++ {
 		if err := tree.Insert(nil, keyenc.Uint64Key(uint64(i)), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -321,16 +312,10 @@ func TestMeldEqualAndUnequalHeights(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			bp := bufferpool.NewMemory(bufferpool.Config{LatchStats: &latch.Stats{}, CSStats: &cs.Stats{}})
+			bp := bufferpool.New(bufferpool.Config{LatchStats: &latch.Stats{}, CSStats: &cs.Stats{}})
 			cfg := Config{Latched: false, MaxSlotsPerNode: 8}
-			left, err := Create(bp, 1, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			right, err := Create(bp, 1, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			left := Create(bp, 1, cfg)
+			right := Create(bp, 1, cfg)
 			boundary := uint64(100000)
 			for i := 0; i < tc.leftN; i++ {
 				if err := left.Insert(nil, keyenc.Uint64Key(uint64(i)), []byte("l")); err != nil {

@@ -39,14 +39,14 @@ func (t *Tree) AscendRange(tx *txn.Txn, lo, hi []byte, fn ScanFunc) error {
 		if lo != nil {
 			start, _, err = leafSearch(p, lo)
 			if err != nil {
-				t.releaseNode(f, latch.Shared, false)
+				t.releaseNode(f, latch.Shared)
 				return err
 			}
 		}
 		for i := start; i < p.NumSlots(); i++ {
 			k, v, eerr := leafEntryAt(p, i)
 			if eerr != nil {
-				t.releaseNode(f, latch.Shared, false)
+				t.releaseNode(f, latch.Shared)
 				return eerr
 			}
 			if hi != nil && bytes.Compare(k, hi) >= 0 {
@@ -61,21 +61,21 @@ func (t *Tree) AscendRange(tx *txn.Txn, lo, hi []byte, fn ScanFunc) error {
 			}
 		}
 		if stop {
-			t.releaseNode(f, latch.Shared, false)
+			t.releaseNode(f, latch.Shared)
 			return nil
 		}
 		next := p.Next()
 		if next == page.InvalidID {
-			t.releaseNode(f, latch.Shared, false)
+			t.releaseNode(f, latch.Shared)
 			return nil
 		}
 		nf, ferr := t.bp.Fix(next)
 		if ferr != nil {
-			t.releaseNode(f, latch.Shared, false)
+			t.releaseNode(f, latch.Shared)
 			return ferr
 		}
 		t.latchNode(tx, nf, latch.Shared)
-		t.releaseNode(f, latch.Shared, false)
+		t.releaseNode(f, latch.Shared)
 		f = nf
 		lo = nil // subsequent leaves start from their first entry
 	}
@@ -96,21 +96,21 @@ func (t *Tree) leftmostLeaf(tx *txn.Txn) (*bufferpool.Frame, error) {
 	t.latchNode(tx, f, latch.Shared)
 	for !isLeaf(f.Page()) {
 		if f.Page().NumSlots() == 0 {
-			t.releaseNode(f, latch.Shared, false)
+			t.releaseNode(f, latch.Shared)
 			return nil, fmt.Errorf("btree: interior node %v has no entries", f.Page().ID())
 		}
 		_, child, err := interiorEntryAt(f.Page(), 0)
 		if err != nil {
-			t.releaseNode(f, latch.Shared, false)
+			t.releaseNode(f, latch.Shared)
 			return nil, err
 		}
 		cf, ferr := t.bp.Fix(child)
 		if ferr != nil {
-			t.releaseNode(f, latch.Shared, false)
+			t.releaseNode(f, latch.Shared)
 			return nil, ferr
 		}
 		t.latchNode(tx, cf, latch.Shared)
-		t.releaseNode(f, latch.Shared, false)
+		t.releaseNode(f, latch.Shared)
 		f = cf
 	}
 	return f, nil
@@ -124,7 +124,7 @@ func (t *Tree) LeafPageFor(tx *txn.Txn, key []byte) (page.ID, error) {
 		return page.InvalidID, err
 	}
 	pid := f.Page().ID()
-	t.releaseNode(f, latch.Shared, false)
+	t.releaseNode(f, latch.Shared)
 	return pid, nil
 }
 
@@ -135,7 +135,7 @@ func (t *Tree) Height() (int, error) {
 		return 0, err
 	}
 	h := nodeLevel(f.Page()) + 1
-	t.bp.Unfix(f, false)
+	t.bp.Unfix(f)
 	return h, nil
 }
 
@@ -191,7 +191,7 @@ func (t *Tree) walk(pid page.ID, st *StructStats) error {
 	if isLeaf(p) {
 		st.LeafPages++
 		st.Entries += p.NumSlots()
-		t.bp.Unfix(f, false)
+		t.bp.Unfix(f)
 		return nil
 	}
 	st.InteriorPages++
@@ -199,12 +199,12 @@ func (t *Tree) walk(pid page.ID, st *StructStats) error {
 	for i := 0; i < p.NumSlots(); i++ {
 		_, child, eerr := interiorEntryAt(p, i)
 		if eerr != nil {
-			t.bp.Unfix(f, false)
+			t.bp.Unfix(f)
 			return eerr
 		}
 		children = append(children, child)
 	}
-	t.bp.Unfix(f, false)
+	t.bp.Unfix(f)
 	for _, c := range children {
 		if err := t.walk(c, st); err != nil {
 			return err
@@ -249,7 +249,7 @@ func (t *Tree) checkNode(pid page.ID, lo, hi []byte, parentLevel int) error {
 	p := f.Page()
 	level := nodeLevel(p)
 	if parentLevel >= 0 && level != parentLevel-1 {
-		t.bp.Unfix(f, false)
+		t.bp.Unfix(f)
 		return fmt.Errorf("btree: node %v at level %d under parent level %d", pid, level, parentLevel)
 	}
 	inRange := func(k []byte) bool {
@@ -265,15 +265,15 @@ func (t *Tree) checkNode(pid page.ID, lo, hi []byte, parentLevel int) error {
 		for i := 0; i < p.NumSlots(); i++ {
 			k, kerr := leafKeyAt(p, i)
 			if kerr != nil {
-				t.bp.Unfix(f, false)
+				t.bp.Unfix(f)
 				return kerr
 			}
 			if !inRange(k) {
-				t.bp.Unfix(f, false)
+				t.bp.Unfix(f)
 				return fmt.Errorf("btree: leaf %v key %x outside [%x,%x)", pid, k, lo, hi)
 			}
 		}
-		t.bp.Unfix(f, false)
+		t.bp.Unfix(f)
 		return nil
 	}
 	type childRange struct {
@@ -284,11 +284,11 @@ func (t *Tree) checkNode(pid page.ID, lo, hi []byte, parentLevel int) error {
 	for i := 0; i < p.NumSlots(); i++ {
 		k, child, eerr := interiorEntryAt(p, i)
 		if eerr != nil {
-			t.bp.Unfix(f, false)
+			t.bp.Unfix(f)
 			return eerr
 		}
 		if !inRange(k) && i > 0 {
-			t.bp.Unfix(f, false)
+			t.bp.Unfix(f)
 			return fmt.Errorf("btree: interior %v separator %x outside [%x,%x)", pid, k, lo, hi)
 		}
 		cr := childRange{child: child, lo: append([]byte(nil), k...)}
@@ -303,7 +303,7 @@ func (t *Tree) checkNode(pid page.ID, lo, hi []byte, parentLevel int) error {
 	if len(children) > 0 {
 		children[len(children)-1].hi = hi
 	}
-	t.bp.Unfix(f, false)
+	t.bp.Unfix(f)
 	for _, cr := range children {
 		if err := t.checkNode(cr.child, cr.lo, cr.hi, level); err != nil {
 			return err

@@ -61,21 +61,21 @@ func (t *Tree) SliceAt(atKey []byte) (*Tree, SliceStats, error) {
 		p := f.Page()
 		if isLeaf(p) {
 			path = append(path, pathNode{pid: pid})
-			t.bp.Unfix(f, false)
+			t.bp.Unfix(f)
 			break
 		}
 		idx, err := interiorSearch(p, atKey)
 		if err != nil {
-			t.bp.Unfix(f, false)
+			t.bp.Unfix(f)
 			return nil, st, err
 		}
 		_, child, err := interiorEntryAt(p, idx)
 		if err != nil {
-			t.bp.Unfix(f, false)
+			t.bp.Unfix(f)
 			return nil, st, err
 		}
 		path = append(path, pathNode{pid: pid, slot: idx})
-		t.bp.Unfix(f, false)
+		t.bp.Unfix(f)
 		pid = child
 	}
 
@@ -93,14 +93,10 @@ func (t *Tree) SliceAt(atKey []byte) (*Tree, SliceStats, error) {
 			// Boundary leaf: move entries >= atKey to a new leaf.
 			pos, _, serr := leafSearch(p, atKey)
 			if serr != nil {
-				t.bp.Unfix(f, false)
+				t.bp.Unfix(f)
 				return nil, st, serr
 			}
-			nl, nerr := t.bp.NewPage(page.KindIndexLeaf)
-			if nerr != nil {
-				t.bp.Unfix(f, false)
-				return nil, st, nerr
-			}
+			nl := t.bp.NewPage(page.KindIndexLeaf)
 			st.PagesAllocated++
 			newLeaf := nl.Page()
 			newLeaf.SetOwner(p.Owner())
@@ -108,20 +104,20 @@ func (t *Tree) SliceAt(atKey []byte) (*Tree, SliceStats, error) {
 			for j := pos; j < p.NumSlots(); j++ {
 				buf, gerr := p.GetAt(j)
 				if gerr != nil {
-					t.bp.Unfix(nl, false)
-					t.bp.Unfix(f, false)
+					t.bp.Unfix(nl)
+					t.bp.Unfix(f)
 					return nil, st, gerr
 				}
 				if ierr := newLeaf.InsertAt(newLeaf.NumSlots(), buf); ierr != nil {
-					t.bp.Unfix(nl, false)
-					t.bp.Unfix(f, false)
+					t.bp.Unfix(nl)
+					t.bp.Unfix(f)
 					return nil, st, ierr
 				}
 				st.EntriesMoved++
 			}
 			if err := p.Truncate(pos); err != nil {
-				t.bp.Unfix(nl, false)
-				t.bp.Unfix(f, false)
+				t.bp.Unfix(nl)
+				t.bp.Unfix(f)
 				return nil, st, err
 			}
 			// Split the leaf sibling chain at the boundary.
@@ -133,56 +129,52 @@ func (t *Tree) SliceAt(atKey []byte) (*Tree, SliceStats, error) {
 			if oldNext != page.InvalidID {
 				if nf, ferr := t.bp.Fix(oldNext); ferr == nil {
 					nf.Page().SetPrev(newLeaf.ID())
-					t.bp.Unfix(nf, true)
+					t.bp.Unfix(nf)
 					st.PointerUpdates++
 					st.PagesRead++
 				}
 			}
 			lowerNew = newLeaf.ID()
-			t.bp.Unfix(nl, true)
-			t.bp.Unfix(f, true)
+			t.bp.Unfix(nl)
+			t.bp.Unfix(f)
 			continue
 		}
 
 		// Interior node on the boundary path: entries to the right of the
 		// descent slot move to a new interior node whose first entry points
 		// to the new page created at the level below.
-		ni, nerr := t.bp.NewPage(page.KindIndexInterior)
-		if nerr != nil {
-			t.bp.Unfix(f, false)
-			return nil, st, nerr
-		}
+		ni := t.bp.NewPage(page.KindIndexInterior)
 		st.PagesAllocated++
 		newNode := ni.Page()
 		newNode.SetOwner(p.Owner())
 		setNodeLevel(newNode, nodeLevel(p))
 		if err := newNode.InsertAt(0, encodeInteriorEntry(nil, lowerNew)); err != nil {
-			t.bp.Unfix(ni, false)
-			t.bp.Unfix(f, false)
+			t.bp.Unfix(ni)
+			t.bp.Unfix(f)
 			return nil, st, err
 		}
 		for j := node.slot + 1; j < p.NumSlots(); j++ {
 			buf, gerr := p.GetAt(j)
 			if gerr != nil {
-				t.bp.Unfix(ni, false)
-				t.bp.Unfix(f, false)
+				t.bp.Unfix(ni)
+				t.bp.Unfix(f)
 				return nil, st, gerr
 			}
 			if ierr := newNode.InsertAt(newNode.NumSlots(), buf); ierr != nil {
-				t.bp.Unfix(ni, false)
-				t.bp.Unfix(f, false)
+				t.bp.Unfix(ni)
+				t.bp.Unfix(f)
 				return nil, st, ierr
 			}
 			st.EntriesMoved++
 		}
 		if err := p.Truncate(node.slot + 1); err != nil {
-			t.bp.Unfix(ni, false)
-			t.bp.Unfix(f, false)
+			t.bp.Unfix(ni)
+			t.bp.Unfix(f)
 			return nil, st, err
 		}
 		lowerNew = newNode.ID()
-		t.bp.Unfix(ni, true)
-		t.bp.Unfix(f, true)
+		t.bp.Unfix(ni)
+		t.bp.Unfix(f)
 	}
 
 	st.PointerUpdates++ // the routing-table entry the caller will add
@@ -243,13 +235,13 @@ func linkLeafChains(left, right *Tree, st *MeldStats) error {
 		return err
 	}
 	lf.Page().SetNext(rl)
-	left.bp.Unfix(lf, true)
+	left.bp.Unfix(lf)
 	rf, err := right.bp.Fix(rl)
 	if err != nil {
 		return err
 	}
 	rf.Page().SetPrev(lr)
-	right.bp.Unfix(rf, true)
+	right.bp.Unfix(rf)
 	st.PointerUpdates += 2
 	st.PagesRead += 2
 	return nil
@@ -265,15 +257,15 @@ func rightmostLeafPID(t *Tree) (page.ID, error) {
 		}
 		p := f.Page()
 		if isLeaf(p) {
-			t.bp.Unfix(f, false)
+			t.bp.Unfix(f)
 			return pid, nil
 		}
 		if p.NumSlots() == 0 {
-			t.bp.Unfix(f, false)
+			t.bp.Unfix(f)
 			return page.InvalidID, fmt.Errorf("btree: empty interior node %v", pid)
 		}
 		_, child, err := interiorEntryAt(p, p.NumSlots()-1)
-		t.bp.Unfix(f, false)
+		t.bp.Unfix(f)
 		if err != nil {
 			return page.InvalidID, err
 		}
@@ -291,15 +283,15 @@ func leftmostLeafPID(t *Tree) (page.ID, error) {
 		}
 		p := f.Page()
 		if isLeaf(p) {
-			t.bp.Unfix(f, false)
+			t.bp.Unfix(f)
 			return pid, nil
 		}
 		if p.NumSlots() == 0 {
-			t.bp.Unfix(f, false)
+			t.bp.Unfix(f)
 			return page.InvalidID, fmt.Errorf("btree: empty interior node %v", pid)
 		}
 		_, child, err := interiorEntryAt(p, 0)
-		t.bp.Unfix(f, false)
+		t.bp.Unfix(f)
 		if err != nil {
 			return page.InvalidID, err
 		}
@@ -317,7 +309,7 @@ func meldEqualHeight(left, right *Tree, rightStart []byte, st *MeldStats) (*Tree
 	}
 	rf, err := right.bp.Fix(right.root)
 	if err != nil {
-		left.bp.Unfix(lf, false)
+		left.bp.Unfix(lf)
 		return nil, *st, err
 	}
 	lp, rp := lf.Page(), rf.Page()
@@ -333,8 +325,8 @@ func meldEqualHeight(left, right *Tree, rightStart []byte, st *MeldStats) (*Tree
 		for i := 0; i < rp.NumSlots(); i++ {
 			buf, gerr := rp.GetAt(i)
 			if gerr != nil {
-				left.bp.Unfix(lf, false)
-				right.bp.Unfix(rf, false)
+				left.bp.Unfix(lf)
+				right.bp.Unfix(rf)
 				return nil, *st, gerrWrap(gerr)
 			}
 			entry := buf
@@ -343,15 +335,15 @@ func meldEqualHeight(left, right *Tree, rightStart []byte, st *MeldStats) (*Tree
 				// (its lower bound); it must become the partition boundary.
 				_, child, derr := decodeInteriorEntry(buf)
 				if derr != nil {
-					left.bp.Unfix(lf, false)
-					right.bp.Unfix(rf, false)
+					left.bp.Unfix(lf)
+					right.bp.Unfix(rf)
 					return nil, *st, derr
 				}
 				entry = encodeInteriorEntry(rightStart, child)
 			}
 			if ierr := lp.InsertAt(lp.NumSlots(), entry); ierr != nil {
-				left.bp.Unfix(lf, false)
-				right.bp.Unfix(rf, false)
+				left.bp.Unfix(lf)
+				right.bp.Unfix(rf)
 				return nil, *st, ierr
 			}
 			st.EntriesMoved++
@@ -367,22 +359,22 @@ func meldEqualHeight(left, right *Tree, rightStart []byte, st *MeldStats) (*Tree
 			if rpNext != page.InvalidID {
 				if nf, ferr := left.bp.Fix(rpNext); ferr == nil {
 					nf.Page().SetPrev(lp.ID())
-					left.bp.Unfix(nf, true)
+					left.bp.Unfix(nf)
 					st.PointerUpdates++
 					st.PagesRead++
 				}
 			}
 		}
-		left.bp.Unfix(lf, true)
-		right.bp.Unfix(rf, false)
+		left.bp.Unfix(lf)
+		right.bp.Unfix(rf)
 		if err := left.bp.FreePage(rightRoot); err == nil {
 			st.PagesFreed++
 		}
 		st.PointerUpdates++ // routing-table update by the caller
 		return Open(left.bp, left.id, left.root, left.cfg), *st, nil
 	}
-	left.bp.Unfix(lf, false)
-	right.bp.Unfix(rf, false)
+	left.bp.Unfix(lf)
+	right.bp.Unfix(rf)
 	return newRootAbove(left, right, rightStart, st)
 }
 
@@ -422,24 +414,21 @@ func newRootAbove(left, right *Tree, rightStart []byte, st *MeldStats) (*Tree, M
 		rightRoot = pid
 		hr++
 	}
-	nf, err := left.bp.NewPage(page.KindIndexInterior)
-	if err != nil {
-		return nil, *st, err
-	}
+	nf := left.bp.NewPage(page.KindIndexInterior)
 	st.PagesAllocated++
 	np := nf.Page()
 	np.SetOwner(uint64(left.id))
 	setNodeLevel(np, hl)
 	if err := np.InsertAt(0, encodeInteriorEntry(nil, leftRoot)); err != nil {
-		left.bp.Unfix(nf, false)
+		left.bp.Unfix(nf)
 		return nil, *st, err
 	}
 	if err := np.InsertAt(1, encodeInteriorEntry(rightStart, rightRoot)); err != nil {
-		left.bp.Unfix(nf, false)
+		left.bp.Unfix(nf)
 		return nil, *st, err
 	}
 	rootID := np.ID()
-	left.bp.Unfix(nf, true)
+	left.bp.Unfix(nf)
 	st.PointerUpdates++
 	return Open(left.bp, left.id, rootID, left.cfg), *st, nil
 }
@@ -447,19 +436,16 @@ func newRootAbove(left, right *Tree, rightStart []byte, st *MeldStats) (*Tree, M
 // wrapInInterior creates an interior node one level above `child` whose only
 // entry points at child.
 func wrapInInterior(t *Tree, child page.ID, childHeight int) (page.ID, error) {
-	nf, err := t.bp.NewPage(page.KindIndexInterior)
-	if err != nil {
-		return page.InvalidID, err
-	}
+	nf := t.bp.NewPage(page.KindIndexInterior)
 	np := nf.Page()
 	np.SetOwner(uint64(t.id))
 	setNodeLevel(np, childHeight) // child height == child level + 1 == this node's level
 	if err := np.InsertAt(0, encodeInteriorEntry(nil, child)); err != nil {
-		t.bp.Unfix(nf, false)
+		t.bp.Unfix(nf)
 		return page.InvalidID, err
 	}
 	pid := np.ID()
-	t.bp.Unfix(nf, true)
+	t.bp.Unfix(nf)
 	return pid, nil
 }
 
@@ -481,11 +467,11 @@ func meldIntoTaller(left, right *Tree, rightStart []byte, hl, hr int, st *MeldSt
 		if nodeLevel(p) == hr {
 			entry := encodeInteriorEntry(rightStart, right.root)
 			if nodeFull(p, len(entry), left.cfg.MaxSlotsPerNode) {
-				left.bp.Unfix(f, false)
+				left.bp.Unfix(f)
 				return newRootAbove(left, right, rightStart, st)
 			}
 			err := p.InsertAt(p.NumSlots(), entry)
-			left.bp.Unfix(f, err == nil)
+			left.bp.Unfix(f)
 			if err != nil {
 				return nil, *st, err
 			}
@@ -494,11 +480,11 @@ func meldIntoTaller(left, right *Tree, rightStart []byte, hl, hr int, st *MeldSt
 			return Open(left.bp, left.id, left.root, left.cfg), *st, nil
 		}
 		if p.NumSlots() == 0 {
-			left.bp.Unfix(f, false)
+			left.bp.Unfix(f)
 			return nil, *st, fmt.Errorf("btree: empty interior node %v during meld", pid)
 		}
 		_, child, err := interiorEntryAt(p, p.NumSlots()-1)
-		left.bp.Unfix(f, false)
+		left.bp.Unfix(f)
 		if err != nil {
 			return nil, *st, err
 		}
@@ -521,7 +507,7 @@ func meldIntoTallerRight(left, right *Tree, rightStart []byte, hl, hr int, st *M
 		if nodeLevel(p) == hl {
 			entry := encodeInteriorEntry(nil, left.root)
 			if nodeFull(p, len(entry)+len(rightStart), right.cfg.MaxSlotsPerNode) {
-				right.bp.Unfix(f, false)
+				right.bp.Unfix(f)
 				return newRootAbove(left, right, rightStart, st)
 			}
 			// The node's current first entry carries the empty key (it was
@@ -531,19 +517,19 @@ func meldIntoTallerRight(left, right *Tree, rightStart []byte, hl, hr int, st *M
 			if p.NumSlots() > 0 {
 				k, child, derr := interiorEntryAt(p, 0)
 				if derr != nil {
-					right.bp.Unfix(f, false)
+					right.bp.Unfix(f)
 					return nil, *st, derr
 				}
 				if len(k) == 0 {
 					if err := p.SetAt(0, encodeInteriorEntry(rightStart, child)); err != nil {
-						right.bp.Unfix(f, false)
+						right.bp.Unfix(f)
 						return nil, *st, err
 					}
 					st.PointerUpdates++
 				}
 			}
 			err := p.InsertAt(0, entry)
-			right.bp.Unfix(f, err == nil)
+			right.bp.Unfix(f)
 			if err != nil {
 				return nil, *st, err
 			}
@@ -552,11 +538,11 @@ func meldIntoTallerRight(left, right *Tree, rightStart []byte, hl, hr int, st *M
 			return Open(right.bp, right.id, right.root, right.cfg), *st, nil
 		}
 		if p.NumSlots() == 0 {
-			right.bp.Unfix(f, false)
+			right.bp.Unfix(f)
 			return nil, *st, fmt.Errorf("btree: empty interior node %v during meld", pid)
 		}
 		_, child, err := interiorEntryAt(p, 0)
-		right.bp.Unfix(f, false)
+		right.bp.Unfix(f)
 		if err != nil {
 			return nil, *st, err
 		}

@@ -1,24 +1,22 @@
-// Package bufferpool implements the buffer manager: the layer that caches
-// database pages in memory, hands out latched page frames to the access
-// methods, and writes dirty pages back to the backing store.
+// Package bufferpool implements the buffer manager: the layer that hands out
+// pinned, latched page frames to the access methods.
 //
 // Every page access in the conventional and logically-partitioned designs
 // goes through Fix/Unfix and acquires the frame's page latch; the PLP
 // designs bypass the latch (but not the fix) for pages owned by a single
-// partition worker.  The buffer pool's own internal state (the page table)
-// is protected by a striped mutex whose acquisitions are reported to the
-// critical-section statistics under the Bpool category, exactly as the
-// paper's Figure 1 accounts for them.
+// partition worker.  The buffer pool's own internal state (the page table
+// and the free list of page IDs) is protected by one mutex whose
+// acquisitions are reported to the critical-section statistics under the
+// Bpool category, exactly as the paper's Figure 1 accounts for them.
 //
 // The experiments in the paper run with memory-resident databases, so the
-// default configuration never evicts.  A simple CLOCK eviction policy is
-// available when a capacity limit is configured, which also exercises the
-// page-cleaner path.
+// pool is memory resident: every allocated page stays in its frame until it
+// is freed, and there is no backing store, eviction or write-back.
+// Durability comes from the write-ahead log and logical checkpoints.
 package bufferpool
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -29,89 +27,10 @@ import (
 
 // Errors returned by the buffer pool.
 var (
-	ErrNoSuchPage   = errors.New("bufferpool: page does not exist")
-	ErrPoolFull     = errors.New("bufferpool: no evictable frame available")
-	ErrPagePinned   = errors.New("bufferpool: page still pinned")
-	ErrFreedTwice   = errors.New("bufferpool: page freed twice")
-	ErrStoreMissing = errors.New("bufferpool: page missing from backing store")
+	ErrNoSuchPage = errors.New("bufferpool: page does not exist")
+	ErrPagePinned = errors.New("bufferpool: page still pinned")
+	ErrFreedTwice = errors.New("bufferpool: page freed twice")
 )
-
-// Store is the persistent backing store for pages.  The production
-// configuration uses MemStore (the paper's experiments are memory
-// resident); tests may supply fault-injecting implementations.
-type Store interface {
-	// Read returns the serialized contents of the page.
-	Read(id page.ID) ([]byte, error)
-	// Write persists the serialized contents of the page.
-	Write(id page.ID, data []byte) error
-	// Allocate reserves a new page ID.
-	Allocate() page.ID
-	// Free releases a page ID (the page may be reused).
-	Free(id page.ID) error
-	// NumAllocated returns the number of currently allocated pages.
-	NumAllocated() int
-}
-
-// MemStore is an in-memory Store.
-type MemStore struct {
-	mu     sync.Mutex
-	pages  map[page.ID][]byte
-	nextID uint64
-	free   []page.ID
-}
-
-// NewMemStore returns an empty in-memory backing store.
-func NewMemStore() *MemStore {
-	return &MemStore{pages: make(map[page.ID][]byte)}
-}
-
-// Read implements Store.
-func (m *MemStore) Read(id page.ID) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	data, ok := m.pages[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrStoreMissing, id)
-	}
-	return data, nil
-}
-
-// Write implements Store.
-func (m *MemStore) Write(id page.ID, data []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.pages[id] = data
-	return nil
-}
-
-// Allocate implements Store.
-func (m *MemStore) Allocate() page.ID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if n := len(m.free); n > 0 {
-		id := m.free[n-1]
-		m.free = m.free[:n-1]
-		return id
-	}
-	m.nextID++
-	return page.ID(m.nextID)
-}
-
-// Free implements Store.
-func (m *MemStore) Free(id page.ID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.pages, id)
-	m.free = append(m.free, id)
-	return nil
-}
-
-// NumAllocated implements Store.
-func (m *MemStore) NumAllocated() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return int(m.nextID) - len(m.free)
-}
 
 // Frame is an in-memory slot holding one page together with its latch and
 // pin count.  Access methods receive *Frame from Fix and must Unfix it when
@@ -120,32 +39,19 @@ type Frame struct {
 	page  *page.Page
 	latch *latch.Latch
 	pin   atomic.Int32
-	dirty atomic.Bool
-	// clock reference bit for eviction
-	ref atomic.Bool
 }
 
-// Page returns the page cached in the frame.
+// Page returns the page held in the frame.
 func (f *Frame) Page() *page.Page { return f.page }
 
 // Latch returns the frame's page latch.
 func (f *Frame) Latch() *latch.Latch { return f.latch }
-
-// MarkDirty records that the page has been modified and must be written
-// back before eviction.
-func (f *Frame) MarkDirty() { f.dirty.Store(true) }
-
-// Dirty reports whether the page has unflushed modifications.
-func (f *Frame) Dirty() bool { return f.dirty.Load() }
 
 // PinCount returns the current pin count (for tests and assertions).
 func (f *Frame) PinCount() int { return int(f.pin.Load()) }
 
 // Config configures a buffer pool.
 type Config struct {
-	// Capacity limits the number of resident frames.  Zero means
-	// unbounded (memory-resident database, as in the paper).
-	Capacity int
 	// LatchStats receives page-latch accounting; may be nil.
 	LatchStats *latch.Stats
 	// CSStats receives critical-section accounting; may be nil.
@@ -154,34 +60,19 @@ type Config struct {
 
 // Pool is the buffer manager.
 type Pool struct {
-	store Store
-	cfg   Config
+	cfg Config
 
 	mu     sync.Mutex
-	table  map[page.ID]*Frame
-	fifo   []page.ID // allocation order, used by CLOCK eviction
-	clock  int
+	frames []*Frame  // page table indexed by page ID; nil for a free ID
+	free   []page.ID // freed IDs, reused before new ones are minted
 	nFixes atomic.Uint64
-	nMiss  atomic.Uint64
 }
 
-// New returns a buffer pool over the given store.
-func New(store Store, cfg Config) *Pool {
-	return &Pool{
-		store: store,
-		cfg:   cfg,
-		table: make(map[page.ID]*Frame),
-	}
+// New returns an empty memory-resident buffer pool.
+func New(cfg Config) *Pool {
+	// Slot 0 stays nil forever: it is page.InvalidID.
+	return &Pool{cfg: cfg, frames: make([]*Frame, 1)}
 }
-
-// NewMemory returns a buffer pool over a fresh in-memory store with no
-// capacity limit.
-func NewMemory(cfg Config) *Pool {
-	return New(NewMemStore(), cfg)
-}
-
-// Store returns the backing store (used by consistency checks and tests).
-func (bp *Pool) Store() Store { return bp.store }
 
 // latchKindFor maps a page kind to the latch accounting bucket.
 func latchKindFor(k page.Kind) latch.PageKind {
@@ -195,254 +86,99 @@ func latchKindFor(k page.Kind) latch.PageKind {
 	}
 }
 
-// recordBpoolCS notes one page-table critical section.
-func (bp *Pool) recordBpoolCS(contended bool) {
-	bp.cfg.CSStats.Record(cs.Bpool, contended)
-}
-
-// NewPage allocates a new page of the given kind, fixes it, and returns the
-// frame with pin count 1.  The page starts dirty.
-func (bp *Pool) NewPage(kind page.Kind) (*Frame, error) {
-	id := bp.store.Allocate()
-	p := page.New(id, kind)
-	f := &Frame{
-		page:  p,
-		latch: latch.New(latchKindFor(kind), bp.cfg.LatchStats, bp.cfg.CSStats),
-	}
-	f.pin.Store(1)
-	f.dirty.Store(true)
-	f.ref.Store(true)
-
+// lock enters the page-table critical section and records it.
+func (bp *Pool) lock() {
 	contended := !bp.mu.TryLock()
 	if contended {
 		bp.mu.Lock()
 	}
-	bp.recordBpoolCS(contended)
-	if bp.cfg.Capacity > 0 && len(bp.table) >= bp.cfg.Capacity {
-		if err := bp.evictLocked(); err != nil {
-			bp.mu.Unlock()
-			return nil, err
-		}
-	}
-	bp.table[id] = f
-	bp.fifo = append(bp.fifo, id)
-	bp.mu.Unlock()
-
-	// Persist an initial image so that a later miss can always read it.
-	if err := bp.store.Write(id, p.Marshal()); err != nil {
-		return nil, err
-	}
-	return f, nil
+	bp.cfg.CSStats.Record(cs.Bpool, contended)
 }
 
-// Fix pins the page into the pool and returns its frame.  The caller must
-// call Unfix exactly once for every successful Fix.
+// NewPage allocates a new page of the given kind, fixes it, and returns the
+// frame with pin count 1.
+func (bp *Pool) NewPage(kind page.Kind) *Frame {
+	// Build the frame outside the critical section; only the ID is chosen
+	// inside it.
+	f := &Frame{
+		page:  page.New(page.InvalidID, kind),
+		latch: latch.New(latchKindFor(kind), bp.cfg.LatchStats, bp.cfg.CSStats),
+	}
+	f.pin.Store(1)
+
+	bp.lock()
+	var id page.ID
+	if n := len(bp.free); n > 0 {
+		id = bp.free[n-1]
+		bp.free = bp.free[:n-1]
+		bp.frames[id] = f
+	} else {
+		id = page.ID(len(bp.frames))
+		bp.frames = append(bp.frames, f)
+	}
+	f.page.Reset(id, kind)
+	bp.mu.Unlock()
+	return f
+}
+
+// Fix pins the page and returns its frame.  The caller must call Unfix
+// exactly once for every successful Fix.
 func (bp *Pool) Fix(id page.ID) (*Frame, error) {
 	if id == page.InvalidID {
 		return nil, ErrNoSuchPage
 	}
 	bp.nFixes.Add(1)
-
-	contended := !bp.mu.TryLock()
-	if contended {
-		bp.mu.Lock()
+	bp.lock()
+	var f *Frame
+	if id < page.ID(len(bp.frames)) {
+		f = bp.frames[id]
 	}
-	bp.recordBpoolCS(contended)
-	if f, ok := bp.table[id]; ok {
-		f.pin.Add(1)
-		f.ref.Store(true)
+	if f == nil {
 		bp.mu.Unlock()
-		return f, nil
+		return nil, ErrNoSuchPage
 	}
-	bp.mu.Unlock()
-
-	// Miss: read from the backing store outside the page-table critical
-	// section, then install.
-	bp.nMiss.Add(1)
-	data, err := bp.store.Read(id)
-	if err != nil {
-		return nil, err
-	}
-	p, err := page.Unmarshal(data)
-	if err != nil {
-		return nil, err
-	}
-	f := &Frame{
-		page:  p,
-		latch: latch.New(latchKindFor(p.Kind()), bp.cfg.LatchStats, bp.cfg.CSStats),
-	}
-	f.pin.Store(1)
-	f.ref.Store(true)
-
-	contended = !bp.mu.TryLock()
-	if contended {
-		bp.mu.Lock()
-	}
-	bp.recordBpoolCS(contended)
-	if existing, ok := bp.table[id]; ok {
-		// Another thread installed the page while we were reading it.
-		existing.pin.Add(1)
-		existing.ref.Store(true)
-		bp.mu.Unlock()
-		return existing, nil
-	}
-	if bp.cfg.Capacity > 0 && len(bp.table) >= bp.cfg.Capacity {
-		if err := bp.evictLocked(); err != nil {
-			bp.mu.Unlock()
-			return nil, err
-		}
-	}
-	bp.table[id] = f
-	bp.fifo = append(bp.fifo, id)
+	f.pin.Add(1)
 	bp.mu.Unlock()
 	return f, nil
 }
 
-// Unfix releases one pin on the frame.  If dirty is true the frame is marked
-// dirty.
-func (bp *Pool) Unfix(f *Frame, dirty bool) {
-	if dirty {
-		f.dirty.Store(true)
-	}
+// Unfix releases one pin on the frame.
+func (bp *Pool) Unfix(f *Frame) {
 	if n := f.pin.Add(-1); n < 0 {
 		panic("bufferpool: unfix without matching fix")
 	}
 }
 
-// evictLocked removes one unpinned frame, flushing it if dirty.  Caller
-// holds bp.mu.
-func (bp *Pool) evictLocked() error {
-	if len(bp.fifo) == 0 {
-		return ErrPoolFull
-	}
-	for attempts := 0; attempts < 2*len(bp.fifo); attempts++ {
-		bp.clock = (bp.clock + 1) % len(bp.fifo)
-		id := bp.fifo[bp.clock]
-		f, ok := bp.table[id]
-		if !ok {
-			// Stale fifo entry; drop it.
-			bp.fifo = append(bp.fifo[:bp.clock], bp.fifo[bp.clock+1:]...)
-			if bp.clock >= len(bp.fifo) && len(bp.fifo) > 0 {
-				bp.clock = 0
-			}
-			if len(bp.fifo) == 0 {
-				return ErrPoolFull
-			}
-			continue
-		}
-		if f.pin.Load() > 0 {
-			continue
-		}
-		if f.ref.Swap(false) {
-			continue // second chance
-		}
-		if f.dirty.Load() {
-			if err := bp.store.Write(id, f.page.Marshal()); err != nil {
-				return err
-			}
-			f.dirty.Store(false)
-		}
-		delete(bp.table, id)
-		bp.fifo = append(bp.fifo[:bp.clock], bp.fifo[bp.clock+1:]...)
-		return nil
-	}
-	return ErrPoolFull
-}
-
-// FreePage removes the page from the pool and the backing store.  The page
-// must be unpinned.
+// FreePage removes the page from the pool and puts its ID on the free list.
+// The page must be unpinned.
 func (bp *Pool) FreePage(id page.ID) error {
-	contended := !bp.mu.TryLock()
-	if contended {
-		bp.mu.Lock()
-	}
-	bp.recordBpoolCS(contended)
-	if f, ok := bp.table[id]; ok {
-		if f.pin.Load() > 0 {
-			bp.mu.Unlock()
-			return ErrPagePinned
-		}
-		delete(bp.table, id)
-	}
-	bp.mu.Unlock()
-	return bp.store.Free(id)
-}
-
-// FlushPage writes the page back to the store if it is dirty.
-func (bp *Pool) FlushPage(id page.ID) error {
-	bp.mu.Lock()
-	f, ok := bp.table[id]
-	bp.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	if !f.dirty.Load() {
-		return nil
-	}
-	// The cleaner latches the page in shared mode so that it captures a
-	// consistent image while the owner may keep working (the paper notes
-	// page cleaning is read-only for the cleaned partition).
-	f.latch.Acquire(latch.Shared)
-	data := f.page.Marshal()
-	f.dirty.Store(false)
-	f.latch.Release(latch.Shared)
-	return bp.store.Write(id, data)
-}
-
-// FlushAll writes every dirty page back to the store.
-func (bp *Pool) FlushAll() error {
-	bp.mu.Lock()
-	ids := make([]page.ID, 0, len(bp.table))
-	for id, f := range bp.table {
-		if f.dirty.Load() {
-			ids = append(ids, id)
-		}
-	}
-	bp.mu.Unlock()
-	for _, id := range ids {
-		if err := bp.FlushPage(id); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DirtyPageIDs returns the IDs of all dirty resident pages (used by the page
-// cleaner and by the PLP per-partition cleaning path).
-func (bp *Pool) DirtyPageIDs() []page.ID {
-	bp.mu.Lock()
+	bp.lock()
 	defer bp.mu.Unlock()
-	out := make([]page.ID, 0)
-	for id, f := range bp.table {
-		if f.dirty.Load() {
-			out = append(out, id)
-		}
+	if id == page.InvalidID || id >= page.ID(len(bp.frames)) {
+		return ErrNoSuchPage
 	}
-	return out
+	f := bp.frames[id]
+	if f == nil {
+		return ErrFreedTwice
+	}
+	if f.pin.Load() > 0 {
+		return ErrPagePinned
+	}
+	bp.frames[id] = nil
+	bp.free = append(bp.free, id)
+	return nil
 }
 
 // Stats reports buffer pool activity.
 type Stats struct {
 	Fixes    uint64
-	Misses   uint64
 	Resident int
 }
 
 // Stats returns a snapshot of buffer pool activity.
 func (bp *Pool) Stats() Stats {
 	bp.mu.Lock()
-	resident := len(bp.table)
+	resident := len(bp.frames) - 1 - len(bp.free)
 	bp.mu.Unlock()
-	return Stats{
-		Fixes:    bp.nFixes.Load(),
-		Misses:   bp.nMiss.Load(),
-		Resident: resident,
-	}
-}
-
-// NumResident returns the number of pages currently cached.
-func (bp *Pool) NumResident() int {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return len(bp.table)
+	return Stats{Fixes: bp.nFixes.Load(), Resident: resident}
 }

@@ -1,7 +1,8 @@
 package bufferpool
 
 import (
-	"fmt"
+	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -10,16 +11,13 @@ import (
 	"plp/internal/page"
 )
 
-func newPool(capacity int) *Pool {
-	return NewMemory(Config{Capacity: capacity, LatchStats: &latch.Stats{}, CSStats: &cs.Stats{}})
+func newPool() *Pool {
+	return New(Config{LatchStats: &latch.Stats{}, CSStats: &cs.Stats{}})
 }
 
 func TestNewPageAndFix(t *testing.T) {
-	bp := newPool(0)
-	f, err := bp.NewPage(page.KindHeap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bp := newPool()
+	f := bp.NewPage(page.KindHeap)
 	id := f.Page().ID()
 	if id == page.InvalidID {
 		t.Fatal("invalid id allocated")
@@ -30,7 +28,7 @@ func TestNewPageAndFix(t *testing.T) {
 	if _, err := f.Page().Add([]byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	bp.Unfix(f, true)
+	bp.Unfix(f)
 
 	g, err := bp.Fix(id)
 	if err != nil {
@@ -40,130 +38,123 @@ func TestNewPageAndFix(t *testing.T) {
 	if err != nil || string(rec) != "hello" {
 		t.Fatalf("rec=%q err=%v", rec, err)
 	}
-	bp.Unfix(g, false)
+	bp.Unfix(g)
 	if _, err := bp.Fix(page.InvalidID); err == nil {
 		t.Fatal("fixed the invalid page")
 	}
 }
 
 func TestFixMissingPage(t *testing.T) {
-	bp := newPool(0)
-	if _, err := bp.Fix(page.ID(9999)); err == nil {
-		t.Fatal("expected error for unknown page")
+	bp := newPool()
+	if _, err := bp.Fix(page.ID(9999)); !errors.Is(err, ErrNoSuchPage) {
+		t.Fatalf("Fix of an unknown page: %v, want ErrNoSuchPage", err)
 	}
 }
 
 func TestUnfixPanicsWithoutFix(t *testing.T) {
-	bp := newPool(0)
-	f, _ := bp.NewPage(page.KindHeap)
-	bp.Unfix(f, false)
+	bp := newPool()
+	f := bp.NewPage(page.KindHeap)
+	bp.Unfix(f)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on extra unfix")
 		}
 	}()
-	bp.Unfix(f, false)
-}
-
-func TestEvictionWritesBackDirtyPages(t *testing.T) {
-	bp := newPool(4)
-	var ids []page.ID
-	for i := 0; i < 16; i++ {
-		f, err := bp.NewPage(page.KindHeap)
-		if err != nil {
-			t.Fatalf("NewPage %d: %v", i, err)
-		}
-		if _, err := f.Page().Add([]byte(fmt.Sprintf("payload-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, f.Page().ID())
-		bp.Unfix(f, true)
-	}
-	if bp.NumResident() > 4 {
-		t.Fatalf("capacity not enforced: %d resident", bp.NumResident())
-	}
-	// Every page must still be readable (evicted ones come back from the
-	// store with their contents).
-	for i, id := range ids {
-		f, err := bp.Fix(id)
-		if err != nil {
-			t.Fatalf("Fix %v: %v", id, err)
-		}
-		rec, err := f.Page().Get(0)
-		if err != nil || string(rec) != fmt.Sprintf("payload-%d", i) {
-			t.Fatalf("page %v content lost: %q %v", id, rec, err)
-		}
-		bp.Unfix(f, false)
-	}
-	if bp.Stats().Misses == 0 {
-		t.Fatal("expected buffer pool misses with a small capacity")
-	}
-}
-
-func TestEvictionRefusesWhenAllPinned(t *testing.T) {
-	bp := newPool(2)
-	f1, _ := bp.NewPage(page.KindHeap)
-	f2, _ := bp.NewPage(page.KindHeap)
-	if _, err := bp.NewPage(page.KindHeap); err == nil {
-		t.Fatal("expected ErrPoolFull with every frame pinned")
-	}
-	bp.Unfix(f1, false)
-	bp.Unfix(f2, false)
-	if _, err := bp.NewPage(page.KindHeap); err != nil {
-		t.Fatalf("allocation after unpin failed: %v", err)
-	}
+	bp.Unfix(f)
 }
 
 func TestFreePage(t *testing.T) {
-	bp := newPool(0)
-	f, _ := bp.NewPage(page.KindHeap)
+	bp := newPool()
+	f := bp.NewPage(page.KindHeap)
 	id := f.Page().ID()
-	if err := bp.FreePage(id); err == nil {
-		t.Fatal("freed a pinned page")
+	if err := bp.FreePage(id); !errors.Is(err, ErrPagePinned) {
+		t.Fatalf("FreePage of a pinned page: %v, want ErrPagePinned", err)
 	}
-	bp.Unfix(f, false)
+	bp.Unfix(f)
 	if err := bp.FreePage(id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bp.Fix(id); err == nil {
-		t.Fatal("fixed a freed page")
+	if _, err := bp.Fix(id); !errors.Is(err, ErrNoSuchPage) {
+		t.Fatalf("Fix of a freed page: %v, want ErrNoSuchPage", err)
+	}
+	if got := bp.Stats().Resident; got != 0 {
+		t.Fatalf("resident=%d after freeing the only page", got)
 	}
 }
 
-func TestFlushAllAndDirtyTracking(t *testing.T) {
-	bp := newPool(0)
-	f, _ := bp.NewPage(page.KindHeap)
+// TestFreePageTwice checks that a second FreePage of one ID is refused, so
+// the ID is not queued for reuse twice and handed to two later NewPages.
+func TestFreePageTwice(t *testing.T) {
+	bp := newPool()
+	f := bp.NewPage(page.KindHeap)
 	id := f.Page().ID()
-	_, _ = f.Page().Add([]byte("x"))
-	bp.Unfix(f, true)
-	if got := bp.DirtyPageIDs(); len(got) != 1 || got[0] != id {
-		t.Fatalf("dirty ids wrong: %v", got)
-	}
-	if err := bp.FlushAll(); err != nil {
+	bp.Unfix(f)
+	if err := bp.FreePage(id); err != nil {
 		t.Fatal(err)
 	}
-	if got := bp.DirtyPageIDs(); len(got) != 0 {
-		t.Fatalf("pages still dirty after flush: %v", got)
+	if err := bp.FreePage(id); !errors.Is(err, ErrFreedTwice) {
+		t.Fatalf("second FreePage: %v, want ErrFreedTwice", err)
 	}
-	data, err := bp.Store().Read(id)
-	if err != nil {
+	if err := bp.FreePage(id + 100); !errors.Is(err, ErrNoSuchPage) {
+		t.Fatalf("FreePage of a never-allocated page: %v, want ErrNoSuchPage", err)
+	}
+	a, b := bp.NewPage(page.KindHeap), bp.NewPage(page.KindHeap)
+	if a.Page().ID() == b.Page().ID() {
+		t.Fatalf("one page ID handed out twice: %v", a.Page().ID())
+	}
+}
+
+func TestFreedIDReused(t *testing.T) {
+	bp := newPool()
+	a := bp.NewPage(page.KindHeap)
+	b := bp.NewPage(page.KindHeap)
+	if a.Page().ID() == b.Page().ID() {
+		t.Fatal("duplicate allocation")
+	}
+	freed := a.Page().ID()
+	bp.Unfix(a)
+	if err := bp.FreePage(freed); err != nil {
 		t.Fatal(err)
 	}
-	p, err := page.Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
+	c := bp.NewPage(page.KindIndexLeaf)
+	if c.Page().ID() != freed {
+		t.Fatalf("freed id not reused: got %v want %v", c.Page().ID(), freed)
 	}
-	if rec, err := p.Get(0); err != nil || string(rec) != "x" {
-		t.Fatalf("store content wrong: %q %v", rec, err)
+	if c.Page().Kind() != page.KindIndexLeaf || c.Page().NumSlots() != 0 {
+		t.Fatalf("reused page not fresh: kind=%v slots=%d", c.Page().Kind(), c.Page().NumSlots())
 	}
+	g, err := bp.Fix(freed)
+	if err != nil || g != c {
+		t.Fatalf("Fix of the reused id: frame %p err %v, want %p", g, err, c)
+	}
+	bp.Unfix(g)
+}
+
+// TestNewPageAllocBytes bounds the memory one new page costs: the page
+// itself plus at most 1 KiB of frame, latch and page-table bookkeeping.
+func TestNewPageAllocBytes(t *testing.T) {
+	const n = 1000
+	bp := newPool()
+	frames := make([]*Frame, 0, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		frames = append(frames, bp.NewPage(page.KindHeap))
+	}
+	runtime.ReadMemStats(&after)
+	limit := uint64(n * (page.Size + 1024))
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("%d NewPage calls allocated %d bytes, limit %d", n, got, limit)
+	}
+	runtime.KeepAlive(frames)
 }
 
 func TestLatchKindAssignment(t *testing.T) {
 	ls := &latch.Stats{}
-	bp := NewMemory(Config{LatchStats: ls, CSStats: &cs.Stats{}})
-	heapFrame, _ := bp.NewPage(page.KindHeap)
-	idxFrame, _ := bp.NewPage(page.KindIndexLeaf)
-	catFrame, _ := bp.NewPage(page.KindMetadata)
+	bp := New(Config{LatchStats: ls, CSStats: &cs.Stats{}})
+	heapFrame := bp.NewPage(page.KindHeap)
+	idxFrame := bp.NewPage(page.KindIndexLeaf)
+	catFrame := bp.NewPage(page.KindMetadata)
 	heapFrame.Latch().Acquire(latch.Shared)
 	heapFrame.Latch().Release(latch.Shared)
 	idxFrame.Latch().Acquire(latch.Shared)
@@ -174,38 +165,43 @@ func TestLatchKindAssignment(t *testing.T) {
 	if snap.Acquired[latch.KindHeap] != 1 || snap.Acquired[latch.KindIndex] != 1 || snap.Acquired[latch.KindCatalog] != 1 {
 		t.Fatalf("latch kinds misassigned: %+v", snap)
 	}
-	bp.Unfix(heapFrame, false)
-	bp.Unfix(idxFrame, false)
-	bp.Unfix(catFrame, false)
+	bp.Unfix(heapFrame)
+	bp.Unfix(idxFrame)
+	bp.Unfix(catFrame)
 }
 
+// TestBpoolCriticalSectionsReported checks the Figure 1 accounting: one
+// Bpool critical section per NewPage, Fix and FreePage, none per Unfix.
 func TestBpoolCriticalSectionsReported(t *testing.T) {
 	cstats := &cs.Stats{}
-	bp := NewMemory(Config{CSStats: cstats, LatchStats: &latch.Stats{}})
-	f, _ := bp.NewPage(page.KindHeap)
-	bp.Unfix(f, false)
+	bp := New(Config{CSStats: cstats, LatchStats: &latch.Stats{}})
+	f := bp.NewPage(page.KindHeap)
+	bp.Unfix(f)
 	for i := 0; i < 10; i++ {
 		g, err := bp.Fix(f.Page().ID())
 		if err != nil {
 			t.Fatal(err)
 		}
-		bp.Unfix(g, false)
+		bp.Unfix(g)
 	}
-	if cstats.Snapshot().Entered[cs.Bpool] == 0 {
-		t.Fatal("buffer pool critical sections not reported")
+	if err := bp.FreePage(f.Page().ID()); err != nil {
+		t.Fatal(err)
+	}
+	if got := cstats.Snapshot().Entered[cs.Bpool]; got != 12 {
+		t.Fatalf("Bpool critical sections = %d, want 12 (1 NewPage + 10 Fix + 1 FreePage)", got)
+	}
+	if got := bp.Stats().Fixes; got != 10 {
+		t.Fatalf("fixes = %d, want 10", got)
 	}
 }
 
 func TestConcurrentFixUnfix(t *testing.T) {
-	bp := newPool(0)
+	bp := newPool()
 	var ids []page.ID
 	for i := 0; i < 32; i++ {
-		f, err := bp.NewPage(page.KindHeap)
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := bp.NewPage(page.KindHeap)
 		ids = append(ids, f.Page().ID())
-		bp.Unfix(f, true)
+		bp.Unfix(f)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -221,7 +217,7 @@ func TestConcurrentFixUnfix(t *testing.T) {
 				}
 				f.Latch().Acquire(latch.Shared)
 				f.Latch().Release(latch.Shared)
-				bp.Unfix(f, false)
+				bp.Unfix(f)
 			}
 		}(g)
 	}
@@ -234,31 +230,61 @@ func TestConcurrentFixUnfix(t *testing.T) {
 		if f.PinCount() != 1 {
 			t.Fatalf("pin count leaked on %v: %d", id, f.PinCount())
 		}
-		bp.Unfix(f, false)
+		bp.Unfix(f)
 	}
 }
 
-func TestMemStoreAllocateFreeReuse(t *testing.T) {
-	s := NewMemStore()
-	a := s.Allocate()
-	b := s.Allocate()
-	if a == b {
-		t.Fatal("duplicate allocation")
+// TestConcurrentAllocFreeUniqueIDs runs NewPage, Fix and FreePage from 8
+// goroutines and checks that no ID is ever held by two live pages at once
+// and that each goroutine's pages keep their contents.
+func TestConcurrentAllocFreeUniqueIDs(t *testing.T) {
+	bp := newPool()
+	var live sync.Map // page.ID -> owning goroutine
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var mine []page.ID
+			for i := 0; i < 400; i++ {
+				f := bp.NewPage(page.KindHeap)
+				id := f.Page().ID()
+				if prev, dup := live.LoadOrStore(id, g); dup {
+					t.Errorf("id %v handed to goroutine %d while live in %v", id, g, prev)
+					return
+				}
+				if _, err := f.Page().Add([]byte{byte(g)}); err != nil {
+					t.Error(err)
+					return
+				}
+				bp.Unfix(f)
+				mine = append(mine, id)
+				for _, id := range mine {
+					h, err := bp.Fix(id)
+					if err != nil {
+						t.Errorf("Fix %v: %v", id, err)
+						return
+					}
+					if rec, err := h.Page().Get(0); err != nil || rec[0] != byte(g) {
+						t.Errorf("page %v of goroutine %d holds %v (%v)", id, g, rec, err)
+					}
+					bp.Unfix(h)
+				}
+				if i%3 == 2 {
+					// Free the oldest page; the ID becomes reusable.
+					id := mine[0]
+					mine = mine[1:]
+					live.Delete(id)
+					if err := bp.FreePage(id); err != nil {
+						t.Errorf("FreePage %v: %v", id, err)
+						return
+					}
+				}
+				if len(mine) > 8 {
+					mine = mine[len(mine)-8:]
+				}
+			}
+		}(g)
 	}
-	if err := s.Write(a, make([]byte, page.Size)); err != nil {
-		t.Fatal(err)
-	}
-	if s.NumAllocated() != 2 {
-		t.Fatalf("allocated=%d", s.NumAllocated())
-	}
-	if err := s.Free(a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Read(a); err == nil {
-		t.Fatal("read of freed page succeeded")
-	}
-	c := s.Allocate()
-	if c != a {
-		t.Fatalf("freed id not reused: got %v want %v", c, a)
-	}
+	wg.Wait()
 }

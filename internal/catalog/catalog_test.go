@@ -17,7 +17,7 @@ import (
 func testResources() Resources {
 	cstats := &cs.Stats{}
 	return Resources{
-		BufferPool:   bufferpool.NewMemory(bufferpool.Config{LatchStats: &latch.Stats{}, CSStats: cstats}),
+		BufferPool:   bufferpool.New(bufferpool.Config{LatchStats: &latch.Stats{}, CSStats: cstats}),
 		Log:          wal.NewConsolidated(cstats),
 		CSStats:      cstats,
 		IndexLatched: true,

@@ -29,7 +29,7 @@ type Category int
 const (
 	LockMgr        Category = iota // centralized (or thread-local) lock manager
 	Latching                       // page latching
-	Bpool                          // buffer pool internal state (hash table, frames)
+	Bpool                          // buffer pool internal state (page table, free page IDs)
 	Metadata                       // catalog and free-space metadata
 	LogMgr                         // write-ahead log buffer and flush path
 	XctMgr                         // transaction object / transaction manager state

@@ -191,8 +191,8 @@ func (w *Worker) SubmitBatch(ts *[]Task) error {
 	}
 }
 
-// SubmitSystem enqueues a high-priority system task (page cleaning requests
-// and repartitioning barriers use this queue, as described in Appendix A.4).
+// SubmitSystem enqueues a high-priority system task; repartitioning barriers
+// use this queue.
 func (w *Worker) SubmitSystem(t Task) error {
 	if w.stopped.Load() {
 		return ErrStopped

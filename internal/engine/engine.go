@@ -275,7 +275,7 @@ func Open(opts Options) (*Engine, error) {
 // build assembles the engine around an already-constructed log device.
 func build(opts Options, csStats *cs.Stats, log wal.Log) *Engine {
 	latchStats := &latch.Stats{}
-	bp := bufferpool.NewMemory(bufferpool.Config{LatchStats: latchStats, CSStats: csStats})
+	bp := bufferpool.New(bufferpool.Config{LatchStats: latchStats, CSStats: csStats})
 
 	var locks *lock.Manager
 	if opts.Design == Conventional {
@@ -327,20 +327,17 @@ func (e *Engine) observeAccess(table string, partition int, key []byte) {
 	}
 }
 
-// Close stops the partition workers, flushes the buffer pool and — for a
-// disk-backed engine — drains the log's outstanding tail to disk and closes
-// it, so a graceful shutdown never loses a lazily acknowledged commit.
+// Close stops the partition workers and — for a disk-backed engine — drains
+// the log's outstanding tail to disk and closes it, so a graceful shutdown
+// never loses a lazily acknowledged commit.
 func (e *Engine) Close() error {
 	if e.pool != nil {
 		e.pool.Stop()
 	}
-	err := e.bp.FlushAll()
 	if d, ok := e.log.(*wal.Durable); ok {
-		if cerr := d.Close(); err == nil {
-			err = cerr
-		}
+		return d.Close()
 	}
-	return err
+	return nil
 }
 
 // Options returns the engine's options.

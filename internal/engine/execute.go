@@ -827,7 +827,7 @@ func (e *Engine) collectRehome(tbl *catalog.Table, table string, lo, hi []byte) 
 			return false
 		}
 		curOwner := frame.Page().Owner()
-		e.bp.Unfix(frame, false)
+		e.bp.Unfix(frame)
 		entries = append(entries, rehomeEntry{key: append([]byte(nil), k...), rid: rid, owner: curOwner})
 		return true
 	})

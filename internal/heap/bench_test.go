@@ -11,7 +11,7 @@ import (
 )
 
 func benchFile(mode AccessMode) *File {
-	bp := bufferpool.NewMemory(bufferpool.Config{LatchStats: &latch.Stats{}, CSStats: &cs.Stats{}})
+	bp := bufferpool.New(bufferpool.Config{LatchStats: &latch.Stats{}, CSStats: &cs.Stats{}})
 	return New(1, bp, mode, &cs.Stats{})
 }
 

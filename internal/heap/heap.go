@@ -128,7 +128,7 @@ func (f *File) pickPage(owner uint64, need int) (page.ID, error) {
 		f.acquire(nil, frame, latch.Shared)
 		ok := frame.Page().HasRoomFor(need)
 		f.release(frame, latch.Shared)
-		f.bp.Unfix(frame, false)
+		f.bp.Unfix(frame)
 		if ok {
 			return pid, nil
 		}
@@ -143,14 +143,11 @@ func (f *File) pickPage(owner uint64, need int) (page.ID, error) {
 	f.mu.Unlock()
 
 	// Allocate a fresh page for this owner.
-	frame, err := f.bp.NewPage(page.KindHeap)
-	if err != nil {
-		return page.InvalidID, err
-	}
+	frame := f.bp.NewPage(page.KindHeap)
 	p := frame.Page()
 	p.SetOwner(owner)
 	pid := p.ID()
-	f.bp.Unfix(frame, true)
+	f.bp.Unfix(frame)
 
 	f.lockMeta()
 	f.freeByOwner[owner] = append(f.freeByOwner[owner], pid)
@@ -199,14 +196,14 @@ func (f *File) Insert(t *txn.Txn, owner uint64, rec []byte) (page.RID, error) {
 		slot, err := frame.Page().Add(rec)
 		if err == nil {
 			f.release(frame, latch.Exclusive)
-			f.bp.Unfix(frame, true)
+			f.bp.Unfix(frame)
 			f.lockMeta()
 			f.nRecords++
 			f.mu.Unlock()
 			return page.RID{Page: pid, Slot: slot}, nil
 		}
 		f.release(frame, latch.Exclusive)
-		f.bp.Unfix(frame, false)
+		f.bp.Unfix(frame)
 		if !errors.Is(err, page.ErrPageFull) {
 			return page.RID{}, err
 		}
@@ -228,7 +225,7 @@ func (f *File) Get(t *txn.Txn, rid page.RID) ([]byte, error) {
 		out = append([]byte(nil), rec...)
 	}
 	f.release(frame, latch.Shared)
-	f.bp.Unfix(frame, false)
+	f.bp.Unfix(frame)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoSuchRecord, rid)
 	}
@@ -240,7 +237,7 @@ func (f *File) Get(t *txn.Txn, rid page.RID) ([]byte, error) {
 // that share pages takes one buffer-pool critical section per page
 // instead of one per record.  In Latched mode Get takes the page's shared
 // latch and Release drops it, once per record exactly like File.Get; the
-// pin alone outlives Release, and a pin blocks nothing but eviction.
+// pin alone outlives Release, and a pin blocks nothing but FreePage.
 // A Reader is used by one goroutine and must be closed.
 type Reader struct {
 	f       *File
@@ -260,7 +257,7 @@ func (f *File) NewReader(t *txn.Txn) *Reader {
 // caller latches any other page.
 func (r *Reader) Get(rid page.RID) ([]byte, error) {
 	if r.frame != nil && r.frame.Page().ID() != rid.Page {
-		r.f.bp.Unfix(r.frame, false)
+		r.f.bp.Unfix(r.frame)
 		r.frame = nil
 	}
 	if r.frame == nil {
@@ -293,7 +290,7 @@ func (r *Reader) Release() {
 func (r *Reader) Close() {
 	r.Release()
 	if r.frame != nil {
-		r.f.bp.Unfix(r.frame, false)
+		r.f.bp.Unfix(r.frame)
 		r.frame = nil
 	}
 }
@@ -309,7 +306,7 @@ func (f *File) Update(t *txn.Txn, rid page.RID, rec []byte) error {
 	f.acquire(t, frame, latch.Exclusive)
 	err = frame.Page().Set(rid.Slot, rec)
 	f.release(frame, latch.Exclusive)
-	f.bp.Unfix(frame, err == nil)
+	f.bp.Unfix(frame)
 	if err != nil {
 		return fmt.Errorf("heap: update %v: %w", rid, err)
 	}
@@ -325,7 +322,7 @@ func (f *File) Delete(t *txn.Txn, rid page.RID) error {
 	f.acquire(t, frame, latch.Exclusive)
 	err = frame.Page().Delete(rid.Slot)
 	f.release(frame, latch.Exclusive)
-	f.bp.Unfix(frame, err == nil)
+	f.bp.Unfix(frame)
 	if err != nil {
 		return fmt.Errorf("heap: delete %v: %w", rid, err)
 	}
@@ -354,7 +351,7 @@ func (f *File) ownerOf(pid page.ID) (uint64, error) {
 		return 0, err
 	}
 	owner := frame.Page().Owner()
-	f.bp.Unfix(frame, false)
+	f.bp.Unfix(frame)
 	return owner, nil
 }
 
@@ -408,7 +405,7 @@ func (f *File) scanPage(t *txn.Txn, pid page.ID, fn ScanFunc) error {
 		}
 	}
 	f.release(frame, latch.Shared)
-	f.bp.Unfix(frame, false)
+	f.bp.Unfix(frame)
 	if stop {
 		return nil
 	}
@@ -466,7 +463,7 @@ func (f *File) Stats() Stats {
 		f.acquire(nil, frame, latch.Shared)
 		st.UsedBytes += frame.Page().UsedBytes()
 		f.release(frame, latch.Shared)
-		f.bp.Unfix(frame, false)
+		f.bp.Unfix(frame)
 	}
 	return st
 }

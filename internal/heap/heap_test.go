@@ -17,7 +17,7 @@ import (
 
 func newFile(mode AccessMode) (*File, *latch.Stats) {
 	ls := &latch.Stats{}
-	bp := bufferpool.NewMemory(bufferpool.Config{LatchStats: ls, CSStats: &cs.Stats{}})
+	bp := bufferpool.New(bufferpool.Config{LatchStats: ls, CSStats: &cs.Stats{}})
 	return New(1, bp, mode, &cs.Stats{}), ls
 }
 
@@ -365,7 +365,7 @@ func TestReaderFixesOncePerPage(t *testing.T) {
 			if pins := frame.PinCount(); pins != 1 {
 				t.Fatalf("mode %d: page %v has %d pins after Close, want only this test's", mode, pid, pins)
 			}
-			f.bp.Unfix(frame, false)
+			f.bp.Unfix(frame)
 		}
 	}
 }
@@ -390,7 +390,7 @@ func TestReaderMissingRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.bp.Unfix(frame, false)
+	defer f.bp.Unfix(frame)
 	if !frame.Latch().TryAcquire(latch.Exclusive) {
 		t.Fatal("failed Get left the page latched")
 	}

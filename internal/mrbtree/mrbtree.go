@@ -92,22 +92,16 @@ func Create(bp *bufferpool.Pool, id uint32, cfg Config, boundaries ...[]byte) (*
 	starts = append(starts, nil)
 	starts = append(starts, boundaries...)
 	for _, s := range starts {
-		sub, err := btree.Create(bp, id, t.subConfig())
-		if err != nil {
-			return nil, err
-		}
+		sub := btree.Create(bp, id, t.subConfig())
 		t.parts = append(t.parts, Partition{Start: append([]byte(nil), s...), Tree: sub})
 	}
 	// The first partition's Start must be nil, not an empty non-nil slice.
 	t.parts[0].Start = nil
 
-	rf, err := bp.NewPage(page.KindRouting)
-	if err != nil {
-		return nil, err
-	}
+	rf := bp.NewPage(page.KindRouting)
 	t.routing = rf.Page().ID()
 	rf.Page().SetOwner(uint64(id))
-	bp.Unfix(rf, true)
+	bp.Unfix(rf)
 	if err := t.writeRoutingPage(); err != nil {
 		return nil, err
 	}
@@ -455,11 +449,11 @@ func (t *Tree) writeRoutingPage() error {
 		if err := p.InsertAt(i, entry); err != nil {
 			// Several dozen mappings fit easily in 8 KiB (Appendix A.1); an
 			// overflow means the configuration is unreasonable.
-			t.bp.Unfix(frame, true)
+			t.bp.Unfix(frame)
 			return fmt.Errorf("mrbtree: routing page overflow at partition %d: %w", i, err)
 		}
 	}
-	t.bp.Unfix(frame, true)
+	t.bp.Unfix(frame)
 	t.cfg.CSStats.Record(cs.Metadata, false)
 	return nil
 }
@@ -499,12 +493,12 @@ func Open(bp *bufferpool.Pool, id uint32, routing page.ID, cfg Config) (*Tree, e
 	for i := 0; i < p.NumSlots(); i++ {
 		buf, gerr := p.GetAt(i)
 		if gerr != nil {
-			bp.Unfix(frame, false)
+			bp.Unfix(frame)
 			return nil, gerr
 		}
 		start, root, derr := decodeRoutingEntry(buf)
 		if derr != nil {
-			bp.Unfix(frame, false)
+			bp.Unfix(frame)
 			return nil, derr
 		}
 		if i == 0 {
@@ -515,7 +509,7 @@ func Open(bp *bufferpool.Pool, id uint32, routing page.ID, cfg Config) (*Tree, e
 			Tree:  btree.Open(bp, id, root, t.subConfig()),
 		})
 	}
-	bp.Unfix(frame, false)
+	bp.Unfix(frame)
 	if len(t.parts) == 0 {
 		return nil, ErrNoPartitions
 	}

@@ -14,7 +14,7 @@ import (
 )
 
 func newPool() *bufferpool.Pool {
-	return bufferpool.NewMemory(bufferpool.Config{LatchStats: &latch.Stats{}, CSStats: &cs.Stats{}})
+	return bufferpool.New(bufferpool.Config{LatchStats: &latch.Stats{}, CSStats: &cs.Stats{}})
 }
 
 func boundaries(max uint64, n int) [][]byte {

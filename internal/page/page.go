@@ -26,9 +26,13 @@ import (
 // Size is the size of every database page in bytes (8 KiB, as in the paper).
 const Size = 8192
 
-// headerSize is the number of bytes reserved at the start of each page for
-// the page header.
+// headerSize is the number of bytes of each page taken by the header and the
+// slot bookkeeping fields.
 const headerSize = 64
+
+// dataSize is the number of bytes left for the slot directory and the record
+// data, so that a whole Page occupies exactly Size bytes of memory.
+const dataSize = Size - headerSize
 
 // slotSize is the size of one slot directory entry: 2 bytes offset +
 // 2 bytes length.
@@ -131,10 +135,9 @@ var (
 )
 
 // MaxRecordSize is the largest record that fits on an empty page.
-const MaxRecordSize = Size - headerSize - slotSize
+const MaxRecordSize = dataSize - slotSize
 
-// Header holds the page metadata.  It lives at the front of the page buffer
-// and is serialized into the first headerSize bytes.
+// Header holds the page metadata.
 type Header struct {
 	ID    ID
 	Kind  Kind
@@ -148,11 +151,11 @@ type Header struct {
 // Page is an in-memory 8 KiB slotted page.
 type Page struct {
 	hdr      Header
-	nslots   uint16 // number of slot directory entries (including tombstones)
-	nrecords uint16 // number of live records
-	dataLow  uint16 // lowest byte offset used by record data (records grow down)
-	garbage  uint16 // bytes occupied by deleted record data (reclaimable by compaction)
-	buf      [Size]byte
+	nslots   uint16         // number of slot directory entries (including tombstones)
+	nrecords uint16         // number of live records
+	dataLow  uint16         // lowest byte offset used by record data (records grow down)
+	garbage  uint16         // bytes occupied by deleted record data (reclaimable by compaction)
+	buf      [dataSize]byte // slot directory, free space, record data
 }
 
 // New returns an initialized page of the given kind and id.
@@ -167,7 +170,7 @@ func (p *Page) Reset(id ID, kind Kind) {
 	p.hdr = Header{ID: id, Kind: kind}
 	p.nslots = 0
 	p.nrecords = 0
-	p.dataLow = Size
+	p.dataLow = dataSize
 	p.garbage = 0
 }
 
@@ -227,7 +230,7 @@ func (p *Page) NumRecords() int { return int(p.nrecords) }
 
 // slotRef returns the offset/length pair stored in slot i.
 func (p *Page) slotRef(i int) (off, length uint16) {
-	base := headerSize + i*slotSize
+	base := i * slotSize
 	off = binary.LittleEndian.Uint16(p.buf[base:])
 	length = binary.LittleEndian.Uint16(p.buf[base+2:])
 	return off, length
@@ -235,13 +238,13 @@ func (p *Page) slotRef(i int) (off, length uint16) {
 
 // setSlotRef stores the offset/length pair into slot i.
 func (p *Page) setSlotRef(i int, off, length uint16) {
-	base := headerSize + i*slotSize
+	base := i * slotSize
 	binary.LittleEndian.PutUint16(p.buf[base:], off)
 	binary.LittleEndian.PutUint16(p.buf[base+2:], length)
 }
 
 // slotDirEnd returns the byte offset just past the slot directory.
-func (p *Page) slotDirEnd() int { return headerSize + int(p.nslots)*slotSize }
+func (p *Page) slotDirEnd() int { return int(p.nslots) * slotSize }
 
 // ContiguousFreeSpace returns the number of bytes available between the slot
 // directory and the record data without compaction, accounting for the slot
@@ -302,8 +305,8 @@ func (p *Page) ensureRoom(n int) error {
 // compact rewrites the record data area to squeeze out garbage left by
 // deleted or shrunk records.  Slot numbers are preserved.
 func (p *Page) compact() {
-	var scratch [Size]byte
-	writePos := Size
+	var scratch [dataSize]byte
+	writePos := dataSize
 	for i := 0; i < int(p.nslots); i++ {
 		off, length := p.slotRef(i)
 		if off == tombstoneOffset || length == 0 && off == 0 {
@@ -438,7 +441,7 @@ func (p *Page) InsertAt(pos int, rec []byte) error {
 	}
 	// Shift slot entries [pos, nslots) up by one.
 	end := p.slotDirEnd()
-	base := headerSize + pos*slotSize
+	base := pos * slotSize
 	copy(p.buf[base+slotSize:end+slotSize], p.buf[base:end])
 	off := p.writeRecordData(rec)
 	p.nslots++
@@ -454,7 +457,7 @@ func (p *Page) RemoveAt(pos int) error {
 	}
 	_, length := p.slotRef(pos)
 	p.garbage += length
-	base := headerSize + pos*slotSize
+	base := pos * slotSize
 	end := p.slotDirEnd()
 	copy(p.buf[base:], p.buf[base+slotSize:end])
 	p.nslots--
@@ -525,50 +528,4 @@ func (p *Page) UsedBytes() int {
 		}
 	}
 	return used
-}
-
-//
-// Serialization.  Pages are serialized to a flat byte slice when written to
-// the (in-memory) backing store, and deserialized when fixed back into the
-// buffer pool.  The record data and slot directory are already stored in the
-// page buffer; only the header and bookkeeping fields need to be encoded.
-//
-
-// Marshal serializes the page into a newly allocated Size-byte slice.
-func (p *Page) Marshal() []byte {
-	out := make([]byte, Size)
-	copy(out, p.buf[:])
-	binary.LittleEndian.PutUint64(out[0:], uint64(p.hdr.ID))
-	out[8] = byte(p.hdr.Kind)
-	binary.LittleEndian.PutUint64(out[9:], p.hdr.LSN)
-	binary.LittleEndian.PutUint64(out[17:], uint64(p.hdr.Prev))
-	binary.LittleEndian.PutUint64(out[25:], uint64(p.hdr.Next))
-	binary.LittleEndian.PutUint64(out[33:], p.hdr.Owner)
-	binary.LittleEndian.PutUint64(out[41:], p.hdr.Extra)
-	binary.LittleEndian.PutUint16(out[49:], p.nslots)
-	binary.LittleEndian.PutUint16(out[51:], p.nrecords)
-	binary.LittleEndian.PutUint16(out[53:], p.dataLow)
-	binary.LittleEndian.PutUint16(out[55:], p.garbage)
-	return out
-}
-
-// Unmarshal deserializes a page previously produced by Marshal.
-func Unmarshal(data []byte) (*Page, error) {
-	if len(data) != Size {
-		return nil, fmt.Errorf("page: unmarshal needs %d bytes, got %d", Size, len(data))
-	}
-	p := &Page{}
-	copy(p.buf[:], data)
-	p.hdr.ID = ID(binary.LittleEndian.Uint64(data[0:]))
-	p.hdr.Kind = Kind(data[8])
-	p.hdr.LSN = binary.LittleEndian.Uint64(data[9:])
-	p.hdr.Prev = ID(binary.LittleEndian.Uint64(data[17:]))
-	p.hdr.Next = ID(binary.LittleEndian.Uint64(data[25:]))
-	p.hdr.Owner = binary.LittleEndian.Uint64(data[33:])
-	p.hdr.Extra = binary.LittleEndian.Uint64(data[41:])
-	p.nslots = binary.LittleEndian.Uint16(data[49:])
-	p.nrecords = binary.LittleEndian.Uint16(data[51:])
-	p.dataLow = binary.LittleEndian.Uint16(data[53:])
-	p.garbage = binary.LittleEndian.Uint16(data[55:])
-	return p, nil
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewPageEmpty(t *testing.T) {
@@ -18,6 +19,21 @@ func TestNewPageEmpty(t *testing.T) {
 	}
 	if p.FreeSpace() <= 0 || p.FreeSpace() > Size {
 		t.Fatalf("weird free space %d", p.FreeSpace())
+	}
+}
+
+// TestPageOccupiesSize checks that a Page, header included, is exactly Size
+// bytes, so the allocator hands out one 8 KiB block per page.
+func TestPageOccupiesSize(t *testing.T) {
+	if got := unsafe.Sizeof(Page{}); got != Size {
+		t.Fatalf("sizeof(Page) = %d, want %d", got, Size)
+	}
+	p := New(1, KindHeap)
+	if _, err := p.Add(make([]byte, MaxRecordSize)); err != nil {
+		t.Fatalf("max-size record rejected: %v", err)
+	}
+	if p.FreeSpace() != 0 {
+		t.Fatalf("free space %d after a max-size record", p.FreeSpace())
 	}
 }
 
@@ -176,49 +192,6 @@ func TestSetAtAndBounds(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	p := New(77, KindHeap)
-	p.SetNext(78)
-	p.SetPrev(76)
-	p.SetOwner(5)
-	p.SetExtra(9)
-	p.SetLSN(1234)
-	var slots []uint16
-	for i := 0; i < 20; i++ {
-		s, err := p.Add([]byte(fmt.Sprintf("rec-%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		slots = append(slots, s)
-	}
-	_ = p.Delete(slots[3])
-
-	q, err := Unmarshal(p.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.ID() != 77 || q.Kind() != KindHeap || q.Next() != 78 || q.Prev() != 76 ||
-		q.Owner() != 5 || q.Extra() != 9 || q.LSN() != 1234 {
-		t.Fatalf("header mismatch after round trip: %+v", q.Header())
-	}
-	if q.NumRecords() != p.NumRecords() {
-		t.Fatalf("record count mismatch: %d vs %d", q.NumRecords(), p.NumRecords())
-	}
-	for _, s := range slots {
-		want, werr := p.Get(s)
-		got, gerr := q.Get(s)
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("slot %d: err mismatch %v vs %v", s, werr, gerr)
-		}
-		if werr == nil && !bytes.Equal(want, got) {
-			t.Fatalf("slot %d: %q vs %q", s, want, got)
-		}
-	}
-	if _, err := Unmarshal(make([]byte, 10)); err == nil {
-		t.Fatal("short unmarshal accepted")
-	}
-}
-
 func TestRIDEncoding(t *testing.T) {
 	r := RID{Page: 123456, Slot: 789}
 	dec, err := DecodeRID(EncodeRID(r))
@@ -299,44 +272,6 @@ func TestPropertyStableSlots(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPropertyMarshalRoundTrip checks that Marshal/Unmarshal preserve an
-// arbitrary page produced by random operations.
-func TestPropertyMarshalRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p := New(ID(rng.Uint64()|1), KindIndexLeaf)
-		for i := 0; i < 30; i++ {
-			rec := make([]byte, 1+rng.Intn(100))
-			rng.Read(rec)
-			pos := 0
-			if p.NumSlots() > 0 {
-				pos = rng.Intn(p.NumSlots() + 1)
-			}
-			if err := p.InsertAt(pos, rec); err != nil {
-				return false
-			}
-		}
-		q, err := Unmarshal(p.Marshal())
-		if err != nil {
-			return false
-		}
-		if q.NumSlots() != p.NumSlots() {
-			return false
-		}
-		for i := 0; i < p.NumSlots(); i++ {
-			a, _ := p.GetAt(i)
-			b, _ := q.GetAt(i)
-			if !bytes.Equal(a, b) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
