@@ -52,8 +52,10 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"plp/keys"
@@ -262,8 +264,9 @@ type Client struct {
 	retry    *RetryPolicy
 
 	// Outgoing frames are handed to a writer goroutine that batches them
-	// into one buffered write, flushing when the queue drains — under
-	// pipelining many requests leave in a single syscall.
+	// into one buffered write.  It flushes when the queue drains, after
+	// yielding once first if another request is unanswered (see writeLoop),
+	// so under pipelining many requests leave in a single syscall.
 	writeCh    chan []byte
 	writerQuit chan struct{}
 	quitOnce   sync.Once
@@ -274,6 +277,9 @@ type Client struct {
 	nextID  uint64
 	closed  bool
 	broken  error // first transport error; poisons the client
+	// unanswered mirrors len(pending)+len(streams), stored under mu at
+	// every change, so writeLoop reads it without taking mu.
+	unanswered atomic.Int64
 
 	readerDone chan struct{}
 }
@@ -384,27 +390,33 @@ func (c *Client) Authenticated() bool { return c.authed }
 func (c *Client) ReadOnly() bool { return c.readOnly }
 
 // writeLoop drains the outgoing queue into a buffered writer, flushing
-// whenever the queue is empty: an idle connection sends every frame
-// immediately, a pipelining one batches frames into single writes.
+// when the queue is empty.  Before flushing, a writer that has not yielded
+// since its last flush, with a request unanswered besides the one just
+// written, yields once (runtime.Gosched): callers already runnable submit
+// meanwhile, and their frames leave in the same write(2).  A connection
+// with one request in flight sends every frame at once; the yield is one
+// scheduler pass, so no frame waits for a slower request.
 func (c *Client) writeLoop() {
 	bw := bufio.NewWriterSize(c.conn, 64<<10)
+	yielded := false
 	for {
 		select {
 		case payload := <-c.writeCh:
-			for {
-				if err := wire.WriteFrame(bw, payload); err != nil {
-					c.fail(err)
-					return
-				}
-				// Drain whatever queued meanwhile with cheap non-blocking
-				// receives, then flush the whole batch at once.
-				select {
-				case payload = <-c.writeCh:
-					continue
-				default:
-				}
-				break
+			if err := wire.WriteFrame(bw, payload); err != nil {
+				c.fail(err)
+				return
 			}
+			if len(c.writeCh) > 0 {
+				continue
+			}
+			if !yielded && c.unanswered.Load() > 1 {
+				yielded = true
+				runtime.Gosched()
+				if len(c.writeCh) > 0 {
+					continue
+				}
+			}
+			yielded = false
 			if err := bw.Flush(); err != nil {
 				c.fail(err)
 				return
@@ -413,6 +425,12 @@ func (c *Client) writeLoop() {
 			return
 		}
 	}
+}
+
+// countLocked refreshes unanswered after pending or streams changed; the
+// caller holds c.mu.
+func (c *Client) countLocked() {
+	c.unanswered.Store(int64(len(c.pending) + len(c.streams)))
 }
 
 // readLoop matches response frames to pending futures by request ID.
@@ -461,6 +479,7 @@ func (c *Client) readLoop() {
 		c.mu.Lock()
 		f := c.pending[resp.ID]
 		delete(c.pending, resp.ID)
+		c.countLocked()
 		c.mu.Unlock()
 		if f != nil {
 			f.complete(resp, nil)
@@ -486,6 +505,7 @@ func (c *Client) fail(err error) {
 	c.pending = make(map[uint64]*Future)
 	streams := c.streams
 	c.streams = make(map[uint64]chan *wire.ScanChunk)
+	c.countLocked()
 	c.mu.Unlock()
 	c.quitOnce.Do(func() { close(c.writerQuit) })
 	_ = c.conn.Close()
@@ -557,6 +577,7 @@ func (c *Client) submitAsync(ctx context.Context, encode func(id uint64) []byte)
 	c.nextID++
 	f.id = c.nextID
 	c.pending[f.id] = f
+	c.countLocked()
 	c.mu.Unlock()
 
 	c.enqueue(encode(f.id))
@@ -597,6 +618,7 @@ func (f *Future) Wait(ctx context.Context) (*wire.Response, error) {
 func (c *Client) abandon(f *Future) {
 	c.mu.Lock()
 	delete(c.pending, f.id)
+	c.countLocked()
 	c.mu.Unlock()
 }
 

@@ -101,6 +101,7 @@ func (c *Client) ScanStream(ctx context.Context, table string, lo, hi []byte, op
 	c.nextID++
 	st.id = c.nextID
 	c.streams[st.id] = st.ch
+	c.countLocked()
 	c.mu.Unlock()
 	c.enqueue(wire.EncodeScanRequest(st.id, sc))
 	return st, nil
@@ -191,6 +192,7 @@ func (st *ScanStream) abort() {
 func (st *ScanStream) unregister() {
 	st.c.mu.Lock()
 	delete(st.c.streams, st.id)
+	st.c.countLocked()
 	st.c.mu.Unlock()
 }
 

@@ -9,6 +9,12 @@
 // keeps every partition worker of the engine busy from a single connection,
 // instead of serializing the connection on one request at a time.
 //
+// The writer flushes its buffer only when its outbox drains.  While other
+// requests of the connection are still unanswered it first yields once, so
+// replies completing together leave in one write(2) instead of one each; a
+// connection with one request in flight is flushed at once.  The client's
+// writer follows the same rule for requests.
+//
 // A transaction has one form on the server, a plan (package plan).  Plan
 // frames arrive as one; flat statement requests are translated into one.
 // Both then take the same path — admission checks, shard placement,
@@ -26,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -418,6 +425,82 @@ type outMsg struct {
 	raw  []byte
 }
 
+// outbox is a connection's queue of frames bound for its writer, plus the
+// number of requests the reader accepted whose executor has not yet handed
+// the writer its reply.  The writer reads that count to decide whether
+// yielding once before a flush can put more replies into the same write.
+type outbox struct {
+	ch         chan outMsg
+	unanswered atomic.Int64
+}
+
+// reply hands a request's last frame to the writer.  The request stops
+// counting as unanswered first, so the writer counts only the others.
+func (o *outbox) reply(m outMsg) {
+	o.unanswered.Add(-1)
+	o.ch <- m
+}
+
+// send hands the writer a frame of a request that goes on running (a
+// stream's chunk).  The request does not count as unanswered while the
+// frame is handed over, so a lone stream's chunks are flushed at once.
+func (o *outbox) send(m outMsg) {
+	o.unanswered.Add(-1)
+	o.ch <- m
+	o.unanswered.Add(1)
+}
+
+// writeLoop sends the outbox's frames to conn until the outbox is closed.
+// Frames go into a buffered writer, flushed only when the outbox drains.
+// Before flushing, a writer that has not yielded since its last flush, on a
+// connection with another request still unanswered, yields once
+// (runtime.Gosched): executors already runnable queue their replies
+// meanwhile, and those leave in the same write(2).  With one request in
+// flight the writer flushes at once, so a serial connection pays nothing;
+// and no reply waits on a slower request, since the yield is one scheduler
+// pass, not a wait for the connection to go idle.
+func (o *outbox) writeLoop(conn net.Conn) {
+	bw := bufio.NewWriterSize(conn, 64<<10)
+	broken, yielded := false, false
+	fail := func() {
+		broken = true
+		_ = conn.Close() // unblocks the reader, which winds the pipeline down
+	}
+	// One encode buffer serves every response of the connection:
+	// WriteFrame copies it into the buffered writer before the next reply
+	// is encoded, so reuse is safe and steady-state encoding stops
+	// allocating per reply.
+	var encBuf []byte
+	for m := range o.ch {
+		if broken {
+			continue // keep draining so executors never block on the outbox
+		}
+		payload := m.raw
+		if payload == nil {
+			encBuf = wire.AppendResponse(encBuf[:0], m.resp)
+			payload = encBuf
+		}
+		if err := wire.WriteFrame(bw, payload); err != nil {
+			fail()
+			continue
+		}
+		if len(o.ch) > 0 {
+			continue
+		}
+		if !yielded && o.unanswered.Load() > 0 {
+			yielded = true
+			runtime.Gosched()
+			if len(o.ch) > 0 {
+				continue
+			}
+		}
+		yielded = false
+		if err := bw.Flush(); err != nil {
+			fail()
+		}
+	}
+}
+
 // servePipelined is the request loop: this goroutine reads and decodes
 // frames, a bounded executor pool runs each request on its own engine
 // session, and a writer goroutine sends responses in completion order.  The
@@ -435,7 +518,7 @@ func (s *Server) servePipelined(conn net.Conn, br *bufio.Reader, first []byte, c
 	}
 
 	work := make(chan workItem, queue)
-	out := make(chan outMsg, queue)
+	out := &outbox{ch: make(chan outMsg, queue)}
 	writerDone := make(chan struct{})
 	connDone := make(chan struct{}) // closed when the reader loop exits
 	var inflight sync.Map           // request ID -> *atomic.Bool (cancel flag)
@@ -443,39 +526,7 @@ func (s *Server) servePipelined(conn net.Conn, br *bufio.Reader, first []byte, c
 
 	go func() {
 		defer close(writerDone)
-		// Responses are buffered and flushed only when the outbox drains:
-		// under load many responses leave in one syscall, while an idle
-		// connection still gets every response immediately.
-		bw := bufio.NewWriterSize(conn, 64<<10)
-		broken := false
-		fail := func() {
-			broken = true
-			_ = conn.Close() // unblocks the reader, which winds the pipeline down
-		}
-		// One encode buffer serves every response of the connection:
-		// WriteFrame copies it into the buffered writer before the next
-		// reply is encoded, so reuse is safe and steady-state encoding
-		// stops allocating per reply.
-		var encBuf []byte
-		for m := range out {
-			if broken {
-				continue // keep draining so executors never block on out
-			}
-			payload := m.raw
-			if payload == nil {
-				encBuf = wire.AppendResponse(encBuf[:0], m.resp)
-				payload = encBuf
-			}
-			if err := wire.WriteFrame(bw, payload); err != nil {
-				fail()
-				continue
-			}
-			if len(out) == 0 {
-				if err := bw.Flush(); err != nil {
-					fail()
-				}
-			}
-		}
+		out.writeLoop(conn)
 	}()
 
 	var wg sync.WaitGroup
@@ -491,7 +542,7 @@ func (s *Server) servePipelined(conn net.Conn, br *bufio.Reader, first []byte, c
 					// this executor slot until the stream ends.
 					s.streamScan(item.payload, item.canceled, out, &scanFlows, connDone)
 				} else {
-					out <- outMsg{resp: s.handleFrame(sess, item.payload, cs, item.canceled)}
+					out.reply(outMsg{resp: s.handleFrame(sess, item.payload, cs, item.canceled)})
 				}
 				if id, ok := wire.RequestID(item.payload); ok {
 					// Delete exactly this request's flag.  A client reusing a
@@ -543,13 +594,14 @@ func (s *Server) servePipelined(conn net.Conn, br *bufio.Reader, first []byte, c
 		if id, ok := wire.RequestID(payload); ok {
 			inflight.Store(id, item.canceled)
 		}
+		out.unanswered.Add(1)
 		work <- item
 		payload = nil
 	}
 	close(connDone) // unblock credit-stalled streams: their client is gone
 	close(work)
 	wg.Wait()
-	close(out)
+	close(out.ch)
 	<-writerDone
 }
 

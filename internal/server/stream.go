@@ -63,12 +63,13 @@ func creditScan(flows *sync.Map, payload []byte) {
 
 // streamScan runs one streaming scan on an executor goroutine, emitting
 // chunks through the connection's outbox until the range is exhausted, the
-// limit is met, the client cancels, or the connection dies.
-func (s *Server) streamScan(payload []byte, canceled *atomic.Bool, out chan<- outMsg, flows *sync.Map, connDone <-chan struct{}) {
+// limit is met, the client cancels, or the connection dies.  The final
+// chunk is the stream's reply; the ones before it are sent while it runs.
+func (s *Server) streamScan(payload []byte, canceled *atomic.Bool, out *outbox, flows *sync.Map, connDone <-chan struct{}) {
 	s.requests.Add(1)
 	emitFinal := func(errMsg string) {
-		out <- outMsg{raw: wire.AppendScanChunk(nil, &wire.ScanChunk{
-			ID: mustRequestID(payload), Final: true, Err: errMsg})}
+		out.reply(outMsg{raw: wire.AppendScanChunk(nil, &wire.ScanChunk{
+			ID: mustRequestID(payload), Final: true, Err: errMsg})})
 	}
 	f, err := wire.DecodeFrameV3(payload)
 	if err != nil || f.Scan == nil {
@@ -129,6 +130,7 @@ func (s *Server) streamScan(payload []byte, canceled *atomic.Bool, out chan<- ou
 			select {
 			case <-fl.notify:
 			case <-connDone:
+				out.unanswered.Add(-1)
 				return // connection gone; there is nobody to send to
 			}
 		}
@@ -157,7 +159,12 @@ func (s *Server) streamScan(payload []byte, canceled *atomic.Bool, out chan<- ou
 			}
 		}
 		fl.credits.Add(-1)
-		out <- outMsg{raw: wire.AppendScanChunk(nil, chunk)}
+		m := outMsg{raw: wire.AppendScanChunk(nil, chunk)}
+		if chunk.Final {
+			out.reply(m)
+		} else {
+			out.send(m)
+		}
 		latScanChunk.observe(start)
 		if chunk.Final {
 			s.committed.Add(1)
