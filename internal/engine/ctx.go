@@ -140,34 +140,27 @@ func (c *Ctx) lockKey(tbl *catalog.Table, key []byte, mode lock.Mode) error {
 	return nil
 }
 
-// logModification appends a logical log record for a data modification.  The
-// payload carries the table, key and before/after record images so that
-// logical restart recovery (package recovery) can rebuild the database from
-// the log alone.
-func (c *Ctx) logModification(t wal.RecordType, tbl *catalog.Table, key, before, after []byte) {
-	if c.loading || c.eng.log == nil {
-		return
-	}
-	rec := &wal.Record{
-		Txn:     c.tx.ID(),
-		Type:    t,
-		PrevLSN: c.tx.LastLSN(),
-		Payload: logrec.EncodeModification(logrec.Modification{
-			Table:  tbl.Def.Name,
-			Key:    key,
-			Before: before,
-			After:  after,
-		}),
-	}
-	start := time.Now()
-	lsn := c.eng.log.Append(rec)
-	c.tx.Breakdown.AddWait(txn.WaitLog, time.Since(start))
-	c.tx.SetLastLSN(lsn)
+// logModification appends a redo log record for a data modification of
+// the record under key: the table, the key and after, the whole record
+// image after the change (nil for a delete).  That is all logical restart
+// recovery (package recovery) needs to rebuild the database from the log.
+// No before-image is logged because nothing would read it: the no-steal,
+// memory-resident buffer pool never exposes an uncommitted change to
+// stable storage, an abort undoes through the closures pushUndo keeps, and
+// replay skips the records of transactions that did not commit.
+func (c *Ctx) logModification(t wal.RecordType, tbl *catalog.Table, key, after []byte) {
+	c.appendLog(t, logrec.Modification{Table: tbl.Def.Name, Key: key, After: after})
 }
 
-// logSecondary appends a logical log record for a secondary-index
+// logSecondary appends a redo log record for a secondary-index
 // modification so that recovery can rebuild secondary indexes as well.
-func (c *Ctx) logSecondary(t wal.RecordType, table, index string, secKey, before, after []byte) {
+func (c *Ctx) logSecondary(t wal.RecordType, table, index string, secKey, after []byte) {
+	c.appendLog(t, logrec.Modification{Table: table, Index: index, Key: secKey, After: after})
+}
+
+// appendLog encodes m and appends it to the log on behalf of the
+// transaction, unless the context is a loader or the engine has no log.
+func (c *Ctx) appendLog(t wal.RecordType, m logrec.Modification) {
 	if c.loading || c.eng.log == nil {
 		return
 	}
@@ -175,13 +168,7 @@ func (c *Ctx) logSecondary(t wal.RecordType, table, index string, secKey, before
 		Txn:     c.tx.ID(),
 		Type:    t,
 		PrevLSN: c.tx.LastLSN(),
-		Payload: logrec.EncodeModification(logrec.Modification{
-			Table:  table,
-			Index:  index,
-			Key:    secKey,
-			Before: before,
-			After:  after,
-		}),
+		Payload: logrec.EncodeModification(m),
 	}
 	start := time.Now()
 	lsn := c.eng.log.Append(rec)
@@ -239,28 +226,112 @@ func (c *Ctx) Read(table string, key []byte) ([]byte, error) {
 // upgrading to X later deadlocks as soon as two transactions hold the S
 // lock simultaneously.
 func (c *Ctx) ReadForUpdate(table string, key []byte) ([]byte, error) {
-	tbl, err := c.eng.Table(table)
+	r, err := c.locate(table, key)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.lockKey(tbl, key, lock.X); err != nil {
-		return nil, err
-	}
-	val, found, err := tbl.Primary.Search(c.tx, key)
-	if err != nil {
-		return nil, err
-	}
-	if !found {
+	if !r.found {
 		return nil, fmt.Errorf("%w: %s/%x", ErrNotFound, table, key)
 	}
-	if tbl.Def.Clustered {
-		return val, nil
-	}
-	rid, err := page.DecodeRID(val)
+	return r.cur, nil
+}
+
+// rowRef is a record located once for a read-modify-write: a copy of its
+// current image and, on heap tables, the RID it lives at.
+type rowRef struct {
+	tbl   *catalog.Table
+	key   []byte
+	rid   page.RID
+	found bool
+	cur   []byte
+}
+
+// locate takes the exclusive lock on key and finds its record with one
+// primary-index descent, plus one heap read on heap tables.  A missing key
+// is not an error: the result has found == false.
+func (c *Ctx) locate(table string, key []byte) (rowRef, error) {
+	tbl, err := c.eng.Table(table)
 	if err != nil {
-		return nil, err
+		return rowRef{}, err
 	}
-	return tbl.Heap.Get(c.tx, rid)
+	if err := c.lockKey(tbl, key, lock.X); err != nil {
+		return rowRef{}, err
+	}
+	r := rowRef{tbl: tbl, key: key}
+	val, found, err := tbl.Primary.Search(c.tx, key)
+	if err != nil || !found {
+		return r, err
+	}
+	if tbl.Def.Clustered {
+		r.found, r.cur = true, val
+		return r, nil
+	}
+	if r.rid, err = page.DecodeRID(val); err != nil {
+		return r, err
+	}
+	if r.cur, err = tbl.Heap.Get(c.tx, r.rid); err != nil {
+		return r, err
+	}
+	r.found = true
+	return r, nil
+}
+
+// rewrite replaces the record r located with next.  On heap tables it
+// writes over the same RID, and moves the record to another page only when
+// it has outgrown its own.  With n == 0 the log record carries next whole;
+// with n > 0 it carries only next[off:off+n], the bytes the caller changed.
+func (c *Ctx) rewrite(r rowRef, next []byte, off, n int) error {
+	tbl, key, old := r.tbl, r.key, r.cur
+	if tbl.Def.Clustered {
+		if err := tbl.Primary.Update(c.tx, key, next); err != nil {
+			return mapBtreeErr(err)
+		}
+		c.pushUndo(func() error { return tbl.Primary.Update(nil, key, old) })
+	} else if err := tbl.Heap.Update(c.tx, r.rid, next); err == nil {
+		rid := r.rid
+		c.pushUndo(func() error { return tbl.Heap.Update(nil, rid, old) })
+	} else if !errors.Is(err, page.ErrPageFull) {
+		return err
+	} else if err := c.relocate(r, next); err != nil {
+		return err
+	}
+	m := logrec.Modification{Table: tbl.Def.Name, Key: key, After: next}
+	if n > 0 {
+		m.At, m.After = logrec.PatchAt(off), next[off:off+n]
+	}
+	c.appendLog(wal.RecUpdate, m)
+	return nil
+}
+
+// relocate moves a heap record that grew beyond the room on its page to
+// another page of the same owner and repoints the primary index entry.
+func (c *Ctx) relocate(r rowRef, next []byte) error {
+	tbl, key, old := r.tbl, r.key, r.cur
+	owner, err := c.heapOwner(tbl, tbl.Def.Name, key)
+	if err != nil {
+		return err
+	}
+	newRID, err := tbl.Heap.Insert(c.tx, owner, next)
+	if err != nil {
+		return err
+	}
+	if err := tbl.Heap.Delete(c.tx, r.rid); err != nil {
+		return err
+	}
+	if err := tbl.Primary.Update(c.tx, key, page.EncodeRID(newRID)); err != nil {
+		return err
+	}
+	c.pushUndo(func() error {
+		if derr := tbl.Heap.Delete(nil, newRID); derr != nil {
+			return derr
+		}
+		backRID, ierr := tbl.Heap.Insert(nil, owner, old)
+		if ierr != nil {
+			return ierr
+		}
+		return tbl.Primary.Update(nil, key, page.EncodeRID(backRID))
+	})
+	return nil
 }
 
 // Exists reports whether key is present in table.
@@ -289,7 +360,7 @@ func (c *Ctx) Insert(table string, key, rec []byte) error {
 		if err := tbl.Primary.Insert(c.tx, key, rec); err != nil {
 			return mapBtreeErr(err)
 		}
-		c.logModification(wal.RecInsert, tbl, key, nil, rec)
+		c.logModification(wal.RecInsert, tbl, key, rec)
 		c.pushUndo(func() error {
 			_, derr := tbl.Primary.Delete(nil, key)
 			return derr
@@ -309,7 +380,7 @@ func (c *Ctx) Insert(table string, key, rec []byte) error {
 		_ = tbl.Heap.Delete(c.tx, rid)
 		return mapBtreeErr(err)
 	}
-	c.logModification(wal.RecInsert, tbl, key, nil, rec)
+	c.logModification(wal.RecInsert, tbl, key, rec)
 	c.pushUndo(func() error {
 		if _, derr := tbl.Primary.Delete(nil, key); derr != nil {
 			return derr
@@ -337,94 +408,26 @@ func (c *Ctx) Upsert(table string, key, rec []byte) error {
 		}
 		return err
 	}
-	if err := c.lockKey(tbl, key, lock.X); err != nil {
-		return err
-	}
-	_, found, err := tbl.Primary.Search(c.tx, key)
+	r, err := c.locate(table, key)
 	if err != nil {
 		return err
 	}
-	if found {
-		return c.Update(table, key, rec)
+	if r.found {
+		return c.rewrite(r, rec, 0, 0)
 	}
 	return c.Insert(table, key, rec)
 }
 
 // Update replaces the record stored under key.
 func (c *Ctx) Update(table string, key, rec []byte) error {
-	tbl, err := c.eng.Table(table)
+	r, err := c.locate(table, key)
 	if err != nil {
 		return err
 	}
-	if err := c.lockKey(tbl, key, lock.X); err != nil {
-		return err
-	}
-	if tbl.Def.Clustered {
-		old, found, serr := tbl.Primary.Search(c.tx, key)
-		if serr != nil {
-			return serr
-		}
-		if !found {
-			return fmt.Errorf("%w: %s/%x", ErrNotFound, table, key)
-		}
-		if err := tbl.Primary.Update(c.tx, key, rec); err != nil {
-			return mapBtreeErr(err)
-		}
-		c.logModification(wal.RecUpdate, tbl, key, old, rec)
-		c.pushUndo(func() error { return tbl.Primary.Update(nil, key, old) })
-		return nil
-	}
-	val, found, err := tbl.Primary.Search(c.tx, key)
-	if err != nil {
-		return err
-	}
-	if !found {
+	if !r.found {
 		return fmt.Errorf("%w: %s/%x", ErrNotFound, table, key)
 	}
-	rid, err := page.DecodeRID(val)
-	if err != nil {
-		return err
-	}
-	old, err := tbl.Heap.Get(c.tx, rid)
-	if err != nil {
-		return err
-	}
-	if err := tbl.Heap.Update(c.tx, rid, rec); err != nil {
-		if !errors.Is(err, page.ErrPageFull) {
-			return err
-		}
-		// The record grew and its page has no room: relocate it to another
-		// page of the same owner and repoint the primary index entry.
-		owner, oerr := c.heapOwner(tbl, table, key)
-		if oerr != nil {
-			return oerr
-		}
-		newRID, ierr := tbl.Heap.Insert(c.tx, owner, rec)
-		if ierr != nil {
-			return ierr
-		}
-		if derr := tbl.Heap.Delete(c.tx, rid); derr != nil {
-			return derr
-		}
-		if uerr := tbl.Primary.Update(c.tx, key, page.EncodeRID(newRID)); uerr != nil {
-			return uerr
-		}
-		c.logModification(wal.RecUpdate, tbl, key, old, rec)
-		c.pushUndo(func() error {
-			if derr := tbl.Heap.Delete(nil, newRID); derr != nil {
-				return derr
-			}
-			backRID, ierr := tbl.Heap.Insert(nil, owner, old)
-			if ierr != nil {
-				return ierr
-			}
-			return tbl.Primary.Update(nil, key, page.EncodeRID(backRID))
-		})
-		return nil
-	}
-	c.logModification(wal.RecUpdate, tbl, key, old, rec)
-	c.pushUndo(func() error { return tbl.Heap.Update(nil, rid, old) })
-	return nil
+	return c.rewrite(r, rec, 0, 0)
 }
 
 // Delete removes the record stored under key.
@@ -447,7 +450,7 @@ func (c *Ctx) Delete(table string, key []byte) error {
 		if _, err := tbl.Primary.Delete(c.tx, key); err != nil {
 			return err
 		}
-		c.logModification(wal.RecDelete, tbl, key, old, nil)
+		c.logModification(wal.RecDelete, tbl, key, nil)
 		c.pushUndo(func() error { return tbl.Primary.Insert(nil, key, old) })
 		return nil
 	}
@@ -472,7 +475,7 @@ func (c *Ctx) Delete(table string, key []byte) error {
 	if err := tbl.Heap.Delete(c.tx, rid); err != nil {
 		return err
 	}
-	c.logModification(wal.RecDelete, tbl, key, old, nil)
+	c.logModification(wal.RecDelete, tbl, key, nil)
 	c.pushUndo(func() error {
 		owner, oerr := c.heapOwner(tbl, table, key)
 		if oerr != nil {
@@ -530,7 +533,7 @@ func (c *Ctx) InsertSecondary(table, index string, secKey, primaryKey []byte) er
 	if err := idx.Put(c.tx, secKey, primaryKey); err != nil {
 		return mapBtreeErr(err)
 	}
-	c.logSecondary(wal.RecInsert, table, index, secKey, nil, primaryKey)
+	c.logSecondary(wal.RecInsert, table, index, secKey, primaryKey)
 	c.pushUndo(func() error {
 		_, derr := idx.Delete(nil, secKey)
 		return derr
@@ -554,7 +557,7 @@ func (c *Ctx) DeleteSecondary(table, index string, secKey []byte) error {
 	if _, err := idx.Delete(c.tx, secKey); err != nil {
 		return err
 	}
-	c.logSecondary(wal.RecDelete, table, index, secKey, old, nil)
+	c.logSecondary(wal.RecDelete, table, index, secKey, nil)
 	c.pushUndo(func() error { return idx.Put(nil, secKey, old) })
 	return nil
 }

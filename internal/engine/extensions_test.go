@@ -10,6 +10,7 @@ import (
 	"plp/internal/keyenc"
 	"plp/internal/logrec"
 	"plp/internal/wal"
+	"plp/plan"
 )
 
 // newExtEngine builds a 4-partition engine used by the extension tests.
@@ -144,6 +145,10 @@ func TestKeyFnNilFallsBackToKey(t *testing.T) {
 	}
 }
 
+// TestModificationLoggingCarriesImages pins what the redo-only log holds:
+// an insert or update carries the whole after-image and no before-image, a
+// delete carries neither, and a field update carries a patch of only the
+// bytes it changed.
 func TestModificationLoggingCarriesImages(t *testing.T) {
 	e := newExtEngine(t, PLPLeaf)
 	sess := e.NewSession()
@@ -158,9 +163,13 @@ func TestModificationLoggingCarriesImages(t *testing.T) {
 	}
 	exec(func(c *Ctx) error { return c.Insert("ext", key, []byte("before")) })
 	exec(func(c *Ctx) error { return c.Update("ext", key, []byte("after")) })
+	if _, err := sess.ExecutePlan(plan.New().SetField("ext", key, 1, []byte("XY")).MustBuild()); err != nil {
+		t.Fatal(err)
+	}
 	exec(func(c *Ctx) error { return c.Delete("ext", key) })
 
-	var insert, update, del *logrec.Modification
+	var mods []logrec.Modification
+	var types []wal.RecordType
 	for _, rec := range e.Log().Records() {
 		if rec.Type != wal.RecInsert && rec.Type != wal.RecUpdate && rec.Type != wal.RecDelete {
 			continue
@@ -169,27 +178,30 @@ func TestModificationLoggingCarriesImages(t *testing.T) {
 		if err != nil || !bytes.Equal(mod.Key, key) {
 			continue
 		}
-		m := mod
-		switch rec.Type {
-		case wal.RecInsert:
-			insert = &m
-		case wal.RecUpdate:
-			update = &m
-		case wal.RecDelete:
-			del = &m
+		mods = append(mods, mod)
+		types = append(types, rec.Type)
+	}
+	want := []struct {
+		typ   wal.RecordType
+		at    uint64
+		after string
+	}{
+		{wal.RecInsert, 0, "before"},
+		{wal.RecUpdate, 0, "after"},
+		{wal.RecUpdate, logrec.PatchAt(1), "XY"},
+		{wal.RecDelete, 0, ""},
+	}
+	if len(mods) != len(want) {
+		t.Fatalf("logged %d modifications of the key, want %d: %+v", len(mods), len(want), mods)
+	}
+	for i, w := range want {
+		m := mods[i]
+		if types[i] != w.typ || m.Table != "ext" || m.At != w.at || string(m.After) != w.after {
+			t.Fatalf("record %d = %v %+v, want %v at=%d after=%q", i, types[i], m, w.typ, w.at, w.after)
 		}
 	}
-	if insert == nil || update == nil || del == nil {
-		t.Fatal("expected insert, update and delete records in the log")
-	}
-	if insert.Table != "ext" || string(insert.After) != "before" || insert.Before != nil {
-		t.Fatalf("insert record images wrong: %+v", insert)
-	}
-	if string(update.Before) != "before" || string(update.After) != "after" {
-		t.Fatalf("update record images wrong: %+v", update)
-	}
-	if string(del.Before) != "after" || del.After != nil {
-		t.Fatalf("delete record images wrong: %+v", del)
+	if got, _ := mods[2].Apply([]byte("after")); string(got) != "aXYer" {
+		t.Fatalf("patch applied to the logged after-image gives %q, want %q", got, "aXYer")
 	}
 }
 

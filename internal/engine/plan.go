@@ -416,21 +416,21 @@ func execPlanOp(c *Ctx, op plan.Op, key, val []byte) (plan.Result, error) {
 
 // execReadModifyWrite evaluates the condition against the current record
 // and applies the mutation, all inside the transaction.  The exclusive lock
-// is taken up front (ReadForUpdate): in the Conventional design a
-// read-then-upgrade would deadlock as soon as two RMWs race on a hot key.
-// arg is the mutation argument after ValueFrom binding.
+// is taken up front: in the Conventional design a read-then-upgrade would
+// deadlock as soon as two RMWs race on a hot key.  The record is located
+// once (one index descent and, on heap tables, one heap read) and written
+// back over the same RID.  A field mutation logs only the bytes it changed;
+// every other mutation logs the whole new record.  arg is the mutation
+// argument after ValueFrom binding.
 func execReadModifyWrite(c *Ctx, op plan.Op, key, arg []byte) (plan.Result, error) {
 	if op.ValueFrom == plan.NoBind {
 		arg = op.MutArg
 	}
-	cur, err := c.ReadForUpdate(op.Table, key)
-	found := true
-	if errors.Is(err, ErrNotFound) {
-		found, cur, err = false, nil, nil
-	}
+	row, err := c.locate(op.Table, key)
 	if err != nil {
 		return plan.Result{}, err
 	}
+	cur, found := row.cur, row.found
 	switch op.Cond {
 	case plan.CondNone:
 	case plan.CondExists:
@@ -449,6 +449,7 @@ func execReadModifyWrite(c *Ctx, op plan.Op, key, arg []byte) (plan.Result, erro
 		return plan.Result{}, fmt.Errorf("rmw: invalid condition %d", uint8(op.Cond))
 	}
 	var next []byte
+	var off, n int // the changed bytes of a field mutation; n == 0 for whole-record writes
 	switch op.Mut {
 	case plan.MutSet:
 		next = arg
@@ -467,7 +468,7 @@ func execReadModifyWrite(c *Ctx, op plan.Op, key, arg []byte) (plan.Result, erro
 	case plan.MutAppend:
 		next = append(append([]byte(nil), cur...), arg...)
 	case plan.MutAddInt64At:
-		off, field, aerr := plan.DecodeFieldArg(arg)
+		at, field, aerr := plan.DecodeFieldArg(arg)
 		if aerr != nil {
 			return plan.Result{}, fmt.Errorf("rmw: %v", aerr)
 		}
@@ -475,29 +476,31 @@ func execReadModifyWrite(c *Ctx, op plan.Op, key, arg []byte) (plan.Result, erro
 		if derr != nil {
 			return plan.Result{}, fmt.Errorf("rmw: add-int64-at delta: %v", derr)
 		}
-		if !found || uint64(len(cur)) < uint64(off)+8 {
+		if !found || uint64(len(cur)) < uint64(at)+8 {
 			return plan.Result{}, fmt.Errorf("rmw: %s/%x: no int64 field at offset %d (record %d bytes)",
-				op.Table, key, off, len(cur))
+				op.Table, key, at, len(cur))
 		}
 		next = append([]byte(nil), cur...)
-		old := int64(binary.BigEndian.Uint64(next[off:]))
-		binary.BigEndian.PutUint64(next[off:], uint64(old+delta))
+		old := int64(binary.BigEndian.Uint64(next[at:]))
+		binary.BigEndian.PutUint64(next[at:], uint64(old+delta))
+		off, n = int(at), 8
 	case plan.MutSetFieldAt:
-		off, field, aerr := plan.DecodeFieldArg(arg)
+		at, field, aerr := plan.DecodeFieldArg(arg)
 		if aerr != nil {
 			return plan.Result{}, fmt.Errorf("rmw: %v", aerr)
 		}
-		if !found || uint64(len(cur)) < uint64(off)+uint64(len(field)) {
+		if !found || uint64(len(cur)) < uint64(at)+uint64(len(field)) {
 			return plan.Result{}, fmt.Errorf("rmw: %s/%x: no %d-byte field at offset %d (record %d bytes)",
-				op.Table, key, len(field), off, len(cur))
+				op.Table, key, len(field), at, len(cur))
 		}
 		next = append([]byte(nil), cur...)
-		copy(next[off:], field)
+		copy(next[at:], field)
+		off, n = int(at), len(field)
 	default:
 		return plan.Result{}, fmt.Errorf("rmw: invalid mutation %d", uint8(op.Mut))
 	}
 	if found {
-		err = c.Update(op.Table, key, next)
+		err = c.rewrite(row, next, off, n)
 	} else {
 		err = c.Insert(op.Table, key, next)
 	}

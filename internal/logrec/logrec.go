@@ -3,11 +3,25 @@
 // The write-ahead log (package wal) frames records and assigns LSNs but is
 // agnostic about payload contents.  The engine logs data modifications
 // logically — one record per Insert/Update/Delete naming the table, the key
-// and the before/after images — which is what makes logical restart recovery
-// (package recovery) possible: the log alone is sufficient to rebuild the
-// database contents, in the spirit of the logical logging schemes the paper
-// builds on (Aether [Johnson et al., PVLDB 2010] consolidates the buffer;
-// the record contents stay logical).
+// and the record image after the change — which is what makes logical
+// restart recovery (package recovery) possible: the log alone is sufficient
+// to rebuild the database contents, in the spirit of the logical logging
+// schemes the paper builds on (Aether [Johnson et al., PVLDB 2010]
+// consolidates the buffer; the record contents stay logical).
+//
+// Modification records are redo-only, as in value logging for
+// memory-resident engines (SiloR [Zheng et al., OSDI 2014]).  No reader of
+// the log needs a before-image:
+//
+//   - the buffer pool is memory-resident and no-steal, so an uncommitted
+//     change never reaches stable storage and never has to be undone there;
+//   - a transaction that aborts while running undoes its changes through
+//     in-memory closures that keep the old record themselves;
+//   - recovery replays only the transactions whose commit record is in the
+//     log and skips the losers' records, so a crash never needs undo either.
+//
+// An update that changes a few bytes of a record logs only those bytes, as
+// a patch at an offset (see Modification.At).
 //
 // Payloads are encoded with a small length-prefixed binary format; no
 // reflection, no allocation beyond the output buffer.
@@ -21,14 +35,21 @@ import (
 
 // Errors returned by payload decoding.
 var (
-	ErrShort   = errors.New("logrec: truncated payload")
-	ErrVersion = errors.New("logrec: unknown payload version")
+	ErrShort    = errors.New("logrec: truncated payload")
+	ErrVersion  = errors.New("logrec: unknown payload version")
+	ErrTrailing = errors.New("logrec: trailing bytes after payload")
+	ErrPatch    = errors.New("logrec: patch does not fit the record")
 )
 
-// payloadVersion is bumped whenever the encoding changes incompatibly.
-const payloadVersion = 1
+// Payload versions.  Checkpoint payloads are still written at version 1;
+// modification payloads moved to version 2 when they dropped the
+// before-image and gained patches.  DecodeModification reads both.
+const (
+	payloadVersion      = 1
+	modificationVersion = 2
+)
 
-// Modification is the logical payload of an insert, update or delete record.
+// Modification is the redo payload of an insert, update or delete record.
 type Modification struct {
 	// Table is the table the modification applies to.
 	Table string
@@ -38,13 +59,39 @@ type Modification struct {
 	// Key is the primary key of the affected record (or the secondary key,
 	// when Index is set).
 	Key []byte
-	// Before is the record image before the modification (nil for inserts).
-	Before []byte
-	// After is the record image after the modification (nil for deletes).
+	// At says what After is.  At == 0: After is the whole record image
+	// after the modification (nil for deletes).  At == k > 0: After is a
+	// patch that overwrites bytes [k-1, k-1+len(After)) of the existing
+	// record, whose other bytes and length stay as they are.
+	At uint64
+	// After is the record image, or the patch, after the modification.
 	After []byte
 }
 
-// appendBytes writes a uint32 length prefix followed by b.
+// PatchAt returns the At value of a patch starting at byte offset off.
+func PatchAt(off int) uint64 { return uint64(off) + 1 }
+
+// IsPatch reports whether After is a patch rather than a whole record.
+func (m *Modification) IsPatch() bool { return m.At != 0 }
+
+// Apply returns the record that results from applying m to cur, the
+// current record.  A whole image is returned as is; a patch is applied to
+// a copy of cur, which is never modified.  A patch that reaches beyond the
+// end of cur fails with ErrPatch.
+func (m *Modification) Apply(cur []byte) ([]byte, error) {
+	if !m.IsPatch() {
+		return m.After, nil
+	}
+	off := m.At - 1
+	if off > uint64(len(cur)) || uint64(len(m.After)) > uint64(len(cur))-off {
+		return nil, fmt.Errorf("%w: %d bytes at offset %d of a %d-byte record", ErrPatch, len(m.After), off, len(cur))
+	}
+	out := append([]byte(nil), cur...)
+	copy(out[off:], m.After)
+	return out, nil
+}
+
+// appendBytes writes a uint32 length prefix followed by b (version 1).
 func appendBytes(dst, b []byte) []byte {
 	var l [4]byte
 	binary.LittleEndian.PutUint32(l[:], uint32(len(b)))
@@ -52,7 +99,7 @@ func appendBytes(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// readBytes consumes one length-prefixed field.
+// readBytes consumes one uint32-prefixed field (version 1) and copies it.
 func readBytes(src []byte) (field, rest []byte, err error) {
 	if len(src) < 4 {
 		return nil, nil, ErrShort
@@ -68,28 +115,109 @@ func readBytes(src []byte) (field, rest []byte, err error) {
 	return append([]byte(nil), src[:n]...), src[n:], nil
 }
 
-// EncodeModification serializes m into a log payload.
-func EncodeModification(m Modification) []byte {
-	out := make([]byte, 0, 1+5*4+len(m.Table)+len(m.Index)+len(m.Key)+len(m.Before)+len(m.After))
-	out = append(out, payloadVersion)
-	out = appendBytes(out, []byte(m.Table))
-	out = appendBytes(out, []byte(m.Index))
-	out = appendBytes(out, m.Key)
-	out = appendBytes(out, m.Before)
-	out = appendBytes(out, m.After)
-	return out
+// appendUvarintBytes writes a uvarint length prefix followed by b.
+func appendUvarintBytes(dst, b []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
+	return append(dst, b...)
 }
 
-// DecodeModification parses a payload produced by EncodeModification.
+// readUvarint consumes one uvarint.
+func readUvarint(src []byte) (uint64, []byte, error) {
+	v, n := binary.Uvarint(src)
+	if n <= 0 {
+		return 0, nil, ErrShort
+	}
+	return v, src[n:], nil
+}
+
+// readUvarintBytes consumes one uvarint-prefixed field without copying it.
+func readUvarintBytes(src []byte) (field, rest []byte, err error) {
+	n, src, err := readUvarint(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	if uint64(len(src)) < n {
+		return nil, nil, ErrShort
+	}
+	return src[:n], src[n:], nil
+}
+
+// EncodeModification serializes m into a version 2 log payload: the
+// version byte, Table, Index and Key each behind a uvarint length, At as a
+// uvarint, and After behind a uvarint length.
+func EncodeModification(m Modification) []byte {
+	n := 1 + 4*binary.MaxVarintLen32 + binary.MaxVarintLen64 + len(m.Table) + len(m.Index) + len(m.Key) + len(m.After)
+	out := make([]byte, 0, n)
+	out = append(out, modificationVersion)
+	out = binary.AppendUvarint(out, uint64(len(m.Table)))
+	out = append(out, m.Table...)
+	out = binary.AppendUvarint(out, uint64(len(m.Index)))
+	out = append(out, m.Index...)
+	out = appendUvarintBytes(out, m.Key)
+	out = binary.AppendUvarint(out, m.At)
+	return appendUvarintBytes(out, m.After)
+}
+
+// DecodeModification parses a modification payload: the version 2 layout
+// EncodeModification writes, or the version 1 layout older logs hold, whose
+// before-image it skips.  The result does not alias payload.
 func DecodeModification(payload []byte) (Modification, error) {
-	var m Modification
 	if len(payload) < 1 {
-		return m, ErrShort
+		return Modification{}, ErrShort
 	}
-	if payload[0] != payloadVersion {
-		return m, fmt.Errorf("%w: %d", ErrVersion, payload[0])
+	switch payload[0] {
+	case modificationVersion:
+		return decodeModificationV2(payload[1:])
+	case payloadVersion:
+		return decodeModificationV1(payload[1:])
+	default:
+		return Modification{}, fmt.Errorf("%w: %d", ErrVersion, payload[0])
 	}
-	rest := payload[1:]
+}
+
+// decodeModificationV2 parses the body of a version 2 payload.
+func decodeModificationV2(body []byte) (Modification, error) {
+	var m Modification
+	table, rest, err := readUvarintBytes(body)
+	if err != nil {
+		return m, err
+	}
+	index, rest, err := readUvarintBytes(rest)
+	if err != nil {
+		return m, err
+	}
+	key, rest, err := readUvarintBytes(rest)
+	if err != nil {
+		return m, err
+	}
+	if m.At, rest, err = readUvarint(rest); err != nil {
+		return m, err
+	}
+	after, rest, err := readUvarintBytes(rest)
+	if err != nil {
+		return m, err
+	}
+	if len(rest) != 0 {
+		return m, ErrTrailing
+	}
+	m.Table, m.Index = string(table), string(index)
+	m.Key, m.After = clone(key), clone(after)
+	return m, nil
+}
+
+// clone copies b, returning nil for an empty b.
+func clone(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return append([]byte(nil), b...)
+}
+
+// decodeModificationV1 parses the body of a version 1 payload: Table,
+// Index, Key, Before and After, each behind a little-endian uint32 length.
+// Before is read past and dropped.
+func decodeModificationV1(rest []byte) (Modification, error) {
+	var m Modification
 	var field []byte
 	var err error
 	if field, rest, err = readBytes(rest); err != nil {
@@ -103,7 +231,7 @@ func DecodeModification(payload []byte) (Modification, error) {
 	if m.Key, rest, err = readBytes(rest); err != nil {
 		return m, err
 	}
-	if m.Before, rest, err = readBytes(rest); err != nil {
+	if _, rest, err = readBytes(rest); err != nil {
 		return m, err
 	}
 	if m.After, _, err = readBytes(rest); err != nil {

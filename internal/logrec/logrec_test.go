@@ -2,67 +2,136 @@ package logrec
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 )
 
+func sameModification(a, b Modification) bool {
+	return a.Table == b.Table && a.Index == b.Index && bytes.Equal(a.Key, b.Key) &&
+		a.At == b.At && bytes.Equal(a.After, b.After)
+}
+
 func TestModificationRoundTrip(t *testing.T) {
 	cases := []Modification{
-		{Table: "accounts", Key: []byte("k1"), Before: nil, After: []byte("v1")},
-		{Table: "accounts", Key: []byte("k1"), Before: []byte("v1"), After: []byte("v2")},
-		{Table: "t", Key: []byte{0}, Before: []byte("old"), After: nil},
-		{Table: "", Key: nil, Before: nil, After: nil},
-		{Table: "subscriber", Key: bytes.Repeat([]byte{0xff}, 64), Before: bytes.Repeat([]byte{1}, 1000), After: bytes.Repeat([]byte{2}, 1000)},
+		{Table: "accounts", Key: []byte("k1"), After: []byte("v1")},
+		{Table: "accounts", Key: []byte("k1"), At: PatchAt(8), After: []byte{0, 0, 0, 0, 0, 0, 0x30, 0x39}},
+		{Table: "t", Key: []byte{0}, After: nil},
+		{Table: "t", Index: "by_x", Key: []byte("x1"), After: []byte("pk")},
+		{Table: "", Key: nil, After: nil},
+		{Table: "subscriber", Key: bytes.Repeat([]byte{0xff}, 64), After: bytes.Repeat([]byte{2}, 1000)},
+		{Table: "subscriber", Key: []byte("k"), At: PatchAt(1 << 20), After: []byte("far")},
 	}
 	for i, m := range cases {
 		payload := EncodeModification(m)
+		if payload[0] != modificationVersion {
+			t.Fatalf("case %d: version byte %d, want %d", i, payload[0], modificationVersion)
+		}
 		got, err := DecodeModification(payload)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
-		if got.Table != m.Table ||
-			!bytes.Equal(got.Key, m.Key) ||
-			!bytes.Equal(got.Before, m.Before) ||
-			!bytes.Equal(got.After, m.After) {
+		if !sameModification(got, m) {
 			t.Fatalf("case %d: round trip mismatch: %+v != %+v", i, got, m)
 		}
 	}
 }
 
+// TestModificationSizes pins the redo-only layout: one version byte, then
+// a uvarint length per field and for the offset.  A TPC-B balance patch
+// (12-byte table name, 8-byte key, 8-byte field) costs 34 bytes, where the
+// version 1 layout with both images of the 100-byte row cost 241.
+func TestModificationSizes(t *testing.T) {
+	const table = "tpcb_account"
+	key := bytes.Repeat([]byte{1}, 8)
+	patch := EncodeModification(Modification{Table: table, Key: key, At: PatchAt(8), After: make([]byte, 8)})
+	if want := 1 + 1 + 12 + 1 + 1 + 8 + 1 + 1 + 8; len(patch) != want {
+		t.Fatalf("patch payload is %d bytes, want %d", len(patch), want)
+	}
+	whole := EncodeModification(Modification{Table: table, Key: key, After: make([]byte, 100)})
+	if want := 1 + 1 + 12 + 1 + 1 + 8 + 1 + 1 + 100; len(whole) != want {
+		t.Fatalf("after-image payload is %d bytes, want %d", len(whole), want)
+	}
+	if v1 := encodeModificationV1(table, "", key, make([]byte, 100), make([]byte, 100)); len(v1) != 241 {
+		t.Fatalf("version 1 payload is %d bytes, want 241", len(v1))
+	}
+}
+
 func TestModificationRoundTripProperty(t *testing.T) {
-	f := func(table string, key, before, after []byte) bool {
-		m := Modification{Table: table, Key: key, Before: before, After: after}
+	f := func(table, index string, key []byte, at uint64, after []byte) bool {
+		m := Modification{Table: table, Index: index, Key: key, At: at, After: after}
 		got, err := DecodeModification(EncodeModification(m))
-		if err != nil {
-			return false
-		}
-		// Encoding normalizes empty slices to nil.
-		eq := func(a, b []byte) bool { return bytes.Equal(a, b) }
-		return got.Table == table && eq(got.Key, key) && eq(got.Before, before) && eq(got.After, after)
+		// Encoding normalizes empty slices to nil; bytes.Equal treats them alike.
+		return err == nil && sameModification(got, m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// encodeModificationV1 writes the version 1 layout older logs hold: Table,
+// Index, Key, Before and After, each behind a little-endian uint32 length.
+func encodeModificationV1(table, index string, key, before, after []byte) []byte {
+	out := []byte{payloadVersion}
+	for _, f := range [][]byte{[]byte(table), []byte(index), key, before, after} {
+		out = appendBytes(out, f)
+	}
+	return out
+}
+
 func TestDecodeModificationErrors(t *testing.T) {
 	if _, err := DecodeModification(nil); err == nil {
 		t.Fatal("decoding an empty payload should fail")
 	}
-	if _, err := DecodeModification([]byte{99}); err == nil {
-		t.Fatal("decoding an unknown version should fail")
+	if _, err := DecodeModification([]byte{99}); !errors.Is(err, ErrVersion) {
+		t.Fatalf("decoding an unknown version: err = %v, want ErrVersion", err)
 	}
-	// Truncate a valid payload at every length and make sure decoding never
-	// panics and fails cleanly for prefixes that drop data.
-	full := EncodeModification(Modification{Table: "t", Key: []byte("key"), Before: []byte("b"), After: []byte("a")})
-	for i := 1; i < len(full); i++ {
-		_, err := DecodeModification(full[:i])
-		if err == nil && i < len(full) {
-			// Some prefixes decode successfully only when all four fields are
-			// complete; that can only happen at the full length.
-			t.Fatalf("truncated payload of length %d decoded successfully", i)
+	// Truncate valid payloads of both versions at every length: decoding
+	// must never panic and must fail for every strict prefix.
+	for _, full := range [][]byte{
+		EncodeModification(Modification{Table: "t", Key: []byte("key"), After: []byte("a")}),
+		EncodeModification(Modification{Table: "t", Key: []byte("key"), At: PatchAt(300), After: []byte("field")}),
+		encodeModificationV1("t", "", []byte("key"), []byte("b"), []byte("a")),
+	} {
+		for i := 0; i < len(full); i++ {
+			if _, err := DecodeModification(full[:i]); err == nil {
+				t.Fatalf("payload %x truncated to %d bytes decoded successfully", full, i)
+			}
+		}
+	}
+	trailing := append(EncodeModification(Modification{Table: "t", Key: []byte("k")}), 0)
+	if _, err := DecodeModification(trailing); !errors.Is(err, ErrTrailing) {
+		t.Fatalf("trailing byte: err = %v, want ErrTrailing", err)
+	}
+}
+
+func TestModificationApply(t *testing.T) {
+	cur := []byte("0123456789")
+	whole := Modification{After: []byte("new")}
+	if got, err := whole.Apply(cur); err != nil || string(got) != "new" {
+		t.Fatalf("whole image: %q, %v", got, err)
+	}
+	patch := Modification{At: PatchAt(2), After: []byte("ab")}
+	got, err := patch.Apply(cur)
+	if err != nil || string(got) != "01ab456789" {
+		t.Fatalf("patch: %q, %v", got, err)
+	}
+	if string(cur) != "0123456789" {
+		t.Fatalf("Apply modified its input: %q", cur)
+	}
+	end := Modification{At: PatchAt(8), After: []byte("XY")}
+	if got, err := end.Apply(cur); err != nil || string(got) != "01234567XY" {
+		t.Fatalf("patch at the end: %q, %v", got, err)
+	}
+	for _, bad := range []Modification{
+		{At: PatchAt(9), After: []byte("XY")},
+		{At: PatchAt(11), After: []byte("X")},
+		{At: ^uint64(0), After: []byte("X")},
+	} {
+		if _, err := bad.Apply(cur); !errors.Is(err, ErrPatch) {
+			t.Fatalf("patch of %d bytes at At=%d onto %d bytes: err = %v, want ErrPatch", len(bad.After), bad.At, len(cur), err)
 		}
 	}
 }
@@ -214,4 +283,28 @@ func TestCheckpointMetaRoundTrip(t *testing.T) {
 	if _, _, err := DecodeCheckpointMeta([]byte{payloadVersion, checkpointMetaTag, 1}); err == nil {
 		t.Fatal("short meta payload should fail")
 	}
+}
+
+// FuzzDecodeModification feeds arbitrary bytes to the decoder, which must
+// never panic, and checks that whatever decodes re-encodes to a payload
+// that decodes to the same modification.  The fuzzer's own values also
+// build a modification that must survive a version 2 round trip.
+func FuzzDecodeModification(f *testing.F) {
+	f.Add(EncodeModification(Modification{Table: "acct", Key: []byte("k"), At: PatchAt(8), After: make([]byte, 8)}), "t", []byte("k"), uint64(0), []byte("v"))
+	f.Add(EncodeModification(Modification{Table: "t", Index: "i", Key: []byte("s"), After: []byte("pk")}), "", []byte(nil), uint64(9), []byte(nil))
+	f.Add(encodeModificationV1("t", "", []byte("k"), []byte("b"), []byte("a")), "x", []byte{0}, uint64(1), []byte{1, 2})
+	f.Add([]byte{modificationVersion, 0x80}, "", []byte(nil), uint64(0), []byte(nil))
+	f.Fuzz(func(t *testing.T, payload []byte, table string, key []byte, at uint64, after []byte) {
+		if m, err := DecodeModification(payload); err == nil {
+			again, err := DecodeModification(EncodeModification(m))
+			if err != nil || !sameModification(again, m) {
+				t.Fatalf("re-encoded %+v decoded to %+v, %v", m, again, err)
+			}
+		}
+		m := Modification{Table: table, Key: key, At: at, After: after}
+		got, err := DecodeModification(EncodeModification(m))
+		if err != nil || !sameModification(got, m) {
+			t.Fatalf("round trip of %+v gave %+v, %v", m, got, err)
+		}
+	})
 }

@@ -1,8 +1,9 @@
 // Package recovery implements logical restart recovery on top of the
 // write-ahead log.
 //
-// The engine logs every data modification logically (table, key, before and
-// after images — see package logrec), and the paper's storage manager keeps
+// The engine logs every data modification logically and redo-only (table,
+// key and the after-image, or a patch of the bytes an update changed — see
+// package logrec), and the paper's storage manager keeps
 // a single shared log for all partitions (Section 2.3 argues this is one of
 // the advantages of shared-everything designs over shared-nothing ones).
 // This package turns that log into a restart story:
@@ -114,7 +115,9 @@ func (s *Snapshot) Entries() int {
 type Analysis struct {
 	// Outcomes maps every transaction that appears in the log to its fate.
 	Outcomes map[uint64]Outcome
-	// Ops lists the logical modification operations in LSN order.
+	// Ops lists the logical modification operations in LSN order.  Each
+	// carries what redo needs, an after-image or a patch, and no
+	// before-image.
 	Ops []Op
 	// Snapshot is the most recent complete checkpoint, or nil.
 	Snapshot *Snapshot
@@ -127,7 +130,8 @@ type Analysis struct {
 	// physical tree shape is rebuilt by the logical re-inserts).
 	StructuralRecords int
 	// UnparsedRecords counts modification records whose payload could not be
-	// decoded (legacy or foreign records); they are skipped.
+	// decoded (foreign records, or versions this build does not know); they
+	// are skipped.  Both payload versions the engine has written decode.
 	UnparsedRecords int
 	// Prepared maps transactions with a prepare record to their cross-shard
 	// gid.  A prepared transaction whose outcome is still OutcomeInFlight

@@ -2,6 +2,7 @@ package recovery_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -83,6 +84,14 @@ func (f *fakeTarget) Delete(table string, key []byte) error {
 func (f *fakeTarget) Exists(table string, key []byte) (bool, error) {
 	_, ok := f.tbl(table)[string(key)]
 	return ok, nil
+}
+
+func (f *fakeTarget) Read(table string, key []byte) ([]byte, error) {
+	rec, ok := f.tbl(table)[string(key)]
+	if !ok {
+		return nil, fmt.Errorf("missing key %x", key)
+	}
+	return rec, nil
 }
 
 func (f *fakeTarget) InsertSecondary(table, index string, secKey, primaryKey []byte) error {
@@ -197,7 +206,7 @@ func TestAnalyzeCheckpointParsing(t *testing.T) {
 	})})
 
 	// Post-checkpoint committed op.
-	appendMod(log, 2, wal.RecUpdate, logrec.Modification{Table: "t", Key: []byte("a"), Before: []byte("old"), After: []byte("new")})
+	appendMod(log, 2, wal.RecUpdate, logrec.Modification{Table: "t", Key: []byte("a"), After: []byte("new")})
 	appendCommit(log, 2)
 
 	a, err := recovery.Analyze(log)
@@ -328,12 +337,134 @@ func TestReplayUpsertAndMissingDeleteSemantics(t *testing.T) {
 	}
 }
 
+// TestReplayPatches checks that patch records rewrite only their bytes of
+// the record the snapshot and earlier operations left, that the losers'
+// patches are skipped, and that replaying twice converges.
+func TestReplayPatches(t *testing.T) {
+	log := wal.NewNaive(nil)
+	appendMod(log, 1, wal.RecInsert, logrec.Modification{Table: "t", Key: []byte("a"), After: []byte("aaaaaaaa")})
+	appendCommit(log, 1)
+	begin := log.Append(&wal.Record{Type: wal.RecCheckpoint, Payload: logrec.EncodeCheckpointChunk(logrec.CheckpointChunk{
+		Table: "t", Keys: [][]byte{[]byte("a"), []byte("b")}, Values: [][]byte{[]byte("aaaaaaaa"), []byte("bbbb")},
+	})})
+	log.Append(&wal.Record{Type: wal.RecCheckpoint, Payload: logrec.EncodeCheckpointEnd(logrec.CheckpointEnd{BeginLSN: uint64(begin), Chunks: 1, Tables: 1})})
+	// A patch of a row that only the snapshot holds, then a second patch
+	// of the same row by a later transaction.
+	appendMod(log, 2, wal.RecUpdate, logrec.Modification{Table: "t", Key: []byte("b"), At: logrec.PatchAt(1), After: []byte("XY")})
+	appendCommit(log, 2)
+	appendMod(log, 3, wal.RecUpdate, logrec.Modification{Table: "t", Key: []byte("b"), At: logrec.PatchAt(3), After: []byte("Z")})
+	appendMod(log, 3, wal.RecUpdate, logrec.Modification{Table: "t", Key: []byte("a"), At: logrec.PatchAt(0), After: []byte("1")})
+	appendCommit(log, 3)
+	appendMod(log, 4, wal.RecUpdate, logrec.Modification{Table: "t", Key: []byte("a"), At: logrec.PatchAt(4), After: []byte("loser")})
+	appendAbort(log, 4)
+
+	a, err := recovery.Analyze(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft := newFakeTarget()
+	for pass := 0; pass < 2; pass++ {
+		st, err := recovery.Replay(a, ft)
+		if err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		if st.Applied != 3 || st.SkippedLoser != 1 {
+			t.Fatalf("pass %d: applied %d, skipped %d losers; want 3 and 1", pass, st.Applied, st.SkippedLoser)
+		}
+		if got := string(ft.tbl("t")["a"]); got != "1aaaaaaa" {
+			t.Fatalf("pass %d: a = %q, want %q", pass, got, "1aaaaaaa")
+		}
+		if got := string(ft.tbl("t")["b"]); got != "bXYZ" {
+			t.Fatalf("pass %d: b = %q, want %q", pass, got, "bXYZ")
+		}
+	}
+}
+
+// TestReplayPatchErrors: a patch that cannot apply fails the replay; it is
+// never skipped, since skipping it would lose a committed update.
+func TestReplayPatchErrors(t *testing.T) {
+	for name, tc := range map[string]struct {
+		typ wal.RecordType
+		mod logrec.Modification
+	}{
+		"missing record":   {wal.RecUpdate, logrec.Modification{Table: "t", Key: []byte("nope"), At: logrec.PatchAt(0), After: []byte("x")}},
+		"record too short": {wal.RecUpdate, logrec.Modification{Table: "t", Key: []byte("a"), At: logrec.PatchAt(3), After: []byte("xy")}},
+		"patch as insert":  {wal.RecInsert, logrec.Modification{Table: "t", Key: []byte("a"), At: logrec.PatchAt(0), After: []byte("x")}},
+		"secondary patch":  {wal.RecUpdate, logrec.Modification{Table: "t", Index: "i", Key: []byte("a"), At: logrec.PatchAt(0), After: []byte("x")}},
+	} {
+		log := wal.NewNaive(nil)
+		appendMod(log, 1, wal.RecInsert, logrec.Modification{Table: "t", Key: []byte("a"), After: []byte("abcd")})
+		appendMod(log, 1, tc.typ, tc.mod)
+		appendCommit(log, 1)
+		if _, _, err := recovery.Recover(log, newFakeTarget()); err == nil {
+			t.Fatalf("%s: replay succeeded", name)
+		}
+	}
+}
+
+// encodeModificationV1 hand-encodes the version 1 modification payload
+// that logs written before the redo-only format hold: the version byte,
+// then Table, Index, Key, Before and After, each behind a little-endian
+// uint32 length.
+func encodeModificationV1(table, index string, key, before, after []byte) []byte {
+	out := []byte{1}
+	for _, f := range [][]byte{[]byte(table), []byte(index), key, before, after} {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(f)))
+		out = append(out, f...)
+	}
+	return out
+}
+
+// TestReplayVersion1Log is the upgrade check: a log written in the version
+// 1 format, before-images included, must replay every committed update.
+// Were the records unreadable, Analyze would count them as unparsed and
+// skip them, silently losing committed data.
+func TestReplayVersion1Log(t *testing.T) {
+	log := wal.NewNaive(nil)
+	v1 := func(txn uint64, typ wal.RecordType, payload []byte) {
+		log.Append(&wal.Record{Txn: txn, Type: typ, Payload: payload})
+	}
+	v1(1, wal.RecInsert, encodeModificationV1("t", "", []byte("a"), nil, []byte("one")))
+	v1(1, wal.RecInsert, encodeModificationV1("t", "", []byte("gone"), nil, []byte("x")))
+	v1(1, wal.RecInsert, encodeModificationV1("t", "by_v", []byte("one"), nil, []byte("a")))
+	appendCommit(log, 1)
+	v1(2, wal.RecUpdate, encodeModificationV1("t", "", []byte("a"), []byte("one"), []byte("two")))
+	v1(2, wal.RecDelete, encodeModificationV1("t", "", []byte("gone"), []byte("x"), nil))
+	appendCommit(log, 2)
+	v1(3, wal.RecUpdate, encodeModificationV1("t", "", []byte("a"), []byte("two"), []byte("loser")))
+	appendAbort(log, 3)
+	// A redo-only record after the upgrade patches the v1 after-image.
+	appendMod(log, 4, wal.RecUpdate, logrec.Modification{Table: "t", Key: []byte("a"), At: logrec.PatchAt(2), After: []byte("!")})
+	appendCommit(log, 4)
+
+	a, err := recovery.Analyze(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.UnparsedRecords != 0 || len(a.Ops) != 7 {
+		t.Fatalf("analysis: %d unparsed, %d ops; want 0 and 7", a.UnparsedRecords, len(a.Ops))
+	}
+	ft := newFakeTarget()
+	if _, err := recovery.Replay(a, ft); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(ft.tbl("t")["a"]); got != "tw!" {
+		t.Fatalf("a = %q, want %q", got, "tw!")
+	}
+	if _, ok := ft.tbl("t")["gone"]; ok {
+		t.Fatal("v1 delete not applied")
+	}
+	if got := string(ft.idx("t", "by_v")["one"]); got != "a" {
+		t.Fatalf("secondary entry = %q, want %q", got, "a")
+	}
+}
+
 func TestReplaySecondaryOps(t *testing.T) {
 	log := wal.NewNaive(nil)
 	appendMod(log, 1, wal.RecInsert, logrec.Modification{Table: "t", Key: []byte("pk"), After: []byte("rec")})
 	appendMod(log, 1, wal.RecInsert, logrec.Modification{Table: "t", Index: "by_x", Key: []byte("x1"), After: []byte("pk")})
 	appendCommit(log, 1)
-	appendMod(log, 2, wal.RecDelete, logrec.Modification{Table: "t", Index: "by_x", Key: []byte("x1"), Before: []byte("pk")})
+	appendMod(log, 2, wal.RecDelete, logrec.Modification{Table: "t", Index: "by_x", Key: []byte("x1")})
 	appendCommit(log, 2)
 	appendMod(log, 3, wal.RecInsert, logrec.Modification{Table: "t", Index: "by_x", Key: []byte("x2"), After: []byte("pk")})
 	appendAbort(log, 3)

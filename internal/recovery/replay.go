@@ -19,6 +19,8 @@ type Target interface {
 	Delete(table string, key []byte) error
 	// Exists reports whether key is present.
 	Exists(table string, key []byte) (bool, error)
+	// Read returns the record under key; a missing key is an error.
+	Read(table string, key []byte) ([]byte, error)
 	// InsertSecondary adds a secondary-index entry.
 	InsertSecondary(table, index string, secKey, primaryKey []byte) error
 	// DeleteSecondary removes a secondary-index entry.
@@ -39,10 +41,16 @@ type ReplayStats struct {
 
 // applyOp applies a single committed operation using upsert/idempotent
 // semantics so that replaying a log twice (or on top of a partially
-// recovered database) converges to the same state.
+// recovered database) converges to the same state.  A patch rewrites bytes
+// of the record it names, which must therefore exist and be long enough:
+// a patch that does not apply is an error, never skipped, because
+// skipping it would silently lose a committed update.
 func applyOp(t Target, op Op) error {
 	m := op.Mod
 	if m.Index != "" {
+		if m.IsPatch() {
+			return fmt.Errorf("recovery: patch record for secondary index %s.%s", m.Table, m.Index)
+		}
 		switch op.Type {
 		case wal.RecInsert, wal.RecUpdate:
 			return t.InsertSecondary(m.Table, m.Index, m.Key, m.After)
@@ -51,6 +59,20 @@ func applyOp(t Target, op Op) error {
 		default:
 			return fmt.Errorf("recovery: unexpected secondary op type %v", op.Type)
 		}
+	}
+	if m.IsPatch() {
+		if op.Type != wal.RecUpdate {
+			return fmt.Errorf("recovery: patch record of type %v", op.Type)
+		}
+		cur, err := t.Read(m.Table, m.Key)
+		if err != nil {
+			return fmt.Errorf("recovery: patching %s/%x: %w", m.Table, m.Key, err)
+		}
+		rec, err := m.Apply(cur)
+		if err != nil {
+			return fmt.Errorf("recovery: patching %s/%x: %w", m.Table, m.Key, err)
+		}
+		return t.Update(m.Table, m.Key, rec)
 	}
 	switch op.Type {
 	case wal.RecInsert, wal.RecUpdate:
@@ -110,9 +132,14 @@ func loadSnapshot(t Target, s *Snapshot) (int, error) {
 // Replay rebuilds the database contents described by the analysis onto the
 // target: the most recent checkpoint snapshot first, then every operation of
 // a committed transaction that is not already covered by the snapshot, in
-// LSN order.  Operations of aborted and in-flight transactions are skipped
-// (their effects were either rolled back before the crash or never became
-// durable), which plays the role of ARIES undo for this logical scheme.
+// LSN order.  The log is redo-only — it holds after-images and patches,
+// never before-images — and that is enough: operations of aborted and
+// in-flight transactions are skipped (their effects were either rolled back
+// in memory before the crash or never reached stable storage, which the
+// no-steal memory-resident buffer pool guarantees), so nothing is ever
+// undone.  Skipping the losers plays the role of ARIES undo for this
+// logical scheme.  Patches apply to the record as the snapshot and the
+// earlier operations left it.
 func Replay(a *Analysis, t Target) (ReplayStats, error) {
 	var st ReplayStats
 	if a == nil {
@@ -145,14 +172,15 @@ func Replay(a *Analysis, t Target) (ReplayStats, error) {
 }
 
 // ApplyOps applies a slice of recovered operations to the target with the
-// same idempotent semantics as Replay.  It is used to resolve in-doubt
-// cross-shard branches after recovery: the branch's operations were held
+// same idempotent semantics as Replay.  A follower applies each replicated
+// transaction through it (engine.ApplyReplicated), and recovery uses it to
+// resolve in-doubt cross-shard branches: the branch's operations were held
 // back by Replay (its outcome was still in-flight), and are applied here
 // once the coordinator's commit decision is known.
 func ApplyOps(t Target, ops []Op) error {
 	for _, op := range ops {
 		if err := applyOp(t, op); err != nil {
-			return fmt.Errorf("recovery: applying in-doubt op at LSN %d: %w", op.LSN, err)
+			return fmt.Errorf("recovery: applying op at LSN %d: %w", op.LSN, err)
 		}
 	}
 	return nil

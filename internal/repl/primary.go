@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"plp/internal/logrec"
 	"plp/internal/wal"
 	"plp/wire"
 )
@@ -162,13 +163,12 @@ func (p *Primary) Subscribe(start wal.LSN, followerEpoch uint64, node, remote st
 // refusals that mean the subscriber is BEHIND this lineage — a stale
 // (lower) epoch, a diverged (ahead-of-durable) same-epoch log, or a start
 // LSN older than the retained prefix — into a seed subscription: the
-// stream restarts at the oldest retained LSN, the records up to the
-// durable horizon captured here form the seed phase, and the follower is
-// expected to discard its local state before applying them.  Sequential
-// replay of the retained prefix always reconstructs a faithful replica
-// because truncation only ever advances to a checkpoint's BeginLSN: the
-// prefix starts with a complete checkpoint image, and the log records
-// after it replay in causal order.
+// stream restarts at seedStart, the records up to the durable horizon
+// captured here form the seed phase, and the follower is expected to
+// discard its local state before applying them.  Sequential replay from
+// there always reconstructs a faithful replica: the seed phase starts with
+// a complete checkpoint image whenever the retained log holds one, and the
+// log records after it replay in causal order.
 //
 // A subscriber reporting a NEWER epoch is still refused outright: it
 // followed a lineage that fenced this primary, so this node is the stale
@@ -183,7 +183,29 @@ func (p *Primary) SubscribeOrSeed(start wal.LSN, followerEpoch uint64, node, rem
 	if s, err := p.Subscribe(start, followerEpoch, node, remote); err == nil {
 		return s, nil
 	}
-	return p.register(p.log.OldestLSN(), node, remote, true), nil
+	return p.register(p.seedStart(), node, remote, true), nil
+}
+
+// seedStart returns where a seed stream begins: the first record of the
+// newest complete checkpoint in the retained log, or the oldest retained
+// LSN when the log holds none (then it holds the whole history).  Starting
+// at the oldest LSN is not enough once the log has been truncated: a
+// lagging subscriber's pin can stop truncation short of a checkpoint, so
+// the retained log may begin mid-history, and the log is redo-only — a
+// patch record rewrites bytes of a record that a wiped follower would not
+// have until the checkpoint image arrives.
+func (p *Primary) seedStart() wal.LSN {
+	start := p.log.OldestLSN()
+	_ = wal.Scan(p.log, func(r *wal.Record) error {
+		if r.Type != wal.RecCheckpoint {
+			return nil
+		}
+		if end, ok, err := logrec.DecodeCheckpointEnd(r.Payload); err == nil && ok && wal.LSN(end.BeginLSN) > start {
+			start = wal.LSN(end.BeginLSN)
+		}
+		return nil
+	})
+	return start
 }
 
 // register builds and registers a subscription starting (and pinned) at

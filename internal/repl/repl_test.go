@@ -471,6 +471,15 @@ func catchUp(t *testing.T, p *Primary, plog, flog *wal.Durable) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stream(t, s, plog, flog, nil)
+}
+
+// stream drains subscription s into flog until flog holds everything
+// durable on the primary, then closes s.  When a is not nil, each batch,
+// once durable in flog, also goes through the applier, as the follower's
+// receive loop does.
+func stream(t *testing.T, s *Subscription, plog, flog *wal.Durable, a *Applier) {
+	t.Helper()
 	defer s.Close()
 	stop := make(chan struct{})
 	for flog.DurableLSN() < plog.DurableLSN() {
@@ -489,6 +498,11 @@ func catchUp(t *testing.T, p *Primary, plog, flog *wal.Durable) {
 			t.Fatal(err)
 		}
 		durable := flog.Flush(flog.CurrentLSN())
+		if a != nil {
+			if err := a.Feed(shipped); err != nil {
+				t.Fatal(err)
+			}
+		}
 		s.UpdateAck(uint64(durable), uint64(durable))
 	}
 }

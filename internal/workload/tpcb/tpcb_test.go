@@ -2,11 +2,14 @@ package tpcb
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"plp/internal/engine"
+	"plp/internal/logrec"
+	"plp/internal/wal"
 )
 
 func setup(t *testing.T, design engine.Design) (*engine.Engine, *Workload) {
@@ -185,5 +188,53 @@ func TestAccountUpdatePlanAbortsOnMissingAccount(t *testing.T) {
 	}
 	if err := w.Verify(e); err != nil {
 		t.Fatalf("abort left the database inconsistent: %v", err)
+	}
+}
+
+// TestAccountUpdateLogBytes is the log-volume gate on TPC-B: the redo-only
+// log carries no before-images, and each balance increment logs an 8-byte
+// patch at the balance offset rather than the 100-byte row, so an
+// AccountUpdate (three increments, a history insert and the commit) logs
+// at most 450 bytes.  Logging both images of every row takes about 1 KB.
+func TestAccountUpdateLogBytes(t *testing.T) {
+	const txns, bound = 200, 450.0
+	e, w := setup(t, engine.PLPLeaf)
+	sess := e.NewSession()
+	defer sess.Close()
+	rng := rand.New(rand.NewSource(1))
+	bytes0, lsn0 := e.Log().Stats().BytesLogged, e.Log().CurrentLSN()
+	for i := 0; i < txns; i++ {
+		if _, err := sess.ExecutePlan(w.NextPlan(rng)); err != nil {
+			t.Fatalf("txn %d: %v", i, err)
+		}
+	}
+	perTxn := float64(e.Log().Stats().BytesLogged-bytes0) / txns
+
+	patches := 0
+	for _, rec := range e.Log().Records() {
+		if rec.LSN < lsn0 || rec.Type != wal.RecUpdate {
+			continue
+		}
+		m, err := logrec.DecodeModification(rec.Payload)
+		if err != nil {
+			t.Fatalf("record at %d: %v", rec.LSN, err)
+		}
+		switch m.Table {
+		case TableAccount, TableTeller, TableBranch:
+		default:
+			t.Fatalf("unexpected update of %s", m.Table)
+		}
+		if m.At != logrec.PatchAt(balanceOffset) || len(m.After) != 8 {
+			t.Fatalf("%s update logs %d bytes at At=%d, want an 8-byte patch at offset %d", m.Table, len(m.After), m.At, balanceOffset)
+		}
+		patches++
+	}
+	fmt.Printf("BENCH_JSON {\"benchmark\":\"log_volume\",\"workload\":\"tpcb_account_update\",\"design\":\"PLP-Leaf\",\"txns\":%d,\"log_bytes_per_txn\":%.1f,\"bound\":%.0f,\"balance_patches\":%d}\n",
+		txns, perTxn, bound, patches)
+	if patches != 3*txns {
+		t.Fatalf("%d balance patches logged for %d AccountUpdates, want %d", patches, txns, 3*txns)
+	}
+	if perTxn > bound {
+		t.Fatalf("AccountUpdate logs %.1f bytes per transaction, want <= %.0f", perTxn, bound)
 	}
 }
