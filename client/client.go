@@ -16,7 +16,7 @@
 //	err = c.Insert("accounts", client.Uint64Key(42), []byte("hello"))
 //	val, err := c.Get("accounts", client.Uint64Key(42))
 //
-//	// Multi-statement transaction:
+//	// Multi-statement transaction (built into a plan, sent as one frame):
 //	txn := client.NewTxn().
 //		Upsert("accounts", client.Uint64Key(1), []byte("a")).
 //		Upsert("accounts", client.Uint64Key(2), []byte("b"))
@@ -39,6 +39,10 @@
 //	b.Then().Update("subscribers", nil, newLocation).KeyFrom(probe)
 //	results, err := c.DoPlan(b.MustBuild())
 //
+// Every transaction travels as a plan (package plan): Txn is a builder that
+// packs its statements into plan phases, and DoPlan sends a plan built
+// directly.  Pings and control verbs have frames of their own.
+//
 // Cancelling a context abandons the in-flight request (its eventual
 // response is discarded) but leaves the connection usable; a transport
 // error fails every in-flight request and poisons the client.
@@ -46,6 +50,7 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/tls"
 	"errors"
@@ -100,80 +105,137 @@ func IsFollowerRefusal(err error) bool {
 // sort and partition exactly as server-side keys do.
 func Uint64Key(v uint64) []byte { return keys.Uint64(v) }
 
-// Txn is a transaction builder.
+// Txn builds a transaction statement by statement.  Each statement becomes
+// a plan op as it is added, packed greedily into phases: a statement that
+// touches a table+key already in the current phase starts a new phase, so
+// the client-visible statement order holds while independent statements
+// execute in parallel on different partitions.  A GetBySecondary is the
+// paper's pattern for non-partition-aligned indexes: a LookupSecondary
+// phase probes the (latched, conventional) secondary index, then a Get
+// bound to the probe's result is routed to the partition owning the primary
+// key it returned.  The response still carries one result per statement.
 type Txn struct {
-	statements []wire.Statement
+	p    plan.Plan
+	open bool // the last phase takes more ops
+	scan bool // a scan was added
+	// probes lists, ascending, the flat op index of each GetBySecondary's
+	// probe; its bound Get is the next op, and the two share one result.
+	probes []int
 }
 
 // NewTxn returns an empty transaction builder.
 func NewTxn() *Txn { return &Txn{} }
 
+// add appends one statement's op to the open phase, or to a new one when
+// the open phase already touches the op's table+key.
+func (t *Txn) add(op plan.Op) *Txn {
+	last := len(t.p.Phases) - 1
+	if t.open {
+		for i := range t.p.Phases[last] {
+			if o := &t.p.Phases[last][i]; o.Table == op.Table && bytes.Equal(o.Key, op.Key) {
+				t.open = false
+				break
+			}
+		}
+	}
+	if !t.open {
+		t.p.Phases = append(t.p.Phases, nil)
+		t.open = true
+		last++
+	}
+	t.p.Phases[last] = append(t.p.Phases[last], op)
+	return t
+}
+
 // Get appends a read of key.
 func (t *Txn) Get(table string, key []byte) *Txn {
-	t.statements = append(t.statements, wire.Statement{Op: wire.OpGet, Table: table, Key: key})
-	return t
+	return t.add(plan.Op{Kind: plan.Get, Table: table, Key: key})
 }
 
 // Insert appends an insert.
 func (t *Txn) Insert(table string, key, value []byte) *Txn {
-	t.statements = append(t.statements, wire.Statement{Op: wire.OpInsert, Table: table, Key: key, Value: value})
-	return t
+	return t.add(plan.Op{Kind: plan.Insert, Table: table, Key: key, Value: value})
 }
 
 // Update appends an update of an existing record.
 func (t *Txn) Update(table string, key, value []byte) *Txn {
-	t.statements = append(t.statements, wire.Statement{Op: wire.OpUpdate, Table: table, Key: key, Value: value})
-	return t
+	return t.add(plan.Op{Kind: plan.Update, Table: table, Key: key, Value: value})
 }
 
 // Upsert appends an insert-or-update.
 func (t *Txn) Upsert(table string, key, value []byte) *Txn {
-	t.statements = append(t.statements, wire.Statement{Op: wire.OpUpsert, Table: table, Key: key, Value: value})
-	return t
+	return t.add(plan.Op{Kind: plan.Upsert, Table: table, Key: key, Value: value})
 }
 
 // Delete appends a delete.
 func (t *Txn) Delete(table string, key []byte) *Txn {
-	t.statements = append(t.statements, wire.Statement{Op: wire.OpDelete, Table: table, Key: key})
-	return t
+	return t.add(plan.Op{Kind: plan.Delete, Table: table, Key: key})
 }
 
-// GetBySecondary appends a read through the named secondary index.
+// GetBySecondary appends a read through the named secondary index: a probe
+// phase, then a phase reading the primary key the probe found.
 func (t *Txn) GetBySecondary(table, index string, secKey []byte) *Txn {
-	t.statements = append(t.statements, wire.Statement{Op: wire.OpGetBySecondary, Table: table, Index: index, Key: secKey})
+	probe := t.p.NumOps()
+	t.probes = append(t.probes, probe)
+	t.p.Phases = append(t.p.Phases,
+		[]plan.Op{{Kind: plan.LookupSecondary, Table: table, Index: index, Key: secKey}},
+		[]plan.Op{{Kind: plan.Get, Table: table, KeyFrom: int32(probe) + 1}})
+	t.open = false
 	return t
 }
 
 // InsertSecondary appends a secondary-index entry insert.
 func (t *Txn) InsertSecondary(table, index string, secKey, primaryKey []byte) *Txn {
-	t.statements = append(t.statements, wire.Statement{Op: wire.OpInsertSecondary, Table: table, Index: index, Key: secKey, Value: primaryKey})
-	return t
+	return t.add(plan.Op{Kind: plan.InsertSecondary, Table: table, Index: index, Key: secKey, Value: primaryKey})
 }
 
 // DeleteSecondary appends a secondary-index entry delete.
 func (t *Txn) DeleteSecondary(table, index string, secKey []byte) *Txn {
-	t.statements = append(t.statements, wire.Statement{Op: wire.OpDeleteSecondary, Table: table, Index: index, Key: secKey})
-	return t
+	return t.add(plan.Op{Kind: plan.DeleteSecondary, Table: table, Index: index, Key: secKey})
 }
 
 // Scan appends a bounded range scan of [lo, hi) — nil hi scans to the end —
 // returning at most limit records (0 selects the server default).  A scan
-// must be the only statement of its request.
+// must be the only statement of its transaction; build a plan to mix scans
+// with other ops.
 func (t *Txn) Scan(table string, lo, hi []byte, limit int) *Txn {
-	t.statements = append(t.statements, wire.Statement{
-		Op: wire.OpScan, Table: table, Key: lo, KeyEnd: hi, Limit: uint32(max(limit, 0)),
-	})
-	return t
+	t.scan = true
+	return t.add(plan.Op{Kind: plan.Scan, Table: table, Key: lo, KeyEnd: hi, Limit: uint32(max(limit, 0))})
 }
 
 // Len returns the number of statements added so far.
-func (t *Txn) Len() int { return len(t.statements) }
+func (t *Txn) Len() int { return t.p.NumOps() - len(t.probes) }
+
+// collapse folds a response's per-op results into one per statement.  The
+// two ops of a GetBySecondary share a result: the probe's stands when the
+// probe missed or failed, otherwise the bound read's replaces it.  Results
+// that are not one per op (a refusal carrying the shard map, or none at
+// all) are left as they are.
+func (t *Txn) collapse(rs []wire.StatementResult) []wire.StatementResult {
+	if len(t.probes) == 0 || len(rs) != t.p.NumOps() {
+		return rs
+	}
+	out, next := rs[:0], 0
+	for i := 0; i < len(rs); i++ {
+		r := rs[i]
+		if next < len(t.probes) && t.probes[next] == i {
+			next++
+			i++
+			if r.Found && r.Err == "" {
+				r = rs[i]
+			}
+		}
+		out = append(out, r)
+	}
+	return out
+}
 
 // Future is one in-flight request.  It completes exactly once: with the
 // server's response, with a transport error, or with the cancellation
 // error of the context that abandoned it.
 type Future struct {
 	id   uint64
+	txn  *Txn // folds per-op results into per-statement ones (nil: none)
 	done chan struct{}
 	resp *wire.Response
 	err  error
@@ -201,14 +263,24 @@ func (f *Future) Result() (*wire.Response, error) {
 // complete resolves the future.  Callers must guarantee exactly-once (the
 // client does, by removing the future from its pending map first).
 func (f *Future) complete(resp *wire.Response, err error) {
+	if f.txn != nil && resp != nil {
+		resp.Results = f.txn.collapse(resp.Results)
+	}
 	f.resp, f.err = resp, err
 	close(f.done)
+}
+
+// failed returns a future already completed with err.
+func failed(err error) *Future {
+	f := &Future{done: make(chan struct{})}
+	f.complete(nil, err)
+	return f
 }
 
 // DialOptions configures DialContext.
 type DialOptions struct {
 	// Token is presented during the handshake; the matching server token
-	// authenticates the session for OpControl.
+	// authenticates the session for control verbs.
 	Token string
 	// Timeout bounds the TCP dial and the handshake round trip (0 means
 	// 10s).
@@ -532,13 +604,17 @@ func (c *Client) Close() error {
 	return err
 }
 
-// DoAsync submits the transaction and returns its Future without waiting
-// for the response.  The context only gates submission (a context already
-// cancelled fails the future immediately); use Future.Wait to bound the
-// wait for the response.
+// DoAsync submits the transaction as one plan frame and returns its Future
+// without waiting for the response.  The context only gates submission (a
+// context already cancelled fails the future immediately); use Future.Wait
+// to bound the wait for the response.  A scan sent with other statements
+// fails the future without reaching the server.
 func (c *Client) DoAsync(ctx context.Context, t *Txn) *Future {
-	return c.submitAsync(ctx, func(id uint64) []byte {
-		return wire.EncodeRequest(&wire.Request{ID: id, Statements: t.statements})
+	if t.scan && t.Len() > 1 {
+		return failed(fmt.Errorf("%w: scan statements must be sent alone, not inside a transaction", ErrAborted))
+	}
+	return c.submitAsync(ctx, t, func(id uint64) []byte {
+		return wire.EncodePlanRequest(id, &t.p)
 	})
 }
 
@@ -546,18 +622,17 @@ func (c *Client) DoAsync(ctx context.Context, t *Txn) *Future {
 // in one frame and returns its Future.
 func (c *Client) DoPlanAsync(ctx context.Context, p *plan.Plan) *Future {
 	if err := p.Validate(); err != nil {
-		f := &Future{done: make(chan struct{})}
-		f.complete(nil, err)
-		return f
+		return failed(err)
 	}
-	return c.submitAsync(ctx, func(id uint64) []byte {
+	return c.submitAsync(ctx, nil, func(id uint64) []byte {
 		return wire.EncodePlanRequest(id, p)
 	})
 }
 
 // submitAsync registers a future and enqueues the frame encode(id) builds.
-func (c *Client) submitAsync(ctx context.Context, encode func(id uint64) []byte) *Future {
-	f := &Future{done: make(chan struct{})}
+// A non-nil t folds the response's results into one per statement.
+func (c *Client) submitAsync(ctx context.Context, t *Txn, encode func(id uint64) []byte) *Future {
+	f := &Future{txn: t, done: make(chan struct{})}
 	if err := ctx.Err(); err != nil {
 		f.complete(nil, err)
 		return f
@@ -638,24 +713,23 @@ func (c *Client) cancelInFlight(f *Future) {
 // transient aborts are retried under jittered backoff before the error
 // surfaces.
 func (c *Client) DoContext(ctx context.Context, t *Txn) (*wire.Response, error) {
-	resp, err := c.doOnce(ctx, t)
-	for attempt := 1; c.shouldRetry(ctx, err, attempt); attempt++ {
-		if !c.backoffWait(ctx, attempt) {
-			break
-		}
-		resp, err = c.doOnce(ctx, t)
-	}
-	return resp, err
+	return c.do(ctx, func() *Future { return c.DoAsync(ctx, t) })
 }
 
-// doOnce is one submit/wait round of DoContext.
-func (c *Client) doOnce(ctx context.Context, t *Txn) (*wire.Response, error) {
-	f := c.DoAsync(ctx, t)
-	resp, err := f.Wait(ctx)
-	if err != nil && errors.Is(err, ctx.Err()) && ctx.Err() != nil {
-		c.cancelInFlight(f)
+// do submits a request and waits for it, cancelling it server-side when the
+// context ends first, and re-submits transient aborts as the retry policy
+// allows.
+func (c *Client) do(ctx context.Context, submit func() *Future) (*wire.Response, error) {
+	for attempt := 1; ; attempt++ {
+		f := submit()
+		resp, err := f.Wait(ctx)
+		if err != nil && errors.Is(err, ctx.Err()) && ctx.Err() != nil {
+			c.cancelInFlight(f)
+		}
+		if !c.shouldRetry(ctx, err, attempt) || !c.backoffWait(ctx, attempt) {
+			return resp, err
+		}
 	}
-	return resp, err
 }
 
 // shouldRetry reports whether the retry policy allows re-running a request
@@ -693,27 +767,11 @@ func NewPlan() *plan.Builder { return plan.New() }
 // Aborted plans return the results (whose Err fields name the failing ops)
 // together with ErrAborted.
 func (c *Client) DoPlanContext(ctx context.Context, p *plan.Plan) ([]plan.Result, error) {
-	resp, err := c.doPlanOnce(ctx, p)
-	for attempt := 1; c.shouldRetry(ctx, err, attempt); attempt++ {
-		if !c.backoffWait(ctx, attempt) {
-			break
-		}
-		resp, err = c.doPlanOnce(ctx, p)
-	}
+	resp, err := c.do(ctx, func() *Future { return c.DoPlanAsync(ctx, p) })
 	if resp == nil {
 		return nil, err
 	}
 	return planResultsFromWire(resp), err
-}
-
-// doPlanOnce is one submit/wait round of DoPlanContext.
-func (c *Client) doPlanOnce(ctx context.Context, p *plan.Plan) (*wire.Response, error) {
-	f := c.DoPlanAsync(ctx, p)
-	resp, err := f.Wait(ctx)
-	if err != nil && errors.Is(err, ctx.Err()) && ctx.Err() != nil {
-		c.cancelInFlight(f)
-	}
-	return resp, err
 }
 
 // DoPlan executes a declarative plan with no deadline; see DoPlanContext.
@@ -743,7 +801,9 @@ func (c *Client) Ping(payload []byte) error { return c.PingContext(context.Backg
 
 // PingContext checks connectivity under a context.
 func (c *Client) PingContext(ctx context.Context, payload []byte) error {
-	resp, err := c.DoContext(ctx, &Txn{statements: []wire.Statement{{Op: wire.OpPing, Value: payload}}})
+	resp, err := c.do(ctx, func() *Future {
+		return c.submitAsync(ctx, nil, func(id uint64) []byte { return wire.EncodePingRequest(id, payload) })
+	})
 	if err != nil {
 		return err
 	}
@@ -865,7 +925,8 @@ func (c *Client) ScanContext(ctx context.Context, table string, lo, hi []byte, l
 }
 
 // Control executes one administrative command on the server (the plpctl
-// "drp" verbs: "status", "trigger", "shares") and returns its text output.
+// verbs, e.g. "status", "trigger", "shares", "checkpoint") in a control
+// frame of its own and returns its text output.
 // table is the optional table argument ("" when the command takes none).
 // On a token-protected server control requires the session to have
 // authenticated with DialOptions.Token.
@@ -875,7 +936,9 @@ func (c *Client) Control(cmd, table string) (string, error) {
 
 // ControlContext executes one administrative command under a context.
 func (c *Client) ControlContext(ctx context.Context, cmd, table string) (string, error) {
-	resp, err := c.DoContext(ctx, &Txn{statements: []wire.Statement{{Op: wire.OpControl, Table: table, Key: []byte(cmd)}}})
+	resp, err := c.do(ctx, func() *Future {
+		return c.submitAsync(ctx, nil, func(id uint64) []byte { return wire.EncodeControlRequest(id, cmd, table) })
+	})
 	if err != nil {
 		return "", err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"plp/internal/keyenc"
 	"plp/keys"
+	"plp/plan"
 	"plp/wire"
 )
 
@@ -24,6 +25,15 @@ func TestUint64KeyMatchesEngineEncoding(t *testing.T) {
 	}
 }
 
+// flatOps returns a transaction's plan ops in flat phase order.
+func flatOps(t *Txn) []plan.Op {
+	var ops []plan.Op
+	for _, ph := range t.p.Phases {
+		ops = append(ops, ph...)
+	}
+	return ops
+}
+
 func TestTxnBuilder(t *testing.T) {
 	txn := NewTxn().
 		Get("t", []byte("a")).
@@ -37,17 +47,47 @@ func TestTxnBuilder(t *testing.T) {
 	if txn.Len() != 7 {
 		t.Fatalf("len %d, want 7", txn.Len())
 	}
-	wantOps := []wire.OpType{
-		wire.OpGet, wire.OpInsert, wire.OpUpdate, wire.OpUpsert,
-		wire.OpDelete, wire.OpGetBySecondary, wire.OpInsertSecondary,
+	// Independent statements share a phase; a GetBySecondary is a probe
+	// phase plus a phase reading the probed key.
+	if err := txn.p.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	for i, want := range wantOps {
-		if txn.statements[i].Op != want {
-			t.Fatalf("statement %d op %v, want %v", i, txn.statements[i].Op, want)
+	if len(txn.p.Phases) != 4 || len(txn.p.Phases[0]) != 5 {
+		t.Fatalf("phases %+v, want 5 ops, probe, bound get, secondary insert", txn.p.Phases)
+	}
+	wantKinds := []plan.Kind{
+		plan.Get, plan.Insert, plan.Update, plan.Upsert, plan.Delete,
+		plan.LookupSecondary, plan.Get, plan.InsertSecondary,
+	}
+	ops := flatOps(txn)
+	for i, want := range wantKinds {
+		if ops[i].Kind != want {
+			t.Fatalf("op %d kind %v, want %v", i, ops[i].Kind, want)
 		}
 	}
-	if txn.statements[5].Index != "idx" || txn.statements[6].Index != "idx" {
-		t.Fatal("secondary statements lost their index name")
+	if ops[5].Index != "idx" || ops[7].Index != "idx" {
+		t.Fatal("secondary ops lost their index name")
+	}
+	if ops[6].KeyFrom != 6 {
+		t.Fatalf("bound get reads op %d, want the probe (ref 6)", ops[6].KeyFrom)
+	}
+
+	// A statement touching a table+key already in the open phase starts a
+	// new one, so it observes the earlier statement.
+	rw := NewTxn().Upsert("t", []byte("k"), []byte("v")).Get("t", []byte("j")).Get("t", []byte("k"))
+	if len(rw.p.Phases) != 2 || len(rw.p.Phases[0]) != 2 {
+		t.Fatalf("same-key phases %+v, want the second read of k in a phase of its own", rw.p.Phases)
+	}
+
+	// One result per statement: a probe hit yields the bound read's result,
+	// a probe miss its own.
+	two := NewTxn().GetBySecondary("t", "idx", []byte("hit")).GetBySecondary("t", "idx", []byte("miss"))
+	got := two.collapse([]wire.StatementResult{
+		{Found: true, Value: []byte("pk")}, {Found: true, Value: []byte("row")},
+		{Found: false}, {Found: false},
+	})
+	if len(got) != 2 || string(got[0].Value) != "row" || got[1].Found {
+		t.Fatalf("collapsed results %+v, want [row, miss]", got)
 	}
 }
 
@@ -58,16 +98,17 @@ func TestTxnBuilderV2Ops(t *testing.T) {
 	if txn.Len() != 2 {
 		t.Fatalf("len %d, want 2", txn.Len())
 	}
-	s := txn.statements[0]
-	if s.Op != wire.OpScan || !bytes.Equal(s.Key, []byte("a")) ||
+	ops := flatOps(txn)
+	s := ops[0]
+	if s.Kind != plan.Scan || !bytes.Equal(s.Key, []byte("a")) ||
 		!bytes.Equal(s.KeyEnd, []byte("z")) || s.Limit != 25 {
-		t.Fatalf("scan statement %+v", s)
+		t.Fatalf("scan op %+v", s)
 	}
-	if txn.statements[1].Op != wire.OpDeleteSecondary || txn.statements[1].Index != "idx" {
-		t.Fatalf("delsec statement %+v", txn.statements[1])
+	if ops[1].Kind != plan.DeleteSecondary || ops[1].Index != "idx" {
+		t.Fatalf("delsec op %+v", ops[1])
 	}
 	// A negative limit is clamped, not wrapped into a huge uint32.
-	if NewTxn().Scan("t", nil, nil, -1).statements[0].Limit != 0 {
+	if flatOps(NewTxn().Scan("t", nil, nil, -1))[0].Limit != 0 {
 		t.Fatal("negative limit not clamped to 0")
 	}
 }

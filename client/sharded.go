@@ -6,10 +6,11 @@
 // forwards the request in the same call — the cross-process mirror of the
 // executor's epoch-checked mis-route forwarding.
 //
-// Routing picks the owner of the first primary-keyed statement; a
-// transaction spanning shards is still sent whole to that owner, which
-// coordinates the cross-shard commit server-side.  Scans fan out to every
-// shard intersecting the range and concatenate in shard (= key) order.
+// Routing places a transaction's plan by the servers' own rule
+// (shard.Map.Placement): a plan owned by one shard goes there, and one
+// spanning shards goes whole to one of its owners, which coordinates the
+// cross-shard commit server-side.  Scans fan out to every shard
+// intersecting the range and concatenate in shard (= key) order.
 package client
 
 import (
@@ -20,6 +21,7 @@ import (
 	"sync/atomic"
 
 	"plp/keys"
+	"plp/plan"
 	"plp/shard"
 	"plp/wire"
 )
@@ -30,7 +32,7 @@ var ErrNoShardMap = errors.New("client: no shard map available")
 // ShardMap fetches the server's current shard map; a server running
 // unsharded returns an error.
 func (c *Client) ShardMap(ctx context.Context) (*shard.Map, error) {
-	f := c.submitAsync(ctx, wire.EncodeShardMapRequest)
+	f := c.submitAsync(ctx, nil, wire.EncodeShardMapRequest)
 	resp, err := f.Wait(ctx)
 	if err != nil && errors.Is(err, ctx.Err()) && ctx.Err() != nil {
 		c.abandon(f)
@@ -203,65 +205,20 @@ func (s *Sharded) dropClient(addr string, c *Client) {
 	_ = c.Close()
 }
 
-// routeKeyed reports whether the statement routes by its primary key; must
-// mirror the server's classification (secondary-index ops are shard-local).
-func routeKeyed(op wire.OpType) bool {
-	switch op {
-	case wire.OpGet, wire.OpInsert, wire.OpUpdate, wire.OpUpsert, wire.OpDelete:
-		return true
-	default:
-		return false
+// route returns the shard a plan is sent to: the one owning its ops, or
+// when they span shards one of their owners, which coordinates.  A plan
+// with no statically keyed op goes to the first shard.  Read-only plans
+// rotate across that shard's primary and replicas; turn selects the
+// rotation slot, and callers advance it per request (round robin) and per
+// retry (so a dead follower's slot is skipped on the next attempt).
+// Writes always go to the primary.
+func route(m *shard.Map, p *plan.Plan, turn uint64) string {
+	owner, _ := m.Placement(p, m.Shards[0].ID)
+	sh, _ := m.ByID(owner)
+	if p.Writes() {
+		return sh.Addr
 	}
-}
-
-// addrFor picks the target shard for a transaction: the owner of the first
-// primary-keyed statement (that shard coordinates if others are involved),
-// or the first shard when nothing routes by key.
-func addrFor(m *shard.Map, t *Txn) string {
-	for _, st := range t.statements {
-		if routeKeyed(st.Op) {
-			return m.AddrOf(m.Owner(st.Key))
-		}
-	}
-	return m.Shards[0].Addr
-}
-
-// readOnly reports whether every statement of t reads (no writes, no
-// control verbs) — the transactions replica-aware routing may serve from a
-// follower.
-func (t *Txn) readOnly() bool {
-	if len(t.statements) == 0 {
-		return false
-	}
-	for _, st := range t.statements {
-		switch st.Op {
-		case wire.OpGet, wire.OpGetBySecondary, wire.OpScan, wire.OpPing:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// shardFor returns the shard a transaction routes to (see addrFor).
-func shardFor(m *shard.Map, t *Txn) shard.Shard {
-	for _, st := range t.statements {
-		if routeKeyed(st.Op) {
-			sh, _ := m.ByID(m.Owner(st.Key))
-			return sh
-		}
-	}
-	return m.Shards[0]
-}
-
-// readAddrFor rotates a read-only transaction across its shard's primary
-// and replicas.  turn selects the rotation slot; callers advance it per
-// request (round robin) and per retry (so a dead follower's slot is skipped
-// on the next attempt).
-func readAddrFor(m *shard.Map, t *Txn, turn uint64) string {
-	sh := shardFor(m, t)
-	n := uint64(len(sh.Replicas)) + 1
-	slot := turn % n
+	slot := turn % (uint64(len(sh.Replicas)) + 1)
 	if slot == 0 {
 		return sh.Addr
 	}
@@ -296,20 +253,15 @@ func refusalMap(resp *wire.Response) *shard.Map {
 // moved) adopts the refuser's map and follows the promotion.
 func (s *Sharded) DoContext(ctx context.Context, t *Txn) (*wire.Response, error) {
 	var lastErr error
-	readonly := t.readOnly()
+	readonly := !t.p.Writes()
 	turn := s.rr.Add(1)
 	for attempt := 0; attempt < maxRouteAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var addr string
-		if readonly {
-			// Advancing by attempt walks the rotation past members that just
-			// failed, ending back at the primary.
-			addr = readAddrFor(s.Map(), t, turn+uint64(attempt))
-		} else {
-			addr = addrFor(s.Map(), t)
-		}
+		// Advancing the turn by attempt walks a read's rotation past members
+		// that just failed, ending back at the primary.
+		addr := route(s.Map(), &t.p, turn+uint64(attempt))
 		c, err := s.clientFor(ctx, addr)
 		if err != nil {
 			// The member is unreachable — possibly a dead primary that has
@@ -346,14 +298,9 @@ func (s *Sharded) DoContext(ctx context.Context, t *Txn) (*wire.Response, error)
 		if resp != nil && wire.IsWrongShard(resp.Err) {
 			// The refusal carries the server's current map: adopt it and
 			// re-route.  A parse failure falls back to an explicit fetch.
-			if len(resp.Results) == 1 {
-				if nm, perr := shard.Parse(resp.Results[0].Value); perr == nil {
-					s.adopt(nm)
-					lastErr = err
-					continue
-				}
-			}
-			if rerr := s.Refresh(ctx); rerr != nil {
+			if nm := refusalMap(resp); nm != nil {
+				s.adopt(nm)
+			} else if rerr := s.Refresh(ctx); rerr != nil {
 				return resp, fmt.Errorf("%s (map refresh failed: %w)", resp.Err, rerr)
 			}
 			lastErr = err

@@ -6,7 +6,7 @@
 //  1. In-process, through every one of the five execution designs
 //     (Session.ExecutePlan), showing the designs agree op for op.
 //  2. Over the wire, where the whole multi-phase plan travels in one
-//     protocol-v3 frame and executes as one transaction in one round trip
+//     plan frame and executes as one transaction in one round trip
 //     (client.DoPlan), including a read-only-scoped session being refused
 //     writes.
 //
@@ -117,8 +117,8 @@ func main() {
 	}
 
 	// TATP UpdateLocation: the dependent two-phase transaction is ONE
-	// round trip — compare the two server round trips the flat statement
-	// API needs (GetBySecondary, then Update).
+	// round trip — compare the two server round trips a client.Txn needs
+	// (GetBySecondary, then Update).
 	if _, err := c.DoPlan(updateLocation(subscriberNbr(2), []byte("loc=cell-17"))); err != nil {
 		log.Fatal(err)
 	}

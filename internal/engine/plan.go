@@ -18,8 +18,8 @@ import (
 	"plp/plan"
 )
 
-// Plan-scan bounds.  They also bound a flat-statement OpScan, which the
-// wire server runs as a one-scan plan.
+// Plan-scan bounds.  They also bound a client.Txn scan, which travels as a
+// one-scan plan.
 const (
 	// DefaultPlanScanLimit is applied when a plan Scan asks for no limit.
 	DefaultPlanScanLimit = 1024

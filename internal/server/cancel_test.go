@@ -13,6 +13,7 @@ import (
 
 	"plp/internal/engine"
 	"plp/internal/keyenc"
+	"plp/plan"
 	"plp/wire"
 )
 
@@ -30,10 +31,8 @@ func TestCancelImmediatelyAfterSend(t *testing.T) {
 	committed := make(map[uint64]bool, n)
 	for i := uint64(1); i <= n; i++ {
 		var buf bytes.Buffer
-		req := &wire.Request{ID: i, Statements: []wire.Statement{{
-			Op: wire.OpUpsert, Table: "accounts", Key: keyenc.Uint64Key(i), Value: []byte(fmt.Sprintf("c-%d", i)),
-		}}}
-		if err := wire.WriteFrame(&buf, wire.EncodeRequest(req)); err != nil {
+		p := plan.New().Upsert("accounts", keyenc.Uint64Key(i), []byte(fmt.Sprintf("c-%d", i))).MustBuild()
+		if err := wire.WriteFrame(&buf, wire.EncodePlanRequest(i, p)); err != nil {
 			t.Fatal(err)
 		}
 		if err := wire.WriteFrame(&buf, wire.EncodeCancelRequest(i)); err != nil {
@@ -86,9 +85,7 @@ func TestCancelWithReusedRequestID(t *testing.T) {
 	conn := dialRaw(t, addr)
 
 	mkReq := func(key uint64) []byte {
-		return wire.EncodeRequest(&wire.Request{ID: 42, Statements: []wire.Statement{{
-			Op: wire.OpUpsert, Table: "accounts", Key: keyenc.Uint64Key(key), Value: []byte("dup"),
-		}}})
+		return wire.EncodePlanRequest(42, plan.New().Upsert("accounts", keyenc.Uint64Key(key), []byte("dup")).MustBuild())
 	}
 	for round := 0; round < 100; round++ {
 		var buf bytes.Buffer

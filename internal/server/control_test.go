@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"plp/internal/engine"
 	"plp/internal/keyenc"
 	"plp/internal/repartition"
+	"plp/plan"
 	"plp/wire"
 )
 
@@ -119,8 +121,9 @@ func TestControlVerbsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestControlInsideTransactionRejected checks a control statement mixed
-// with data statements aborts the request.
+// TestControlInsideTransactionRejected checks a control verb cannot carry
+// a transaction: a control frame with a plan body smuggled behind its
+// command is refused as malformed, and the plan's write is not applied.
 func TestControlInsideTransactionRejected(t *testing.T) {
 	_, _, addr := startServer(t, engine.PLPLeaf)
 	c := dial(t, addr)
@@ -135,12 +138,10 @@ func TestControlInsideTransactionRejected(t *testing.T) {
 		t.Fatal("plain txn did not commit")
 	}
 
-	raw := &wire.Request{ID: 99, Statements: []wire.Statement{
-		{Op: wire.OpControl, Key: []byte("status")},
-		{Op: wire.OpUpsert, Table: "accounts", Key: keyenc.Uint64Key(2), Value: []byte("v")},
-	}}
+	smuggled := wire.EncodePlanRequest(99, plan.New().Upsert("accounts", keyenc.Uint64Key(2), []byte("v")).MustBuild())
+	raw := append(wire.EncodeControlRequest(99, "status", ""), smuggled[9:]...)
 	conn := dialRaw(t, addr)
-	if err := wire.WriteFrame(conn, wire.EncodeRequest(raw)); err != nil {
+	if err := wire.WriteFrame(conn, raw); err != nil {
 		t.Fatal(err)
 	}
 	payload, err := wire.ReadFrame(conn)
@@ -151,7 +152,10 @@ func TestControlInsideTransactionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp2.Committed || resp2.Err == "" {
+	if resp2.ID != 99 || resp2.Committed || resp2.Err == "" {
 		t.Fatalf("mixed control+data request was not rejected: %+v", resp2)
+	}
+	if _, err := c.Get("accounts", keyenc.Uint64Key(2)); !errors.Is(err, client.ErrNotFound) {
+		t.Fatalf("smuggled write: %v, want it never applied", err)
 	}
 }

@@ -59,20 +59,18 @@ func (h *latencyHist) observe(start time.Time) {
 	h.buckets[b].Add(1)
 }
 
-// The per-op-kind histograms: flat statement requests (one-shot scans
-// included), declarative plans, and individual streaming-scan chunk
-// productions (engine chunk + frame encode + writer hand-off).
+// The per-op-kind histograms: transactions (every data request is a plan,
+// one-shot scans included) and individual streaming-scan chunk productions
+// (engine chunk + frame encode + writer hand-off).
 var (
-	latStatements = &latencyHist{}
-	latPlan       = &latencyHist{}
-	latScanChunk  = &latencyHist{}
+	latPlan      = &latencyHist{}
+	latScanChunk = &latencyHist{}
 )
 
 var latencyKinds = []struct {
 	name string
 	h    *latencyHist
 }{
-	{"statements", latStatements},
 	{"plan", latPlan},
 	{"scan_chunk", latScanChunk},
 }
@@ -90,7 +88,7 @@ type LatencyStats struct {
 }
 
 // LatencySnapshot returns the process-wide sampled latency histograms by op
-// kind ("statements", "plan", "scan_chunk") — the same data expvar
+// kind ("plan", "scan_chunk") — the same data expvar
 // publishes as "plp_latency".
 func LatencySnapshot() map[string]LatencyStats {
 	out := make(map[string]LatencyStats, len(latencyKinds))

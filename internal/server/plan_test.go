@@ -322,9 +322,7 @@ func TestCancelAbortsServerSideTransaction(t *testing.T) {
 	// Pre-set flag: refused before execution.
 	flag := &atomic.Bool{}
 	flag.Store(true)
-	payload := wire.EncodeRequest(&wire.Request{ID: 5, Statements: []wire.Statement{
-		{Op: wire.OpUpsert, Table: "accounts", Key: client.Uint64Key(1), Value: []byte("x")},
-	}})
+	payload := wire.EncodePlanRequest(5, plan.New().Upsert("accounts", client.Uint64Key(1), []byte("x")).MustBuild())
 	resp := srv.handleFrame(sess, payload, cs, flag)
 	if resp.Committed || !strings.Contains(resp.Err, "cancel") {
 		t.Fatalf("queued-canceled request: %+v", resp)
@@ -352,8 +350,9 @@ func TestCancelAbortsServerSideTransaction(t *testing.T) {
 	}
 }
 
-// TestV2ScanStillAlone pins that flat statement requests keep the
-// scans-alone restriction, while plans mix them freely (TestPlanOverWire).
+// TestV2ScanStillAlone pins that transactions built statement by statement
+// keep the scans-alone restriction, while plans mix them freely
+// (TestPlanOverWire).
 func TestV2ScanStillAlone(t *testing.T) {
 	_, _, addr := startServer(t, engine.PLPLeaf)
 	c := dial(t, addr)

@@ -60,7 +60,9 @@ func TestHandshakeNegotiatesDownFromFutureVersion(t *testing.T) {
 // TestHandshakeRequired checks the server speaks one protocol: a
 // connection whose first frame is a request rather than a HELLO, and one
 // whose HELLO offers an older version, are both refused with an erroring
-// HELLO-ACK and closed, and neither counts as a session.
+// HELLO-ACK and closed, and neither counts as a session.  A v3 client, which
+// would send flat statement frames this server no longer reads, is refused
+// at the handshake.
 func TestHandshakeRequired(t *testing.T) {
 	_, srv, addr := startServer(t, engine.PLPLeaf)
 	for _, tc := range []struct {
@@ -68,8 +70,9 @@ func TestHandshakeRequired(t *testing.T) {
 		first []byte
 		want  string
 	}{
-		{"no hello", wire.EncodeRequest(&wire.Request{ID: 1, Statements: []wire.Statement{{Op: wire.OpPing}}}), "handshake required"},
+		{"no hello", wire.EncodePingRequest(1, nil), "handshake required"},
 		{"hello offering v2", wire.EncodeHello(&wire.Hello{MaxVersion: 2}), "offers protocol v2"},
+		{"hello offering v3", wire.EncodeHello(&wire.Hello{MaxVersion: 3}), "offers protocol v3, server requires v4"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn, err := net.Dial("tcp", addr)
@@ -249,7 +252,7 @@ func TestContextCancellationMidFlight(t *testing.T) {
 	}
 }
 
-// TestScanOverWire loads a keyspace and drives OpScan round trips through
+// TestScanOverWire loads a keyspace and drives scan round trips through
 // every scan shape: bounded, limited, open-ended and empty.
 func TestScanOverWire(t *testing.T) {
 	for _, design := range []engine.Design{engine.Conventional, engine.PLPLeaf} {
@@ -389,11 +392,10 @@ func TestDeleteSecondaryOverWire(t *testing.T) {
 func TestDecodeErrorEchoesRequestID(t *testing.T) {
 	_, _, addr := startServer(t, engine.PLPLeaf)
 	conn := dialRaw(t, addr)
-	// A statement frame with a valid ID prefix and a hostile statement
-	// count.
+	// A plan frame with a valid ID prefix and a hostile phase count.
 	payload := make([]byte, 16)
 	binary.LittleEndian.PutUint64(payload[:8], 7777)
-	payload[8] = byte(wire.FrameStatements)
+	payload[8] = byte(wire.FramePlan)
 	binary.LittleEndian.PutUint32(payload[9:13], 0xFFFFFFFF)
 	if err := wire.WriteFrame(conn, payload); err != nil {
 		t.Fatal(err)

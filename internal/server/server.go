@@ -15,14 +15,15 @@
 // connection with one request in flight is flushed at once.  The client's
 // writer follows the same rule for requests.
 //
-// A transaction has one form on the server, a plan (package plan).  Plan
-// frames arrive as one; flat statement requests are translated into one.
-// Both then take the same path — admission checks, shard placement,
-// compilation by the engine, execution — so cancellation, retry hints and
-// shard ownership behave identically for both.  The partition manager
-// inside the engine does the actual work distribution: the server only
-// hands it plans, exactly the role the "partition manager" layer of Section
-// 3.1 plays for incoming transactions.
+// A transaction has one form on the wire and on the server, a plan (package
+// plan).  Plan frames and the branches of cross-shard commits take the same
+// path — admission checks, shard placement, compilation by the engine,
+// execution — so cancellation, retry hints and shard ownership behave
+// identically for both.  Pings and control verbs have frames of their own
+// and never run as transactions.  The partition manager inside the engine
+// does the actual work distribution: the server only hands it plans,
+// exactly the role the "partition manager" layer of Section 3.1 plays for
+// incoming transactions.
 package server
 
 import (
@@ -58,10 +59,10 @@ const (
 	DefaultConnQueue = 64
 )
 
-// ControlHandler serves the wire protocol's OpControl statements — the
+// ControlHandler serves the wire protocol's control frames — the
 // administrative verbs of plpctl.  The online repartitioning controller
 // (package repartition) implements it; a server without a handler rejects
-// control statements.
+// those verbs.
 type ControlHandler interface {
 	// Control executes one command ("status", "trigger", "shares", ...)
 	// with an optional table argument and returns its text output.
@@ -159,7 +160,7 @@ func New(e *engine.Engine) *Server {
 }
 
 // SetControlHandler installs (or, with nil, removes) the handler behind the
-// wire protocol's control statements.
+// wire protocol's control frames.
 func (s *Server) SetControlHandler(h ControlHandler) {
 	if h == nil {
 		s.control.Store(nil)
@@ -182,7 +183,7 @@ func (s *Server) SetCheckpointHandler(fn CheckpointFunc) {
 // SetAuthToken installs (or, with "", removes) the authentication token.
 // With a token set, only sessions whose HELLO presented the matching token
 // are authenticated: a wrong token is refused outright, and sessions
-// without a token may run data transactions but are refused OpControl.
+// without a token may run data transactions but are refused control verbs.
 // Without a token every session is authenticated.  The token is
 // snapshotted per connection at handshake time.
 func (s *Server) SetAuthToken(token string) {
@@ -615,10 +616,16 @@ func (s *Server) handleFrame(sess *engine.Session, payload []byte, cs session, c
 		return &wire.Response{ID: id, Err: fmt.Sprintf("decode: %v", err)}
 	}
 	switch f.Kind {
-	case wire.FrameStatements:
-		return s.executeStatements(sess, f.Req, cs, canceled)
 	case wire.FramePlan:
 		return s.executePlan(sess, f.ID, f.Plan, cs, canceled)
+	case wire.FramePing:
+		s.requests.Add(1)
+		s.committed.Add(1)
+		return &wire.Response{ID: f.ID, Committed: true, Results: []wire.StatementResult{{Found: true, Value: f.Ping}}}
+	case wire.FrameControl:
+		s.requests.Add(1)
+		s.committed.Add(1)
+		return &wire.Response{ID: f.ID, Committed: true, Results: []wire.StatementResult{s.executeControl(f.Command, f.Table, cs)}}
 	case wire.FrameShardMap:
 		return s.executeShardMap(f.ID)
 	case wire.FramePrepare:
@@ -677,60 +684,15 @@ func (s *Server) executePlan(sess *engine.Session, id uint64, p *plan.Plan, cs s
 	s.requests.Add(1)
 	start := latPlan.sampleStart()
 	defer func() { latPlan.observe(start) }()
-	return s.runTxn(sess, &wire.Response{ID: id}, p, nil, cs, canceled)
+	return s.runTxn(sess, &wire.Response{ID: id}, p, cs, canceled)
 }
 
-// executeStatements runs one flat statement request.  Pings and control
-// verbs never run as transactions: a request made only of them is answered
-// directly, and a control verb must be sent alone.  A scan must be sent
-// alone too.  Everything else is translated into a plan and takes the same
-// transaction path as a plan frame.
-func (s *Server) executeStatements(sess *engine.Session, req *wire.Request, cs session, canceled *atomic.Bool) *wire.Response {
-	s.requests.Add(1)
-	start := latStatements.sampleStart()
-	defer func() { latStatements.observe(start) }()
-	resp := &wire.Response{ID: req.ID, Results: make([]wire.StatementResult, len(req.Statements))}
-	admin, hasControl, hasScan := 0, false, false
-	for _, st := range req.Statements {
-		switch st.Op {
-		case wire.OpPing:
-			admin++
-		case wire.OpControl:
-			admin++
-			hasControl = true
-		case wire.OpScan:
-			hasScan = true
-		}
-	}
-	if hasScan && len(req.Statements) != 1 {
-		return s.refuse(resp, "scan statements must be sent alone, not inside a transaction")
-	}
-	if hasControl && admin != len(req.Statements) {
-		return s.refuse(resp, "control statements must be sent alone, not inside a transaction")
-	}
-	for i, st := range req.Statements {
-		switch st.Op {
-		case wire.OpPing:
-			resp.Results[i] = wire.StatementResult{Found: true, Value: append([]byte(nil), st.Value...)}
-		case wire.OpControl:
-			resp.Results[i] = s.executeControl(st, cs)
-		}
-	}
-	if admin == len(req.Statements) {
-		resp.Committed = true
-		s.committed.Add(1)
-		return resp
-	}
-	t := translate(req)
-	return s.runTxn(sess, resp, &t.plan, t, cs, canceled)
-}
-
-// runTxn is the one transaction path.  A plan frame arrives as itself (t
-// nil); a statement request arrives translated (t non-nil, p == &t.plan).
-// Both pass the same checks — session scope, replication role,
-// cancellation, shard placement — before run compiles and executes p, and
-// both classify their abort the same way.
-func (s *Server) runTxn(sess *engine.Session, resp *wire.Response, p *plan.Plan, t *stmtTxn, cs session, canceled *atomic.Bool) *wire.Response {
+// runTxn is the one transaction path.  Every plan passes the same checks —
+// session scope, replication role, cancellation, shard placement — before
+// run compiles and executes it (or, when it spans shards, before the
+// coordinator splits it into branches), and every abort is classified the
+// same way.
+func (s *Server) runTxn(sess *engine.Session, resp *wire.Response, p *plan.Plan, cs session, canceled *atomic.Bool) *wire.Response {
 	writes := p.Writes()
 	if cs.readOnly && writes {
 		return s.refuse(resp, "read-only session: write ops refused")
@@ -750,22 +712,22 @@ func (s *Server) runTxn(sess *engine.Session, resp *wire.Response, p *plan.Plan,
 	}
 	if ss := s.sharding.Load(); ss != nil {
 		m := ss.m.Load()
-		switch foreign, spans := placement(p, m, ss.self); {
-		case spans && t == nil:
-			return s.refuse(resp, "cross-shard plans are not supported: send each shard's ops as a plan of its own")
+		switch foreign, spans := m.Placement(p, ss.self); {
 		case spans:
-			return s.executeCoordinated(sess, ss, m, t, resp, canceled)
+			return s.executeCoordinated(sess, ss, m, p, resp, canceled)
 		case foreign != ss.self:
 			s.aborted.Add(1)
 			return wrongShard(resp, m, foreign)
 		}
 	}
-	results, err := s.run(sess, p, "", canceled)
-	if t != nil {
-		t.collapse(resp.Results, results)
-	} else if results != nil {
-		resp.Results = planResultsToWire(results)
+	if len(p.Phases) == 0 {
+		// An empty transaction commits without touching the engine.
+		resp.Committed = true
+		s.committed.Add(1)
+		return resp
 	}
+	results, err := s.run(sess, p, "", canceled)
+	resp.Results = planResultsToWire(results)
 	if err != nil {
 		resp.Err = err.Error()
 		resp.Retry = classifyAbort(err)
@@ -800,126 +762,33 @@ func (s *Server) run(sess *engine.Session, p *plan.Plan, gid string, canceled *a
 	return results, err
 }
 
-// resultToWire converts one plan op result to a wire statement result.
-func resultToWire(r plan.Result) wire.StatementResult {
-	sr := wire.StatementResult{Found: r.Found, Value: r.Value, Err: r.Err}
-	if len(r.Entries) > 0 {
-		sr.Entries = make([]wire.ScanEntry, len(r.Entries))
-		for j, e := range r.Entries {
-			sr.Entries[j] = wire.ScanEntry{Key: e.Key, Value: e.Value}
-		}
-	}
-	return sr
-}
-
 // planResultsToWire converts per-op plan results to wire statement results,
 // one per op in flat phase order.
 func planResultsToWire(rs []plan.Result) []wire.StatementResult {
 	out := make([]wire.StatementResult, len(rs))
 	for i, r := range rs {
-		out[i] = resultToWire(r)
+		out[i] = wire.StatementResult{Found: r.Found, Value: r.Value, Err: r.Err}
+		if len(r.Entries) > 0 {
+			out[i].Entries = make([]wire.ScanEntry, len(r.Entries))
+			for j, e := range r.Entries {
+				out[i].Entries[j] = wire.ScanEntry{Key: e.Key, Value: e.Value}
+			}
+		}
 	}
 	return out
 }
 
-// stmtTxn is a flat statement request in plan form (see translate).
-type stmtTxn struct {
-	req  *wire.Request
-	plan plan.Plan
-	// slots maps each plan op, in flat order, to the index of the statement
-	// whose result it produces.  A GetBySecondary owns two adjacent ops.
-	slots []int
-}
-
-// stmtKinds maps each flat op that is a plan op of the same meaning to its
-// plan kind.  Pings and control verbs are never plan ops, and
-// GetBySecondary becomes two (see translate).
-var stmtKinds = [...]plan.Kind{
-	wire.OpGet:             plan.Get,
-	wire.OpInsert:          plan.Insert,
-	wire.OpUpdate:          plan.Update,
-	wire.OpUpsert:          plan.Upsert,
-	wire.OpDelete:          plan.Delete,
-	wire.OpInsertSecondary: plan.InsertSecondary,
-	wire.OpDeleteSecondary: plan.DeleteSecondary,
-	wire.OpScan:            plan.Scan,
-}
-
-// translate turns a flat statement request into a plan.  Statements are
-// packed into phases greedily: one that touches a table+key already in the
-// current phase starts a new phase, preserving the client-visible statement
-// order while letting independent statements execute in parallel on
-// different partitions.  A GetBySecondary is the paper's pattern for
-// non-partition-aligned indexes: a LookupSecondary phase probes the
-// (latched, conventional) secondary index, then a Get bound to the probe's
-// result is routed to the partition owning the primary key it returned.
-// Pings are skipped; the caller answers them inline.
-func translate(req *wire.Request) *stmtTxn {
-	t := &stmtTxn{req: req}
-	var phase []plan.Op
-	var touched map[string]struct{}
-	if len(req.Statements) > 1 {
-		touched = make(map[string]struct{})
-	}
-	flush := func() {
-		if len(phase) > 0 {
-			t.plan.Phases = append(t.plan.Phases, phase)
-			phase = nil
-			clear(touched)
-		}
-	}
-	for i, st := range req.Statements {
-		switch st.Op {
-		case wire.OpPing:
-			continue
-		case wire.OpGetBySecondary:
-			flush()
-			probe := int32(len(t.slots)) + 1 // bindings are 1-based flat indices
-			t.plan.Phases = append(t.plan.Phases,
-				[]plan.Op{{Kind: plan.LookupSecondary, Table: st.Table, Index: st.Index, Key: st.Key}},
-				[]plan.Op{{Kind: plan.Get, Table: st.Table, KeyFrom: probe}})
-			t.slots = append(t.slots, i, i)
-			continue
-		}
-		if touched != nil {
-			k := st.Table + "\x00" + string(st.Key)
-			if _, dup := touched[k]; dup {
-				flush()
-			}
-			touched[k] = struct{}{}
-		}
-		phase = append(phase, plan.Op{Kind: stmtKinds[st.Op], Table: st.Table, Index: st.Index,
-			Key: st.Key, Value: st.Value, KeyEnd: st.KeyEnd, Limit: st.Limit})
-		t.slots = append(t.slots, i)
-	}
-	flush()
-	return t
-}
-
-// collapse folds per-op plan results back into one result per statement.
-// The two ops of a GetBySecondary share a slot: the probe's result stands
-// when the probe missed or failed, otherwise the bound read's result
-// replaces it.  Nil results (the plan did not compile) leave out untouched.
-func (t *stmtTxn) collapse(out []wire.StatementResult, results []plan.Result) {
-	for i, r := range results {
-		if i > 0 && t.slots[i-1] == t.slots[i] && (!results[i-1].Found || results[i-1].Err != "") {
-			continue
-		}
-		out[t.slots[i]] = resultToWire(r)
-	}
-}
-
-// executeControl runs one control statement: the "checkpoint" verb through
-// the checkpoint handler, everything else through the attached control
-// handler.
-func (s *Server) executeControl(st wire.Statement, cs session) wire.StatementResult {
+// executeControl runs one control verb with its optional table argument:
+// the "checkpoint" verb through the checkpoint handler, everything else
+// through the attached control handler.
+func (s *Server) executeControl(cmd, table string, cs session) wire.StatementResult {
 	if cs.readOnly {
 		return wire.StatementResult{Err: "read-only session: control refused"}
 	}
 	if !cs.authed {
 		return wire.StatementResult{Err: "control requires an authenticated session (connect with the server's -token)"}
 	}
-	switch string(st.Key) {
+	switch cmd {
 	case "promote":
 		return s.executePromote()
 	case "repl status":
@@ -929,9 +798,9 @@ func (s *Server) executeControl(st wire.Statement, cs session) wire.StatementRes
 		// A follower's log must stay a byte-identical prefix of the
 		// primary's, so every verb that could append locally (checkpoint,
 		// repartition triggers) is refused until promotion.
-		return wire.StatementResult{Err: fmt.Sprintf("%s: control verb %q refused — only \"promote\" and \"repl status\" run on a follower", wire.FollowerPrefix, st.Key)}
+		return wire.StatementResult{Err: fmt.Sprintf("%s: control verb %q refused — only \"promote\" and \"repl status\" run on a follower", wire.FollowerPrefix, cmd)}
 	}
-	if string(st.Key) == "checkpoint" {
+	if cmd == "checkpoint" {
 		cp := s.checkpoint.Load()
 		if cp == nil {
 			return wire.StatementResult{Err: "server has no checkpoint handler (start plpd with -data-dir or -checkpoint-ms)"}
@@ -946,7 +815,7 @@ func (s *Server) executeControl(st wire.Statement, cs session) wire.StatementRes
 	if p == nil {
 		return wire.StatementResult{Err: "server has no control handler (start plpd with -drp)"}
 	}
-	out, err := (*p).Control(string(st.Key), st.Table)
+	out, err := (*p).Control(cmd, table)
 	if err != nil {
 		return wire.StatementResult{Err: err.Error()}
 	}

@@ -3,16 +3,17 @@
 // the in-doubt janitor.
 //
 // Each plpd process serves one shard of a versioned shard map (package
-// shard).  A request whose keys all belong to this shard takes the
-// unchanged single-process path; one whose keys all belong to another
-// shard is refused with a wrong-shard error carrying the current map (the
-// client refreshes and forwards, mirroring the executor's in-process
-// mis-route forwarding); one spanning shards is executed here as a
-// coordinator-logged two-phase commit:
+// shard).  A plan whose ops all belong to this shard takes the unchanged
+// single-process path; one whose ops all belong to another shard is refused
+// with a wrong-shard error carrying the current map (the client refreshes
+// and forwards, mirroring the executor's in-process mis-route forwarding);
+// one spanning shards is executed here as a coordinator-logged two-phase
+// commit:
 //
-//  1. the coordinator splits the statements by owner and ships each remote
-//     branch as a PREPARE frame; participants execute the branch, force a
-//     prepare record naming the gid, and vote by committing the response;
+//  1. the coordinator splits the plan into one sub-plan per owning shard
+//     (see split) and ships each remote branch as a PREPARE frame;
+//     participants execute the branch, force a prepare record naming the
+//     gid, and vote by committing the response;
 //  2. the local branch (if any) prepares the same way through
 //     Session.ExecutePrepare;
 //  3. on unanimous yes the coordinator durably logs its commit decision
@@ -217,44 +218,6 @@ func coordinatorOf(gid string) (int, bool) {
 	return id, true
 }
 
-// opOwner returns the shard op runs on.  A point op whose key the request
-// carries runs on that key's owner.  Secondary-index ops and scans stay on
-// the shard that received them (secondary indexes are shard-local), as do
-// ops keyed at execution time by a binding or a fan-out.
-func opOwner(op *plan.Op, m *shard.Map, self int) int {
-	switch op.Kind {
-	case plan.Get, plan.Insert, plan.Update, plan.Upsert, plan.Delete, plan.ReadModifyWrite:
-		if op.KeyFrom == plan.NoBind && op.EachFrom == plan.NoBind {
-			return m.Owner(op.Key)
-		}
-	}
-	return self
-}
-
-// placement is the one shard-ownership check, shared by statement requests,
-// plan frames and prepared branches.  foreign is the first shard other than
-// self that owns one of p's ops (self when there is none); spans reports
-// that p's ops fall on more than one shard.  So a plan runs here when
-// foreign == self, belongs to shard foreign when !spans, and otherwise
-// needs a cross-shard commit.
-func placement(p *plan.Plan, m *shard.Map, self int) (foreign int, spans bool) {
-	foreign = self
-	local := false
-	for _, ph := range p.Phases {
-		for i := range ph {
-			switch o := opOwner(&ph[i], m, self); {
-			case o == self:
-				local = true
-			case foreign == self:
-				foreign = o
-			case o != foreign:
-				spans = true
-			}
-		}
-	}
-	return foreign, spans || (local && foreign != self)
-}
-
 // wrongShard builds the routing refusal for a request owned by another
 // shard: the error names the owner and the response carries the current
 // encoded map so the client can refresh and forward in one round trip.
@@ -264,39 +227,80 @@ func wrongShard(resp *wire.Response, m *shard.Map, owner int) *wire.Response {
 	return resp
 }
 
-// branch is one shard's slice of a cross-shard transaction.
+// branch is one shard's sub-plan of a cross-shard transaction.
 type branch struct {
 	owner int
-	stmts []wire.Statement
-	slots []int // original statement indices, for result scattering
+	plan  plan.Plan
+	phase int   // index of p's phase the last appended op came from
+	flat  []int // each sub-plan op's flat index in p, for result scattering
 }
 
-// executeCoordinated runs a cross-shard statement request as its
-// coordinator.  Pings were answered by the caller.
-func (s *Server) executeCoordinated(sess *engine.Session, ss *shardState, m *shard.Map, t *stmtTxn, resp *wire.Response, canceled *atomic.Bool) *wire.Response {
-	// Split the statements into per-shard branches, preserving statement
-	// order within each branch.  A statement's owner is its ops' owner (a
-	// GetBySecondary's two ops both stay here).
+// split divides a cross-shard plan into one sub-plan per owning shard.
+// Each keeps its ops in phase order, with a phase wherever p has one that
+// holds an op of the branch, and bindings renumbered to the sub-plan's flat
+// indices.  A binding to an op of another branch is refused: that value
+// would have to cross shards mid-transaction.
+func split(p *plan.Plan, m *shard.Map, self int) ([]*branch, error) {
 	var branches []*branch
-	byOwner := make(map[int]*branch, 2)
-	flat, prev := 0, -1
-	for _, ph := range t.plan.Phases {
+	type place struct {
+		b   *branch
+		ref int32 // 1-based flat index within b's sub-plan
+	}
+	placed := make([]place, 0, p.NumOps())
+	for pi, ph := range p.Phases {
 		for i := range ph {
-			slot := t.slots[flat]
-			flat++
-			if slot == prev {
-				continue // a GetBySecondary's bound read, placed with its probe
+			op := ph[i]
+			o := m.OpOwner(&op, self)
+			var b *branch
+			for _, c := range branches {
+				if c.owner == o {
+					b = c
+				}
 			}
-			prev = slot
-			o := opOwner(&ph[i], m, ss.self)
-			b := byOwner[o]
 			if b == nil {
-				b = &branch{owner: o}
-				byOwner[o] = b
+				b = &branch{owner: o, phase: -1}
 				branches = append(branches, b)
 			}
-			b.stmts = append(b.stmts, t.req.Statements[slot])
-			b.slots = append(b.slots, slot)
+			for _, ref := range []*int32{&op.KeyFrom, &op.ValueFrom, &op.EachFrom} {
+				if *ref == plan.NoBind {
+					continue
+				}
+				src := placed[*ref-1]
+				if src.b != b {
+					return nil, fmt.Errorf("cross-shard plan: op %d runs on shard %d but binds op %d, which runs on shard %d", len(placed), o, *ref-1, src.b.owner)
+				}
+				*ref = src.ref
+			}
+			if b.phase != pi {
+				b.plan.Phases = append(b.plan.Phases, nil)
+				b.phase = pi
+			}
+			last := len(b.plan.Phases) - 1
+			b.plan.Phases[last] = append(b.plan.Phases[last], op)
+			b.flat = append(b.flat, len(placed))
+			placed = append(placed, place{b, int32(len(b.flat))})
+		}
+	}
+	return branches, nil
+}
+
+// executeCoordinated runs a cross-shard plan as its coordinator.
+func (s *Server) executeCoordinated(sess *engine.Session, ss *shardState, m *shard.Map, p *plan.Plan, resp *wire.Response, canceled *atomic.Bool) *wire.Response {
+	// split relies on bindings that name earlier-phase ops, which a valid
+	// plan guarantees; the engine would refuse an invalid one anyway.
+	if err := p.Validate(); err != nil {
+		return s.refuse(resp, err.Error())
+	}
+	branches, err := split(p, m, ss.self)
+	if err != nil {
+		return s.refuse(resp, err.Error())
+	}
+	resp.Results = make([]wire.StatementResult, p.NumOps())
+	scatter := func(b *branch, results []wire.StatementResult) {
+		for j, r := range results {
+			if j < len(b.flat) {
+				resp.Results[b.flat[j]] = r
+			}
 		}
 	}
 
@@ -343,28 +347,19 @@ func (s *Server) executeCoordinated(sess *engine.Session, ss *shardState, m *sha
 		if err != nil {
 			return abort(fmt.Sprintf("shard %d unreachable: %v", b.owner, err), preparedRemote, false)
 		}
-		presp, err := pc.call(wire.EncodePrepareRequest(0, gid, m.Version, b.stmts))
+		presp, err := pc.call(wire.EncodePrepareRequest(0, gid, m.Version, &b.plan))
 		if err != nil {
 			return abort(fmt.Sprintf("prepare on shard %d: %v", b.owner, err), preparedRemote, false)
 		}
+		// A no vote (op error, or the keys moved and the participant refused
+		// them) leaves nothing to abort there.
+		scatter(b, presp.Results)
 		if !presp.Committed {
-			// The branch voted no (statement error, or the keys moved and
-			// the participant refused them); nothing to abort there.
 			reason := presp.Err
 			if reason == "" {
 				reason = fmt.Sprintf("shard %d voted no", b.owner)
 			}
-			for j, slot := range b.slots {
-				if j < len(presp.Results) {
-					resp.Results[slot] = presp.Results[j]
-				}
-			}
 			return abort(reason, preparedRemote, false)
-		}
-		for j, slot := range b.slots {
-			if j < len(presp.Results) {
-				resp.Results[slot] = presp.Results[j]
-			}
 		}
 		preparedRemote = append(preparedRemote, b)
 	}
@@ -372,13 +367,8 @@ func (s *Server) executeCoordinated(sess *engine.Session, ss *shardState, m *sha
 		if b.owner != ss.self {
 			continue
 		}
-		lt := translate(&wire.Request{ID: t.req.ID, Statements: b.stmts})
-		results, err := s.run(sess, &lt.plan, gid, canceled)
-		localResults := make([]wire.StatementResult, len(b.stmts))
-		lt.collapse(localResults, results)
-		for j, slot := range b.slots {
-			resp.Results[slot] = localResults[j]
-		}
+		results, err := s.run(sess, &b.plan, gid, canceled)
+		scatter(b, planResultsToWire(results))
 		if err != nil {
 			return abort(err.Error(), preparedRemote, false)
 		}
@@ -433,13 +423,12 @@ func (s *Server) executeShardMap(id uint64) *wire.Response {
 }
 
 // executePrepare is the participant side of phase 1: execute the branch's
-// statements (translated like any statement request), force a prepare
-// record under the frame's gid, and vote.
+// plan, force a prepare record under the frame's gid, and vote.
 // Committed=true is a durable yes; anything else is a no (and the branch,
 // if it started, has already aborted locally).
 func (s *Server) executePrepare(sess *engine.Session, f *wire.Frame, cs session) *wire.Response {
 	s.requests.Add(1)
-	resp := &wire.Response{ID: f.ID, Results: make([]wire.StatementResult, len(f.Req.Statements))}
+	resp := &wire.Response{ID: f.ID}
 	ss := s.sharding.Load()
 	if ss == nil {
 		resp.Err = "server is not sharded"
@@ -459,13 +448,12 @@ func (s *Server) executePrepare(sess *engine.Session, f *wire.Frame, cs session)
 	// Re-check ownership under the map this participant currently holds: a
 	// coordinator routing on a stale map must not slip a foreign key in.
 	m := ss.m.Load()
-	t := translate(f.Req)
-	if foreign, _ := placement(&t.plan, m, ss.self); foreign != ss.self {
+	if foreign, _ := m.Placement(f.Plan, ss.self); foreign != ss.self {
 		s.aborted.Add(1)
 		return wrongShard(resp, m, foreign)
 	}
-	results, err := s.run(sess, &t.plan, f.GID, nil)
-	t.collapse(resp.Results, results)
+	results, err := s.run(sess, f.Plan, f.GID, nil)
+	resp.Results = planResultsToWire(results)
 	if err != nil {
 		resp.Err = err.Error()
 		s.aborted.Add(1)

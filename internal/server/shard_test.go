@@ -21,6 +21,7 @@ import (
 	"plp/internal/keyenc"
 	"plp/internal/txn"
 	"plp/keys"
+	"plp/plan"
 	"plp/shard"
 	"plp/wire"
 )
@@ -40,7 +41,8 @@ func startShardCluster(t *testing.T, boundary uint64) ([]*shardNode, *shard.Map)
 	for i := range nodes {
 		e := engine.New(engine.Options{Design: engine.PLPLeaf, Partitions: 4})
 		parts := [][]byte{keyenc.Uint64Key(250_000), keyenc.Uint64Key(500_000), keyenc.Uint64Key(750_000)}
-		if _, err := e.CreateTable(catalog.TableDef{Name: "kv", Boundaries: parts}); err != nil {
+		if _, err := e.CreateTable(catalog.TableDef{Name: "kv", Boundaries: parts,
+			Secondaries: []catalog.SecondaryDef{{Name: "by_name"}}}); err != nil {
 			t.Fatal(err)
 		}
 		srv := New(e)
@@ -108,11 +110,11 @@ func TestWrongShardRefusalCarriesMap(t *testing.T) {
 	}
 }
 
-// TestPlanWrongShardRefused checks plan frames get the same ownership
-// check as statement requests: a plan whose keys all belong to another
-// shard is refused with the map attached, and one whose keys span shards
-// is refused outright (plans take no cross-shard commit) — in both cases
-// with no effect on either shard.
+// TestPlanWrongShardRefused checks plan frames get the shard ownership
+// check: a plan whose keys all belong to another shard is refused with the
+// map attached and no effect.  One whose keys span shards commits on each
+// owner through the coordinator — unless an op binds the result of an op on
+// another shard, which is refused up front, permanently, with no effect.
 func TestPlanWrongShardRefused(t *testing.T) {
 	nodes, _ := startShardCluster(t, 500_000)
 	c := dial(t, nodes[0].addr)
@@ -125,27 +127,49 @@ func TestPlanWrongShardRefused(t *testing.T) {
 	if m, perr := shard.Parse(resp.Results[0].Value); perr != nil || m.Owner(client.Uint64Key(600_000)) != 1 {
 		t.Fatalf("refusal map: %v, %v", m, perr)
 	}
+	for _, n := range nodes {
+		if engineHasKey(t, n, 600_000) {
+			t.Fatalf("refused plan left its key on %s", n.addr)
+		}
+	}
+
 	spanning := client.NewPlan().
 		Upsert("kv", client.Uint64Key(100), []byte("x")).
 		Upsert("kv", client.Uint64Key(700_000), []byte("x")).
 		MustBuild()
-	_, err = c.DoPlan(spanning)
-	if !errors.Is(err, client.ErrAborted) || client.IsTransient(err) || !strings.Contains(err.Error(), "cross-shard plans") {
-		t.Fatalf("cross-shard plan: %v, want a permanent cross-shard refusal", err)
+	if _, err := c.DoPlan(spanning); err != nil {
+		t.Fatalf("cross-shard plan: %v, want a commit through the coordinator", err)
+	}
+	if !engineHasKey(t, nodes[0], 100) || engineHasKey(t, nodes[1], 100) {
+		t.Fatal("key 100 not exactly-once on shard 0")
+	}
+	if !engineHasKey(t, nodes[1], 700_000) || engineHasKey(t, nodes[0], 700_000) {
+		t.Fatal("key 700000 not exactly-once on shard 1")
+	}
+
+	// Shard 0's upsert takes its value from a read on shard 1.
+	b := client.NewPlan()
+	read := b.Get("kv", client.Uint64Key(700_000)).Ref()
+	b.Upsert("kv", client.Uint64Key(650_000), []byte("y"))
+	b.Then().Upsert("kv", client.Uint64Key(200), nil).ValueFrom(read)
+	_, err = c.DoPlan(b.MustBuild())
+	if !errors.Is(err, client.ErrAborted) || client.IsTransient(err) || !strings.Contains(err.Error(), "binds op") {
+		t.Fatalf("cross-shard binding: %v, want a permanent refusal", err)
 	}
 	for _, n := range nodes {
-		for _, k := range []uint64{100, 600_000, 700_000} {
+		for _, k := range []uint64{200, 650_000} {
 			if engineHasKey(t, n, k) {
 				t.Fatalf("refused plan left key %d on %s", k, n.addr)
 			}
 		}
 	}
+
 	// A plan wholly owned by the shard it is sent to still commits there.
-	local := client.NewPlan().Upsert("kv", client.Uint64Key(100), []byte("x")).MustBuild()
+	local := client.NewPlan().Upsert("kv", client.Uint64Key(150), []byte("x")).MustBuild()
 	if _, err := c.DoPlan(local); err != nil {
 		t.Fatalf("local plan: %v", err)
 	}
-	if !engineHasKey(t, nodes[0], 100) || engineHasKey(t, nodes[1], 100) {
+	if !engineHasKey(t, nodes[0], 150) || engineHasKey(t, nodes[1], 150) {
 		t.Fatal("local plan did not commit on its owning shard only")
 	}
 }
@@ -169,7 +193,8 @@ func TestCrossShardCommitAtomicity(t *testing.T) {
 	// A clean one commits on both, each key exactly once on its owner.
 	good := client.NewTxn().
 		Upsert("kv", client.Uint64Key(100), []byte("a")).
-		Upsert("kv", client.Uint64Key(700_000), []byte("b"))
+		Upsert("kv", client.Uint64Key(700_000), []byte("b")).
+		InsertSecondary("kv", "by_name", []byte("alice"), client.Uint64Key(100))
 	resp, err := c.Do(good)
 	if err != nil || !resp.Committed {
 		t.Fatalf("cross-shard commit: %v (%+v)", err, resp)
@@ -182,14 +207,59 @@ func TestCrossShardCommitAtomicity(t *testing.T) {
 	}
 
 	// A cross-shard read sees both branches' values in statement order.
+	// The secondary probe and its bound read stay on the coordinator, the
+	// binding renumbered into the local branch.
 	reads, err := c.Do(client.NewTxn().
 		Get("kv", client.Uint64Key(100)).
-		Get("kv", client.Uint64Key(700_000)))
+		Get("kv", client.Uint64Key(700_000)).
+		GetBySecondary("kv", "by_name", []byte("alice")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(reads.Results[0].Value) != "a" || string(reads.Results[1].Value) != "b" {
+	if len(reads.Results) != 3 || string(reads.Results[0].Value) != "a" ||
+		string(reads.Results[1].Value) != "b" || string(reads.Results[2].Value) != "a" {
 		t.Fatalf("cross-shard read: %+v", reads.Results)
+	}
+
+	// A TPC-B-shaped read-modify-write plan: the branch and teller rows on
+	// shard 0, the account row on shard 1, each credited in one phase.
+	branchKey, tellerKey, acctKey := client.Uint64Key(1), client.Uint64Key(11), client.Uint64Key(700_001)
+	balances := func() []int64 {
+		t.Helper()
+		rs, err := c.DoPlan(client.NewPlan().Get("kv", branchKey).Get("kv", tellerKey).Get("kv", acctKey).MustBuild())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]int64, len(rs))
+		for i, r := range rs {
+			if out[i], err = plan.DecodeInt64(r.Value); err != nil {
+				t.Fatalf("balance %d: %v", i, err)
+			}
+		}
+		return out
+	}
+	credit := client.NewPlan().Add("kv", branchKey, 5).Add("kv", tellerKey, 5).Add("kv", acctKey, 5).MustBuild()
+	if _, err := c.DoPlan(credit); err != nil {
+		t.Fatalf("cross-shard read-modify-write plan: %v", err)
+	}
+	if got := balances(); got[0] != 5 || got[1] != 5 || got[2] != 5 {
+		t.Fatalf("balances after the credit: %v, want 5 each", got)
+	}
+	if !engineHasKey(t, nodes[1], 700_001) || engineHasKey(t, nodes[0], 700_001) {
+		t.Fatal("account row not exactly-once on shard 1")
+	}
+
+	// A failing condition on the remote shard aborts every branch.
+	stale := client.NewPlan().
+		Add("kv", branchKey, 5).
+		Add("kv", tellerKey, 5).
+		CompareAndSet("kv", acctKey, plan.Int64(999), plan.Int64(10)).
+		MustBuild()
+	if _, err := c.DoPlan(stale); !errors.Is(err, client.ErrAborted) {
+		t.Fatalf("cross-shard plan with a failing remote condition: %v, want ErrAborted", err)
+	}
+	if got := balances(); got[0] != 5 || got[1] != 5 || got[2] != 5 {
+		t.Fatalf("balances after the aborted plan: %v, want 5 each (nothing applied)", got)
 	}
 }
 

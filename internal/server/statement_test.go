@@ -19,72 +19,57 @@ type stmtWant struct {
 	err   string
 }
 
-// TestStatementSemantics pins what every flat statement op returns, per
+// TestStatementSemantics pins what every client.Txn statement returns, per
 // statement and for the transaction, under a locking and a latch-free
 // design.  Each case runs on a fresh server seeded with keys 1 ("one") and
 // 2 ("two") and the secondary entry alice → 1.
 func TestStatementSemantics(t *testing.T) {
-	acct := func(op wire.OpType, key uint64, val string) wire.Statement {
-		return wire.Statement{Op: op, Table: "accounts", Key: client.Uint64Key(key), Value: []byte(val)}
-	}
-	byName := func(op wire.OpType, name string, pk uint64) wire.Statement {
-		st := wire.Statement{Op: op, Table: "accounts", Index: "by_name", Key: []byte(name)}
-		if op == wire.OpInsertSecondary {
-			st.Value = client.Uint64Key(pk)
-		}
-		return st
-	}
-	ping := func(v string) wire.Statement { return wire.Statement{Op: wire.OpPing, Value: []byte(v)} }
-	scan := func(lo uint64) wire.Statement {
-		return wire.Statement{Op: wire.OpScan, Table: "accounts", Key: client.Uint64Key(lo)}
-	}
+	acct := client.Uint64Key
 	found := func(v string) *stmtWant { return &stmtWant{found: true, value: v} }
 	missing := &stmtWant{}
 	failed := func(msg string) *stmtWant { return &stmtWant{err: msg} }
 	cases := []struct {
 		name      string
-		stmts     []wire.Statement
+		txn       *client.Txn
 		committed bool
 		want      []*stmtWant
 		// after maps keys to their value once the request finished ("" means
 		// the key must be absent).
 		after map[uint64]string
 	}{
-		{name: "get hit", stmts: []wire.Statement{acct(wire.OpGet, 1, "")},
+		{name: "get hit", txn: client.NewTxn().Get("accounts", acct(1)),
 			committed: true, want: []*stmtWant{found("one")}},
-		{name: "get miss", stmts: []wire.Statement{acct(wire.OpGet, 9, "")},
+		{name: "get miss", txn: client.NewTxn().Get("accounts", acct(9)),
 			committed: true, want: []*stmtWant{missing}},
-		{name: "insert", stmts: []wire.Statement{acct(wire.OpInsert, 3, "three")},
+		{name: "insert", txn: client.NewTxn().Insert("accounts", acct(3), []byte("three")),
 			committed: true, want: []*stmtWant{found("")}, after: map[uint64]string{3: "three"}},
-		{name: "insert duplicate aborts", stmts: []wire.Statement{acct(wire.OpInsert, 1, "x")},
+		{name: "insert duplicate aborts", txn: client.NewTxn().Insert("accounts", acct(1), []byte("x")),
 			want: []*stmtWant{failed("duplicate key")}, after: map[uint64]string{1: "one"}},
-		{name: "update", stmts: []wire.Statement{acct(wire.OpUpdate, 1, "uno")},
+		{name: "update", txn: client.NewTxn().Update("accounts", acct(1), []byte("uno")),
 			committed: true, want: []*stmtWant{found("")}, after: map[uint64]string{1: "uno"}},
-		{name: "update missing aborts", stmts: []wire.Statement{acct(wire.OpUpdate, 9, "x")},
+		{name: "update missing aborts", txn: client.NewTxn().Update("accounts", acct(9), []byte("x")),
 			want: []*stmtWant{failed("key not found")}, after: map[uint64]string{9: ""}},
-		{name: "upsert", stmts: []wire.Statement{acct(wire.OpUpsert, 2, "deux"), acct(wire.OpUpsert, 4, "four")},
+		{name: "upsert", txn: client.NewTxn().Upsert("accounts", acct(2), []byte("deux")).Upsert("accounts", acct(4), []byte("four")),
 			committed: true, want: []*stmtWant{found(""), found("")}, after: map[uint64]string{2: "deux", 4: "four"}},
-		{name: "delete", stmts: []wire.Statement{acct(wire.OpDelete, 1, "")},
+		{name: "delete", txn: client.NewTxn().Delete("accounts", acct(1)),
 			committed: true, want: []*stmtWant{found("")}, after: map[uint64]string{1: ""}},
-		{name: "delete missing aborts", stmts: []wire.Statement{acct(wire.OpUpsert, 5, "x"), acct(wire.OpDelete, 9, "")},
+		{name: "delete missing aborts", txn: client.NewTxn().Upsert("accounts", acct(5), []byte("x")).Delete("accounts", acct(9)),
 			want: []*stmtWant{nil, failed("key not found")}, after: map[uint64]string{5: ""}},
-		{name: "insert secondary", stmts: []wire.Statement{byName(wire.OpInsertSecondary, "bob", 2), byName(wire.OpGetBySecondary, "bob", 0)},
+		{name: "insert secondary", txn: client.NewTxn().InsertSecondary("accounts", "by_name", []byte("bob"), acct(2)).GetBySecondary("accounts", "by_name", []byte("bob")),
 			committed: true, want: []*stmtWant{found(""), found("two")}},
-		{name: "delete secondary", stmts: []wire.Statement{byName(wire.OpDeleteSecondary, "alice", 0), byName(wire.OpGetBySecondary, "alice", 0)},
+		{name: "delete secondary", txn: client.NewTxn().DeleteSecondary("accounts", "by_name", []byte("alice")).GetBySecondary("accounts", "by_name", []byte("alice")),
 			committed: true, want: []*stmtWant{found(""), missing}},
-		{name: "delete missing secondary commits", stmts: []wire.Statement{byName(wire.OpDeleteSecondary, "nobody", 0)},
+		{name: "delete missing secondary commits", txn: client.NewTxn().DeleteSecondary("accounts", "by_name", []byte("nobody")),
 			committed: true, want: []*stmtWant{found("")}},
-		{name: "get by secondary hit", stmts: []wire.Statement{acct(wire.OpGet, 9, ""), byName(wire.OpGetBySecondary, "alice", 0), acct(wire.OpGet, 2, "")},
+		{name: "get by secondary hit", txn: client.NewTxn().Get("accounts", acct(9)).GetBySecondary("accounts", "by_name", []byte("alice")).Get("accounts", acct(2)),
 			committed: true, want: []*stmtWant{missing, found("one"), found("two")}},
-		{name: "get by secondary miss", stmts: []wire.Statement{acct(wire.OpUpsert, 6, "six"), byName(wire.OpGetBySecondary, "nobody", 0), acct(wire.OpGet, 1, "")},
+		{name: "get by secondary miss", txn: client.NewTxn().Upsert("accounts", acct(6), []byte("six")).GetBySecondary("accounts", "by_name", []byte("nobody")).Get("accounts", acct(1)),
 			committed: true, want: []*stmtWant{found(""), missing, found("one")}, after: map[uint64]string{6: "six"}},
-		{name: "ping mixed with writes", stmts: []wire.Statement{ping("p"), acct(wire.OpUpsert, 7, "seven"), ping("q")},
-			committed: true, want: []*stmtWant{found("p"), found(""), found("q")}, after: map[uint64]string{7: "seven"}},
-		{name: "write then read same key", stmts: []wire.Statement{acct(wire.OpUpsert, 8, "eight"), acct(wire.OpGet, 8, ""), acct(wire.OpUpdate, 8, "ocho"), acct(wire.OpGet, 8, "")},
+		{name: "write then read same key", txn: client.NewTxn().Upsert("accounts", acct(8), []byte("eight")).Get("accounts", acct(8)).Update("accounts", acct(8), []byte("ocho")).Get("accounts", acct(8)),
 			committed: true, want: []*stmtWant{found(""), found("eight"), found(""), found("ocho")}, after: map[uint64]string{8: "ocho"}},
-		{name: "scan", stmts: []wire.Statement{scan(0)},
+		{name: "scan", txn: client.NewTxn().Scan("accounts", acct(0), nil, 0),
 			committed: true, want: []*stmtWant{{found: true}}},
-		{name: "scan empty range", stmts: []wire.Statement{scan(100)},
+		{name: "scan empty range", txn: client.NewTxn().Scan("accounts", acct(100), nil, 0),
 			committed: true, want: []*stmtWant{missing}},
 	}
 	for _, design := range []engine.Design{engine.Conventional, engine.PLPLeaf} {
@@ -94,25 +79,17 @@ func TestStatementSemantics(t *testing.T) {
 					_, _, addr := startServer(t, design)
 					c := dial(t, addr)
 					if _, err := c.Do(client.NewTxn().
-						Insert("accounts", client.Uint64Key(1), []byte("one")).
-						Insert("accounts", client.Uint64Key(2), []byte("two")).
-						InsertSecondary("accounts", "by_name", []byte("alice"), client.Uint64Key(1))); err != nil {
+						Insert("accounts", acct(1), []byte("one")).
+						Insert("accounts", acct(2), []byte("two")).
+						InsertSecondary("accounts", "by_name", []byte("alice"), acct(1))); err != nil {
 						t.Fatal(err)
 					}
-					conn := dialRaw(t, addr)
-					if err := wire.WriteFrame(conn, wire.EncodeRequest(&wire.Request{ID: 1, Statements: tc.stmts})); err != nil {
-						t.Fatal(err)
+					resp, err := c.Do(tc.txn)
+					if resp == nil {
+						t.Fatalf("no response: %v", err)
 					}
-					payload, err := wire.ReadFrame(conn)
-					if err != nil {
-						t.Fatal(err)
-					}
-					resp, err := wire.DecodeResponse(payload)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if resp.Committed != tc.committed || (resp.Err == "") != tc.committed {
-						t.Fatalf("committed=%v err=%q, want committed=%v", resp.Committed, resp.Err, tc.committed)
+					if resp.Committed != tc.committed || (resp.Err == "") != tc.committed || (err == nil) != tc.committed {
+						t.Fatalf("committed=%v err=%q (%v), want committed=%v", resp.Committed, resp.Err, err, tc.committed)
 					}
 					if len(resp.Results) != len(tc.want) {
 						t.Fatalf("%d results, want %d: %+v", len(resp.Results), len(tc.want), resp.Results)
@@ -126,7 +103,7 @@ func TestStatementSemantics(t *testing.T) {
 						t.Fatalf("scan returned %d entries, want the 2 seeded keys", len(resp.Results[0].Entries))
 					}
 					for key, want := range tc.after {
-						got, err := c.Get("accounts", client.Uint64Key(key))
+						got, err := c.Get("accounts", acct(key))
 						switch {
 						case want == "" && !errors.Is(err, client.ErrNotFound):
 							t.Fatalf("key %d afterwards: %q, %v; want absent", key, got, err)
@@ -155,7 +132,7 @@ func checkStmtResult(t *testing.T, i int, got wire.StatementResult, w *stmtWant)
 	}
 }
 
-// TestStatementScanLimits pins the flat scan's limit handling: 0 selects
+// TestStatementScanLimits pins a one-shot scan's limit handling: 0 selects
 // the default of 1024 records, and a limit above 65536 is capped there.
 func TestStatementScanLimits(t *testing.T) {
 	for _, design := range []engine.Design{engine.Conventional, engine.PLPLeaf} {

@@ -1,4 +1,4 @@
-// Streaming scans: server side of the V3 SCAN / SCAN-CHUNK / SCAN-ACK
+// Streaming scans: server side of the SCAN / SCAN-CHUNK / SCAN-ACK
 // exchange.  A FrameScan occupies one executor slot of its connection for
 // the stream's lifetime and produces chunks by repeatedly asking the engine
 // for the next cursor-bounded slice, so each chunk runs on the partition

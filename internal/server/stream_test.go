@@ -330,7 +330,7 @@ func TestClassifyAbort(t *testing.T) {
 }
 
 // TestLatencyHistogramOverWire checks the sampled latency histograms move
-// when requests flow: enough statements and scan chunks to guarantee
+// when requests flow: enough transactions and scan chunks to guarantee
 // samples at the 1-in-N stride.
 func TestLatencyHistogramOverWire(t *testing.T) {
 	_, _, addr := startScanServer(t, engine.PLPLeaf, 2000, 0)
@@ -355,11 +355,11 @@ func TestLatencyHistogramOverWire(t *testing.T) {
 	_ = st.Close()
 
 	after := LatencySnapshot()
-	if d := after["statements"].Seen - before["statements"].Seen; d < 2*latencySampleEvery {
-		t.Fatalf("statements seen moved by %d, want >= %d", d, 2*latencySampleEvery)
+	if d := after["plan"].Seen - before["plan"].Seen; d < 2*latencySampleEvery {
+		t.Fatalf("plan seen moved by %d, want >= %d", d, 2*latencySampleEvery)
 	}
-	if after["statements"].Sampled <= before["statements"].Sampled {
-		t.Fatal("no statement latency samples at the sampling stride")
+	if after["plan"].Sampled <= before["plan"].Sampled {
+		t.Fatal("no plan latency samples at the sampling stride")
 	}
 	// 2000 rows / 16-entry chunks = 125 chunk productions, over a stride.
 	if d := after["scan_chunk"].Seen - before["scan_chunk"].Seen; d < 64 {

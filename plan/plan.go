@@ -5,9 +5,9 @@
 //
 // A Plan is the single transaction representation of the system.  The same
 // value executes in-process (engine.Session.ExecutePlan), travels whole over
-// the wire in one protocol-v3 frame (package wire, package client), and is
-// compiled by the engine into the native phased request that all five
-// execution designs run.  Unlike the closure-based Action API, a Plan
+// the wire as the one transaction request frame (package wire, package
+// client), and is compiled by the engine into the native phased request
+// that all five execution designs run.  Unlike the closure-based Action API, a Plan
 // carries no Go code — every operation, condition and mutation is data — so
 // a networked client gets the exact transaction surface an embedded caller
 // has, in one round trip, stored-procedure style.

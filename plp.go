@@ -101,7 +101,7 @@
 // Aborted wire transactions carry a retry hint: client.IsTransient
 // distinguishes lock-timeout-style aborts worth retrying from permanent
 // ones, and the plp_latency expvar publishes sampled latency histograms
-// per operation kind (statement requests, plans, scan-chunk emission).
+// per operation kind ("plan" for transactions, "scan_chunk" for streams).
 //
 // # Execution fast paths
 //
@@ -192,14 +192,13 @@
 // the server decouples frame reading from execution, runs each in-flight
 // request on its own engine session through a bounded per-connection
 // executor pool, and returns responses out of order matched by request ID,
-// so a single connection can keep every partition worker busy.  A request
-// is either a plan frame or a flat statement list (including bounded range
-// scans, OpScan, which execute as Section 3.3 distributed partition scans);
-// the server translates statement lists into plans, so both run through one
-// transaction path — one compiler, one set of cancel, retry-hint and
-// shard-ownership rules.  Package client is
-// the matching asynchronous Go client (futures, context cancellation,
-// synchronous helpers on top), and package keys is the shared
+// so a single connection can keep every partition worker busy.  Every
+// transaction request is a plan frame (bounded range scans run as Section
+// 3.3 distributed partition scans), so one path — one compiler, one set of
+// cancel, retry-hint and shard-ownership rules — serves them all; pings and
+// control verbs have frames of their own.  Package client is the matching
+// asynchronous Go client (futures, context cancellation, a Txn builder
+// that packs statements into a plan), and package keys is the shared
 // order-preserving key encoding both sides build keys with.
 //
 // # Sharding
@@ -235,11 +234,11 @@
 // decision whose log flush fails is treated as in doubt — branches stay
 // prepared and queries answer "decision pending" — rather than aborted,
 // since the appended decide record may still reach disk.
-// Secondary-index ops and scans stay shard-local in v1.  A plan frame gets
-// the same ownership check as a statement list — refused with the map when
-// its keys all live elsewhere — but no two-phase commit: a plan whose keys
-// span shards is refused.  A map version bump moves ownership but not
-// data; "plpctl shards" prints a running daemon's map.
+// Secondary-index ops and scans stay shard-local in v1.  The coordinator
+// splits a spanning plan into per-shard sub-plans, refusing an op bound to
+// an op on another shard; clients route by the rule servers check
+// (shard.Map.Placement).  A map version bump moves ownership but not data;
+// "plpctl shards" prints a running daemon's map.
 //
 // # Replication
 //

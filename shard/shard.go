@@ -9,7 +9,8 @@
 // the top of the keyspace.  The same map covers every table — cross-process
 // sharding splits the keyspace, not the schema — so a key's owner is a pure
 // function of the map and the key bytes, computable identically by clients,
-// coordinators and participants.
+// coordinators and participants.  Map.Placement extends it to whole plans
+// (package plan), so clients route and servers check by one rule.
 //
 // The map is distributed as a small text file (see Parse/Encode) loaded by
 // plpd at startup (-shard-map/-shard-id) and fetched by clients over the
@@ -31,6 +32,7 @@ import (
 	"strings"
 
 	"plp/keys"
+	"plp/plan"
 )
 
 // Shard is one plpd process and the key range it owns.
@@ -115,6 +117,46 @@ func (m *Map) Owner(key []byte) int {
 		return keys.Compare(key, m.Shards[i].End) < 0
 	})
 	return m.Shards[i].ID
+}
+
+// OpOwner returns the shard op runs on, for a plan received by shard self.
+// A point op whose key the plan carries runs on that key's owner.
+// Secondary-index ops and scans stay on the shard that received the plan
+// (secondary indexes are shard-local), as do ops keyed at execution time by
+// a binding or a fan-out.
+func (m *Map) OpOwner(op *plan.Op, self int) int {
+	switch op.Kind {
+	case plan.Get, plan.Insert, plan.Update, plan.Upsert, plan.Delete, plan.ReadModifyWrite:
+		if op.KeyFrom == plan.NoBind && op.EachFrom == plan.NoBind {
+			return m.Owner(op.Key)
+		}
+	}
+	return self
+}
+
+// Placement is the one shard-ownership rule, shared by the servers that
+// check plans and the clients that route them.  foreign is the first shard
+// other than self that owns one of p's ops (self when there is none); spans
+// reports that p's ops fall on more than one shard.  So a plan received by
+// self runs there when foreign == self, belongs to shard foreign when
+// !spans, and otherwise needs a cross-shard commit, which any shard owning
+// one of its ops can coordinate.
+func (m *Map) Placement(p *plan.Plan, self int) (foreign int, spans bool) {
+	foreign = self
+	local := false
+	for _, ph := range p.Phases {
+		for i := range ph {
+			switch o := m.OpOwner(&ph[i], self); {
+			case o == self:
+				local = true
+			case foreign == self:
+				foreign = o
+			case o != foreign:
+				spans = true
+			}
+		}
+	}
+	return foreign, spans || (local && foreign != self)
 }
 
 // ByID returns the shard with the given ID.

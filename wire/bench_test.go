@@ -3,35 +3,32 @@ package wire
 import (
 	"fmt"
 	"testing"
+
+	"plp/plan"
 )
 
-// benchRequest builds a representative multi-statement transaction.
-func benchRequest(statements int) *Request {
-	req := &Request{ID: 1}
-	for i := 0; i < statements; i++ {
-		req.Statements = append(req.Statements, Statement{
-			Op:    OpUpsert,
-			Table: "accounts",
-			Key:   []byte(fmt.Sprintf("key-%08d", i)),
-			Value: make([]byte, 100),
-		})
+// benchPlan builds a representative multi-op transaction.
+func benchPlan(ops int) *plan.Plan {
+	b := plan.New()
+	for i := 0; i < ops; i++ {
+		b.Upsert("accounts", []byte(fmt.Sprintf("key-%08d", i)), make([]byte, 100))
 	}
-	return req
+	return b.MustBuild()
 }
 
-func BenchmarkEncodeRequest(b *testing.B) {
-	req := benchRequest(10)
+func BenchmarkEncodePlanRequest(b *testing.B) {
+	p := benchPlan(10)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = EncodeRequest(req)
+		_ = EncodePlanRequest(1, p)
 	}
 }
 
-func BenchmarkDecodeRequest(b *testing.B) {
-	payload := EncodeRequest(benchRequest(10))
+func BenchmarkDecodePlanRequest(b *testing.B) {
+	payload := EncodePlanRequest(1, benchPlan(10))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeRequest(payload); err != nil {
+		if _, err := DecodeFrameV3(payload); err != nil {
 			b.Fatal(err)
 		}
 	}

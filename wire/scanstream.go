@@ -1,6 +1,6 @@
 // Streaming scans: the SCAN / SCAN-CHUNK / SCAN-ACK frames.
 //
-// A bounded OpScan returns everything in one reply, which caps how much a
+// A bounded scan op returns everything in one reply, which caps how much a
 // scan can return by what fits in one frame and buffers the whole result
 // server-side.  A streaming scan instead sends one FrameScan request and
 // receives the matching rows as a sequence of SCAN-CHUNK frames, each

@@ -4,7 +4,7 @@
 // A SHARD-MAP frame asks the server for its current shard map; the reply is
 // an ordinary response whose single result Value holds the map in its text
 // encoding (package shard).  PREPARE ships one branch of a cross-shard
-// transaction to a participant: the statements execute there and the
+// transaction to a participant: the branch's plan executes there and the
 // participant votes by committing the response (Committed=true is a durable
 // yes).  DECIDE delivers the coordinator's verdict for a gid — or, in query
 // mode, asks the coordinator whether it durably decided commit, which is
@@ -15,7 +15,11 @@
 // to the refusing response so one round trip both rejects and refreshes.
 package wire
 
-import "fmt"
+import (
+	"fmt"
+
+	"plp/plan"
+)
 
 // The sharding frame kinds (continuing the FrameKind space of wire.go).
 const (
@@ -61,14 +65,14 @@ func EncodeShardMapRequest(id uint64) []byte {
 }
 
 // EncodePrepareRequest serializes a PREPARE payload: the branch's gid, the
-// shard-map version the coordinator routed under, and the statements of the
-// branch (the statement request encoding).
-func EncodePrepareRequest(id uint64, gid string, mapVersion uint64, stmts []Statement) []byte {
-	out := appendUint64(make([]byte, 0, 8+1+4+len(gid)+8+statementsSize(stmts)), id)
+// shard-map version the coordinator routed under, and the branch's plan
+// (the plan frame's body encoding).
+func EncodePrepareRequest(id uint64, gid string, mapVersion uint64, p *plan.Plan) []byte {
+	out := appendUint64(make([]byte, 0, 8+1+4+len(gid)+8+planSize(p)), id)
 	out = append(out, byte(FramePrepare))
 	out = appendString(out, gid)
 	out = appendUint64(out, mapVersion)
-	return appendStatements(out, stmts)
+	return appendPlan(out, p)
 }
 
 // EncodeDecideRequest serializes a DECIDE payload for the given gid.
@@ -88,14 +92,14 @@ func decodeShardFrame(f *Frame, r *reader) (*Frame, error) {
 	case FramePrepare:
 		f.GID = r.str()
 		f.MapVersion = r.uint64()
-		stmts, err := r.statements()
+		p, err := r.plan()
 		if err != nil {
 			return nil, err
 		}
 		if f.GID == "" {
 			return nil, fmt.Errorf("%w: prepare without gid", ErrShortPayload)
 		}
-		f.Req = &Request{ID: f.ID, Statements: stmts}
+		f.Plan = p
 		return f, nil
 	case FrameDecide:
 		f.GID = r.str()

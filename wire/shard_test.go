@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"plp/plan"
 )
 
 func TestShardMapFrameRoundTrip(t *testing.T) {
@@ -16,11 +18,11 @@ func TestShardMapFrameRoundTrip(t *testing.T) {
 }
 
 func TestPrepareFrameRoundTrip(t *testing.T) {
-	stmts := []Statement{
-		{Op: OpUpsert, Table: "kv", Key: []byte{1, 2}, Value: []byte("v")},
-		{Op: OpDelete, Table: "kv", Key: []byte{9}},
-	}
-	payload := EncodePrepareRequest(5, "s0-42", 3, stmts)
+	p := plan.New().
+		Upsert("kv", []byte{1, 2}, []byte("v")).
+		Delete("kv", []byte{9}).
+		MustBuild()
+	payload := EncodePrepareRequest(5, "s0-42", 3, p)
 	f, err := DecodeFrameV3(payload)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -28,20 +30,20 @@ func TestPrepareFrameRoundTrip(t *testing.T) {
 	if f.Kind != FramePrepare || f.ID != 5 || f.GID != "s0-42" || f.MapVersion != 3 {
 		t.Fatalf("header: %+v", f)
 	}
-	if f.Req == nil || len(f.Req.Statements) != 2 {
-		t.Fatalf("statements: %+v", f.Req)
+	if f.Plan == nil || f.Plan.NumOps() != 2 {
+		t.Fatalf("branch plan: %+v", f.Plan)
 	}
-	s := f.Req.Statements[0]
-	if s.Op != OpUpsert || s.Table != "kv" || !bytes.Equal(s.Key, []byte{1, 2}) || !bytes.Equal(s.Value, []byte("v")) {
-		t.Errorf("statement 0: %+v", s)
+	s := f.Plan.Phases[0][0]
+	if s.Kind != plan.Upsert || s.Table != "kv" || !bytes.Equal(s.Key, []byte{1, 2}) || !bytes.Equal(s.Value, []byte("v")) {
+		t.Errorf("op 0: %+v", s)
 	}
-	if f.Req.Statements[1].Op != OpDelete {
-		t.Errorf("statement 1: %+v", f.Req.Statements[1])
+	if f.Plan.Phases[0][1].Kind != plan.Delete {
+		t.Errorf("op 1: %+v", f.Plan.Phases[0][1])
 	}
 }
 
 func TestPrepareFrameRejectsEmptyGID(t *testing.T) {
-	if _, err := DecodeFrameV3(EncodePrepareRequest(1, "", 1, nil)); err == nil {
+	if _, err := DecodeFrameV3(EncodePrepareRequest(1, "", 1, &plan.Plan{})); err == nil {
 		t.Fatal("decoded a prepare without a gid")
 	}
 }
@@ -71,7 +73,7 @@ func TestIsWrongShard(t *testing.T) {
 }
 
 func TestShardFramesTruncated(t *testing.T) {
-	payload := EncodePrepareRequest(5, "g", 3, []Statement{{Op: OpGet, Table: "kv", Key: []byte{1}}})
+	payload := EncodePrepareRequest(5, "g", 3, plan.New().Get("kv", []byte{1}).MustBuild())
 	for i := 10; i < len(payload); i += 7 {
 		if _, err := DecodeFrameV3(payload[:i]); err == nil {
 			t.Fatalf("decoded truncated prepare at %d bytes", i)

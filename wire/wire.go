@@ -30,21 +30,23 @@
 // authenticated byte, error string (non-empty means the server refused the
 // session and will close the connection), 1 scope byte.
 //
-// A request frame is: uint64 ID, kind byte, then the kind's body.  Kind 0
-// (statements) is a uint32 statement count, then per statement: op byte,
-// table, index, key, value and scan end-key (all length-prefixed), and a
-// uint32 scan limit.  Kind 1 (plan) is a uint32 phase count, then per phase
-// a uint32 op count and that many ops (kind byte; table, index, key, value,
-// key-end, cond-value, mut-arg all length-prefixed; uint32 limit; cond and
-// mut bytes; uint32 key-from, value-from and each-from bindings; a
-// length-prefixed predicate encoding, empty when the op has no filter): a
-// whole declarative plan (package plan) executed server-side as one
-// transaction, one round trip for arbitrarily deep dependency chains.  Kind
-// 2 (cancel) has no body: the frame's ID is the ID of the request to cancel,
-// which aborts that request's server-side transaction; a cancel frame
-// receives no response of its own (the canceled request's response reports
-// the abort).  The shard (shard.go), replication (repl.go) and
-// streaming-scan (scanstream.go) kinds continue the numbering.
+// A request frame is: uint64 ID, kind byte, then the kind's body.  Kind 1
+// (plan) carries the only transaction request: a uint32 phase count, then
+// per phase a uint32 op count and that many ops (kind byte; table, index,
+// key, value, key-end, cond-value, mut-arg all length-prefixed; uint32
+// limit; cond and mut bytes; uint32 key-from, value-from and each-from
+// bindings; a length-prefixed predicate encoding, empty when the op has no
+// filter): a whole declarative plan (package plan) executed server-side as
+// one transaction, one round trip for arbitrarily deep dependency chains.
+// Kind 2 (cancel) has no body: the frame's ID is the ID of the request to
+// cancel, which aborts that request's server-side transaction; a cancel
+// frame receives no response of its own (the canceled request's response
+// reports the abort).  The shard (shard.go; a PREPARE is a gid, a map
+// version and the plan body above), replication (repl.go) and
+// streaming-scan (scanstream.go) kinds continue the numbering; kind 14
+// (ping) is a length-prefixed payload the server echoes, and kind 15
+// (control) a length-prefixed command and table naming one administrative
+// verb, run outside any transaction.  Kind 0 is unassigned and refused.
 //
 // A response is: uint64 ID, committed byte, transaction error string,
 // uint32 result count, then per result: found byte, value, error string, a
@@ -59,7 +61,7 @@
 // authenticated only if its HELLO presented the matching token: a wrong
 // token is refused outright, while a missing token yields an
 // unauthenticated session that may run data transactions but is refused
-// OpControl.  A server with no token treats every session as
+// control frames.  A server with no token treats every session as
 // authenticated.
 package wire
 
@@ -88,132 +90,28 @@ const MaxFrameSize = 16 << 20
 
 // Version is the protocol version this build speaks, and the lowest it
 // accepts.
-const Version uint32 = 3
+const Version uint32 = 4
 
 // FrameKind tags a request frame's body.
 type FrameKind uint8
 
 // The request frame kinds.
 const (
-	// FrameStatements carries a flat statement transaction.
-	FrameStatements FrameKind = 0
 	// FramePlan carries a whole declarative plan executed as one
 	// transaction.
 	FramePlan FrameKind = 1
 	// FrameCancel aborts the in-flight request whose ID the frame carries.
 	// It receives no response of its own.
 	FrameCancel FrameKind = 2
+	// FramePing is a health check; the server echoes its payload.
+	FramePing FrameKind = 14
+	// FrameControl runs one administrative command (the plpctl verbs)
+	// outside any transaction.  It requires an authenticated session when
+	// the server has a token configured.
+	FrameControl FrameKind = 15
 )
 
-// OpType identifies one statement kind.
-type OpType uint8
-
-// Statement operations.
-const (
-	// OpGet reads the record under Key.  A missing key is not an error; the
-	// result has Found=false.
-	OpGet OpType = iota + 1
-	// OpInsert adds a record; a duplicate key aborts the transaction.
-	OpInsert
-	// OpUpdate overwrites an existing record; a missing key aborts.
-	OpUpdate
-	// OpUpsert inserts or overwrites.
-	OpUpsert
-	// OpDelete removes a record; deleting a missing key aborts.
-	OpDelete
-	// OpGetBySecondary resolves Key through the secondary index named by
-	// Index and returns the referenced record.
-	OpGetBySecondary
-	// OpInsertSecondary adds a secondary-index entry mapping Key to Value
-	// (the primary key).
-	OpInsertSecondary
-	// OpPing is a health check; the server echoes Value.
-	OpPing
-	// OpControl executes one administrative command on the server (the
-	// plpctl "drp" verbs): Key carries the command name ("status",
-	// "trigger", "shares"), Table the optional table argument.  The result
-	// Value is the command's text output.  Control statements are handled
-	// outside any transaction, must be sent alone in a request, and require
-	// an authenticated session when the server has a token configured.
-	OpControl
-	// OpScan performs a bounded range scan: Key is the inclusive lower
-	// bound, KeyEnd the exclusive upper bound (nil means open), Limit the
-	// maximum number of records returned.  The engine distributes the scan
-	// to the partition-owning workers; results arrive in key order in the
-	// result's Entries.  A flat-statement scan must be sent alone in a
-	// request; scans inside plans execute within the transaction and mix
-	// freely with other ops.
-	OpScan
-	// OpDeleteSecondary removes the secondary-index entry under Key in
-	// the index named by Index.  Deleting a missing entry is not an error.
-	OpDeleteSecondary
-)
-
-// String returns the operation mnemonic.
-func (o OpType) String() string {
-	switch o {
-	case OpGet:
-		return "GET"
-	case OpInsert:
-		return "INSERT"
-	case OpUpdate:
-		return "UPDATE"
-	case OpUpsert:
-		return "UPSERT"
-	case OpDelete:
-		return "DELETE"
-	case OpGetBySecondary:
-		return "GETSEC"
-	case OpInsertSecondary:
-		return "INSSEC"
-	case OpPing:
-		return "PING"
-	case OpControl:
-		return "CONTROL"
-	case OpScan:
-		return "SCAN"
-	case OpDeleteSecondary:
-		return "DELSEC"
-	default:
-		return fmt.Sprintf("OP(%d)", uint8(o))
-	}
-}
-
-// valid reports whether the op is defined.
-func (o OpType) valid() bool { return o >= OpGet && o <= OpDeleteSecondary }
-
-// Statement is one operation within a transaction.
-type Statement struct {
-	// Op selects the operation.
-	Op OpType
-	// Table names the target table (ignored by OpPing).
-	Table string
-	// Index names the secondary index for the secondary-index ops.
-	Index string
-	// Key is the primary key (the secondary key for secondary ops, or the
-	// inclusive scan lower bound for OpScan).
-	Key []byte
-	// Value is the record image for writes (or the primary key for
-	// OpInsertSecondary, or the echo payload for OpPing).
-	Value []byte
-	// KeyEnd is the exclusive upper bound of an OpScan (nil scans to the end
-	// of the table).
-	KeyEnd []byte
-	// Limit caps the number of records an OpScan returns (0 selects the
-	// server's default).
-	Limit uint32
-}
-
-// Request is one transaction submitted by a client.
-type Request struct {
-	// ID is chosen by the client and echoed in the response.  Clients keep
-	// many requests in flight and match responses to requests by it.
-	ID uint64
-	// Statements execute in order as one transaction.
-	Statements []Statement
-}
-
-// ScanEntry is one record returned by an OpScan.
+// ScanEntry is one record returned by a scan.
 type ScanEntry struct {
 	// Key is the record's primary key.
 	Key []byte
@@ -221,17 +119,18 @@ type ScanEntry struct {
 	Value []byte
 }
 
-// StatementResult is the outcome of one statement.
+// StatementResult is the outcome of one plan op (or of a ping or control
+// frame).
 type StatementResult struct {
-	// Found reports whether a read found its key (for OpScan, whether the
+	// Found reports whether a read found its key (for a scan, whether the
 	// scan returned at least one record).
 	Found bool
 	// Value is the read result (or the ping echo, or control output).
 	Value []byte
-	// Err is a non-empty statement error message; any statement error aborts
-	// the whole transaction.
+	// Err is a non-empty op error message; any op error aborts the whole
+	// transaction.
 	Err string
-	// Entries holds an OpScan's records in key order.
+	// Entries holds a scan's records in key order.
 	Entries []ScanEntry
 }
 
@@ -253,7 +152,7 @@ const (
 	RetryPermanent RetryHint = 2
 )
 
-// Response is the server's reply to one Request.
+// Response is the server's reply to one request frame.
 type Response struct {
 	// ID echoes the request ID.
 	ID uint64
@@ -263,7 +162,7 @@ type Response struct {
 	Err string
 	// Retry classifies an abort as transient or permanent.
 	Retry RetryHint
-	// Results holds one entry per statement, in order.
+	// Results holds one entry per plan op, in flat phase order.
 	Results []StatementResult
 }
 
@@ -283,7 +182,7 @@ type Hello struct {
 type HelloAck struct {
 	// Version is the protocol version of the session.
 	Version uint32
-	// Authenticated reports whether the session may issue OpControl.
+	// Authenticated reports whether the session may send control frames.
 	Authenticated bool
 	// Err is non-empty when the server refused the session (bad token,
 	// malformed hello); the server closes the connection after sending it.
@@ -388,6 +287,16 @@ func (r *reader) bytes() []byte {
 
 func (r *reader) str() string { return string(r.bytes()) }
 
+// end reports the first decode error, or an error if bytes remain unread:
+// a frame whose body carries more than its kind defines is refused, not
+// half-read.
+func (r *reader) end() error {
+	if r.err == nil && r.off != len(r.buf) {
+		return fmt.Errorf("wire: %d trailing bytes", len(r.buf)-r.off)
+	}
+	return r.err
+}
+
 // --- handshake codec ---
 
 // IsHello reports whether a payload is a handshake HELLO frame.
@@ -471,88 +380,7 @@ func RequestID(payload []byte) (uint64, bool) {
 	return binary.LittleEndian.Uint64(payload), true
 }
 
-// EncodeRequest serializes a statement request payload (without the frame
-// header).
-func EncodeRequest(req *Request) []byte {
-	out := appendUint64(make([]byte, 0, 8+1+statementsSize(req.Statements)), req.ID)
-	out = append(out, byte(FrameStatements))
-	return appendStatements(out, req.Statements)
-}
-
-// DecodeRequest parses a statement request payload.  Other frame kinds are
-// rejected — use DecodeFrameV3 to dispatch them.  The returned request's
-// byte fields alias buf, which must not be modified or reused afterwards.
-func DecodeRequest(buf []byte) (*Request, error) {
-	r := &reader{buf: buf}
-	req := &Request{ID: r.uint64()}
-	if k := FrameKind(r.byteVal()); r.err == nil && k != FrameStatements {
-		return nil, fmt.Errorf("%w: frame kind %d is not a statement request", ErrBadOp, k)
-	}
-	stmts, err := r.statements()
-	if err != nil {
-		return nil, err
-	}
-	req.Statements = stmts
-	return req, nil
-}
-
-// statementsSize is the encoded size of a statement list.
-func statementsSize(stmts []Statement) int {
-	size := 4
-	for _, s := range stmts {
-		size += 1 + 4 + len(s.Table) + 4 + len(s.Index) + 4 + len(s.Key) + 4 + len(s.Value) +
-			4 + len(s.KeyEnd) + 4
-	}
-	return size
-}
-
-// appendStatements appends a statement list: a uint32 count, then each
-// statement's fields.
-func appendStatements(out []byte, stmts []Statement) []byte {
-	out = appendUint32(out, uint32(len(stmts)))
-	for _, s := range stmts {
-		out = append(out, byte(s.Op))
-		out = appendString(out, s.Table)
-		out = appendString(out, s.Index)
-		out = appendBytes(out, s.Key)
-		out = appendBytes(out, s.Value)
-		out = appendBytes(out, s.KeyEnd)
-		out = appendUint32(out, s.Limit)
-	}
-	return out
-}
-
-// statements reads a statement list written by appendStatements, rejecting
-// unknown ops with ErrBadOp.
-func (r *reader) statements() ([]Statement, error) {
-	n := r.uint32()
-	var stmts []Statement
-	// Presize bounded by what the payload could physically hold (a
-	// statement is at least 25 bytes), so a hostile count cannot force a
-	// huge allocation.
-	if max := uint32(len(r.buf) / 25); n > 0 && r.err == nil {
-		stmts = make([]Statement, 0, min(n, max))
-	}
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		s := Statement{Op: OpType(r.byteVal())}
-		s.Table = r.str()
-		s.Index = r.str()
-		s.Key = r.bytes()
-		s.Value = r.bytes()
-		s.KeyEnd = r.bytes()
-		s.Limit = r.uint32()
-		if r.err == nil && !s.Op.valid() {
-			return nil, fmt.Errorf("%w: %d", ErrBadOp, s.Op)
-		}
-		stmts = append(stmts, s)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return stmts, nil
-}
-
-// --- frame codec (plans and cancels) ---
+// --- frame codec ---
 
 // Frame is one decoded request frame.
 type Frame struct {
@@ -561,11 +389,15 @@ type Frame struct {
 	ID uint64
 	// Kind tags which body field is set.
 	Kind FrameKind
-	// Req is the flat statement transaction (FrameStatements, and the
-	// statements of a FramePrepare).
-	Req *Request
-	// Plan is the declarative plan (FramePlan).
+	// Plan is the declarative plan (FramePlan, and the branch of a
+	// FramePrepare).
 	Plan *plan.Plan
+	// Ping is the payload to echo (FramePing).
+	Ping []byte
+	// Command and Table name the administrative verb and its optional
+	// table argument (FrameControl).
+	Command string
+	Table   string
 	// GID is the cross-shard global transaction ID (FramePrepare,
 	// FrameDecide).
 	GID string
@@ -613,10 +445,9 @@ type Frame struct {
 // the payload could not physically hold.
 const minEncodedOpBytes = 51
 
-// EncodePlanRequest serializes a plan request payload (without the frame
-// header).
-func EncodePlanRequest(id uint64, p *plan.Plan) []byte {
-	size := 8 + 1 + 4
+// planSize is an upper bound on the encoded size of p's body.
+func planSize(p *plan.Plan) int {
+	size := 4
 	for _, ph := range p.Phases {
 		size += 4
 		for i := range ph {
@@ -625,8 +456,12 @@ func EncodePlanRequest(id uint64, p *plan.Plan) []byte {
 				len(op.Value) + len(op.KeyEnd) + len(op.CondValue) + len(op.MutArg)
 		}
 	}
-	out := appendUint64(make([]byte, 0, size), id)
-	out = append(out, byte(FramePlan))
+	return size
+}
+
+// appendPlan appends a plan body: a uint32 phase count, then per phase a
+// uint32 op count and each op's fields.
+func appendPlan(out []byte, p *plan.Plan) []byte {
 	out = appendUint32(out, uint32(len(p.Phases)))
 	for _, ph := range p.Phases {
 		out = appendUint32(out, uint32(len(ph)))
@@ -655,11 +490,90 @@ func EncodePlanRequest(id uint64, p *plan.Plan) []byte {
 	return out
 }
 
+// plan reads a plan body written by appendPlan.  Hostile phase and op
+// counts, and empty phases, are rejected rather than allocated.
+func (r *reader) plan() (*plan.Plan, error) {
+	phases := r.uint32()
+	maxOps := uint32(len(r.buf) / minEncodedOpBytes)
+	if phases > maxOps {
+		return nil, fmt.Errorf("%w: %d phases in a %d-byte frame", ErrShortPayload, phases, len(r.buf))
+	}
+	p := &plan.Plan{Phases: make([][]plan.Op, 0, phases)}
+	for i := uint32(0); i < phases && r.err == nil; i++ {
+		n := r.uint32()
+		if n > maxOps {
+			return nil, fmt.Errorf("%w: %d ops in a %d-byte frame", ErrShortPayload, n, len(r.buf))
+		}
+		if n == 0 && r.err == nil {
+			// Every phase holds an op, which is what bounds the phase count.
+			return nil, fmt.Errorf("wire: plan phase %d is empty", i)
+		}
+		ops := make([]plan.Op, 0, n)
+		for j := uint32(0); j < n && r.err == nil; j++ {
+			op := plan.Op{Kind: plan.Kind(r.byteVal())}
+			op.Table = r.str()
+			op.Index = r.str()
+			op.Key = r.bytes()
+			op.Value = r.bytes()
+			op.KeyEnd = r.bytes()
+			op.Limit = r.uint32()
+			op.Cond = plan.Cond(r.byteVal())
+			op.Mut = plan.Mut(r.byteVal())
+			op.CondValue = r.bytes()
+			op.MutArg = r.bytes()
+			op.KeyFrom = int32(r.uint32())
+			op.ValueFrom = int32(r.uint32())
+			op.EachFrom = int32(r.uint32())
+			if fb := r.bytes(); len(fb) > 0 && r.err == nil {
+				pred, rest, err := plan.DecodePredicate(fb)
+				if err != nil {
+					return nil, fmt.Errorf("wire: plan op filter: %w", err)
+				}
+				if len(rest) != 0 {
+					return nil, fmt.Errorf("wire: plan op filter: %d trailing bytes", len(rest))
+				}
+				op.Filter = pred
+			}
+			ops = append(ops, op)
+		}
+		p.Phases = append(p.Phases, ops)
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return p, nil
+}
+
+// EncodePlanRequest serializes a plan request payload (without the frame
+// header).
+func EncodePlanRequest(id uint64, p *plan.Plan) []byte {
+	out := appendUint64(make([]byte, 0, 8+1+planSize(p)), id)
+	out = append(out, byte(FramePlan))
+	return appendPlan(out, p)
+}
+
 // EncodeCancelRequest serializes a cancel frame for the request with the
 // given ID.
 func EncodeCancelRequest(id uint64) []byte {
 	out := appendUint64(make([]byte, 0, 9), id)
 	return append(out, byte(FrameCancel))
+}
+
+// EncodePingRequest serializes a ping frame whose payload the server
+// echoes.
+func EncodePingRequest(id uint64, payload []byte) []byte {
+	out := appendUint64(make([]byte, 0, 8+1+4+len(payload)), id)
+	out = append(out, byte(FramePing))
+	return appendBytes(out, payload)
+}
+
+// EncodeControlRequest serializes a control frame: the command and its
+// optional table argument.
+func EncodeControlRequest(id uint64, command, table string) []byte {
+	out := appendUint64(make([]byte, 0, 8+1+8+len(command)+len(table)), id)
+	out = append(out, byte(FrameControl))
+	out = appendString(out, command)
+	return appendString(out, table)
 }
 
 // DecodeFrameV3 parses one request frame, dispatching on its kind.  The
@@ -674,62 +588,20 @@ func DecodeFrameV3(buf []byte) (*Frame, error) {
 		return nil, r.err
 	}
 	switch f.Kind {
-	case FrameStatements:
-		stmts, err := r.statements()
-		if err != nil {
-			return nil, err
-		}
-		f.Req = &Request{ID: f.ID, Statements: stmts}
-		return f, nil
 	case FrameCancel:
 		return f, nil
 	case FramePlan:
-		phases := r.uint32()
-		maxOps := uint32(len(buf) / minEncodedOpBytes)
-		if phases > maxOps {
-			return nil, fmt.Errorf("%w: %d phases in a %d-byte frame", ErrShortPayload, phases, len(buf))
-		}
-		p := &plan.Plan{Phases: make([][]plan.Op, 0, phases)}
-		for i := uint32(0); i < phases && r.err == nil; i++ {
-			n := r.uint32()
-			if n > maxOps {
-				return nil, fmt.Errorf("%w: %d ops in a %d-byte frame", ErrShortPayload, n, len(buf))
-			}
-			ops := make([]plan.Op, 0, n)
-			for j := uint32(0); j < n && r.err == nil; j++ {
-				op := plan.Op{Kind: plan.Kind(r.byteVal())}
-				op.Table = r.str()
-				op.Index = r.str()
-				op.Key = r.bytes()
-				op.Value = r.bytes()
-				op.KeyEnd = r.bytes()
-				op.Limit = r.uint32()
-				op.Cond = plan.Cond(r.byteVal())
-				op.Mut = plan.Mut(r.byteVal())
-				op.CondValue = r.bytes()
-				op.MutArg = r.bytes()
-				op.KeyFrom = int32(r.uint32())
-				op.ValueFrom = int32(r.uint32())
-				op.EachFrom = int32(r.uint32())
-				if fb := r.bytes(); len(fb) > 0 && r.err == nil {
-					pred, rest, err := plan.DecodePredicate(fb)
-					if err != nil {
-						return nil, fmt.Errorf("wire: plan op filter: %w", err)
-					}
-					if len(rest) != 0 {
-						return nil, fmt.Errorf("wire: plan op filter: %d trailing bytes", len(rest))
-					}
-					op.Filter = pred
-				}
-				ops = append(ops, op)
-			}
-			p.Phases = append(p.Phases, ops)
-		}
-		if r.err != nil {
-			return nil, r.err
+		p, err := r.plan()
+		if err != nil {
+			return nil, err
 		}
 		f.Plan = p
 		return f, nil
+	case FramePing:
+		f.Ping = r.bytes()
+	case FrameControl:
+		f.Command = r.str()
+		f.Table = r.str()
 	case FrameShardMap, FramePrepare, FrameDecide:
 		return decodeShardFrame(f, r)
 	case FrameReplSubscribe, FrameReplRecords, FrameReplAck,
@@ -740,6 +612,10 @@ func DecodeFrameV3(buf []byte) (*Frame, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown frame kind %d", ErrBadOp, f.Kind)
 	}
+	if err := r.end(); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // AppendResponse appends the serialized response payload (without the

@@ -2,36 +2,50 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"plp/plan"
 )
 
+// TestRequestRoundTrip round-trips the three request kinds a client sends:
+// a plan, a ping and a control verb.
 func TestRequestRoundTrip(t *testing.T) {
-	req := &Request{
-		ID: 42,
-		Statements: []Statement{
-			{Op: OpGet, Table: "acct", Key: []byte("k1")},
-			{Op: OpInsert, Table: "acct", Key: []byte("k2"), Value: []byte("v2")},
-			{Op: OpGetBySecondary, Table: "acct", Index: "by_name", Key: []byte("alice")},
-			{Op: OpPing, Value: []byte("hello")},
-			{Op: OpControl, Table: "acct", Key: []byte("shares")},
-			{Op: OpDelete, Table: "acct", Key: nil},
-		},
-	}
-	got, err := DecodeRequest(EncodeRequest(req))
+	f, err := DecodeFrameV3(EncodePingRequest(42, []byte("hello")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != req.ID || len(got.Statements) != len(req.Statements) {
-		t.Fatalf("round trip mismatch: %+v", got)
+	if f.Kind != FramePing || f.ID != 42 || string(f.Ping) != "hello" {
+		t.Fatalf("ping frame %+v", f)
 	}
-	for i := range req.Statements {
-		w, g := req.Statements[i], got.Statements[i]
-		if w.Op != g.Op || w.Table != g.Table || w.Index != g.Index ||
+	f, err = DecodeFrameV3(EncodeControlRequest(43, "shares", "acct"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Kind != FrameControl || f.ID != 43 || f.Command != "shares" || f.Table != "acct" {
+		t.Fatalf("control frame %+v", f)
+	}
+	p := plan.New().
+		Get("acct", []byte("k1")).
+		Insert("acct", []byte("k2"), []byte("v2")).
+		LookupSecondary("acct", "by_name", []byte("alice")).
+		Delete("acct", nil).
+		MustBuild()
+	f, err = DecodeFrameV3(EncodePlanRequest(44, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Kind != FramePlan || f.ID != 44 || len(f.Plan.Phases) != 1 || len(f.Plan.Phases[0]) != 4 {
+		t.Fatalf("plan frame %+v", f)
+	}
+	for i, w := range p.Phases[0] {
+		g := f.Plan.Phases[0][i]
+		if w.Kind != g.Kind || w.Table != g.Table || w.Index != g.Index ||
 			!bytes.Equal(w.Key, g.Key) || !bytes.Equal(w.Value, g.Value) {
-			t.Fatalf("statement %d mismatch: %+v != %+v", i, g, w)
+			t.Fatalf("op %d mismatch: %+v != %+v", i, g, w)
 		}
 	}
 }
@@ -108,15 +122,15 @@ func TestAppendResponseReusesBuffer(t *testing.T) {
 }
 
 func TestRequestRoundTripProperty(t *testing.T) {
-	f := func(id uint64, table, index string, key, value []byte, opSeed uint8) bool {
-		op := OpType(opSeed%uint8(OpPing)) + 1
-		req := &Request{ID: id, Statements: []Statement{{Op: op, Table: table, Index: index, Key: key, Value: value}}}
-		got, err := DecodeRequest(EncodeRequest(req))
+	f := func(id uint64, table, index string, key, value []byte, kindSeed uint8) bool {
+		kind := plan.Kind(kindSeed%uint8(plan.ReadModifyWrite)) + 1
+		p := &plan.Plan{Phases: [][]plan.Op{{{Kind: kind, Table: table, Index: index, Key: key, Value: value}}}}
+		got, err := DecodeFrameV3(EncodePlanRequest(id, p))
 		if err != nil {
 			return false
 		}
-		g := got.Statements[0]
-		return got.ID == id && g.Op == op && g.Table == table && g.Index == index &&
+		g := got.Plan.Phases[0][0]
+		return got.ID == id && g.Kind == kind && g.Table == table && g.Index == index &&
 			bytes.Equal(g.Key, key) && bytes.Equal(g.Value, value)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -125,22 +139,27 @@ func TestRequestRoundTripProperty(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := DecodeRequest([]byte{1, 2, 3}); err == nil {
+	if _, err := DecodeFrameV3([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short request accepted")
 	}
 	if _, err := DecodeResponse([]byte{1}); err == nil {
 		t.Fatal("short response accepted")
 	}
-	// An out-of-range op must be rejected.
-	bad := EncodeRequest(&Request{ID: 1, Statements: []Statement{{Op: OpType(200), Table: "t"}}})
-	if _, err := DecodeRequest(bad); err == nil {
-		t.Fatal("invalid op accepted")
+	// Kind 0 carried flat statements before protocol v4; it is refused.
+	if _, err := DecodeFrameV3(append(appendUint64(nil, 1), 0, 1, 0, 0, 0)); !errors.Is(err, ErrBadOp) {
+		t.Fatalf("kind-0 frame: %v, want ErrBadOp", err)
+	}
+	// A control frame carrying more than its command and table is refused.
+	if _, err := DecodeFrameV3(append(EncodeControlRequest(1, "status", ""), 0)); err == nil {
+		t.Fatal("control frame with trailing bytes accepted")
 	}
 	// Truncating a valid request at any point must fail cleanly, not panic.
-	full := EncodeRequest(&Request{ID: 9, Statements: []Statement{{Op: OpInsert, Table: "t", Key: []byte("k"), Value: []byte("v")}}})
-	for i := 0; i < len(full); i++ {
-		if _, err := DecodeRequest(full[:i]); err == nil {
-			t.Fatalf("truncated request of %d bytes accepted", i)
+	p := plan.New().Insert("t", []byte("k"), []byte("v")).MustBuild()
+	for _, full := range [][]byte{EncodePlanRequest(9, p), EncodePingRequest(9, []byte("x")), EncodeControlRequest(9, "status", "t")} {
+		for i := 0; i < len(full); i++ {
+			if _, err := DecodeFrameV3(full[:i]); err == nil {
+				t.Fatalf("truncated request of %d bytes accepted", i)
+			}
 		}
 	}
 }
@@ -183,48 +202,23 @@ func TestFrameLimits(t *testing.T) {
 	}
 }
 
-func TestOpTypeStrings(t *testing.T) {
-	ops := []OpType{OpGet, OpInsert, OpUpdate, OpUpsert, OpDelete, OpGetBySecondary,
-		OpInsertSecondary, OpPing, OpControl, OpScan, OpDeleteSecondary}
-	seen := make(map[string]bool)
-	for _, op := range ops {
-		s := op.String()
-		if s == "" || seen[s] {
-			t.Fatalf("bad or duplicate op label %q", s)
-		}
-		seen[s] = true
-		if !op.valid() {
-			t.Fatalf("op %v reported invalid", op)
-		}
-	}
-	if OpType(0).valid() || OpType(99).valid() {
-		t.Fatal("invalid ops reported valid")
-	}
-	if OpType(99).String() == "" {
-		t.Fatal("unknown op should still render")
-	}
-}
-
 // TestV2RequestRoundTrip round-trips the scan and secondary-delete ops (the
 // ones protocol v2 introduced) with their scan bounds and limit.
 func TestV2RequestRoundTrip(t *testing.T) {
-	req := &Request{
-		ID: 99,
-		Statements: []Statement{
-			{Op: OpScan, Table: "acct", Key: []byte("a"), KeyEnd: []byte("m"), Limit: 17},
-			{Op: OpDeleteSecondary, Table: "acct", Index: "by_name", Key: []byte("alice")},
-		},
-	}
-	got, err := DecodeRequest(EncodeRequest(req))
+	p := plan.New().
+		Scan("acct", []byte("a"), []byte("m"), 17).
+		DeleteSecondary("acct", "by_name", []byte("alice")).
+		MustBuild()
+	got, err := DecodeFrameV3(EncodePlanRequest(99, p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := got.Statements[0]
-	if s.Op != OpScan || !bytes.Equal(s.Key, []byte("a")) || !bytes.Equal(s.KeyEnd, []byte("m")) || s.Limit != 17 {
-		t.Fatalf("scan statement mismatch: %+v", s)
+	s := got.Plan.Phases[0][0]
+	if s.Kind != plan.Scan || !bytes.Equal(s.Key, []byte("a")) || !bytes.Equal(s.KeyEnd, []byte("m")) || s.Limit != 17 {
+		t.Fatalf("scan op mismatch: %+v", s)
 	}
-	if got.Statements[1].Op != OpDeleteSecondary || got.Statements[1].Index != "by_name" {
-		t.Fatalf("delsec statement mismatch: %+v", got.Statements[1])
+	if d := got.Plan.Phases[0][1]; d.Kind != plan.DeleteSecondary || d.Index != "by_name" {
+		t.Fatalf("delsec op mismatch: %+v", d)
 	}
 }
 
@@ -279,7 +273,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		t.Fatalf("hello mismatch: %+v", got)
 	}
 	// A plain request payload must never look like a hello.
-	req := EncodeRequest(&Request{ID: 1, Statements: []Statement{{Op: OpPing}}})
+	req := EncodePingRequest(1, nil)
 	if IsHello(req) {
 		t.Fatal("request payload recognized as hello")
 	}
@@ -315,7 +309,7 @@ func TestHelloAckRoundTrip(t *testing.T) {
 }
 
 func TestRequestIDPeek(t *testing.T) {
-	payload := EncodeRequest(&Request{ID: 0xDEADBEEF, Statements: []Statement{{Op: OpPing}}})
+	payload := EncodePingRequest(0xDEADBEEF, []byte("ping"))
 	// Corrupt everything after the ID prefix: the peek must still work.
 	for i := 8; i < len(payload); i++ {
 		payload[i] ^= 0xA5
@@ -331,19 +325,19 @@ func TestRequestIDPeek(t *testing.T) {
 
 func TestManyStatementsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	req := &Request{ID: 1}
+	b := plan.New()
 	for i := 0; i < 500; i++ {
 		key := make([]byte, rng.Intn(40))
 		val := make([]byte, rng.Intn(200))
 		rng.Read(key)
 		rng.Read(val)
-		req.Statements = append(req.Statements, Statement{Op: OpUpsert, Table: "bulk", Key: key, Value: val})
+		b.Upsert("bulk", key, val).Then()
 	}
-	got, err := DecodeRequest(EncodeRequest(req))
+	got, err := DecodeFrameV3(EncodePlanRequest(1, b.MustBuild()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Statements) != 500 {
-		t.Fatalf("got %d statements, want 500", len(got.Statements))
+	if n := got.Plan.NumOps(); n != 500 {
+		t.Fatalf("got %d ops, want 500", n)
 	}
 }

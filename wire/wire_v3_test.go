@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"plp/plan"
@@ -57,29 +58,20 @@ func TestPlanRequestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV3StatementFrame checks kind-tagged statement requests round trip and
-// dispatch through DecodeFrameV3.
+// TestV3StatementFrame checks the frame kind that carried flat statement
+// requests before protocol v4 is refused with ErrBadOp, not misread as
+// another kind.
 func TestV3StatementFrame(t *testing.T) {
-	req := &Request{ID: 7, Statements: []Statement{
-		{Op: OpUpsert, Table: "t", Key: []byte("k"), Value: []byte("v")},
-		{Op: OpScan, Table: "t", Key: []byte("a"), KeyEnd: []byte("b"), Limit: 3},
-	}}
-	payload := EncodeRequest(req)
-	f, err := DecodeFrameV3(payload)
-	if err != nil {
-		t.Fatal(err)
+	payload := appendUint64(nil, 7)
+	payload = append(payload, 0)         // the retired statement kind
+	payload = appendUint32(payload, 1)   // one statement
+	payload = append(payload, 4)         // its op byte (upsert)
+	payload = appendString(payload, "t") // table
+	if _, err := DecodeFrameV3(payload); !errors.Is(err, ErrBadOp) {
+		t.Fatalf("kind-0 frame: %v, want ErrBadOp", err)
 	}
-	if f.Kind != FrameStatements || f.Req == nil || f.Req.ID != 7 || len(f.Req.Statements) != 2 {
-		t.Fatalf("frame %+v", f)
-	}
-	// DecodeRequest accepts the same payload directly...
-	back, err := DecodeRequest(payload)
-	if err != nil || back.ID != 7 {
-		t.Fatalf("DecodeRequest: %+v, %v", back, err)
-	}
-	// ...but rejects a plan frame.
-	if _, err := DecodeRequest(EncodePlanRequest(8, samplePlan(t))); err == nil {
-		t.Fatal("DecodeRequest accepted a plan frame")
+	if id, ok := RequestID(payload); !ok || id != 7 {
+		t.Fatalf("refused frame's ID %d (ok=%v), want 7 so the refusal can echo it", id, ok)
 	}
 }
 
@@ -112,8 +104,8 @@ func TestHelloAckScopeByte(t *testing.T) {
 	}
 }
 
-// TestDecodeFrameV3Hostile checks hostile phase/op counts are rejected
-// rather than allocated.
+// TestDecodeFrameV3Hostile checks hostile phase/op counts and empty phases
+// are rejected rather than allocated.
 func TestDecodeFrameV3Hostile(t *testing.T) {
 	payload := appendUint64(nil, 1)
 	payload = append(payload, byte(FramePlan))
@@ -127,6 +119,15 @@ func TestDecodeFrameV3Hostile(t *testing.T) {
 	payload = appendUint32(payload, 0xFFFFFFFF) // 4 billion ops
 	if _, err := DecodeFrameV3(payload); err == nil {
 		t.Fatal("hostile op count accepted")
+	}
+	payload = appendUint64(nil, 1)
+	payload = append(payload, byte(FramePlan))
+	payload = appendUint32(payload, 2)
+	payload = appendUint32(payload, 0) // two empty phases
+	payload = appendUint32(payload, 0)
+	payload = append(payload, make([]byte, 100)...)
+	if _, err := DecodeFrameV3(payload); err == nil {
+		t.Fatal("empty phases accepted")
 	}
 	if _, err := DecodeFrameV3([]byte{1, 2, 3}); err == nil {
 		t.Fatal("truncated frame accepted")
