@@ -336,9 +336,9 @@ func BenchmarkAblationPartitions(b *testing.B) {
 	}
 }
 
-// BenchmarkExtAutoBalance measures the automatic load-balance monitor
-// (EXT-1): the Figure 8 skew scenario handled by the monitor instead of a
-// manual Rebalance call.
+// BenchmarkExtAutoBalance measures automatic load balancing (EXT-1): the
+// Figure 8 skew scenario handled by the online repartitioning controller
+// instead of a manual Rebalance call.
 func BenchmarkExtAutoBalance(b *testing.B) {
 	s := benchScale()
 	s.Duration = 300 * time.Millisecond

@@ -8,7 +8,10 @@
 //	plpbench -experiment fig5 -clients 1,2,4,8,16 -subscribers 100000
 //
 // Experiments: fig1 fig2 fig3 table1 table2 fig5 fig6 fig7 fig8 fig9 fig10
-// fig11 fig12 ext-autobalance ext-recovery ablations all
+// fig11 fig12 ext-autobalance ext-recovery ablations all.  ext-autobalance
+// (EXT-1) repeats fig8's skew change with the online repartitioning
+// controller moving the boundary on its own; ext-recovery (EXT-2) crashes a
+// TATP engine and recovers it from the log.
 package main
 
 import (
@@ -24,7 +27,7 @@ import (
 
 func main() {
 	var (
-		experiment  = flag.String("experiment", "all", "experiment to run (fig1..fig12, table1, table2, ext-autobalance, ext-recovery, ablations, all)")
+		experiment  = flag.String("experiment", "all", "experiment to run: fig1-fig3, fig5-fig12, table1, table2, ext-autobalance (DRP under a skew change), ext-recovery, ablations or all")
 		subscribers = flag.Int("subscribers", 20000, "TATP scale factor")
 		branches    = flag.Int("branches", 2, "TPC-B scale factor")
 		warehouses  = flag.Int("warehouses", 2, "TPC-C scale factor")

@@ -1,9 +1,9 @@
 // Command plpd serves a PLP engine over TCP using the wire protocol.
 //
 // It creates a database with one or more key/value tables partitioned over
-// a uint64 key space, optionally starts the automatic load-balance monitor
-// and a background checkpointer, and serves client transactions (see
-// package client).
+// a uint64 key space, optionally starts the online repartitioning
+// controller (-drp) and a background checkpointer, and serves client
+// transactions (see package client).
 //
 // With -data-dir the engine is durable: the write-ahead log lives in
 // segmented files under the directory, commits are made durable by a
@@ -53,7 +53,6 @@ import (
 	"syscall"
 	"time"
 
-	"plp/internal/balance"
 	"plp/internal/catalog"
 	"plp/internal/cluster"
 	"plp/internal/engine"
@@ -112,7 +111,6 @@ func main() {
 		partitions   = flag.Int("partitions", 8, "number of logical partitions / worker goroutines")
 		tables       = flag.String("tables", "kv", "comma-separated table names to create")
 		keyspace     = flag.Uint64("keyspace", 1_000_000, "uint64 key space upper bound used to compute partition boundaries")
-		autoBalance  = flag.Bool("autobalance", false, "enable the automatic load-balance monitor on every table")
 		dataDir      = flag.String("data-dir", "", "durable data directory; empty runs fully in memory (no crash recovery)")
 		lazyCommit   = flag.Bool("lazy-commit", false, "acknowledge commits before their log records are durable (trades a crash-loss window for latency)")
 		drp          = flag.Bool("drp", false, "enable the online dynamic-repartitioning controller (plpctl drp ... inspects it)")
@@ -223,9 +221,9 @@ func main() {
 		// A follower's log must stay a byte-identical prefix of the
 		// primary's: anything that appends locally is disabled until
 		// promotion.
-		if *checkpointMs > 0 || *drp || *autoBalance {
-			fmt.Println("plpd: follower mode disables -checkpoint-ms, -drp and -autobalance (restart after promotion to re-enable)")
-			*checkpointMs, *drp, *autoBalance = 0, false, false
+		if *checkpointMs > 0 || *drp {
+			fmt.Println("plpd: follower mode disables -checkpoint-ms and -drp (restart after promotion to re-enable)")
+			*checkpointMs, *drp = 0, false
 		}
 	}
 
@@ -263,7 +261,6 @@ func main() {
 	defer e.Close()
 
 	boundaries := uniformBoundaries(*keyspace, *partitions)
-	var monitors []*balance.Monitor
 	for _, name := range strings.Split(*tables, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
@@ -272,16 +269,6 @@ func main() {
 		if _, err := e.CreateTable(catalog.TableDef{Name: name, Boundaries: boundaries}); err != nil {
 			fmt.Fprintf(os.Stderr, "create table %s: %v\n", name, err)
 			os.Exit(1)
-		}
-		if *autoBalance && *partitions > 1 {
-			m, err := balance.NewMonitor(e, balance.Config{Table: name})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "balance monitor for %s: %v\n", name, err)
-				os.Exit(1)
-			}
-			m.Start()
-			monitors = append(monitors, m)
-			defer m.Stop()
 		}
 	}
 
@@ -675,11 +662,6 @@ func main() {
 				st := srv.Stats()
 				fmt.Printf("plpd: conns=%d txns=%d committed=%d aborted=%d\n",
 					st.Connections, st.Requests, st.Committed, st.Aborted)
-				for _, m := range monitors {
-					for _, d := range m.Decisions() {
-						fmt.Printf("plpd: rebalanced %s\n", d)
-					}
-				}
 			}
 		}
 	}()

@@ -1,12 +1,10 @@
 // Public facade for the subsystems that extend the core PLP engine:
-// checkpointing and restart recovery, online dynamic repartitioning,
-// automatic load balancing, the partition-alignment advisor, and the
-// network server.
+// checkpointing and restart recovery, online dynamic repartitioning, the
+// partition-alignment advisor, and the network server.
 package plp
 
 import (
 	"plp/internal/advisor"
-	"plp/internal/balance"
 	"plp/internal/engine"
 	"plp/internal/recovery"
 	"plp/internal/repartition"
@@ -71,25 +69,6 @@ func Recover(log Log, target *Loader) (*RecoveryAnalysis, ReplayStats, error) {
 
 // NewCheckpointer returns a background checkpointer for the engine.
 var NewCheckpointer = recovery.NewCheckpointer
-
-//
-// Automatic load balancing (see internal/balance).
-//
-
-// BalanceConfig configures a BalanceMonitor.
-type BalanceConfig = balance.Config
-
-// BalanceMonitor observes access skew and repartitions automatically.
-type BalanceMonitor = balance.Monitor
-
-// BalanceDecision describes one automatic rebalancing action.
-type BalanceDecision = balance.Decision
-
-// NewBalanceMonitor returns a load-balance monitor for one table of the
-// engine.
-func NewBalanceMonitor(e *Engine, cfg BalanceConfig) (*BalanceMonitor, error) {
-	return balance.NewMonitor(e, cfg)
-}
 
 //
 // Online dynamic repartitioning (see internal/repartition).

@@ -13,7 +13,8 @@
 //     often, and flags tables whose traffic goes predominantly through
 //     non-partition-aligned indexes;
 //   - it detects partition skew from the observed key distribution and
-//     suggests either rebalancing (see package balance) or better initial
+//     suggests either rebalancing (the online controller in package
+//     repartition does that while traffic runs) or better initial
 //     boundaries;
 //   - RecommendBoundaries turns an observed key sample into equal-weight
 //     partition boundaries that can be fed straight into TableDef.
@@ -328,7 +329,7 @@ func (t *Tracker) Report() *Report {
 					Partition: hot,
 					Share:     hotShare,
 					Message: fmt.Sprintf("partition %d receives %.0f%% of the primary-key accesses (%.1fx its fair share); "+
-						"enable the balance monitor or split the hot range (boundary suggestion: RecommendBoundaries).",
+						"attach the repartitioning controller or split the hot range (boundary suggestion: RecommendBoundaries).",
 						hot, 100*hotShare, ratio),
 				})
 			}

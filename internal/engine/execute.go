@@ -731,7 +731,7 @@ func (e *Engine) Rebalance(table string, idx int, newBoundary []byte) (Rebalance
 		// The keys whose owner changes lie between the old and the new
 		// boundary; only they need re-homing in the PLP-Partition design.
 		// The old boundary is read inside the quiesced section: a concurrent
-		// Rebalance (balance monitor + repartition controller both enabled)
+		// Rebalance (the repartition controller's loop plus a manual move)
 		// could otherwise move it between an early read and this point,
 		// leaving the re-home scan on a stale range.
 		oldBoundary := rt.boundary(idx - 1)

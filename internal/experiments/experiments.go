@@ -7,8 +7,8 @@
 // Absolute numbers differ from the paper (different hardware, Go instead of
 // C++, goroutines instead of bound threads); what is reproduced is the
 // shape: which design wins, by roughly what factor, and where the
-// crossovers are.  EXPERIMENTS.md records a measured run next to the
-// paper's claims.
+// crossovers are.  Run them with cmd/plpbench -experiment <name> (fig1 ..
+// fig12, table1, table2, ext-autobalance, ext-recovery, ablations or all).
 package experiments
 
 import (

@@ -1,20 +1,19 @@
 // Extension experiments: features the paper describes but does not evaluate
 // directly (automatic load balancing, Appendix E / Section 3.2.1) and the
-// restart-recovery story of the shared log (Section 2.3).  They are reported
-// as EXT-1 and EXT-2 in EXPERIMENTS.md.
+// restart-recovery story of the shared log (Section 2.3).  They run as EXT-1
+// and EXT-2 through cmd/plpbench -experiment ext-autobalance and
+// -experiment ext-recovery.
 package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
-	"plp/internal/balance"
 	"plp/internal/engine"
 	"plp/internal/harness"
-	"plp/internal/keyenc"
 	"plp/internal/recovery"
+	"plp/internal/repartition"
 	"plp/internal/wal"
 	"plp/internal/workload/tatp"
 )
@@ -22,28 +21,6 @@ import (
 //
 // EXT-1 — automatic load balancing.
 //
-
-// observingWorkload wraps a workload and reports every generated routing key
-// to the balance monitor, playing the role of the request-submission layer
-// that feeds the partition manager.
-type observingWorkload struct {
-	harness.Workload
-	table   string
-	monitor *balance.Monitor
-}
-
-// NextRequest implements harness.Workload.
-func (o *observingWorkload) NextRequest(rng *rand.Rand) *engine.Request {
-	req := o.Workload.NextRequest(rng)
-	for _, phase := range req.Phases {
-		for i := range phase {
-			if phase[i].Table == o.table {
-				o.monitor.Observe(phase[i].Key)
-			}
-		}
-	}
-	return req
-}
 
 // ExtAutoBalanceSeries is the timeline of one configuration.
 type ExtAutoBalanceSeries struct {
@@ -57,14 +34,14 @@ type ExtAutoBalanceSeries struct {
 	PostSkewTPS float64
 	// PostSkewShares is the fraction of post-skew actions executed by each
 	// partition worker; HotShare is the largest of them.  This is the
-	// quantity the monitor exists to equalize: a worker stuck near 100%
+	// quantity the controller exists to equalize: a worker stuck near 100%
 	// means the skewed range is served by a single thread.
 	PostSkewShares []float64
 	HotShare       float64
 }
 
-// ExtAutoBalanceResult compares PLP-Leaf with and without the automatic
-// load-balance monitor under a skew change.
+// ExtAutoBalanceResult compares PLP-Leaf with and without the online
+// repartitioning controller under a skew change.
 type ExtAutoBalanceResult struct {
 	Series  []ExtAutoBalanceSeries
 	EventAt time.Duration
@@ -72,10 +49,11 @@ type ExtAutoBalanceResult struct {
 
 // ExtAutoBalance reproduces the Figure 8 scenario (uniform load that turns
 // skewed mid-run) but instead of the experiment driver calling Rebalance by
-// hand, the balance monitor detects the imbalance from the observed keys and
-// repartitions on its own.  The expected shape: without the monitor the
+// hand, the online repartitioning controller (package repartition), fed by
+// the engine's access observer, detects the imbalance and moves the
+// boundary on its own.  The expected shape: without the controller the
 // post-skew throughput stays depressed because one partition worker carries
-// most of the load; with the monitor it recovers after the automatic split.
+// most of the load; with it throughput recovers after the automatic move.
 func ExtAutoBalance(s Scale) (*ExtAutoBalanceResult, error) {
 	const interval = 100 * time.Millisecond
 	total := 3 * time.Second
@@ -86,7 +64,7 @@ func ExtAutoBalance(s Scale) (*ExtAutoBalanceResult, error) {
 	}
 
 	res := &ExtAutoBalanceResult{EventAt: eventAt}
-	for _, withMonitor := range []bool{false, true} {
+	for _, withDRP := range []bool{false, true} {
 		opts := engine.Options{Design: engine.PLPLeaf, Partitions: 2}
 		e, w, err := setupTATP(opts, s, tatp.MixBalanceProbe)
 		if err != nil {
@@ -94,28 +72,24 @@ func ExtAutoBalance(s Scale) (*ExtAutoBalanceResult, error) {
 		}
 
 		label := "PLP-Leaf (static)"
-		var run harness.Workload = w
-		var mon *balance.Monitor
-		if withMonitor {
+		var ctrl *repartition.Controller
+		if withDRP {
 			label = "PLP-Leaf (auto-balance)"
-			mon, err = balance.NewMonitor(e, balance.Config{
-				Table:           tatp.TableSubscriber,
-				Threshold:       1.3,
-				MinObservations: 500,
-				CheckInterval:   50 * time.Millisecond,
+			ctrl, err = repartition.Attach(e, repartition.Config{
+				Tables: []string{tatp.TableSubscriber},
+				Period: 50 * time.Millisecond,
 			})
 			if err != nil {
 				e.Close()
 				return nil, err
 			}
-			mon.Start()
-			run = &observingWorkload{Workload: w, table: tatp.TableSubscriber, monitor: mon}
+			ctrl.Start()
 		}
 
 		// The skew is stronger than Figure 8's (90% of the requests on 10% of
 		// the keys instead of 50%): with only two partitions the hot worker
 		// must carry nearly all the work for rebalancing to matter, which is
-		// the situation the monitor exists for.
+		// the situation the controller exists for.
 		var atEvent []uint64
 		event := func() {
 			w.SetSkew(0.10, 0.90)
@@ -125,13 +99,12 @@ func ExtAutoBalance(s Scale) (*ExtAutoBalanceResult, error) {
 		}
 		cfg := s.runConfig()
 		cfg.Clients = 2 * opts.Partitions
-		points, err := harness.RunTimeline(e, run, cfg, total, interval, eventAt, event)
-		if mon != nil {
-			mon.Stop()
-		}
+		points, err := harness.RunTimeline(e, w, cfg, total, interval, eventAt, event)
 		series := ExtAutoBalanceSeries{Label: label, Points: points}
-		if mon != nil {
-			series.Decisions = len(mon.Decisions())
+		if ctrl != nil {
+			ctrl.Stop()
+			ctrl.Detach()
+			series.Decisions = int(ctrl.Status().Applied)
 		}
 		var sum float64
 		var n int
@@ -320,11 +293,4 @@ func (r *ExtRecoveryResult) String() string {
 	fmt.Fprintf(&b, "  rows:              original=%d recovered=%d\n", r.RowsOriginal, r.RowsRecovered)
 	fmt.Fprintf(&b, "  consistency check: %v\n", r.Verified)
 	return b.String()
-}
-
-// hotBoundaryKey returns the boundary splitting off the first hotFraction of
-// the subscriber key space (used by tests that exercise the monitor against
-// TATP directly).
-func hotBoundaryKey(subscribers int, hotFraction float64) []byte {
-	return keyenc.Uint64Key(uint64(float64(subscribers)*hotFraction) + 1)
 }

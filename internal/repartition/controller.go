@@ -11,13 +11,13 @@
 //
 //   - Attach registers the controller as the engine's access observer, so
 //     every action routed through the DORA partition manager feeds one
-//     observation into a per-table aging histogram
-//     (advisor.AgingHistogram) — the controller never touches the workers'
-//     execution path;
+//     observation into a per-table aging histogram (AgingHistogram, in
+//     histogram.go) — the controller never touches the workers' execution
+//     path;
 //   - each control period, Step re-buckets the aged key weights through the
 //     current routing, and when the hottest partition exceeds its fair
-//     share by the trigger ratio it invokes the two-phase optimizer
-//     (balance.Optimize) to plan boundary moves;
+//     share by the trigger ratio (MaxFairRatio) it invokes the two-phase
+//     optimizer (Optimize, in optimizer.go) to plan boundary moves;
 //   - each planned move is applied through engine.Rebalance, which
 //     quiesces only the two workers owning the affected ranges — the rest
 //     of the system never stops;
@@ -37,8 +37,6 @@ import (
 	"sync"
 	"time"
 
-	"plp/internal/advisor"
-	"plp/internal/balance"
 	"plp/internal/engine"
 )
 
@@ -72,7 +70,9 @@ type Config struct {
 	// current window before a control period acts; it prevents rebalancing
 	// on noise.  Default 512.
 	MinObservations uint64
-	// MinTransferFraction is forwarded to the optimizer.  Default 0.05.
+	// MinTransferFraction is the smallest fraction of a table's total load
+	// worth moving across one cut; smaller flows are left alone so the
+	// optimizer does not chase noise.  Default 0.05.
 	MinTransferFraction float64
 	// MaxMovesPerPeriod caps how many boundary moves one control period
 	// applies per table (0 = no cap).  Each move quiesces one partition
@@ -111,7 +111,7 @@ type Decision struct {
 	// Table whose boundary moved.
 	Table string
 	// Move is the optimizer's plan that was applied.
-	Move balance.Move
+	Move Move
 	// Stats is the physical cost reported by engine.Rebalance.
 	Stats engine.RebalanceStats
 }
@@ -163,7 +163,7 @@ type Controller struct {
 	cfg Config
 
 	mu     sync.RWMutex
-	tables map[string]*advisor.AgingHistogram
+	tables map[string]*AgingHistogram
 
 	stepMu    sync.Mutex // serializes control periods
 	statMu    sync.Mutex
@@ -195,10 +195,10 @@ func Attach(e *engine.Engine, cfg Config) (*Controller, error) {
 	c := &Controller{
 		e:      e,
 		cfg:    cfg,
-		tables: make(map[string]*advisor.AgingHistogram),
+		tables: make(map[string]*AgingHistogram),
 	}
 	for _, t := range cfg.Tables {
-		c.tables[t] = advisor.NewAgingHistogram(e.Options().Partitions, cfg.MaxTrackedKeys)
+		c.tables[t] = NewAgingHistogram(e.Options().Partitions, cfg.MaxTrackedKeys)
 	}
 	if blob := e.RecoveredControllerState(); len(blob) > 0 {
 		if err := c.importState(blob); err != nil {
@@ -224,7 +224,7 @@ func (c *Controller) Detach() {
 
 // managed reports whether the controller manages the table, creating the
 // histogram on first contact when no table filter was configured.
-func (c *Controller) histogram(table string, create bool) *advisor.AgingHistogram {
+func (c *Controller) histogram(table string, create bool) *AgingHistogram {
 	c.mu.RLock()
 	h := c.tables[table]
 	c.mu.RUnlock()
@@ -234,7 +234,7 @@ func (c *Controller) histogram(table string, create bool) *advisor.AgingHistogra
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if h = c.tables[table]; h == nil {
-		h = advisor.NewAgingHistogram(c.e.Options().Partitions, c.cfg.MaxTrackedKeys)
+		h = NewAgingHistogram(c.e.Options().Partitions, c.cfg.MaxTrackedKeys)
 		c.tables[table] = h
 	}
 	return h
@@ -248,7 +248,7 @@ func (c *Controller) Observe(table string, partition int, key []byte) {
 }
 
 // rebucket distributes the aged key weights over the current boundaries.
-func rebucket(keys []advisor.KeyWeight, boundaries [][]byte) []float64 {
+func rebucket(keys []KeyWeight, boundaries [][]byte) []float64 {
 	loads := make([]float64, len(boundaries)+1)
 	for _, kw := range keys {
 		p := sort.Search(len(boundaries), func(i int) bool { return bytes.Compare(boundaries[i], kw.Key) > 0 })
@@ -307,7 +307,7 @@ func (c *Controller) Step() []Decision {
 
 // stepTable evaluates one table and applies any planned moves, reporting
 // whether it acted.
-func (c *Controller) stepTable(name string, snap advisor.HistogramSnapshot, made *[]Decision) bool {
+func (c *Controller) stepTable(name string, snap HistogramSnapshot, made *[]Decision) bool {
 	if snap.WindowObservations < c.cfg.MinObservations {
 		return false
 	}
@@ -316,11 +316,10 @@ func (c *Controller) stepTable(name string, snap advisor.HistogramSnapshot, made
 		return false
 	}
 	loads := rebucket(snap.Keys, boundaries)
-	if balance.MaxFairRatio(loads) < c.cfg.TriggerRatio {
+	if MaxFairRatio(loads) < c.cfg.TriggerRatio {
 		return false
 	}
-	moves := balance.Optimize(loads, snap.Keys, boundaries,
-		balance.OptimizerConfig{MinTransferFraction: c.cfg.MinTransferFraction})
+	moves := Optimize(loads, snap.Keys, boundaries, c.cfg.MinTransferFraction)
 	if c.cfg.MaxMovesPerPeriod > 0 && len(moves) > c.cfg.MaxMovesPerPeriod {
 		moves = moves[:c.cfg.MaxMovesPerPeriod]
 	}
@@ -402,7 +401,7 @@ func (c *Controller) Status() Status {
 		ts := TableStatus{Table: name, WindowObservations: snap.WindowObservations}
 		if boundaries, err := c.e.Boundaries(name); err == nil {
 			ts.Loads = rebucket(snap.Keys, boundaries)
-			ts.Ratio = balance.MaxFairRatio(ts.Loads)
+			ts.Ratio = MaxFairRatio(ts.Loads)
 		}
 		if tbl, err := c.e.Table(name); err == nil && tbl.Primary != nil {
 			if counts, err := tbl.Primary.PartitionCounts(nil); err == nil {
@@ -465,7 +464,7 @@ func (c *Controller) Control(cmd, table string) (string, error) {
 			return "", err
 		}
 		var b strings.Builder
-		fmt.Fprintf(&b, "table %s ratio=%.2f loads:", table, balance.MaxFairRatio(loads))
+		fmt.Fprintf(&b, "table %s ratio=%.2f loads:", table, MaxFairRatio(loads))
 		for _, l := range loads {
 			fmt.Fprintf(&b, " %.0f", l)
 		}

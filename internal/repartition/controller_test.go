@@ -308,3 +308,54 @@ func TestBackgroundLoopStartStop(t *testing.T) {
 		t.Fatal("status still reports running after Stop")
 	}
 }
+
+// TestControllerNoMove covers the windows in which a control period must
+// leave the table alone: load already within the trigger ratio, too few
+// observations to trust (on a hot range that would otherwise move), and
+// skew that sits on one key, which no boundary move can split.
+func TestControllerNoMove(t *testing.T) {
+	cases := []struct {
+		name   string
+		minObs uint64
+		keys   func(i int) uint64
+		n      int
+	}{
+		{"balanced", 100, func(i int) uint64 { return uint64(i*7919)%testKeyspace + 1 }, 4000},
+		{"below_min_observations", 10_000, func(i int) uint64 { return uint64(i%50) + 1 }, 100},
+		{"single_hot_key", 100, func(int) uint64 { return 42 }, 2000},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTestEngine(t, engine.PLPLeaf)
+			defer e.Close()
+			c, err := Attach(e, Config{Tables: []string{testTable}, MinObservations: tc.minObs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Detach()
+			before, err := e.Boundaries(testTable)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tc.n; i++ {
+				key := keyenc.Uint64Key(tc.keys(i))
+				c.Observe(testTable, e.PartitionFor(testTable, key), key)
+			}
+			if made := c.Step(); len(made) != 0 {
+				t.Fatalf("control period moved boundaries: %v", made)
+			}
+			if err := c.LastErr(); err != nil {
+				t.Fatal(err)
+			}
+			after, err := e.Boundaries(testTable)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range before {
+				if !bytes.Equal(before[i], after[i]) {
+					t.Fatalf("boundary %d changed: %x -> %x", i+1, before[i], after[i])
+				}
+			}
+		})
+	}
+}

@@ -8,7 +8,8 @@
 // that structure for one table — per-partition access counters plus a
 // bounded per-key weight map, both decayed exponentially by Age, which the
 // controller calls once per control period.
-package advisor
+
+package repartition
 
 import (
 	"bytes"

@@ -1,4 +1,4 @@
-package advisor
+package repartition
 
 import (
 	"bytes"

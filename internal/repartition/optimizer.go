@@ -1,10 +1,8 @@
 // The two-phase load-balance optimizer behind online dynamic repartitioning.
 //
-// The single-boundary Monitor in this package reacts to one hot partition
-// at a time.  The DRP controller (package repartition) needs the full
-// picture: given aged per-partition loads and an aged key histogram, decide
-// every boundary move that brings the table back to balance.  Optimize
-// works in the two phases of the paper's load balancer:
+// Given aged per-partition loads and an aged key histogram, the controller
+// needs every boundary move that brings the table back to balance.
+// Optimize works in the two phases of the paper's load balancer:
 //
 //   - Phase 1 (planning) treats the partitions as a chain and computes, for
 //     every cut between two adjacent partitions, the signed load flow that
@@ -19,14 +17,13 @@
 //
 // The optimizer is pure: it never touches an engine, which keeps it
 // deterministic and unit-testable.
-package balance
+
+package repartition
 
 import (
 	"bytes"
 	"math"
 	"sort"
-
-	"plp/internal/advisor"
 )
 
 // Move is one boundary adjustment produced by the optimizer.
@@ -42,21 +39,6 @@ type Move struct {
 	// Transfer is the planned load flow across the cut, in aged weight
 	// units.
 	Transfer float64
-}
-
-// OptimizerConfig tunes Optimize.
-type OptimizerConfig struct {
-	// MinTransferFraction is the smallest fraction of the total load worth
-	// moving across a cut; smaller flows are left alone so the optimizer
-	// does not chase noise.  Default 0.05.
-	MinTransferFraction float64
-}
-
-// normalize fills in defaults.
-func (c *OptimizerConfig) normalize() {
-	if c.MinTransferFraction <= 0 {
-		c.MinTransferFraction = 0.05
-	}
 }
 
 // MaxFairRatio returns the hottest partition's load over the fair share
@@ -81,14 +63,15 @@ func MaxFairRatio(loads []float64) float64 {
 
 // Optimize plans the boundary moves that rebalance a table whose partitions
 // currently carry the given loads.  keys is the aged key histogram sorted
-// by key (advisor.HistogramSnapshot.Keys); boundaries are the table's
-// current partition boundaries (len(loads)-1 entries, as in
-// mrbtree.Tree.Boundaries).  The returned moves are ordered by boundary
+// by key (HistogramSnapshot.Keys); boundaries are the table's current
+// partition boundaries (len(loads)-1 entries, as in
+// mrbtree.Tree.Boundaries).  Flows across a cut smaller than
+// minTransferFraction of the total load are left alone, so the optimizer
+// does not chase noise (Config.MinTransferFraction).  The returned moves are ordered by boundary
 // index and are valid to apply sequentially through engine.Rebalance.  A
 // nil result means the table is already balanced or the histogram carries
 // too little information to act on.
-func Optimize(loads []float64, keys []advisor.KeyWeight, boundaries [][]byte, cfg OptimizerConfig) []Move {
-	cfg.normalize()
+func Optimize(loads []float64, keys []KeyWeight, boundaries [][]byte, minTransferFraction float64) []Move {
 	n := len(loads)
 	if n < 2 || len(boundaries) != n-1 || len(keys) == 0 {
 		return nil
@@ -134,7 +117,7 @@ func Optimize(loads []float64, keys []advisor.KeyWeight, boundaries [][]byte, cf
 		}
 		effectiveLower = nil
 
-		if math.Abs(flow[i]) < cfg.MinTransferFraction*total {
+		if math.Abs(flow[i]) < minTransferFraction*total {
 			continue
 		}
 		// The equal-load quantile: the first key index whose prefix weight

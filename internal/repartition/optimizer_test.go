@@ -1,4 +1,4 @@
-package balance
+package repartition
 
 import (
 	"bytes"
@@ -6,16 +6,15 @@ import (
 	"sort"
 	"testing"
 
-	"plp/internal/advisor"
 	"plp/internal/keyenc"
 )
 
 // histFromCounts builds a sorted key histogram where key i carries counts[i]
 // weight (keys are 1-based uint64 keys).
-func histFromCounts(counts map[uint64]float64) []advisor.KeyWeight {
-	out := make([]advisor.KeyWeight, 0, len(counts))
+func histFromCounts(counts map[uint64]float64) []KeyWeight {
+	out := make([]KeyWeight, 0, len(counts))
 	for k, w := range counts {
-		out = append(out, advisor.KeyWeight{Key: keyenc.Uint64Key(k), Weight: w})
+		out = append(out, KeyWeight{Key: keyenc.Uint64Key(k), Weight: w})
 	}
 	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].Key, out[j].Key) < 0 })
 	return out
@@ -50,7 +49,7 @@ func TestOptimizeBalancedInputNoMoves(t *testing.T) {
 	for k := uint64(1); k <= 100; k++ {
 		counts[k] = 1
 	}
-	moves := Optimize([]float64{25, 25, 25, 25}, histFromCounts(counts), uniformBounds(100, 4), OptimizerConfig{})
+	moves := Optimize([]float64{25, 25, 25, 25}, histFromCounts(counts), uniformBounds(100, 4), 0.05)
 	if len(moves) != 0 {
 		t.Fatalf("balanced input produced moves: %+v", moves)
 	}
@@ -58,20 +57,20 @@ func TestOptimizeBalancedInputNoMoves(t *testing.T) {
 
 func TestOptimizeDegenerateInputs(t *testing.T) {
 	counts := map[uint64]float64{1: 1, 2: 1}
-	if m := Optimize([]float64{1}, histFromCounts(counts), nil, OptimizerConfig{}); m != nil {
+	if m := Optimize([]float64{1}, histFromCounts(counts), nil, 0.05); m != nil {
 		t.Fatalf("single partition produced moves")
 	}
-	if m := Optimize([]float64{1, 1}, nil, uniformBounds(10, 2), OptimizerConfig{}); m != nil {
+	if m := Optimize([]float64{1, 1}, nil, uniformBounds(10, 2), 0.05); m != nil {
 		t.Fatalf("empty histogram produced moves")
 	}
-	if m := Optimize([]float64{0, 0}, histFromCounts(counts), uniformBounds(10, 2), OptimizerConfig{}); m != nil {
+	if m := Optimize([]float64{0, 0}, histFromCounts(counts), uniformBounds(10, 2), 0.05); m != nil {
 		t.Fatalf("zero load produced moves")
 	}
 }
 
 // apply simulates applying the moves: it re-buckets the key histogram
 // through the updated boundaries and returns the resulting loads.
-func apply(moves []Move, bounds [][]byte, keys []advisor.KeyWeight, n int) ([]float64, [][]byte) {
+func apply(moves []Move, bounds [][]byte, keys []KeyWeight, n int) ([]float64, [][]byte) {
 	newBounds := make([][]byte, len(bounds))
 	copy(newBounds, bounds)
 	for _, m := range moves {
@@ -98,7 +97,7 @@ func TestOptimizeHotFirstPartition(t *testing.T) {
 	bounds := uniformBounds(1000, 4)
 	loads, _ := apply(nil, bounds, keys, 4)
 
-	moves := Optimize(loads, keys, bounds, OptimizerConfig{})
+	moves := Optimize(loads, keys, bounds, 0.05)
 	if len(moves) == 0 {
 		t.Fatalf("hot head produced no moves")
 	}
@@ -133,7 +132,7 @@ func TestOptimizeConvergesOnZipf(t *testing.T) {
 
 	ratio := MaxFairRatio(loads)
 	for round := 0; round < 6; round++ {
-		moves := Optimize(loads, keys, bounds, OptimizerConfig{})
+		moves := Optimize(loads, keys, bounds, 0.05)
 		if len(moves) == 0 {
 			break
 		}

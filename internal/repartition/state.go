@@ -10,6 +10,7 @@
 // the blob back and Attach warm-starts the histograms from it.  Partition
 // boundaries themselves are restored by engine.Recover directly — the blob
 // carries only the learned access statistics.
+
 package repartition
 
 import (
@@ -17,8 +18,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"plp/internal/advisor"
 )
 
 // stateVersion is bumped whenever the blob encoding changes incompatibly;
@@ -141,7 +140,7 @@ func (c *Controller) importState(blob []byte) error {
 		if !ok {
 			return short
 		}
-		keys := make([]advisor.KeyWeight, 0, nKeys)
+		keys := make([]KeyWeight, 0, nKeys)
 		for i := uint32(0); i < nKeys; i++ {
 			kl, ok := u32()
 			if !ok {
@@ -156,7 +155,7 @@ func (c *Controller) importState(blob []byte) error {
 			if !ok {
 				return short
 			}
-			keys = append(keys, advisor.KeyWeight{Key: key, Weight: w})
+			keys = append(keys, KeyWeight{Key: key, Weight: w})
 		}
 		if h := c.histogram(name, true); h != nil {
 			h.Restore(loads, keys)

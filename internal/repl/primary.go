@@ -2,7 +2,6 @@ package repl
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,11 +19,6 @@ const (
 	// DefaultAckTimeout bounds how long a replica-acked commit waits for a
 	// follower before reporting the commit's replication as uncertain.
 	DefaultAckTimeout = 5 * time.Second
-	// ackHistBuckets is the number of log2-microsecond latency buckets.
-	ackHistBuckets = 32
-	// ackSampleEvery is the 1-in-N sampling rate for ack-wait latencies,
-	// matching the executor's 1-in-64 accounting.
-	ackSampleEvery = 64
 )
 
 // ErrSubscriptionClosed is returned by Subscription.Next after Close.
@@ -58,8 +52,6 @@ type Primary struct {
 
 	ackWaits    atomic.Uint64
 	ackTimeouts atomic.Uint64
-	waitSeq     atomic.Uint64
-	ackHist     [ackHistBuckets]atomic.Uint64 // sampled wait latency, log2(µs)
 }
 
 // NewPrimary builds the replication hub over the durable log at the given
@@ -381,8 +373,7 @@ func (s *Subscription) Close() {
 // a nil return means the commit record is durable on ≥ quorum followers.
 func (p *Primary) WaitReplicated(lsn wal.LSN) error {
 	p.ackWaits.Add(1)
-	begin := time.Now()
-	deadline := begin.Add(p.ackTimeout)
+	deadline := time.Now().Add(p.ackTimeout)
 	timer := time.AfterFunc(p.ackTimeout, func() {
 		p.mu.Lock()
 		p.cond.Broadcast()
@@ -401,15 +392,6 @@ func (p *Primary) WaitReplicated(lsn wal.LSN) error {
 		p.cond.Wait()
 	}
 	p.mu.Unlock()
-
-	if p.waitSeq.Add(1)%ackSampleEvery == 0 {
-		us := time.Since(begin).Microseconds()
-		b := bits.Len64(uint64(us)) // log2 bucket; 0µs → bucket 0
-		if b >= ackHistBuckets {
-			b = ackHistBuckets - 1
-		}
-		p.ackHist[b].Add(1)
-	}
 	return nil
 }
 
@@ -438,9 +420,6 @@ type PrimaryStatus struct {
 	Followers   []FollowerStatus
 	AckWaits    uint64
 	AckTimeouts uint64
-	// AckWaitHistUS maps log2-microsecond bucket upper bounds to sampled
-	// replica-ack wait counts (1-in-64 sampling; non-empty buckets only).
-	AckWaitHistUS map[string]uint64
 }
 
 // Status returns a consistent snapshot of the hub.
@@ -474,13 +453,6 @@ func (p *Primary) Status() PrimaryStatus {
 		st.Followers = append(st.Followers, f)
 	}
 	p.mu.Unlock()
-	hist := make(map[string]uint64)
-	for i := range p.ackHist {
-		if n := p.ackHist[i].Load(); n > 0 {
-			hist[fmt.Sprintf("le_%dus", uint64(1)<<i)] = n
-		}
-	}
-	st.AckWaitHistUS = hist
 	return st
 }
 

@@ -146,7 +146,6 @@
 // engine backed by a disk-based group-commit log, Checkpoint/Recover and
 // the background Checkpointer for restart recovery over the shared log,
 // AttachRepartitioner for the paper's online dynamic repartitioning (DRP),
-// NewBalanceMonitor for simpler one-table rebalancing under skew,
 // NewAdvisorTracker for the partition-alignment analysis of Appendix E, and
 // NewServer plus the client, wire and keys packages (and cmd/plpd,
 // cmd/plpctl) for serving an engine over TCP.
