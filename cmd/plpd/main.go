@@ -353,7 +353,7 @@ func main() {
 			srv.SetReplPrimary(p)
 			if *ackMode == "replica" {
 				p.SetAckQuorum(*ackQuorum)
-				e.SetCommitAckWaiter(p.WaitReplicated)
+				e.SetCommitAckWaiter(p.OnReplicated)
 			}
 			return p
 		}

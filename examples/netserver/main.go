@@ -86,8 +86,8 @@ func main() {
 	fmt.Printf("alice -> %s\n", byName)
 
 	// ...a pipelined burst: 2000 transactions kept 64-deep in flight on this
-	// one connection, which the server's per-connection executor pool
-	// spreads over the partition workers and completes out of order.
+	// one connection, which the server submits to the partition workers as
+	// it reads them and answers out of order as they complete.
 	const burst = 2000
 	window := make(chan *client.Future, 64)
 	for i := 0; i < burst; i++ {

@@ -30,6 +30,10 @@ import (
 // ErrStopped is returned when work is submitted to a stopped worker pool.
 var ErrStopped = errors.New("dora: worker pool is stopped")
 
+// ErrQueueFull is returned by TrySubmit and TrySubmitBatch when the
+// worker's input queue has no room.
+var ErrQueueFull = errors.New("dora: worker input queue is full")
+
 // Runner is the allocation-free alternative to Task.Do: a pre-built (and
 // typically pooled) object whose RunTask method executes on the worker
 // goroutine.  Storing a pointer in an interface field does not allocate,
@@ -153,11 +157,35 @@ func (w *Worker) stamp() time.Time {
 // is the fixed-contention message-passing critical section of the paper's
 // communication taxonomy.
 func (w *Worker) Submit(t Task) error {
+	return w.enqueue(batch{one: t}, true)
+}
+
+// TrySubmit is Submit without the wait: it returns ErrQueueFull when the
+// input queue has no room.  A partition worker that hands work to another
+// worker uses it, so that it never blocks on a bounded queue another
+// worker drains: two workers feeding each other's full queues would
+// deadlock.
+func (w *Worker) TrySubmit(t Task) error {
+	return w.enqueue(batch{one: t}, false)
+}
+
+// enqueue puts b on the input queue, waiting for room when block is set.
+func (w *Worker) enqueue(b batch, block bool) error {
 	if w.stopped.Load() {
 		return ErrStopped
 	}
-	b := batch{one: t, enqueuedAt: w.stamp()}
+	b.enqueuedAt = w.stamp()
+	// Counted before the send: the task may complete, and its submitter
+	// read the counters, before this goroutine runs again.
 	w.cst.RecordClass(cs.MessagePassing, cs.Fixed, false)
+	select {
+	case w.input <- b:
+		return nil
+	default:
+		if !block {
+			return ErrQueueFull
+		}
+	}
 	select {
 	case <-w.quit:
 		return ErrStopped
@@ -178,17 +206,18 @@ func (w *Worker) SubmitBatch(ts *[]Task) error {
 		PutTasks(ts)
 		return nil
 	}
-	if w.stopped.Load() {
-		return ErrStopped
-	}
-	b := batch{many: ts, enqueuedAt: w.stamp()}
-	w.cst.RecordClass(cs.MessagePassing, cs.Fixed, false)
-	select {
-	case <-w.quit:
-		return ErrStopped
-	case w.input <- b:
+	return w.enqueue(batch{many: ts}, true)
+}
+
+// TrySubmitBatch is SubmitBatch without the wait: it returns ErrQueueFull,
+// and the caller keeps ts, when the input queue has no room (see
+// TrySubmit).
+func (w *Worker) TrySubmitBatch(ts *[]Task) error {
+	if len(*ts) == 0 {
+		PutTasks(ts)
 		return nil
 	}
+	return w.enqueue(batch{many: ts}, false)
 }
 
 // SubmitSystem enqueues a high-priority system task; repartitioning barriers

@@ -21,6 +21,14 @@
 // the partition worker pool.  Clients obtain Sessions and submit Requests;
 // the harness reads the critical-section, latch and time-breakdown
 // statistics that the paper's figures are built from.
+//
+// On the partitioned designs a request runs on continuations
+// (execute.go): Session.Submit hands its first phase to the workers and
+// returns; the action that finishes a phase last dispatches the next
+// phase, or commits; and the commit's completion, run by the log's
+// flusher once the commit record is durable, calls the caller back.  A
+// request whose actions all route to one worker is one task on it.
+// Session.Execute is Submit plus a wait.
 package engine
 
 import (
@@ -148,8 +156,13 @@ type Options struct {
 // manager: the table, the logical partition the action was routed to, and
 // the routing key.  Implementations must be cheap and must copy key if they
 // retain it.  This is the feed for the DRP controller's aging access
-// histograms (package repartition); it is invoked on the request-submitting
-// goroutine, never on the partition workers.
+// histograms (package repartition).  It is never invoked on a partition
+// worker, so it may take locks a Rebalance holds while it quiesces
+// workers: statically keyed actions are reported on the submitting
+// goroutine, and actions routed at dispatch time where their phase is
+// dispatched — on a fresh goroutine when the phase before ended on a
+// worker.  Inline actions (Action.Inline) route to no partition and are
+// not reported.
 type AccessObserver func(table string, partition int, key []byte)
 
 // normalize fills in defaults.
@@ -522,14 +535,21 @@ type Session struct {
 	// why Result.Txn is documented as valid only until then).
 	lastTxn *txn.Txn
 
-	// prepareGID, when non-empty, makes the current request prepare under
-	// this cross-shard gid instead of committing (see ExecutePrepare).
-	prepareGID string
+	// Execute's wait for its own submission: wake, bound once per session,
+	// stores the outcome in res and err and signals woken.
+	woken chan struct{}
+	wake  func(Result, error)
+	res   Result
+	err   error
 }
 
 // NewSession returns a new client session.
 func (e *Engine) NewSession() *Session {
-	s := &Session{e: e, id: e.nextSession.Add(1)}
+	s := &Session{e: e, id: e.nextSession.Add(1), woken: make(chan struct{}, 1)}
+	s.wake = func(res Result, err error) {
+		s.res, s.err = res, err
+		s.woken <- struct{}{}
+	}
 	if e.opts.Design == Conventional && e.opts.SLI && e.locks != nil {
 		s.sli = lock.NewSLICache(e.locks, s.id)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"plp/internal/catalog"
@@ -21,8 +22,9 @@ var ErrAborted = errors.New("engine: transaction aborted")
 // Result describes a completed request.
 type Result struct {
 	// Txn is the transaction that executed the request (already committed
-	// or aborted).  It remains valid until the session's next Execute (or
-	// Close), when the engine recycles the transaction object.
+	// or aborted).  After Execute it remains valid until the session's next
+	// Execute (or Close), when the engine recycles the transaction object;
+	// after Submit, only until the completion returns.
 	Txn *txn.Txn
 	// Breakdown is the transaction's blocked-time breakdown.
 	Breakdown txn.Totals
@@ -30,14 +32,11 @@ type Result struct {
 	Latency time.Duration
 }
 
-// Execute runs one request as a transaction and returns its result.  The
-// session's goroutine blocks until the transaction commits or aborts.
+// Execute runs one request as a transaction and returns its result: it is
+// Submit plus a wait, so the session's goroutine blocks until the
+// transaction commits (and its acknowledgement gates pass) or aborts.
 func (s *Session) Execute(req *Request) (Result, error) {
-	s.recycleLast()
-	if s.e.opts.Design == Conventional {
-		return s.executeConventional(req)
-	}
-	return s.executePartitioned(req)
+	return s.wait(req, "")
 }
 
 // ExecutePrepare runs one request as the local branch of a cross-shard
@@ -50,10 +49,37 @@ func (s *Session) Execute(req *Request) (Result, error) {
 // parked in s.lastTxn — it outlives this request, and the session's next
 // Execute must not recycle it.
 func (s *Session) ExecutePrepare(req *Request, gid string) (Result, error) {
-	s.prepareGID = gid
-	res, err := s.Execute(req)
-	s.prepareGID = ""
+	return s.wait(req, gid)
+}
+
+// wait submits req and parks the calling goroutine until its completion.
+func (s *Session) wait(req *Request, gid string) (Result, error) {
+	s.recycleLast()
+	s.submit(req, gid, true, s.wake)
+	<-s.woken
+	res, err := s.res, s.err
+	s.res, s.err = Result{}, nil
+	if res.Txn != nil && res.Txn.State() != txn.Active {
+		s.lastTxn = res.Txn
+	}
 	return res, err
+}
+
+// Submit starts req as one transaction and returns without waiting for it:
+// done runs exactly once with the outcome, on whichever goroutine finishes
+// the transaction — the partition worker that ran its last action, the
+// log's flush daemon once the commit is durable, the goroutine whose
+// follower ack passes the quorum gate, or the caller itself when nothing
+// is left to wait for.  done must therefore be cheap and must not block,
+// and Result.Txn is valid only until it returns.
+//
+// On the partitioned designs Submit returns once the request's first
+// phase is handed to the workers, and one session may submit concurrently
+// from several goroutines.  The Conventional design runs the whole
+// transaction, lock waits included, on the calling goroutine before Submit
+// returns, and its session (which holds the SLI cache) must not be shared.
+func (s *Session) Submit(req *Request, done func(Result, error)) {
+	s.submit(req, "", false, done)
 }
 
 // recycleLast returns the previous request's transaction object to the
@@ -67,48 +93,38 @@ func (s *Session) recycleLast() {
 	}
 }
 
-// executeConventional runs every action inline on the calling goroutine,
+// submit begins the transaction and starts it: inline in the Conventional
+// design, through the partition workers otherwise.  keep leaves the
+// finished transaction to the caller instead of recycling it after done.
+func (s *Session) submit(req *Request, gid string, keep bool, done func(Result, error)) {
+	e := s.e
+	st := getExecState(e, e.tm.Begin(), req)
+	st.sess, st.gid, st.keep, st.done = s, gid, keep, done
+	st.start = time.Now()
+	if e.opts.Design == Conventional {
+		st.runConventional()
+		return
+	}
+	st.observeStatic()
+	st.dispatch(0, false)
+}
+
+// runConventional runs every action inline on the calling goroutine,
 // acquiring centralized locks and latching pages as a conventional
 // shared-everything system does.
-func (s *Session) executeConventional(req *Request) (Result, error) {
-	e := s.e
-	start := time.Now()
-	tx := e.tm.Begin()
-	st := getExecState(e, tx, req)
-	defer putExecState(st)
+func (st *execState) runConventional() {
 	ctx := &st.ctx
-	*ctx = Ctx{eng: e, tx: tx, sess: s, partition: -1}
-
-	for pi, phase := range req.Phases {
-		if req.Expand != nil && req.Expand[pi] != nil {
-			phase = append(append(make([]Action, 0, len(phase)), phase...), req.Expand[pi]()...)
-		}
+	*ctx = Ctx{eng: st.e, tx: st.tx, sess: st.sess, partition: -1}
+	for pi := range st.req.Phases {
+		phase := st.phaseActions(pi)
 		for i := range phase {
 			if err := phase[i].Exec(ctx); err != nil {
-				_ = e.tm.Abort(tx)
-				s.releaseTableLocks(ctx, tx, false)
-				s.lastTxn = tx
-				return Result{Txn: tx, Breakdown: tx.Breakdown.Totals(), Latency: time.Since(start)},
-					fmt.Errorf("%w: %w", ErrAborted, err)
+				st.finish(err)
+				return
 			}
 		}
 	}
-	// Inherit or release table-level locks before the commit releases the
-	// record locks.
-	s.releaseTableLocks(ctx, tx, true)
-	if s.prepareGID != "" {
-		if err := e.tm.Prepare(tx, s.prepareGID); err != nil {
-			s.lastTxn = tx
-			return Result{Txn: tx}, err
-		}
-		return Result{Txn: tx, Breakdown: tx.Breakdown.Totals(), Latency: time.Since(start)}, nil
-	}
-	if err := e.tm.Commit(tx); err != nil {
-		s.lastTxn = tx
-		return Result{Txn: tx}, err
-	}
-	s.lastTxn = tx
-	return Result{Txn: tx, Breakdown: tx.Breakdown.Totals(), Latency: time.Since(start)}, nil
+	st.finish(nil)
 }
 
 // releaseTableLocks hands the transaction's table locks to the SLI cache
@@ -134,61 +150,69 @@ func (s *Session) releaseTableLocks(ctx *Ctx, tx *txn.Txn, commit bool) {
 // an unbiased estimate while the per-action hot path never reads the clock.
 const waitSampleEvery = 16
 
-// errRedispatch is the worker's signal that a single-site batch found at
-// least one of its actions mis-routed by a concurrent boundary move; the
-// submitter re-drives the (entirely unexecuted) request through the phased
-// path, which re-routes every action to its current owner.
-var errRedispatch = errors.New("engine: single-site batch mis-routed")
-
 // tableEpoch is one table's routing epoch captured at submit time.
 type tableEpoch struct {
 	rt    *routingTable
 	epoch uint64
 }
 
-// execState is the per-request scratch the executor recycles through a
-// sync.Pool: the per-phase error slots, the phase WaitGroup, the completion
-// channel and worker Ctx of the single-site fast path, and the batch items
-// of grouped dispatch.  Nothing in it survives the request; pooling it is
-// what keeps the hot path allocation-free.
+// execState is one request in flight, recycled through a sync.Pool: the
+// transaction and its continuation, the phase in flight with its countdown
+// and error slots, the worker Ctx of the single-site fast path, and the
+// batch items of grouped dispatch.  The request runs on continuations: the
+// action that finishes a phase last dispatches the next phase, or commits
+// (DORA's rendezvous points), and the commit's last gate runs the caller's
+// completion — no goroutine waits for the request.  Nothing in it survives
+// the request; pooling it is what keeps the hot path allocation-free.
 type execState struct {
-	e   *Engine
-	tx  *txn.Txn
-	req *Request
+	e    *Engine
+	tx   *txn.Txn
+	req  *Request
+	sess *Session
+	gid  string              // prepare under this gid instead of committing
+	keep bool                // the caller recycles tx, not the completion
+	done func(Result, error) // the caller's completion
+	// onCommit is st.committed, bound once per pooled object so that a
+	// commit allocates no closure.
+	onCommit func(error)
 
-	done       chan error
-	wg         sync.WaitGroup
+	start      time.Time
+	phase      int          // the phase in flight on the phased path
+	first      int          // the first phase the single-site task runs
+	phased     bool         // a phase went to the workers, or a re-drive
+	pending    atomic.Int32 // actions of the phase in flight still running
 	errs       []error
 	tabs       []tableEpoch
 	items      []batchItem
 	ctx        Ctx       // the single-site (and conventional) request Ctx
 	enqueuedAt time.Time // sampled queue-wait stamp for the single-site task
-	phasesExec int       // phases the single-site task ran (incl. a failing one)
 }
 
-var execStatePool = sync.Pool{New: func() any {
-	return &execState{done: make(chan error, 1)}
-}}
+var execStatePool = sync.Pool{New: func() any { return new(execState) }}
 
 // getExecState returns pooled per-request scratch bound to the request.
 func getExecState(e *Engine, tx *txn.Txn, req *Request) *execState {
 	st := execStatePool.Get().(*execState)
+	if st.onCommit == nil {
+		st.onCommit = st.committed
+	}
 	st.e, st.tx, st.req = e, tx, req
 	return st
 }
 
 // putExecState clears references and recycles the scratch.  Callers must
-// guarantee no worker still touches it: the single-site completion receive
-// and the per-phase WaitGroup both provide that.
+// guarantee no worker still touches it: the request's completion runs only
+// after its last action returned.
 func putExecState(st *execState) {
-	st.e, st.tx, st.req = nil, nil, nil
+	st.e, st.tx, st.req, st.sess, st.done = nil, nil, nil, nil, nil
+	st.gid, st.keep = "", false
+	st.phase, st.first, st.phased = 0, 0, false
 	st.tabs = st.tabs[:0]
 	clear(st.errs)
 	clear(st.items)
 	st.items = st.items[:0]
 	st.ctx = Ctx{}
 	st.enqueuedAt = time.Time{}
-	st.phasesExec = 0
 	execStatePool.Put(st)
 }
 
@@ -202,32 +226,140 @@ func (st *execState) resetErrs(n int) {
 	clear(st.errs)
 }
 
-// analyze decides whether the request qualifies for the single-site fast
-// path: every action of every phase carries a static, non-nil routing key
-// and all of them route to the same partition worker.  KeyFn actions
-// disqualify (they route only at dispatch time, after earlier phases ran),
-// and so do closure actions with a nil routing key — they default-route to
-// partition 0 like always, but conservatively through the phased path.  It
-// also captures each touched table's routing epoch — before that table's
-// first routing lookup, so a boundary move between the two makes the
-// worker-side re-check fire, never the reverse.
-func (st *execState) analyze() (int, bool) {
-	e := st.e
-	pidx := -1
-	if st.req.Expand != nil {
-		// Dynamically expanded phases route at dispatch time, like KeyFn.
-		return 0, false
+// phaseActions returns phase pi's actions, with those its expander (if
+// any) materializes now that every earlier phase has run.
+func (st *execState) phaseActions(pi int) []Action {
+	phase := st.req.Phases[pi]
+	if st.req.Expand != nil && st.req.Expand[pi] != nil {
+		if extra := st.req.Expand[pi](); len(extra) > 0 {
+			phase = append(append(make([]Action, 0, len(phase)+len(extra)), phase...), extra...)
+		}
+	}
+	return phase
+}
+
+// bound reports whether phase pi routes at dispatch time: it holds a KeyFn
+// action or an expander.
+func (st *execState) bound(pi int) bool {
+	if st.req.Expand != nil && st.req.Expand[pi] != nil {
+		return true
+	}
+	for i := range st.req.Phases[pi] {
+		if st.req.Phases[pi][i].KeyFn != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// observeStatic reports every statically keyed action of the request to
+// the access observer, at submit.  Actions routed at dispatch time are
+// reported where their phase is dispatched (dispatchPhase), never on a
+// partition worker: the observer may take locks a quiesce holds.
+func (st *execState) observeStatic() {
+	if st.e.observer.Load() == nil {
+		return
 	}
 	for _, phase := range st.req.Phases {
 		for i := range phase {
+			if a := &phase[i]; !a.Inline && a.KeyFn == nil {
+				st.e.observeAccess(a.Table, st.e.partitionFor(a.Table, a.Key), a.Key)
+			}
+		}
+	}
+}
+
+// dispatch runs the request on from phase pi until it must wait for the
+// partition workers, or commits.  Inline phases run right here.  While no
+// phase has gone to a worker yet, the rest of the request takes the
+// single-site fast path when it qualifies; otherwise the first non-inline
+// phase is dispatched, and its last action to finish calls dispatch again
+// (from phaseDone).  onWorker says dispatch runs on a partition worker.
+func (st *execState) dispatch(pi int, onWorker bool) {
+	for ; pi < len(st.req.Phases); pi++ {
+		phase := st.phaseActions(pi)
+		if allInline(phase) {
+			if err := st.runInline(phase); err != nil {
+				st.finish(err)
+				return
+			}
+			continue
+		}
+		if !st.phased {
+			if pidx, ok := st.analyze(pi); ok {
+				st.submitSingleSite(pi, pidx)
+				return
+			}
+		}
+		st.dispatchPhase(pi, phase, onWorker)
+		return
+	}
+	st.finish(nil)
+}
+
+// allInline reports whether no action of the phase needs a worker (an
+// empty phase included).
+func allInline(phase []Action) bool {
+	for i := range phase {
+		if !phase[i].Inline {
+			return false
+		}
+	}
+	return true
+}
+
+// runInline runs the phase's inline actions on the calling goroutine, with
+// a Ctx bound to no worker.  No worker runs an action of the request
+// meanwhile, so the request's Ctx is free.
+func (st *execState) runInline(phase []Action) error {
+	var firstErr error
+	for i := range phase {
+		if !phase[i].Inline {
+			continue
+		}
+		st.ctx = Ctx{eng: st.e, tx: st.tx, partition: -1}
+		if err := phase[i].Exec(&st.ctx); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// analyze decides whether phases first.. qualify for the single-site fast
+// path: every action routes to the same partition worker, and none is
+// routed at dispatch time by a phase that has not yet run — a KeyFn is
+// allowed in phase first only, whose predecessors have all run (inline),
+// and expanders disqualify.  Inline actions route nowhere.  A closure
+// action with a nil routing key disqualifies too: it default-routes to
+// partition 0 like always, but conservatively through the phased path.
+// analyze also captures each touched table's routing epoch — before that
+// table's first routing lookup, so a boundary move between the two makes
+// the worker-side re-check fire, never the reverse.
+func (st *execState) analyze(first int) (int, bool) {
+	e := st.e
+	if e.opts.NoFastPath || st.req.Expand != nil {
+		return 0, false
+	}
+	st.tabs = st.tabs[:0]
+	pidx := -1
+	for pi := first; pi < len(st.req.Phases); pi++ {
+		phase := st.req.Phases[pi]
+		for i := range phase {
 			a := &phase[i]
-			if a.KeyFn != nil || a.Key == nil {
+			if a.Inline {
+				continue
+			}
+			if a.KeyFn != nil && pi != first {
+				return 0, false
+			}
+			key := a.routingKey()
+			if key == nil {
 				return 0, false
 			}
 			if rt := e.routing[a.Table]; rt != nil && !st.hasTable(rt) {
 				st.tabs = append(st.tabs, tableEpoch{rt: rt, epoch: rt.epoch.Load()})
 			}
-			p := e.partitionFor(a.Table, a.Key)
+			p := e.partitionFor(a.Table, key)
 			if pidx == -1 {
 				pidx = p
 			} else if p != pidx {
@@ -248,12 +380,12 @@ func (st *execState) hasTable(rt *routingTable) bool {
 	return false
 }
 
-// stillOwned re-routes every action with the current boundaries and reports
-// whether they all still land on worker w.
+// stillOwned re-routes every action of the single-site task with the
+// current boundaries and reports whether they all still land on worker w.
 func (st *execState) stillOwned(w *dora.Worker) bool {
-	for _, phase := range st.req.Phases {
+	for _, phase := range st.req.Phases[st.first:] {
 		for i := range phase {
-			if st.e.partitionFor(phase[i].Table, phase[i].Key) != w.ID() {
+			if a := &phase[i]; !a.Inline && st.e.partitionFor(a.Table, a.routingKey()) != w.ID() {
 				return false
 			}
 		}
@@ -261,24 +393,45 @@ func (st *execState) stillOwned(w *dora.Worker) bool {
 	return true
 }
 
+// submitSingleSite ships phases first.. to the one worker that owns every
+// action, as a single task.  Phase first's bound actions were routed by
+// analyze; they are reported to the observer here, off the workers.
+func (st *execState) submitSingleSite(first, pidx int) {
+	e := st.e
+	st.first = first
+	if e.observer.Load() != nil {
+		for i := range st.req.Phases[first] {
+			if a := &st.req.Phases[first][i]; !a.Inline && a.KeyFn != nil {
+				e.observeAccess(a.Table, pidx, a.routingKey())
+			}
+		}
+	}
+	st.enqueuedAt = e.sampleEnqueue()
+	if err := e.pool.Worker(pidx).Submit(dora.Task{Run: st}); err != nil {
+		st.finish(err)
+	}
+}
+
 // RunTask executes the whole single-site transaction on the owning worker:
 // phases run serially in submission order — on one worker, serial execution
-// IS the phase ordering — with no per-phase WaitGroup and no submitter
-// round-trips.  Before touching any data the worker re-checks ownership
-// against the captured routing epochs: a boundary move that landed while
-// the batch sat in the queue means some action may now belong to another
-// partition, and a worker must never touch a latch-free sub-tree it does
-// not own.  Nothing has executed at that point, so the batch is handed back
-// to the submitter (errRedispatch), whose phased re-drive routes every
-// action to its current owner — the mis-routed ones are thereby forwarded,
-// the rest come straight back here.  Once execution starts, ownership is
-// stable: any move affecting this worker's ranges must quiesce this worker
-// first, and the worker is busy right here until the batch completes.
+// IS the phase ordering — with no per-phase countdown and no hop back to
+// the submitter; the worker then commits, and the commit's completion
+// replies.  Before touching any data the worker re-checks ownership against
+// the captured routing epochs: a boundary move that landed while the task
+// sat in the queue means some action may now belong to another partition,
+// and a worker must never touch a latch-free sub-tree it does not own.
+// Nothing has executed at that point, so the request is re-driven through
+// the phased path, which routes every action to its current owner — from a
+// fresh goroutine, since a worker must not block on another worker's
+// queue.  Once execution starts, ownership is stable: any move affecting
+// this worker's ranges must quiesce this worker first, and the worker is
+// busy right here until the task completes.
 func (st *execState) RunTask(w *dora.Worker) {
 	for i := range st.tabs {
 		if st.tabs[i].rt.epoch.Load() != st.tabs[i].epoch {
 			if !st.stillOwned(w) {
-				st.done <- errRedispatch
+				st.phased = true
+				go st.dispatch(st.first, false)
 				return
 			}
 			break
@@ -290,13 +443,11 @@ func (st *execState) RunTask(w *dora.Worker) {
 	ctx := &st.ctx
 	*ctx = Ctx{eng: st.e, tx: st.tx, worker: w, partition: w.ID()}
 	var firstErr error
-	st.phasesExec = 0
 	actions := 0
-	for _, phase := range st.req.Phases {
+	for _, phase := range st.req.Phases[st.first:] {
 		// Mirror the phased path: every action of the failing phase still
 		// runs (they were all dispatched before the error was visible
 		// there); later phases do not.
-		st.phasesExec++
 		for i := range phase {
 			actions++
 			if err := phase[i].Exec(ctx); err != nil && firstErr == nil {
@@ -307,147 +458,159 @@ func (st *execState) RunTask(w *dora.Worker) {
 			break
 		}
 	}
-	// The worker counts this batch as one task; credit the rest of the
-	// actions it ACTUALLY ran so per-partition load accounting stays in
-	// action units (a redispatched batch, above, credits nothing extra).
+	// The worker counts this task as one; credit the rest of the actions it
+	// ACTUALLY ran so per-partition load accounting stays in action units
+	// (a redispatched task, above, credits nothing extra).
 	if actions > 1 {
 		w.AddExecuted(uint64(actions - 1))
 	}
 	w.Locks().ReleaseTxn(st.tx.ID())
-	st.done <- firstErr
+	st.finish(firstErr) // st may be recycled from here on
 }
 
-// executePartitioned routes the request's actions to the partition workers
-// that own their data (the Logical and PLP designs): whole transactions
-// whose actions all route to one partition take the single-site fast path,
-// everything else goes phase by phase with per-partition action batching.
-func (s *Session) executePartitioned(req *Request) (Result, error) {
-	e := s.e
-	start := time.Now()
-	tx := e.tm.Begin()
-	st := getExecState(e, tx, req)
-	defer putExecState(st)
-
-	if !e.opts.NoFastPath {
-		if pidx, ok := st.analyze(); ok {
-			res, err, done := s.executeSingleSite(st, pidx, start)
-			if done {
-				return res, err
-			}
-			// Mis-routed by a concurrent boundary move before anything
-			// executed: fall through and re-drive phase by phase.
+// dispatchPhase hands one phase to the partition workers.  Inline actions
+// run first, right here; the others are grouped by owning partition and
+// every group rides to its worker as one batch (k channel operations for a
+// k-partition phase instead of one per action) — or, with
+// Options.NoFastPath, one task per action, the baseline the fast-path
+// benchmarks compare against.  The phase's countdown starts at the number
+// of worker actions; the last one to finish calls phaseDone.
+//
+// On a worker, the phase is submitted without waiting for queue room
+// (submit), and a phase routed at dispatch time is handed to a fresh
+// goroutine when an access observer is attached, so the observer never
+// runs on a worker.
+func (st *execState) dispatchPhase(pi int, phase []Action, onWorker bool) {
+	e := st.e
+	if onWorker && e.observer.Load() != nil && st.bound(pi) {
+		go st.dispatchPhase(pi, phase, false)
+		return
+	}
+	st.phase, st.phased = pi, true
+	if err := st.runInline(phase); err != nil {
+		st.finish(err)
+		return
+	}
+	st.resetErrs(len(phase))
+	n := 0
+	for i := range phase {
+		if !phase[i].Inline {
+			n++
 		}
 	}
-	return s.executePhased(st, start)
-}
-
-// executeSingleSite ships the whole transaction to the one worker that owns
-// every action as a single task.  done is false only when the worker found
-// the batch mis-routed and nothing was executed.
-func (s *Session) executeSingleSite(st *execState, pidx int, start time.Time) (res Result, err error, done bool) {
-	e := st.e
-	st.enqueuedAt = e.sampleEnqueue()
-	if serr := e.pool.Worker(pidx).Submit(dora.Task{Run: st}); serr != nil {
-		res, err = s.finish(st.tx, serr, start)
-		return res, err, true
-	}
-	execErr := <-st.done
-	if execErr == errRedispatch {
-		// Nothing executed and nothing was reported to the access observer:
-		// the phased re-drive observes each action at its actual owner.
-		return Result{}, nil, false
-	}
-	// Report the accesses only now that the batch really executed here, so
-	// a redispatched batch is not double-counted in the repartitioning
-	// heat statistics (still on the submitting goroutine, per the
-	// AccessObserver contract), and only for the phases that actually ran —
-	// an abort in phase k stops dispatch (and observation) after phase k on
-	// the phased path too.
-	for _, phase := range st.req.Phases[:st.phasesExec] {
+	st.pending.Store(int32(n))
+	observe := e.observer.Load() != nil && st.bound(pi)
+	if e.opts.NoFastPath {
 		for i := range phase {
-			e.observeAccess(phase[i].Table, pidx, phase[i].Key)
-		}
-	}
-	res, err = s.finish(st.tx, execErr, start)
-	return res, err, true
-}
-
-// executePhased is the general path: each phase's actions are grouped by
-// owning partition and every group rides to its worker as one batch (k
-// channel operations for a k-partition phase instead of one per action).
-// With Options.NoFastPath set it degrades to the original one-task-per-
-// action dispatch, which the fast-path benchmarks use as their baseline.
-func (s *Session) executePhased(st *execState, start time.Time) (Result, error) {
-	e := st.e
-	tx := st.tx
-	var abortErr error
-	for pi, phase := range st.req.Phases {
-		if abortErr != nil {
-			continue
-		}
-		if st.req.Expand != nil && st.req.Expand[pi] != nil {
-			if extra := st.req.Expand[pi](); len(extra) > 0 {
-				phase = append(append(make([]Action, 0, len(phase)+len(extra)), phase...), extra...)
+			a := phase[i]
+			if a.Inline {
+				continue
 			}
-		}
-		if len(phase) == 0 {
-			continue
-		}
-		st.resetErrs(len(phase))
-		if e.opts.NoFastPath {
-			for i := range phase {
-				a := phase[i]
-				rt := e.routing[a.Table]
-				// The epoch is captured before the routing lookup: a boundary
-				// move between the two makes the worker-side check fire and
-				// recompute, never the reverse.
-				var epoch uint64
-				if rt != nil {
-					epoch = rt.epoch.Load()
-				}
-				pidx := e.partitionFor(a.Table, a.routingKey())
+			rt := e.routing[a.Table]
+			// The epoch is captured before the routing lookup: a boundary
+			// move between the two makes the worker-side check fire and
+			// recompute, never the reverse.
+			var epoch uint64
+			if rt != nil {
+				epoch = rt.epoch.Load()
+			}
+			pidx := e.partitionFor(a.Table, a.routingKey())
+			if observe {
 				e.observeAccess(a.Table, pidx, a.routingKey())
-				st.wg.Add(1)
-				e.dispatchAction(a, rt, epoch, pidx, tx, st.errs, i, &st.wg)
 			}
-		} else {
-			s.dispatchGrouped(st, phase)
+			e.dispatchAction(&actionTask{st: st, a: a, rt: rt, epoch: epoch, slot: i, enqueued: time.Now()}, pidx, onWorker)
 		}
-		st.wg.Wait()
-		for _, err := range st.errs {
-			if err != nil {
-				abortErr = err
-				break
-			}
-		}
+		return
 	}
-	return s.finish(tx, abortErr, start)
+	st.dispatchGrouped(phase, observe, onWorker)
 }
 
-// finish commits (or, under ExecutePrepare, prepares) or aborts the
-// transaction and builds the Result.
-func (s *Session) finish(tx *txn.Txn, abortErr error, start time.Time) (Result, error) {
-	e := s.e
-	if abortErr != nil {
-		s.lastTxn = tx
-		_ = e.tm.Abort(tx)
-		return Result{Txn: tx, Breakdown: tx.Breakdown.Totals(), Latency: time.Since(start)},
-			fmt.Errorf("%w: %w", ErrAborted, abortErr)
+// actionDone records one worker action's outcome; the last action of the
+// phase to finish moves the request on (phaseDone).
+func (st *execState) actionDone(slot int, err error, onWorker bool) {
+	st.errs[slot] = err
+	if st.pending.Add(-1) == 0 {
+		st.phaseDone(onWorker)
 	}
-	if s.prepareGID != "" {
-		// The branch stays active awaiting the coordinator's decision; it
-		// must not be parked for recycling.
-		if err := e.tm.Prepare(tx, s.prepareGID); err != nil {
-			s.lastTxn = tx
-			return Result{Txn: tx}, err
+}
+
+// phaseDone runs on whichever goroutine finished the phase's last action:
+// an error aborts the transaction, otherwise the next phase dispatches.
+func (st *execState) phaseDone(onWorker bool) {
+	for _, err := range st.errs {
+		if err != nil {
+			st.finish(err)
+			return
 		}
-		return Result{Txn: tx, Breakdown: tx.Breakdown.Totals(), Latency: time.Since(start)}, nil
 	}
-	s.lastTxn = tx
-	if err := e.tm.Commit(tx); err != nil {
-		return Result{Txn: tx}, err
+	st.dispatch(st.phase+1, onWorker)
+}
+
+// finish commits (or, with a gid, prepares) or aborts the transaction once
+// its actions have run.  The commit's completion (committed) builds the
+// Result and runs the caller's continuation.
+func (st *execState) finish(abortErr error) {
+	e := st.e
+	conventional := e.opts.Design == Conventional
+	if abortErr != nil {
+		_ = e.tm.Abort(st.tx)
+		if conventional {
+			st.sess.releaseTableLocks(&st.ctx, st.tx, false)
+		}
+		st.complete(fmt.Errorf("%w: %w", ErrAborted, abortErr))
+		return
 	}
-	return Result{Txn: tx, Breakdown: tx.Breakdown.Totals(), Latency: time.Since(start)}, nil
+	if conventional {
+		// Inherit or release table-level locks before the commit releases
+		// the record locks.
+		st.sess.releaseTableLocks(&st.ctx, st.tx, true)
+	}
+	if st.gid != "" {
+		// The branch stays active awaiting the coordinator's decision.
+		e.tm.PrepareThen(st.tx, st.gid, st.onCommit)
+		return
+	}
+	e.tm.CommitThen(st.tx, st.onCommit)
+}
+
+// committed is the commit's (or prepare's) completion.
+func (st *execState) committed(err error) { st.complete(err) }
+
+// complete builds the Result, recycles the request state and runs the
+// caller's continuation; unless the caller keeps it, the transaction object
+// is recycled once the continuation returns.
+func (st *execState) complete(err error) {
+	e, tx, keep, done := st.e, st.tx, st.keep, st.done
+	res := Result{Txn: tx, Breakdown: tx.Breakdown.Totals(), Latency: time.Since(st.start)}
+	putExecState(st)
+	done(res, err)
+	if !keep {
+		e.tm.Recycle(tx)
+	}
+}
+
+// failer is a task that can report itself as not executed.
+type failer interface{ fail(error) }
+
+// submit enqueues t, whose Run must be a failer, on w.  Off the workers it
+// waits for queue room.  On a worker it must not — a worker blocked on a
+// full queue of a worker that is blocked on its own full queue would
+// deadlock both — so when the queue is full, a fresh goroutine does the
+// waiting and reports a submission that fails there.
+func submit(w *dora.Worker, t dora.Task, onWorker bool) error {
+	if !onWorker {
+		return w.Submit(t)
+	}
+	err := w.TrySubmit(t)
+	if err == dora.ErrQueueFull {
+		go func() {
+			if err := w.Submit(t); err != nil {
+				t.Run.(failer).fail(err)
+			}
+		}()
+		return nil
+	}
+	return err
 }
 
 // batchItem is one action of a per-partition phase batch, pooled inside the
@@ -478,7 +641,7 @@ func (it *batchItem) RunTask(w *dora.Worker) {
 			if curP := e.partitionFor(it.a.Table, it.a.routingKey()); curP != w.ID() {
 				// Forward from a fresh goroutine: a worker parked at a
 				// quiesce barrier must never block this worker.
-				go e.dispatchAction(it.a, it.rt, cur, curP, st.tx, st.errs, it.slot, &st.wg)
+				go e.dispatchAction(&actionTask{st: st, a: it.a, rt: it.rt, epoch: cur, slot: it.slot, enqueued: time.Now()}, curP, false)
 				return
 			}
 		}
@@ -487,83 +650,115 @@ func (it *batchItem) RunTask(w *dora.Worker) {
 		st.tx.Breakdown.AddWait(txn.WaitQueue, time.Since(it.enqueuedAt)*waitSampleEvery)
 	}
 	it.ctx = Ctx{eng: e, tx: st.tx, worker: w, partition: w.ID()}
-	st.errs[it.slot] = it.a.Exec(&it.ctx)
+	err := it.a.Exec(&it.ctx)
 	// Thread-local locks are released when the action finishes; isolation
 	// within the partition is guaranteed by the worker's serial execution.
 	w.Locks().ReleaseTxn(st.tx.ID())
-	st.wg.Done()
+	st.actionDone(it.slot, err, true) // it may be recycled from here on
 }
+
+// fail reports the item's action as not executed.
+func (it *batchItem) fail(err error) { it.st.actionDone(it.slot, err, false) }
 
 // dispatchGrouped submits one phase with per-partition batching: the
 // phase's actions are grouped by owning worker and each group ships as one
 // SubmitBatch — one channel operation per partition touched.
-func (s *Session) dispatchGrouped(st *execState, phase []Action) {
+func (st *execState) dispatchGrouped(phase []Action, observe, onWorker bool) {
 	e := st.e
 	if cap(st.items) < len(phase) {
 		st.items = make([]batchItem, len(phase))
 	}
-	st.items = st.items[:len(phase)]
+	st.items = st.items[:0]
 	for i := range phase {
 		a := phase[i]
+		if a.Inline {
+			continue
+		}
 		rt := e.routing[a.Table]
 		var epoch uint64
 		if rt != nil {
 			epoch = rt.epoch.Load()
 		}
 		pidx := e.partitionFor(a.Table, a.routingKey())
-		e.observeAccess(a.Table, pidx, a.routingKey())
-		st.items[i] = batchItem{
+		if observe {
+			e.observeAccess(a.Table, pidx, a.routingKey())
+		}
+		st.items = append(st.items, batchItem{
 			st: st, a: a, rt: rt, epoch: epoch, slot: i, pidx: pidx,
 			enqueuedAt: e.sampleEnqueue(),
-		}
+		})
 	}
 	// Emit one batch per distinct partition, in first-seen order.  The
 	// items slice is fully built before any pointer into it is taken, so
-	// the pointers stay valid for the whole phase.
-	for i := range st.items {
-		if st.items[i].grouped {
+	// the pointers stay valid for the whole phase.  A batch's last action
+	// may finish the phase and start the next before this loop ends, so
+	// the loop reads only its own copy of the slice header and the items
+	// it has not handed over yet.
+	items, left := st.items, len(st.items)
+	for i := 0; left > 0; i++ {
+		if items[i].grouped {
 			continue
 		}
-		pidx := st.items[i].pidx
+		pidx := items[i].pidx
 		ts := dora.GetTasks()
-		for j := i; j < len(st.items); j++ {
-			if !st.items[j].grouped && st.items[j].pidx == pidx {
-				st.items[j].grouped = true
-				*ts = append(*ts, dora.Task{Run: &st.items[j]})
+		for j := i; j < len(items); j++ {
+			if !items[j].grouped && items[j].pidx == pidx {
+				items[j].grouped = true
+				*ts = append(*ts, dora.Task{Run: &items[j]})
 			}
 		}
-		st.wg.Add(len(*ts))
+		left -= len(*ts)
 		w := e.pool.Worker(pidx)
-		var err error
 		if len(*ts) == 1 {
 			t := (*ts)[0]
 			dora.PutTasks(ts)
-			err = w.Submit(t)
-			if err != nil {
-				it := t.Run.(*batchItem)
-				st.errs[it.slot] = err
-				st.wg.Done()
+			if err := submit(w, t, onWorker); err != nil {
+				t.Run.(*batchItem).fail(err)
 			}
-		} else if err = w.SubmitBatch(ts); err != nil {
-			// Ownership stayed with us: fail every action of the group.
-			for _, t := range *ts {
-				it := t.Run.(*batchItem)
-				st.errs[it.slot] = err
-				st.wg.Done()
-			}
-			dora.PutTasks(ts)
+			continue
+		}
+		var err error
+		if !onWorker {
+			err = w.SubmitBatch(ts)
+		} else if err = w.TrySubmitBatch(ts); err == dora.ErrQueueFull {
+			go func() {
+				if err := w.SubmitBatch(ts); err != nil {
+					failBatch(ts, err)
+				}
+			}()
+			continue
+		}
+		if err != nil {
+			failBatch(ts, err)
 		}
 	}
 }
 
-// dispatchAction submits one action to the worker owning partition pidx.
-// It is both the forwarding mechanism for mis-routed batch actions and the
-// per-action baseline Options.NoFastPath preserves for ablation, so it
-// stays a self-contained closure.  NOTE: the ownership protocol below is
-// implemented in three places that must stay in sync — this closure,
+// failBatch reports every action of a batch that could not be submitted.
+func failBatch(ts *[]dora.Task, err error) {
+	for _, t := range *ts {
+		t.Run.(failer).fail(err)
+	}
+	dora.PutTasks(ts)
+}
+
+// actionTask is one action dispatched on its own: the forwarding of a
+// mis-routed batch action, and the per-action baseline Options.NoFastPath
+// preserves for ablation.  NOTE: the ownership protocol below is
+// implemented in three places that must stay in sync — this task,
 // batchItem.RunTask (split a phase batch, forward only the mis-routed
-// actions), and execState.RunTask (hand a mis-routed single-site batch
-// back unexecuted).
+// actions), and execState.RunTask (re-drive a mis-routed single-site task
+// unexecuted).
+type actionTask struct {
+	st       *execState
+	a        Action
+	rt       *routingTable
+	epoch    uint64
+	slot     int
+	enqueued time.Time
+}
+
+// dispatchAction submits one action to the worker owning partition pidx.
 //
 // Before executing, the worker re-checks ownership against the routing
 // table: online repartitioning can move the boundary between the moment the
@@ -582,32 +777,37 @@ func (s *Session) dispatchGrouped(st *execState, phase []Action) {
 // re-check runs on the worker goroutine, and any boundary move affecting
 // the worker's ranges quiesces that worker first, so ownership cannot
 // change between the check and the data access.
-func (e *Engine) dispatchAction(a Action, rt *routingTable, epoch uint64, pidx int, tx *txn.Txn, errs []error, slot int, wg *sync.WaitGroup) {
-	w := e.pool.Worker(pidx)
-	enqueued := time.Now()
-	err := w.Submit(dora.Task{Do: func(w *dora.Worker) {
-		if rt != nil {
-			if cur := rt.epoch.Load(); cur != epoch {
-				if curP := e.partitionFor(a.Table, a.routingKey()); curP != w.ID() {
-					go e.dispatchAction(a, rt, cur, curP, tx, errs, slot, wg)
-					return
-				}
-			}
-		}
-		defer wg.Done()
-		tx.Breakdown.AddWait(txn.WaitQueue, time.Since(enqueued))
-		ctx := &Ctx{eng: e, tx: tx, worker: w, partition: w.ID()}
-		errs[slot] = a.Exec(ctx)
-		// Thread-local locks are released when the action finishes;
-		// isolation within the partition is guaranteed by the
-		// worker's serial execution.
-		w.Locks().ReleaseTxn(tx.ID())
-	}})
-	if err != nil {
-		errs[slot] = err
-		wg.Done()
+func (e *Engine) dispatchAction(t *actionTask, pidx int, onWorker bool) {
+	if err := submit(e.pool.Worker(pidx), dora.Task{Run: t}, onWorker); err != nil {
+		t.fail(err)
 	}
 }
+
+// RunTask executes the action on the worker, or forwards it (see
+// dispatchAction).
+func (t *actionTask) RunTask(w *dora.Worker) {
+	st := t.st
+	e := st.e
+	if t.rt != nil {
+		if cur := t.rt.epoch.Load(); cur != t.epoch {
+			if curP := e.partitionFor(t.a.Table, t.a.routingKey()); curP != w.ID() {
+				t.epoch, t.enqueued = cur, time.Now()
+				go e.dispatchAction(t, curP, false)
+				return
+			}
+		}
+	}
+	st.tx.Breakdown.AddWait(txn.WaitQueue, time.Since(t.enqueued))
+	ctx := &Ctx{eng: e, tx: st.tx, worker: w, partition: w.ID()}
+	err := t.a.Exec(ctx)
+	// Thread-local locks are released when the action finishes; isolation
+	// within the partition is guaranteed by the worker's serial execution.
+	w.Locks().ReleaseTxn(st.tx.ID())
+	st.actionDone(t.slot, err, true)
+}
+
+// fail reports the action as not executed.
+func (t *actionTask) fail(err error) { t.st.actionDone(t.slot, err, false) }
 
 // Loader provides direct, unlocked, unlogged access for bulk-loading a
 // database before measurements start.  It must be used single-threaded.

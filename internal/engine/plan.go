@@ -324,17 +324,36 @@ func (e *Engine) compilePlanEach(op plan.Op, st *planEachState, canceled func() 
 func bindSource(bind int32) int { return int(bind) - 1 }
 
 // compilePlanOp compiles one non-scan op into a routable action.
+//
+// An op on a secondary index that is not partition-aligned does not route
+// by its key, which is a secondary key: no worker owns such an index
+// (catalog creates it latched and single-rooted).  A probe or a delete
+// runs inline, where its phase is dispatched; an insert routes by the
+// primary key it carries, so it lands where the row it indexes lives.  An
+// op on a partition-aligned index routes by its key like any other.
 func (e *Engine) compilePlanOp(op plan.Op, idx int, results []plan.Result, canceled func() bool) Action {
 	a := Action{Table: op.Table, Key: op.Key}
-	if op.KeyFrom != plan.NoBind {
-		src := bindSource(op.KeyFrom)
+	keyFrom := op.KeyFrom
+	switch op.Kind {
+	case plan.LookupSecondary, plan.InsertSecondary, plan.DeleteSecondary:
+		if e.partitionAligned(op.Table, op.Index) {
+			break
+		}
+		if op.Kind == plan.InsertSecondary {
+			a.Key, keyFrom = op.Value, op.ValueFrom
+		} else {
+			a.Inline, keyFrom = true, plan.NoBind
+		}
+	}
+	if keyFrom != plan.NoBind {
+		src, fallback := bindSource(keyFrom), a.Key
 		// The routing key is produced by an earlier phase: exactly the
 		// secondary-probe pattern KeyFn exists for.
 		a.KeyFn = func() []byte {
 			if v := results[src].Value; len(v) > 0 {
 				return v
 			}
-			return op.Key
+			return fallback
 		}
 	}
 	a.Exec = func(c *Ctx) error {
@@ -370,6 +389,22 @@ func (e *Engine) compilePlanOp(op plan.Op, idx int, results []plan.Result, cance
 		return nil
 	}
 	return a
+}
+
+// partitionAligned reports whether the table's named secondary index is
+// partition-aligned.  An unknown index counts as aligned: the op then
+// routes as before and fails at execution with the usual error.
+func (e *Engine) partitionAligned(table, index string) bool {
+	tbl, err := e.Table(table)
+	if err != nil {
+		return true
+	}
+	for _, sec := range tbl.Def.Secondaries {
+		if sec.Name == index {
+			return sec.PartitionAligned
+		}
+	}
+	return true
 }
 
 // execPlanOp performs one typed op through the design-aware data-access

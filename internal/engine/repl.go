@@ -101,8 +101,8 @@ func (e *Engine) ResetForSeed(start wal.LSN) error {
 // SetCommitAckWaiter installs (or clears) the extended commit
 // acknowledgement gate on the transaction manager — the replica-acked
 // commit mode hook (see txn.Manager.SetCommitAckWaiter).
-func (e *Engine) SetCommitAckWaiter(fn func(wal.LSN) error) {
-	e.tm.SetCommitAckWaiter(fn)
+func (e *Engine) SetCommitAckWaiter(gate func(lsn wal.LSN, done func(error))) {
+	e.tm.SetCommitAckWaiter(gate)
 }
 
 // DurableLog returns the disk-backed log device, or nil when the engine

@@ -27,6 +27,13 @@ type Action struct {
 	KeyFn func() []byte
 	// Exec performs the action's data accesses through the Ctx.
 	Exec func(c *Ctx) error
+	// Inline marks an action that touches no partition-owned data — a
+	// probe of (or a write to) a latched secondary index that is not
+	// partition-aligned, which no worker owns.  It runs on the goroutine
+	// that dispatches its phase, with a Ctx bound to no worker, and takes
+	// no worker hop: a request whose first phase is inline runs it at
+	// submit.  Table and Key do not route it.
+	Inline bool
 }
 
 // routingKey returns the key used to route the action.

@@ -51,9 +51,14 @@ type ExtAutoBalanceResult struct {
 // skewed mid-run) but instead of the experiment driver calling Rebalance by
 // hand, the online repartitioning controller (package repartition), fed by
 // the engine's access observer, detects the imbalance and moves the
-// boundary on its own.  The expected shape: without the controller the
-// post-skew throughput stays depressed because one partition worker carries
-// most of the load; with it throughput recovers after the automatic move.
+// boundary on its own.  What is checked (TestExtAutoBalanceShape) is the
+// work split: without the controller one partition worker carries most of
+// the post-skew load; with it the automatic move spreads that load over
+// both workers.  Throughput is reported, with the post-skew auto/static
+// ratio, but not asserted: on a 2-vCPU VM the post-skew auto-balance
+// throughput measured 136k–172k tps against 160k–196k static, since with
+// two workers on two CPUs evening their shares does not by itself add
+// throughput, and the moves cost quiesces.
 func ExtAutoBalance(s Scale) (*ExtAutoBalanceResult, error) {
 	const interval = 100 * time.Millisecond
 	total := 3 * time.Second
@@ -174,6 +179,9 @@ func (r *ExtAutoBalanceResult) String() string {
 			fmt.Fprintf(&b, " %.0f%%", 100*sh)
 		}
 		b.WriteByte('\n')
+	}
+	if len(r.Series) == 2 && r.Series[0].PostSkewTPS > 0 {
+		fmt.Fprintf(&b, "post-skew throughput auto/static: %.2f\n", r.Series[1].PostSkewTPS/r.Series[0].PostSkewTPS)
 	}
 	return b.String()
 }

@@ -187,7 +187,6 @@ func (a *Applier) SetAppliedLSN(lsn wal.LSN) {
 	a.mu.Unlock()
 }
 
-
 // Discard drops every pending (uncommitted) transaction buffer.  Promotion
 // calls it: an uncommitted transaction's fate now belongs to ordinary
 // restart recovery semantics — its records are in the log, it has no

@@ -1,7 +1,9 @@
 package repl
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,7 +32,7 @@ var ErrNoFollower = fmt.Errorf("repl: commit not acknowledged by enough follower
 
 // Primary is the primary-side replication hub: it tracks subscribed
 // followers, hands each one a cursor over the durable log, and implements
-// the replica-acked commit wait.
+// the replica-acked commit gate (OnReplicated).
 type Primary struct {
 	log        *wal.Durable
 	epoch      uint64
@@ -38,7 +40,6 @@ type Primary struct {
 	ackTimeout time.Duration
 
 	mu     sync.Mutex
-	cond   *sync.Cond // broadcast whenever any follower's ack advances
 	subs   map[int]*Subscription
 	seq    int
 	quorum int // k in k-of-n replica acks (distinct subscribers)
@@ -49,6 +50,15 @@ type Primary struct {
 	// committers cannot regress when the population shrinks.
 	maxAcked    uint64
 	quorumAcked uint64
+
+	// waiters are the commits registered with OnReplicated that the quorum
+	// watermark has not yet passed.  One sweeper goroutine, running only
+	// while waiters exist, times them out: sweepAt is its next wake-up, and
+	// sweepKick moves that earlier when SetAckTimeout shortened it.
+	waiters   []replWaiter
+	sweeping  bool
+	sweepAt   time.Time
+	sweepKick chan struct{}
 
 	ackWaits    atomic.Uint64
 	ackTimeouts atomic.Uint64
@@ -64,8 +74,8 @@ func NewPrimary(log *wal.Durable, epoch uint64) *Primary {
 		ackTimeout: DefaultAckTimeout,
 		quorum:     1,
 		subs:       make(map[int]*Subscription),
+		sweepKick:  make(chan struct{}, 1),
 	}
-	p.cond = sync.NewCond(&p.mu)
 	return p
 }
 
@@ -76,18 +86,21 @@ func (p *Primary) Epoch() uint64 { return p.epoch }
 func (p *Primary) DurableLSN() wal.LSN { return p.log.DurableLSN() }
 
 // SetAckTimeout overrides the replica-ack wait bound (testing and tuning).
-func (p *Primary) SetAckTimeout(d time.Duration) { p.ackTimeout = d }
+func (p *Primary) SetAckTimeout(d time.Duration) {
+	p.mu.Lock()
+	p.ackTimeout = d
+	p.mu.Unlock()
+}
 
-// SetAckQuorum sets k for k-of-n replica-acked commit: WaitReplicated
-// returns once k distinct subscribers have a commit durable.  k < 1 is
-// clamped to 1 (the PR 7 any-one-follower behaviour).
+// SetAckQuorum sets k for k-of-n replica-acked commit: the gate passes a
+// commit once k distinct subscribers have it durable.  k < 1 is clamped to
+// 1 (any one follower).
 func (p *Primary) SetAckQuorum(k int) {
 	if k < 1 {
 		k = 1
 	}
 	p.mu.Lock()
 	p.quorum = k
-	p.cond.Broadcast()
 	p.mu.Unlock()
 }
 
@@ -263,22 +276,18 @@ func (s *Subscription) Next(stop <-chan struct{}) ([]wal.Record, error) {
 			s.cursor = last.LSN + wal.LSN(last.EncodedSize())
 			return recs, nil
 		}
-		// Caught up: sleep on the group-commit wake-up, abortable by stop.
-		// The helper goroutine parks in WaitDurable so Next itself can
-		// return promptly on stop; at most one lingers per subscription
-		// until the next append or log close wakes it.
+		// Caught up: sleep until the group commit makes the cursor's record
+		// durable, abortable by stop.  The callback stays registered until
+		// the next flush or the log's close.
 		cursor := s.cursor
 		woke := make(chan struct{})
-		go func() {
-			s.p.log.WaitDurable(cursor)
-			close(woke)
-		}()
+		s.p.log.OnDurable(cursor, func(error) { close(woke) })
 		select {
 		case <-stop:
 			return nil, ErrSubscriptionClosed
 		case <-woke:
 			if s.p.log.DurableLSN() <= cursor {
-				// WaitDurable returns without progress only when the log is
+				// The callback fires without progress only when the log is
 				// closing; the short pause keeps that case from spinning.
 				select {
 				case <-stop:
@@ -291,8 +300,8 @@ func (s *Subscription) Next(stop <-chan struct{}) ([]wal.Record, error) {
 }
 
 // UpdateAck records the follower's progress report, advances its retention
-// pin, recomputes the quorum watermark, and wakes replica-acked
-// committers.
+// pin, recomputes the quorum watermark, and runs, in LSN order, the
+// OnReplicated callbacks the watermark now covers.
 func (s *Subscription) UpdateAck(applied, durable uint64) {
 	s.applied.Store(applied)
 	s.acked.Store(durable)
@@ -306,11 +315,25 @@ func (s *Subscription) UpdateAck(applied, durable uint64) {
 	// subscribers.  Only ever raised — a follower that later disappears
 	// does not retract the stable copies it reported, so commits already
 	// acknowledged at quorum stay acknowledged.
+	var passed []replWaiter
 	if q := p.kthAckedLocked(); q > p.quorumAcked {
 		p.quorumAcked = q
+		kept := p.waiters[:0]
+		for _, w := range p.waiters {
+			if uint64(w.lsn) < q {
+				passed = append(passed, w)
+			} else {
+				kept = append(kept, w)
+			}
+		}
+		clear(p.waiters[len(kept):])
+		p.waiters = kept
 	}
-	p.cond.Broadcast()
 	p.mu.Unlock()
+	slices.SortFunc(passed, func(a, b replWaiter) int { return cmp.Compare(a.lsn, b.lsn) })
+	for _, w := range passed {
+		w.fn(nil)
+	}
 }
 
 // kthAckedLocked returns the quorum-th highest acked LSN among the live
@@ -362,37 +385,98 @@ func (s *Subscription) Close() {
 	s.p.log.Unpin(s.pin)
 	s.p.mu.Lock()
 	delete(s.p.subs, s.id)
-	// Wake committers so they re-observe the follower population.
-	s.p.cond.Broadcast()
 	s.p.mu.Unlock()
 }
 
-// WaitReplicated blocks until the configured quorum of distinct followers
-// have the record appended at lsn on stable storage, or the ack timeout
-// elapses.  It is the replica-acked commit hook installed on txn.Manager:
-// a nil return means the commit record is durable on ≥ quorum followers.
-func (p *Primary) WaitReplicated(lsn wal.LSN) error {
-	p.ackWaits.Add(1)
-	deadline := time.Now().Add(p.ackTimeout)
-	timer := time.AfterFunc(p.ackTimeout, func() {
-		p.mu.Lock()
-		p.cond.Broadcast()
-		p.mu.Unlock()
-	})
-	defer timer.Stop()
+// replWaiter is one commit registered with OnReplicated.
+type replWaiter struct {
+	lsn      wal.LSN
+	deadline time.Time
+	fn       func(error)
+}
 
+// OnReplicated is the replica-acked commit gate installed on txn.Manager:
+// fn runs with a nil error once the configured quorum of distinct followers
+// have the record appended at lsn on stable storage — at once when they
+// already do, otherwise on the goroutine whose ack completes the quorum —
+// or with an ErrNoFollower error once the ack timeout elapses, on the
+// gate's sweeper.  Either way the commit IS durable locally.  fn must not
+// block.
+func (p *Primary) OnReplicated(lsn wal.LSN, fn func(error)) {
+	p.ackWaits.Add(1)
 	p.mu.Lock()
-	for p.quorumAcked <= uint64(lsn) {
-		if time.Now().After(deadline) {
-			quorum := p.quorum
-			p.mu.Unlock()
-			p.ackTimeouts.Add(1)
-			return fmt.Errorf("%w: quorum %d not reached within %v (commit IS durable locally; replication unconfirmed)", ErrNoFollower, quorum, p.ackTimeout)
-		}
-		p.cond.Wait()
+	deadline := time.Now().Add(p.ackTimeout)
+	if p.quorumAcked > uint64(lsn) {
+		p.mu.Unlock()
+		fn(nil)
+		return
+	}
+	p.waiters = append(p.waiters, replWaiter{lsn: lsn, deadline: deadline, fn: fn})
+	start := !p.sweeping
+	earlier := p.sweeping && deadline.Before(p.sweepAt)
+	if start {
+		p.sweeping, p.sweepAt = true, deadline
 	}
 	p.mu.Unlock()
-	return nil
+	switch {
+	case start:
+		go p.sweep()
+	case earlier:
+		select {
+		case p.sweepKick <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// sweep times out the waiters whose deadline passed, sleeping until the
+// earliest remaining one, and exits when none remain.
+func (p *Primary) sweep() {
+	timer := time.NewTimer(0)
+	defer timer.Stop()
+	for {
+		select {
+		case <-timer.C:
+		case <-p.sweepKick:
+		}
+		now := time.Now()
+		var expired []replWaiter
+		var next time.Time
+		p.mu.Lock()
+		kept := p.waiters[:0]
+		for _, w := range p.waiters {
+			if !w.deadline.After(now) {
+				expired = append(expired, w)
+				continue
+			}
+			kept = append(kept, w)
+			if next.IsZero() || w.deadline.Before(next) {
+				next = w.deadline
+			}
+		}
+		clear(p.waiters[len(kept):])
+		p.waiters = kept
+		p.sweeping, p.sweepAt = len(kept) > 0, next
+		quorum, timeout := p.quorum, p.ackTimeout
+		p.mu.Unlock()
+		for _, w := range expired {
+			p.ackTimeouts.Add(1)
+			w.fn(fmt.Errorf("%w: quorum %d not reached within %v (commit IS durable locally; replication unconfirmed)", ErrNoFollower, quorum, timeout))
+		}
+		if next.IsZero() {
+			return
+		}
+		timer.Reset(time.Until(next))
+	}
+}
+
+// WaitReplicated blocks until the quorum gate passes the record appended at
+// lsn or times out: OnReplicated plus a wait.  A nil return means the
+// commit record is durable on ≥ quorum followers.
+func (p *Primary) WaitReplicated(lsn wal.LSN) error {
+	done := make(chan error, 1)
+	p.OnReplicated(lsn, func(err error) { done <- err })
+	return <-done
 }
 
 // FollowerStatus is one follower's progress snapshot.

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -564,5 +566,69 @@ func TestFollowerCatchesUpFromClosedSegment(t *testing.T) {
 	}
 	if !bytes.Equal(logBytes(t, fdir), logBytes(t, pdir)) {
 		t.Fatal("follower log is not byte-identical to the primary's")
+	}
+}
+
+// TestOnReplicatedOneSweeper registers many commits on the quorum gate:
+// they all wait on one sweeper goroutine, not a timer each; an ack passes
+// those it covers, in LSN order, and the sweeper times out the rest with
+// the durable-locally error and then exits.
+func TestOnReplicatedOneSweeper(t *testing.T) {
+	log := newLog(t)
+	p := NewPrimary(log, 1)
+	p.SetAckTimeout(200 * time.Millisecond)
+	s, err := p.Subscribe(1, 0, "n1", "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var lsns []wal.LSN
+	for i := 0; i < 100; i++ {
+		lsns = append(lsns, appendTxn(t, log, uint64(i+1), "k", "v"))
+	}
+	base := runtime.NumGoroutine()
+	var mu sync.Mutex
+	var passed []wal.LSN
+	timedOut := make(chan error, len(lsns))
+	for i := len(lsns) - 1; i >= 0; i-- {
+		lsn := lsns[i]
+		p.OnReplicated(lsn, func(err error) {
+			if err != nil {
+				timedOut <- err
+				return
+			}
+			mu.Lock()
+			passed = append(passed, lsn)
+			mu.Unlock()
+		})
+	}
+	if n := runtime.NumGoroutine(); n > base+1 {
+		t.Fatalf("%d waiters started %d goroutines, want at most one sweeper", len(lsns), n-base)
+	}
+	s.UpdateAck(uint64(lsns[49])+1, uint64(lsns[49])+1)
+	mu.Lock()
+	if len(passed) != 50 {
+		t.Fatalf("the ack passed %d commits, want 50", len(passed))
+	}
+	for i := range passed {
+		if passed[i] != lsns[i] {
+			t.Fatalf("commits passed out of LSN order: %v", passed)
+		}
+	}
+	mu.Unlock()
+	for i := 0; i < 50; i++ {
+		if err := <-timedOut; !errors.Is(err, ErrNoFollower) || !strings.Contains(err.Error(), "durable locally") {
+			t.Fatalf("timeout error %v", err)
+		}
+	}
+	if st := p.Status(); st.AckTimeouts != 50 || st.AckWaits != 100 {
+		t.Fatalf("status %+v", st)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("sweeper still running with no waiters (%d goroutines over base)", n-base)
 	}
 }

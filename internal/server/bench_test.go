@@ -101,9 +101,9 @@ func BenchmarkServerSerialized1Conn(b *testing.B) {
 }
 
 // BenchmarkServerPipelined1Conn64 measures the pipelined execution model on
-// the same workloads: one connection keeping 64 transactions in flight, with
-// the server's per-connection executor pool spreading them over the
-// partition workers and completing them out of order.
+// the same workloads: one connection keeping 64 transactions in flight, the
+// server submitting them to the partition workers as it reads them and
+// answering them out of order as they complete.
 func BenchmarkServerPipelined1Conn64(b *testing.B) {
 	for _, workload := range []string{"upsert", "get"} {
 		b.Run(workload, func(b *testing.B) {
@@ -305,10 +305,14 @@ func BenchmarkPerStatementProbeUpdate(b *testing.B) {
 }
 
 // TestPlanRoundTripDatapoint emits the one-round-trip-plan vs
-// per-statement throughput of the dependent probe→update transaction as a
-// BENCH_JSON line, and asserts the plan's ≥1.5× advantage — the plan does
-// the same engine work in half the round trips and one transaction instead
-// of two, so the margin holds even on a noisy 1-core CI box.
+// per-statement figures of the dependent probe→update transaction as a
+// BENCH_JSON line: throughput, and round trips per transaction counted on
+// the wire by a frame-counting proxy.  It gates on the count, which does
+// not depend on the machine: the plan must cost exactly one request frame
+// and one response frame per transaction, where the per-statement flow
+// costs two of each.  The throughput ratio is reported, not asserted: it
+// measured 1.34–1.47 on a 2-vCPU VM, round trips being only part of each
+// transaction's cost.
 func TestPlanRoundTripDatapoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping throughput measurement in short mode")
@@ -324,6 +328,26 @@ func TestPlanRoundTripDatapoint(t *testing.T) {
 	}
 	defer c.Close()
 
+	// Round trips per transaction, counted through the proxy.
+	proxy := newCountingProxy(t, addr)
+	pc, err := client.Dial(proxy.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	const counted = 200
+	roundTrips := func(step func(c *client.Client, i int) error) (req, resp float64) {
+		r0, s0 := proxy.toServer.Load(), proxy.toClient.Load()
+		for i := 0; i < counted; i++ {
+			if err := step(pc, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return float64(proxy.toServer.Load()-r0) / counted, float64(proxy.toClient.Load()-s0) / counted
+	}
+	planReq, planResp := roundTrips(func(c *client.Client, i int) error { return planProbeUpdate(c, i, subscribers) })
+	stmtReq, stmtResp := roundTrips(func(c *client.Client, i int) error { return stmtProbeUpdate(c, i, subscribers) })
+
 	measure := func(step func(i int) error, d time.Duration) float64 {
 		deadline := time.Now().Add(d)
 		start := time.Now()
@@ -336,26 +360,19 @@ func TestPlanRoundTripDatapoint(t *testing.T) {
 		}
 		return float64(done) / time.Since(start).Seconds()
 	}
-	// Warm up both paths, then measure interleaved rounds and keep the
-	// best: a background hiccup on a shared CI box should not turn a ~2×
-	// structural advantage (half the round trips, one transaction instead
-	// of two) into a spurious failure.
 	for i := 0; i < 100; i++ {
 		_ = planProbeUpdate(c, i, subscribers)
 		_ = stmtProbeUpdate(c, i, subscribers)
 	}
-	var perStatement, onePlan, speedup float64
-	for round := 0; round < 3 && speedup < 1.5; round++ {
-		perStatement = measure(func(i int) error { return stmtProbeUpdate(c, i, subscribers) }, 400*time.Millisecond)
-		onePlan = measure(func(i int) error { return planProbeUpdate(c, i, subscribers) }, 400*time.Millisecond)
-		if perStatement > 0 && onePlan/perStatement > speedup {
-			speedup = onePlan / perStatement
-		}
+	perStatement := measure(func(i int) error { return stmtProbeUpdate(c, i, subscribers) }, 400*time.Millisecond)
+	onePlan := measure(func(i int) error { return planProbeUpdate(c, i, subscribers) }, 400*time.Millisecond)
+	fmt.Printf("BENCH_JSON {\"benchmark\":\"plan_probe_update_1conn\",\"per_statement_txn_per_s\":%.0f,\"one_plan_txn_per_s\":%.0f,\"speedup\":%.2f,\"plan_round_trips_per_txn\":%.2f,\"per_statement_round_trips_per_txn\":%.2f}\n",
+		perStatement, onePlan, onePlan/perStatement, planReq, stmtReq)
+	if planReq != 1 || planResp != 1 {
+		t.Errorf("a plan costs %.2f request and %.2f response frames per transaction, want 1 and 1", planReq, planResp)
 	}
-	fmt.Printf("BENCH_JSON {\"benchmark\":\"plan_probe_update_1conn\",\"per_statement_txn_per_s\":%.0f,\"one_plan_txn_per_s\":%.0f,\"speedup\":%.2f}\n",
-		perStatement, onePlan, speedup)
-	if speedup < 1.5 {
-		t.Errorf("one-round-trip plan speedup %.2f, want >= 1.5", speedup)
+	if stmtReq != 2 || stmtResp != 2 {
+		t.Errorf("the per-statement flow costs %.2f request and %.2f response frames per transaction, want 2 and 2", stmtReq, stmtResp)
 	}
 }
 

@@ -75,8 +75,8 @@ func TestCancelImmediatelyAfterSend(t *testing.T) {
 }
 
 // TestCancelWithReusedRequestID reuses one request ID for a pipelined pair
-// of requests with a cancel wedged between them.  With a plain delete in the
-// executor, the first request's completion could reap the flag the reader
+// of requests with a cancel wedged between them.  With a plain delete at
+// completion, the first request's completion could reap the flag the reader
 // registered for the second, dropping the cancel on the floor silently; the
 // compare-and-delete keeps each completion scoped to its own flag.  The
 // observable contract: two responses, stream stays ordered and usable.

@@ -226,7 +226,7 @@ func runReplChild(dir, mode string) {
 		srv.SetReplPrimary(p)
 		curP = p
 		if mode != "primary-local" {
-			e.SetCommitAckWaiter(p.WaitReplicated)
+			e.SetCommitAckWaiter(p.OnReplicated)
 		}
 		// On-demand checkpoint with truncation, so tests can shrink the
 		// retained log prefix and force snapshot re-seeds.
@@ -332,7 +332,7 @@ func runClusterChild(dir string) {
 		p.SetAckTimeout(5 * time.Second)
 		curPrimary.Store(p)
 		srv.SetReplPrimary(p)
-		e.SetCommitAckWaiter(p.WaitReplicated)
+		e.SetCommitAckWaiter(p.OnReplicated)
 	}
 	newFollower := func(primaryAddr string) (*repl.Follower, error) {
 		return repl.NewFollower(repl.FollowerOptions{

@@ -310,7 +310,7 @@ func TestCancelFrameSentOnContextCancellation(t *testing.T) {
 
 // TestCancelAbortsServerSideTransaction covers the server half
 // deterministically: a request whose cancel flag is already set when the
-// executor picks it up is aborted without executing, and a flag flipped
+// server starts it is aborted without executing, and a flag flipped
 // mid-transaction aborts at the next statement with every prior write
 // undone.
 func TestCancelAbortsServerSideTransaction(t *testing.T) {

@@ -228,8 +228,7 @@ func (s *Server) serveReplication(conn net.Conn, br *bufio.Reader, payload []byt
 		}
 		// Next blocks until durable records exist, so it runs in its own
 		// pump goroutine: the select below keeps heartbeats flowing while
-		// the log is idle.  At most one pump lingers in WaitDurable after
-		// stop, like Next's own helper.
+		// the log is idle.  Next returns on stop, and the pump with it.
 		type batch struct {
 			recs []wal.Record
 			err  error

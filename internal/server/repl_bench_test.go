@@ -81,7 +81,7 @@ func TestReplAckModesDatapoint(t *testing.T) {
 	local := measureReplThroughput(t, paddr, 400*time.Millisecond, benchUpsert)
 	waitFor(t, "follower catch-up before acked run", func() bool { return caughtUp(pe, f) })
 
-	pe.SetCommitAckWaiter(prim.WaitReplicated)
+	pe.SetCommitAckWaiter(prim.OnReplicated)
 	acked := measureReplThroughput(t, paddr, 400*time.Millisecond, benchUpsert)
 
 	ratio := 0.0
@@ -115,7 +115,7 @@ func TestReplQuorumAcksDatapoint(t *testing.T) {
 	f2 := startFollower(t, f2dir, paddr, f2e)
 	waitFor(t, "both subscriptions", func() bool { return prim.NumFollowers() == 2 })
 
-	pe.SetCommitAckWaiter(prim.WaitReplicated)
+	pe.SetCommitAckWaiter(prim.OnReplicated)
 	k1 := measureReplThroughput(t, paddr, 400*time.Millisecond, benchUpsert)
 	waitFor(t, "follower catch-up before k=2 run", func() bool {
 		return caughtUp(pe, f1) && caughtUp(pe, f2)

@@ -215,7 +215,7 @@ func TestReplicaAckedCommitGate(t *testing.T) {
 	prim := repl.NewPrimary(pe.DurableLog(), 1)
 	prim.SetAckTimeout(150 * time.Millisecond)
 	psrv.SetReplPrimary(prim)
-	pe.SetCommitAckWaiter(prim.WaitReplicated)
+	pe.SetCommitAckWaiter(prim.OnReplicated)
 
 	pc := dial(t, paddr)
 

@@ -2,12 +2,23 @@
 //
 // Every connection opens with the wire handshake, which checks the protocol
 // version and authenticates the optional token.  From then on the
-// connection is *pipelined*: one reader goroutine decodes frames, a bounded
-// per-connection pool of executor goroutines runs each request as its own
-// transaction on its own engine Session, and one writer goroutine sends
-// responses back in completion order, matched to requests by ID.  That
-// keeps every partition worker of the engine busy from a single connection,
-// instead of serializing the connection on one request at a time.
+// connection is *pipelined*: one reader goroutine decodes frames, and one
+// writer goroutine sends responses back in completion order, matched to
+// requests by ID.  That keeps every partition worker of the engine busy
+// from a single connection, instead of serializing the connection on one
+// request at a time.
+//
+// Requests run on continuations.  The reader decodes a plan, compiles it
+// and submits it to the engine (engine.Session.Submit); the request's
+// completion — run by the partition worker that finished it, or by the log
+// flusher once its commit is durable — queues the reply on the outbox.  No
+// goroutine waits per request.  The reader admits at most ConnQueue
+// requests whose reply the writer has not yet taken, so the outbox never
+// holds more replies than that and a completion never blocks.  Requests
+// that genuinely block get a goroutine each, within the same bound:
+// streaming scans, cross-shard coordination, PREPARE and DECIDE, control
+// verbs, and every transaction of the Conventional design, whose lock
+// waits block the goroutine that runs it.
 //
 // The writer flushes its buffer only when its outbox drains.  While other
 // requests of the connection are still unanswered it first yields once, so
@@ -47,17 +58,10 @@ import (
 // ErrClosed is returned by Serve after Close has been called.
 var ErrClosed = errors.New("server: closed")
 
-// Pipelining bounds.
-const (
-	// DefaultConnWorkers is the per-connection executor pool size: the
-	// number of requests of one connection that can execute concurrently
-	// inside the engine.
-	DefaultConnWorkers = 16
-	// DefaultConnQueue is the per-connection bound on decoded requests
-	// waiting for an executor; together with the pool it caps a
-	// connection's in-flight requests (backpressure is the TCP window).
-	DefaultConnQueue = 64
-)
+// DefaultConnQueue is the per-connection bound on requests in flight: the
+// reader stops reading, and backpressure moves to the TCP window, while
+// that many requests await their reply or its hand-off to the writer.
+const DefaultConnQueue = 64
 
 // ControlHandler serves the wire protocol's control frames — the
 // administrative verbs of plpctl.  The online repartitioning controller
@@ -95,11 +99,9 @@ type Stats struct {
 type Server struct {
 	e *engine.Engine
 
-	// ConnWorkers and ConnQueue override the per-connection executor pool
-	// size and pending-request bound (0 selects the defaults).  Set them
-	// before Serve.
-	ConnWorkers int
-	ConnQueue   int
+	// ConnQueue overrides the per-connection bound on requests in flight
+	// (0 selects DefaultConnQueue).  Set it before Serve.
+	ConnQueue int
 
 	// TLSConfig, when set, wraps the listener in TLS.  Set before Listen.
 	TLSConfig *tls.Config
@@ -410,52 +412,146 @@ func (s *Server) handshake(conn net.Conn, first []byte) (session, bool) {
 	return cs, true
 }
 
-// workItem is one queued request frame plus its cancellation flag, set by
-// the reader when a later cancel frame names the request's ID.
-type workItem struct {
-	payload  []byte
-	canceled *atomic.Bool
-}
-
 // outMsg is one frame bound for the writer goroutine: either a response to
 // encode, or a pre-encoded raw frame (streaming-scan chunks).  A raw frame
 // must be freshly allocated by the sender — the writer owns it after
-// hand-off.
+// hand-off.  final marks a request's last frame.
 type outMsg struct {
-	resp *wire.Response
-	raw  []byte
+	resp  *wire.Response
+	raw   []byte
+	final bool
 }
 
-// outbox is a connection's queue of frames bound for its writer, plus the
-// number of requests the reader accepted whose executor has not yet handed
-// the writer its reply.  The writer reads that count to decide whether
-// yielding once before a flush can put more replies into the same write.
+// outbox is a connection's queue of frames bound for its writer, and the
+// admission bound on the requests in flight.  Queuing never blocks, so a
+// request's completion may queue its reply from a partition worker or the
+// log flusher; the queue stays bounded because the reader admits a request
+// only while fewer than limit admitted requests have not had their last
+// frame taken by the writer (unsent), and a stream's chunks are bounded by
+// its credit window.
 type outbox struct {
-	ch         chan outMsg
+	mu     sync.Mutex
+	q      []outMsg
+	closed bool
+	ready  chan struct{} // wakes the writer
+
+	limit int64
+	// unsent counts admitted requests whose last frame the writer has not
+	// taken; room wakes a reader waiting for it to fall below limit.
+	unsent atomic.Int64
+	room   chan struct{}
+	// unanswered counts admitted requests whose last frame has not been
+	// queued.  The writer reads it to decide whether yielding once before
+	// a flush can put more replies into the same write.
 	unanswered atomic.Int64
+	// replies counts the same requests, for the reader's wait at close.
+	replies sync.WaitGroup
 }
 
-// reply hands a request's last frame to the writer.  The request stops
-// counting as unanswered first, so the writer counts only the others.
+func newOutbox(limit int) *outbox {
+	return &outbox{ready: make(chan struct{}, 1), room: make(chan struct{}, 1), limit: int64(limit)}
+}
+
+// admit waits until the connection may take one more request, and counts
+// it.  Only the reader calls it.
+func (o *outbox) admit() {
+	for o.unsent.Load() >= o.limit {
+		<-o.room
+	}
+	o.unsent.Add(1)
+	o.unanswered.Add(1)
+	o.replies.Add(1)
+}
+
+// push queues m for the writer.
+func (o *outbox) push(m outMsg) {
+	o.mu.Lock()
+	o.q = append(o.q, m)
+	o.mu.Unlock()
+	select {
+	case o.ready <- struct{}{}:
+	default:
+	}
+}
+
+// reply queues a request's last frame.  The request stops counting as
+// unanswered first, so the writer counts only the others.
 func (o *outbox) reply(m outMsg) {
+	m.final = true
 	o.unanswered.Add(-1)
-	o.ch <- m
+	o.push(m)
+	o.replies.Done()
 }
 
-// send hands the writer a frame of a request that goes on running (a
-// stream's chunk).  The request does not count as unanswered while the
-// frame is handed over, so a lone stream's chunks are flushed at once.
+// send queues a frame of a request that goes on running (a stream's
+// chunk).  The request does not count as unanswered while the frame is
+// queued, so a lone stream's chunks are flushed at once.
 func (o *outbox) send(m outMsg) {
 	o.unanswered.Add(-1)
-	o.ch <- m
+	o.push(m)
 	o.unanswered.Add(1)
+}
+
+// abandon ends a request that will send nothing more, because its client
+// is gone.
+func (o *outbox) abandon() {
+	o.unanswered.Add(-1)
+	o.taken(1)
+	o.replies.Done()
+}
+
+// taken releases the admission slots of n requests whose last frame left
+// the queue.
+func (o *outbox) taken(n int) {
+	if n > 0 && o.unsent.Add(-int64(n)) < o.limit {
+		select {
+		case o.room <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// close ends the writer once the queue drains.
+func (o *outbox) close() {
+	o.mu.Lock()
+	o.closed = true
+	o.mu.Unlock()
+	select {
+	case o.ready <- struct{}{}:
+	default:
+	}
+}
+
+// queued reports whether frames wait in the queue.
+func (o *outbox) queued() bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return len(o.q) > 0
+}
+
+// next waits for queued frames and swaps them out for spare, or returns
+// nil once the outbox is closed and drained.
+func (o *outbox) next(spare []outMsg) []outMsg {
+	o.mu.Lock()
+	for len(o.q) == 0 && !o.closed {
+		o.mu.Unlock()
+		<-o.ready
+		o.mu.Lock()
+	}
+	batch := o.q
+	o.q = spare[:0]
+	o.mu.Unlock()
+	if len(batch) == 0 {
+		return nil
+	}
+	return batch
 }
 
 // writeLoop sends the outbox's frames to conn until the outbox is closed.
 // Frames go into a buffered writer, flushed only when the outbox drains.
 // Before flushing, a writer that has not yielded since its last flush, on a
 // connection with another request still unanswered, yields once
-// (runtime.Gosched): executors already runnable queue their replies
+// (runtime.Gosched): completions already runnable queue their replies
 // meanwhile, and those leave in the same write(2).  With one request in
 // flight the writer flushes at once, so a serial connection pays nothing;
 // and no reply waits on a slower request, since the yield is one scheduler
@@ -472,26 +568,39 @@ func (o *outbox) writeLoop(conn net.Conn) {
 	// is encoded, so reuse is safe and steady-state encoding stops
 	// allocating per reply.
 	var encBuf []byte
-	for m := range o.ch {
-		if broken {
-			continue // keep draining so executors never block on the outbox
+	var spare []outMsg
+	for {
+		batch := o.next(spare)
+		if batch == nil {
+			return
 		}
-		payload := m.raw
-		if payload == nil {
-			encBuf = wire.AppendResponse(encBuf[:0], m.resp)
-			payload = encBuf
+		finals := 0
+		for _, m := range batch {
+			if m.final {
+				finals++
+			}
+			if broken {
+				continue // keep draining so admission goes on
+			}
+			payload := m.raw
+			if payload == nil {
+				encBuf = wire.AppendResponse(encBuf[:0], m.resp)
+				payload = encBuf
+			}
+			if err := wire.WriteFrame(bw, payload); err != nil {
+				fail()
+			}
 		}
-		if err := wire.WriteFrame(bw, payload); err != nil {
-			fail()
-			continue
-		}
-		if len(o.ch) > 0 {
+		clear(batch)
+		spare = batch
+		o.taken(finals)
+		if broken || o.queued() {
 			continue
 		}
 		if !yielded && o.unanswered.Load() > 0 {
 			yielded = true
 			runtime.Gosched()
-			if len(o.ch) > 0 {
+			if o.queued() {
 				continue
 			}
 		}
@@ -502,60 +611,84 @@ func (o *outbox) writeLoop(conn net.Conn) {
 	}
 }
 
-// servePipelined is the request loop: this goroutine reads and decodes
-// frames, a bounded executor pool runs each request on its own engine
-// session, and a writer goroutine sends responses in completion order.  The
-// reader also intercepts cancel frames — they must not queue behind the very
-// requests they cancel — and flips the named request's flag, which the
-// executing transaction polls before every op.
-func (s *Server) servePipelined(conn net.Conn, br *bufio.Reader, first []byte, cs session) {
-	workers := s.ConnWorkers
-	if workers <= 0 {
-		workers = DefaultConnWorkers
+// pipeline is one connection's request loop state.
+type pipeline struct {
+	s         *Server
+	cs        session
+	out       *outbox
+	done      chan struct{} // closed when the reader loop exits
+	inflight  sync.Map      // request ID -> *atomic.Bool (cancel flag)
+	scanFlows sync.Map      // request ID -> *scanFlow (open streams)
+
+	// sess submits the connection's non-blocking transactions, which may
+	// share one session (engine.Session.Submit).  Requests that block take
+	// a session of their own from idle.
+	sess *engine.Session
+	mu   sync.Mutex
+	idle []*engine.Session
+}
+
+// request is one admitted request frame: its ID and its cancellation flag,
+// set by the reader when a later cancel frame names the ID.
+type request struct {
+	p        *pipeline
+	id       uint64
+	hasID    bool
+	canceled *atomic.Bool
+}
+
+// reply queues the request's response and retires its cancel flag.
+func (r *request) reply(resp *wire.Response) {
+	r.p.out.reply(outMsg{resp: resp})
+	r.forget()
+}
+
+// forget retires the request's cancel flag.  It deletes exactly this
+// request's flag: a client reusing a request ID makes a plain Delete racy,
+// since the older request's completion could reap the flag the reader just
+// registered for the newer one, silently dropping a cancel aimed at it.
+func (r *request) forget() {
+	if r.hasID {
+		r.p.inflight.CompareAndDelete(r.id, r.canceled)
 	}
+}
+
+// session returns an engine session for one blocking request.
+func (p *pipeline) session() *engine.Session {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.idle); n > 0 {
+		sess := p.idle[n-1]
+		p.idle = p.idle[:n-1]
+		return sess
+	}
+	return p.s.e.NewSession()
+}
+
+// release returns a blocking request's session.
+func (p *pipeline) release(sess *engine.Session) {
+	p.mu.Lock()
+	p.idle = append(p.idle, sess)
+	p.mu.Unlock()
+}
+
+// servePipelined is the request loop: this goroutine reads, decodes and
+// starts requests, whose completions queue their replies on the outbox, and
+// a writer goroutine sends them in completion order.  The reader also
+// intercepts cancel frames — they must not queue behind the very requests
+// they cancel — and flips the named request's flag, which the executing
+// transaction polls before every op.
+func (s *Server) servePipelined(conn net.Conn, br *bufio.Reader, first []byte, cs session) {
 	queue := s.ConnQueue
 	if queue <= 0 {
 		queue = DefaultConnQueue
 	}
-
-	work := make(chan workItem, queue)
-	out := &outbox{ch: make(chan outMsg, queue)}
+	p := &pipeline{s: s, cs: cs, out: newOutbox(queue), done: make(chan struct{}), sess: s.e.NewSession()}
 	writerDone := make(chan struct{})
-	connDone := make(chan struct{}) // closed when the reader loop exits
-	var inflight sync.Map           // request ID -> *atomic.Bool (cancel flag)
-	var scanFlows sync.Map          // request ID -> *scanFlow (open streams)
-
 	go func() {
 		defer close(writerDone)
-		out.writeLoop(conn)
+		p.out.writeLoop(conn)
 	}()
-
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sess := s.e.NewSession()
-			defer sess.Close()
-			for item := range work {
-				if len(item.payload) > 8 && wire.FrameKind(item.payload[8]) == wire.FrameScan {
-					// A streaming scan emits its chunks itself and holds
-					// this executor slot until the stream ends.
-					s.streamScan(item.payload, item.canceled, out, &scanFlows, connDone)
-				} else {
-					out.reply(outMsg{resp: s.handleFrame(sess, item.payload, cs, item.canceled)})
-				}
-				if id, ok := wire.RequestID(item.payload); ok {
-					// Delete exactly this request's flag.  A client reusing a
-					// request ID makes a plain Delete racy: the older
-					// request's completion could reap the flag the reader
-					// just registered for the newer one, silently dropping a
-					// cancel aimed at it.
-					inflight.CompareAndDelete(id, item.canceled)
-				}
-			}
-		}()
-	}
 
 	payload := first
 	for {
@@ -568,42 +701,97 @@ func (s *Server) servePipelined(conn net.Conn, br *bufio.Reader, first []byte, c
 		}
 		if wire.IsScanAckFrame(payload) {
 			// Scan credits are intercepted like cancels: they regulate
-			// executors already running, so they must never queue behind
+			// streams already running, so they must never queue behind
 			// the very streams they pace.
-			creditScan(&scanFlows, payload)
+			creditScan(&p.scanFlows, payload)
 			payload = nil
 			continue
 		}
 		if len(payload) > 8 && wire.FrameKind(payload[8]) == wire.FrameCancel {
 			// A cancel names an in-flight request by ID.  One for a request
 			// already completed (or never seen) is stale and ignored; one
-			// for a request still queued or executing flips its flag, and
-			// the transaction aborts at the next op boundary.  A canceled
+			// for a request still running flips its flag, and the
+			// transaction aborts at the next op boundary.  A canceled
 			// stream is also woken so a credit-stalled producer notices.
 			if id, ok := wire.RequestID(payload); ok {
-				if flag, ok := inflight.Load(id); ok {
+				if flag, ok := p.inflight.Load(id); ok {
 					flag.(*atomic.Bool).Store(true)
 				}
-				if fl, ok := scanFlows.Load(id); ok {
+				if fl, ok := p.scanFlows.Load(id); ok {
 					fl.(*scanFlow).wake()
 				}
 			}
 			payload = nil
 			continue
 		}
-		item := workItem{payload: payload, canceled: &atomic.Bool{}}
+		p.out.admit()
+		r := &request{p: p, canceled: &atomic.Bool{}}
 		if id, ok := wire.RequestID(payload); ok {
-			inflight.Store(id, item.canceled)
+			r.id, r.hasID = id, true
+			p.inflight.Store(id, r.canceled)
 		}
-		out.unanswered.Add(1)
-		work <- item
+		s.start(r, payload)
 		payload = nil
 	}
-	close(connDone) // unblock credit-stalled streams: their client is gone
-	close(work)
-	wg.Wait()
-	close(out.ch)
+	close(p.done) // unblock credit-stalled streams: their client is gone
+	p.out.replies.Wait()
+	p.out.close()
 	<-writerDone
+	for _, sess := range append(p.idle, p.sess) {
+		sess.Close()
+	}
+}
+
+// start runs one admitted request frame.  A plan that blocks nothing is
+// compiled and submitted right here, on the reader; pings and shard-map
+// queries are answered here too.  Every other request gets a goroutine of
+// its own (see the package documentation).
+func (s *Server) start(r *request, payload []byte) {
+	p := r.p
+	var kind wire.FrameKind
+	if len(payload) > 8 {
+		kind = wire.FrameKind(payload[8])
+	}
+	switch kind {
+	case wire.FramePlan:
+		f, err := wire.DecodeFrameV3(payload)
+		if err != nil || s.blocks(f.Plan) {
+			break
+		}
+		s.requests.Add(1)
+		s.startTxn(p.sess, &wire.Response{ID: f.ID}, f.Plan, p.cs, r.canceled, r)
+		return
+	case wire.FramePing, wire.FrameShardMap:
+		r.reply(s.handleFrame(nil, payload, p.cs, r.canceled))
+		return
+	case wire.FrameScan:
+		// A streaming scan emits its chunks itself until the stream ends.
+		go func() {
+			s.streamScan(payload, r.canceled, p.out, &p.scanFlows, p.done)
+			r.forget()
+		}()
+		return
+	}
+	go func() {
+		sess := p.session()
+		resp := s.handleFrame(sess, payload, p.cs, r.canceled)
+		p.release(sess)
+		r.reply(resp)
+	}()
+}
+
+// blocks reports whether running the plan blocks the goroutine that runs
+// it: in the Conventional design, whose lock waits block, and for a plan
+// that spans shards, whose coordinator waits for its participants.
+func (s *Server) blocks(pl *plan.Plan) bool {
+	if s.e.Design() == engine.Conventional {
+		return true
+	}
+	if ss := s.sharding.Load(); ss != nil {
+		_, spans := ss.m.Load().Placement(pl, ss.self)
+		return spans
+	}
+	return false
 }
 
 // handleFrame decodes one request frame and executes it.  A decode failure
@@ -679,54 +867,98 @@ func classifyAbort(err error) wire.RetryHint {
 	return wire.RetryPermanent
 }
 
-// executePlan runs one plan frame as a single transaction.
+// replier receives a transaction's response.
+type replier interface{ reply(*wire.Response) }
+
+// replyChan hands a response to a goroutine waiting for it.
+type replyChan chan *wire.Response
+
+func (c replyChan) reply(resp *wire.Response) { c <- resp }
+
+// executePlan runs one plan frame as a single transaction and waits for
+// its response.
 func (s *Server) executePlan(sess *engine.Session, id uint64, p *plan.Plan, cs session, canceled *atomic.Bool) *wire.Response {
 	s.requests.Add(1)
-	start := latPlan.sampleStart()
-	defer func() { latPlan.observe(start) }()
-	return s.runTxn(sess, &wire.Response{ID: id}, p, cs, canceled)
+	ch := make(replyChan, 1)
+	s.startTxn(sess, &wire.Response{ID: id}, p, cs, canceled, ch)
+	return <-ch
 }
 
-// runTxn is the one transaction path.  Every plan passes the same checks —
+// startTxn is the one transaction path.  Every plan passes the same checks —
 // session scope, replication role, cancellation, shard placement — before
-// run compiles and executes it (or, when it spans shards, before the
-// coordinator splits it into branches), and every abort is classified the
-// same way.
-func (s *Server) runTxn(sess *engine.Session, resp *wire.Response, p *plan.Plan, cs session, canceled *atomic.Bool) *wire.Response {
+// it is compiled and submitted to the engine (or, when it spans shards,
+// before the coordinator splits it into branches), and every abort is
+// classified the same way.  r receives the response: from the request's
+// completion for a submitted plan, before startTxn returns otherwise.
+// startTxn blocks the calling goroutine only where blocks says it does.
+func (s *Server) startTxn(sess *engine.Session, resp *wire.Response, p *plan.Plan, cs session, canceled *atomic.Bool, r replier) {
+	start := latPlan.sampleStart()
+	reply := func(resp *wire.Response) { answer(r, start, resp) }
 	writes := p.Writes()
 	if cs.readOnly && writes {
-		return s.refuse(resp, "read-only session: write ops refused")
+		reply(s.refuse(resp, "read-only session: write ops refused"))
+		return
 	}
 	if s.followerMode.Load() {
 		if writes {
-			return s.followerRefusal(resp, wire.FollowerPrefix+": write ops refused — this node replicates a primary (write there, or promote this node)")
+			reply(s.followerRefusal(resp, wire.FollowerPrefix+": write ops refused — this node replicates a primary (write there, or promote this node)"))
+			return
 		}
 		if s.seeding() {
 			// Mid re-seed the engine was wiped and only partially rebuilt: a
 			// read here could report "not found" for committed rows.
-			return s.followerRefusal(resp, wire.FollowerPrefix+": reads refused — this follower is mid re-seed and not yet a consistent replica (read another member)")
+			reply(s.followerRefusal(resp, wire.FollowerPrefix+": reads refused — this follower is mid re-seed and not yet a consistent replica (read another member)"))
+			return
 		}
 	}
 	if canceled != nil && canceled.Load() {
-		return s.refuse(resp, engine.ErrPlanCanceled.Error())
+		reply(s.refuse(resp, engine.ErrPlanCanceled.Error()))
+		return
 	}
 	if ss := s.sharding.Load(); ss != nil {
 		m := ss.m.Load()
 		switch foreign, spans := m.Placement(p, ss.self); {
 		case spans:
-			return s.executeCoordinated(sess, ss, m, p, resp, canceled)
+			reply(s.executeCoordinated(sess, ss, m, p, resp, canceled))
+			return
 		case foreign != ss.self:
 			s.aborted.Add(1)
-			return wrongShard(resp, m, foreign)
+			reply(wrongShard(resp, m, foreign))
+			return
 		}
 	}
 	if len(p.Phases) == 0 {
 		// An empty transaction commits without touching the engine.
 		resp.Committed = true
 		s.committed.Add(1)
-		return resp
+		reply(resp)
+		return
 	}
-	results, err := s.run(sess, p, "", canceled)
+	results := make([]plan.Result, p.NumOps())
+	var hook func() bool
+	if canceled != nil {
+		hook = canceled.Load
+	}
+	ereq, finish, err := s.e.CompilePlan(p, results, hook)
+	if err != nil {
+		reply(s.txnDone(resp, nil, err))
+		return
+	}
+	sess.Submit(ereq, func(_ engine.Result, err error) {
+		finish()
+		answer(r, start, s.txnDone(resp, results, err))
+	})
+}
+
+// answer hands a transaction's response to r and closes its latency
+// sample.
+func answer(r replier, start time.Time, resp *wire.Response) {
+	latPlan.observe(start)
+	r.reply(resp)
+}
+
+// txnDone fills resp with a finished transaction's results and outcome.
+func (s *Server) txnDone(resp *wire.Response, results []plan.Result, err error) *wire.Response {
 	resp.Results = planResultsToWire(results)
 	if err != nil {
 		resp.Err = err.Error()
@@ -739,10 +971,8 @@ func (s *Server) runTxn(sess *engine.Session, resp *wire.Response, p *plan.Plan,
 	return resp
 }
 
-// run compiles p and executes it as one transaction or, with a gid,
-// prepares it as that gid's branch of a cross-shard commit.  It is the
-// server's only route into the engine's compiler.  The results are nil when
-// p did not compile.
+// run compiles p and prepares it as gid's branch of a cross-shard commit,
+// waiting for the vote.  The results are nil when p did not compile.
 func (s *Server) run(sess *engine.Session, p *plan.Plan, gid string, canceled *atomic.Bool) ([]plan.Result, error) {
 	results := make([]plan.Result, p.NumOps())
 	var hook func() bool
@@ -753,11 +983,7 @@ func (s *Server) run(sess *engine.Session, p *plan.Plan, gid string, canceled *a
 	if err != nil {
 		return nil, err
 	}
-	if gid != "" {
-		_, err = sess.ExecutePrepare(ereq, gid)
-	} else {
-		_, err = sess.Execute(ereq)
-	}
+	_, err = sess.ExecutePrepare(ereq, gid)
 	finish()
 	return results, err
 }

@@ -6,7 +6,7 @@
 // shard).  A plan whose ops all belong to this shard takes the unchanged
 // single-process path; one whose ops all belong to another shard is refused
 // with a wrong-shard error carrying the current map (the client refreshes
-// and forwards, mirroring the executor's in-process mis-route forwarding);
+// and forwards, mirroring the engine's in-process mis-route forwarding);
 // one spanning shards is executed here as a coordinator-logged two-phase
 // commit:
 //

@@ -1,10 +1,11 @@
 // Streaming scans: server side of the SCAN / SCAN-CHUNK / SCAN-ACK
-// exchange.  A FrameScan occupies one executor slot of its connection for
-// the stream's lifetime and produces chunks by repeatedly asking the engine
+// exchange.  A FrameScan runs on a goroutine of its own, holding one of
+// its connection's in-flight slots for the stream's lifetime, and produces
+// chunks by repeatedly asking the engine
 // for the next cursor-bounded slice, so each chunk runs on the partition
 // worker owning the cursor and the scan never holds a worker for longer
 // than one chunk.  Production is credit-paced: the connection reader
-// intercepts SCAN-ACK frames (like cancels, they must not queue behind the
+// intercepts SCAN-ACK frames (like cancels, they must not wait behind the
 // work they regulate) and tops up the stream's credits, so a client that
 // stops consuming stalls only its own stream.
 package server
@@ -26,7 +27,7 @@ import (
 const DefaultStreamScanLimit = 1 << 22
 
 // scanFlow is one open stream's flow-control state, shared between the
-// producing executor and the connection reader that credits it.
+// producing stream goroutine and the connection reader that credits it.
 type scanFlow struct {
 	credits atomic.Int64
 	notify  chan struct{}
@@ -61,7 +62,7 @@ func creditScan(flows *sync.Map, payload []byte) {
 	}
 }
 
-// streamScan runs one streaming scan on an executor goroutine, emitting
+// streamScan runs one streaming scan on a goroutine of its own, emitting
 // chunks through the connection's outbox until the range is exhausted, the
 // limit is met, the client cancels, or the connection dies.  The final
 // chunk is the stream's reply; the ones before it are sent while it runs.
@@ -130,7 +131,7 @@ func (s *Server) streamScan(payload []byte, canceled *atomic.Bool, out *outbox, 
 			select {
 			case <-fl.notify:
 			case <-connDone:
-				out.unanswered.Add(-1)
+				out.abandon()
 				return // connection gone; there is nobody to send to
 			}
 		}

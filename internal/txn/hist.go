@@ -1,6 +1,6 @@
 // Commit acknowledgement latency histograms.  The commit pipeline has two
 // distinct acknowledgement gates — the local group-commit fsync
-// (Log.WaitDurable) and the extended replica/quorum ack (SetCommitAckWaiter)
+// (Log.OnDurable) and the extended replica/quorum ack (SetCommitAckWaiter)
 // — and operators tuning -ack-mode need to see both distributions, not one
 // blended average: quorum waits have a long network-shaped tail the fsync
 // wait never shows.

@@ -14,39 +14,53 @@ var (
 	ErrUnknownGID = errors.New("txn: no prepared transaction for gid")
 )
 
-// Prepare votes yes on a cross-shard transaction: it appends a durable
-// prepare record naming the global transaction ID and parks the local
-// branch in the prepared table to await the coordinator's decision.
+// PrepareThen votes yes on a cross-shard transaction: it appends a prepare
+// record naming the global transaction ID and, once the record is durable,
+// parks the local branch in the prepared table to await the coordinator's
+// decision and calls done with nil.
 //
-// Unlike Commit, Prepare always waits for durability — lazy commit cannot
-// apply, because the vote is a promise to the coordinator that the branch
-// can survive a crash.  The transaction stays Active: its locks are held,
-// its undo chain is retained, and it remains in the active table, so every
-// conflicting request keeps blocking (or aborting) until Decide runs.  On a
-// durability failure the branch is aborted locally and the error returned,
-// which the caller must translate into a no vote.
-func (m *Manager) Prepare(t *Txn, gid string) error {
+// Unlike a commit, a prepare always waits for durability — lazy commit
+// cannot apply, because the vote is a promise to the coordinator that the
+// branch can survive a crash.  The transaction stays Active: its locks are
+// held, its undo chain is retained, and it remains in the active table, so
+// every conflicting request keeps blocking (or aborting) until Decide runs.
+// On a durability failure the branch is aborted locally and done gets
+// ErrNotDurable, which the caller must translate into a no vote.  done runs
+// on the log's flush daemon unless the record is durable at once, and must
+// not block.
+func (m *Manager) PrepareThen(t *Txn, gid string, done func(error)) {
 	if t.State() != Active {
-		return ErrNotActive
+		done(ErrNotActive)
+		return
 	}
 	if gid == "" {
-		return fmt.Errorf("txn: empty gid")
+		done(fmt.Errorf("txn: empty gid"))
+		return
 	}
 	rec := &wal.Record{Txn: t.id, Type: wal.RecPrepare, PrevLSN: t.LastLSN(), Payload: []byte(gid)}
 	lsn := m.log.Append(rec)
 	t.SetLastLSN(lsn)
-	durable := m.log.WaitDurable(lsn)
-	if durable <= lsn {
-		m.Abort(t)
-		return ErrNotDurable
-	}
-	m.mu.Lock()
-	if m.prepared == nil {
-		m.prepared = make(map[string]*preparedTxn)
-	}
-	m.prepared[gid] = &preparedTxn{txn: t, since: time.Now()}
-	m.mu.Unlock()
-	return nil
+	m.log.OnDurable(lsn, func(err error) {
+		if err != nil {
+			m.Abort(t)
+			done(ErrNotDurable)
+			return
+		}
+		m.mu.Lock()
+		if m.prepared == nil {
+			m.prepared = make(map[string]*preparedTxn)
+		}
+		m.prepared[gid] = &preparedTxn{txn: t, since: time.Now()}
+		m.mu.Unlock()
+		done(nil)
+	})
+}
+
+// Prepare is PrepareThen plus a wait.
+func (m *Manager) Prepare(t *Txn, gid string) error {
+	ch := make(chan error, 1)
+	m.PrepareThen(t, gid, func(err error) { ch <- err })
+	return <-ch
 }
 
 // Decide resolves a prepared branch: commit=true commits it (appending the

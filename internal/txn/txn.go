@@ -9,6 +9,14 @@
 // leaving it are fixed-contention critical sections (threads only serialize
 // on the transaction object's own state), reported under the XctMgr
 // category.
+//
+// Commit is continuation-driven.  CommitThen appends the commit record,
+// releases the locks and retires the transaction on the calling goroutine,
+// then registers the acknowledgement on the log (wal.Log.OnDurable) and, in
+// replica-acked mode, on the quorum gate; the goroutine that passes the
+// last gate — the log's flush daemon, or a follower's ack — runs the
+// caller's continuation.  No goroutine waits per commit.  Commit is
+// CommitThen plus a wait, for callers that have a goroutine to park.
 package txn
 
 import (
@@ -164,6 +172,7 @@ type UndoFunc func() error
 type Txn struct {
 	id    uint64
 	state atomic.Int32
+	m     *Manager
 
 	mu        sync.Mutex
 	lockNames []lock.Name
@@ -173,6 +182,18 @@ type Txn struct {
 	Breakdown Breakdown
 
 	start time.Time
+
+	// The commit continuation's state (see CommitThen): the LSN the
+	// acknowledgement waits on, whether the transaction logged nothing,
+	// when the current gate wait began, and the caller's continuation.
+	// onDurable and onReplicated are t.durable and t.replicated, bound once
+	// per Txn object so that a commit allocates no closure.
+	commitLSN    wal.LSN
+	readOnly     bool
+	gateStart    time.Time
+	done         func(error)
+	onDurable    func(error)
+	onReplicated func(error)
 }
 
 // ID returns the transaction identifier.
@@ -230,12 +251,12 @@ type Manager struct {
 	cstats *cs.Stats
 	lazy   atomic.Bool
 
-	// ackWaiter, when set, extends the commit acknowledgement gate beyond
-	// local durability: Commit blocks until the waiter confirms the commit
-	// record's LSN (replica-acked mode waits for ≥ 1 follower's durable
-	// ack).  Installed via SetCommitAckWaiter; nil means local-fsync
-	// acknowledgement, today's default.
-	ackWaiter atomic.Pointer[func(wal.LSN) error]
+	// ackGate, when set, extends the commit acknowledgement gate beyond
+	// local durability: the commit's continuation runs only once the gate
+	// passes the commit record's LSN (replica-acked mode waits for a quorum
+	// of followers' durable acks).  Installed via SetCommitAckWaiter; nil
+	// means local-fsync acknowledgement, the default.
+	ackGate atomic.Pointer[func(wal.LSN, func(error))]
 
 	// pool recycles finished Txn objects between requests: the object, its
 	// lockNames/undo slice capacity and its Breakdown all get reused, so the
@@ -284,7 +305,8 @@ func NewManager(log wal.Log, locks *lock.Manager, cstats *cs.Stats) *Manager {
 func (m *Manager) Begin() *Txn {
 	t, _ := m.pool.Get().(*Txn)
 	if t == nil {
-		t = &Txn{}
+		t = &Txn{m: m}
+		t.onDurable, t.onReplicated = t.durable, t.replicated
 	}
 	t.id = m.nextID.Add(1)
 	t.start = time.Now()
@@ -300,9 +322,9 @@ func (m *Manager) Begin() *Txn {
 	return t
 }
 
-// SetLazyCommit controls whether Commit waits for its commit record to
-// reach the durable horizon.  With lazy commit on, Commit returns as soon
-// as the record is in the log buffer — the group-commit daemon makes it
+// SetLazyCommit controls whether a commit's acknowledgement waits for its
+// commit record to reach the durable horizon.  With lazy commit on, it is
+// acknowledged as soon as the record is in the log buffer — the group-commit daemon makes it
 // durable shortly after, but a crash in that window loses the transaction
 // even though the client saw it acknowledged.  It may be toggled at
 // runtime; in-flight commits use the value they observed.
@@ -312,109 +334,128 @@ func (m *Manager) SetLazyCommit(v bool) { m.lazy.Store(v) }
 func (m *Manager) LazyCommit() bool { return m.lazy.Load() }
 
 // SetCommitAckWaiter installs (or clears, with nil) the extended commit
-// acknowledgement gate.  The waiter runs after the commit record is
-// locally durable and before Commit returns success; a non-nil error
-// propagates to the committer, who must NOT treat the transaction as
-// acknowledged-replicated (it IS durable locally).  Read-only commits skip
-// the waiter — they ship no record, so there is nothing to replicate.
-func (m *Manager) SetCommitAckWaiter(fn func(wal.LSN) error) {
-	if fn == nil {
-		m.ackWaiter.Store(nil)
+// acknowledgement gate.  The gate is registered once the commit record is
+// locally durable and must call its continuation exactly once, without
+// blocking; a non-nil error propagates to the committer, who must NOT
+// treat the transaction as acknowledged-replicated (it IS durable
+// locally).  Read-only commits skip the gate — they ship no record, so
+// there is nothing to replicate.
+func (m *Manager) SetCommitAckWaiter(gate func(lsn wal.LSN, done func(error))) {
+	if gate == nil {
+		m.ackGate.Store(nil)
 		return
 	}
-	m.ackWaiter.Store(&fn)
+	m.ackGate.Store(&gate)
 }
 
-// Commit is the group-commit pipeline, split into the three steps of the
-// Aether scheme:
+// CommitThen is the group-commit pipeline, in the two steps of the Aether
+// scheme.  The first runs on the calling goroutine:
 //
-//  1. append the commit record to the log buffer (cheap, no I/O);
-//  2. release the transaction's centralized locks and retire it — early
+//   - append the commit record to the log buffer (cheap, no I/O);
+//   - release the transaction's centralized locks and retire it — early
 //     lock release: the transaction's effects are visible to others the
 //     moment its commit record is *ordered* in the log, not when it is
 //     durable, because any dependent transaction's own commit record
 //     necessarily serializes after this one and the same flush ordering
-//     makes both durable in order;
-//  3. wait for the durable horizon to pass the commit record
-//     (Log.WaitDurable), riding one shared fsync with every other
-//     committer in the batch.  The wall time spent here is the real
-//     WaitLog component of the paper's time breakdowns.
+//     makes both durable in order.
 //
-// With lazy commit enabled, step 3 is skipped.  A read-only transaction
-// (one that never appended a log record) skips all three: there is nothing
-// to make durable, so it just releases locks and retires.
-func (m *Manager) Commit(t *Txn) error {
+// The second is the completion: done runs once the durable horizon passes
+// the commit record (wal.Log.OnDurable), riding one shared fsync with every
+// other committer in the batch, and then once the extended gate passes it,
+// if one is installed.  The time until then is the WaitLog component of
+// the paper's time breakdowns.  With lazy commit the durability wait is
+// skipped.
+//
+// A read-only transaction (one that never appended a log record) appends
+// nothing, since recovery has nothing to win or lose.  It must still
+// respect acknowledged-implies-durable causality: early lock release means
+// it may have read a writer whose commit record is ordered but not yet
+// flushed, so its completion registers on the LSN that was current at its
+// commit (free on an already-quiet tail; one shared group-commit flush
+// otherwise).  Lazy commit skips that wait too.
+//
+// done runs exactly once: at once on the calling goroutine when nothing is
+// left to wait for, otherwise on the goroutine that passes the last gate.
+// It receives ErrNotDurable when the log closed before the record became
+// durable.  done must not block, and must not use t after it returns
+// (the caller may recycle it).
+func (m *Manager) CommitThen(t *Txn, done func(error)) {
 	if !t.state.CompareAndSwap(int32(Active), int32(Committed)) {
-		return ErrNotActive
+		done(ErrNotActive)
+		return
 	}
-	// Read-only fast path: a transaction that never logged a modification
-	// has nothing recovery could win or lose, so it commits without
-	// appending a commit record.  It must still respect acknowledged-
-	// implies-durable causality: early lock release means it may have read
-	// a writer whose commit record is ordered but not yet flushed, so
-	// before acknowledging, wait for the durable horizon to cover
-	// everything appended so far (free on an already-quiet tail; one
-	// shared group-commit flush otherwise).  Lazy commit skips the wait,
-	// exactly as it does for writers.
-	if t.LastLSN() == wal.InvalidLSN {
-		if m.locks != nil {
-			m.locks.ReleaseAll(t.id, t.LockNames())
-		}
-		m.retire(t)
-		if !m.lazy.Load() {
-			if cur := m.log.CurrentLSN(); cur > wal.LSN(1) {
-				logStart := time.Now()
-				durable := m.log.WaitDurable(cur - 1)
-				t.Breakdown.AddWait(WaitLog, time.Since(logStart))
-				if durable < cur {
-					// The log closed under us: the data this transaction
-					// may have observed can never become durable.
-					m.committed.Add(1)
-					return ErrNotDurable
-				}
-			}
-		}
-		m.committed.Add(1)
-		return nil
+	t.readOnly = t.LastLSN() == wal.InvalidLSN
+	if t.readOnly {
+		t.commitLSN = m.log.CurrentLSN() - 1
+	} else {
+		rec := &wal.Record{Txn: t.id, Type: wal.RecCommit, PrevLSN: t.LastLSN()}
+		t.commitLSN = m.log.Append(rec)
+		t.SetLastLSN(t.commitLSN)
 	}
-	rec := &wal.Record{Txn: t.id, Type: wal.RecCommit, PrevLSN: t.LastLSN()}
-	lsn := m.log.Append(rec)
-	t.SetLastLSN(lsn)
-
 	if m.locks != nil {
 		m.locks.ReleaseAll(t.id, t.LockNames())
 	}
 	m.retire(t)
 
-	if !m.lazy.Load() {
-		logStart := time.Now()
-		durable := m.log.WaitDurable(lsn)
-		waited := time.Since(logStart)
-		t.Breakdown.AddWait(WaitLog, waited)
-		m.localAck.observe(waited)
-		if durable <= lsn {
-			// The log closed under us: "acknowledged means durable" can
-			// no longer be kept, so the caller must surface a failure.
-			m.committed.Add(1)
-			return ErrNotDurable
-		}
+	t.done = done
+	if m.lazy.Load() || (t.readOnly && t.commitLSN == wal.InvalidLSN) {
+		t.passDurable()
+		return
 	}
-	// Extended acknowledgement gate (replica-acked commit): the record is
-	// durable locally; hold the client's ack until the waiter confirms it
-	// reached a replica too.
-	if w := m.ackWaiter.Load(); w != nil {
-		ackStart := time.Now()
-		err := (*w)(lsn)
-		waited := time.Since(ackStart)
-		t.Breakdown.AddWait(WaitLog, waited)
-		m.replicaAck.observe(waited)
-		if err != nil {
-			m.committed.Add(1)
-			return err
-		}
+	t.gateStart = time.Now()
+	m.log.OnDurable(t.commitLSN, t.onDurable)
+}
+
+// durable is the commit continuation's local-durability step.
+func (t *Txn) durable(err error) {
+	waited := time.Since(t.gateStart)
+	t.Breakdown.AddWait(WaitLog, waited)
+	if !t.readOnly {
+		t.m.localAck.observe(waited)
 	}
-	m.committed.Add(1)
-	return nil
+	if err != nil {
+		// The log closed under us: "acknowledged means durable" can no
+		// longer be kept, so the caller must surface a failure.
+		t.finishCommit(ErrNotDurable)
+		return
+	}
+	t.passDurable()
+}
+
+// passDurable runs once the commit record is durable (or need not be): it
+// registers a writer on the extended gate, when one is installed, and
+// completes the commit otherwise.
+func (t *Txn) passDurable() {
+	if gate := t.m.ackGate.Load(); gate != nil && !t.readOnly {
+		t.gateStart = time.Now()
+		(*gate)(t.commitLSN, t.onReplicated)
+		return
+	}
+	t.finishCommit(nil)
+}
+
+// replicated is the commit continuation's extended-gate step.
+func (t *Txn) replicated(err error) {
+	waited := time.Since(t.gateStart)
+	t.Breakdown.AddWait(WaitLog, waited)
+	t.m.replicaAck.observe(waited)
+	t.finishCommit(err)
+}
+
+// finishCommit counts the commit and runs the caller's continuation.
+func (t *Txn) finishCommit(err error) {
+	t.m.committed.Add(1)
+	done := t.done
+	t.done = nil
+	done(err)
+}
+
+// Commit is CommitThen plus a wait: it returns once the commit may be
+// acknowledged, with CommitThen's error.
+func (m *Manager) Commit(t *Txn) error {
+	ch := make(chan error, 1)
+	m.CommitThen(t, func(err error) { ch <- err })
+	return <-ch
 }
 
 // Abort runs the transaction's undo actions in reverse order, writes an
@@ -474,6 +515,7 @@ func (m *Manager) Recycle(t *Txn) {
 	t.undo = t.undo[:0]
 	t.lastLSN = wal.InvalidLSN
 	t.mu.Unlock()
+	t.commitLSN, t.readOnly, t.gateStart = wal.InvalidLSN, false, time.Time{}
 	for i := 0; i < NumWaitKinds; i++ {
 		t.Breakdown.waits[i].Store(0)
 	}

@@ -328,3 +328,47 @@ func TestXctMgrCriticalSections(t *testing.T) {
 		t.Fatal("transaction manager critical sections not recorded")
 	}
 }
+
+// TestCommitThenRunsOnTheFlusher holds the log's flusher between write and
+// fsync: CommitThen returns at once with the locks released and the
+// transaction retired, and no continuation — a writer's or a read-only
+// transaction's, registered on the LSN current at its commit — runs until
+// the fsync completes.  No goroutine waits for them meanwhile.
+func TestCommitThenRunsOnTheFlusher(t *testing.T) {
+	log, err := wal.NewDurable(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	log.SetSyncHook(func() {
+		once.Do(func() { close(held) })
+		<-release
+	})
+	m := NewManager(log, nil, nil)
+	done := make(chan error, 2)
+	w := m.Begin()
+	w.SetLastLSN(log.Append(&wal.Record{Txn: w.ID(), Type: wal.RecUpdate, Payload: []byte("w")}))
+	m.CommitThen(w, func(err error) { done <- err })
+	ro := m.Begin()
+	m.CommitThen(ro, func(err error) { done <- err })
+	if n := m.NumActive(); n != 0 {
+		t.Fatalf("%d transactions still active after CommitThen returned", n)
+	}
+	<-held
+	select {
+	case err := <-done:
+		t.Fatalf("a commit completed (%v) before its fsync", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := m.Stats(); st.Committed != 2 {
+		t.Fatalf("committed %d, want 2", st.Committed)
+	}
+}

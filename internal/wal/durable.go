@@ -10,18 +10,22 @@
 //     short mutex.
 //   - A background flush daemon swaps the tail out, writes its bytes to the
 //     active segment file in ONE write, fsyncs ONCE, and then advances the
-//     durable LSN and wakes every committer waiting at or below it.  That
-//     is group commit in the Aether style: the fsync cost is amortized over
-//     every transaction that joined the batch while the previous fsync was
-//     in flight.  A record leaves memory once it is durable; readers of
-//     durable history (recovery, replication streamers) read the segment
-//     files.
-//   - WaitDurable(lsn) is the commit-side half: kick the daemon, then sleep
-//     until the durable horizon passes lsn.  N concurrent committers pay
-//     ~1 fsync, not N.
+//     durable LSN and runs, in LSN order, every callback registered at or
+//     below it.  That is group commit in the Aether style: the fsync cost
+//     is amortized over every transaction that joined the batch while the
+//     previous fsync was in flight.  A record leaves memory once it is
+//     durable; readers of durable history (recovery, replication streamers)
+//     read the segment files.
+//   - OnDurable(lsn, fn) is the commit-side half: kick the daemon and
+//     register fn, which the daemon runs once the durable horizon passes
+//     lsn.  N concurrent committers pay ~1 fsync, not N, and none of them
+//     parks a goroutine: Aether's flush pipelining, where the thread that
+//     commits does not wait for the flush.  WaitDurable is OnDurable plus
+//     a wait, for callers that have a goroutine to park.
 //   - SyncEveryCommit mode disables the daemon and makes every WaitDurable
-//     perform its own write+fsync — the naive per-transaction-fsync
-//     baseline the group-commit benchmark pair compares against.
+//     and OnDurable perform its own write+fsync — the naive
+//     per-transaction-fsync baseline the group-commit benchmark pair
+//     compares against.
 //
 // The log is segmented: the active segment rotates at SegmentBytes, and
 // Truncate (driven by checkpointing) raises the truncation horizon and
@@ -33,6 +37,7 @@ package wal
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -82,15 +87,18 @@ type Durable struct {
 	opts DurableOptions
 
 	// mu guards the append state: LSN assignment and the unflushed tail.
-	// It is never held across disk I/O.  Committers sleep on cond under
-	// waitMu instead, so a group flush's wake-up does not contend with
-	// appenders.
+	// It is never held across disk I/O.
 	mu     sync.Mutex
 	next   LSN    // next LSN to assign
 	tail   []byte // frames appended but not yet handed to a flush
-	waitMu sync.Mutex
-	cond   *sync.Cond // broadcast whenever the durable horizon advances
 	closed atomic.Bool
+
+	// cbMu guards the durability callbacks (OnDurable), a separate mutex
+	// so a group flush's callback sweep does not contend with appenders.
+	// cbDone is set once Close has swept them for the last time.
+	cbMu    sync.Mutex
+	pending []durableCallback
+	cbDone  bool
 
 	// ioMu serializes batch writes, fsyncs, segment rotation, re-seeding
 	// and Truncate's swap of the segment list, so a truncation never
@@ -123,6 +131,9 @@ type Durable struct {
 	// rotateHook, when set, is called with each closed segment (see
 	// SetRotateHook in repl.go).
 	rotateHook atomic.Pointer[func(path string, first, last LSN)]
+	// syncHook, when set, runs between a batch's write and its fsync (see
+	// SetSyncHook).
+	syncHook atomic.Pointer[func()]
 
 	flushReq chan struct{}
 	stop     chan struct{}
@@ -161,7 +172,6 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	d.cond = sync.NewCond(&d.waitMu)
 	if err := d.load(); err != nil {
 		return nil, err
 	}
@@ -298,26 +308,30 @@ func (d *Durable) kick() {
 }
 
 // flushLoop is the group-commit daemon: each iteration drains everything
-// appended so far into one write+fsync.  While an fsync is in flight new
-// appends pile up on the tail, so the next iteration flushes them as one
-// batch — the batch size adapts to the fsync latency by construction.
+// appended so far into one write+fsync, then runs the callbacks the new
+// durable horizon covers.  While an fsync is in flight new appends pile up
+// on the tail, so the next iteration flushes them as one batch — the batch
+// size adapts to the fsync latency by construction.
 func (d *Durable) flushLoop() {
 	defer close(d.done)
 	for {
 		select {
 		case <-d.stop:
 			d.flushOnce(false) // final drain so Close loses nothing
+			d.fireDurable()
 			return
 		case <-d.flushReq:
 			d.flushOnce(false)
+			d.fireDurable()
 		}
 	}
 }
 
-// flushOnce writes the outstanding tail to the active segment, fsyncs,
-// advances the durable horizon and wakes waiting committers.  It is called
-// by the daemon (group mode) or inline by WaitDurable/Flush
-// (SyncEveryCommit mode), always serialized on ioMu.
+// flushOnce writes the outstanding tail to the active segment, fsyncs and
+// advances the durable horizon; its caller then runs the callbacks the
+// horizon covers (fireDurable), outside ioMu.  It is called by the daemon
+// (group mode) or inline by WaitDurable/OnDurable/Flush (SyncEveryCommit
+// mode), always serialized on ioMu.
 //
 // forceSync makes an empty-batch call fsync anyway: the SyncEveryCommit
 // baseline must pay one fsync per commit even when a racing committer's
@@ -378,7 +392,6 @@ func (d *Durable) flushOnce(forceSync bool) {
 	d.flushes.Add(1)
 
 	d.durable.Store(uint64(target)) // flushes are serialized: it only grows
-	d.wake()
 }
 
 // writeAndSync appends buf to the active segment and fsyncs it.
@@ -389,6 +402,9 @@ func (d *Durable) writeAndSync(buf []byte) error {
 	if _, err := d.seg.Write(buf); err != nil {
 		return err
 	}
+	if hook := d.syncHook.Load(); hook != nil {
+		(*hook)()
+	}
 	if err := d.seg.Sync(); err != nil {
 		return err
 	}
@@ -396,11 +412,74 @@ func (d *Durable) writeAndSync(buf []byte) error {
 	return nil
 }
 
-// wake wakes every committer parked on the durable horizon.
-func (d *Durable) wake() {
-	d.waitMu.Lock()
-	d.cond.Broadcast()
-	d.waitMu.Unlock()
+// SetSyncHook installs (or, with nil, clears) a function the flush path
+// calls after writing a batch and before fsyncing it, with the log's I/O
+// lock held.  Tests use it to hold the flusher between append and fsync;
+// nothing else should.
+func (d *Durable) SetSyncHook(fn func()) {
+	if fn == nil {
+		d.syncHook.Store(nil)
+		return
+	}
+	d.syncHook.Store(&fn)
+}
+
+// durableCallback is one OnDurable registration.
+type durableCallback struct {
+	lsn LSN
+	fn  func(error)
+}
+
+// OnDurable implements Log: fn runs once the record appended at lsn is
+// durable (the durable horizon has passed lsn), with a nil error — at once
+// on the calling goroutine when it already is, otherwise on the flush
+// daemon, in LSN order with the other callbacks the same flush covers.  If
+// the log closes first, fn runs with ErrNotDurable.  fn must not block:
+// the daemon runs the next flush only after it returns.  In
+// SyncEveryCommit mode the caller pays its own write+fsync and fn runs
+// before OnDurable returns.
+func (d *Durable) OnDurable(lsn LSN, fn func(error)) {
+	if d.opts.SyncEveryCommit && !d.closed.Load() {
+		d.flushOnce(true)
+	}
+	d.cbMu.Lock()
+	if LSN(d.durable.Load()) > lsn {
+		d.cbMu.Unlock()
+		fn(nil)
+		return
+	}
+	if d.cbDone || d.opts.SyncEveryCommit {
+		d.cbMu.Unlock()
+		fn(ErrNotDurable)
+		return
+	}
+	d.pending = append(d.pending, durableCallback{lsn: lsn, fn: fn})
+	d.cbMu.Unlock()
+	d.kick()
+}
+
+// fireDurable runs, in LSN order, every registered callback the durable
+// horizon covers.  The daemon calls it after each flush; a re-seed, which
+// moves the horizon, calls it too.
+func (d *Durable) fireDurable() {
+	durable := LSN(d.durable.Load())
+	d.cbMu.Lock()
+	var ready []durableCallback
+	kept := d.pending[:0]
+	for _, cb := range d.pending {
+		if cb.lsn < durable {
+			ready = append(ready, cb)
+		} else {
+			kept = append(kept, cb)
+		}
+	}
+	clear(d.pending[len(kept):])
+	d.pending = kept
+	d.cbMu.Unlock()
+	slices.SortFunc(ready, func(a, b durableCallback) int { return cmp.Compare(a.lsn, b.lsn) })
+	for _, cb := range ready {
+		cb.fn(nil)
+	}
 }
 
 // fail marks a disk failure.  There is no good recovery from a log device
@@ -412,26 +491,20 @@ func (d *Durable) fail(err error) {
 }
 
 // WaitDurable implements Log: block until the record appended at lsn is
-// durable.  In group mode this is the committer half of group commit — kick
-// the daemon, sleep, and wake together with every other committer the same
-// fsync covered.  In SyncEveryCommit mode each caller performs its own
-// write+fsync (the ablation baseline).
+// durable, or the log closes.  It is OnDurable plus a wait.  In
+// SyncEveryCommit mode each caller performs its own write+fsync (the
+// ablation baseline) — no fast path, covered or not.
 func (d *Durable) WaitDurable(lsn LSN) LSN {
 	if d.opts.SyncEveryCommit {
-		// No fast path: the per-transaction-fsync baseline pays its own
-		// fsync for every commit, covered or not.
 		d.flushOnce(true)
 		return LSN(d.durable.Load())
 	}
 	if LSN(d.durable.Load()) > lsn {
 		return LSN(d.durable.Load())
 	}
-	d.kick()
-	d.waitMu.Lock()
-	for LSN(d.durable.Load()) <= lsn && !d.closed.Load() {
-		d.cond.Wait()
-	}
-	d.waitMu.Unlock()
+	done := make(chan struct{})
+	d.OnDurable(lsn, func(error) { close(done) })
+	<-done
 	return LSN(d.durable.Load())
 }
 
@@ -549,7 +622,19 @@ func (d *Durable) Close() error {
 		close(d.stop)
 		<-d.done // daemon does the final drain
 	}
-	d.wake() // anything still parked in WaitDurable
+	// Whatever the final drain did not cover never becomes durable.
+	d.cbMu.Lock()
+	d.cbDone = true
+	rest := d.pending
+	d.pending = nil
+	d.cbMu.Unlock()
+	for _, cb := range rest {
+		if LSN(d.durable.Load()) > cb.lsn {
+			cb.fn(nil)
+		} else {
+			cb.fn(ErrNotDurable)
+		}
+	}
 
 	d.ioMu.Lock()
 	defer d.ioMu.Unlock()

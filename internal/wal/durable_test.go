@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -336,5 +337,81 @@ func TestTruncateDuringGroupFlushNeverRegressesDurable(t *testing.T) {
 		if recs[i].LSN <= recs[i-1].LSN {
 			t.Fatalf("records out of order after truncate storm")
 		}
+	}
+}
+
+// TestOnDurableFiresInLSNOrderAfterFsync holds the flusher between its
+// write and its fsync: no callback may run before the fsync, then every
+// callback the flush covers runs, in LSN order, whatever order they were
+// registered in.  A callback registered on an already durable record runs
+// at once, and Close fails the ones no flush will cover.
+func TestOnDurableFiresInLSNOrderAfterFsync(t *testing.T) {
+	l, err := NewDurable(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	l.SetSyncHook(func() {
+		once.Do(func() { close(held) })
+		<-release
+	})
+	var lsns []LSN
+	for i := 0; i < 8; i++ {
+		lsns = append(lsns, l.Append(&Record{Txn: uint64(i + 1), Type: RecCommit}))
+	}
+	var mu sync.Mutex
+	var fired []LSN
+	for _, i := range []int{5, 1, 7, 0, 3, 6, 2, 4} {
+		lsn := lsns[i]
+		l.OnDurable(lsn, func(err error) {
+			if err != nil {
+				t.Errorf("callback for %d: %v", lsn, err)
+			}
+			mu.Lock()
+			fired = append(fired, lsn)
+			mu.Unlock()
+		})
+	}
+	<-held
+	time.Sleep(10 * time.Millisecond)
+	mu.Lock()
+	if len(fired) != 0 {
+		t.Fatalf("%d callbacks ran before the fsync", len(fired))
+	}
+	mu.Unlock()
+	close(release)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		n := len(fired)
+		mu.Unlock()
+		if n == len(lsns) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d callbacks ran", n, len(lsns))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := range fired {
+		if fired[i] != lsns[i] {
+			t.Fatalf("callbacks ran in order %v, want %v", fired, lsns)
+		}
+	}
+	l.SetSyncHook(nil)
+
+	ran := false
+	l.OnDurable(lsns[0], func(err error) { ran = err == nil })
+	if !ran {
+		t.Fatal("a callback on a durable record did not run at once")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var closedErr error
+	l.OnDurable(l.CurrentLSN(), func(err error) { closedErr = err })
+	if !errors.Is(closedErr, ErrNotDurable) {
+		t.Fatalf("callback past a closed log's horizon got %v, want ErrNotDurable", closedErr)
 	}
 }

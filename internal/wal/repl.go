@@ -121,11 +121,12 @@ func (d *Durable) AppendShipped(recs []Record) error {
 // LSN of an incoming seed stream.  A follower too far behind (or on a
 // diverged lineage) calls this before applying SEED frames: its history is
 // being replaced wholesale, so nothing local is worth keeping.  The caller
-// must have quiesced its own appenders and hold no WaitDurable parkers
+// must have quiesced its own appenders and hold no durability callbacks
 // above start (the repl follower flushes synchronously before acking, so
 // its durable horizon equals its append horizon whenever a re-seed begins).
 func (d *Durable) ResetForSeed(start LSN) error {
-	d.truncMu.Lock() // no truncation may unlink the segment it creates
+	defer d.fireDurable() // callbacks the new horizon covers, outside ioMu
+	d.truncMu.Lock()      // no truncation may unlink the segment it creates
 	defer d.truncMu.Unlock()
 	d.ioMu.Lock()
 	defer d.ioMu.Unlock()
@@ -153,7 +154,6 @@ func (d *Durable) ResetForSeed(start LSN) error {
 		return err
 	}
 	d.durable.Store(uint64(start))
-	d.wake()
 	return nil
 }
 

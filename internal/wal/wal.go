@@ -154,6 +154,10 @@ func UnmarshalRecord(buf []byte) (Record, error) {
 	return r, nil
 }
 
+// ErrNotDurable is passed to an OnDurable callback whose record the log
+// closed before making durable.
+var ErrNotDurable = errors.New("wal: log closed before the record became durable")
+
 // Log is the interface every log-device implementation satisfies: the two
 // in-memory buffers in this file and the disk-backed segmented device in
 // durable.go.
@@ -163,11 +167,16 @@ type Log interface {
 	// Flush makes every record with LSN <= upto durable and returns the new
 	// durable LSN.
 	Flush(upto LSN) LSN
-	// WaitDurable blocks until the record appended at lsn is durable (the
-	// durable horizon has advanced past lsn) and returns the durable LSN.
-	// On the in-memory devices it is equivalent to Flush; on the
-	// disk-backed device concurrent waiters ride the same group fsync,
-	// which is what makes group commit group.
+	// OnDurable calls fn once the record appended at lsn is durable (the
+	// durable horizon has advanced past lsn), or with ErrNotDurable if the
+	// log closes first.  On the in-memory devices fn runs at once; on the
+	// disk-backed device concurrent registrations ride the same group
+	// fsync, which is what makes group commit group, and fn runs on the
+	// flush daemon, so it must not block.
+	OnDurable(lsn LSN, fn func(error))
+	// WaitDurable blocks until the record appended at lsn is durable and
+	// returns the durable LSN: OnDurable plus a wait.  A durable LSN at or
+	// below lsn means the log closed first.
 	WaitDurable(lsn LSN) LSN
 	// DurableLSN returns the highest durable LSN.
 	DurableLSN() LSN
@@ -300,6 +309,12 @@ func (l *Consolidated) Flush(upto LSN) LSN {
 // waiting degenerates to advancing the durable horizon past lsn.
 func (l *Consolidated) WaitDurable(lsn LSN) LSN { return l.Flush(LSN(l.next.Load())) }
 
+// OnDurable implements Log: the in-memory device is durable at once.
+func (l *Consolidated) OnDurable(lsn LSN, fn func(error)) {
+	l.WaitDurable(lsn)
+	fn(nil)
+}
+
 // DurableLSN implements Log.
 func (l *Consolidated) DurableLSN() LSN { return LSN(l.durable.Load()) }
 
@@ -419,6 +434,12 @@ func (l *Naive) Flush(upto LSN) LSN {
 
 // WaitDurable implements Log.
 func (l *Naive) WaitDurable(lsn LSN) LSN { return l.Flush(l.CurrentLSN()) }
+
+// OnDurable implements Log: the in-memory device is durable at once.
+func (l *Naive) OnDurable(lsn LSN, fn func(error)) {
+	l.WaitDurable(lsn)
+	fn(nil)
+}
 
 // DurableLSN implements Log.
 func (l *Naive) DurableLSN() LSN {

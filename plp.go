@@ -106,8 +106,8 @@
 // # Execution fast paths
 //
 // The paper's partitioned designs replace unscalable critical sections with
-// fixed-cost message passing; the executor makes sure that fixed cost is
-// paid as few times as possible.  At submit time the partition manager
+// fixed-cost message passing; the partition manager makes sure that fixed
+// cost is paid as few times as possible.  At submit time the partition manager
 // analyzes the request's routing keys (they are static for everything but
 // KeyFn actions):
 //
@@ -126,15 +126,27 @@
 //     are grouped by owning worker and each group rides one SubmitBatch —
 //     k channel operations for a k-partition phase instead of one per
 //     action.
+//   - Continuations: nothing waits for a phase or a commit.  The action
+//     that finishes a phase last dispatches the next phase or commits
+//     (DORA's rendezvous points), and the commit's completion runs on the
+//     log's flusher once the commit record is durable (Aether's flush
+//     pipelining), so a request costs its worker tasks and no goroutine
+//     wake-up of its own.  Session.Submit takes a completion; Execute is
+//     Submit plus a wait.
+//   - Inline probes: an op on a secondary index that is not
+//     partition-aligned touches no partition-owned data (the index is
+//     latched), so a probe runs where its phase is dispatched — at submit,
+//     for a leading probe — and a probe-then-update request is single-site.
 //
-// Two things disable the fast paths for a request: KeyFn routing (the key
-// only exists after an earlier phase ran) and closure Actions with a nil
-// routing key; both fall back to the per-phase dispatch path.  Online
-// repartitioning composes with batching the same way it composes with
-// per-action dispatch: the worker re-checks the routing epoch at dequeue,
-// a mis-routed phase batch is split with only the mis-routed actions
-// forwarded to their current owner, and a mis-routed single-site batch is
-// handed back unexecuted and re-driven phase by phase.  The fast paths are
+// Two things disable the single-site fast path for a request: routing by
+// a key an earlier, not yet executed phase produces (KeyFn routing; a
+// KeyFn fed only by inline phases that already ran is fine) and closure
+// Actions with a nil routing key; both fall back to the per-phase dispatch
+// path.  Online repartitioning composes with batching the same way it
+// composes with per-action dispatch: the worker re-checks the routing
+// epoch at dequeue, a mis-routed phase batch is split with only the
+// mis-routed actions forwarded to their current owner, and a mis-routed
+// single-site batch is re-driven unexecuted phase by phase.  The fast paths are
 // an execution strategy, not a semantics change — the differential trace
 // passes unchanged across all five designs — and Options.NoFastPath
 // restores per-action dispatch as the ablation/benchmark baseline
@@ -188,10 +200,10 @@
 // wire; one version, no legacy dialects): sessions open with a handshake
 // that optionally authenticates a token (Server.SetAuthToken / plpd -token)
 // gating the administrative control verbs, and connections are pipelined —
-// the server decouples frame reading from execution, runs each in-flight
-// request on its own engine session through a bounded per-connection
-// executor pool, and returns responses out of order matched by request ID,
-// so a single connection can keep every partition worker busy.  Every
+// the connection's reader submits each request to the engine and returns
+// to reading, the request's completion queues its reply (no goroutine
+// waits per request), and responses return out of order matched by
+// request ID, so a single connection can keep every partition worker busy.  Every
 // transaction request is a plan frame (bounded range scans run as Section
 // 3.3 distributed partition scans), so one path — one compiler, one set of
 // cancel, retry-hint and shard-ownership rules — serves them all; pings and
