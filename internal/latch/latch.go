@@ -138,15 +138,6 @@ func (snap Snapshot) Total() uint64 {
 	return t
 }
 
-// TotalWait returns the total time spent waiting for contended latches.
-func (snap Snapshot) TotalWait() time.Duration {
-	var t int64
-	for i := 0; i < NumKinds; i++ {
-		t += snap.WaitNanos[i]
-	}
-	return time.Duration(t)
-}
-
 // Kinds lists all page kinds in reporting order.
 func Kinds() []PageKind {
 	out := make([]PageKind, NumKinds)

@@ -283,19 +283,6 @@ func (s *Server) Serve() error {
 	}
 }
 
-// ListenAndServe combines Listen and Serve; the bound address is sent on
-// ready (if non-nil) before accepting starts.
-func (s *Server) ListenAndServe(addr string, ready chan<- string) error {
-	bound, err := s.Listen(addr)
-	if err != nil {
-		return err
-	}
-	if ready != nil {
-		ready <- bound
-	}
-	return s.Serve()
-}
-
 // Close stops accepting, closes every active connection and waits for the
 // per-connection goroutines to finish.
 func (s *Server) Close() error {

@@ -48,14 +48,6 @@ type AckWaitHist struct {
 	Buckets []uint64
 }
 
-// MeanMS returns the mean wait in milliseconds (0 when empty).
-func (s AckWaitHist) MeanMS() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.SumNS) / float64(s.Count) / 1e6
-}
-
 func (h *ackHist) snapshot() AckWaitHist {
 	s := AckWaitHist{
 		Count:   h.count.Load(),

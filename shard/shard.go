@@ -193,20 +193,6 @@ func (m *Map) Range(id int) (lo, hi []byte, ok bool) {
 	return nil, nil, false
 }
 
-// ReplicaAddrs returns the follower addresses of the shard with the given
-// ID (nil when the shard is absent or unreplicated).
-func (m *Map) ReplicaAddrs(id int) []string {
-	s, ok := m.ByID(id)
-	if !ok || len(s.Replicas) == 0 {
-		return nil
-	}
-	out := make([]string, len(s.Replicas))
-	for i, r := range s.Replicas {
-		out[i] = r.Addr
-	}
-	return out
-}
-
 // Promote rewrites the map for a failover in shard shardID: the replica at
 // addr becomes the shard's primary, the old primary takes the promoted
 // replica's slot (so a revived old primary re-seeds as a follower), and the
