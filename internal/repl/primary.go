@@ -59,6 +59,9 @@ type Primary struct {
 	sweeping  bool
 	sweepAt   time.Time
 	sweepKick chan struct{}
+	// closed is set by Close; closing ends the sweeper.
+	closed  bool
+	closing chan struct{}
 
 	ackWaits    atomic.Uint64
 	ackTimeouts atomic.Uint64
@@ -75,6 +78,7 @@ func NewPrimary(log *wal.Durable, epoch uint64) *Primary {
 		quorum:     1,
 		subs:       make(map[int]*Subscription),
 		sweepKick:  make(chan struct{}, 1),
+		closing:    make(chan struct{}),
 	}
 	return p
 }
@@ -400,8 +404,8 @@ type replWaiter struct {
 // have the record appended at lsn on stable storage — at once when they
 // already do, otherwise on the goroutine whose ack completes the quorum —
 // or with an ErrNoFollower error once the ack timeout elapses, on the
-// gate's sweeper.  Either way the commit IS durable locally.  fn must not
-// block.
+// gate's sweeper, or once the primary is closed.  Either way the commit IS
+// durable locally.  fn must not block.
 func (p *Primary) OnReplicated(lsn wal.LSN, fn func(error)) {
 	p.ackWaits.Add(1)
 	p.mu.Lock()
@@ -409,6 +413,12 @@ func (p *Primary) OnReplicated(lsn wal.LSN, fn func(error)) {
 	if p.quorumAcked > uint64(lsn) {
 		p.mu.Unlock()
 		fn(nil)
+		return
+	}
+	if p.closed {
+		quorum := p.quorum
+		p.mu.Unlock()
+		fn(unconfirmed(quorum, "not reached before the primary closed"))
 		return
 	}
 	p.waiters = append(p.waiters, replWaiter{lsn: lsn, deadline: deadline, fn: fn})
@@ -438,6 +448,8 @@ func (p *Primary) sweep() {
 		select {
 		case <-timer.C:
 		case <-p.sweepKick:
+		case <-p.closing:
+			return
 		}
 		now := time.Now()
 		var expired []replWaiter
@@ -461,13 +473,39 @@ func (p *Primary) sweep() {
 		p.mu.Unlock()
 		for _, w := range expired {
 			p.ackTimeouts.Add(1)
-			w.fn(fmt.Errorf("%w: quorum %d not reached within %v (commit IS durable locally; replication unconfirmed)", ErrNoFollower, quorum, timeout))
+			w.fn(unconfirmed(quorum, fmt.Sprintf("not reached within %v", timeout)))
 		}
 		if next.IsZero() {
 			return
 		}
 		timer.Reset(time.Until(next))
 	}
+}
+
+// Close retires the gate of a primary that demoted or shut down: every
+// registered commit fails at once with the ErrNoFollower error, the
+// sweeper exits, and later OnReplicated calls fail immediately.  Safe to
+// call more than once.
+func (p *Primary) Close() {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return
+	}
+	p.closed = true
+	close(p.closing)
+	waiters, quorum := p.waiters, p.quorum
+	p.waiters, p.sweeping = nil, false
+	p.mu.Unlock()
+	for _, w := range waiters {
+		w.fn(unconfirmed(quorum, "not reached before the primary closed"))
+	}
+}
+
+// unconfirmed is the error a commit gets when its replication could not be
+// confirmed; the commit itself is durable locally.
+func unconfirmed(quorum int, why string) error {
+	return fmt.Errorf("%w: quorum %d %s (commit IS durable locally; replication unconfirmed)", ErrNoFollower, quorum, why)
 }
 
 // WaitReplicated blocks until the quorum gate passes the record appended at

@@ -632,3 +632,49 @@ func TestOnReplicatedOneSweeper(t *testing.T) {
 		t.Fatalf("sweeper still running with no waiters (%d goroutines over base)", n-base)
 	}
 }
+
+// TestPrimaryClose retires the gate of a demoted primary: a commit waiting
+// on it fails at once with the durable-locally error instead of after the
+// ack timeout, the sweeper exits, and a commit registered after Close
+// fails immediately.
+func TestPrimaryClose(t *testing.T) {
+	log := newLog(t)
+	p := NewPrimary(log, 1)
+	p.SetAckTimeout(time.Minute)
+	lsn := appendTxn(t, log, 1, "k", "v")
+	base := runtime.NumGoroutine()
+	waited := make(chan error, 1)
+	p.OnReplicated(lsn, func(err error) { waited <- err })
+	time.Sleep(10 * time.Millisecond) // let the sweeper park on its timer
+	start := time.Now()
+	p.Close()
+	select {
+	case err := <-waited:
+		if !errors.Is(err, ErrNoFollower) || !strings.Contains(err.Error(), "durable locally") {
+			t.Fatalf("waiter failed with %v", err)
+		}
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Fatalf("waiter failed %v after Close, want within 100ms", d)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("waiter still registered 100ms after Close")
+	}
+	late := make(chan error, 1)
+	p.OnReplicated(lsn, func(err error) { late <- err })
+	select {
+	case err := <-late:
+		if !errors.Is(err, ErrNoFollower) {
+			t.Fatalf("OnReplicated after Close: %v", err)
+		}
+	default:
+		t.Fatal("OnReplicated after Close did not fire at once")
+	}
+	p.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("sweeper still running after Close (%d goroutines over base)", n-base)
+	}
+}

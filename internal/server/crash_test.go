@@ -1,4 +1,4 @@
-package server
+package server_test
 
 // The kill-the-process integration test for the durability stack: a child
 // process runs a durable server (what plpd -data-dir runs in-process), the
@@ -13,8 +13,9 @@ package server
 //     half-transaction must never survive).
 //
 // The child is this very test binary re-executed with PLP_CRASH_SERVER_DIR
-// set (see TestMain), so the test needs no go toolchain at run time and
-// runs under -race in CI.
+// set (see TestMain): it runs a node from a plpd argument list, the same
+// code plpd runs, so the test needs no go toolchain at run time and runs
+// under -race in CI.
 
 import (
 	"bufio"
@@ -23,487 +24,88 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
 	"plp/client"
 	"plp/internal/catalog"
-	"plp/internal/cluster"
 	"plp/internal/engine"
 	"plp/internal/keyenc"
-	"plp/internal/recovery"
+	"plp/internal/node"
 	"plp/internal/repl"
+	"plp/internal/server"
 	"plp/shard"
 	"plp/wire"
 )
 
-// crashEnvDir is the environment variable that switches the test binary
-// into child-server mode.  With crashEnvPeer also set the child runs as the
-// coordinator shard of a two-shard cluster (the peer address names shard 1),
-// and crashEnvPoint, when non-empty, makes it SIGKILL itself at that named
-// point of the coordinator protocol ("coord-prepared" or "coord-decided").
+// The child's environment: crashEnvDir switches the test binary into child
+// mode and names the data dir, crashEnvArgs holds the rest of the plpd
+// argument list (one argument per line), and crashEnvPoint, when set, makes
+// the child SIGKILL itself at that named point of the coordinator protocol
+// ("coord-prepared" or "coord-decided").
 const (
 	crashEnvDir   = "PLP_CRASH_SERVER_DIR"
-	crashEnvPeer  = "PLP_CRASH_SHARD_PEER"
+	crashEnvArgs  = "PLP_CRASH_ARGS"
 	crashEnvPoint = "PLP_CRASH_POINT"
-	// crashEnvRepl selects a replication child: "primary" runs a
-	// replica-acked primary, "primary-local" a primary with local-fsync
-	// commits, "follow=<addr>" a promotable follower, and "cluster" a full
-	// auto-failover node configured by the crashEnvNode/Members/Follow/Map
-	// variables below.
-	crashEnvRepl = "PLP_CRASH_REPL"
-	// Cluster-child configuration: the fixed listen address, this member's
-	// ID, the comma-separated id@addr membership, the initial primary to
-	// follow (empty starts as primary), and the encoded shard map to serve.
-	crashEnvAddr    = "PLP_CRASH_ADDR"
-	crashEnvNode    = "PLP_CRASH_NODE"
-	crashEnvMembers = "PLP_CRASH_MEMBERS"
-	crashEnvFollow  = "PLP_CRASH_FOLLOW"
-	crashEnvMap     = "PLP_CRASH_SHARD_MAP"
 )
 
 func TestMain(m *testing.M) {
 	if dir := os.Getenv(crashEnvDir); dir != "" {
-		if peer := os.Getenv(crashEnvPeer); peer != "" {
-			runShardCoordServer(dir, peer, os.Getenv(crashEnvPoint))
-		} else if mode := os.Getenv(crashEnvRepl); mode == "cluster" {
-			runClusterChild(dir)
-		} else if mode != "" {
-			runReplChild(dir, mode)
-		} else {
-			runCrashServer(dir)
-		}
-		os.Exit(0)
+		runNodeChild(dir)
 	}
 	os.Exit(m.Run())
 }
 
-// runCrashServer is the child: a durable engine recovered from dir and
-// served over loopback — the in-process equivalent of
-// `plpd -data-dir dir`.  It announces its address on stdout and serves
-// until killed.
-func runCrashServer(dir string) {
-	e, err := engine.Open(engine.Options{Design: engine.PLPLeaf, Partitions: 4, DataDir: dir})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "crash child: open: %v\n", err)
-		os.Exit(1)
-	}
-	boundaries := [][]byte{keyenc.Uint64Key(250_000), keyenc.Uint64Key(500_000), keyenc.Uint64Key(750_000)}
-	if _, err := e.CreateTable(catalog.TableDef{Name: "kv", Boundaries: boundaries}); err != nil {
-		fmt.Fprintf(os.Stderr, "crash child: create table: %v\n", err)
-		os.Exit(1)
-	}
-	if _, err := e.Recover(); err != nil {
-		fmt.Fprintf(os.Stderr, "crash child: recover: %v\n", err)
-		os.Exit(1)
-	}
-	srv := New(e)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "crash child: listen: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("CRASHSRV_ADDR %s\n", addr)
-	_ = srv.Serve()
-}
-
-// runShardCoordServer is the coordinator-shard child: a durable engine on
-// dir serving shard 0 of a two-shard map whose shard 1 is peerAddr.  When
-// point names a coordinator protocol point, the process SIGKILLs itself the
-// first time it is reached.
-func runShardCoordServer(dir, peerAddr, point string) {
-	e, err := engine.Open(engine.Options{Design: engine.PLPLeaf, Partitions: 4, DataDir: dir})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "shard child: open: %v\n", err)
-		os.Exit(1)
-	}
-	boundaries := [][]byte{keyenc.Uint64Key(250_000), keyenc.Uint64Key(500_000), keyenc.Uint64Key(750_000)}
-	if _, err := e.CreateTable(catalog.TableDef{Name: "kv", Boundaries: boundaries}); err != nil {
-		fmt.Fprintf(os.Stderr, "shard child: create table: %v\n", err)
-		os.Exit(1)
-	}
-	if _, err := e.Recover(); err != nil {
-		fmt.Fprintf(os.Stderr, "shard child: recover: %v\n", err)
-		os.Exit(1)
-	}
-	srv := New(e)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "shard child: listen: %v\n", err)
-		os.Exit(1)
-	}
-	m := &shard.Map{Version: 1, Shards: []shard.Shard{
-		{ID: 0, Addr: addr, End: keyenc.Uint64Key(500_000)},
-		{ID: 1, Addr: peerAddr},
-	}}
-	if point != "" {
-		fn := func(p string) {
+// runNodeChild is the child: a node run from parseNodeArgs.  It announces
+// its address on stdout and serves until killed.
+func runNodeChild(dir string) {
+	if point := os.Getenv(crashEnvPoint); point != "" {
+		server.SetTestHook(func(p string) {
 			if p == point {
 				_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
 				select {} // unreachable; the signal is fatal
 			}
-		}
-		testHook.Store(&fn)
+		})
 	}
-	if err := srv.SetShardConfig(m, 0, "", 0); err != nil {
-		fmt.Fprintf(os.Stderr, "shard child: shard config: %v\n", err)
+	var args []string
+	if extra := os.Getenv(crashEnvArgs); extra != "" {
+		args = strings.Split(extra, "\n")
+	}
+	cfg, err := parseNodeArgs(dir, args, os.Stderr)
+	if err != nil {
+		os.Exit(2)
+	}
+	n, err := node.Start(cfg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "node child: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("CRASHSRV_ADDR %s\n", addr)
-	_ = srv.Serve()
+	fmt.Printf("CRASHSRV_ADDR %s\n", n.Addr())
+	select {}
 }
 
-// runReplChild is the replication child: the in-process equivalent of
-// `plpd -data-dir dir -ack-mode replica` (mode "primary") or
-// `plpd -data-dir dir -follow addr` (mode "follow=addr", with the promote
-// verb wired the way plpd wires it).
-func runReplChild(dir, mode string) {
-	e, err := engine.Open(engine.Options{Design: engine.PLPLeaf, Partitions: 4, DataDir: dir})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "repl child: open: %v\n", err)
-		os.Exit(1)
-	}
-	boundaries := [][]byte{keyenc.Uint64Key(250_000), keyenc.Uint64Key(500_000), keyenc.Uint64Key(750_000)}
-	if _, err := e.CreateTable(catalog.TableDef{Name: "kv", Boundaries: boundaries}); err != nil {
-		fmt.Fprintf(os.Stderr, "repl child: create table: %v\n", err)
-		os.Exit(1)
-	}
-	if _, err := e.Recover(); err != nil {
-		fmt.Fprintf(os.Stderr, "repl child: recover: %v\n", err)
-		os.Exit(1)
-	}
-	srv := New(e)
-	var curP *repl.Primary
-	var curF *repl.Follower
-	if target, ok := strings.CutPrefix(mode, "follow="); ok {
-		f, err := repl.NewFollower(repl.FollowerOptions{
-			Primary:       target,
-			Dir:           dir,
-			Log:           e.DurableLog(),
-			Apply:         e.ApplyReplicated,
-			Reseed:        e.ResetForSeed,
-			RetryInterval: 50 * time.Millisecond,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "repl child: follower: %v\n", err)
-			os.Exit(1)
-		}
-		curF = f
-		srv.SetFollowerMode(true)
-		srv.SetPromoteHandler(func() (string, error) {
-			epoch, err := f.Promote()
-			if err != nil {
-				return "", err
-			}
-			srv.SetReplPrimary(repl.NewPrimary(e.DurableLog(), epoch))
-			srv.SetFollowerMode(false)
-			return fmt.Sprintf("promoted: replication epoch %d\n", epoch), nil
-		})
-		f.Start()
-	} else {
-		epoch, ok, err := repl.ReadEpoch(dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "repl child: epoch: %v\n", err)
-			os.Exit(1)
-		}
-		if !ok {
-			epoch = 1
-			if err := repl.WriteEpoch(dir, epoch); err != nil {
-				fmt.Fprintf(os.Stderr, "repl child: epoch: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		p := repl.NewPrimary(e.DurableLog(), epoch)
-		p.SetAckTimeout(15 * time.Second) // cover the follower child's startup
-		srv.SetReplPrimary(p)
-		curP = p
-		if mode != "primary-local" {
-			e.SetCommitAckWaiter(p.OnReplicated)
-		}
-		// On-demand checkpoint with truncation, so tests can shrink the
-		// retained log prefix and force snapshot re-seeds.
-		srv.SetCheckpointHandler(func() (string, error) {
-			var st recovery.CheckpointStats
-			var err error
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				st, err = e.Checkpoint()
-				if !errors.Is(err, recovery.ErrActiveTxns) || time.Now().After(deadline) {
-					break
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-			if err != nil {
-				return "", err
-			}
-			dropped := e.Log().Truncate(st.BeginLSN)
-			return fmt.Sprintf("checkpoint: %d log records reclaimed\n", dropped), nil
-		})
-	}
-	srv.SetReplStatusHandler(func() (string, error) {
-		st := struct {
-			Role     string
-			Primary  *repl.PrimaryStatus      `json:",omitempty"`
-			Follower *repl.FollowerNodeStatus `json:",omitempty"`
-		}{Role: "primary"}
-		if curF != nil {
-			st.Role = "follower"
-			fs := curF.Status()
-			st.Follower = &fs
-		} else if curP != nil {
-			ps := curP.Status()
-			st.Primary = &ps
-		}
-		buf, err := json.Marshal(st)
-		if err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "repl child: listen: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("CRASHSRV_ADDR %s\n", addr)
-	_ = srv.Serve()
+// parseNodeArgs maps `plpd -data-dir dir` plus args to a node
+// configuration, listening on a loopback port unless args name one.
+func parseNodeArgs(dir string, args []string, stderr io.Writer) (node.Config, error) {
+	return node.ParseFlags(append([]string{"-addr", "127.0.0.1:0", "-partitions", "4", "-data-dir", dir}, args...), stderr)
 }
 
-// runClusterChild is the auto-failover child: the in-process equivalent of
-// `plpd -data-dir dir -cluster ... -node-id N [-follow addr] -shard-map m`.
-// It wires the same dynamic role transitions plpd wires — a promote that
-// re-homes the shard map onto this node, a demote that tears the primary
-// role down and subscribes (re-seeding if diverged) — and runs a
-// cluster.Node over them, so a SIGKILLed primary is replaced with no
-// operator involvement.
-func runClusterChild(dir string) {
-	listenAddr := os.Getenv(crashEnvAddr)
-	selfID, err := strconv.Atoi(os.Getenv(crashEnvNode))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cluster child: node id: %v\n", err)
-		os.Exit(1)
-	}
-	var members []cluster.Member
-	for _, part := range strings.Split(os.Getenv(crashEnvMembers), ",") {
-		idStr, maddr, ok := strings.Cut(part, "@")
-		if !ok {
-			fmt.Fprintf(os.Stderr, "cluster child: bad member %q\n", part)
-			os.Exit(1)
-		}
-		id, err := strconv.Atoi(idStr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cluster child: bad member id %q\n", idStr)
-			os.Exit(1)
-		}
-		members = append(members, cluster.Member{ID: id, Addr: maddr})
-	}
-	follow := os.Getenv(crashEnvFollow)
-
-	e, err := engine.Open(engine.Options{Design: engine.PLPLeaf, Partitions: 4, DataDir: dir})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cluster child: open: %v\n", err)
-		os.Exit(1)
-	}
-	boundaries := [][]byte{keyenc.Uint64Key(250_000), keyenc.Uint64Key(500_000), keyenc.Uint64Key(750_000)}
-	if _, err := e.CreateTable(catalog.TableDef{Name: "kv", Boundaries: boundaries}); err != nil {
-		fmt.Fprintf(os.Stderr, "cluster child: create table: %v\n", err)
-		os.Exit(1)
-	}
-	if _, err := e.Recover(); err != nil {
-		fmt.Fprintf(os.Stderr, "cluster child: recover: %v\n", err)
-		os.Exit(1)
-	}
-	srv := New(e)
-	srv.ReplHeartbeat = 200 * time.Millisecond
-
-	var roleMu sync.Mutex
-	var curPrimary atomic.Pointer[repl.Primary]
-	var curFollower atomic.Pointer[repl.Follower]
-	installPrimary := func(epoch uint64) {
-		p := repl.NewPrimary(e.DurableLog(), epoch)
-		p.SetAckTimeout(5 * time.Second)
-		curPrimary.Store(p)
-		srv.SetReplPrimary(p)
-		e.SetCommitAckWaiter(p.OnReplicated)
-	}
-	newFollower := func(primaryAddr string) (*repl.Follower, error) {
-		return repl.NewFollower(repl.FollowerOptions{
-			Primary:       primaryAddr,
-			Dir:           dir,
-			Log:           e.DurableLog(),
-			Apply:         e.ApplyReplicated,
-			Reseed:        e.ResetForSeed,
-			RetryInterval: 50 * time.Millisecond,
-		})
-	}
-	promote := func() error {
-		roleMu.Lock()
-		defer roleMu.Unlock()
-		f := curFollower.Load()
-		if f == nil {
-			return errors.New("promote: not a follower")
-		}
-		epoch, err := f.Promote()
-		if err != nil {
-			return err
-		}
-		curFollower.Store(nil)
-		installPrimary(epoch)
-		srv.SetFollowerMode(false)
-		if m := srv.ShardMap(); m != nil {
-			nm := m.Clone()
-			if err := nm.Promote(0, listenAddr); err == nil {
-				_ = srv.UpdateShardMap(nm)
-			}
-		}
-		fmt.Printf("cluster child %d: promoted at epoch %d\n", selfID, epoch)
-		return nil
-	}
-	demote := func(primaryAddr string) error {
-		roleMu.Lock()
-		defer roleMu.Unlock()
-		if curFollower.Load() != nil {
-			return nil
-		}
-		srv.SetFollowerMode(true)
-		e.SetCommitAckWaiter(nil)
-		srv.SetReplPrimary(nil)
-		curPrimary.Store(nil)
-		f, err := newFollower(primaryAddr)
-		if err != nil {
-			return err
-		}
-		curFollower.Store(f)
-		f.Start()
-		fmt.Printf("cluster child %d: demoted to follower of %s\n", selfID, primaryAddr)
-		return nil
-	}
-	if follow == "" {
-		epoch, ok, err := repl.ReadEpoch(dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cluster child: epoch: %v\n", err)
-			os.Exit(1)
-		}
-		if !ok {
-			epoch = 1
-			if err := repl.WriteEpoch(dir, epoch); err != nil {
-				fmt.Fprintf(os.Stderr, "cluster child: epoch: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		installPrimary(epoch)
-	} else {
-		f, err := newFollower(follow)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cluster child: follower: %v\n", err)
-			os.Exit(1)
-		}
-		curFollower.Store(f)
-		srv.SetFollowerMode(true)
-		f.Start()
-	}
-	srv.SetPromoteHandler(func() (string, error) {
-		if err := promote(); err != nil {
-			return "", err
-		}
-		return "promoted\n", nil
-	})
-	srv.SetSeedingFunc(func() bool {
-		f := curFollower.Load()
-		return f != nil && f.Seeding()
-	})
-	srv.SetReplStatusHandler(func() (string, error) {
-		st := struct {
-			Role     string
-			Primary  *repl.PrimaryStatus      `json:",omitempty"`
-			Follower *repl.FollowerNodeStatus `json:",omitempty"`
-		}{Role: "primary"}
-		if f := curFollower.Load(); srv.FollowerMode() && f != nil {
-			st.Role = "follower"
-			fs := f.Status()
-			st.Follower = &fs
-		} else if p := curPrimary.Load(); p != nil {
-			ps := p.Status()
-			st.Primary = &ps
-		}
-		buf, err := json.Marshal(st)
-		if err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	})
-	if mapText := os.Getenv(crashEnvMap); mapText != "" {
-		m, err := shard.Parse([]byte(mapText))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cluster child: shard map: %v\n", err)
-			os.Exit(1)
-		}
-		if err := srv.SetShardConfig(m, 0, "", 0); err != nil {
-			fmt.Fprintf(os.Stderr, "cluster child: shard config: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	cn, err := cluster.New(cluster.Config{
-		Self:          selfID,
-		Members:       members,
-		LeaseTimeout:  time.Second,
-		ProbeInterval: 250 * time.Millisecond,
-		Logf: func(format string, args ...any) {
-			fmt.Printf(fmt.Sprintf("cluster child %d: ", selfID)+format+"\n", args...)
-		},
-		IsPrimary: func() bool { return !srv.FollowerMode() },
-		Epoch: func() uint64 {
-			if f := curFollower.Load(); f != nil {
-				return f.Epoch()
-			}
-			if p := curPrimary.Load(); p != nil {
-				return p.Epoch()
-			}
-			return 0
-		},
-		DurableLSN: func() uint64 { return uint64(e.DurableLog().DurableLSN()) },
-		SinceContact: func() time.Duration {
-			if f := curFollower.Load(); f != nil {
-				return f.SinceContact()
-			}
-			return 0
-		},
-		Promote: promote,
-		Repoint: func(addr string) {
-			if f := curFollower.Load(); f != nil {
-				f.SetPrimary(addr)
-			}
-		},
-		Demote: demote,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cluster child: cluster: %v\n", err)
-		os.Exit(1)
-	}
-	cn.Start()
-
-	bound, err := srv.Listen(listenAddr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cluster child: listen: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("CRASHSRV_ADDR %s\n", bound)
-	_ = srv.Serve()
-}
-
-// startCrashServer spawns the child on dir and waits for its address.
-func startCrashServer(t *testing.T, dir string, extraEnv ...string) (*exec.Cmd, string) {
+// startCrashServer spawns a node child on dir, run from the plpd argument
+// list args and primed to die at the coordinator point crashPoint (empty
+// for none), and waits for its address.
+func startCrashServer(t *testing.T, dir, crashPoint string, args ...string) (*exec.Cmd, string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(append(os.Environ(), crashEnvDir+"="+dir), extraEnv...)
+	cmd.Env = append(os.Environ(), crashEnvDir+"="+dir, crashEnvArgs+"="+strings.Join(args, "\n"), crashEnvPoint+"="+crashPoint)
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -537,7 +139,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		t.Skip("skipping process-kill integration test in short mode")
 	}
 	dir := t.TempDir()
-	cmd, addr := startCrashServer(t, dir)
+	cmd, addr := startCrashServer(t, dir, "")
 
 	c, err := client.Dial(addr)
 	if err != nil {
@@ -619,7 +221,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 
 	// Restart on the same directory: the child re-runs recovery before it
 	// accepts connections.
-	cmd2, addr2 := startCrashServer(t, dir)
+	cmd2, addr2 := startCrashServer(t, dir, "")
 	defer func() {
 		_ = cmd2.Process.Kill()
 		_, _ = cmd2.Process.Wait()
@@ -696,7 +298,7 @@ func TestShardCoordinatorCrash(t *testing.T) {
 			if _, err := pe.CreateTable(catalog.TableDef{Name: "kv", Boundaries: parts}); err != nil {
 				t.Fatal(err)
 			}
-			psrv := New(pe)
+			psrv := server.New(pe)
 			paddr, err := psrv.Listen("127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -707,10 +309,12 @@ func TestShardCoordinatorCrash(t *testing.T) {
 				_ = pe.Close()
 			})
 
-			// Coordinator: durable child, primed to die at the test point.
-			dir := t.TempDir()
-			cmd, caddr := startCrashServer(t, dir,
-				crashEnvPeer+"="+paddr, crashEnvPoint+"="+tc.point)
+			// Coordinator: durable child serving shard 0 at a fixed
+			// address, primed to die at the test point.  It restarts at a
+			// second address under a version-2 map, so the participant's
+			// janitor must find a coordinator that moved.
+			ports := reservePorts(t, 2)
+			caddr, caddr2 := ports[0], ports[1]
 			m1 := &shard.Map{Version: 1, Shards: []shard.Shard{
 				{ID: 0, Addr: caddr, End: keyenc.Uint64Key(500_000)},
 				{ID: 1, Addr: paddr},
@@ -718,6 +322,9 @@ func TestShardCoordinatorCrash(t *testing.T) {
 			if err := psrv.SetShardConfig(m1, 1, "", 0); err != nil {
 				t.Fatal(err)
 			}
+			dir := t.TempDir()
+			cmd, _ := startCrashServer(t, dir, tc.point,
+				"-addr", caddr, "-shard-map", writeShardMap(t, m1), "-shard-id", "0")
 
 			c, err := client.Dial(caddr)
 			if err != nil {
@@ -733,16 +340,17 @@ func TestShardCoordinatorCrash(t *testing.T) {
 			_ = cmd.Wait()
 
 			// Restart the coordinator on the same directory (no crash point)
-			// and repoint the participant's map at its new address.
-			cmd2, caddr2 := startCrashServer(t, dir, crashEnvPeer+"="+paddr)
-			t.Cleanup(func() {
-				_ = cmd2.Process.Kill()
-				_, _ = cmd2.Process.Wait()
-			})
+			// at its new address, and repoint the participant's map at it.
 			m2 := &shard.Map{Version: 2, Shards: []shard.Shard{
 				{ID: 0, Addr: caddr2, End: keyenc.Uint64Key(500_000)},
 				{ID: 1, Addr: paddr},
 			}}
+			cmd2, _ := startCrashServer(t, dir, "",
+				"-addr", caddr2, "-shard-map", writeShardMap(t, m2), "-shard-id", "0")
+			t.Cleanup(func() {
+				_ = cmd2.Process.Kill()
+				_, _ = cmd2.Process.Wait()
+			})
 			if err := psrv.UpdateShardMap(m2); err != nil {
 				t.Fatal(err)
 			}
@@ -810,8 +418,8 @@ func TestReplFailoverSIGKILL(t *testing.T) {
 		t.Skip("skipping process-kill integration test in short mode")
 	}
 	pdir, fdir := t.TempDir(), t.TempDir()
-	pcmd, paddr := startCrashServer(t, pdir, crashEnvRepl+"=primary")
-	fcmd, faddr := startCrashServer(t, fdir, crashEnvRepl+"=follow="+paddr)
+	pcmd, paddr := startCrashServer(t, pdir, "", "-ack-mode", "replica", "-ack-timeout", "15s")
+	fcmd, faddr := startCrashServer(t, fdir, "", "-follow", paddr)
 	t.Cleanup(func() {
 		_ = fcmd.Process.Kill()
 		_, _ = fcmd.Process.Wait()
@@ -1018,35 +626,19 @@ func reservePorts(t *testing.T, n int) []string {
 	return addrs
 }
 
-// replProbe is the slice of the repl-child "repl status" JSON the parent
-// tests read; field names mirror repl.PrimaryStatus / FollowerNodeStatus.
-type replProbe struct {
-	Role    string
-	Primary *struct {
-		Epoch      uint64
-		DurableLSN uint64
-		OldestLSN  uint64
-		Followers  []struct {
-			AppliedLSN uint64
-			AckedLSN   uint64
-			Seeding    bool
-		}
+// writeShardMap writes m to a file for a child's -shard-map.
+func writeShardMap(t *testing.T, m *shard.Map) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "shards.map")
+	if err := os.WriteFile(path, m.Encode(), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	Follower *struct {
-		Primary    string
-		Epoch      uint64
-		Connected  bool
-		DurableLSN uint64
-		Reseeds    uint64
-		Applier    struct {
-			AppliedLSN uint64
-		}
-	}
+	return path
 }
 
 // probeRepl fetches one node's replication status over a fresh connection
 // (the node under test may have been restarted since the last probe).
-func probeRepl(addr string) (*replProbe, error) {
+func probeRepl(addr string) (*node.ReplStatus, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	c, err := client.DialContext(ctx, addr, nil)
@@ -1058,7 +650,7 @@ func probeRepl(addr string) (*replProbe, error) {
 	if err != nil {
 		return nil, err
 	}
-	var st replProbe
+	var st node.ReplStatus
 	if err := json.Unmarshal([]byte(out), &st); err != nil {
 		return nil, err
 	}
@@ -1066,7 +658,7 @@ func probeRepl(addr string) (*replProbe, error) {
 }
 
 // waitProbe polls a node's replication status until cond holds.
-func waitProbe(t *testing.T, what, addr string, timeout time.Duration, cond func(*replProbe) bool) {
+func waitProbe(t *testing.T, what, addr string, timeout time.Duration, cond func(*node.ReplStatus) bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
@@ -1093,8 +685,8 @@ func primaryDurable(t *testing.T, addr string) uint64 {
 
 // caughtUpTo builds a waitProbe condition: the follower is connected and
 // both its durable log and its applier have reached the target LSN.
-func caughtUpTo(target uint64) func(*replProbe) bool {
-	return func(st *replProbe) bool {
+func caughtUpTo(target uint64) func(*node.ReplStatus) bool {
+	return func(st *node.ReplStatus) bool {
 		return st.Follower != nil && st.Follower.Connected &&
 			st.Follower.DurableLSN >= target && st.Follower.Applier.AppliedLSN >= target
 	}
@@ -1147,16 +739,14 @@ func TestReplClusterAutoFailoverSIGKILL(t *testing.T) {
 		ID: 0, Addr: a1,
 		Replicas: []shard.Replica{{ID: 2, Addr: a2}, {ID: 3, Addr: a3}},
 	}}}
-	mapText := string(initMap.Encode())
-	env := func(id int, addr, follow string) []string {
-		return []string{
-			crashEnvRepl + "=cluster",
-			crashEnvAddr + "=" + addr,
-			crashEnvNode + "=" + strconv.Itoa(id),
-			crashEnvMembers + "=" + membership,
-			crashEnvFollow + "=" + follow,
-			crashEnvMap + "=" + mapText,
+	mapFile := writeShardMap(t, initMap)
+	args := func(id int, addr, follow string) []string {
+		a := []string{"-addr", addr, "-cluster", membership, "-node-id", strconv.Itoa(id),
+			"-lease", "1s", "-ack-mode", "replica", "-shard-map", mapFile}
+		if follow != "" {
+			a = append(a, "-follow", follow)
 		}
+		return a
 	}
 	reap := func(cmd *exec.Cmd) func() {
 		return func() {
@@ -1165,13 +755,13 @@ func TestReplClusterAutoFailoverSIGKILL(t *testing.T) {
 		}
 	}
 	d1, d2, d3 := t.TempDir(), t.TempDir(), t.TempDir()
-	cmd1, _ := startCrashServer(t, d1, env(1, a1, "")...)
-	cmd2, _ := startCrashServer(t, d2, env(2, a2, a1)...)
-	cmd3, _ := startCrashServer(t, d3, env(3, a3, a1)...)
+	cmd1, _ := startCrashServer(t, d1, "", args(1, a1, "")...)
+	cmd2, _ := startCrashServer(t, d2, "", args(2, a2, a1)...)
+	cmd3, _ := startCrashServer(t, d3, "", args(3, a3, a1)...)
 	t.Cleanup(reap(cmd2))
 	t.Cleanup(reap(cmd3))
 
-	waitProbe(t, "both followers subscribed", a1, 30*time.Second, func(st *replProbe) bool {
+	waitProbe(t, "both followers subscribed", a1, 30*time.Second, func(st *node.ReplStatus) bool {
 		return st.Role == "primary" && st.Primary != nil && len(st.Primary.Followers) == 2
 	})
 
@@ -1225,7 +815,7 @@ func TestReplClusterAutoFailoverSIGKILL(t *testing.T) {
 
 	// The router follows the promotion with no manual refresh: writes that
 	// land on the dead or demoted member trigger a map refresh and retry.
-	waitFor(t, "router write after failover", func() bool {
+	server.WaitFor(t, "router write after failover", func() bool {
 		return sc.Upsert("kv", client.Uint64Key(900_001), []byte("post-failover")) == nil
 	})
 	if got := sc.Map().Shards[0].Addr; got != newPrimary {
@@ -1247,9 +837,9 @@ func TestReplClusterAutoFailoverSIGKILL(t *testing.T) {
 	// (b) Restart the old primary on its own data dir.  It wakes up
 	// believing it is a primary at the fenced epoch; the failover monitor
 	// must demote it and re-seed it from the new lineage unattended.
-	cmd1b, _ := startCrashServer(t, d1, env(1, a1, "")...)
+	cmd1b, _ := startCrashServer(t, d1, "", args(1, a1, "")...)
 	t.Cleanup(reap(cmd1b))
-	waitProbe(t, "old primary demoted", a1, 60*time.Second, func(st *replProbe) bool {
+	waitProbe(t, "old primary demoted", a1, 60*time.Second, func(st *node.ReplStatus) bool {
 		return st.Role == "follower" && st.Follower != nil &&
 			st.Follower.Connected && st.Follower.Primary == newPrimary
 	})
@@ -1282,7 +872,7 @@ func TestReplReseedChaosSIGKILL(t *testing.T) {
 		t.Skip("skipping process-kill integration test in short mode")
 	}
 	pdir, f1dir, f2dir := t.TempDir(), t.TempDir(), t.TempDir()
-	pcmd, paddr := startCrashServer(t, pdir, crashEnvRepl+"=primary-local")
+	pcmd, paddr := startCrashServer(t, pdir, "", "-checkpoint-truncate")
 	t.Cleanup(func() {
 		_ = pcmd.Process.Kill()
 		_, _ = pcmd.Process.Wait()
@@ -1318,13 +908,13 @@ func TestReplReseedChaosSIGKILL(t *testing.T) {
 	if _, err := pc.Control("checkpoint", ""); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	waitProbe(t, "log truncation", paddr, 15*time.Second, func(st *replProbe) bool {
+	waitProbe(t, "log truncation", paddr, 15*time.Second, func(st *node.ReplStatus) bool {
 		return st.Primary != nil && st.Primary.OldestLSN > 1
 	})
 
 	// Follower 1 joins from scratch and starts seeding.  Kill it while the
 	// primary still reports the subscriber inside its seed phase.
-	f1cmd, _ := startCrashServer(t, f1dir, crashEnvRepl+"=follow="+paddr)
+	f1cmd, _ := startCrashServer(t, f1dir, "", "-follow", paddr)
 	sawSeeding := false
 	seedDeadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(seedDeadline) && !sawSeeding {
@@ -1352,13 +942,13 @@ func TestReplReseedChaosSIGKILL(t *testing.T) {
 	// of the seed got durable (checkpoint chunks apply as idempotent
 	// upserts, so a torn seed is safe), and the next subscription resumes
 	// — finishing the seed or streaming the tail.
-	f1cmd2, f1addr := startCrashServer(t, f1dir, crashEnvRepl+"=follow="+paddr)
+	f1cmd2, f1addr := startCrashServer(t, f1dir, "", "-follow", paddr)
 	waitProbe(t, "follower 1 rejoin after mid-seed kill", f1addr, 60*time.Second,
 		caughtUpTo(primaryDurable(t, paddr)))
 
 	// Follower 2 joins fresh as the third node of the chain; it must seed
 	// too (the log prefix is still truncated).
-	f2cmd, f2addr := startCrashServer(t, f2dir, crashEnvRepl+"=follow="+paddr)
+	f2cmd, f2addr := startCrashServer(t, f2dir, "", "-follow", paddr)
 	t.Cleanup(func() {
 		_ = f2cmd.Process.Kill()
 		_, _ = f2cmd.Process.Wait()
@@ -1389,7 +979,7 @@ func TestReplReseedChaosSIGKILL(t *testing.T) {
 	_ = f1cmd2.Process.Kill()
 	_, _ = f1cmd2.Process.Wait()
 	time.Sleep(200 * time.Millisecond)
-	f1cmd3, f1addr3 := startCrashServer(t, f1dir, crashEnvRepl+"=follow="+paddr)
+	f1cmd3, f1addr3 := startCrashServer(t, f1dir, "", "-follow", paddr)
 	t.Cleanup(func() {
 		_ = f1cmd3.Process.Kill()
 		_, _ = f1cmd3.Process.Wait()

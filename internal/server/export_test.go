@@ -1,0 +1,8 @@
+package server
+
+// SetTestHook installs fn at the coordinator's named protocol points, for
+// the crash tests in package server_test.
+func SetTestHook(fn func(point string)) { testHook.Store(&fn) }
+
+// WaitFor exports waitFor to package server_test.
+var WaitFor = waitFor
