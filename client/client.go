@@ -855,21 +855,9 @@ func (c *Client) Insert(table string, key, value []byte) error {
 	return err
 }
 
-// InsertContext adds one record under a context.
-func (c *Client) InsertContext(ctx context.Context, table string, key, value []byte) error {
-	_, err := c.DoContext(ctx, NewTxn().Insert(table, key, value))
-	return err
-}
-
 // Update overwrites one record.
 func (c *Client) Update(table string, key, value []byte) error {
 	_, err := c.Do(NewTxn().Update(table, key, value))
-	return err
-}
-
-// UpdateContext overwrites one record under a context.
-func (c *Client) UpdateContext(ctx context.Context, table string, key, value []byte) error {
-	_, err := c.DoContext(ctx, NewTxn().Update(table, key, value))
 	return err
 }
 
@@ -879,33 +867,15 @@ func (c *Client) Upsert(table string, key, value []byte) error {
 	return err
 }
 
-// UpsertContext inserts or overwrites one record under a context.
-func (c *Client) UpsertContext(ctx context.Context, table string, key, value []byte) error {
-	_, err := c.DoContext(ctx, NewTxn().Upsert(table, key, value))
-	return err
-}
-
 // Delete removes one record.
 func (c *Client) Delete(table string, key []byte) error {
 	_, err := c.Do(NewTxn().Delete(table, key))
 	return err
 }
 
-// DeleteContext removes one record under a context.
-func (c *Client) DeleteContext(ctx context.Context, table string, key []byte) error {
-	_, err := c.DoContext(ctx, NewTxn().Delete(table, key))
-	return err
-}
-
 // DeleteSecondary removes one secondary-index entry.
 func (c *Client) DeleteSecondary(table, index string, secKey []byte) error {
 	_, err := c.Do(NewTxn().DeleteSecondary(table, index, secKey))
-	return err
-}
-
-// DeleteSecondaryContext removes one secondary-index entry under a context.
-func (c *Client) DeleteSecondaryContext(ctx context.Context, table, index string, secKey []byte) error {
-	_, err := c.DoContext(ctx, NewTxn().DeleteSecondary(table, index, secKey))
 	return err
 }
 

@@ -66,9 +66,6 @@ type Tree struct {
 	// tree, as ARIES/KVL does.  MRBTrees give every sub-tree its own Tree
 	// and therefore its own SMO mutex, which is what enables parallel SMOs.
 	smoMu sync.Mutex
-
-	nSplits  uint64
-	splitsMu sync.Mutex
 }
 
 // Create allocates an empty tree (a single empty leaf that permanently
@@ -107,19 +104,6 @@ func (t *Tree) Latched() bool { return t.cfg.Latched }
 // SetLatched switches the latching protocol (used when a loaded database is
 // handed from the loader to a PLP engine).
 func (t *Tree) SetLatched(v bool) { t.cfg.Latched = v }
-
-// NumSplits returns the number of page splits performed so far.
-func (t *Tree) NumSplits() uint64 {
-	t.splitsMu.Lock()
-	defer t.splitsMu.Unlock()
-	return t.nSplits
-}
-
-func (t *Tree) countSplit() {
-	t.splitsMu.Lock()
-	t.nSplits++
-	t.splitsMu.Unlock()
-}
 
 // latchNode acquires the node latch when latching is enabled, attributing
 // wait time to the transaction's index-latch bucket.
@@ -611,7 +595,6 @@ func (t *Tree) splitLeaf(tx *txn.Txn, leafFrame *bufferpool.Frame, key, value []
 	if err != nil {
 		return nil, 0, err
 	}
-	t.countSplit()
 	t.logSMO(tx, rightPID)
 	return sepKey, rightPID, nil
 }
@@ -697,7 +680,6 @@ func (t *Tree) splitInterior(tx *txn.Txn, f *bufferpool.Frame, sepKey []byte, ch
 	if err != nil {
 		return nil, 0, err
 	}
-	t.countSplit()
 	t.logSMO(tx, rightPID)
 	return pushKey, rightPID, nil
 }
@@ -853,7 +835,6 @@ func (t *Tree) raiseRoot(tx *txn.Txn, rootFrame *bufferpool.Frame) error {
 	}
 	t.bp.Unfix(leftFrame)
 	t.bp.Unfix(rightFrame)
-	t.countSplit()
 	t.logSMO(tx, rootID)
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"plp/internal/cs"
 	"plp/internal/keyenc"
 	"plp/internal/latch"
+	"plp/internal/page"
 )
 
 func newTestTree(t testing.TB, cfg Config) *Tree {
@@ -145,6 +146,42 @@ func TestUpdate(t *testing.T) {
 	}
 }
 
+// leafKeys returns the keys of every leaf, leaves in key order.
+func leafKeys(t *testing.T, tree *Tree) [][]uint64 {
+	t.Helper()
+	f, err := tree.leftmostLeaf(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leaves [][]uint64
+	for {
+		p := f.Page()
+		var keys []uint64
+		for i := 0; i < p.NumSlots(); i++ {
+			k, err := leafKeyAt(p, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kv, _ := keyenc.DecodeUint64(k)
+			keys = append(keys, kv)
+		}
+		leaves = append(leaves, keys)
+		next := p.Next()
+		tree.releaseNode(f, latch.Shared)
+		if next == page.InvalidID {
+			return leaves
+		}
+		if f, err = tree.bp.Fix(next); err != nil {
+			t.Fatal(err)
+		}
+		tree.latchNode(nil, f, latch.Shared)
+	}
+}
+
+// TestAscendRange checks the range bounds and the stop report with hi at
+// several places of one leaf.  AscendRange checks hi once per leaf, so hi
+// in the middle of a leaf (whose first key lies below hi and whose last key
+// does not) must still cut the leaf at hi.
 func TestAscendRange(t *testing.T) {
 	tree := newTestTree(t, Config{Latched: true, MaxSlotsPerNode: 6})
 	const n = 300
@@ -153,31 +190,67 @@ func TestAscendRange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var got []uint64
-	err := tree.AscendRange(nil, keyenc.Uint64Key(100), keyenc.Uint64Key(200), func(k, v []byte) bool {
-		kv, _ := keyenc.DecodeUint64(k)
-		got = append(got, kv)
-		return true
-	})
-	if err != nil {
+	leaves := leafKeys(t, tree)
+	leaf := leaves[len(leaves)/2]
+	if len(leaves) < 8 || len(leaf) < 3 {
+		t.Fatalf("tree has %d leaves, the middle one %d keys; want several leaves of at least 3", len(leaves), len(leaf))
+	}
+	lo := leaves[2][1] // inside a leaf, two leaves to the left
+	key := func(v uint64) []byte { return keyenc.Uint64Key(v) }
+	cases := []struct {
+		name    string
+		lo, hi  []byte
+		stopAt  int // fn returns false on this visit (1-based); 0 never
+		want    []uint64
+		stopped bool
+	}{
+		{name: "hi at first slot", lo: key(lo), hi: key(leaf[0])},
+		{name: "hi at middle slot", lo: key(lo), hi: key(leaf[len(leaf)/2])},
+		{name: "hi at last slot", lo: key(lo), hi: key(leaf[len(leaf)-1])},
+		{name: "hi absent inside leaf", lo: key(lo), hi: key(leaf[1] + 1)},
+		{name: "hi absent past leaf end", lo: key(lo), hi: key(leaf[len(leaf)-1] + 1)},
+		{name: "hi nil", lo: key(lo)},
+		{name: "lo and hi nil"},
+		{name: "empty range", lo: key(leaf[1]), hi: key(leaf[1])},
+		{name: "early stop", lo: key(lo), hi: key(leaf[len(leaf)/2]), stopAt: 5, stopped: true},
+		{name: "stop on last entry", lo: key(leaf[0]), hi: key(leaf[1] + 1), stopAt: 2, stopped: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []uint64
+			for i := 0; i < n; i++ {
+				kv := uint64(i * 2)
+				if (tc.lo == nil || bytes.Compare(key(kv), tc.lo) >= 0) && (tc.hi == nil || bytes.Compare(key(kv), tc.hi) < 0) {
+					want = append(want, kv)
+				}
+			}
+			if tc.stopAt > 0 {
+				want = want[:tc.stopAt]
+			}
+			var got []uint64
+			stopped, err := tree.AscendRange(nil, tc.lo, tc.hi, func(k, v []byte) bool {
+				kv, _ := keyenc.DecodeUint64(k)
+				vv, _ := keyenc.DecodeUint64(v)
+				if vv*2 != kv {
+					t.Errorf("key %d carries value %d", kv, vv)
+				}
+				got = append(got, kv)
+				return len(got) != tc.stopAt
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stopped != tc.stopped {
+				t.Errorf("stopped = %v, want %v", stopped, tc.stopped)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("visited %v\nwant    %v", got, want)
+			}
+		})
+	}
+	// Every scan released its leaf latches: a writer gets through.
+	if err := tree.Insert(nil, keyenc.Uint64Key(1), nil); err != nil {
 		t.Fatal(err)
-	}
-	if len(got) != 50 {
-		t.Fatalf("got %d entries, want 50", len(got))
-	}
-	for i, kv := range got {
-		if kv != uint64(100+2*i) {
-			t.Fatalf("entry %d: got %d want %d", i, kv, 100+2*i)
-		}
-	}
-	// Early stop.
-	cnt := 0
-	_ = tree.Ascend(nil, func(k, v []byte) bool {
-		cnt++
-		return cnt < 10
-	})
-	if cnt != 10 {
-		t.Fatalf("early stop visited %d", cnt)
 	}
 }
 

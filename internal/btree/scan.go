@@ -20,59 +20,67 @@ type ScanFunc func(key, value []byte) bool
 
 // AscendRange visits, in key order, every entry with lo <= key < hi.  A nil
 // lo starts from the smallest key; a nil hi scans to the end.  Entries are
-// passed in place (see ScanFunc).
-func (t *Tree) AscendRange(tx *txn.Txn, lo, hi []byte, fn ScanFunc) error {
+// passed in place (see ScanFunc).  hi is checked once per leaf, against the
+// leaf's last key: a leaf that ends below hi is visited whole with no
+// per-entry bound check, and the first leaf that reaches hi is cut at hi's
+// position and ends the scan.  stopped reports whether fn ended the scan by
+// returning false.
+func (t *Tree) AscendRange(tx *txn.Txn, lo, hi []byte, fn ScanFunc) (stopped bool, err error) {
 	var f *bufferpool.Frame
-	var err error
 	if lo == nil {
 		f, err = t.leftmostLeaf(tx)
 	} else {
 		f, err = t.descendRead(tx, lo)
 	}
 	if err != nil {
-		return err
+		return false, err
 	}
 	for {
 		p := f.Page()
-		stop := false
-		start := 0
+		start, end := 0, p.NumSlots()
 		if lo != nil {
-			start, _, err = leafSearch(p, lo)
-			if err != nil {
+			if start, _, err = leafSearch(p, lo); err != nil {
 				t.releaseNode(f, latch.Shared)
-				return err
+				return false, err
 			}
 		}
-		for i := start; i < p.NumSlots(); i++ {
+		lastLeaf := false
+		if hi != nil && end > 0 {
+			last, kerr := leafKeyAt(p, end-1)
+			if kerr != nil {
+				t.releaseNode(f, latch.Shared)
+				return false, kerr
+			}
+			if bytes.Compare(last, hi) >= 0 {
+				lastLeaf = true
+				if end, _, err = leafSearch(p, hi); err != nil {
+					t.releaseNode(f, latch.Shared)
+					return false, err
+				}
+			}
+		}
+		for i := start; i < end; i++ {
 			k, v, eerr := leafEntryAt(p, i)
 			if eerr != nil {
 				t.releaseNode(f, latch.Shared)
-				return eerr
-			}
-			if hi != nil && bytes.Compare(k, hi) >= 0 {
-				stop = true
-				break
+				return false, eerr
 			}
 			// Cap both slices so an append by the callback cannot write
 			// into the page.
 			if !fn(k[:len(k):len(k)], v[:len(v):len(v)]) {
-				stop = true
-				break
+				t.releaseNode(f, latch.Shared)
+				return true, nil
 			}
 		}
-		if stop {
-			t.releaseNode(f, latch.Shared)
-			return nil
-		}
 		next := p.Next()
-		if next == page.InvalidID {
+		if lastLeaf || next == page.InvalidID {
 			t.releaseNode(f, latch.Shared)
-			return nil
+			return false, nil
 		}
 		nf, ferr := t.bp.Fix(next)
 		if ferr != nil {
 			t.releaseNode(f, latch.Shared)
-			return ferr
+			return false, ferr
 		}
 		t.latchNode(tx, nf, latch.Shared)
 		t.releaseNode(f, latch.Shared)
@@ -83,7 +91,8 @@ func (t *Tree) AscendRange(tx *txn.Txn, lo, hi []byte, fn ScanFunc) error {
 
 // Ascend visits every entry in key order.
 func (t *Tree) Ascend(tx *txn.Txn, fn ScanFunc) error {
-	return t.AscendRange(tx, nil, nil, fn)
+	_, err := t.AscendRange(tx, nil, nil, fn)
+	return err
 }
 
 // leftmostLeaf descends the leftmost path with shared latches and returns
@@ -147,17 +156,6 @@ func (t *Tree) Count(tx *txn.Txn) (int, error) {
 		return true
 	})
 	return n, err
-}
-
-// MinKey returns a copy of the smallest key in the tree, or nil if the tree
-// is empty.
-func (t *Tree) MinKey(tx *txn.Txn) ([]byte, error) {
-	var out []byte
-	err := t.Ascend(tx, func(k, _ []byte) bool {
-		out = append([]byte(nil), k...)
-		return false
-	})
-	return out, err
 }
 
 // StructStats describes the physical shape of the tree.

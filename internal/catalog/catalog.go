@@ -11,7 +11,9 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"plp/internal/bufferpool"
 	"plp/internal/cs"
@@ -98,7 +100,10 @@ func (t *Table) Secondary(name string) (*mrbtree.Tree, error) {
 // bounds are open), resolving each primary-index value to its record: the
 // value itself on a clustered table, the heap record its RID names
 // otherwise.  Heap records are read through one heap.Reader, so a scan
-// fixes each heap page once per run of consecutive records on it.  key and
+// fixes each heap page once per run of consecutive records on it.  Per
+// record the scan decodes the RID, reads the record in place (with no latch
+// call in LatchFree heap mode) and calls fn once; hi is checked once per
+// index leaf, not per record (see btree.Tree.AscendRange).  key and
 // rec point into pinned pages and are valid only until fn returns; fn must
 // not modify them and copies what it keeps.  In Latched heap mode the
 // record's page latch is held while fn runs, so fn must not write to the
@@ -131,17 +136,22 @@ func (t *Table) AscendRecords(tx *txn.Txn, lo, hi []byte, fn func(key, rec []byt
 	return innerErr
 }
 
-// Catalog is the table registry.
+// Catalog is the table registry.  Every data access looks its table up by
+// name, and the set of tables does not change after set-up, so lookups read
+// an immutable map through an atomic pointer and take no lock; CreateTable
+// copies the map under mu and publishes the copy.
 type Catalog struct {
-	mu     sync.RWMutex
-	tables map[string]*Table
+	mu     sync.Mutex // serializes CreateTable and ResetStorage
+	tables atomic.Pointer[map[string]*Table]
 	nextID uint32
 	cst    *cs.Stats
 }
 
 // New returns an empty catalog.
 func New(cstats *cs.Stats) *Catalog {
-	return &Catalog{tables: make(map[string]*Table), cst: cstats}
+	c := &Catalog{cst: cstats}
+	c.tables.Store(&map[string]*Table{})
+	return c
 }
 
 // CreateTable creates the storage objects for def and registers the table.
@@ -152,7 +162,8 @@ func (c *Catalog) CreateTable(def TableDef, res Resources) (*Table, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cst.Record(cs.Metadata, false)
-	if _, ok := c.tables[def.Name]; ok {
+	old := *c.tables.Load()
+	if _, ok := old[def.Name]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrTableExists, def.Name)
 	}
 	c.nextID++
@@ -193,7 +204,9 @@ func (c *Catalog) CreateTable(def TableDef, res Resources) (*Table, error) {
 		}
 		tbl.Secondaries[sec.Name] = idx
 	}
-	c.tables[def.Name] = tbl
+	tables := maps.Clone(old)
+	tables[def.Name] = tbl
+	c.tables.Store(&tables)
 	return tbl, nil
 }
 
@@ -218,7 +231,7 @@ func (c *Catalog) ResetStorage(res Resources) error {
 		CSStats:         res.CSStats,
 		Log:             res.Log,
 	}
-	for _, tbl := range c.tables {
+	for _, tbl := range *c.tables.Load() {
 		primary, err := mrbtree.Create(res.BufferPool, tbl.ID, cfg, tbl.Primary.Boundaries()...)
 		if err != nil {
 			return fmt.Errorf("catalog: resetting %s primary: %w", tbl.Def.Name, err)
@@ -250,9 +263,7 @@ func (c *Catalog) ResetStorage(res Resources) error {
 
 // Table returns the named table.
 func (c *Catalog) Table(name string) (*Table, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	t, ok := c.tables[name]
+	t, ok := (*c.tables.Load())[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, name)
 	}
@@ -261,10 +272,9 @@ func (c *Catalog) Table(name string) (*Table, error) {
 
 // Tables returns every registered table.
 func (c *Catalog) Tables() []*Table {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]*Table, 0, len(c.tables))
-	for _, t := range c.tables {
+	tables := *c.tables.Load()
+	out := make([]*Table, 0, len(tables))
+	for _, t := range tables {
 		out = append(out, t)
 	}
 	return out
@@ -272,7 +282,5 @@ func (c *Catalog) Tables() []*Table {
 
 // NumTables returns the number of registered tables.
 func (c *Catalog) NumTables() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.tables)
+	return len(*c.tables.Load())
 }

@@ -3,6 +3,8 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"plp/internal/bufferpool"
@@ -160,5 +162,52 @@ func TestAscendRecords(t *testing.T) {
 		if next != 60 {
 			t.Fatalf("clustered=%v: scan stopped at %d, want 60", clustered, next)
 		}
+	}
+}
+
+// TestTableLookupsDuringCreate looks tables up from several goroutines
+// while another creates more: lookups take no lock, so every table must be
+// found once CreateTable has returned it, and the run must be clean under
+// -race.
+func TestTableLookupsDuringCreate(t *testing.T) {
+	c := New(&cs.Stats{})
+	res := testResources()
+	if _, err := c.CreateTable(TableDef{Name: "t0"}, res); err != nil {
+		t.Fatal(err)
+	}
+	const tables = 20
+	var created atomic.Int32
+	created.Store(1)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for created.Load() < tables {
+				n := int(created.Load())
+				for i := 0; i < n; i++ {
+					if _, err := c.Table(fmt.Sprintf("t%d", i)); err != nil {
+						t.Errorf("table t%d after its creation: %v", i, err)
+						return
+					}
+				}
+				if len(c.Tables()) < n || c.NumTables() < n {
+					t.Errorf("fewer than %d tables listed", n)
+					return
+				}
+			}
+		}()
+	}
+	for i := 1; i < tables; i++ {
+		if _, err := c.CreateTable(TableDef{Name: fmt.Sprintf("t%d", i)}, res); err != nil {
+			t.Error(err)
+			break
+		}
+		created.Add(1)
+	}
+	created.Store(tables) // stops the readers on every path
+	wg.Wait()
+	if _, err := c.Table("missing"); !errors.Is(err, ErrNoSuchTable) {
+		t.Fatalf("lookup of a missing table: %v", err)
 	}
 }

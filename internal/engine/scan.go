@@ -208,8 +208,13 @@ type ScanChunkResult struct {
 // occupies its worker for a bounded slice of time no matter how selective
 // the filter is; callers must therefore treat an empty chunk with Done
 // unset as progress, not exhaustion.  A nil cursor starts at the beginning
-// of the range.  canceled, when non-nil, is polled during the scan; a true
-// return abandons the chunk with ErrPlanCanceled.
+// of the range.  canceled, when non-nil, is polled before each record; a
+// true return abandons the chunk with ErrPlanCanceled.
+//
+// Per examined record the chunk pays one visit from the index leaf loop
+// (see catalog.Table.AscendRecords), flt's evaluation, and a copy only for
+// a record that matches; the resume key is copied once, when the chunk
+// stops early.
 //
 // Chunks run outside any transaction (like ScanRange): a stream observes
 // each record at most once per chunk but the table may change between
@@ -303,21 +308,20 @@ func scanChunkRange(ctx *Ctx, table string, plo, phi, cursor, hi []byte, flt *pl
 		res.Done = true
 		return res, nil
 	}
-	var lastKey []byte
 	var matched entryBuf
-	stopped, wasCanceled := false, false
+	wasCanceled := false
 	err := ctx.ReadRange(table, clo, chi, func(k, rec []byte) bool {
 		if canceled != nil && canceled() {
 			wasCanceled = true
 			return false
 		}
 		res.Scanned++
-		lastKey = append(lastKey[:0], k...)
-		if flt == nil || flt.Eval(k, rec) {
+		if flt.Eval(k, rec) {
 			matched.add(k, rec)
 		}
 		if matched.len() >= max || res.Scanned >= scanChunkExamineBudget {
-			stopped = true
+			// Resume at the smallest key above the last examined one.
+			res.Next = append(append(make([]byte, 0, len(k)+1), k...), 0)
 			return false
 		}
 		return true
@@ -329,9 +333,7 @@ func scanChunkRange(ctx *Ctx, table string, plo, phi, cursor, hi []byte, flt *pl
 	if wasCanceled {
 		return res, ErrPlanCanceled
 	}
-	if stopped {
-		// Resume at the smallest key above the last examined one.
-		res.Next = append(lastKey, 0)
+	if res.Next != nil {
 		return res, nil
 	}
 	switch {

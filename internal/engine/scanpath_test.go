@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,6 +69,75 @@ func TestScanChunkFixesAndAllocs(t *testing.T) {
 	perRecord := float64(time.Since(start).Nanoseconds()) / float64(runs*res.Scanned)
 	fmt.Printf("BENCH_JSON {\"benchmark\":\"scan_chunk\",\"design\":\"PLP-Leaf\",\"records_per_chunk\":%d,\"ns_per_record\":%.1f,\"fixes_per_record\":%.4f,\"allocs_per_record\":%.4f}\n",
 		res.Scanned, perRecord, float64(fixes)/float64(res.Scanned), allocs/float64(res.Scanned))
+	tatpScanChunkDatapoint(t)
+}
+
+// tatpScanChunkDatapoint reports the time per examined record of chunked
+// scans shaped like TATP's filtered subscriber scan: 100-byte rows, eight
+// partitions, and a 4-byte big-endian field compared against a threshold
+// that keeps about 1% of the rows.  It gates only the result (every
+// matching row, and no other, comes back); the time is reported.
+func tatpScanChunkDatapoint(t *testing.T) {
+	const (
+		rows   = 1 << 16
+		parts  = 8
+		offset = 38 // where TATP's MSC location sits in a subscriber row
+	)
+	e := New(Options{Design: PLPLeaf, Partitions: parts})
+	t.Cleanup(func() { _ = e.Close() })
+	var boundaries [][]byte
+	for p := uint64(1); p < parts; p++ {
+		boundaries = append(boundaries, keyenc.Uint64Key(p*rows/parts+1))
+	}
+	if _, err := e.CreateTable(catalog.TableDef{Name: "sub", Boundaries: boundaries}); err != nil {
+		t.Fatal(err)
+	}
+	const threshold = uint32(1<<32/100 + 1)
+	l := e.NewLoader()
+	rng := rand.New(rand.NewSource(1))
+	matching := 0
+	for i := uint64(1); i <= rows; i++ {
+		row := make([]byte, 100)
+		rng.Read(row)
+		if binary.BigEndian.Uint32(row[offset:]) < threshold {
+			matching++
+		}
+		if err := l.Insert("sub", keyenc.Uint64Key(i), row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var arg [4]byte
+	binary.BigEndian.PutUint32(arg[:], threshold)
+	flt, err := plan.FieldCmp(offset, 4, plan.CmpLt, arg[:]).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := func() (examined, kept, chunks int) {
+		var cursor []byte
+		for {
+			res, err := e.ScanChunk("sub", cursor, nil, flt, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			examined, kept, chunks = examined+res.Scanned, kept+len(res.Entries), chunks+1
+			if res.Done {
+				return examined, kept, chunks
+			}
+			cursor = res.Next
+		}
+	}
+	examined, kept, chunks := scan()
+	if examined != rows || kept != matching {
+		t.Fatalf("TATP-shaped scan examined %d rows and kept %d; want %d and %d", examined, kept, rows, matching)
+	}
+	const runs = 10
+	start := time.Now()
+	for i := 0; i < runs; i++ {
+		scan()
+	}
+	perRecord := float64(time.Since(start).Nanoseconds()) / float64(runs*rows)
+	fmt.Printf("BENCH_JSON {\"benchmark\":\"scan_chunk\",\"shape\":\"tatp\",\"design\":\"PLP-Leaf\",\"rows\":%d,\"row_bytes\":100,\"partitions\":%d,\"chunks\":%d,\"kept_frac\":%.4f,\"ns_per_record\":%.1f}\n",
+		rows, parts, chunks, float64(kept)/float64(rows), perRecord)
 }
 
 // versionedRecord is a record whose eight 8-byte words all hold the same

@@ -91,10 +91,6 @@ func (f *File) ID() uint32 { return f.id }
 // Mode returns the access mode.
 func (f *File) Mode() AccessMode { return f.mode }
 
-// SetMode changes the access mode (used when converting a loaded database
-// between designs).
-func (f *File) SetMode(m AccessMode) { f.mode = m }
-
 // metadataCS records one free-space-directory critical section.
 func (f *File) metadataCS(contended bool) {
 	f.cst.Record(cs.Metadata, contended)
@@ -237,7 +233,8 @@ func (f *File) Get(t *txn.Txn, rid page.RID) ([]byte, error) {
 // that share pages takes one buffer-pool critical section per page
 // instead of one per record.  In Latched mode Get takes the page's shared
 // latch and Release drops it, once per record exactly like File.Get; the
-// pin alone outlives Release, and a pin blocks nothing but FreePage.
+// pin alone outlives Release, and a pin blocks nothing but FreePage.  In
+// LatchFree mode Get and Release make no latch calls at all.
 // A Reader is used by one goroutine and must be closed.
 type Reader struct {
 	f       *File
@@ -267,8 +264,10 @@ func (r *Reader) Get(rid page.RID) ([]byte, error) {
 		}
 		r.frame = frame
 	}
-	r.f.acquire(r.t, r.frame, latch.Shared)
-	r.latched = true
+	if r.f.mode == Latched {
+		r.f.acquire(r.t, r.frame, latch.Shared)
+		r.latched = true
+	}
 	rec, err := r.frame.Page().Get(rid.Slot)
 	if err != nil {
 		r.Release()

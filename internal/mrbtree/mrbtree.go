@@ -275,18 +275,7 @@ func (t *Tree) AscendRange(tx *txn.Txn, lo, hi []byte, fn btree.ScanFunc) error 
 	t.mu.RLock()
 	parts := append([]Partition(nil), t.parts...)
 	t.mu.RUnlock()
-	stopped := false
-	wrapped := func(k, v []byte) bool {
-		ok := fn(k, v)
-		if !ok {
-			stopped = true
-		}
-		return ok
-	}
 	for i, p := range parts {
-		if stopped {
-			return nil
-		}
 		// Skip partitions entirely outside [lo, hi).
 		var partHi []byte
 		if i+1 < len(parts) {
@@ -298,7 +287,7 @@ func (t *Tree) AscendRange(tx *txn.Txn, lo, hi []byte, fn btree.ScanFunc) error 
 		if hi != nil && p.Start != nil && bytes.Compare(p.Start, hi) >= 0 {
 			break
 		}
-		if err := p.Tree.AscendRange(tx, lo, hi, wrapped); err != nil {
+		if stopped, err := p.Tree.AscendRange(tx, lo, hi, fn); err != nil || stopped {
 			return err
 		}
 	}

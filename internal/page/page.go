@@ -183,19 +183,8 @@ func (p *Page) ID() ID { return p.hdr.ID }
 // Kind returns the page's kind.
 func (p *Page) Kind() Kind { return p.hdr.Kind }
 
-// SetKind changes the page's kind (used when a free page is allocated for a
-// specific structure).
-func (p *Page) SetKind(k Kind) { p.hdr.Kind = k }
-
 // LSN returns the page LSN.
 func (p *Page) LSN() uint64 { return p.hdr.LSN }
-
-// SetLSN updates the page LSN.
-func (p *Page) SetLSN(lsn uint64) {
-	if lsn > p.hdr.LSN {
-		p.hdr.LSN = lsn
-	}
-}
 
 // Prev returns the previous sibling page ID.
 func (p *Page) Prev() ID { return p.hdr.Prev }

@@ -146,6 +146,35 @@ func TestNodeRoleTransition(t *testing.T) {
 	}
 }
 
+// TestNodePromotedGidsAreFresh checks that a promoted follower mints no gid
+// its old primary minted.  Both data directories count their incarnations
+// from 1 and both gid sequences restart at 1, so only the replication epoch
+// the promotion bumps can keep the two primaries' gids apart.
+func TestNodePromotedGidsAreFresh(t *testing.T) {
+	addrs := reservePorts(t, 2)
+	paddr, faddr := addrs[0], addrs[1]
+	m := &shard.Map{Version: 1, Shards: []shard.Shard{{ID: 0, Addr: paddr, Replicas: []shard.Replica{{ID: 2, Addr: faddr}}}}}
+	mapFile := writeShardMap(t, m)
+	p := startNode(t, t.TempDir(), "-addr", paddr, "-shard-map", mapFile)
+	f := startNode(t, t.TempDir(), "-addr", faddr, "-shard-map", mapFile, "-follow", paddr, "-advertise", faddr)
+	server.WaitFor(t, "the follower subscribing", func() bool {
+		st := f.ReplStatus()
+		return st.Follower != nil && st.Follower.Connected
+	})
+	minted := map[string]bool{}
+	for i := 0; i < 3; i++ {
+		minted[p.Server().MintGID()] = true
+	}
+	if _, err := f.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if g := f.Server().MintGID(); minted[g] {
+			t.Fatalf("the promoted follower minted %s, a gid of its old primary (which minted %v)", g, minted)
+		}
+	}
+}
+
 // TestNodeLeaseHeartbeat checks that a node derives its replication
 // heartbeat from -lease: an idle follower of a -lease 1s primary keeps
 // hearing from it well inside the lease, so its failover monitor never

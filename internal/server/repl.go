@@ -54,6 +54,15 @@ func (s *Server) SetReplPrimary(p *repl.Primary) {
 // ReplPrimary returns the installed replication hub, or nil.
 func (s *Server) ReplPrimary() *repl.Primary { return s.replPrimary.Load() }
 
+// replEpoch returns the replication epoch of the installed hub, 0 when the
+// node is not a primary.
+func (s *Server) replEpoch() uint64 {
+	if p := s.replPrimary.Load(); p != nil {
+		return p.Epoch()
+	}
+	return 0
+}
+
 // SetFollowerMode flips the server's follower stance.  A follower serves
 // reads (gets, secondary lookups, scans, read-only plans) from its
 // replicated state but refuses every write op, transaction branch and

@@ -980,13 +980,7 @@ func (s *Server) run(sess *engine.Session, p *plan.Plan, gid string, canceled *a
 func planResultsToWire(rs []plan.Result) []wire.StatementResult {
 	out := make([]wire.StatementResult, len(rs))
 	for i, r := range rs {
-		out[i] = wire.StatementResult{Found: r.Found, Value: r.Value, Err: r.Err}
-		if len(r.Entries) > 0 {
-			out[i].Entries = make([]wire.ScanEntry, len(r.Entries))
-			for j, e := range r.Entries {
-				out[i].Entries[j] = wire.ScanEntry{Key: e.Key, Value: e.Value}
-			}
-		}
+		out[i] = wire.StatementResult{Found: r.Found, Value: r.Value, Err: r.Err, Entries: r.Entries}
 	}
 	return out
 }

@@ -26,9 +26,10 @@
 //     answered "decision pending") until this coordinator's next recovery
 //     reads the log and fixes the fate one way for everyone.
 //
-// Gids embed the coordinator's shard ID and an incarnation epoch
-// (s<shard>-<epoch>-<seq>), so a restarted coordinator can never reuse a
-// gid whose durable decision from a previous life would then leak onto an
+// Gids embed the coordinator's shard ID, its replication epoch and an
+// incarnation epoch (s<shard>-<replEpoch>.<epoch>-<seq>), so neither a
+// restarted coordinator nor a promoted follower can reuse a gid whose
+// durable decision from an earlier primary would then leak onto an
 // unrelated transaction.
 //
 // A participant that crashes (or loses its coordinator) while prepared is
@@ -193,12 +194,16 @@ func (s *Server) ShardMap() *shard.Map {
 	return ss.m.Load()
 }
 
-// gidFor mints a globally unique transaction ID; the "s<shard>-" prefix
-// names the coordinator so participants know whom to chase, and the epoch
-// keeps gids from colliding across coordinator restarts (the sequence alone
-// restarts at 0 with the process).
-func (ss *shardState) gidFor() string {
-	return fmt.Sprintf("s%d-%d-%d", ss.self, ss.epoch, ss.seq.Add(1))
+// gidFor mints a globally unique transaction ID,
+// s<shard>-<replEpoch>.<epoch>-<seq>.  The "s<shard>-" prefix names the
+// coordinator so participants know whom to chase.  The sequence restarts at
+// 0 with the process, so the epochs keep gids apart: the incarnation epoch
+// across restarts of one data directory, and the replication epoch across
+// the primaries of the shard.  A promoted follower's data directory counts
+// its incarnations on its own, but it mints under a replication epoch above
+// every earlier primary's, so it cannot re-mint their gids.
+func (ss *shardState) gidFor(replEpoch uint64) string {
+	return fmt.Sprintf("s%d-%d.%d-%d", ss.self, replEpoch, ss.epoch, ss.seq.Add(1))
 }
 
 // coordinatorOf parses the coordinator shard ID out of a gid.
@@ -304,7 +309,7 @@ func (s *Server) executeCoordinated(sess *engine.Session, ss *shardState, m *sha
 		}
 	}
 
-	gid := ss.gidFor()
+	gid := ss.gidFor(s.replEpoch())
 	ss.coordinating.Store(gid, struct{}{})
 	// A transaction whose commit decision could not be flushed stays marked
 	// coordinating forever: its fate is unknowable until this node's next

@@ -434,7 +434,7 @@ func TestStaleShardMapForwarding(t *testing.T) {
 func TestGidEpochUniqueAcrossIncarnations(t *testing.T) {
 	a := &shardState{self: 3, epoch: 1}
 	b := &shardState{self: 3, epoch: 2}
-	ga, gb := a.gidFor(), b.gidFor()
+	ga, gb := a.gidFor(1), b.gidFor(1)
 	if ga == gb {
 		t.Fatalf("gid %q reused across incarnations", ga)
 	}

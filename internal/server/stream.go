@@ -152,13 +152,7 @@ func (s *Server) streamScan(payload []byte, canceled *atomic.Bool, out *outbox, 
 			return
 		}
 		sent += len(res.Entries)
-		chunk := &wire.ScanChunk{ID: f.ID, Final: res.Done || sent >= limit}
-		if n := len(res.Entries); n > 0 {
-			chunk.Entries = make([]wire.ScanEntry, n)
-			for i, ent := range res.Entries {
-				chunk.Entries[i] = wire.ScanEntry{Key: ent.Key, Value: ent.Value}
-			}
-		}
+		chunk := &wire.ScanChunk{ID: f.ID, Final: res.Done || sent >= limit, Entries: res.Entries}
 		fl.credits.Add(-1)
 		m := outMsg{raw: wire.AppendScanChunk(nil, chunk)}
 		if chunk.Final {

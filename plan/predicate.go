@@ -162,8 +162,9 @@ func Not(p *Predicate) *Predicate { return &Predicate{Kind: PredNot, Kids: []*Pr
 // --- validation -------------------------------------------------------------
 
 // Validate checks the tree's structure: defined kinds and operators, arity,
-// 8-byte args for Int64 comparisons, and the node/depth/stack limits that
-// bound hostile input.
+// 8-byte args for Int64 comparisons, no Int64 flag on prefix tests (which
+// read raw bytes), and the node/depth/stack limits that bound hostile
+// input.
 func (p *Predicate) Validate() error {
 	nodes := 0
 	_, err := p.validate(&nodes, 1)
@@ -194,6 +195,9 @@ func (p *Predicate) validate(nodes *int, depth int) (int, error) {
 		}
 		return 1, nil
 	case PredPrefix:
+		if p.Int64 {
+			return 0, fmt.Errorf("plan: prefix predicate on an int64 field")
+		}
 		if len(p.Kids) != 0 {
 			return 0, fmt.Errorf("plan: prefix predicate with children")
 		}
@@ -359,13 +363,42 @@ type filterInst struct {
 	ln    uint32
 	n     int32 // child count for fiAnd/fiOr
 	arg   []byte
-	argI  int64 // decoded arg for int64 comparisons
+	// width > 0 marks a fixed-width comparison: the field and arg are both
+	// width bytes (at most 8), so they compare as big-endian unsigned
+	// integers.  argU is arg decoded and XORed with flip, which is the sign
+	// bit for int64 fields (turning a signed compare into an unsigned one)
+	// and 0 for raw bytes.
+	width uint8
+	flip  uint64
+	argU  uint64
+}
+
+// bindArg sets the instruction's argument and, where the comparison is
+// fixed-width, its decoded form.  The width depends on the argument's
+// length, so a rebound argument re-derives it.
+func (in *filterInst) bindArg(arg []byte) {
+	in.arg, in.width, in.flip, in.argU = arg, 0, 0, 0
+	if in.op != fiCmp {
+		return
+	}
+	switch {
+	case in.i64:
+		in.width, in.flip = 8, 1<<63
+	case in.ln != 0 && int(in.ln) == len(arg) && len(arg) <= 8:
+		in.width = uint8(len(arg))
+	default:
+		return
+	}
+	in.argU = beUint(arg) ^ in.flip
 }
 
 // Filter is a compiled predicate: a flat postfix program evaluated with a
-// fixed-size stack, no closures and no per-row allocation.  A Filter is
-// immutable after Compile and safe for concurrent use by many partition
-// workers.
+// fixed-size stack, no closures and no per-row allocation.  A comparison
+// whose field and argument have the same width of at most 8 bytes (every
+// Int64 comparison, and a FieldCmp whose length equals its argument's)
+// compiles to one unsigned-integer compare against the argument decoded at
+// Compile or Rebind.  A Filter is immutable after Compile and safe for
+// concurrent use by many partition workers.
 type Filter struct {
 	prog []filterInst
 }
@@ -388,10 +421,8 @@ func (f *Filter) emit(p *Predicate) {
 	switch p.Kind {
 	case PredCmp:
 		in := filterInst{op: fiCmp, cmp: p.Cmp, onKey: p.OnKey, i64: p.Int64,
-			off: p.Offset, ln: p.Length, arg: p.Arg}
-		if p.Int64 {
-			in.argI = int64(binary.BigEndian.Uint64(p.Arg))
-		}
+			off: p.Offset, ln: p.Length}
+		in.bindArg(p.Arg)
 		f.prog = append(f.prog, in)
 	case PredPrefix:
 		f.prog = append(f.prog, filterInst{op: fiPrefix, onKey: p.OnKey,
@@ -422,8 +453,7 @@ func (f *Filter) Template() *Filter {
 	t := &Filter{prog: make([]filterInst, len(f.prog))}
 	copy(t.prog, f.prog)
 	for i := range t.prog {
-		t.prog[i].arg = nil
-		t.prog[i].argI = 0
+		t.prog[i].bindArg(nil)
 	}
 	return t
 }
@@ -470,13 +500,10 @@ func rebindNode(prog []filterInst, i *int, p *Predicate, depth int) error {
 			in.i64 != p.Int64 || in.off != p.Offset || in.ln != p.Length {
 			return mismatch()
 		}
-		if p.Int64 {
-			if len(p.Arg) != 8 {
-				return fmt.Errorf("plan: int64 predicate arg must be 8 bytes, got %d", len(p.Arg))
-			}
-			in.argI = int64(binary.BigEndian.Uint64(p.Arg))
+		if p.Int64 && len(p.Arg) != 8 {
+			return fmt.Errorf("plan: int64 predicate arg must be 8 bytes, got %d", len(p.Arg))
 		}
-		in.arg = p.Arg
+		in.bindArg(p.Arg)
 		*i++
 		return nil
 	case PredAnd, PredOr:
@@ -546,22 +573,22 @@ func AppendShape(dst []byte, p *Predicate) []byte {
 }
 
 // Eval reports whether the row (key, val) passes the filter.  A nil Filter
-// passes everything.
+// passes everything.  A filter of one comparison or prefix test, the common
+// pushed-down case, runs that test directly without the stack machine.
 func (f *Filter) Eval(key, val []byte) bool {
 	if f == nil {
 		return true
+	}
+	if len(f.prog) == 1 {
+		return f.prog[0].test(key, val)
 	}
 	var st [maxFilterStack]bool
 	sp := 0
 	for i := range f.prog {
 		in := &f.prog[i]
 		switch in.op {
-		case fiCmp:
-			st[sp] = evalCmp(in, key, val)
-			sp++
-		case fiPrefix:
-			field, ok := field(in, key, val)
-			st[sp] = ok && bytes.HasPrefix(field, in.arg)
+		case fiCmp, fiPrefix:
+			st[sp] = in.test(key, val)
 			sp++
 		case fiAnd:
 			r := true
@@ -586,6 +613,29 @@ func (f *Filter) Eval(key, val []byte) bool {
 	return st[0]
 }
 
+// test evaluates a leaf instruction (fiCmp or fiPrefix) on the row.
+func (in *filterInst) test(key, val []byte) bool {
+	if in.width > 0 {
+		src := val
+		if in.onKey {
+			src = key
+		}
+		end := uint64(in.off) + uint64(in.width)
+		if end > uint64(len(src)) {
+			return false
+		}
+		return cmpUint(in.cmp, beUint(src[in.off:end])^in.flip, in.argU)
+	}
+	f, ok := field(in, key, val)
+	if !ok {
+		return false
+	}
+	if in.op == fiPrefix {
+		return bytes.HasPrefix(f, in.arg)
+	}
+	return cmpHolds(in.cmp, bytes.Compare(f, in.arg))
+}
+
 // field extracts the instruction's field from the row; ok is false when the
 // source is too short ("missing field is false").
 func field(in *filterInst, key, val []byte) ([]byte, bool) {
@@ -607,34 +657,40 @@ func field(in *filterInst, key, val []byte) ([]byte, bool) {
 	return src[off:end], true
 }
 
-func evalCmp(in *filterInst, key, val []byte) bool {
-	if in.i64 {
-		src := val
-		if in.onKey {
-			src = key
-		}
-		end := uint64(in.off) + 8
-		if end > uint64(len(src)) {
-			return false
-		}
-		a := int64(binary.BigEndian.Uint64(src[in.off:end]))
-		return cmpHolds(in.cmp, compareInt64(a, in.argI))
+// beUint decodes b (at most 8 bytes) as a big-endian unsigned integer.
+// Equal-length byte strings order like their decoded values.
+func beUint(b []byte) uint64 {
+	switch len(b) {
+	case 8:
+		return binary.BigEndian.Uint64(b)
+	case 4:
+		return uint64(binary.BigEndian.Uint32(b))
+	case 2:
+		return uint64(binary.BigEndian.Uint16(b))
 	}
-	f, ok := field(in, key, val)
-	if !ok {
-		return false
+	var v uint64
+	for _, c := range b {
+		v = v<<8 | uint64(c)
 	}
-	return cmpHolds(in.cmp, bytes.Compare(f, in.arg))
+	return v
 }
 
-func compareInt64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+func cmpUint(op CmpOp, a, b uint64) bool {
+	switch op {
+	case CmpEq:
+		return a == b
+	case CmpNe:
+		return a != b
+	case CmpLt:
+		return a < b
+	case CmpLe:
+		return a <= b
+	case CmpGt:
+		return a > b
+	case CmpGe:
+		return a >= b
 	default:
-		return 0
+		return false
 	}
 }
 

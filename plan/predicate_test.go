@@ -3,8 +3,10 @@ package plan
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -92,18 +94,48 @@ func naiveEval(p *Predicate, key, val []byte) bool {
 	return false
 }
 
+// edgeBytes are the byte values where signed and unsigned orders part, and
+// their neighbours.
+var edgeBytes = []byte{0x00, 0x01, 0x7f, 0x80, 0x81, 0xfe, 0xff}
+
+// randBytes returns n bytes over the full byte range, half of them edge
+// values so that equal bytes and sign-bit differences both turn up.
+func randBytes(rng *rand.Rand, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		if rng.Intn(2) == 0 {
+			b[i] = edgeBytes[rng.Intn(len(edgeBytes))]
+		} else {
+			b[i] = byte(rng.Intn(256))
+		}
+	}
+	return b
+}
+
+// randInt64Arg returns an 8-byte int64 operand: a small signed value or
+// any 8 bytes.
+func randInt64Arg(rng *rand.Rand) []byte {
+	if rng.Intn(2) == 0 {
+		return Int64(int64(rng.Intn(16) - 8))
+	}
+	return randBytes(rng, 8)
+}
+
+// randLeafArg returns an operand for a raw-byte leaf of the given field
+// length: usually exactly that wide (the fixed-width compare), otherwise
+// 0–9 bytes.
+func randLeafArg(rng *rand.Rand, length uint32) []byte {
+	if length != 0 && rng.Intn(3) != 0 {
+		return randBytes(rng, int(length))
+	}
+	return randBytes(rng, rng.Intn(10))
+}
+
 // randPredicate generates a random valid predicate tree.
 func randPredicate(rng *rand.Rand, depth int) *Predicate {
 	kind := rng.Intn(5)
 	if depth >= 4 {
 		kind = rng.Intn(2) // leaves only
-	}
-	randArg := func(n int) []byte {
-		b := make([]byte, rng.Intn(n))
-		for i := range b {
-			b[i] = byte(rng.Intn(4)) // small alphabet: collisions matter
-		}
-		return b
 	}
 	switch kind {
 	case 0: // cmp
@@ -115,20 +147,21 @@ func randPredicate(rng *rand.Rand, depth int) *Predicate {
 		}
 		if rng.Intn(3) == 0 {
 			p.Int64 = true
-			p.Arg = Int64(int64(rng.Intn(16) - 8))
+			p.Arg = randInt64Arg(rng)
 		} else {
-			p.Length = uint32(rng.Intn(6)) // 0 = rest
-			p.Arg = randArg(6)
+			p.Length = uint32(rng.Intn(10)) // 0 = rest
+			p.Arg = randLeafArg(rng, p.Length)
 		}
 		return p
 	case 1: // prefix
-		return &Predicate{
+		p := &Predicate{
 			Kind:   PredPrefix,
 			OnKey:  rng.Intn(2) == 0,
 			Offset: uint32(rng.Intn(6)),
 			Length: uint32(rng.Intn(6)),
-			Arg:    randArg(4),
 		}
+		p.Arg = randLeafArg(rng, p.Length)
+		return p
 	case 2, 3: // and/or
 		k := PredAnd
 		if kind == 3 {
@@ -145,9 +178,58 @@ func randPredicate(rng *rand.Rand, depth int) *Predicate {
 	}
 }
 
-// TestFilterMatchesNaiveReference is the property test: compiled postfix
+// reArg returns a copy of p with the same shape and fresh arguments, whose
+// widths may differ from p's, as a plan-cache hit rebinds them.
+func reArg(rng *rand.Rand, p *Predicate) *Predicate {
+	q := *p
+	q.Kids = nil
+	for _, k := range p.Kids {
+		q.Kids = append(q.Kids, reArg(rng, k))
+	}
+	switch {
+	case p.Kind == PredCmp && p.Int64:
+		q.Arg = randInt64Arg(rng)
+	case p.Kind == PredCmp || p.Kind == PredPrefix:
+		q.Arg = randLeafArg(rng, p.Length)
+	}
+	return &q
+}
+
+// randRow returns a random key and value in which, for about half of p's
+// leaves, the leaf's operand is planted at its field's offset, sometimes
+// with one byte moved by one, so equality and its neighbours are tested.
+func randRow(rng *rand.Rand, p *Predicate) (key, val []byte) {
+	key, val = randBytes(rng, rng.Intn(20)), randBytes(rng, rng.Intn(24))
+	var plant func(p *Predicate)
+	plant = func(p *Predicate) {
+		for _, k := range p.Kids {
+			plant(k)
+		}
+		if (p.Kind != PredCmp && p.Kind != PredPrefix) || rng.Intn(2) == 0 {
+			return
+		}
+		src := val
+		if p.OnKey {
+			src = key
+		}
+		if int(p.Offset) > len(src) {
+			return
+		}
+		n := copy(src[p.Offset:], p.Arg)
+		if n > 0 && rng.Intn(2) == 0 {
+			src[int(p.Offset)+rng.Intn(n)] += byte(rng.Intn(3)) - 1
+		}
+	}
+	plant(p)
+	return key, val
+}
+
+// TestFilterMatchesNaiveReference is the property test: compiled
 // evaluation and the naive recursive reference must agree on random trees
-// over random rows, including short rows that miss fields.
+// over random rows, including short rows that miss fields, bytes over the
+// full range and fixed-width fields of 1–9 bytes.  Each trial also rebinds
+// the compiled filter, and its template, to a same-shaped predicate with
+// fresh arguments, and checks those against the reference too.
 func TestFilterMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 2000; trial++ {
@@ -159,22 +241,88 @@ func TestFilterMatchesNaiveReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: compile: %v", trial, err)
 		}
-		for row := 0; row < 20; row++ {
-			key := make([]byte, rng.Intn(12))
-			val := make([]byte, rng.Intn(16))
-			for i := range key {
-				key[i] = byte(rng.Intn(4))
-			}
-			for i := range val {
-				val[i] = byte(rng.Intn(4))
-			}
-			want := naiveEval(p, key, val)
-			if got := f.Eval(key, val); got != want {
-				t.Fatalf("trial %d: compiled=%v naive=%v\npred=%+v\nkey=%x val=%x",
-					trial, got, want, p, key, val)
+		q := reArg(rng, p)
+		rebound, err := f.Rebind(q)
+		if err != nil {
+			t.Fatalf("trial %d: rebind: %v", trial, err)
+		}
+		fromTemplate, err := f.Template().Rebind(q)
+		if err != nil {
+			t.Fatalf("trial %d: rebind of the template: %v", trial, err)
+		}
+		for _, c := range []struct {
+			name string
+			p    *Predicate
+			f    *Filter
+		}{{"compiled", p, f}, {"rebound", q, rebound}, {"template rebound", q, fromTemplate}} {
+			for row := 0; row < 20; row++ {
+				key, val := randRow(rng, c.p)
+				want := naiveEval(c.p, key, val)
+				if got := c.f.Eval(key, val); got != want {
+					t.Fatalf("trial %d: %s=%v naive=%v\npred=%s\nkey=%x val=%x",
+						trial, c.name, got, want, predString(c.p), key, val)
+				}
 			}
 		}
 	}
+}
+
+// predString renders a predicate tree for failure messages.
+func predString(p *Predicate) string {
+	if len(p.Kids) == 0 {
+		return fmt.Sprintf("%s(op=%v key=%v i64=%v off=%d len=%d arg=%x)",
+			p.Kind.mnemonic(), p.Cmp, p.OnKey, p.Int64, p.Offset, p.Length, p.Arg)
+	}
+	var b strings.Builder
+	b.WriteString(p.Kind.mnemonic() + "(")
+	for i, k := range p.Kids {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(predString(k))
+	}
+	return b.String() + ")"
+}
+
+// FuzzFilterEval checks a compiled filter, and its template rebound to the
+// same predicate, against naiveEval on arbitrary predicates and rows.
+// Fixed-width fields (a FieldCmp whose length equals its operand's, and
+// Int64 fields) compile to an integer compare, so a sign or width slip in
+// it shows here.
+func FuzzFilterEval(f *testing.F) {
+	var msc [4]byte
+	binary.BigEndian.PutUint32(msc[:], 1<<32/100+1)
+	for _, p := range []*Predicate{
+		FieldCmp(2, 4, CmpLt, msc[:]),
+		FieldCmp(0, 1, CmpGe, []byte{0x80}),
+		Int64Cmp(1, CmpLe, -3),
+		And(KeyCmp(CmpNe, []byte{0xff, 0}), Not(ValuePrefix([]byte{0x7f}))),
+	} {
+		f.Add(AppendPredicate(nil, p), []byte{0, 0x80, 1}, []byte{0xff, 0x80, 0, 0, 0, 0, 1, 2, 3, 0x7f})
+	}
+	f.Fuzz(func(t *testing.T, enc, key, val []byte) {
+		p, _, err := DecodePredicate(enc)
+		if err != nil {
+			return
+		}
+		flt, err := p.Compile()
+		if err != nil {
+			return
+		}
+		want := naiveEval(p, key, val)
+		if got := flt.Eval(key, val); got != want {
+			t.Fatalf("compiled=%v naive=%v\npred=%s\nkey=%x val=%x", got, want, predString(p), key, val)
+		}
+		// Rebind may refuse (a prefix leaf carrying an operator byte, say);
+		// a plan-cache hit then falls back to Compile.
+		rebound, err := flt.Template().Rebind(p)
+		if err != nil {
+			return
+		}
+		if got := rebound.Eval(key, val); got != want {
+			t.Fatalf("template rebound=%v naive=%v\npred=%s\nkey=%x val=%x", got, want, predString(p), key, val)
+		}
+	})
 }
 
 // TestPredicateEncodeDecodeRoundTrip checks the wire form reproduces the

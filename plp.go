@@ -81,6 +81,17 @@
 // At 1% selectivity the scan_pushdown CI datapoint measures both the
 // speedup and the bytes-on-wire reduction against client-side filtering.
 //
+// What a pushed-down filter costs is paid per examined row, not per
+// returned one, on the partition's own worker, so the scan loop is kept
+// straight: the index checks the range's upper bound once per leaf, each
+// row reaches the chunk's visitor through one callback with its heap
+// record read in place (no latch call under PLP), and a comparison whose
+// field and operand have the same width of at most 8 bytes — TATP's 4-byte
+// location field, any Int64Cmp — is one unsigned-integer compare against
+// an operand decoded at compile (or cache rebind) time.  A filter of one
+// test skips the stack machine.  The TATP-shaped scan_chunk CI datapoint
+// reports the time per examined row.
+//
 // Over the wire a scan can stream instead of materializing: the server
 // walks the partitions in key order and emits flow-controlled SCAN-CHUNK
 // frames (a per-stream credit window caps unacknowledged chunks, so a slow

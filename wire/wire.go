@@ -111,13 +111,9 @@ const (
 	FrameControl FrameKind = 15
 )
 
-// ScanEntry is one record returned by a scan.
-type ScanEntry struct {
-	// Key is the record's primary key.
-	Key []byte
-	// Value is the record image.
-	Value []byte
-}
+// ScanEntry is one record returned by a scan: the engine's plan.Entry, so
+// scan results reach the wire codec without a copy of their headers.
+type ScanEntry = plan.Entry
 
 // StatementResult is the outcome of one plan op (or of a ping or control
 // frame).
