@@ -121,6 +121,10 @@ type Txn struct {
 	// probes lists, ascending, the flat op index of each GetBySecondary's
 	// probe; its bound Get is the next op, and the two share one result.
 	probes []int
+	// The first phase and its first op live in the Txn itself, so a
+	// one-statement transaction is one allocation.
+	phase0 [1][]plan.Op
+	op0    [1]plan.Op
 }
 
 // NewTxn returns an empty transaction builder.
@@ -139,9 +143,15 @@ func (t *Txn) add(op plan.Op) *Txn {
 		}
 	}
 	if !t.open {
+		if t.p.Phases == nil {
+			t.p.Phases = t.phase0[:0]
+		}
 		t.p.Phases = append(t.p.Phases, nil)
 		t.open = true
 		last++
+		if last == 0 {
+			t.p.Phases[0] = t.op0[:0]
+		}
 	}
 	t.p.Phases[last] = append(t.p.Phases[last], op)
 	return t
@@ -232,22 +242,52 @@ func (t *Txn) collapse(rs []wire.StatementResult) []wire.StatementResult {
 
 // Future is one in-flight request.  It completes exactly once: with the
 // server's response, with a transport error, or with the cancellation
-// error of the context that abandoned it.
+// error of the context that abandoned it.  The response is decoded into
+// storage the Future holds, so a small reply costs the client no
+// allocation beyond the Future itself.
 type Future struct {
-	id   uint64
-	txn  *Txn // folds per-op results into per-statement ones (nil: none)
-	done chan struct{}
-	resp *wire.Response
+	id  uint64
+	txn *Txn // folds per-op results into per-statement ones (nil: none)
+
+	wg    sync.WaitGroup // released by complete
+	mu    sync.Mutex     // guards done and fired
+	done  chan struct{}  // made by the first Done call
+	fired bool           // complete has run
+
+	resp *wire.Response // &r once the response has arrived
 	err  error
+
+	// The response is decoded into r, its results into results while they
+	// fit, and its frame copied into inline while it fits.
+	r       wire.Response
+	results [2]wire.StatementResult
+	inline  [160]byte
+}
+
+// newFuture returns an uncompleted future.
+func newFuture(t *Txn) *Future {
+	f := &Future{txn: t}
+	f.wg.Add(1)
+	return f
 }
 
 // Done returns a channel closed when the future completes.
-func (f *Future) Done() <-chan struct{} { return f.done }
+func (f *Future) Done() <-chan struct{} {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.done == nil {
+		f.done = make(chan struct{})
+		if f.fired {
+			close(f.done)
+		}
+	}
+	return f.done
+}
 
 // Result blocks until the future completes and returns the response.
 // Aborted transactions return the response together with ErrAborted.
 func (f *Future) Result() (*wire.Response, error) {
-	<-f.done
+	f.wg.Wait()
 	if f.err != nil {
 		return nil, f.err
 	}
@@ -260,6 +300,18 @@ func (f *Future) Result() (*wire.Response, error) {
 	return f.resp, nil
 }
 
+// decode copies a response frame into the future's storage and decodes it
+// there.  Only the client's reader calls it, before completing the future.
+func (f *Future) decode(payload []byte) error {
+	buf := f.inline[:0]
+	if len(payload) > len(f.inline) {
+		buf = make([]byte, 0, len(payload))
+	}
+	buf = append(buf, payload...)
+	f.r.Results = f.results[:0]
+	return wire.DecodeResponseInto(&f.r, buf)
+}
+
 // complete resolves the future.  Callers must guarantee exactly-once (the
 // client does, by removing the future from its pending map first).
 func (f *Future) complete(resp *wire.Response, err error) {
@@ -267,12 +319,18 @@ func (f *Future) complete(resp *wire.Response, err error) {
 		resp.Results = f.txn.collapse(resp.Results)
 	}
 	f.resp, f.err = resp, err
-	close(f.done)
+	f.mu.Lock()
+	f.fired = true
+	if f.done != nil {
+		close(f.done)
+	}
+	f.mu.Unlock()
+	f.wg.Done()
 }
 
 // failed returns a future already completed with err.
 func failed(err error) *Future {
-	f := &Future{done: make(chan struct{})}
+	f := newFuture(nil)
 	f.complete(nil, err)
 	return f
 }
@@ -335,11 +393,18 @@ type Client struct {
 	readOnly bool
 	retry    *RetryPolicy
 
-	// Outgoing frames are handed to a writer goroutine that batches them
-	// into one buffered write.  It flushes when the queue drains, after
-	// yielding once first if another request is unanswered (see writeLoop),
-	// so under pipelining many requests leave in a single syscall.
-	writeCh    chan []byte
+	// Outgoing frames are appended, encoded, to wbuf, the pending write
+	// buffer, under wmu; a writer goroutine woken through wready takes the
+	// whole buffer and sends it in one write, after yielding once first if
+	// another request is unanswered (see writeLoop), so under pipelining
+	// many requests leave in a single syscall.  A submitter that finds
+	// maxPendingWrite bytes unsent waits on wroom until the writer takes
+	// them, or until wquit reports the writer gone.
+	wmu        sync.Mutex
+	wroom      sync.Cond // on wmu
+	wquit      bool
+	wbuf       []byte
+	wready     chan struct{}
 	writerQuit chan struct{}
 	quitOnce   sync.Once
 
@@ -405,12 +470,13 @@ func DialContext(ctx context.Context, addr string, opts *DialOptions) (*Client, 
 		conn:       conn,
 		retry:      o.RetryPolicy,
 		br:         bufio.NewReaderSize(conn, 64<<10),
-		writeCh:    make(chan []byte, 256),
+		wready:     make(chan struct{}, 1),
 		writerQuit: make(chan struct{}),
 		pending:    make(map[uint64]*Future),
 		streams:    make(map[uint64]chan *wire.ScanChunk),
 		readerDone: make(chan struct{}),
 	}
+	c.wroom.L = &c.wmu
 	if err := c.handshake(dctx, &o); err != nil {
 		_ = conn.Close()
 		return nil, err
@@ -461,41 +527,67 @@ func (c *Client) Authenticated() bool { return c.authed }
 // ops and control verbs will be refused server-side.
 func (c *Client) ReadOnly() bool { return c.readOnly }
 
-// writeLoop drains the outgoing queue into a buffered writer, flushing
-// when the queue is empty.  Before flushing, a writer that has not yielded
-// since its last flush, with a request unanswered besides the one just
-// written, yields once (runtime.Gosched): callers already runnable submit
-// meanwhile, and their frames leave in the same write(2).  A connection
+// writeLoop sends the pending write buffer whenever a submitter wakes it.
+// Before taking the buffer, with a request unanswered besides the newest,
+// it yields once (runtime.Gosched): callers already runnable append their
+// frames meanwhile, and those leave in the same write(2).  A connection
 // with one request in flight sends every frame at once; the yield is one
-// scheduler pass, so no frame waits for a slower request.
+// scheduler pass, so no frame waits for a slower request.  Two buffers
+// alternate, so steady-state sending allocates nothing.
 func (c *Client) writeLoop() {
-	bw := bufio.NewWriterSize(c.conn, 64<<10)
-	yielded := false
+	var spare []byte
 	for {
 		select {
-		case payload := <-c.writeCh:
-			if err := wire.WriteFrame(bw, payload); err != nil {
-				c.fail(err)
-				return
-			}
-			if len(c.writeCh) > 0 {
-				continue
-			}
-			if !yielded && c.unanswered.Load() > 1 {
-				yielded = true
-				runtime.Gosched()
-				if len(c.writeCh) > 0 {
-					continue
-				}
-			}
-			yielded = false
-			if err := bw.Flush(); err != nil {
-				c.fail(err)
-				return
-			}
+		case <-c.wready:
 		case <-c.writerQuit:
 			return
 		}
+		if c.unanswered.Load() > 1 {
+			runtime.Gosched()
+		}
+		c.wmu.Lock()
+		batch := c.wbuf
+		c.wbuf = spare[:0]
+		c.wmu.Unlock()
+		c.wroom.Broadcast()
+		if len(batch) > 0 {
+			if _, err := c.conn.Write(batch); err != nil {
+				c.fail(err)
+				return
+			}
+		}
+		spare = batch
+		if cap(spare) > maxSpareWriteBuf {
+			spare = nil // a burst's buffer is not kept for the quiet after it
+		}
+	}
+}
+
+// maxSpareWriteBuf caps the sent buffer the writer keeps for reuse.
+const maxSpareWriteBuf = 1 << 20
+
+// maxPendingWrite bounds the pending write buffer.  A submitter that finds
+// this many bytes unsent waits for the writer to take them, so a caller
+// pipelining against a server that has stopped reading blocks, as it would
+// on a full socket, instead of growing the buffer (and the pending map)
+// without limit.  One frame may still take the buffer past the bound.
+const maxPendingWrite = 1 << 20
+
+// waitRoomLocked waits, holding c.wmu, until the pending write buffer is
+// under maxPendingWrite, and reports false instead once the writer has quit
+// (fail() completes, or will complete, every pending future).
+func (c *Client) waitRoomLocked() bool {
+	for len(c.wbuf) >= maxPendingWrite && !c.wquit {
+		c.wroom.Wait()
+	}
+	return !c.wquit
+}
+
+// wake tells the writer the pending buffer holds frames.
+func (c *Client) wake() {
+	select {
+	case c.wready <- struct{}{}:
+	default:
 	}
 }
 
@@ -505,20 +597,24 @@ func (c *Client) countLocked() {
 	c.unanswered.Store(int64(len(c.pending) + len(c.streams)))
 }
 
-// readLoop matches response frames to pending futures by request ID.
+// readLoop matches response frames to pending futures by request ID.  Each
+// frame is read into one reused buffer; a response is decoded into its
+// future's own storage, and a scan chunk, which its stream consumer keeps,
+// into a copy.
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
+	var buf []byte
+	var stray wire.Response // decodes responses nobody waits for
 	for {
-		payload, err := wire.ReadFrame(c.br)
+		payload, err := wire.ReadFrameInto(c.br, buf)
+		buf = payload[:0]
 		if err != nil {
 			c.fail(err)
 			return
 		}
 		if wire.IsScanChunk(payload) {
 			// A streaming-scan chunk: route it to its stream's channel.
-			// ReadFrame allocated the payload fresh, so the decoded chunk
-			// may alias it.
-			chunk, err := wire.DecodeScanChunk(payload)
+			chunk, err := wire.DecodeScanChunk(bytes.Clone(payload))
 			if err != nil {
 				c.fail(fmt.Errorf("client: bad scan chunk: %w", err))
 				return
@@ -543,21 +639,30 @@ func (c *Client) readLoop() {
 			// A chunk without a stream belongs to an abandoned scan: drop it.
 			continue
 		}
-		resp, err := wire.DecodeResponse(payload)
-		if err != nil {
-			c.fail(fmt.Errorf("client: bad response frame: %w", err))
-			return
-		}
+		id, _ := wire.RequestID(payload)
 		c.mu.Lock()
-		f := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
+		f := c.pending[id]
+		delete(c.pending, id)
 		c.countLocked()
 		c.mu.Unlock()
-		if f != nil {
-			f.complete(resp, nil)
+		if f == nil {
+			// A response to an abandoned (cancelled) request: check it
+			// and drop it.
+			err = wire.DecodeResponseInto(&stray, payload)
+		} else {
+			err = f.decode(payload)
 		}
-		// An unmatched ID is a response to an abandoned (cancelled) request:
-		// drop it.
+		if err != nil {
+			err = fmt.Errorf("client: bad response frame: %w", err)
+			if f != nil {
+				f.complete(nil, err)
+			}
+			c.fail(err)
+			return
+		}
+		if f != nil {
+			f.complete(&f.r, nil)
+		}
 	}
 }
 
@@ -580,6 +685,10 @@ func (c *Client) fail(err error) {
 	c.countLocked()
 	c.mu.Unlock()
 	c.quitOnce.Do(func() { close(c.writerQuit) })
+	c.wmu.Lock()
+	c.wquit = true
+	c.wmu.Unlock()
+	c.wroom.Broadcast() // submitters waiting for room give up
 	_ = c.conn.Close()
 	for _, f := range pend {
 		f.complete(nil, err)
@@ -613,9 +722,7 @@ func (c *Client) DoAsync(ctx context.Context, t *Txn) *Future {
 	if t.scan && t.Len() > 1 {
 		return failed(fmt.Errorf("%w: scan statements must be sent alone, not inside a transaction", ErrAborted))
 	}
-	return c.submitAsync(ctx, t, func(id uint64) []byte {
-		return wire.EncodePlanRequest(id, &t.p)
-	})
+	return c.submitPlan(ctx, t, &t.p)
 }
 
 // DoPlanAsync submits a declarative plan (package plan) as one transaction
@@ -624,15 +731,51 @@ func (c *Client) DoPlanAsync(ctx context.Context, p *plan.Plan) *Future {
 	if err := p.Validate(); err != nil {
 		return failed(err)
 	}
-	return c.submitAsync(ctx, nil, func(id uint64) []byte {
-		return wire.EncodePlanRequest(id, p)
-	})
+	return c.submitPlan(ctx, nil, p)
+}
+
+// submitPlan registers a future and appends p's frame straight to the
+// pending write buffer.  A non-nil t folds the response's results into one
+// per statement.
+func (c *Client) submitPlan(ctx context.Context, t *Txn, p *plan.Plan) *Future {
+	f := c.register(ctx, t)
+	if f.id == 0 {
+		return f
+	}
+	c.wmu.Lock()
+	if !c.waitRoomLocked() {
+		c.wmu.Unlock()
+		return f
+	}
+	var err error
+	c.wbuf, err = wire.AppendPlanFrame(c.wbuf, f.id, p)
+	c.wmu.Unlock()
+	if err != nil {
+		// Too large to send: fail this request, not the connection.
+		if c.abandon(f) {
+			f.complete(nil, err)
+		}
+		return f
+	}
+	c.wake()
+	return f
 }
 
 // submitAsync registers a future and enqueues the frame encode(id) builds.
 // A non-nil t folds the response's results into one per statement.
 func (c *Client) submitAsync(ctx context.Context, t *Txn, encode func(id uint64) []byte) *Future {
-	f := &Future{txn: t, done: make(chan struct{})}
+	f := c.register(ctx, t)
+	if f.id != 0 {
+		c.enqueue(encode(f.id))
+	}
+	return f
+}
+
+// register makes the future of one request and gives it the next request
+// ID, registering it as pending; a future that cannot be sent comes back
+// completed, with ID 0.
+func (c *Client) register(ctx context.Context, t *Txn) *Future {
+	f := newFuture(t)
 	if err := ctx.Err(); err != nil {
 		f.complete(nil, err)
 		return f
@@ -654,23 +797,28 @@ func (c *Client) submitAsync(ctx context.Context, t *Txn, encode func(id uint64)
 	c.pending[f.id] = f
 	c.countLocked()
 	c.mu.Unlock()
-
-	c.enqueue(encode(f.id))
 	return f
 }
 
-// enqueue hands one frame to the writer goroutine.
+// enqueue appends one frame holding payload to the pending write buffer,
+// waiting for room, and wakes the writer.  A payload too large to frame
+// poisons the client, as a failed write would.  After a transport failure
+// the frame is simply never sent: fail() has already completed (or will
+// complete) its future.
 func (c *Client) enqueue(payload []byte) {
-	select {
-	case c.writeCh <- payload: // non-blocking fast path: the queue has room
-	default:
-		select {
-		case c.writeCh <- payload:
-		case <-c.writerQuit:
-			// The connection failed between registration and submission;
-			// fail() has already completed (or will complete) the future.
-		}
+	c.wmu.Lock()
+	if !c.waitRoomLocked() {
+		c.wmu.Unlock()
+		return
 	}
+	var err error
+	c.wbuf, err = wire.AppendFrame(c.wbuf, payload)
+	c.wmu.Unlock()
+	if err != nil {
+		c.fail(err)
+		return
+	}
+	c.wake()
 }
 
 // Wait blocks until the future completes or the context is done.  A context
@@ -681,7 +829,7 @@ func (f *Future) Wait(ctx context.Context) (*wire.Response, error) {
 		return f.Result()
 	}
 	select {
-	case <-f.done:
+	case <-f.Done():
 		return f.Result()
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -689,12 +837,16 @@ func (f *Future) Wait(ctx context.Context) (*wire.Response, error) {
 }
 
 // abandon detaches the future after a cancellation so its response slot is
-// forgotten.
-func (c *Client) abandon(f *Future) {
+// forgotten, and reports whether it was still pending.
+func (c *Client) abandon(f *Future) bool {
 	c.mu.Lock()
-	delete(c.pending, f.id)
-	c.countLocked()
+	pending := c.pending[f.id] == f
+	if pending {
+		delete(c.pending, f.id)
+		c.countLocked()
+	}
 	c.mu.Unlock()
+	return pending
 }
 
 // cancelInFlight abandons the future and sends a best-effort cancel frame

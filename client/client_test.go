@@ -2,7 +2,11 @@ package client
 
 import (
 	"bytes"
+	"context"
+	"net"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"plp/internal/keyenc"
 	"plp/keys"
@@ -116,5 +120,71 @@ func TestTxnBuilderV2Ops(t *testing.T) {
 func TestDialFailure(t *testing.T) {
 	if _, err := DialTimeout("127.0.0.1:1", 50_000_000); err == nil {
 		t.Fatal("dialing a closed port should fail")
+	}
+}
+
+// TestSubmitBlocksWhenServerStopsReading checks the pending write buffer's
+// bound: against a server that completes the handshake and then reads
+// nothing, a caller pipelining DoPlanAsync without waiting must block once
+// the socket buffers and maxPendingWrite are full, not keep growing client
+// memory; and closing the client must release it.
+func TestSubmitBlocksWhenServerStopsReading(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := wire.ReadFrame(conn); err != nil {
+			return
+		}
+		_ = wire.WriteFrame(conn, wire.EncodeHelloAck(&wire.HelloAck{Version: wire.Version}))
+		<-stop // read nothing more
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// 32 KiB frames: an unbounded client would queue all 2048 (64 MiB);
+	// the bound plus the loopback socket buffers hold a few hundred.
+	const frames = 2048
+	value := make([]byte, 32<<10)
+	p := &plan.Plan{Phases: [][]plan.Op{{{Kind: plan.Upsert, Table: "t", Key: []byte("k"), Value: value}}}}
+	var submitted atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < frames; i++ {
+			c.DoPlanAsync(context.Background(), p)
+			submitted.Add(1)
+		}
+	}()
+	last, still := int64(-1), 0
+	for still < 6 { // unchanged for 6 polls: the submitter is blocked
+		select {
+		case <-done:
+			t.Fatalf("all %d frames (%d MiB) were accepted with the server not reading", frames, frames*len(value)>>20)
+		case <-time.After(50 * time.Millisecond):
+		}
+		if n := submitted.Load(); n == last {
+			still++
+		} else {
+			last, still = n, 0
+		}
+	}
+	t.Logf("submitter blocked after %d frames", last)
+	_ = c.Close()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not release the blocked submitter")
 	}
 }

@@ -176,7 +176,7 @@ func applyPlanDiffOp(e *Engine, sess *Session, i int, op diffOp, usePlans bool) 
 	// Closure equivalents, replicating the plan semantics exactly.
 	rmw := func(cond plan.Cond, condVal []byte, mut plan.Mut, arg []byte) *Request {
 		return NewRequest(Action{Table: planDiffTable, Key: key, Exec: func(c *Ctx) error {
-			_, err := execReadModifyWrite(c, plan.Op{
+			_, err := execReadModifyWrite(c, &plan.Op{
 				Kind: plan.ReadModifyWrite, Table: planDiffTable,
 				Cond: cond, CondValue: condVal, Mut: mut, MutArg: arg,
 				KeyFrom: plan.NoBind, ValueFrom: plan.NoBind,

@@ -109,45 +109,126 @@ func (st *planEachState) fail(msg string) {
 // writing per-op outcomes into results (which must have at least
 // p.NumOps() slots).  canceled, when non-nil, is polled before every op —
 // a true return aborts the transaction with ErrPlanCanceled.  The returned
-// finish func must be called once Execute returns (committed or aborted):
-// it merges the per-partition scan fragments — entries or first error —
-// into the results slice, which the fragments never touch directly.
+// finish func must be called exactly once, once Execute returns (committed
+// or aborted): it merges the per-partition scan fragments — entries or
+// first error — into the results slice, which the fragments never touch
+// directly, and then gives the compiled request back to the engine, so the
+// Request must not be used after it.
 //
-// Compilation consults the engine's plan-shape cache (plancache.go): a plan
-// structurally identical to one compiled before skips validation and filter
-// compilation, paying only the per-call action build.
+// CompilePlan is CompilePlanInto on a CompiledPlan taken from a pool, to
+// which finish returns it.  On a plan-cache hit (plancache.go) it skips
+// validation and filter compilation and copies the plan's parameters into
+// the pooled slots: a plan without scans or fan-out allocates nothing once
+// the pool holds a CompiledPlan that has compiled one of its size.  A
+// miss validates the plan and compiles its filters, allocating as it goes.
 func (e *Engine) CompilePlan(p *plan.Plan, results []plan.Result, canceled func() bool) (*Request, func(), error) {
-	if len(results) < p.NumOps() {
-		return nil, nil, fmt.Errorf("engine: results slice holds %d of %d ops", len(results), p.NumOps())
+	c := compiledPool.Get().(*CompiledPlan)
+	if c.finishRelease == nil {
+		c.finishRelease = c.finishAndRelease
 	}
-	filters, err := e.planFilters(p)
-	if err != nil {
+	if err := e.CompilePlanInto(c, p, results, canceled); err != nil {
+		c.release()
 		return nil, nil, err
 	}
-	req := &Request{Phases: make([][]Action, 0, len(p.Phases))}
-	var scans []*planScanState
-	var eaches []*planEachState
+	return &c.req, c.finishRelease, nil
+}
+
+// compiledPool holds the CompiledPlans of CompilePlan's callers between
+// plans.
+var compiledPool = sync.Pool{New: func() any { return new(CompiledPlan) }}
+
+// finishAndRelease is CompilePlan's finish.
+func (c *CompiledPlan) finishAndRelease() {
+	c.Finish()
+	c.release()
+}
+
+// release returns a pooled CompiledPlan.
+func (c *CompiledPlan) release() {
+	c.Reset()
+	compiledPool.Put(c)
+}
+
+// CompiledPlan is a plan compiled for one execution — the Request the
+// engine runs and the per-op slots its actions work through — kept for
+// reuse.  CompilePlanInto rebinds it to the next plan in place: each point
+// op's slot (its parameters, and its Exec and KeyFn, bound once when the
+// slot is made), the action and phase slices, the filters and the
+// shape-key scratch are all reused.  Recompile it only after its Request
+// has completed and Finish has run.
+type CompiledPlan struct {
+	req      Request
+	results  []plan.Result
+	canceled func() bool
+	// finishRelease is finishAndRelease, bound once per pooled
+	// CompiledPlan.
+	finishRelease func()
+
+	slots   []*opSlot // point-op slots, in the order their ops compile
+	acts    []Action  // every phase's actions, back to back
+	ends    []int     // the end of each phase in acts
+	phases  [][]Action
+	scans   []*planScanState
+	eaches  []*planEachState
+	filters []plan.Filter  // rebound filter storage, by flat op index
+	flts    []*plan.Filter // each op's compiled filter, by flat op index
+	key     []byte         // the plan's shape key
+}
+
+// Request returns the compiled request, for Session.Submit or Execute.
+func (c *CompiledPlan) Request() *Request { return &c.req }
+
+// opSlot is one compiled point op: a copy of the op (its parameters alias
+// the plan's), its flat index, and its action's functions, bound once per
+// slot so that a compile allocates no closure.
+type opSlot struct {
+	c        *CompiledPlan
+	op       plan.Op
+	idx      int
+	keySrc   int    // the op whose result routes this one (KeyFn)
+	fallback []byte // the routing key while that result is empty
+	exec     func(*Ctx) error
+	keyFn    func() []byte
+}
+
+// CompilePlanInto compiles p into c, as CompilePlan does, reusing c's
+// storage.  A plan whose shape is cached (plancache.go) skips validation
+// and filter compilation: the hit formats the shape key into c's scratch,
+// rebinds each cached filter template into c's filter storage, and copies
+// each op's parameters into its slot.  With c warm — it has compiled a plan
+// of as many phases, ops and filter instructions before — a hit on a plan
+// without scans or fan-out allocates nothing.
+func (e *Engine) CompilePlanInto(c *CompiledPlan, p *plan.Plan, results []plan.Result, canceled func() bool) error {
+	n := p.NumOps()
+	if len(results) < n {
+		return fmt.Errorf("engine: results slice holds %d of %d ops", len(results), n)
+	}
+	c.Reset()
+	c.results, c.canceled = results, canceled
+	if err := e.planFilters(c, p); err != nil {
+		return err
+	}
 	// scanByFlat maps a Scan op's flat index to its state, for EachFrom.
 	var scanByFlat map[int]*planScanState
-	flat := 0
-	for _, ph := range p.Phases {
-		actions := make([]Action, 0, len(ph))
+	var expand []func() []Action
+	flat, points := 0, 0
+	for pi, ph := range p.Phases {
 		var dyn []func(key []byte) Action // per-entry action makers for EachFrom ops
 		var dynStates []*planEachState
 		for oi := range ph {
-			op := ph[oi]
+			op := &ph[oi]
 			idx := flat
 			flat++
 			if _, err := e.Table(op.Table); err != nil {
-				return nil, nil, fmt.Errorf("plan: op %d: %v", idx, err)
+				return fmt.Errorf("plan: op %d: %v", idx, err)
 			}
 			if op.Kind == plan.Scan {
-				acts, st, err := e.compilePlanScan(op, idx, filters[idx], results, canceled)
+				acts, st, err := e.compilePlanScan(*op, idx, c.flts[idx], results, canceled)
 				if err != nil {
-					return nil, nil, err
+					return err
 				}
-				actions = append(actions, acts...)
-				scans = append(scans, st)
+				c.acts = append(c.acts, acts...)
+				c.scans = append(c.scans, st)
 				if scanByFlat == nil {
 					scanByFlat = make(map[int]*planScanState)
 				}
@@ -157,115 +238,168 @@ func (e *Engine) CompilePlan(p *plan.Plan, results []plan.Result, canceled func(
 			if op.EachFrom != plan.NoBind {
 				src := scanByFlat[bindSource(op.EachFrom)]
 				if src == nil {
-					return nil, nil, fmt.Errorf("plan: op %d: fan-out source %d is not a compiled scan", idx, op.EachFrom-1)
+					return fmt.Errorf("plan: op %d: fan-out source %d is not a compiled scan", idx, op.EachFrom-1)
 				}
 				st := &planEachState{idx: idx, src: src}
-				eaches = append(eaches, st)
+				c.eaches = append(c.eaches, st)
 				dynStates = append(dynStates, st)
-				dyn = append(dyn, e.compilePlanEach(op, st, canceled))
+				dyn = append(dyn, e.compilePlanEach(*op, st, canceled))
 				continue
 			}
-			actions = append(actions, e.compilePlanOp(op, idx, results, canceled))
+			c.acts = append(c.acts, e.pointAction(c.slot(points), op, idx))
+			points++
 		}
-		req.Phases = append(req.Phases, actions)
+		c.ends = append(c.ends, len(c.acts))
 		if len(dyn) > 0 {
-			if req.Expand == nil {
-				req.Expand = make([]func() []Action, len(p.Phases))
+			if expand == nil {
+				expand = make([]func() []Action, len(p.Phases))
 			}
-			pi := len(req.Phases) - 1
-			req.Expand[pi] = expandEach(dyn, dynStates)
+			expand[pi] = expandEach(dyn, dynStates)
 		}
 	}
-	finish := func() {
-		for _, st := range scans {
-			ents, errMsg := st.final()
-			if errMsg != "" {
-				results[st.idx] = plan.Result{Err: errMsg}
-				continue
-			}
-			results[st.idx] = plan.Result{Found: len(ents) > 0, Entries: ents}
-		}
-		for _, st := range eaches {
-			st.mu.Lock()
-			if st.errMsg != "" {
-				results[st.idx] = plan.Result{Err: st.errMsg}
-			} else {
-				sort.Slice(st.ents, func(i, j int) bool { return bytes.Compare(st.ents[i].Key, st.ents[j].Key) < 0 })
-				results[st.idx] = plan.Result{Found: len(st.ents) > 0, Entries: st.ents}
-			}
-			st.mu.Unlock()
-		}
+	// The phases are cut from acts only now: appending a scan's actions may
+	// have moved it.
+	start := 0
+	for _, end := range c.ends {
+		c.phases = append(c.phases, c.acts[start:end:end])
+		start = end
 	}
-	return req, finish, nil
+	c.req = Request{Phases: c.phases, Expand: expand}
+	return nil
 }
 
-// planFilters resolves the plan's compiled filters through the shape cache:
-// a hit rebinds the cached templates with this plan's arguments (no
-// validation passes, no compiles); a miss — or a fingerprint collision
-// surfacing as a rebind mismatch — runs the full Validate+Compile and
-// caches the argument-free templates.  The returned slice is indexed by
-// flat op index (nil for ops without a filter).
-func (e *Engine) planFilters(p *plan.Plan) ([]*plan.Filter, error) {
-	key := string(appendPlanShape(make([]byte, 0, 256), p))
-	if shape := e.planShapes.get(key); shape != nil {
-		filters, err := rebindShape(shape, p)
-		if err == nil {
+// Reset drops c's references to the last plan's data — its actions, scan
+// states and results — and empties c's slices, keeping their storage.
+// CompilePlanInto resets c itself; a holder that keeps c idle resets it so
+// that c pins nothing meanwhile.
+func (c *CompiledPlan) Reset() {
+	clear(c.acts)
+	clear(c.phases)
+	clear(c.scans)
+	clear(c.eaches)
+	c.acts, c.ends, c.phases = c.acts[:0], c.ends[:0], c.phases[:0]
+	c.scans, c.eaches = c.scans[:0], c.eaches[:0]
+	c.req = Request{}
+	c.results, c.canceled = nil, nil
+}
+
+// slot returns the i-th point-op slot, making it (and binding its
+// functions) the first time.
+func (c *CompiledPlan) slot(i int) *opSlot {
+	if i == len(c.slots) {
+		s := &opSlot{c: c}
+		s.exec, s.keyFn = s.run, s.routingKey
+		c.slots = append(c.slots, s)
+	}
+	return c.slots[i]
+}
+
+// Finish merges the plan's scan and fan-out outcomes into the results; call
+// it once the request has completed (see CompilePlan).
+func (c *CompiledPlan) Finish() {
+	results := c.results
+	for _, st := range c.scans {
+		ents, errMsg := st.final()
+		if errMsg != "" {
+			results[st.idx] = plan.Result{Err: errMsg}
+			continue
+		}
+		results[st.idx] = plan.Result{Found: len(ents) > 0, Entries: ents}
+	}
+	for _, st := range c.eaches {
+		st.mu.Lock()
+		if st.errMsg != "" {
+			results[st.idx] = plan.Result{Err: st.errMsg}
+		} else {
+			sort.Slice(st.ents, func(i, j int) bool { return bytes.Compare(st.ents[i].Key, st.ents[j].Key) < 0 })
+			results[st.idx] = plan.Result{Found: len(st.ents) > 0, Entries: st.ents}
+		}
+		st.mu.Unlock()
+	}
+}
+
+// planFilters resolves the plan's compiled filters through the shape cache
+// into c.flts, indexed by flat op index (nil for ops without a filter): a
+// hit rebinds the cached templates into c's filter storage with this
+// plan's arguments (no validation passes, no compiles); a miss — or a
+// fingerprint collision surfacing as a rebind mismatch — runs the full
+// Validate+Compile and caches the argument-free templates.
+func (e *Engine) planFilters(c *CompiledPlan, p *plan.Plan) error {
+	n := p.NumOps()
+	c.flts = resize(c.flts, n)
+	c.key = appendPlanShape(c.key[:0], p)
+	if shape := e.planShapes.get(c.key); shape != nil {
+		if err := c.rebindShape(shape, p); err == nil {
 			planCacheHitCount.Add(1)
-			return filters, nil
+			return nil
 		}
 		// Collision or invalid per-call filter argument: take the cold path,
 		// which re-validates from scratch (and rejects truly invalid plans).
+		clear(c.flts)
 	}
 	planCacheMissCount.Add(1)
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	planCompileCount.Add(1)
-	filters := make([]*plan.Filter, p.NumOps())
-	templates := make([]*plan.Filter, p.NumOps())
+	templates := make([]*plan.Filter, n)
 	flat := 0
 	for _, ph := range p.Phases {
 		for oi := range ph {
 			if f := ph[oi].Filter; f != nil {
 				compiled, err := f.Compile()
 				if err != nil {
-					return nil, fmt.Errorf("plan: op %d: %w", flat, err)
+					return fmt.Errorf("plan: op %d: %w", flat, err)
 				}
-				filters[flat] = compiled
+				c.flts[flat] = compiled
 				templates[flat] = compiled.Template()
 			}
 			flat++
 		}
 	}
-	e.planShapes.put(key, &planShape{filters: templates})
-	return filters, nil
+	e.planShapes.put(string(c.key), &planShape{filters: templates})
+	return nil
 }
 
 // rebindShape instantiates a cached shape's filter templates with the
-// plan's per-call filter arguments.
-func rebindShape(shape *planShape, p *plan.Plan) ([]*plan.Filter, error) {
-	if len(shape.filters) != p.NumOps() {
-		return nil, fmt.Errorf("plan: cached shape holds %d ops, plan has %d", len(shape.filters), p.NumOps())
+// plan's per-call filter arguments, into c's filter storage.
+func (c *CompiledPlan) rebindShape(shape *planShape, p *plan.Plan) error {
+	n := p.NumOps()
+	if len(shape.filters) != n {
+		return fmt.Errorf("plan: cached shape holds %d ops, plan has %d", len(shape.filters), n)
 	}
-	filters := make([]*plan.Filter, p.NumOps())
+	if cap(c.filters) < n {
+		c.filters = make([]plan.Filter, n)
+	}
+	c.filters = c.filters[:n]
 	flat := 0
 	for _, ph := range p.Phases {
 		for oi := range ph {
 			tmpl, pred := shape.filters[flat], ph[oi].Filter
 			if (tmpl == nil) != (pred == nil) {
-				return nil, fmt.Errorf("plan: cached shape filter mismatch at op %d", flat)
+				return fmt.Errorf("plan: cached shape filter mismatch at op %d", flat)
 			}
 			if tmpl != nil {
-				f, err := tmpl.Rebind(pred)
-				if err != nil {
-					return nil, err
+				if err := tmpl.Rebind(&c.filters[flat], pred); err != nil {
+					return err
 				}
-				filters[flat] = f
+				c.flts[flat] = &c.filters[flat]
 			}
 			flat++
 		}
 	}
-	return filters, nil
+	return nil
+}
+
+// resize returns s with length n and every element zero, reusing its
+// storage when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // expandEach returns the phase expander materializing per-entry actions for
@@ -306,7 +440,7 @@ func (e *Engine) compilePlanEach(op plan.Op, st *planEachState, canceled func() 
 					st.fail(ErrPlanCanceled.Error())
 					return ErrPlanCanceled
 				}
-				res, err := execPlanOp(c, op, key, op.Value)
+				res, err := execPlanOp(c, &op, key, op.Value)
 				if err != nil {
 					st.fail(err.Error())
 					return err
@@ -323,7 +457,8 @@ func (e *Engine) compilePlanEach(op plan.Op, st *planEachState, canceled func() 
 // bindSource resolves a 1-based binding to its flat source index.
 func bindSource(bind int32) int { return int(bind) - 1 }
 
-// compilePlanOp compiles one non-scan op into a routable action.
+// pointAction binds one point op (not a scan, not fanned out) into slot s
+// and returns its routable action.
 //
 // An op on a secondary index that is not partition-aligned does not route
 // by its key, which is a secondary key: no worker owns such an index
@@ -331,8 +466,9 @@ func bindSource(bind int32) int { return int(bind) - 1 }
 // runs inline, where its phase is dispatched; an insert routes by the
 // primary key it carries, so it lands where the row it indexes lives.  An
 // op on a partition-aligned index routes by its key like any other.
-func (e *Engine) compilePlanOp(op plan.Op, idx int, results []plan.Result, canceled func() bool) Action {
-	a := Action{Table: op.Table, Key: op.Key}
+func (e *Engine) pointAction(s *opSlot, op *plan.Op, idx int) Action {
+	s.op, s.idx = *op, idx
+	a := Action{Table: op.Table, Key: op.Key, Exec: s.exec}
 	keyFrom := op.KeyFrom
 	switch op.Kind {
 	case plan.LookupSecondary, plan.InsertSecondary, plan.DeleteSecondary:
@@ -345,50 +481,59 @@ func (e *Engine) compilePlanOp(op plan.Op, idx int, results []plan.Result, cance
 			a.Inline, keyFrom = true, plan.NoBind
 		}
 	}
+	s.fallback = nil
 	if keyFrom != plan.NoBind {
-		src, fallback := bindSource(keyFrom), a.Key
 		// The routing key is produced by an earlier phase: exactly the
 		// secondary-probe pattern KeyFn exists for.
-		a.KeyFn = func() []byte {
-			if v := results[src].Value; len(v) > 0 {
-				return v
-			}
-			return fallback
-		}
-	}
-	a.Exec = func(c *Ctx) error {
-		if canceled != nil && canceled() {
-			results[idx].Err = ErrPlanCanceled.Error()
-			return ErrPlanCanceled
-		}
-		key := op.Key
-		if op.KeyFrom != plan.NoBind {
-			src := bindSource(op.KeyFrom)
-			if !results[src].Found {
-				// The op this one depends on missed; skip, don't abort.
-				results[idx] = plan.Result{}
-				return nil
-			}
-			key = results[src].Value
-		}
-		val := op.Value
-		if op.ValueFrom != plan.NoBind {
-			src := bindSource(op.ValueFrom)
-			if !results[src].Found {
-				results[idx] = plan.Result{}
-				return nil
-			}
-			val = results[src].Value
-		}
-		res, err := execPlanOp(c, op, key, val)
-		if err != nil {
-			results[idx] = plan.Result{Err: err.Error()}
-			return err
-		}
-		results[idx] = res
-		return nil
+		s.keySrc, s.fallback = bindSource(keyFrom), a.Key
+		a.KeyFn = s.keyFn
 	}
 	return a
+}
+
+// routingKey is the slot's KeyFn: the bound source op's result, or the
+// static key while that result is empty.
+func (s *opSlot) routingKey() []byte {
+	if v := s.c.results[s.keySrc].Value; len(v) > 0 {
+		return v
+	}
+	return s.fallback
+}
+
+// run is the slot's Exec: it resolves the op's bindings against the
+// results of earlier phases and executes it.
+func (s *opSlot) run(c *Ctx) error {
+	results, op, idx := s.c.results, &s.op, s.idx
+	if canceled := s.c.canceled; canceled != nil && canceled() {
+		results[idx].Err = ErrPlanCanceled.Error()
+		return ErrPlanCanceled
+	}
+	key := op.Key
+	if op.KeyFrom != plan.NoBind {
+		src := bindSource(op.KeyFrom)
+		if !results[src].Found {
+			// The op this one depends on missed; skip, don't abort.
+			results[idx] = plan.Result{}
+			return nil
+		}
+		key = results[src].Value
+	}
+	val := op.Value
+	if op.ValueFrom != plan.NoBind {
+		src := bindSource(op.ValueFrom)
+		if !results[src].Found {
+			results[idx] = plan.Result{}
+			return nil
+		}
+		val = results[src].Value
+	}
+	res, err := execPlanOp(c, op, key, val)
+	if err != nil {
+		results[idx] = plan.Result{Err: err.Error()}
+		return err
+	}
+	results[idx] = res
+	return nil
 }
 
 // partitionAligned reports whether the table's named secondary index is
@@ -410,7 +555,7 @@ func (e *Engine) partitionAligned(table, index string) bool {
 // execPlanOp performs one typed op through the design-aware data-access
 // layer.  val is the op's value after ValueFrom binding (the mutation
 // argument, for ReadModifyWrite).
-func execPlanOp(c *Ctx, op plan.Op, key, val []byte) (plan.Result, error) {
+func execPlanOp(c *Ctx, op *plan.Op, key, val []byte) (plan.Result, error) {
 	switch op.Kind {
 	case plan.Get:
 		rec, err := c.Read(op.Table, key)
@@ -457,7 +602,7 @@ func execPlanOp(c *Ctx, op plan.Op, key, val []byte) (plan.Result, error) {
 // back over the same RID.  A field mutation logs only the bytes it changed;
 // every other mutation logs the whole new record.  arg is the mutation
 // argument after ValueFrom binding.
-func execReadModifyWrite(c *Ctx, op plan.Op, key, arg []byte) (plan.Result, error) {
+func execReadModifyWrite(c *Ctx, op *plan.Op, key, arg []byte) (plan.Result, error) {
 	if op.ValueFrom == plan.NoBind {
 		arg = op.MutArg
 	}

@@ -70,9 +70,11 @@ func newPlanCache() *planCache {
 	return &planCache{m: make(map[string]*planShape)}
 }
 
-func (c *planCache) get(key string) *planShape {
+// get looks key up without converting it to a string (the compiler's
+// map-index form allocates nothing).
+func (c *planCache) get(key []byte) *planShape {
 	c.mu.Lock()
-	s := c.m[key]
+	s := c.m[string(key)]
 	c.mu.Unlock()
 	return s
 }

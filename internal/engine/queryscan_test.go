@@ -372,3 +372,46 @@ func TestPlanCacheReuse(t *testing.T) {
 		t.Fatalf("cache holds %d shapes, want >= 2", e.planShapes.Len())
 	}
 }
+
+// TestPlanCachePrefixOperatorByte checks that a prefix filter carrying an
+// operator byte, which evaluation ignores, hits the plan cache like any
+// other shape: the second plan of the shape compiles nothing, and both
+// return exactly the rows whose field starts with their prefix.
+func TestPlanCachePrefixOperatorByte(t *testing.T) {
+	e, sess := planTestEngine(t, PLPLeaf)
+	loadQueryRows(t, e, 400)
+
+	all, err := sess.ExecutePlan(plan.New().Scan("sub", nil, nil, 1000).MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(prefix string) {
+		t.Helper()
+		pred := &plan.Predicate{Kind: plan.PredPrefix, Cmp: plan.CmpGt, Offset: 8, Arg: []byte(prefix)}
+		res, err := sess.ExecutePlan(plan.New().Scan("sub", nil, nil, 1000).Where(pred).MustBuild())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want [][]byte
+		for _, ent := range all[0].Entries {
+			if len(ent.Value) >= 8 && bytes.HasPrefix(ent.Value[8:], []byte(prefix)) {
+				want = append(want, ent.Key)
+			}
+		}
+		got := res[0].Entries
+		if len(got) != len(want) || len(want) == 0 {
+			t.Fatalf("prefix %q: %d rows, want %d", prefix, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i].Key, want[i]) {
+				t.Fatalf("prefix %q: row %d is %x, want %x", prefix, i, got[i].Key, want[i])
+			}
+		}
+	}
+	run("row-0001")
+	_, _, c1 := PlanCacheCounters()
+	run("row-0002")
+	if _, _, c2 := PlanCacheCounters(); c2 != c1 {
+		t.Fatalf("the second plan of a cached prefix shape compiled %d times, want 0", c2-c1)
+	}
+}

@@ -308,6 +308,24 @@ func TestCancelFrameSentOnContextCancellation(t *testing.T) {
 	}
 }
 
+// runCanceled runs one plan frame through the request path as a request
+// whose cancel flag is already set, and returns its response as the writer
+// would encode it.
+func runCanceled(srv *Server, payload []byte, cs session) wire.Response {
+	p := &pipeline{s: srv, cs: cs, out: newOutbox(1), inflight: make(map[uint64]*request), sess: srv.e.NewSession()}
+	defer p.sess.Close()
+	r := p.request()
+	r.payload = append(r.payload[:0], payload...)
+	r.canceled.Store(true)
+	p.out.admit()
+	r.admit()
+	srv.start(r)
+	m := p.out.next(nil)[0]
+	resp := m.req.resp
+	m.req.recycle()
+	return resp
+}
+
 // TestCancelAbortsServerSideTransaction covers the server half
 // deterministically: a request whose cancel flag is already set when the
 // server starts it is aborted without executing, and a flag flipped
@@ -320,10 +338,8 @@ func TestCancelAbortsServerSideTransaction(t *testing.T) {
 	defer sess.Close()
 
 	// Pre-set flag: refused before execution.
-	flag := &atomic.Bool{}
-	flag.Store(true)
 	payload := wire.EncodePlanRequest(5, plan.New().Upsert("accounts", client.Uint64Key(1), []byte("x")).MustBuild())
-	resp := srv.handleFrame(sess, payload, cs, flag)
+	resp := runCanceled(srv, payload, cs)
 	if resp.Committed || !strings.Contains(resp.Err, "cancel") {
 		t.Fatalf("queued-canceled request: %+v", resp)
 	}

@@ -20,6 +20,20 @@
 // verbs, and every transaction of the Conventional design, whose lock
 // waits block the goroutine that runs it.
 //
+// A request is one pooled object, from the frame read to the reply's
+// encoding.  The reader reads each frame's payload into one, decodes the
+// plan into the same object (its byte fields alias the payload; table
+// names are interned), and compiles it into the object's reusable
+// engine.CompiledPlan; the results and the response live there too, and
+// the engine's cancel hook and completion are bound to it once, when it is
+// made.  The ownership rule: the frame payload and the plan decoded from it
+// live until the reply is encoded.  The writer recycles the object right
+// after encoding its response, so nothing may keep a slice of a plan's
+// keys or values past the reply: the engine copies what it stores (pages,
+// log records, the repartitioner's and advisor's histograms, the plan
+// cache's shape keys), and the one transaction that outlives its request,
+// a prepared branch of a cross-shard commit, runs on a copy of its plan.
+//
 // The writer flushes its buffer only when its outbox drains.  While other
 // requests of the connection are still unanswered it first yields once, so
 // replies completing together leave in one write(2) instead of one each; a
@@ -399,12 +413,13 @@ func (s *Server) handshake(conn net.Conn, first []byte) (session, bool) {
 	return cs, true
 }
 
-// outMsg is one frame bound for the writer goroutine: either a response to
-// encode, or a pre-encoded raw frame (streaming-scan chunks).  A raw frame
-// must be freshly allocated by the sender — the writer owns it after
-// hand-off.  final marks a request's last frame.
+// outMsg is one frame bound for the writer goroutine: a request whose
+// response to encode, or a pre-encoded raw frame (streaming-scan chunks).
+// Both are the writer's from hand-off on: a raw frame must be freshly
+// allocated by the sender, and a request is recycled by the writer once
+// its response is encoded.  final marks a request's last frame.
 type outMsg struct {
-	resp  *wire.Response
+	req   *request
 	raw   []byte
 	final bool
 }
@@ -550,10 +565,9 @@ func (o *outbox) writeLoop(conn net.Conn) {
 		broken = true
 		_ = conn.Close() // unblocks the reader, which winds the pipeline down
 	}
-	// One encode buffer serves every response of the connection:
-	// WriteFrame copies it into the buffered writer before the next reply
-	// is encoded, so reuse is safe and steady-state encoding stops
-	// allocating per reply.
+	// One encode buffer serves every response frame of the connection: it
+	// is copied into the buffered writer before the next frame, so reuse is
+	// safe and steady-state encoding allocates nothing per reply.
 	var encBuf []byte
 	var spare []outMsg
 	for {
@@ -566,16 +580,21 @@ func (o *outbox) writeLoop(conn net.Conn) {
 			if m.final {
 				finals++
 			}
-			if broken {
-				continue // keep draining so admission goes on
+			if !broken { // once broken, keep draining so admission goes on
+				var err error
+				if m.req != nil {
+					if encBuf, err = wire.AppendResponseFrame(encBuf[:0], &m.req.resp); err == nil {
+						_, err = bw.Write(encBuf)
+					}
+				} else {
+					err = wire.WriteFrame(bw, m.raw)
+				}
+				if err != nil {
+					fail()
+				}
 			}
-			payload := m.raw
-			if payload == nil {
-				encBuf = wire.AppendResponse(encBuf[:0], m.resp)
-				payload = encBuf
-			}
-			if err := wire.WriteFrame(bw, payload); err != nil {
-				fail()
+			if m.req != nil {
+				m.req.recycle()
 			}
 		}
 		clear(batch)
@@ -604,8 +623,13 @@ type pipeline struct {
 	cs        session
 	out       *outbox
 	done      chan struct{} // closed when the reader loop exits
-	inflight  sync.Map      // request ID -> *atomic.Bool (cancel flag)
+	dec       wire.Decoder  // the reader's plan decoder
 	scanFlows sync.Map      // request ID -> *scanFlow (open streams)
+
+	// inflight maps the ID of every admitted request to the request, so
+	// the reader can flip its cancel flag; imu guards it.
+	imu      sync.Mutex
+	inflight map[uint64]*request
 
 	// sess submits the connection's non-blocking transactions, which may
 	// share one session (engine.Session.Submit).  Requests that block take
@@ -615,29 +639,122 @@ type pipeline struct {
 	idle []*engine.Session
 }
 
-// request is one admitted request frame: its ID and its cancellation flag,
-// set by the reader when a later cancel frame names the ID.
+// request is one request frame and all it owns until its reply is
+// encoded: the frame payload; the frame and plan decoded from it, whose
+// byte fields alias the payload; the compiled plan; the results and the
+// response; and the cancel flag, which the reader sets when a cancel frame
+// names the request's ID.  Requests are pooled (requestPool): the reader
+// takes one per frame, and the writer puts it back once the response is
+// encoded.  A request's functions for the engine — its cancel hook and its
+// completion — are bound once, when it is made.
 type request struct {
 	p        *pipeline
 	id       uint64
 	hasID    bool
-	canceled *atomic.Bool
+	canceled atomic.Bool
+	payload  []byte
+	frame    wire.Frame
+	plan     plan.Plan
+	cp       engine.CompiledPlan
+	results  []plan.Result
+	resp     wire.Response
+	start    time.Time       // the sampled latency start
+	sess     *engine.Session // a blocking request's own session
+
+	isCanceled func() bool                        // canceled.Load
+	onDone     func(res engine.Result, err error) // txnComplete
 }
 
-// reply queues the request's response and retires its cancel flag.
-func (r *request) reply(resp *wire.Response) {
-	r.p.out.reply(outMsg{resp: resp})
-	r.forget()
+// maxPooledPayload caps the payload buffer a recycled request keeps, so a
+// rare huge frame does not stay pinned in the pool.
+const maxPooledPayload = 64 << 10
+
+var requestPool = sync.Pool{New: func() any {
+	r := new(request)
+	r.isCanceled = r.canceled.Load
+	r.onDone = r.txnComplete
+	return r
+}}
+
+// request takes a request from the pool for the next frame of p.
+func (p *pipeline) request() *request {
+	r := requestPool.Get().(*request)
+	r.p = p
+	r.canceled.Store(false)
+	return r
 }
 
-// forget retires the request's cancel flag.  It deletes exactly this
-// request's flag: a client reusing a request ID makes a plain Delete racy,
-// since the older request's completion could reap the flag the reader just
-// registered for the newer one, silently dropping a cancel aimed at it.
-func (r *request) forget() {
-	if r.hasID {
-		r.p.inflight.CompareAndDelete(r.id, r.canceled)
+// recycle drops the request's references to its last transaction's data
+// and returns it to the pool.  Only the writer calls it, once the response
+// is encoded (or a request that sends no response, once it is done).
+func (r *request) recycle() {
+	r.p, r.sess, r.id, r.hasID = nil, nil, 0, false
+	r.frame = wire.Frame{}
+	r.cp.Reset()
+	clear(r.results)
+	r.results = r.results[:0]
+	r.resp = wire.Response{}
+	if cap(r.payload) > maxPooledPayload {
+		r.payload = nil
 	}
+	requestPool.Put(r)
+}
+
+// admit registers the request under its ID for cancels.
+func (r *request) admit() {
+	r.id, r.hasID = wire.RequestID(r.payload)
+	if r.hasID {
+		r.p.imu.Lock()
+		r.p.inflight[r.id] = r
+		r.p.imu.Unlock()
+	}
+}
+
+// cancel flips the cancel flag of the in-flight request with the ID, if
+// any, and wakes its stream.  A cancel for a request already answered (or
+// never seen) is stale and does nothing.
+func (p *pipeline) cancel(id uint64) {
+	p.imu.Lock()
+	if r := p.inflight[id]; r != nil {
+		r.canceled.Store(true)
+	}
+	p.imu.Unlock()
+	if fl, ok := p.scanFlows.Load(id); ok {
+		fl.(*scanFlow).wake()
+	}
+}
+
+// reply hands the request, with resp as its response, to the writer; from
+// then on the writer owns the request.  It stops being cancelable first,
+// and a blocking request's session goes back to the connection.
+func (r *request) reply(resp *wire.Response) {
+	if resp != &r.resp {
+		r.resp = *resp
+	}
+	r.forget()
+	if r.sess != nil {
+		r.p.release(r.sess)
+		r.sess = nil
+	}
+	r.p.out.reply(outMsg{req: r})
+}
+
+// forget deletes the request from inflight.  It deletes exactly this
+// request: a client reusing a request ID makes a plain delete racy, since
+// the older request's completion could reap the entry the reader just
+// registered for the newer one, silently dropping a cancel aimed at it.
+// Deleting under the lock the reader sets flags under also means no cancel
+// touches the request once it has been handed on (and, later, reused).
+func (r *request) forget() {
+	if !r.hasID {
+		return
+	}
+	p := r.p
+	p.imu.Lock()
+	if p.inflight[r.id] == r {
+		delete(p.inflight, r.id)
+	}
+	p.imu.Unlock()
 }
 
 // session returns an engine session for one blocking request.
@@ -661,64 +778,60 @@ func (p *pipeline) release(sess *engine.Session) {
 
 // servePipelined is the request loop: this goroutine reads, decodes and
 // starts requests, whose completions queue their replies on the outbox, and
-// a writer goroutine sends them in completion order.  The reader also
-// intercepts cancel frames — they must not queue behind the very requests
-// they cancel — and flips the named request's flag, which the executing
-// transaction polls before every op.
+// a writer goroutine sends them in completion order.  Each frame is read
+// straight into a pooled request.  The reader also intercepts cancel frames
+// — they must not queue behind the very requests they cancel — and flips
+// the named request's flag, which the executing transaction polls before
+// every op.
 func (s *Server) servePipelined(conn net.Conn, br *bufio.Reader, first []byte, cs session) {
 	queue := s.ConnQueue
 	if queue <= 0 {
 		queue = DefaultConnQueue
 	}
-	p := &pipeline{s: s, cs: cs, out: newOutbox(queue), done: make(chan struct{}), sess: s.e.NewSession()}
+	p := &pipeline{s: s, cs: cs, out: newOutbox(queue), done: make(chan struct{}),
+		inflight: make(map[uint64]*request), sess: s.e.NewSession()}
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		p.out.writeLoop(conn)
 	}()
 
-	payload := first
+	var r *request
 	for {
-		if payload == nil {
+		if r == nil {
+			r = p.request()
+		}
+		if first != nil {
+			r.payload = append(r.payload[:0], first...)
+			first = nil
+		} else {
 			var err error
-			payload, err = wire.ReadFrame(br)
-			if err != nil {
+			if r.payload, err = wire.ReadFrameInto(br, r.payload); err != nil {
+				r.recycle()
 				break
 			}
 		}
+		payload := r.payload
 		if wire.IsScanAckFrame(payload) {
 			// Scan credits are intercepted like cancels: they regulate
 			// streams already running, so they must never queue behind
 			// the very streams they pace.
 			creditScan(&p.scanFlows, payload)
-			payload = nil
 			continue
 		}
 		if len(payload) > 8 && wire.FrameKind(payload[8]) == wire.FrameCancel {
-			// A cancel names an in-flight request by ID.  One for a request
-			// already completed (or never seen) is stale and ignored; one
-			// for a request still running flips its flag, and the
-			// transaction aborts at the next op boundary.  A canceled
-			// stream is also woken so a credit-stalled producer notices.
+			// A cancel names an in-flight request by ID; the transaction
+			// aborts at its next op boundary, and a canceled stream is
+			// woken so a credit-stalled producer notices.
 			if id, ok := wire.RequestID(payload); ok {
-				if flag, ok := p.inflight.Load(id); ok {
-					flag.(*atomic.Bool).Store(true)
-				}
-				if fl, ok := p.scanFlows.Load(id); ok {
-					fl.(*scanFlow).wake()
-				}
+				p.cancel(id)
 			}
-			payload = nil
 			continue
 		}
 		p.out.admit()
-		r := &request{p: p, canceled: &atomic.Bool{}}
-		if id, ok := wire.RequestID(payload); ok {
-			r.id, r.hasID = id, true
-			p.inflight.Store(id, r.canceled)
-		}
-		s.start(r, payload)
-		payload = nil
+		r.admit()
+		s.start(r)
+		r = nil
 	}
 	close(p.done) // unblock credit-stalled streams: their client is gone
 	p.out.replies.Wait()
@@ -729,42 +842,58 @@ func (s *Server) servePipelined(conn net.Conn, br *bufio.Reader, first []byte, c
 	}
 }
 
-// start runs one admitted request frame.  A plan that blocks nothing is
+// start runs one admitted request.  A plan that blocks nothing is decoded,
 // compiled and submitted right here, on the reader; pings and shard-map
 // queries are answered here too.  Every other request gets a goroutine of
-// its own (see the package documentation).
-func (s *Server) start(r *request, payload []byte) {
+// its own (see the package documentation).  Both kinds of plan take the
+// same path from startTxn on, in the same request.
+func (s *Server) start(r *request) {
 	p := r.p
 	var kind wire.FrameKind
-	if len(payload) > 8 {
-		kind = wire.FrameKind(payload[8])
+	if len(r.payload) > 8 {
+		kind = wire.FrameKind(r.payload[8])
 	}
 	switch kind {
 	case wire.FramePlan:
-		f, err := wire.DecodeFrameV3(payload)
-		if err != nil || s.blocks(f.Plan) {
-			break
+		r.frame.Plan = &r.plan
+		if err := p.dec.Decode(&r.frame, r.payload); err != nil {
+			r.reply(decodeError(r.payload, err))
+			return
 		}
 		s.requests.Add(1)
-		s.startTxn(p.sess, &wire.Response{ID: f.ID}, f.Plan, p.cs, r.canceled, r)
+		if !s.blocks(r.frame.Plan) {
+			s.startTxn(r, p.sess)
+			return
+		}
+		go func() {
+			r.sess = p.session()
+			s.startTxn(r, r.sess)
+		}()
 		return
 	case wire.FramePing, wire.FrameShardMap:
-		r.reply(s.handleFrame(nil, payload, p.cs, r.canceled))
+		r.reply(s.handleFrame(nil, r))
 		return
 	case wire.FrameScan:
-		// A streaming scan emits its chunks itself until the stream ends.
+		// A streaming scan emits its chunks itself until the stream ends;
+		// its lo and hi bounds alias the payload until then.
 		go func() {
-			s.streamScan(payload, r.canceled, p.out, &p.scanFlows, p.done)
+			s.streamScan(r.payload, &r.canceled, p.out, &p.scanFlows, p.done)
 			r.forget()
+			r.recycle()
 		}()
 		return
 	}
 	go func() {
-		sess := p.session()
-		resp := s.handleFrame(sess, payload, p.cs, r.canceled)
-		p.release(sess)
-		r.reply(resp)
+		r.sess = p.session()
+		r.reply(s.handleFrame(r.sess, r))
 	}()
+}
+
+// decodeError answers a frame that did not decode.  It still echoes the
+// best-effort request ID so ID-matching clients stay in sync.
+func decodeError(payload []byte, err error) *wire.Response {
+	id, _ := wire.RequestID(payload)
+	return &wire.Response{ID: id, Err: fmt.Sprintf("decode: %v", err)}
 }
 
 // blocks reports whether running the plan blocks the goroutine that runs
@@ -781,18 +910,16 @@ func (s *Server) blocks(pl *plan.Plan) bool {
 	return false
 }
 
-// handleFrame decodes one request frame and executes it.  A decode failure
-// still echoes the best-effort request ID so ID-matching clients stay in
-// sync.
-func (s *Server) handleFrame(sess *engine.Session, payload []byte, cs session, canceled *atomic.Bool) *wire.Response {
-	f, err := wire.DecodeFrameV3(payload)
-	if err != nil {
-		id, _ := wire.RequestID(payload)
-		return &wire.Response{ID: id, Err: fmt.Sprintf("decode: %v", err)}
+// handleFrame decodes and executes one request frame that is not a plan.
+// sess is the request's own session (nil for the frames answered on the
+// reader).
+func (s *Server) handleFrame(sess *engine.Session, r *request) *wire.Response {
+	f := &r.frame
+	f.Plan = &r.plan
+	if err := (*wire.Decoder)(nil).Decode(f, r.payload); err != nil {
+		return decodeError(r.payload, err)
 	}
 	switch f.Kind {
-	case wire.FramePlan:
-		return s.executePlan(sess, f.ID, f.Plan, cs, canceled)
 	case wire.FramePing:
 		s.requests.Add(1)
 		s.committed.Add(1)
@@ -800,23 +927,24 @@ func (s *Server) handleFrame(sess *engine.Session, payload []byte, cs session, c
 	case wire.FrameControl:
 		s.requests.Add(1)
 		s.committed.Add(1)
-		return &wire.Response{ID: f.ID, Committed: true, Results: []wire.StatementResult{s.executeControl(f.Command, f.Table, cs)}}
+		return &wire.Response{ID: f.ID, Committed: true, Results: []wire.StatementResult{s.executeControl(f.Command, f.Table, r.p.cs)}}
 	case wire.FrameShardMap:
 		return s.executeShardMap(f.ID)
 	case wire.FramePrepare:
 		if s.followerMode.Load() {
 			return &wire.Response{ID: f.ID, Err: wire.FollowerPrefix + ": prepare refused — follower nodes take no transaction branches"}
 		}
-		return s.executePrepare(sess, f, cs)
+		return s.executePrepare(sess, f, r.p.cs)
 	case wire.FrameDecide:
 		if s.followerMode.Load() {
 			return &wire.Response{ID: f.ID, Err: wire.FollowerPrefix + ": decide refused — follower nodes take no transaction branches"}
 		}
-		return s.executeDecide(f, cs)
+		return s.executeDecide(f, r.p.cs)
 	default:
-		// Cancels, streaming scans and their acks are intercepted before
-		// handleFrame, and replication frames belong to a subscription; one
-		// reaching here came over a transport that should not produce it.
+		// Plans start in start; cancels, streaming scans and their acks
+		// are intercepted before handleFrame, and replication frames
+		// belong to a subscription; one reaching here came over a
+		// transport that should not produce it.
 		return &wire.Response{ID: f.ID, Err: fmt.Sprintf("unexpected frame kind %d", f.Kind), Retry: wire.RetryPermanent}
 	}
 }
@@ -854,63 +982,49 @@ func classifyAbort(err error) wire.RetryHint {
 	return wire.RetryPermanent
 }
 
-// replier receives a transaction's response.
-type replier interface{ reply(*wire.Response) }
-
-// replyChan hands a response to a goroutine waiting for it.
-type replyChan chan *wire.Response
-
-func (c replyChan) reply(resp *wire.Response) { c <- resp }
-
-// executePlan runs one plan frame as a single transaction and waits for
-// its response.
-func (s *Server) executePlan(sess *engine.Session, id uint64, p *plan.Plan, cs session, canceled *atomic.Bool) *wire.Response {
-	s.requests.Add(1)
-	ch := make(replyChan, 1)
-	s.startTxn(sess, &wire.Response{ID: id}, p, cs, canceled, ch)
-	return <-ch
-}
-
 // startTxn is the one transaction path.  Every plan passes the same checks —
 // session scope, replication role, cancellation, shard placement — before
-// it is compiled and submitted to the engine (or, when it spans shards,
-// before the coordinator splits it into branches), and every abort is
-// classified the same way.  r receives the response: from the request's
-// completion for a submitted plan, before startTxn returns otherwise.
-// startTxn blocks the calling goroutine only where blocks says it does.
-func (s *Server) startTxn(sess *engine.Session, resp *wire.Response, p *plan.Plan, cs session, canceled *atomic.Bool, r replier) {
-	start := latPlan.sampleStart()
-	reply := func(resp *wire.Response) { answer(r, start, resp) }
+// it is compiled into the request's CompiledPlan and submitted to the
+// engine (or, when it spans shards, before the coordinator splits it into
+// branches), and every abort is classified the same way.  The request is
+// answered by its completion for a submitted plan, before startTxn returns
+// otherwise; either way the caller must not touch r once startTxn has
+// submitted or answered it.  startTxn blocks the calling goroutine only
+// where blocks says it does.
+func (s *Server) startTxn(r *request, sess *engine.Session) {
+	r.start = latPlan.sampleStart()
+	p, resp := r.frame.Plan, &r.resp
+	*resp = wire.Response{ID: r.frame.ID}
 	writes := p.Writes()
-	if cs.readOnly && writes {
-		reply(s.refuse(resp, "read-only session: write ops refused"))
+	if r.p.cs.readOnly && writes {
+		r.answer(s.refuse(resp, "read-only session: write ops refused"))
 		return
 	}
 	if s.followerMode.Load() {
 		if writes {
-			reply(s.followerRefusal(resp, wire.FollowerPrefix+": write ops refused — this node replicates a primary (write there, or promote this node)"))
+			r.answer(s.followerRefusal(resp, wire.FollowerPrefix+": write ops refused — this node replicates a primary (write there, or promote this node)"))
 			return
 		}
 		if s.seeding() {
 			// Mid re-seed the engine was wiped and only partially rebuilt: a
 			// read here could report "not found" for committed rows.
-			reply(s.followerRefusal(resp, wire.FollowerPrefix+": reads refused — this follower is mid re-seed and not yet a consistent replica (read another member)"))
+			r.answer(s.followerRefusal(resp, wire.FollowerPrefix+": reads refused — this follower is mid re-seed and not yet a consistent replica (read another member)"))
 			return
 		}
 	}
-	if canceled != nil && canceled.Load() {
-		reply(s.refuse(resp, engine.ErrPlanCanceled.Error()))
+	if r.canceled.Load() {
+		r.answer(s.refuse(resp, engine.ErrPlanCanceled.Error()))
 		return
 	}
 	if ss := s.sharding.Load(); ss != nil {
 		m := ss.m.Load()
 		switch foreign, spans := m.Placement(p, ss.self); {
 		case spans:
-			reply(s.executeCoordinated(sess, ss, m, p, resp, canceled))
+			r.answer(s.executeCoordinated(sess, ss, m, p, resp, &r.canceled))
 			return
 		case foreign != ss.self:
 			s.aborted.Add(1)
-			reply(wrongShard(resp, m, foreign))
+			r.answer(wrongShard(resp, m, foreign))
 			return
 		}
 	}
@@ -918,35 +1032,37 @@ func (s *Server) startTxn(sess *engine.Session, resp *wire.Response, p *plan.Pla
 		// An empty transaction commits without touching the engine.
 		resp.Committed = true
 		s.committed.Add(1)
-		reply(resp)
+		r.answer(resp)
 		return
 	}
-	results := make([]plan.Result, p.NumOps())
-	var hook func() bool
-	if canceled != nil {
-		hook = canceled.Load
+	n := p.NumOps()
+	if cap(r.results) < n {
+		r.results = make([]plan.Result, n)
 	}
-	ereq, finish, err := s.e.CompilePlan(p, results, hook)
-	if err != nil {
-		reply(s.txnDone(resp, nil, err))
+	r.results = r.results[:n]
+	if err := s.e.CompilePlanInto(&r.cp, p, r.results, r.isCanceled); err != nil {
+		r.answer(s.txnDone(resp, nil, err))
 		return
 	}
-	sess.Submit(ereq, func(_ engine.Result, err error) {
-		finish()
-		answer(r, start, s.txnDone(resp, results, err))
-	})
+	sess.Submit(r.cp.Request(), r.onDone)
 }
 
-// answer hands a transaction's response to r and closes its latency
+// txnComplete is a submitted plan's completion.
+func (r *request) txnComplete(_ engine.Result, err error) {
+	r.cp.Finish()
+	r.answer(r.p.s.txnDone(&r.resp, r.results, err))
+}
+
+// answer replies with a transaction's response and closes its latency
 // sample.
-func answer(r replier, start time.Time, resp *wire.Response) {
-	latPlan.observe(start)
+func (r *request) answer(resp *wire.Response) {
+	latPlan.observe(r.start)
 	r.reply(resp)
 }
 
 // txnDone fills resp with a finished transaction's results and outcome.
 func (s *Server) txnDone(resp *wire.Response, results []plan.Result, err error) *wire.Response {
-	resp.Results = planResultsToWire(results)
+	resp.Results = results
 	if err != nil {
 		resp.Err = err.Error()
 		resp.Retry = classifyAbort(err)
@@ -959,8 +1075,12 @@ func (s *Server) txnDone(resp *wire.Response, results []plan.Result, err error) 
 }
 
 // run compiles p and prepares it as gid's branch of a cross-shard commit,
-// waiting for the vote.  The results are nil when p did not compile.
+// waiting for the vote.  The results are nil when p did not compile.  A
+// prepared branch outlives the request that carried it — its undo and, on
+// a participant, its locks wait for the decision — so it runs on a copy of
+// p's byte fields, not on the frame payload the request recycles.
 func (s *Server) run(sess *engine.Session, p *plan.Plan, gid string, canceled *atomic.Bool) ([]plan.Result, error) {
+	p = clonePlan(p)
 	results := make([]plan.Result, p.NumOps())
 	var hook func() bool
 	if canceled != nil {
@@ -975,12 +1095,36 @@ func (s *Server) run(sess *engine.Session, p *plan.Plan, gid string, canceled *a
 	return results, err
 }
 
-// planResultsToWire converts per-op plan results to wire statement results,
-// one per op in flat phase order.
-func planResultsToWire(rs []plan.Result) []wire.StatementResult {
-	out := make([]wire.StatementResult, len(rs))
-	for i, r := range rs {
-		out[i] = wire.StatementResult{Found: r.Found, Value: r.Value, Err: r.Err, Entries: r.Entries}
+// clonePlan copies p with every op's byte fields copied too.  Names are
+// strings, already immutable, and decoded filters own their arguments.
+func clonePlan(p *plan.Plan) *plan.Plan {
+	n := p.NumOps()
+	size := 0
+	for _, ph := range p.Phases {
+		for i := range ph {
+			op := &ph[i]
+			size += len(op.Key) + len(op.Value) + len(op.KeyEnd) + len(op.CondValue) + len(op.MutArg)
+		}
+	}
+	buf := make([]byte, 0, size)
+	clone := func(b []byte) []byte {
+		if b == nil {
+			return nil
+		}
+		buf = append(buf, b...)
+		return buf[len(buf)-len(b) : len(buf) : len(buf)]
+	}
+	ops := make([]plan.Op, 0, n)
+	out := &plan.Plan{Phases: make([][]plan.Op, len(p.Phases))}
+	for pi, ph := range p.Phases {
+		start := len(ops)
+		for i := range ph {
+			op := ph[i]
+			op.Key, op.Value, op.KeyEnd = clone(op.Key), clone(op.Value), clone(op.KeyEnd)
+			op.CondValue, op.MutArg = clone(op.CondValue), clone(op.MutArg)
+			ops = append(ops, op)
+		}
+		out.Phases[pi] = ops[start:len(ops):len(ops)]
 	}
 	return out
 }

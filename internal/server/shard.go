@@ -373,7 +373,7 @@ func (s *Server) executeCoordinated(sess *engine.Session, ss *shardState, m *sha
 			continue
 		}
 		results, err := s.run(sess, &b.plan, gid, canceled)
-		scatter(b, planResultsToWire(results))
+		scatter(b, results)
 		if err != nil {
 			return abort(err.Error(), preparedRemote, false)
 		}
@@ -458,7 +458,7 @@ func (s *Server) executePrepare(sess *engine.Session, f *wire.Frame, cs session)
 		return wrongShard(resp, m, foreign)
 	}
 	results, err := s.run(sess, f.Plan, f.GID, nil)
-	resp.Results = planResultsToWire(results)
+	resp.Results = results
 	if err != nil {
 		resp.Err = err.Error()
 		s.aborted.Add(1)

@@ -506,8 +506,9 @@ func TestPlanCacheDatapoint(t *testing.T) {
 	}
 	coldCompile := time.Since(coldStart)
 	rebindStart := time.Now()
+	var rebound plan.Filter
 	for i := 0; i < n; i++ {
-		if _, err := tmpl.Rebind(p.Phases[0][0].Filter); err != nil {
+		if err := tmpl.Rebind(&rebound, p.Phases[0][0].Filter); err != nil {
 			t.Fatal(err)
 		}
 	}

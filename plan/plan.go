@@ -46,6 +46,7 @@
 package plan
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -302,12 +303,20 @@ func (p *Plan) Validate() error {
 	}
 	flat := 0
 	phaseStart := 0
-	kinds := make([]Kind, 0, p.NumOps())
+	// kinds holds the kind of every op validated so far, for bindings.  A
+	// plan of a few ops keeps it on the stack.
+	var kindsBuf [16]Kind
+	kinds := kindsBuf[:0]
 	for pi, ph := range p.Phases {
 		if len(ph) == 0 {
 			return fmt.Errorf("plan: phase %d is empty", pi)
 		}
-		touched := make(map[string]Kind, len(ph))
+		// A large phase finds phase-mates on the same key through a map; a
+		// small one compares pairs, allocating nothing.
+		var touched map[string]Kind
+		if len(ph) > pairwisePhaseOps {
+			touched = make(map[string]Kind, len(ph))
+		}
 		for oi := range ph {
 			op := &ph[oi]
 			if !op.Kind.Valid() {
@@ -384,14 +393,24 @@ func (p *Plan) Validate() error {
 			}
 			// Two phase-mates writing the same statically-known key would
 			// race (ops within a phase run in parallel).
-			if op.KeyFrom == NoBind && op.EachFrom == NoBind && op.Kind != Scan {
-				k := op.Table + "\x00" + op.Index + "\x00" + string(op.Key)
-				prev, dup := touched[k]
-				if dup && (op.Kind.Writes() || prev.Writes()) {
-					return fmt.Errorf("plan: op %d (%v): writes a key already touched in the same phase; move it to a later phase", flat, op.Kind)
-				}
-				if !dup || op.Kind.Writes() {
-					touched[k] = op.Kind
+			if staticKey(op) {
+				if touched != nil {
+					k := op.Table + "\x00" + op.Index + "\x00" + string(op.Key)
+					prev, dup := touched[k]
+					if dup && (op.Kind.Writes() || prev.Writes()) {
+						return dupWrite(flat, op)
+					}
+					if !dup || op.Kind.Writes() {
+						touched[k] = op.Kind
+					}
+				} else {
+					for i := range ph[:oi] {
+						prev := &ph[i]
+						if staticKey(prev) && prev.Table == op.Table && prev.Index == op.Index &&
+							bytes.Equal(prev.Key, op.Key) && (op.Kind.Writes() || prev.Kind.Writes()) {
+							return dupWrite(flat, op)
+						}
+					}
 				}
 			}
 			kinds = append(kinds, op.Kind)
@@ -400,6 +419,21 @@ func (p *Plan) Validate() error {
 		phaseStart = flat
 	}
 	return nil
+}
+
+// pairwisePhaseOps is the phase size up to which Validate compares
+// phase-mates' keys pairwise instead of through a map.
+const pairwisePhaseOps = 16
+
+// staticKey reports whether the op touches a key known before execution,
+// which the same-phase duplicate-write check compares.
+func staticKey(op *Op) bool {
+	return op.KeyFrom == NoBind && op.EachFrom == NoBind && op.Kind != Scan
+}
+
+// dupWrite is Validate's error for two phase-mates on one key, one writing.
+func dupWrite(flat int, op *Op) error {
+	return fmt.Errorf("plan: op %d (%v): writes a key already touched in the same phase; move it to a later phase", flat, op.Kind)
 }
 
 // Entry is one record returned by a Scan op.

@@ -97,7 +97,8 @@ const (
 type Predicate struct {
 	// Kind selects the node type.
 	Kind PredKind
-	// Cmp is the comparison operator (PredCmp only).
+	// Cmp is the comparison operator (PredCmp only; a prefix test ignores
+	// it, in evaluation and in the plan cache's shape key alike).
 	Cmp CmpOp
 	// OnKey selects the record key as the field source instead of the value.
 	OnKey bool
@@ -458,27 +459,28 @@ func (f *Filter) Template() *Filter {
 	return t
 }
 
-// Rebind instantiates a cached filter template with the argument bytes of
-// p, which must have the same structure the template was compiled from.
-// Every structural property is re-verified against the template during the
-// walk — a mismatch (or an invalid argument, such as a non-8-byte int64
-// operand) returns an error so callers fall back to a full Compile.
-// Rebind performs no validation passes and one allocation (the program
-// copy), which is what a plan-cache hit pays instead of Validate+Compile.
-func (f *Filter) Rebind(p *Predicate) (*Filter, error) {
-	if f == nil || p == nil {
-		return nil, fmt.Errorf("plan: rebind of nil filter or predicate")
+// Rebind instantiates a cached filter template into dst with the argument
+// bytes of p, which must have the same structure the template was compiled
+// from.  dst's program storage is reused, so rebinding into the same dst
+// again allocates nothing once it has held a program this long.  Every
+// structural property is re-verified against the template during the walk
+// — a mismatch (or an invalid argument, such as a non-8-byte int64 operand)
+// returns an error so callers fall back to a full Compile.  Rebind performs
+// no validation passes, which is what a plan-cache hit pays instead of
+// Validate+Compile.
+func (f *Filter) Rebind(dst *Filter, p *Predicate) error {
+	if f == nil || p == nil || dst == nil {
+		return fmt.Errorf("plan: rebind of nil filter or predicate")
 	}
-	n := &Filter{prog: make([]filterInst, len(f.prog))}
-	copy(n.prog, f.prog)
+	dst.prog = append(dst.prog[:0], f.prog...)
 	i := 0
-	if err := rebindNode(n.prog, &i, p, 1); err != nil {
-		return nil, err
+	if err := rebindNode(dst.prog, &i, p, 1); err != nil {
+		return err
 	}
-	if i != len(n.prog) {
-		return nil, fmt.Errorf("plan: rebind consumed %d of %d instructions", i, len(n.prog))
+	if i != len(dst.prog) {
+		return fmt.Errorf("plan: rebind consumed %d of %d instructions", i, len(dst.prog))
 	}
-	return n, nil
+	return nil
 }
 
 func rebindNode(prog []filterInst, i *int, p *Predicate, depth int) error {
@@ -496,7 +498,9 @@ func rebindNode(prog []filterInst, i *int, p *Predicate, depth int) error {
 		if p.Kind == PredPrefix {
 			wantOp = fiPrefix
 		}
-		if in.op != wantOp || in.cmp != p.Cmp || in.onKey != p.OnKey ||
+		// A prefix test has no operator: emit drops p.Cmp there, and so
+		// do this check and AppendShape.
+		if in.op != wantOp || (wantOp == fiCmp && in.cmp != p.Cmp) || in.onKey != p.OnKey ||
 			in.i64 != p.Int64 || in.off != p.Offset || in.ln != p.Length {
 			return mismatch()
 		}
@@ -560,7 +564,11 @@ func AppendShape(dst []byte, p *Predicate) []byte {
 		if p.Int64 {
 			flags |= 2
 		}
-		dst = append(dst, byte(p.Cmp), flags)
+		cmp := p.Cmp
+		if p.Kind == PredPrefix {
+			cmp = 0 // a prefix test ignores its operator byte
+		}
+		dst = append(dst, byte(cmp), flags)
 		dst = binary.BigEndian.AppendUint32(dst, p.Offset)
 		dst = binary.BigEndian.AppendUint32(dst, p.Length)
 	case PredAnd, PredOr, PredNot:

@@ -242,12 +242,11 @@ func TestFilterMatchesNaiveReference(t *testing.T) {
 			t.Fatalf("trial %d: compile: %v", trial, err)
 		}
 		q := reArg(rng, p)
-		rebound, err := f.Rebind(q)
-		if err != nil {
+		rebound, fromTemplate := new(Filter), new(Filter)
+		if err := f.Rebind(rebound, q); err != nil {
 			t.Fatalf("trial %d: rebind: %v", trial, err)
 		}
-		fromTemplate, err := f.Template().Rebind(q)
-		if err != nil {
+		if err := f.Template().Rebind(fromTemplate, q); err != nil {
 			t.Fatalf("trial %d: rebind of the template: %v", trial, err)
 		}
 		for _, c := range []struct {
@@ -297,6 +296,8 @@ func FuzzFilterEval(f *testing.F) {
 		FieldCmp(0, 1, CmpGe, []byte{0x80}),
 		Int64Cmp(1, CmpLe, -3),
 		And(KeyCmp(CmpNe, []byte{0xff, 0}), Not(ValuePrefix([]byte{0x7f}))),
+		// A prefix leaf carrying an operator byte, which evaluation ignores.
+		{Kind: PredPrefix, Cmp: CmpGt, Offset: 1, Arg: []byte{0x80}},
 	} {
 		f.Add(AppendPredicate(nil, p), []byte{0, 0x80, 1}, []byte{0xff, 0x80, 0, 0, 0, 0, 1, 2, 3, 0x7f})
 	}
@@ -313,16 +314,40 @@ func FuzzFilterEval(f *testing.F) {
 		if got := flt.Eval(key, val); got != want {
 			t.Fatalf("compiled=%v naive=%v\npred=%s\nkey=%x val=%x", got, want, predString(p), key, val)
 		}
-		// Rebind may refuse (a prefix leaf carrying an operator byte, say);
-		// a plan-cache hit then falls back to Compile.
-		rebound, err := flt.Template().Rebind(p)
-		if err != nil {
-			return
+		// The template rebound to the predicate it came from must take it.
+		rebound := new(Filter)
+		if err := flt.Template().Rebind(rebound, p); err != nil {
+			t.Fatalf("template rebind: %v\npred=%s", err, predString(p))
 		}
 		if got := rebound.Eval(key, val); got != want {
 			t.Fatalf("template rebound=%v naive=%v\npred=%s\nkey=%x val=%x", got, want, predString(p), key, val)
 		}
 	})
+}
+
+// TestPrefixOperatorByteIgnored checks the three places that read a prefix
+// leaf agree that its operator byte means nothing: two prefix leaves that
+// differ only in it have one shape, a template compiled from one rebinds to
+// the other, and both evaluate like the reference.
+func TestPrefixOperatorByteIgnored(t *testing.T) {
+	plain := &Predicate{Kind: PredPrefix, Offset: 1, Arg: []byte{0x80}}
+	withOp := &Predicate{Kind: PredPrefix, Cmp: CmpGt, Offset: 1, Arg: []byte{0x7f}}
+	if a, b := AppendShape(nil, plain), AppendShape(nil, withOp); !bytes.Equal(a, b) {
+		t.Fatalf("shapes differ: %x vs %x", a, b)
+	}
+	f, err := plain.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebound := new(Filter)
+	if err := f.Template().Rebind(rebound, withOp); err != nil {
+		t.Fatalf("rebind to a prefix leaf with an operator byte: %v", err)
+	}
+	for _, val := range [][]byte{nil, {0}, {0, 0x7f}, {1, 0x7f, 2}, {1, 0x80}} {
+		if got, want := rebound.Eval(nil, val), naiveEval(withOp, nil, val); got != want {
+			t.Fatalf("val=%x: rebound=%v naive=%v", val, got, want)
+		}
+	}
 }
 
 // TestPredicateEncodeDecodeRoundTrip checks the wire form reproduces the

@@ -92,7 +92,7 @@ func decodeShardFrame(f *Frame, r *reader) (*Frame, error) {
 	case FramePrepare:
 		f.GID = r.str()
 		f.MapVersion = r.uint64()
-		p, err := r.plan()
+		p, err := r.plan(f.Plan)
 		if err != nil {
 			return nil, err
 		}

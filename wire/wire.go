@@ -116,19 +116,9 @@ const (
 type ScanEntry = plan.Entry
 
 // StatementResult is the outcome of one plan op (or of a ping or control
-// frame).
-type StatementResult struct {
-	// Found reports whether a read found its key (for a scan, whether the
-	// scan returned at least one record).
-	Found bool
-	// Value is the read result (or the ping echo, or control output).
-	Value []byte
-	// Err is a non-empty op error message; any op error aborts the whole
-	// transaction.
-	Err string
-	// Entries holds a scan's records in key order.
-	Entries []ScanEntry
-}
+// frame): the engine's plan.Result, so a transaction's results reach the
+// wire codec without a per-reply copy.
+type StatementResult = plan.Result
 
 // RetryHint classifies an aborted transaction for the client's retry
 // policy, so clients need not string-match error messages.
@@ -219,6 +209,7 @@ type reader struct {
 	buf []byte
 	off int
 	err error
+	dec *Decoder // interns table and index names; nil copies each
 }
 
 func (r *reader) uint64() uint64 {
@@ -261,9 +252,9 @@ func (r *reader) byteVal() byte {
 }
 
 // bytes returns the next length-prefixed field *aliasing* the payload
-// buffer: decoded messages share their frames' memory (frames are allocated
-// per message and never reused), which keeps the hot path at one allocation
-// per frame instead of one per field.
+// buffer: decoded messages share their frames' memory, which keeps the hot
+// path free of per-field allocations.  A caller that reuses a frame's
+// buffer must be done with the message decoded from it first.
 func (r *reader) bytes() []byte {
 	n := r.uint32()
 	if r.err != nil {
@@ -282,6 +273,47 @@ func (r *reader) bytes() []byte {
 }
 
 func (r *reader) str() string { return string(r.bytes()) }
+
+// name reads a table or index name.  Strings must not alias the payload,
+// which a Decoder's caller reuses, so a name is interned through the
+// decoder (or copied, without one).
+func (r *reader) name() string { return r.dec.intern(r.bytes()) }
+
+// maxInterned and maxInternedLen bound a Decoder's name table, by count
+// and by name length.  Names are schema, not data: a connection uses a
+// handful of short ones, and any other name is simply copied, so a peer
+// sending long or ever-new names pins no memory past its request.
+const (
+	maxInterned    = 256
+	maxInternedLen = 64
+)
+
+// Decoder decodes request frames into storage its caller reuses from frame
+// to frame (Decode).  It interns short table and index names, so decoding
+// a plan over known tables allocates no strings.  The zero value is ready; a
+// Decoder serves one goroutine.
+type Decoder struct {
+	names map[string]string
+}
+
+// intern returns the string equal to b, allocating only for a name not seen
+// before.  A nil Decoder copies.
+func (d *Decoder) intern(b []byte) string {
+	if d == nil || len(b) > maxInternedLen {
+		return string(b)
+	}
+	if s, ok := d.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if d.names == nil {
+		d.names = make(map[string]string)
+	}
+	if len(d.names) < maxInterned {
+		d.names[s] = s
+	}
+	return s
+}
 
 // end reports the first decode error, or an error if bytes remain unread:
 // a frame whose body carries more than its kind defines is refused, not
@@ -486,15 +518,26 @@ func appendPlan(out []byte, p *plan.Plan) []byte {
 	return out
 }
 
-// plan reads a plan body written by appendPlan.  Hostile phase and op
-// counts, and empty phases, are rejected rather than allocated.
-func (r *reader) plan() (*plan.Plan, error) {
+// plan reads a plan body written by appendPlan into p (a fresh plan when p
+// is nil), reusing p's phase slice and each phase's op slice.  Hostile
+// phase and op counts, and empty phases, are rejected rather than
+// allocated.
+func (r *reader) plan(p *plan.Plan) (*plan.Plan, error) {
 	phases := r.uint32()
 	maxOps := uint32(len(r.buf) / minEncodedOpBytes)
 	if phases > maxOps {
 		return nil, fmt.Errorf("%w: %d phases in a %d-byte frame", ErrShortPayload, phases, len(r.buf))
 	}
-	p := &plan.Plan{Phases: make([][]plan.Op, 0, phases)}
+	if p == nil {
+		p = &plan.Plan{}
+	}
+	// The phase slots beyond the last plan's length still hold op slices
+	// of earlier plans: reuse those too.
+	phs := p.Phases[:cap(p.Phases)]
+	if len(phs) < int(phases) {
+		phs = append(phs, make([][]plan.Op, int(phases)-len(phs))...)
+	}
+	p.Phases = phs[:0]
 	for i := uint32(0); i < phases && r.err == nil; i++ {
 		n := r.uint32()
 		if n > maxOps {
@@ -504,11 +547,11 @@ func (r *reader) plan() (*plan.Plan, error) {
 			// Every phase holds an op, which is what bounds the phase count.
 			return nil, fmt.Errorf("wire: plan phase %d is empty", i)
 		}
-		ops := make([]plan.Op, 0, n)
+		ops := phs[i][:0]
 		for j := uint32(0); j < n && r.err == nil; j++ {
 			op := plan.Op{Kind: plan.Kind(r.byteVal())}
-			op.Table = r.str()
-			op.Index = r.str()
+			op.Table = r.name()
+			op.Index = r.name()
 			op.Key = r.bytes()
 			op.Value = r.bytes()
 			op.KeyEnd = r.bytes()
@@ -532,7 +575,8 @@ func (r *reader) plan() (*plan.Plan, error) {
 			}
 			ops = append(ops, op)
 		}
-		p.Phases = append(p.Phases, ops)
+		phs[i] = ops
+		p.Phases = phs[:i+1]
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -546,6 +590,45 @@ func EncodePlanRequest(id uint64, p *plan.Plan) []byte {
 	out := appendUint64(make([]byte, 0, 8+1+planSize(p)), id)
 	out = append(out, byte(FramePlan))
 	return appendPlan(out, p)
+}
+
+// AppendPlanFrame appends a whole plan request frame — the length prefix
+// and the payload EncodePlanRequest builds — to dst.  A frame over
+// MaxFrameSize is not appended: dst comes back as it was, with
+// ErrFrameTooLarge.
+func AppendPlanFrame(dst []byte, id uint64, p *plan.Plan) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	dst = appendUint64(dst, id)
+	dst = append(dst, byte(FramePlan))
+	dst = appendPlan(dst, p)
+	return endFrame(dst, start)
+}
+
+// AppendResponseFrame appends a whole response frame — the length prefix
+// and the payload AppendResponse builds — to dst, refusing (dst unchanged,
+// ErrFrameTooLarge) one over MaxFrameSize.
+func AppendResponseFrame(dst []byte, resp *Response) ([]byte, error) {
+	start := len(dst)
+	return endFrame(AppendResponse(append(dst, 0, 0, 0, 0), resp), start)
+}
+
+// AppendFrame appends one length-prefixed frame holding payload to dst,
+// refusing (dst unchanged, ErrFrameTooLarge) a payload over MaxFrameSize.
+func AppendFrame(dst, payload []byte) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	return endFrame(append(dst, payload...), start)
+}
+
+// endFrame writes the length prefix of the frame that starts at dst[start].
+func endFrame(dst []byte, start int) ([]byte, error) {
+	n := len(dst) - start - 4
+	if n > MaxFrameSize {
+		return dst[:start], ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(n))
+	return dst, nil
 }
 
 // EncodeCancelRequest serializes a cancel frame for the request with the
@@ -577,41 +660,53 @@ func EncodeControlRequest(id uint64, command, table string) []byte {
 // semantically validated here — the engine's compiler re-validates, so a
 // hostile peer gains nothing by skipping the client-side checks.
 func DecodeFrameV3(buf []byte) (*Frame, error) {
-	r := &reader{buf: buf}
-	f := &Frame{ID: r.uint64()}
+	f := &Frame{}
+	if err := (*Decoder)(nil).Decode(f, buf); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Decode parses one request frame into f, as DecodeFrameV3 does, but into
+// storage the caller owns: when f.Plan is non-nil a plan body is decoded
+// into it, reusing its phase and op slices.  Every other field of f is
+// reset.  Byte fields alias buf, and table and index names are interned,
+// so buf may be reused once the frame is no longer needed.
+func (d *Decoder) Decode(f *Frame, buf []byte) error {
+	r := &reader{buf: buf, dec: d}
+	pl := f.Plan
+	*f = Frame{ID: r.uint64()}
 	f.Kind = FrameKind(r.byteVal())
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
+	var err error
 	switch f.Kind {
 	case FrameCancel:
-		return f, nil
+		return nil
 	case FramePlan:
-		p, err := r.plan()
-		if err != nil {
-			return nil, err
-		}
-		f.Plan = p
-		return f, nil
+		f.Plan, err = r.plan(pl)
+		return err
 	case FramePing:
 		f.Ping = r.bytes()
 	case FrameControl:
 		f.Command = r.str()
 		f.Table = r.str()
 	case FrameShardMap, FramePrepare, FrameDecide:
-		return decodeShardFrame(f, r)
+		f.Plan = pl
+		_, err = decodeShardFrame(f, r)
+		return err
 	case FrameReplSubscribe, FrameReplRecords, FrameReplAck,
 		FrameReplSeedBegin, FrameReplSeedEnd, FrameReplHeartbeat:
-		return decodeReplFrame(f, r)
+		_, err = decodeReplFrame(f, r)
+		return err
 	case FrameScan, FrameScanAck:
-		return decodeScanFrame(f, r)
+		_, err = decodeScanFrame(f, r)
+		return err
 	default:
-		return nil, fmt.Errorf("%w: unknown frame kind %d", ErrBadOp, f.Kind)
+		return fmt.Errorf("%w: unknown frame kind %d", ErrBadOp, f.Kind)
 	}
-	if err := r.end(); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return r.end()
 }
 
 // AppendResponse appends the serialized response payload (without the
@@ -660,14 +755,25 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 // DecodeResponse parses a response payload.  The returned response's byte
 // fields alias buf, which must not be modified or reused afterwards.
 func DecodeResponse(buf []byte) (*Response, error) {
+	resp := &Response{}
+	if err := DecodeResponseInto(resp, buf); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// DecodeResponseInto parses a response payload into resp, reusing the
+// capacity of resp.Results.  Byte fields alias buf.
+func DecodeResponseInto(resp *Response, buf []byte) error {
 	r := &reader{buf: buf}
-	resp := &Response{ID: r.uint64()}
+	results := resp.Results[:0]
+	*resp = Response{ID: r.uint64()}
 	resp.Committed = r.byteVal() == 1
 	resp.Err = r.str()
 	n := r.uint32()
 	// Presize bounded by payload capacity (a result is at least 13 bytes).
-	if max := uint32(len(buf) / 13); n > 0 && r.err == nil {
-		resp.Results = make([]StatementResult, 0, min(n, max))
+	if max := uint32(len(buf) / 13); n > 0 && r.err == nil && cap(results) < int(min(n, max)) {
+		results = make([]StatementResult, 0, min(n, max))
 	}
 	for i := uint32(0); i < n && r.err == nil; i++ {
 		var res StatementResult
@@ -681,13 +787,13 @@ func DecodeResponse(buf []byte) (*Response, error) {
 			e.Value = r.bytes()
 			res.Entries = append(res.Entries, e)
 		}
-		resp.Results = append(resp.Results, res)
+		results = append(results, res)
+	}
+	if len(results) > 0 {
+		resp.Results = results
 	}
 	resp.Retry = RetryHint(r.byteVal())
-	if r.err != nil {
-		return nil, r.err
-	}
-	return resp, nil
+	return r.err
 }
 
 // WriteFrame writes one length-prefixed frame.
@@ -704,19 +810,31 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// ReadFrame reads one length-prefixed frame into fresh storage.
+func ReadFrame(r io.Reader) ([]byte, error) { return ReadFrameInto(r, nil) }
+
+// ReadFrameInto reads one length-prefixed frame into buf's storage — the
+// length prefix too, so nothing escapes per frame — growing it only when
+// the frame does not fit, and returns the payload.  On error the returned
+// slice still carries buf's storage, empty, for the caller to keep.
+func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 0, 256)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return buf[:0], err
+	}
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrameSize {
-		return nil, ErrFrameTooLarge
+		return buf[:0], ErrFrameTooLarge
 	}
-	payload := make([]byte, n)
+	if uint64(cap(buf)) < uint64(n) {
+		buf = make([]byte, 0, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+		return buf[:0], err
 	}
 	return payload, nil
 }

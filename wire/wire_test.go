@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -339,5 +340,38 @@ func TestManyStatementsRoundTrip(t *testing.T) {
 	}
 	if n := got.Plan.NumOps(); n != 500 {
 		t.Fatalf("got %d ops, want 500", n)
+	}
+}
+
+// TestDecoderInternsOnlyShortNames checks that the Decoder, which lives as
+// long as its connection, keeps no name longer than maxInternedLen: a plan
+// naming an oversized table decodes (the name copied, not aliasing the
+// reused payload) and adds that name to no table, while a short name is
+// interned.
+func TestDecoderInternsOnlyShortNames(t *testing.T) {
+	var d Decoder
+	var f Frame
+	long := strings.Repeat("x", 1<<20)
+	buf := EncodePlanRequest(1, &plan.Plan{Phases: [][]plan.Op{{{Kind: plan.Get, Table: long, Key: []byte("k")}}}})
+	if err := d.Decode(&f, buf); err != nil {
+		t.Fatal(err)
+	}
+	clear(buf) // the caller reuses its payload buffer
+	if got := f.Plan.Phases[0][0].Table; got != long {
+		t.Fatalf("decoded table name is %d bytes, not the %d sent", len(got), len(long))
+	}
+	before := len(d.names)
+	for name := range d.names {
+		if len(name) > maxInternedLen {
+			t.Fatalf("a %d-byte name was interned", len(name))
+		}
+	}
+
+	buf = EncodePlanRequest(2, &plan.Plan{Phases: [][]plan.Op{{{Kind: plan.Get, Table: "subscriber", Key: []byte("k")}}}})
+	if err := d.Decode(&f, buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d.names["subscriber"]; !ok || len(d.names) != before+1 {
+		t.Fatalf("short name not interned: %v", d.names)
 	}
 }
