@@ -1,14 +1,14 @@
 // Command plpbench regenerates the tables and figures of the paper's
-// evaluation.
+// evaluation: it runs the experiments listed in internal/experiments.
 //
 // Usage:
 //
 //	plpbench -experiment fig1            # one experiment
 //	plpbench -experiment all             # everything (several minutes)
-//	plpbench -experiment fig5 -clients 1,2,4,8,16 -subscribers 100000
+//	plpbench -experiment fig5 -client-sweep 1,2,4,8,16 -subscribers 100000
 //
 // Experiments: fig1 fig2 fig3 table1 table2 fig5 fig6 fig7 fig8 fig9 fig10
-// fig11 fig12 ext-autobalance ext-recovery ablations all.  ext-autobalance
+// fig11 fig12 ext-autobalance ext-recovery ablations.  ext-autobalance
 // (EXT-1) repeats fig8's skew change with the online repartitioning
 // controller moving the boundary on its own; ext-recovery (EXT-2) crashes a
 // TATP engine and recovers it from the log.
@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -26,34 +27,25 @@ import (
 )
 
 func main() {
-	var (
-		experiment  = flag.String("experiment", "all", "experiment to run: fig1-fig3, fig5-fig12, table1, table2, ext-autobalance (DRP under a skew change), ext-recovery, ablations or all")
-		subscribers = flag.Int("subscribers", 20000, "TATP scale factor")
-		branches    = flag.Int("branches", 2, "TPC-B scale factor")
-		warehouses  = flag.Int("warehouses", 2, "TPC-C scale factor")
-		partitions  = flag.Int("partitions", 8, "logical partitions / worker goroutines")
-		clients     = flag.Int("clients", 8, "default client goroutines")
-		clientSweep = flag.String("client-sweep", "1,2,4,8", "client counts for scaling experiments")
-		txns        = flag.Int("txns", 2000, "transactions per client per measured point")
-		duration    = flag.Duration("duration", 0, "measured duration per point (overrides -txns)")
-	)
-	flag.Parse()
-
 	scale := experiments.DefaultScale()
-	scale.TATPSubscribers = *subscribers
-	scale.TPCBBranches = *branches
-	scale.TPCCWarehouses = *warehouses
-	scale.Partitions = *partitions
-	scale.Clients = *clients
-	scale.TxnsPerClient = *txns
-	scale.Duration = *duration
+	experiment := flag.String("experiment", "all", experimentUsage(experiments.Experiments))
+	flag.IntVar(&scale.TATPSubscribers, "subscribers", scale.TATPSubscribers, "TATP scale factor")
+	flag.IntVar(&scale.TPCBBranches, "branches", scale.TPCBBranches, "TPC-B scale factor")
+	flag.IntVar(&scale.TPCCWarehouses, "warehouses", scale.TPCCWarehouses, "TPC-C scale factor")
+	flag.IntVar(&scale.Partitions, "partitions", scale.Partitions, "logical partitions / worker goroutines")
+	flag.IntVar(&scale.Clients, "clients", scale.Clients, "default client goroutines")
+	clientSweep := flag.String("client-sweep", "1,2,4,8", "client counts for scaling experiments")
+	flag.IntVar(&scale.TxnsPerClient, "txns", scale.TxnsPerClient, "transactions per client per measured point")
+	flag.DurationVar(&scale.Duration, "duration", 0, "measured duration per point (overrides -txns)")
+	flag.Parse()
 
 	sweep, err := parseIntList(*clientSweep)
 	if err != nil {
 		fatal(err)
 	}
+	scale.ClientSweep = sweep
 
-	if err := run(*experiment, scale, sweep); err != nil {
+	if err := run(os.Stdout, experiments.Experiments, *experiment, scale); err != nil {
 		fatal(err)
 	}
 }
@@ -61,6 +53,15 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "plpbench:", err)
 	os.Exit(1)
+}
+
+// experimentUsage is the -experiment flag's help text: the listed ids.
+func experimentUsage(list []experiments.Experiment) string {
+	ids := make([]string, len(list))
+	for i, x := range list {
+		ids[i] = x.ID
+	}
+	return "experiment to run: " + strings.Join(ids, ", ") + ", or all"
 }
 
 func parseIntList(s string) ([]int, error) {
@@ -79,138 +80,26 @@ func parseIntList(s string) ([]int, error) {
 	return out, nil
 }
 
-func run(name string, scale experiments.Scale, sweep []int) error {
-	all := name == "all"
-	ran := false
+// run runs the experiment of list called name, or every one for "all",
+// printing each result under its "== id ==" heading.
+func run(out io.Writer, list []experiments.Experiment, name string, scale experiments.Scale) error {
 	start := time.Now()
-	section := func(id string) bool {
-		if all || name == id {
-			ran = true
-			fmt.Printf("== %s ==\n", id)
-			return true
+	ran := false
+	for _, x := range list {
+		if name != "all" && name != x.ID {
+			continue
 		}
-		return false
-	}
-
-	if section("fig1") {
-		r, err := experiments.Fig1(scale)
+		ran = true
+		fmt.Fprintf(out, "== %s ==\n", x.ID)
+		r, err := x.Run(scale)
 		if err != nil {
 			return err
 		}
-		fmt.Println(r)
+		fmt.Fprintln(out, r)
 	}
-	if section("fig2") {
-		r, err := experiments.Fig2(scale)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if section("fig3") {
-		r, err := experiments.Fig3(scale)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if section("table1") {
-		measured, err := experiments.Table1Measured(scale)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatTable1(experiments.Table1Analytical(), measured))
-	}
-	if section("table2") {
-		fmt.Println(experiments.Table2())
-	}
-	if section("fig5") {
-		r, err := experiments.Fig5(scale, sweep)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if section("fig6") {
-		r, err := experiments.Fig6(scale, sweep)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if section("fig7") {
-		r, err := experiments.Fig7(scale, sweep)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if section("fig8") {
-		r, err := experiments.Fig8(scale)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if section("fig9") {
-		r, err := experiments.Fig9(scale)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if section("fig10") {
-		r, err := experiments.Fig10(scale, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if section("fig11") {
-		r, err := experiments.Fig11(scale, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if section("fig12") {
-		r, err := experiments.Fig12(scale)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if section("ext-autobalance") {
-		r, err := experiments.ExtAutoBalance(scale)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if section("ext-recovery") {
-		r, err := experiments.ExtRecovery(scale)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if section("ablations") {
-		for _, fn := range []func() (*experiments.AblationResult, error){
-			func() (*experiments.AblationResult, error) { return experiments.AblationSLI(scale) },
-			func() (*experiments.AblationResult, error) { return experiments.AblationLatchFreeIndex(scale) },
-			func() (*experiments.AblationResult, error) { return experiments.AblationLogBuffer(scale) },
-			func() (*experiments.AblationResult, error) { return experiments.AblationPartitionCount(scale, nil) },
-		} {
-			r, err := fn()
-			if err != nil {
-				return err
-			}
-			fmt.Println(r)
-		}
-	}
-
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", name)
 	}
-	fmt.Printf("done in %s\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(out, "done in %s\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }

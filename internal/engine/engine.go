@@ -137,11 +137,6 @@ type Options struct {
 	MaxSlotsPerNode int
 	// QueueDepth is the partition workers' input queue depth.
 	QueueDepth int
-	// NoFastPath disables the single-site fast path and per-partition
-	// action batching, restoring one-task-per-action dispatch (ablation
-	// and benchmark baseline only; see the "Execution fast paths" section
-	// of the package plp documentation).
-	NoFastPath bool
 	// LockTimeout overrides the centralized lock manager's deadlock
 	// timeout.
 	LockTimeout time.Duration

@@ -337,7 +337,7 @@ func (st *execState) runInline(phase []Action) error {
 // the worker-side re-check fire, never the reverse.
 func (st *execState) analyze(first int) (int, bool) {
 	e := st.e
-	if e.opts.NoFastPath || st.req.Expand != nil {
+	if st.req.Expand != nil {
 		return 0, false
 	}
 	st.tabs = st.tabs[:0]
@@ -471,10 +471,9 @@ func (st *execState) RunTask(w *dora.Worker) {
 // dispatchPhase hands one phase to the partition workers.  Inline actions
 // run first, right here; the others are grouped by owning partition and
 // every group rides to its worker as one batch (k channel operations for a
-// k-partition phase instead of one per action) — or, with
-// Options.NoFastPath, one task per action, the baseline the fast-path
-// benchmarks compare against.  The phase's countdown starts at the number
-// of worker actions; the last one to finish calls phaseDone.
+// k-partition phase instead of one per action).  The phase's countdown
+// starts at the number of worker actions; the last one to finish calls
+// phaseDone.
 //
 // On a worker, the phase is submitted without waiting for queue room
 // (submit), and a phase routed at dispatch time is handed to a fresh
@@ -500,28 +499,6 @@ func (st *execState) dispatchPhase(pi int, phase []Action, onWorker bool) {
 	}
 	st.pending.Store(int32(n))
 	observe := e.observer.Load() != nil && st.bound(pi)
-	if e.opts.NoFastPath {
-		for i := range phase {
-			a := phase[i]
-			if a.Inline {
-				continue
-			}
-			rt := e.routing[a.Table]
-			// The epoch is captured before the routing lookup: a boundary
-			// move between the two makes the worker-side check fire and
-			// recompute, never the reverse.
-			var epoch uint64
-			if rt != nil {
-				epoch = rt.epoch.Load()
-			}
-			pidx := e.partitionFor(a.Table, a.routingKey())
-			if observe {
-				e.observeAccess(a.Table, pidx, a.routingKey())
-			}
-			e.dispatchAction(&actionTask{st: st, a: a, rt: rt, epoch: epoch, slot: i, enqueued: time.Now()}, pidx, onWorker)
-		}
-		return
-	}
 	st.dispatchGrouped(phase, observe, onWorker)
 }
 
@@ -641,7 +618,7 @@ func (it *batchItem) RunTask(w *dora.Worker) {
 			if curP := e.partitionFor(it.a.Table, it.a.routingKey()); curP != w.ID() {
 				// Forward from a fresh goroutine: a worker parked at a
 				// quiesce barrier must never block this worker.
-				go e.dispatchAction(&actionTask{st: st, a: it.a, rt: it.rt, epoch: cur, slot: it.slot, enqueued: time.Now()}, curP, false)
+				go e.dispatchAction(&actionTask{st: st, a: it.a, rt: it.rt, epoch: cur, slot: it.slot, enqueued: time.Now()}, curP)
 				return
 			}
 		}
@@ -742,13 +719,12 @@ func failBatch(ts *[]dora.Task, err error) {
 	dora.PutTasks(ts)
 }
 
-// actionTask is one action dispatched on its own: the forwarding of a
-// mis-routed batch action, and the per-action baseline Options.NoFastPath
-// preserves for ablation.  NOTE: the ownership protocol below is
-// implemented in three places that must stay in sync — this task,
-// batchItem.RunTask (split a phase batch, forward only the mis-routed
-// actions), and execState.RunTask (re-drive a mis-routed single-site task
-// unexecuted).
+// actionTask is one action dispatched on its own: a mis-routed action of
+// a phase batch, forwarded to its current owner.  NOTE: the ownership
+// protocol below is implemented in three places that must stay in sync —
+// this task, batchItem.RunTask (split a phase batch, forward only the
+// mis-routed actions), and execState.RunTask (re-drive a mis-routed
+// single-site task unexecuted).
 type actionTask struct {
 	st       *execState
 	a        Action
@@ -777,8 +753,8 @@ type actionTask struct {
 // re-check runs on the worker goroutine, and any boundary move affecting
 // the worker's ranges quiesces that worker first, so ownership cannot
 // change between the check and the data access.
-func (e *Engine) dispatchAction(t *actionTask, pidx int, onWorker bool) {
-	if err := submit(e.pool.Worker(pidx), dora.Task{Run: t}, onWorker); err != nil {
+func (e *Engine) dispatchAction(t *actionTask, pidx int) {
+	if err := e.pool.Worker(pidx).Submit(dora.Task{Run: t}); err != nil {
 		t.fail(err)
 	}
 }
@@ -792,7 +768,7 @@ func (t *actionTask) RunTask(w *dora.Worker) {
 		if cur := t.rt.epoch.Load(); cur != t.epoch {
 			if curP := e.partitionFor(t.a.Table, t.a.routingKey()); curP != w.ID() {
 				t.epoch, t.enqueued = cur, time.Now()
-				go e.dispatchAction(t, curP, false)
+				go e.dispatchAction(t, curP)
 				return
 			}
 		}

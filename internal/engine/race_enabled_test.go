@@ -3,7 +3,7 @@
 package engine
 
 // raceEnabled reports that this binary was built with the race detector;
-// the allocation gate and throughput datapoints skip themselves there —
-// the detector's instrumentation both allocates and multiplies CPU-bound
-// work, so the numbers would describe the instrumentation, not the engine.
+// the allocation gates skip themselves there — the detector's
+// instrumentation allocates, so the counts would describe the
+// instrumentation, not the engine.
 const raceEnabled = true

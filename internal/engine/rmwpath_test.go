@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"testing"
 
 	"plp/internal/catalog"
@@ -50,7 +49,6 @@ func TestReadModifyWriteOneDescent(t *testing.T) {
 	fixes(add)
 
 	getFixes, addFixes := fixes(get), fixes(add)
-	fmt.Printf("BENCH_JSON {\"benchmark\":\"rmw_fixes\",\"design\":\"PLP-Leaf\",\"get_fixes\":%d,\"add_field_fixes\":%d}\n", getFixes, addFixes)
 	if getFixes < 2 {
 		t.Fatalf("a Get made %d fixes; want at least an index leaf and a heap page", getFixes)
 	}

@@ -19,8 +19,7 @@ import (
 // chunk whose filter matches nothing must fix each heap page once per run
 // of records on it, not once per record, and must allocate a bounded
 // number of objects per chunk, not per record.  Both are counts, so the
-// gate does not depend on the machine; the BENCH_JSON line adds the time
-// per examined record for the record.
+// gate does not depend on the machine.
 func TestScanChunkFixesAndAllocs(t *testing.T) {
 	const rows = 8192
 	e := New(Options{Design: PLPLeaf, Partitions: 4})
@@ -57,27 +56,17 @@ func TestScanChunkFixesAndAllocs(t *testing.T) {
 		t.Fatalf("chunk over %d records fixed %d pages, want <= %d (one fix per heap page run, not per record)",
 			res.Scanned, fixes, limit)
 	}
-	const runs = 50
-	allocs := testing.AllocsPerRun(runs, func() { chunk() })
+	allocs := testing.AllocsPerRun(50, func() { chunk() })
 	if allocs > 32 {
 		t.Fatalf("chunk over %d records made %.1f allocations, want <= 32", res.Scanned, allocs)
 	}
-	start := time.Now()
-	for i := 0; i < runs; i++ {
-		chunk()
-	}
-	perRecord := float64(time.Since(start).Nanoseconds()) / float64(runs*res.Scanned)
-	fmt.Printf("BENCH_JSON {\"benchmark\":\"scan_chunk\",\"design\":\"PLP-Leaf\",\"records_per_chunk\":%d,\"ns_per_record\":%.1f,\"fixes_per_record\":%.4f,\"allocs_per_record\":%.4f}\n",
-		res.Scanned, perRecord, float64(fixes)/float64(res.Scanned), allocs/float64(res.Scanned))
-	tatpScanChunkDatapoint(t)
 }
 
-// tatpScanChunkDatapoint reports the time per examined record of chunked
-// scans shaped like TATP's filtered subscriber scan: 100-byte rows, eight
-// partitions, and a 4-byte big-endian field compared against a threshold
-// that keeps about 1% of the rows.  It gates only the result (every
-// matching row, and no other, comes back); the time is reported.
-func tatpScanChunkDatapoint(t *testing.T) {
+// TestScanChunkTATPShapedFilter runs chunked scans shaped like TATP's
+// filtered subscriber scan: 100-byte rows, eight partitions, and a 4-byte
+// big-endian field compared against a threshold that keeps about 1% of
+// the rows.  Every matching row, and no other, must come back.
+func TestScanChunkTATPShapedFilter(t *testing.T) {
 	const (
 		rows   = 1 << 16
 		parts  = 8
@@ -112,32 +101,22 @@ func tatpScanChunkDatapoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan := func() (examined, kept, chunks int) {
-		var cursor []byte
-		for {
-			res, err := e.ScanChunk("sub", cursor, nil, flt, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			examined, kept, chunks = examined+res.Scanned, kept+len(res.Entries), chunks+1
-			if res.Done {
-				return examined, kept, chunks
-			}
-			cursor = res.Next
+	var cursor []byte
+	examined, kept := 0, 0
+	for {
+		res, err := e.ScanChunk("sub", cursor, nil, flt, 0, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		examined, kept = examined+res.Scanned, kept+len(res.Entries)
+		if res.Done {
+			break
+		}
+		cursor = res.Next
 	}
-	examined, kept, chunks := scan()
 	if examined != rows || kept != matching {
 		t.Fatalf("TATP-shaped scan examined %d rows and kept %d; want %d and %d", examined, kept, rows, matching)
 	}
-	const runs = 10
-	start := time.Now()
-	for i := 0; i < runs; i++ {
-		scan()
-	}
-	perRecord := float64(time.Since(start).Nanoseconds()) / float64(runs*rows)
-	fmt.Printf("BENCH_JSON {\"benchmark\":\"scan_chunk\",\"shape\":\"tatp\",\"design\":\"PLP-Leaf\",\"rows\":%d,\"row_bytes\":100,\"partitions\":%d,\"chunks\":%d,\"kept_frac\":%.4f,\"ns_per_record\":%.1f}\n",
-		rows, parts, chunks, float64(kept)/float64(rows), perRecord)
 }
 
 // versionedRecord is a record whose eight 8-byte words all hold the same

@@ -7,13 +7,29 @@
 // Absolute numbers differ from the paper (different hardware, Go instead of
 // C++, goroutines instead of bound threads); what is reproduced is the
 // shape: which design wins, by roughly what factor, and where the
-// crossovers are.  Run them with cmd/plpbench -experiment <name> (fig1 ..
-// fig12, table1, table2, ext-autobalance, ext-recovery, ablations or all).
+// crossovers are.  Experiments lists them, each with the claim it tests;
+// cmd/plpbench -experiment <id> runs one and -experiment all runs every
+// one.  The ids are fig1, fig2, fig3, table1, table2, fig5, fig6, fig7,
+// fig8, fig9, fig10, fig11, fig12, ext-autobalance, ext-recovery and
+// ablations.
+//
+// Deviations from the paper:
+//   - The Logical design releases a transaction's locks when its action
+//     ends, not when the transaction commits, so a multi-site transaction
+//     there is not isolated; its critical-section and latch counts are
+//     the paper's, its isolation is weaker.
+//   - PLP still fixes pages through the shared buffer pool, so its
+//     transactions pay Bpool critical sections that the paper's PLP, with
+//     partition-owned frames, does not; Figure 1 shows them.
+//   - A streaming scan under online repartitioning may miss or repeat
+//     records near a boundary that moves while the stream runs; Figures 8
+//     and 12 and EXT-1 scan no moving boundary.
 package experiments
 
 import (
 	"fmt"
-	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -21,11 +37,60 @@ import (
 	"plp/internal/engine"
 	"plp/internal/harness"
 	"plp/internal/latch"
-	"plp/internal/txn"
 	"plp/internal/workload/tatp"
 	"plp/internal/workload/tpcb"
 	"plp/internal/workload/tpcc"
 )
+
+// Experiment is one table or figure of the paper's evaluation, or one of
+// the extensions and ablations run beside them.
+type Experiment struct {
+	// ID names the experiment on plpbench's command line.
+	ID string
+	// Claim is what the experiment shows, in one sentence: the paper's
+	// claim for its figures and tables, this code's for the rest.
+	Claim string
+	// Run performs the experiment at scale s; the result prints as the
+	// figure's table.
+	Run func(s Scale) (fmt.Stringer, error)
+}
+
+// Experiments lists every experiment, in the order plpbench -experiment
+// all runs them.
+var Experiments = []Experiment{
+	{"fig1", "PLP enters far fewer critical sections per transaction than a conventional system, with or without SLI.", run(Fig1)},
+	{"fig2", "Index page latches are the largest share of the page latches a conventional system acquires, on TATP, TPC-B and TPC-C alike.", run(Fig2)},
+	{"fig3", "PLP-Regular removes most page latching and PLP-Leaf nearly all of it, heap page latches included.", run(Fig3)},
+	{"table1", "Repartitioning PLP-Regular moves index entries but no heap records, where PLP-Partition must relocate records.", run(Table1)},
+	{"table2", "Repartitioning costs follow closed-form formulas in tree height, fan-out and entries moved.", run(func(Scale) (text, error) { return table2, nil })},
+	{"fig5", "PLP's read-only GetSubscriberData throughput grows with the client count at least as far as the conventional and logical designs'.", run(Fig5)},
+	{"fig6", "On an insert/delete-heavy load PLP spends no time waiting on index page latches.", run(Fig6)},
+	{"fig7", "Without record padding PLP-Leaf spends no time waiting on heap page latches, which the other designs falsely share.", run(Fig7)},
+	{"fig8", "After a skew change PLP-Leaf repartitions by moving far fewer records than PLP-Partition, and Logical by routing alone.", run(Fig8)},
+	{"fig9", "MRBTree indexes help the conventional and logical designs too, not only PLP.", run(Fig9)},
+	{"fig10", "An MRBTree's parallel structure modifications cut the time insert-heavy loads spend blocked on SMOs.", run(Fig10)},
+	{"fig11", "PLP-Regular takes no more heap pages than a conventional system; PLP-Leaf fragments the heap most.", run(Fig11)},
+	{"fig12", "A full heap scan costs the PLP variants that fragment the heap more time, in step with their extra pages.", run(Fig12)},
+	{"ext-autobalance", "The online repartitioning controller spreads a skewed load over the partition workers on its own.", run(ExtAutoBalance)},
+	{"ext-recovery", "A checkpoint plus the shared log recovers a crashed TATP database, complete and consistent.", run(ExtRecovery)},
+	{"ablations", "Latch-free sub-trees are what remove PLP's index latches; SLI, the log buffer and the partition count are measured beside them.", run(Ablations)},
+}
+
+// run adapts an experiment function to Experiment.Run.
+func run[R fmt.Stringer](f func(Scale) (R, error)) func(Scale) (fmt.Stringer, error) {
+	return func(s Scale) (fmt.Stringer, error) {
+		r, err := f(s)
+		if err != nil {
+			return nil, err
+		}
+		return r, nil
+	}
+}
+
+// text is a result that is text already.
+type text string
+
+func (t text) String() string { return string(t) }
 
 // Scale controls how large the experiments are.  The defaults are sized so
 // that the full suite runs in a few minutes on a laptop; the cmd/plpbench
@@ -44,6 +109,9 @@ type Scale struct {
 	Partitions int
 	// Clients is the default number of client goroutines.
 	Clients int
+	// ClientSweep is the client counts Figures 5, 6 and 7 measure; empty
+	// means each figure's own default.
+	ClientSweep []int
 	// Duration is the measured interval of time-bounded runs.
 	Duration time.Duration
 	// TxnsPerClient is used instead of Duration when it is zero.
@@ -66,20 +134,6 @@ func DefaultScale() Scale {
 	}
 }
 
-// TestScale returns a small scale for unit tests.
-func TestScale() Scale {
-	return Scale{
-		TATPSubscribers:       2000,
-		TPCBBranches:          1,
-		TPCBAccountsPerBranch: 1000,
-		TPCCWarehouses:        1,
-		Partitions:            4,
-		Clients:               4,
-		TxnsPerClient:         200,
-		Warmup:                20,
-	}
-}
-
 func (s Scale) runConfig() harness.RunConfig {
 	return harness.RunConfig{
 		Clients:             s.Clients,
@@ -96,31 +150,10 @@ type systemConfig struct {
 	opts  engine.Options
 }
 
-// baselineSystems returns the configurations of Figure 1: the conventional
-// system without and with SLI, the logically-partitioned system, and the
-// PLP variants.
-func (s Scale) baselineSystems(includeBaselineNoSLI bool) []systemConfig {
-	var out []systemConfig
-	if includeBaselineNoSLI {
-		out = append(out, systemConfig{"Baseline", engine.Options{Design: engine.Conventional, Partitions: s.Partitions}})
-	}
-	out = append(out,
-		systemConfig{"Conventional (SLI)", engine.Options{Design: engine.Conventional, Partitions: s.Partitions, SLI: true}},
-		systemConfig{"Logical", engine.Options{Design: engine.Logical, Partitions: s.Partitions}},
-		systemConfig{"PLP-Regular", engine.Options{Design: engine.PLPRegular, Partitions: s.Partitions}},
-		systemConfig{"PLP-Leaf", engine.Options{Design: engine.PLPLeaf, Partitions: s.Partitions}},
-	)
-	return out
-}
-
 // setupTATP builds an engine for cfg and loads a TATP database into it.
 func setupTATP(cfg engine.Options, s Scale, mix tatp.Mix) (*engine.Engine, *tatp.Workload, error) {
 	e := engine.New(cfg)
-	w := tatp.New(tatp.Config{
-		Subscribers: s.TATPSubscribers,
-		Partitions:  cfg.Partitions,
-		Mix:         mix,
-	})
+	w := tatp.New(tatp.Config{Subscribers: s.TATPSubscribers, Partitions: cfg.Partitions, Mix: mix})
 	if err := w.Setup(e); err != nil {
 		e.Close()
 		return nil, nil, fmt.Errorf("tatp setup (%s): %w", cfg.Design, err)
@@ -128,20 +161,75 @@ func setupTATP(cfg engine.Options, s Scale, mix tatp.Mix) (*engine.Engine, *tatp
 	return e, w, nil
 }
 
-// setupTPCB builds an engine for cfg and loads a TPC-B database into it.
-func setupTPCB(cfg engine.Options, s Scale) (*engine.Engine, *tpcb.Workload, error) {
-	e := engine.New(cfg)
-	w := tpcb.New(tpcb.Config{
-		Branches:          s.TPCBBranches,
-		AccountsPerBranch: s.TPCBAccountsPerBranch,
-		Partitions:        cfg.Partitions,
-	})
-	if err := w.Setup(e); err != nil {
-		e.Close()
-		return nil, nil, fmt.Errorf("tpcb setup (%s): %w", cfg.Design, err)
+// workloadFor builds the workload an experiment loads, sized by s and
+// partitioned like the engine it runs on.
+type workloadFor func(s Scale, parts int) harness.Workload
+
+func tatpLoad(mix tatp.Mix) workloadFor {
+	return func(s Scale, parts int) harness.Workload {
+		return tatp.New(tatp.Config{Subscribers: s.TATPSubscribers, Partitions: parts, Mix: mix})
 	}
-	return e, w, nil
 }
+
+func tpcbLoad(s Scale, parts int) harness.Workload {
+	return tpcb.New(tpcb.Config{Branches: s.TPCBBranches, AccountsPerBranch: s.TPCBAccountsPerBranch, Partitions: parts})
+}
+
+func tpccLoad(s Scale, parts int) harness.Workload {
+	return tpcc.New(tpcc.Config{Warehouses: s.TPCCWarehouses, Partitions: parts})
+}
+
+// measure builds an engine for sys, loads the workload load builds for it
+// and runs one measured interval per client count (one at s.Clients when
+// clients is empty), handing each result to add while the engine is still
+// open.  The engine is closed before measure returns.
+func (s Scale) measure(id string, sys systemConfig, load workloadFor, clients []int, add func(*engine.Engine, harness.Result)) error {
+	e := engine.New(sys.opts)
+	defer e.Close()
+	w := load(s, sys.opts.Partitions)
+	if err := w.Setup(e); err != nil {
+		return fmt.Errorf("%s %s: setup: %w", id, sys.label, err)
+	}
+	cfg := s.runConfig()
+	if len(clients) == 0 {
+		clients = []int{cfg.Clients}
+	}
+	for _, c := range clients {
+		cfg.Clients = c
+		r, err := harness.Run(e, w, cfg)
+		if err != nil {
+			return fmt.Errorf("%s %s: %w", id, sys.label, err)
+		}
+		add(e, r)
+	}
+	return nil
+}
+
+// table renders a figure as text: the title line, then one line per row.
+// Cell i of a row is padded to widths[i], or to the last width for cells
+// past the end of widths, left-aligned when the width is negative; sep
+// joins the cells.
+func table(title, sep string, widths []int, rows ...[]string) string {
+	var b strings.Builder
+	b.WriteString(title)
+	b.WriteByte('\n')
+	for _, row := range rows {
+		for i, cell := range row {
+			if i > 0 {
+				b.WriteString(sep)
+			}
+			fmt.Fprintf(&b, "%*s", widths[min(i, len(widths)-1)], cell)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// num formats v with prec digits after the point.
+func num(prec int, v float64) string { return strconv.FormatFloat(v, 'f', prec, 64) }
+
+// us formats d rounded to the microsecond.
+func us(d time.Duration) string { return d.Round(time.Microsecond).String() }
 
 //
 // Figure 1 — critical sections per transaction, by component.
@@ -162,49 +250,43 @@ type Fig1Result struct {
 // Fig1 runs the standard TATP mix on the Figure 1 systems and reports the
 // number of critical sections entered per transaction, by component.
 func Fig1(s Scale) (*Fig1Result, error) {
+	systems := []systemConfig{
+		{"Baseline", engine.Options{Design: engine.Conventional, Partitions: s.Partitions}},
+		{"Conventional (SLI)", engine.Options{Design: engine.Conventional, Partitions: s.Partitions, SLI: true}},
+		{"Logical", engine.Options{Design: engine.Logical, Partitions: s.Partitions}},
+		{"PLP-Regular", engine.Options{Design: engine.PLPRegular, Partitions: s.Partitions}},
+		{"PLP-Leaf", engine.Options{Design: engine.PLPLeaf, Partitions: s.Partitions}},
+	}
 	res := &Fig1Result{}
-	for _, sys := range s.baselineSystems(true) {
-		e, w, err := setupTATP(sys.opts, s, tatp.MixStandard)
-		if err != nil {
+	for _, sys := range systems {
+		if err := s.measure("fig1", sys, tatpLoad(tatp.MixStandard), nil, func(_ *engine.Engine, r harness.Result) {
+			res.Rows = append(res.Rows, Fig1Row{System: sys.label, PerTxn: r.CSPerTxn, Committed: r.Committed})
+		}); err != nil {
 			return nil, err
 		}
-		r, err := harness.Run(e, w, s.runConfig())
-		e.Close()
-		if err != nil {
-			return nil, fmt.Errorf("fig1 %s: %w", sys.label, err)
-		}
-		res.Rows = append(res.Rows, Fig1Row{System: sys.label, PerTxn: r.CSPerTxn, Committed: r.Committed})
 	}
 	return res, nil
 }
 
 // String renders the figure as an ASCII table.
 func (r *Fig1Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 1: critical sections per transaction (TATP mix)\n")
-	fmt.Fprintf(&b, "%-20s", "component")
+	rows := [][]string{{"component"}}
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%20s", row.System)
+		rows[0] = append(rows[0], row.System)
 	}
-	b.WriteByte('\n')
-	for _, cat := range cs.Categories() {
-		fmt.Fprintf(&b, "%-20s", cat.String())
+	line := func(label string, v func(cs.Breakdown) float64) {
+		cells := []string{label}
 		for _, row := range r.Rows {
-			fmt.Fprintf(&b, "%20.2f", row.PerTxn.Entered[cat])
+			cells = append(cells, num(2, v(row.PerTxn)))
 		}
-		b.WriteByte('\n')
+		rows = append(rows, cells)
 	}
-	fmt.Fprintf(&b, "%-20s", "TOTAL")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%20.2f", row.PerTxn.Total)
+	for _, cat := range cs.Categories() {
+		line(cat.String(), func(b cs.Breakdown) float64 { return b.Entered[cat] })
 	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "%-20s", "contended")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%20.2f", row.PerTxn.TotalContended)
-	}
-	b.WriteByte('\n')
-	return b.String()
+	line("TOTAL", func(b cs.Breakdown) float64 { return b.Total })
+	line("contended", func(b cs.Breakdown) float64 { return b.TotalContended })
+	return table("Figure 1: critical sections per transaction (TATP mix)", "", []int{-20, 20}, rows...)
 }
 
 //
@@ -226,71 +308,33 @@ type Fig2Result struct {
 // acquired page latches down by page type.
 func Fig2(s Scale) (*Fig2Result, error) {
 	res := &Fig2Result{}
-	convOpts := engine.Options{Design: engine.Conventional, Partitions: s.Partitions, SLI: true}
-
-	// TATP.
-	{
-		e, w, err := setupTATP(convOpts, s, tatp.MixStandard)
-		if err != nil {
+	conv := engine.Options{Design: engine.Conventional, Partitions: s.Partitions, SLI: true}
+	for _, wl := range []struct {
+		name string
+		load workloadFor
+	}{{"TATP", tatpLoad(tatp.MixStandard)}, {"TPC-B", tpcbLoad}, {"TPC-C", tpccLoad}} {
+		if err := s.measure("fig2", systemConfig{wl.name, conv}, wl.load, nil, func(_ *engine.Engine, r harness.Result) {
+			res.Rows = append(res.Rows, Fig2Row{Workload: wl.name, LatchesPerTxn: r.LatchesPerTxn})
+		}); err != nil {
 			return nil, err
 		}
-		r, err := harness.Run(e, w, s.runConfig())
-		e.Close()
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, Fig2Row{Workload: "TATP", LatchesPerTxn: r.LatchesPerTxn})
-	}
-	// TPC-B.
-	{
-		e, w, err := setupTPCB(convOpts, s)
-		if err != nil {
-			return nil, err
-		}
-		r, err := harness.Run(e, w, s.runConfig())
-		e.Close()
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, Fig2Row{Workload: "TPC-B", LatchesPerTxn: r.LatchesPerTxn})
-	}
-	// TPC-C.
-	{
-		e := engine.New(convOpts)
-		w := tpcc.New(tpcc.Config{Warehouses: s.TPCCWarehouses, Partitions: convOpts.Partitions})
-		if err := w.Setup(e); err != nil {
-			e.Close()
-			return nil, err
-		}
-		r, err := harness.Run(e, w, s.runConfig())
-		e.Close()
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, Fig2Row{Workload: "TPC-C", LatchesPerTxn: r.LatchesPerTxn})
 	}
 	return res, nil
 }
 
 // String renders the figure.
 func (r *Fig2Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 2: page latches per transaction by page type (conventional system)\n")
-	fmt.Fprintf(&b, "%-10s %12s %12s %16s %10s\n", "workload", "INDEX", "HEAP", "CATALOG/SPACE", "index%")
+	rows := [][]string{{"workload", "INDEX", "HEAP", "CATALOG/SPACE", "index%"}}
 	for _, row := range r.Rows {
+		l := row.LatchesPerTxn
 		total := 0.0
-		for _, v := range row.LatchesPerTxn {
+		for _, v := range l {
 			total += v
 		}
-		idxPct := 0.0
-		if total > 0 {
-			idxPct = 100 * row.LatchesPerTxn[latch.KindIndex] / total
-		}
-		fmt.Fprintf(&b, "%-10s %12.1f %12.1f %16.1f %9.0f%%\n", row.Workload,
-			row.LatchesPerTxn[latch.KindIndex], row.LatchesPerTxn[latch.KindHeap],
-			row.LatchesPerTxn[latch.KindCatalog], idxPct)
+		rows = append(rows, []string{row.Workload, num(1, l[latch.KindIndex]), num(1, l[latch.KindHeap]),
+			num(1, l[latch.KindCatalog]), num(0, 100*ratio(l[latch.KindIndex], total)) + "%"})
 	}
-	return b.String()
+	return table("Figure 2: page latches per transaction by page type (conventional system)", " ", []int{-10, 12, 12, 16, 10}, rows...)
 }
 
 //
@@ -321,29 +365,22 @@ func Fig3(s Scale) (*Fig3Result, error) {
 	}
 	res := &Fig3Result{}
 	for _, sys := range systems {
-		e, w, err := setupTATP(sys.opts, s, tatp.MixStandard)
-		if err != nil {
+		if err := s.measure("fig3", sys, tatpLoad(tatp.MixStandard), nil, func(_ *engine.Engine, r harness.Result) {
+			row := Fig3Row{System: sys.label, LatchesPerTxn: r.LatchesPerTxn}
+			for _, v := range r.LatchesPerTxn {
+				row.Total += v
+			}
+			res.Rows = append(res.Rows, row)
+		}); err != nil {
 			return nil, err
 		}
-		r, err := harness.Run(e, w, s.runConfig())
-		e.Close()
-		if err != nil {
-			return nil, err
-		}
-		row := Fig3Row{System: sys.label, LatchesPerTxn: r.LatchesPerTxn}
-		for _, v := range r.LatchesPerTxn {
-			row.Total += v
-		}
-		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
 // String renders the figure.
 func (r *Fig3Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 3: page latches acquired per transaction by design (TATP)\n")
-	fmt.Fprintf(&b, "%-10s %12s %12s %16s %10s\n", "design", "INDEX", "HEAP", "CATALOG/SPACE", "TOTAL")
+	rows := [][]string{{"design", "INDEX", "HEAP", "CATALOG/SPACE", "TOTAL"}}
 	base := 0.0
 	for i, row := range r.Rows {
 		if i == 0 {
@@ -353,11 +390,11 @@ func (r *Fig3Result) String() string {
 		if base > 0 {
 			rel = fmt.Sprintf("(%.0f%% of Conv.)", 100*row.Total/base)
 		}
-		fmt.Fprintf(&b, "%-10s %12.1f %12.1f %16.1f %10.1f %s\n", row.System,
-			row.LatchesPerTxn[latch.KindIndex], row.LatchesPerTxn[latch.KindHeap],
-			row.LatchesPerTxn[latch.KindCatalog], row.Total, rel)
+		l := row.LatchesPerTxn
+		rows = append(rows, []string{row.System, num(1, l[latch.KindIndex]), num(1, l[latch.KindHeap]),
+			num(1, l[latch.KindCatalog]), num(1, row.Total), rel})
 	}
-	return b.String()
+	return table("Figure 3: page latches acquired per transaction by design (TATP)", " ", []int{-10, 12, 12, 16, 10, 0}, rows...)
 }
 
 //
@@ -377,10 +414,12 @@ type Fig5Result struct {
 }
 
 // Fig5 measures GetSubscriberData throughput for the conventional, logical
-// and PLP systems as the number of clients grows.
-func Fig5(s Scale, clientCounts []int) (*Fig5Result, error) {
-	if len(clientCounts) == 0 {
-		clientCounts = []int{1, 2, 4, 8}
+// and PLP systems at each client count of s.ClientSweep (1, 2, 4 and 8 by
+// default).
+func Fig5(s Scale) (*Fig5Result, error) {
+	clients := s.ClientSweep
+	if len(clients) == 0 {
+		clients = []int{1, 2, 4, 8}
 	}
 	systems := []systemConfig{
 		{"Conv.", engine.Options{Design: engine.Conventional, Partitions: s.Partitions, SLI: true}},
@@ -389,66 +428,41 @@ func Fig5(s Scale, clientCounts []int) (*Fig5Result, error) {
 	}
 	res := &Fig5Result{}
 	for _, sys := range systems {
-		e, w, err := setupTATP(sys.opts, s, tatp.MixGetSubscriberData)
-		if err != nil {
+		if err := s.measure("fig5", sys, tatpLoad(tatp.MixGetSubscriberData), clients, func(_ *engine.Engine, r harness.Result) {
+			res.Points = append(res.Points, Fig5Point{System: sys.label, Clients: r.Clients, TPS: r.ThroughputTPS})
+		}); err != nil {
 			return nil, err
 		}
-		for _, clients := range clientCounts {
-			cfg := s.runConfig()
-			cfg.Clients = clients
-			r, err := harness.Run(e, w, cfg)
-			if err != nil {
-				e.Close()
-				return nil, err
-			}
-			res.Points = append(res.Points, Fig5Point{System: sys.label, Clients: clients, TPS: r.ThroughputTPS})
-		}
-		e.Close()
 	}
 	return res, nil
 }
 
-// String renders the figure.
+// String renders the figure: one line per client count, one column per
+// system.
 func (r *Fig5Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 5: GetSubscriberData throughput (tps) vs client count\n")
-	byClients := map[int]map[string]float64{}
-	var systems []string
-	seen := map[string]bool{}
+	type at struct {
+		system  string
+		clients int
+	}
+	tps := map[at]float64{}
+	head := []string{"clients"}
 	var clients []int
-	seenC := map[int]bool{}
 	for _, p := range r.Points {
-		if byClients[p.Clients] == nil {
-			byClients[p.Clients] = map[string]float64{}
+		if !slices.Contains(head[1:], p.System) {
+			head = append(head, p.System)
 		}
-		byClients[p.Clients][p.System] = p.TPS
-		if !seen[p.System] {
-			seen[p.System] = true
-			systems = append(systems, p.System)
-		}
-		if !seenC[p.Clients] {
-			seenC[p.Clients] = true
+		if !slices.Contains(clients, p.Clients) {
 			clients = append(clients, p.Clients)
 		}
+		tps[at{p.System, p.Clients}] = p.TPS
 	}
-	fmt.Fprintf(&b, "%-10s", "clients")
-	for _, sys := range systems {
-		fmt.Fprintf(&b, "%14s", sys)
-	}
-	b.WriteByte('\n')
+	rows := [][]string{head}
 	for _, c := range clients {
-		fmt.Fprintf(&b, "%-10d", c)
-		for _, sys := range systems {
-			fmt.Fprintf(&b, "%14.0f", byClients[c][sys])
+		row := []string{strconv.Itoa(c)}
+		for _, sys := range head[1:] {
+			row = append(row, num(0, tps[at{sys, c}]))
 		}
-		b.WriteByte('\n')
+		rows = append(rows, row)
 	}
-	return b.String()
+	return table("Figure 5: GetSubscriberData throughput (tps) vs client count", "", []int{-10, 14}, rows...)
 }
-
-// newRand returns a deterministic RNG for experiments that need one outside
-// the harness.
-func newRand() *rand.Rand { return rand.New(rand.NewSource(42)) }
-
-// waitName is a short alias used by the breakdown formatters.
-func waitName(k txn.WaitKind) string { return k.String() }

@@ -3,19 +3,19 @@
 // MRBTrees inside conventional systems (Figure 9), heap fragmentation and
 // scan overhead (Figures 11 and 12), and the design-choice ablations called
 // out in DESIGN.md.
+
 package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
 	"plp/internal/costmodel"
-	"plp/internal/cs"
 	"plp/internal/engine"
 	"plp/internal/harness"
 	"plp/internal/keyenc"
-	"plp/internal/latch"
 	"plp/internal/page"
 	"plp/internal/txn"
 	"plp/internal/workload/micro"
@@ -26,12 +26,6 @@ import (
 // Table 1 — repartitioning costs.
 //
 
-// Table1Analytical evaluates the Appendix C cost model with the paper's
-// Table 1 parameters.
-func Table1Analytical() []costmodel.Cost {
-	return costmodel.AllCosts(costmodel.Table1Params())
-}
-
 // Table1MeasuredRow is one measured repartitioning of a loaded database.
 type Table1MeasuredRow struct {
 	System       string
@@ -40,57 +34,59 @@ type Table1MeasuredRow struct {
 	Duration     time.Duration
 }
 
-// Table1Measured loads the same TATP subscriber table into the PLP designs
-// and measures the cost of splitting one partition in half with the MRBTree
-// slice machinery (via Engine.Rebalance).
-func Table1Measured(s Scale) ([]Table1MeasuredRow, error) {
-	designs := []engine.Design{engine.PLPRegular, engine.PLPLeaf, engine.PLPPartition}
-	var rows []Table1MeasuredRow
-	for _, d := range designs {
-		opts := engine.Options{Design: d, Partitions: s.Partitions}
-		e, _, err := setupTATP(opts, s, tatp.MixBalanceProbe)
+// Table1Result holds the Appendix C cost model evaluated with the paper's
+// Table 1 parameters, and the same repartitioning measured on this
+// implementation.
+type Table1Result struct {
+	Analytical []costmodel.Cost
+	Measured   []Table1MeasuredRow
+}
+
+// Table1 evaluates the cost model, then loads the same TATP subscriber
+// table into the PLP designs and measures the cost of splitting one
+// partition in half with the MRBTree slice machinery (via
+// Engine.Rebalance).
+func Table1(s Scale) (*Table1Result, error) {
+	res := &Table1Result{Analytical: costmodel.AllCosts(costmodel.Table1Params())}
+	for _, d := range []engine.Design{engine.PLPRegular, engine.PLPLeaf, engine.PLPPartition} {
+		e, _, err := setupTATP(engine.Options{Design: d, Partitions: s.Partitions}, s, tatp.MixBalanceProbe)
 		if err != nil {
 			return nil, err
 		}
 		// Move the boundary of partition 1 to the middle of partition 0,
 		// i.e. split the first partition's data in half.
 		perPart := uint64(s.TATPSubscribers) / uint64(s.Partitions)
-		newBoundary := keyenc.Uint64Key(perPart / 2)
-		st, err := e.Rebalance(tatp.TableSubscriber, 1, newBoundary)
+		st, err := e.Rebalance(tatp.TableSubscriber, 1, keyenc.Uint64Key(perPart/2))
+		e.Close()
 		if err != nil {
-			e.Close()
 			return nil, fmt.Errorf("table1 %s: %w", d, err)
 		}
-		rows = append(rows, Table1MeasuredRow{
+		res.Measured = append(res.Measured, Table1MeasuredRow{
 			System:       d.String(),
 			EntriesMoved: st.EntriesMoved,
 			RecordsMoved: st.RecordsMoved,
 			Duration:     st.Duration,
 		})
-		e.Close()
 	}
-	return rows, nil
+	return res, nil
 }
 
-// FormatTable1 renders the analytical and measured repartitioning costs.
-func FormatTable1(analytical []costmodel.Cost, measured []Table1MeasuredRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 1: repartitioning cost model (split a 466 MB partition in half)\n")
-	fmt.Fprintf(&b, "%-28s %16s %16s %12s %12s %14s %14s\n",
-		"system", "records moved", "entries moved", "pages read", "ptr updates", "primary", "secondary")
-	for _, c := range analytical {
-		fmt.Fprintf(&b, "%-28s %11d (%3s) %16d %12d %12d %14s %14s\n",
-			c.System.String(), c.RecordsMoved, byteSize(c.RecordBytesMoved),
-			c.EntriesMoved, c.PagesRead, c.PointerUpdates, c.Primary.String(), c.Secondary.String())
+// String renders the analytical and measured repartitioning costs.
+func (r *Table1Result) String() string {
+	rows := [][]string{{"system", "records moved", "entries moved", "pages read", "ptr updates", "primary", "secondary"}}
+	for _, c := range r.Analytical {
+		rows = append(rows, []string{c.System.String(), fmt.Sprintf("%11d (%3s)", c.RecordsMoved, byteSize(c.RecordBytesMoved)),
+			strconv.Itoa(c.EntriesMoved), strconv.Itoa(c.PagesRead), strconv.Itoa(c.PointerUpdates), c.Primary.String(), c.Secondary.String()})
 	}
-	if len(measured) > 0 {
-		fmt.Fprintf(&b, "\nMeasured on this implementation (TATP subscriber table, split first partition in half):\n")
-		fmt.Fprintf(&b, "%-28s %16s %16s %14s\n", "system", "entries moved", "records moved", "duration")
-		for _, m := range measured {
-			fmt.Fprintf(&b, "%-28s %16d %16d %14s\n", m.System, m.EntriesMoved, m.RecordsMoved, m.Duration)
+	out := table("Table 1: repartitioning cost model (split a 466 MB partition in half)", " ", []int{-28, 16, 16, 12, 12, 14, 14}, rows...)
+	if len(r.Measured) > 0 {
+		rows = [][]string{{"system", "entries moved", "records moved", "duration"}}
+		for _, m := range r.Measured {
+			rows = append(rows, []string{m.System, strconv.Itoa(m.EntriesMoved), strconv.Itoa(m.RecordsMoved), m.Duration.String()})
 		}
+		out += table("\nMeasured on this implementation (TATP subscriber table, split first partition in half):", " ", []int{-28, 16, 16, 14}, rows...)
 	}
-	return b.String()
+	return out
 }
 
 // byteSize formats a byte count compactly.
@@ -107,19 +103,15 @@ func byteSize(n int) string {
 	}
 }
 
-// Table2 returns the closed-form cost model formulas (Appendix C, Table 2)
-// as text, so the CLI can print them next to the evaluated costs.
-func Table2() string {
-	return strings.Join([]string{
-		"Table 2: repartitioning cost model (h = tree height, n = entries/node, m_k = entries moved at level k, M = records moved)",
-		"  PLP-Regular    : records 0                     entries Σ m_k        reads 0        pages 0            ptr 2h+1  primary -            secondary -",
-		"  PLP-Leaf       : records m_1                   entries Σ m_k        reads M        pages 1            ptr 2h+1  primary M updates    secondary M updates",
-		"  PLP-Partition  : records m_1+Σ n^(h-l-1)(m_..-1) entries Σ m_k      reads M        pages 1+(M-m_1)/n  ptr 2h+1  primary M updates    secondary M updates",
-		"  Shared-Nothing : records (as PLP-Partition)    entries -            reads M        pages 1+(M-m_1)/n  ptr -     primary M ins+M del  secondary M ins+M del",
-		"  PLP (Clustered): records m_1                   entries Σ_{k>=2} m_k reads -        pages -            ptr 2h+1  primary -            secondary M updates",
-		"  SN  (Clustered): records (as PLP-Partition)    entries -            reads -        pages -            ptr -     primary M ins+M del  secondary M ins+M del",
-	}, "\n") + "\n"
-}
+// table2 is the closed-form cost model (Appendix C, Table 2), printed next
+// to the evaluated costs.
+const table2 text = "Table 2: repartitioning cost model (h = tree height, n = entries/node, m_k = entries moved at level k, M = records moved)\n" +
+	"  PLP-Regular    : records 0                     entries Σ m_k        reads 0        pages 0            ptr 2h+1  primary -            secondary -\n" +
+	"  PLP-Leaf       : records m_1                   entries Σ m_k        reads M        pages 1            ptr 2h+1  primary M updates    secondary M updates\n" +
+	"  PLP-Partition  : records m_1+Σ n^(h-l-1)(m_..-1) entries Σ m_k      reads M        pages 1+(M-m_1)/n  ptr 2h+1  primary M updates    secondary M updates\n" +
+	"  Shared-Nothing : records (as PLP-Partition)    entries -            reads M        pages 1+(M-m_1)/n  ptr -     primary M ins+M del  secondary M ins+M del\n" +
+	"  PLP (Clustered): records m_1                   entries Σ_{k>=2} m_k reads -        pages -            ptr 2h+1  primary -            secondary M updates\n" +
+	"  SN  (Clustered): records (as PLP-Partition)    entries -            reads -        pages -            ptr -     primary M ins+M del  secondary M ins+M del\n"
 
 //
 // Figures 6, 7, 10 — per-transaction time breakdowns.
@@ -154,91 +146,53 @@ type BreakdownResult struct {
 
 // String renders the figure.
 func (r *BreakdownResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", r.Title)
-	fmt.Fprintf(&b, "%-22s %8s %10s %12s %14s %14s %12s %12s\n",
-		"system", "clients", "tps", "latency", "idx latch", "heap latch", "smo wait", "other")
+	rows := [][]string{{"system", "clients", "tps", "latency", "idx latch", "heap latch", "smo wait", "other"}}
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-22s %8d %10.0f %12s %14s %14s %12s %12s\n",
-			row.System, row.Clients, row.TPS, row.AvgLatency.Round(time.Microsecond),
-			row.WaitPerTxn[txn.WaitIndexLatch].Round(time.Microsecond),
-			row.WaitPerTxn[txn.WaitHeapLatch].Round(time.Microsecond),
-			row.WaitPerTxn[txn.WaitSMO].Round(time.Microsecond),
-			row.Other().Round(time.Microsecond))
+		rows = append(rows, []string{row.System, strconv.Itoa(row.Clients), num(0, row.TPS), us(row.AvgLatency),
+			us(row.WaitPerTxn[txn.WaitIndexLatch]), us(row.WaitPerTxn[txn.WaitHeapLatch]),
+			us(row.WaitPerTxn[txn.WaitSMO]), us(row.Other())})
 	}
-	return b.String()
+	return table(r.Title, " ", []int{-22, 8, 10, 12, 14, 14, 12, 12}, rows...)
+}
+
+// breakdown measures the per-transaction time breakdown of the systems on
+// the workload load builds, at each client count of s.ClientSweep (at
+// s.Clients by default).
+func (s Scale) breakdown(id, title string, systems []systemConfig, load workloadFor) (*BreakdownResult, error) {
+	res := &BreakdownResult{Title: title}
+	for _, sys := range systems {
+		if err := s.measure(id, sys, load, s.ClientSweep, func(_ *engine.Engine, r harness.Result) {
+			res.Rows = append(res.Rows, BreakdownRow{
+				System: sys.label, Clients: r.Clients, TPS: r.ThroughputTPS,
+				AvgLatency: r.AvgLatency, WaitPerTxn: r.WaitPerTxn,
+			})
+		}); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
 }
 
 // Fig6 runs the insert/delete-heavy TATP stream (CallForwarding inserts and
 // deletes) and reports the per-transaction time breakdown, showing the index
 // latch contention that PLP eliminates.
-func Fig6(s Scale, clientCounts []int) (*BreakdownResult, error) {
-	if len(clientCounts) == 0 {
-		clientCounts = []int{s.Clients}
-	}
-	systems := []systemConfig{
+func Fig6(s Scale) (*BreakdownResult, error) {
+	return s.breakdown("fig6", "Figure 6: time breakdown per transaction, insert/delete-heavy workload", []systemConfig{
 		{"Conv.", engine.Options{Design: engine.Conventional, Partitions: s.Partitions, SLI: true}},
 		{"Logical", engine.Options{Design: engine.Logical, Partitions: s.Partitions}},
 		{"PLP", engine.Options{Design: engine.PLPRegular, Partitions: s.Partitions}},
-	}
-	res := &BreakdownResult{Title: "Figure 6: time breakdown per transaction, insert/delete-heavy workload"}
-	for _, sys := range systems {
-		e, w, err := setupTATP(sys.opts, s, tatp.MixInsertDeleteCallFwd)
-		if err != nil {
-			return nil, err
-		}
-		for _, clients := range clientCounts {
-			cfg := s.runConfig()
-			cfg.Clients = clients
-			r, err := harness.Run(e, w, cfg)
-			if err != nil {
-				e.Close()
-				return nil, err
-			}
-			res.Rows = append(res.Rows, BreakdownRow{
-				System: sys.label, Clients: clients, TPS: r.ThroughputTPS,
-				AvgLatency: r.AvgLatency, WaitPerTxn: r.WaitPerTxn,
-			})
-		}
-		e.Close()
-	}
-	return res, nil
+	}, tatpLoad(tatp.MixInsertDeleteCallFwd))
 }
 
 // Fig7 runs TPC-B without record padding and reports the per-transaction
 // time breakdown, showing heap-page false sharing.
-func Fig7(s Scale, clientCounts []int) (*BreakdownResult, error) {
-	if len(clientCounts) == 0 {
-		clientCounts = []int{s.Clients}
-	}
-	systems := []systemConfig{
+func Fig7(s Scale) (*BreakdownResult, error) {
+	return s.breakdown("fig7", "Figure 7: time breakdown per transaction, TPC-B with heap false sharing", []systemConfig{
 		{"Conv.", engine.Options{Design: engine.Conventional, Partitions: s.Partitions, SLI: true}},
 		{"Logical", engine.Options{Design: engine.Logical, Partitions: s.Partitions}},
 		{"PLP-Reg", engine.Options{Design: engine.PLPRegular, Partitions: s.Partitions}},
 		{"PLP-Leaf", engine.Options{Design: engine.PLPLeaf, Partitions: s.Partitions}},
-	}
-	res := &BreakdownResult{Title: "Figure 7: time breakdown per transaction, TPC-B with heap false sharing"}
-	for _, sys := range systems {
-		e, w, err := setupTPCB(sys.opts, s)
-		if err != nil {
-			return nil, err
-		}
-		for _, clients := range clientCounts {
-			cfg := s.runConfig()
-			cfg.Clients = clients
-			r, err := harness.Run(e, w, cfg)
-			if err != nil {
-				e.Close()
-				return nil, err
-			}
-			res.Rows = append(res.Rows, BreakdownRow{
-				System: sys.label, Clients: clients, TPS: r.ThroughputTPS,
-				AvgLatency: r.AvgLatency, WaitPerTxn: r.WaitPerTxn,
-			})
-		}
-		e.Close()
-	}
-	return res, nil
+	}, tpcbLoad)
 }
 
 //
@@ -259,21 +213,25 @@ type Fig8Result struct {
 	EventAt time.Duration
 }
 
+// timeline returns the length of a timeline run and when its skew change
+// fires: 3 s and 1 s, shrunk for runs whose measured interval is under a
+// second (tests).
+func (s Scale) timeline() (total, eventAt time.Duration) {
+	if s.Duration > 0 && s.Duration < time.Second {
+		return 6 * s.Duration, 2 * s.Duration
+	}
+	return 3 * time.Second, time.Second
+}
+
+// timelineInterval is the sampling interval of the timeline figures.
+const timelineInterval = 100 * time.Millisecond
+
 // Fig8 runs the balance-probe microbenchmark on every design.  Partway
 // through the run the request distribution changes from uniform to skewed
 // (50% of the requests target the first 10% of the subscribers) and the
 // partitioned designs rebalance by moving the first partition boundary.
 func Fig8(s Scale) (*Fig8Result, error) {
-	const (
-		interval = 100 * time.Millisecond
-	)
-	total := 3 * time.Second
-	eventAt := time.Second
-	if s.Duration > 0 && s.Duration < time.Second {
-		// Scaled-down runs (tests) shrink the timeline too.
-		total = 6 * s.Duration
-		eventAt = 2 * s.Duration
-	}
+	total, eventAt := s.timeline()
 	systems := []systemConfig{
 		{"Conv.", engine.Options{Design: engine.Conventional, Partitions: 2, SLI: true}},
 		{"Logical", engine.Options{Design: engine.Logical, Partitions: 2}},
@@ -303,7 +261,7 @@ func Fig8(s Scale) (*Fig8Result, error) {
 		}
 		cfg := s.runConfig()
 		cfg.Clients = 2 // the paper's experiment uses 2 clients
-		points, err := harness.RunTimeline(e, w, cfg, total, interval, eventAt, event)
+		points, err := harness.RunTimeline(e, w, cfg, total, timelineInterval, eventAt, event)
 		e.Close()
 		if err != nil {
 			return nil, fmt.Errorf("fig8 %s: %w", sys.label, err)
@@ -314,34 +272,42 @@ func Fig8(s Scale) (*Fig8Result, error) {
 	return res, nil
 }
 
-// String renders the timeline as a table of throughput samples.
-func (r *Fig8Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 8: throughput (tps) during repartitioning (skew change at %s)\n", r.EventAt)
-	fmt.Fprintf(&b, "%-10s", "t")
-	for _, s := range r.Series {
-		fmt.Fprintf(&b, "%12s", s.System)
+// timelineRows lays throughput timelines out side by side: a header of the
+// labels, then one row per sample of the first timeline.
+func timelineRows(labels []string, series [][]harness.TimelinePoint) [][]string {
+	rows := [][]string{append([]string{"t"}, labels...)}
+	if len(series) == 0 {
+		return rows
 	}
-	b.WriteByte('\n')
-	if len(r.Series) == 0 {
-		return b.String()
-	}
-	for i := range r.Series[0].Points {
-		fmt.Fprintf(&b, "%-10s", r.Series[0].Points[i].T.Round(time.Millisecond))
-		for _, s := range r.Series {
-			if i < len(s.Points) {
-				fmt.Fprintf(&b, "%12.0f", s.Points[i].TPS)
+	for i, p := range series[0] {
+		row := []string{p.T.Round(time.Millisecond).String()}
+		for _, s := range series {
+			if i < len(s) {
+				row = append(row, num(0, s[i].TPS))
 			} else {
-				fmt.Fprintf(&b, "%12s", "-")
+				row = append(row, "-")
 			}
 		}
-		b.WriteByte('\n')
+		rows = append(rows, row)
 	}
+	return rows
+}
+
+// String renders the timeline as a table of throughput samples.
+func (r *Fig8Result) String() string {
+	var labels []string
+	var points [][]harness.TimelinePoint
+	for _, s := range r.Series {
+		labels, points = append(labels, s.System), append(points, s.Points)
+	}
+	var b strings.Builder
+	b.WriteString(table(fmt.Sprintf("Figure 8: throughput (tps) during repartitioning (skew change at %s)", r.EventAt),
+		"", []int{-10, 12}, timelineRows(labels, points)...))
 	for _, s := range r.Series {
 		if s.Rebalance.EntriesMoved > 0 || s.Rebalance.RecordsMoved > 0 || s.Rebalance.RoutingOnly {
 			fmt.Fprintf(&b, "%s rebalance: routingOnly=%v entries=%d records=%d in %s\n",
 				s.System, s.Rebalance.RoutingOnly, s.Rebalance.EntriesMoved, s.Rebalance.RecordsMoved,
-				s.Rebalance.Duration.Round(time.Microsecond))
+				us(s.Rebalance.Duration))
 		}
 	}
 	return b.String()
@@ -370,41 +336,36 @@ func Fig9(s Scale) (*Fig9Result, error) {
 	res := &Fig9Result{}
 	for _, d := range []engine.Design{engine.Conventional, engine.Logical} {
 		for _, useMRB := range []bool{false, true} {
-			opts := engine.Options{Design: d, Partitions: s.Partitions, SLI: d == engine.Conventional, UseMRBTree: useMRB}
-			e, w, err := setupTATP(opts, s, tatp.MixStandard)
-			if err != nil {
+			sys := systemConfig{d.String(), engine.Options{Design: d, Partitions: s.Partitions, SLI: d == engine.Conventional, UseMRBTree: useMRB}}
+			if err := s.measure("fig9", sys, tatpLoad(tatp.MixStandard), nil, func(e *engine.Engine, r harness.Result) {
+				h := 0
+				if tbl, terr := e.Table(tatp.TableSubscriber); terr == nil {
+					h, _ = tbl.Primary.Height()
+				}
+				res.Rows = append(res.Rows, Fig9Row{System: sys.label, MRBTree: useMRB, TPS: r.ThroughputTPS, Height: h})
+			}); err != nil {
 				return nil, err
 			}
-			r, err := harness.Run(e, w, s.runConfig())
-			if err != nil {
-				e.Close()
-				return nil, err
-			}
-			h := 0
-			if tbl, terr := e.Table(tatp.TableSubscriber); terr == nil {
-				h, _ = tbl.Primary.Height()
-			}
-			label := d.String()
-			res.Rows = append(res.Rows, Fig9Row{System: label, MRBTree: useMRB, TPS: r.ThroughputTPS, Height: h})
-			e.Close()
 		}
 	}
 	return res, nil
 }
 
+// indexKind names a figure's index structure.
+func indexKind(mrbTree bool) string {
+	if mrbTree {
+		return "MRBT"
+	}
+	return "Normal"
+}
+
 // String renders the figure.
 func (r *Fig9Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 9: TATP throughput with and without MRBTree indexes\n")
-	fmt.Fprintf(&b, "%-16s %-8s %12s %8s\n", "system", "index", "tps", "height")
+	rows := [][]string{{"system", "index", "tps", "height"}}
 	for _, row := range r.Rows {
-		idx := "Normal"
-		if row.MRBTree {
-			idx = "MRBT"
-		}
-		fmt.Fprintf(&b, "%-16s %-8s %12.0f %8d\n", row.System, idx, row.TPS, row.Height)
+		rows = append(rows, []string{row.System, indexKind(row.MRBTree), num(0, row.TPS), strconv.Itoa(row.Height)})
 	}
-	return b.String()
+	return table("Figure 9: TATP throughput with and without MRBTree indexes", " ", []int{-16, -8, 12, 8}, rows...)
 }
 
 //
@@ -426,36 +387,30 @@ type Fig10Result struct {
 }
 
 // Fig10 runs the probe/insert microbenchmark on the conventional system
-// with and without MRBTrees as the fraction of inserts grows, measuring the
-// time spent waiting on structure modification operations.
-func Fig10(s Scale, insertPercents []int) (*Fig10Result, error) {
-	if len(insertPercents) == 0 {
-		insertPercents = []int{0, 20, 40, 60, 80, 100}
-	}
+// with and without MRBTrees as the fraction of inserts grows from 0 to
+// 100%, measuring the time spent waiting on structure modification
+// operations.
+func Fig10(s Scale) (*Fig10Result, error) {
 	res := &Fig10Result{}
-	for _, pct := range insertPercents {
-		for _, useMRB := range []bool{false, true} {
-			opts := engine.Options{Design: engine.Conventional, Partitions: s.Partitions, SLI: true, UseMRBTree: useMRB}
-			e := engine.New(opts)
-			w := micro.NewProbeInsert(micro.ProbeInsertConfig{
+	for _, pct := range []int{0, 20, 40, 60, 80, 100} {
+		load := func(s Scale, parts int) harness.Workload {
+			return micro.NewProbeInsert(micro.ProbeInsertConfig{
 				InitialRows:   s.TATPSubscribers,
 				InsertPercent: pct,
 				RecordSize:    100,
-				Partitions:    s.Partitions,
+				Partitions:    parts,
 			})
-			if err := w.Setup(e); err != nil {
-				e.Close()
+		}
+		for _, useMRB := range []bool{false, true} {
+			sys := systemConfig{indexKind(useMRB), engine.Options{Design: engine.Conventional, Partitions: s.Partitions, SLI: true, UseMRBTree: useMRB}}
+			if err := s.measure("fig10", sys, load, nil, func(_ *engine.Engine, r harness.Result) {
+				res.Rows = append(res.Rows, Fig10Row{
+					InsertPercent: pct, MRBTree: useMRB, TPS: r.ThroughputTPS,
+					AvgLatency: r.AvgLatency, SMOWait: r.WaitPerTxn[txn.WaitSMO],
+				})
+			}); err != nil {
 				return nil, err
 			}
-			r, err := harness.Run(e, w, s.runConfig())
-			e.Close()
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, Fig10Row{
-				InsertPercent: pct, MRBTree: useMRB, TPS: r.ThroughputTPS,
-				AvgLatency: r.AvgLatency, SMOWait: r.WaitPerTxn[txn.WaitSMO],
-			})
 		}
 	}
 	return res, nil
@@ -463,18 +418,12 @@ func Fig10(s Scale, insertPercents []int) (*Fig10Result, error) {
 
 // String renders the figure.
 func (r *Fig10Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 10: conventional system with parallel SMOs (probe/insert microbenchmark)\n")
-	fmt.Fprintf(&b, "%-10s %-8s %12s %12s %14s\n", "inserts%", "index", "tps", "latency", "smo wait/txn")
+	rows := [][]string{{"inserts%", "index", "tps", "latency", "smo wait/txn"}}
 	for _, row := range r.Rows {
-		idx := "Normal"
-		if row.MRBTree {
-			idx = "MRBT"
-		}
-		fmt.Fprintf(&b, "%-10d %-8s %12.0f %12s %14s\n", row.InsertPercent, idx, row.TPS,
-			row.AvgLatency.Round(time.Microsecond), row.SMOWait.Round(time.Microsecond))
+		rows = append(rows, []string{strconv.Itoa(row.InsertPercent), indexKind(row.MRBTree), num(0, row.TPS),
+			us(row.AvgLatency), us(row.SMOWait)})
 	}
-	return b.String()
+	return table("Figure 10: conventional system with parallel SMOs (probe/insert microbenchmark)", " ", []int{-10, -8, 12, 12, 14}, rows...)
 }
 
 //
@@ -505,41 +454,53 @@ func fragmentationSystems(parts int) []systemConfig {
 	}
 }
 
-// Fig11 loads the same record set into every design and compares the number
-// of heap pages used.
-func Fig11(s Scale, recordSizes []int) (*Fig11Result, error) {
-	if len(recordSizes) == 0 {
-		recordSizes = []int{100, 1000}
-	}
-	res := &Fig11Result{}
-	for _, rs := range recordSizes {
-		records := s.TATPSubscribers * 4
-		if rs >= 1000 {
-			records = s.TATPSubscribers
+// eachFragmented loads records of recordSize bytes into a fresh engine of
+// each design of fragmentationSystems, Conventional first, and hands the
+// engine and the heap pages the load took to visit before closing it.
+func (s Scale) eachFragmented(id string, records, recordSize int, visit func(sys systemConfig, e *engine.Engine, pages int) error) error {
+	for _, sys := range fragmentationSystems(s.Partitions) {
+		e := engine.New(sys.opts)
+		pages, err := micro.LoadFragmentation(e, micro.FragmentationConfig{
+			Records:    records,
+			RecordSize: recordSize,
+			Partitions: s.Partitions,
+		})
+		if err == nil {
+			err = visit(sys, e, pages)
 		}
-		var basePages int
-		for _, sys := range fragmentationSystems(s.Partitions) {
-			e := engine.New(sys.opts)
-			pages, err := micro.LoadFragmentation(e, micro.FragmentationConfig{
-				Records:    records,
-				RecordSize: rs,
-				Partitions: s.Partitions,
-			})
-			e.Close()
-			if err != nil {
-				return nil, err
-			}
-			if sys.label == "Conventional" {
+		e.Close()
+		if err != nil {
+			return fmt.Errorf("%s %s: %w", id, sys.label, err)
+		}
+	}
+	return nil
+}
+
+// ratio is v relative to base, or 0 without a base.
+func ratio(v, base float64) float64 {
+	if base > 0 {
+		return v / base
+	}
+	return 0
+}
+
+// Fig11 loads the same record set, of 100-byte and of 1000-byte records,
+// into every design and compares the number of heap pages used.
+func Fig11(s Scale) (*Fig11Result, error) {
+	res := &Fig11Result{}
+	for _, set := range []struct{ size, records int }{{100, 4 * s.TATPSubscribers}, {1000, s.TATPSubscribers}} {
+		basePages := 0
+		if err := s.eachFragmented("fig11", set.records, set.size, func(sys systemConfig, _ *engine.Engine, pages int) error {
+			if basePages == 0 {
 				basePages = pages
 			}
-			norm := 0.0
-			if basePages > 0 {
-				norm = float64(pages) / float64(basePages)
-			}
 			res.Rows = append(res.Rows, Fig11Row{
-				System: sys.label, RecordSize: rs, Records: records,
-				HeapPages: pages, Normalized: norm,
+				System: sys.label, RecordSize: set.size, Records: set.records,
+				HeapPages: pages, Normalized: ratio(float64(pages), float64(basePages)),
 			})
+			return nil
+		}); err != nil {
+			return nil, err
 		}
 	}
 	return res, nil
@@ -547,13 +508,12 @@ func Fig11(s Scale, recordSizes []int) (*Fig11Result, error) {
 
 // String renders the figure.
 func (r *Fig11Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 11: heap space overhead of the PLP variations (pages, normalized to Conventional)\n")
-	fmt.Fprintf(&b, "%-16s %12s %12s %12s %12s\n", "system", "record size", "records", "heap pages", "normalized")
+	rows := [][]string{{"system", "record size", "records", "heap pages", "normalized"}}
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-16s %12d %12d %12d %12.2f\n", row.System, row.RecordSize, row.Records, row.HeapPages, row.Normalized)
+		rows = append(rows, []string{row.System, strconv.Itoa(row.RecordSize), strconv.Itoa(row.Records),
+			strconv.Itoa(row.HeapPages), num(2, row.Normalized)})
 	}
-	return b.String()
+	return table("Figure 11: heap space overhead of the PLP variations (pages, normalized to Conventional)", " ", []int{-16, 12}, rows...)
 }
 
 // Fig12Row is one bar of Figure 12.
@@ -575,51 +535,37 @@ func Fig12(s Scale) (*Fig12Result, error) {
 	records := s.TATPSubscribers * 4
 	res := &Fig12Result{}
 	var baseTime time.Duration
-	for _, sys := range fragmentationSystems(s.Partitions) {
-		e := engine.New(sys.opts)
-		if _, err := micro.LoadFragmentation(e, micro.FragmentationConfig{
-			Records:    records,
-			RecordSize: 100,
-			Partitions: s.Partitions,
-		}); err != nil {
-			e.Close()
-			return nil, err
-		}
+	if err := s.eachFragmented("fig12", records, 100, func(sys systemConfig, e *engine.Engine, _ int) error {
 		start := time.Now()
 		n := 0
 		if err := e.ScanHeap(micro.FragmentationTable, func(_ page.RID, _ []byte) bool {
 			n++
 			return true
 		}); err != nil {
-			e.Close()
-			return nil, err
+			return err
 		}
 		elapsed := time.Since(start)
-		e.Close()
 		if n != records {
-			return nil, fmt.Errorf("fig12 %s: scanned %d of %d records", sys.label, n, records)
+			return fmt.Errorf("scanned %d of %d records", n, records)
 		}
-		if sys.label == "Conventional" {
+		if baseTime == 0 {
 			baseTime = elapsed
 		}
-		norm := 0.0
-		if baseTime > 0 {
-			norm = float64(elapsed) / float64(baseTime)
-		}
-		res.Rows = append(res.Rows, Fig12Row{System: sys.label, Records: records, ScanTime: elapsed, Normalized: norm})
+		res.Rows = append(res.Rows, Fig12Row{System: sys.label, Records: records, ScanTime: elapsed, Normalized: ratio(float64(elapsed), float64(baseTime))})
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
 // String renders the figure.
 func (r *Fig12Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 12: heap file scan time (normalized to Conventional)\n")
-	fmt.Fprintf(&b, "%-16s %12s %14s %12s\n", "system", "records", "scan time", "normalized")
+	rows := [][]string{{"system", "records", "scan time", "normalized"}}
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-16s %12d %14s %12.2f\n", row.System, row.Records, row.ScanTime.Round(time.Microsecond), row.Normalized)
+		rows = append(rows, []string{row.System, strconv.Itoa(row.Records), us(row.ScanTime), num(2, row.Normalized)})
 	}
-	return b.String()
+	return table("Figure 12: heap file scan time (normalized to Conventional)", " ", []int{-16, 12, 14, 12}, rows...)
 }
 
 //
@@ -642,107 +588,69 @@ type AblationResult struct {
 
 // String renders the ablation table.
 func (r *AblationResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", r.Title)
-	fmt.Fprintf(&b, "%-36s %12s %14s %16s\n", "configuration", "tps", "cs/txn", "latches/txn")
+	rows := [][]string{{"configuration", "tps", "cs/txn", "latches/txn"}}
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-36s %12.0f %14.1f %16.1f\n", row.Label, row.TPS, row.CSPerTxn, row.LatchesPerTxn)
+		rows = append(rows, []string{row.Label, num(0, row.TPS), num(1, row.CSPerTxn), num(1, row.LatchesPerTxn)})
 	}
-	return b.String()
+	return table(r.Title, " ", []int{-36, 12, 14, 16}, rows...)
 }
 
-// runAblation measures one configuration on the TATP standard mix.
-func runAblation(label string, opts engine.Options, s Scale, mix tatp.Mix) (AblationRow, error) {
-	e, w, err := setupTATP(opts, s, mix)
-	if err != nil {
-		return AblationRow{}, err
+// AblationResults is every ablation study.
+type AblationResults []*AblationResult
+
+// String renders the studies one after the other.
+func (r AblationResults) String() string {
+	out := make([]string, len(r))
+	for i, a := range r {
+		out[i] = a.String()
 	}
-	defer e.Close()
-	r, err := harness.Run(e, w, s.runConfig())
-	if err != nil {
-		return AblationRow{}, err
-	}
-	latches := 0.0
-	for _, v := range r.LatchesPerTxn {
-		latches += v
-	}
-	return AblationRow{Label: label, TPS: r.ThroughputTPS, CSPerTxn: r.CSPerTxn.Total, LatchesPerTxn: latches}, nil
+	return strings.Join(out, "\n")
 }
 
-// AblationSLI compares the conventional system with and without speculative
-// lock inheritance.
-func AblationSLI(s Scale) (*AblationResult, error) {
-	res := &AblationResult{Title: "Ablation: Speculative Lock Inheritance (conventional, TATP)"}
-	for _, sli := range []bool{false, true} {
-		label := "Conventional, SLI off"
-		if sli {
-			label = "Conventional, SLI on"
+// Ablations measures the design choices one at a time on TATP: speculative
+// lock inheritance in the conventional system, latch-free sub-trees inside
+// PLP-Regular, the consolidated (Aether-style) log buffer against a
+// single-mutex one on an update-heavy stream, and PLP-Regular's partition
+// count on the read-only stream.
+func Ablations(s Scale) (AblationResults, error) {
+	var counts []systemConfig
+	for _, n := range []int{1, 2, 4, 8, 16} {
+		counts = append(counts, systemConfig{fmt.Sprintf("%d partitions", n), engine.Options{Design: engine.PLPRegular, Partitions: n}})
+	}
+	studies := []struct {
+		title   string
+		mix     tatp.Mix
+		systems []systemConfig
+	}{
+		{"Ablation: Speculative Lock Inheritance (conventional, TATP)", tatp.MixStandard, []systemConfig{
+			{"Conventional, SLI off", engine.Options{Design: engine.Conventional, Partitions: s.Partitions}},
+			{"Conventional, SLI on", engine.Options{Design: engine.Conventional, Partitions: s.Partitions, SLI: true}},
+		}},
+		{"Ablation: latch-free index access inside PLP (TATP)", tatp.MixStandard, []systemConfig{
+			{"PLP-Regular, latched sub-trees", engine.Options{Design: engine.PLPRegular, Partitions: s.Partitions, ForceLatchedIndex: true}},
+			{"PLP-Regular, latch-free sub-trees", engine.Options{Design: engine.PLPRegular, Partitions: s.Partitions}},
+		}},
+		{"Ablation: consolidated vs naive log buffer (PLP-Regular, update-heavy TATP)", tatp.MixUpdateLocation, []systemConfig{
+			{"Naive single-mutex log buffer", engine.Options{Design: engine.PLPRegular, Partitions: s.Partitions, NaiveLog: true}},
+			{"Consolidated (Aether-style) log buffer", engine.Options{Design: engine.PLPRegular, Partitions: s.Partitions}},
+		}},
+		{"Ablation: MRBTree partition count (PLP-Regular, GetSubscriberData)", tatp.MixGetSubscriberData, counts},
+	}
+	var res AblationResults
+	for _, st := range studies {
+		study := &AblationResult{Title: st.title}
+		for _, sys := range st.systems {
+			if err := s.measure("ablations", sys, tatpLoad(st.mix), nil, func(_ *engine.Engine, r harness.Result) {
+				latches := 0.0
+				for _, v := range r.LatchesPerTxn {
+					latches += v
+				}
+				study.Rows = append(study.Rows, AblationRow{Label: sys.label, TPS: r.ThroughputTPS, CSPerTxn: r.CSPerTxn.Total, LatchesPerTxn: latches})
+			}); err != nil {
+				return nil, err
+			}
 		}
-		row, err := runAblation(label, engine.Options{Design: engine.Conventional, Partitions: s.Partitions, SLI: sli}, s, tatp.MixStandard)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
+		res = append(res, study)
 	}
 	return res, nil
 }
-
-// AblationLatchFreeIndex compares PLP-Regular with latch-free sub-trees
-// against the same design with latching forced back on.
-func AblationLatchFreeIndex(s Scale) (*AblationResult, error) {
-	res := &AblationResult{Title: "Ablation: latch-free index access inside PLP (TATP)"}
-	for _, forced := range []bool{true, false} {
-		label := "PLP-Regular, latched sub-trees"
-		if !forced {
-			label = "PLP-Regular, latch-free sub-trees"
-		}
-		row, err := runAblation(label, engine.Options{Design: engine.PLPRegular, Partitions: s.Partitions, ForceLatchedIndex: forced}, s, tatp.MixStandard)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-// AblationLogBuffer compares the Aether-style consolidated log buffer with a
-// single-mutex buffer on an update-heavy stream.
-func AblationLogBuffer(s Scale) (*AblationResult, error) {
-	res := &AblationResult{Title: "Ablation: consolidated vs naive log buffer (PLP-Regular, update-heavy TATP)"}
-	for _, naive := range []bool{true, false} {
-		label := "Naive single-mutex log buffer"
-		if !naive {
-			label = "Consolidated (Aether-style) log buffer"
-		}
-		row, err := runAblation(label, engine.Options{Design: engine.PLPRegular, Partitions: s.Partitions, NaiveLog: naive}, s, tatp.MixUpdateLocation)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-// AblationPartitionCount sweeps the number of logical partitions of
-// PLP-Regular on the read-only TATP stream.
-func AblationPartitionCount(s Scale, counts []int) (*AblationResult, error) {
-	if len(counts) == 0 {
-		counts = []int{1, 2, 4, 8, 16}
-	}
-	res := &AblationResult{Title: "Ablation: MRBTree partition count (PLP-Regular, GetSubscriberData)"}
-	for _, n := range counts {
-		row, err := runAblation(fmt.Sprintf("%d partitions", n),
-			engine.Options{Design: engine.PLPRegular, Partitions: n}, s, tatp.MixGetSubscriberData)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-// suppress unused warnings for helpers shared with experiments.go.
-var _ = newRand
-var _ = waitName
-var _ = latch.NumKinds
-var _ = cs.NumCategories

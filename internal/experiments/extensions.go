@@ -3,6 +3,7 @@
 // restart-recovery story of the shared log (Section 2.3).  They run as EXT-1
 // and EXT-2 through cmd/plpbench -experiment ext-autobalance and
 // -experiment ext-recovery.
+
 package experiments
 
 import (
@@ -51,23 +52,16 @@ type ExtAutoBalanceResult struct {
 // skewed mid-run) but instead of the experiment driver calling Rebalance by
 // hand, the online repartitioning controller (package repartition), fed by
 // the engine's access observer, detects the imbalance and moves the
-// boundary on its own.  What is checked (TestExtAutoBalanceShape) is the
-// work split: without the controller one partition worker carries most of
-// the post-skew load; with it the automatic move spreads that load over
-// both workers.  Throughput is reported, with the post-skew auto/static
+// boundary on its own.  What is checked (the ext-autobalance row of
+// TestExperimentShapes) is the work split: without the controller one
+// partition worker carries most of the post-skew load; with it the
+// automatic move spreads that load over both workers.  Throughput is reported, with the post-skew auto/static
 // ratio, but not asserted: on a 2-vCPU VM the post-skew auto-balance
 // throughput measured 136k–172k tps against 160k–196k static, since with
 // two workers on two CPUs evening their shares does not by itself add
 // throughput, and the moves cost quiesces.
 func ExtAutoBalance(s Scale) (*ExtAutoBalanceResult, error) {
-	const interval = 100 * time.Millisecond
-	total := 3 * time.Second
-	eventAt := time.Second
-	if s.Duration > 0 && s.Duration < time.Second {
-		total = 6 * s.Duration
-		eventAt = 2 * s.Duration
-	}
-
+	total, eventAt := s.timeline()
 	res := &ExtAutoBalanceResult{EventAt: eventAt}
 	for _, withDRP := range []bool{false, true} {
 		opts := engine.Options{Design: engine.PLPLeaf, Partitions: 2}
@@ -104,7 +98,7 @@ func ExtAutoBalance(s Scale) (*ExtAutoBalanceResult, error) {
 		}
 		cfg := s.runConfig()
 		cfg.Clients = 2 * opts.Partitions
-		points, err := harness.RunTimeline(e, w, cfg, total, interval, eventAt, event)
+		points, err := harness.RunTimeline(e, w, cfg, total, timelineInterval, eventAt, event)
 		series := ExtAutoBalanceSeries{Label: label, Points: points}
 		if ctrl != nil {
 			ctrl.Stop()
@@ -114,14 +108,12 @@ func ExtAutoBalance(s Scale) (*ExtAutoBalanceResult, error) {
 		var sum float64
 		var n int
 		for _, p := range points {
-			if p.T > eventAt+interval {
+			if p.T > eventAt+timelineInterval {
 				sum += p.TPS
 				n++
 			}
 		}
-		if n > 0 {
-			series.PostSkewTPS = sum / float64(n)
-		}
+		series.PostSkewTPS = ratio(sum, float64(n))
 		// Post-skew per-worker load shares: executed actions since the event.
 		atEnd := e.PartitionStats()
 		if len(atEvent) == len(atEnd) && len(atEnd) > 0 {
@@ -152,27 +144,14 @@ func ExtAutoBalance(s Scale) (*ExtAutoBalanceResult, error) {
 
 // String renders the timelines side by side.
 func (r *ExtAutoBalanceResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "EXT-1: automatic load balancing (skew change at %s)\n", r.EventAt)
-	fmt.Fprintf(&b, "%-10s", "t")
+	var labels []string
+	var points [][]harness.TimelinePoint
 	for _, s := range r.Series {
-		fmt.Fprintf(&b, "%26s", s.Label)
+		labels, points = append(labels, s.Label), append(points, s.Points)
 	}
-	b.WriteByte('\n')
-	if len(r.Series) == 0 {
-		return b.String()
-	}
-	for i := range r.Series[0].Points {
-		fmt.Fprintf(&b, "%-10s", r.Series[0].Points[i].T.Round(time.Millisecond))
-		for _, s := range r.Series {
-			if i < len(s.Points) {
-				fmt.Fprintf(&b, "%26.0f", s.Points[i].TPS)
-			} else {
-				fmt.Fprintf(&b, "%26s", "-")
-			}
-		}
-		b.WriteByte('\n')
-	}
+	var b strings.Builder
+	b.WriteString(table(fmt.Sprintf("EXT-1: automatic load balancing (skew change at %s)", r.EventAt),
+		"", []int{-10, 26}, timelineRows(labels, points)...))
 	for _, s := range r.Series {
 		fmt.Fprintf(&b, "%s: post-skew avg %.0f tps, %d automatic rebalance(s), post-skew worker shares:", s.Label, s.PostSkewTPS, s.Decisions)
 		for _, sh := range s.PostSkewShares {
@@ -239,8 +218,7 @@ func ExtRecovery(s Scale) (*ExtRecoveryResult, error) {
 	res.CheckpointEntries = cp.Entries
 	res.CheckpointDuration = cp.Duration
 
-	cfg := s.runConfig()
-	if _, err := harness.Run(e, w, cfg); err != nil {
+	if _, err := harness.Run(e, w, s.runConfig()); err != nil {
 		return nil, fmt.Errorf("ext-recovery workload: %w", err)
 	}
 	res.TxnsExecuted = e.TxnStats().Committed

@@ -42,12 +42,6 @@ type PlanWorkload interface {
 	NextPlan(rng *rand.Rand) *plan.Plan
 }
 
-// Verifier is implemented by workloads that can check database consistency
-// after a run.
-type Verifier interface {
-	Verify(e *engine.Engine) error
-}
-
 // RunConfig configures a measured run.
 type RunConfig struct {
 	// Clients is the number of concurrent client goroutines ("hardware
@@ -113,21 +107,6 @@ type Result struct {
 	WaitPerTxn [txn.NumWaitKinds]time.Duration
 }
 
-// String formats a one-line summary.
-func (r Result) String() string {
-	return fmt.Sprintf("%s/%s clients=%d tps=%.0f committed=%d aborted=%d cs/txn=%.1f latches/txn=%.1f",
-		r.Design, r.Workload, r.Clients, r.ThroughputTPS, r.Committed, r.Aborted,
-		r.CSPerTxn.Total, perTxnTotal(r.LatchesPerTxn))
-}
-
-func perTxnTotal(v [latch.NumKinds]float64) float64 {
-	t := 0.0
-	for _, x := range v {
-		t += x
-	}
-	return t
-}
-
 // Run executes the workload against the engine.  Setup must already have
 // been called; Run only executes requests and gathers statistics.
 func Run(e *engine.Engine, w Workload, cfg RunConfig) (Result, error) {
@@ -157,7 +136,6 @@ func runClients(e *engine.Engine, w Workload, cfg RunConfig) (Result, error) {
 	}
 	csBefore := e.CSStats().Snapshot()
 	latchBefore := e.LatchStats().Snapshot()
-	txBefore := e.TxnStats()
 
 	var (
 		committed  atomic.Uint64
@@ -237,7 +215,6 @@ func runClients(e *engine.Engine, w Workload, cfg RunConfig) (Result, error) {
 
 	csAfter := e.CSStats().Snapshot()
 	latchAfter := e.LatchStats().Snapshot()
-	txAfter := e.TxnStats()
 
 	res := Result{
 		Workload:  w.Name(),
@@ -249,8 +226,6 @@ func runClients(e *engine.Engine, w Workload, cfg RunConfig) (Result, error) {
 		CS:        csAfter.Sub(csBefore),
 		Latches:   latchAfter.Sub(latchBefore),
 	}
-	_ = txBefore
-	_ = txAfter
 	if elapsed > 0 {
 		res.ThroughputTPS = float64(res.Committed) / elapsed.Seconds()
 	}
@@ -275,69 +250,36 @@ type TimelinePoint struct {
 	TPS float64
 }
 
-// RunTimeline executes the workload for total duration, sampling throughput
-// every interval, and fires event once after eventAt (from a separate
-// goroutine, as the repartitioning trigger of Figure 8 would).
+// RunTimeline executes the workload for total duration, sampling the
+// engine's committed-transaction throughput every interval, and fires event
+// once after eventAt, if that falls within the run (from a separate
+// goroutine, as the repartitioning trigger of Figure 8 would).  The event
+// has returned by the time RunTimeline does.
 func RunTimeline(e *engine.Engine, w Workload, cfg RunConfig, total, interval, eventAt time.Duration, event func()) ([]TimelinePoint, error) {
 	cfg.normalize()
-	var committed atomic.Uint64
-	var firstErr atomic.Value
-	stop := make(chan struct{})
+	cfg.Duration = total
 	var wg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
+	if event != nil && eventAt < total {
 		wg.Add(1)
-		go func(clientID int) {
+		time.AfterFunc(eventAt, func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(clientID)*104729))
-			sess := e.NewSession()
-			defer sess.Close()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				req := w.NextRequest(rng)
-				if _, err := sess.Execute(req); err != nil {
-					if errors.Is(err, engine.ErrAborted) {
-						continue
-					}
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-				committed.Add(1)
-			}
-		}(c)
-	}
-
-	if event != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			select {
-			case <-time.After(eventAt):
-				event()
-			case <-stop:
-			}
-		}()
-	}
-
-	var points []TimelinePoint
-	start := time.Now()
-	prev := uint64(0)
-	for elapsed := interval; elapsed <= total; elapsed += interval {
-		time.Sleep(time.Until(start.Add(elapsed)))
-		cur := committed.Load()
-		points = append(points, TimelinePoint{
-			T:   elapsed,
-			TPS: float64(cur-prev) / interval.Seconds(),
+			event()
 		})
-		prev = cur
 	}
-	close(stop)
+	var points []TimelinePoint
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		start := time.Now()
+		prev := e.TxnStats().Committed
+		for elapsed := interval; elapsed <= total; elapsed += interval {
+			time.Sleep(time.Until(start.Add(elapsed)))
+			cur := e.TxnStats().Committed
+			points = append(points, TimelinePoint{T: elapsed, TPS: float64(cur-prev) / interval.Seconds()})
+			prev = cur
+		}
+	}()
+	_, err := runClients(e, w, cfg)
 	wg.Wait()
-	if v := firstErr.Load(); v != nil {
-		return points, v.(error)
-	}
-	return points, nil
+	return points, err
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"plp/client"
@@ -31,7 +30,7 @@ const (
 // (one phase, one Get) and an UpdateLocation-shaped probe-then-write (a
 // secondary-index probe, then a field write), each sent as a prebuilt plan
 // through DoPlanAsync and waited for, one in flight.  The counts are
-// independent of the machine; each prints a BENCH_JSON request_allocs line.
+// independent of the machine.
 func TestRequestPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -76,8 +75,6 @@ func TestRequestPathAllocs(t *testing.T) {
 			run()
 		}
 		allocs := testing.AllocsPerRun(2000, run)
-		fmt.Printf("BENCH_JSON {\"benchmark\":\"request_allocs\",\"txn\":%q,\"allocs_per_txn\":%.2f,\"budget\":%.0f}\n",
-			tc.name, allocs, tc.budget)
 		if allocs > tc.budget {
 			t.Errorf("%s: %.2f allocations per request, budget %.0f", tc.name, allocs, tc.budget)
 		}

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"fmt"
 	"os"
 	"strconv"
 	"strings"
@@ -97,8 +96,6 @@ func TestPipelinedWritesCoalesce(t *testing.T) {
 
 	pipelined := float64(runReaders(t, c, plans, callers, total)) / total
 	serialPer := float64(runReaders(t, c, plans, 1, serial)) / serial
-	fmt.Printf("BENCH_JSON {\"benchmark\":\"wire_coalescing\",\"callers\":%d,\"pipelined_writes_per_txn\":%.3f,\"serial_writes_per_txn\":%.3f}\n",
-		callers, pipelined, serialPer)
 	if pipelined > 1.0 {
 		t.Errorf("%d callers on one connection: %.3f write syscalls per transaction, want <= 1.0", callers, pipelined)
 	}

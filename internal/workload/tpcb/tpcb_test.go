@@ -2,7 +2,6 @@ package tpcb
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -229,8 +228,6 @@ func TestAccountUpdateLogBytes(t *testing.T) {
 		}
 		patches++
 	}
-	fmt.Printf("BENCH_JSON {\"benchmark\":\"log_volume\",\"workload\":\"tpcb_account_update\",\"design\":\"PLP-Leaf\",\"txns\":%d,\"log_bytes_per_txn\":%.1f,\"bound\":%.0f,\"balance_patches\":%d}\n",
-		txns, perTxn, bound, patches)
 	if patches != 3*txns {
 		t.Fatalf("%d balance patches logged for %d AccountUpdates, want %d", patches, txns, 3*txns)
 	}

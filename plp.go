@@ -78,8 +78,9 @@
 // program and evaluates it INSIDE each partition worker's scan task, so
 // filtering happens where the rows live: only passing rows are copied out,
 // counted against the limit, and — over the wire — shipped to the client.
-// At 1% selectivity the scan_pushdown CI datapoint measures both the
-// speedup and the bytes-on-wire reduction against client-side filtering.
+// At 1% selectivity a test (TestScanPushdownSpeedupAndBytes in
+// internal/server) checks both the speedup and the bytes-on-wire
+// reduction against client-side filtering.
 //
 // What a pushed-down filter costs is paid per examined row, not per
 // returned one, on the partition's own worker, so the scan loop is kept
@@ -89,8 +90,7 @@
 // field and operand have the same width of at most 8 bytes — TATP's 4-byte
 // location field, any Int64Cmp — is one unsigned-integer compare against
 // an operand decoded at compile (or cache rebind) time.  A filter of one
-// test skips the stack machine.  The TATP-shaped scan_chunk CI datapoint
-// reports the time per examined row.
+// test skips the stack machine.
 //
 // Over the wire a scan can stream instead of materializing: the server
 // walks the partitions in key order and emits flow-controlled SCAN-CHUNK
@@ -108,7 +108,7 @@
 // structural shape — parameters (keys, bounds, deltas, predicate operands)
 // are excluded from the fingerprint and rebound per execution — so a
 // workload's steady state compiles nothing (the plp_plan_cache_hits /
-// plp_plan_compiles expvars and the plan_cache CI datapoint track this).
+// plp_plan_compiles expvars track this).
 // Aborted wire transactions carry a retry hint: client.IsTransient
 // distinguishes lock-timeout-style aborts worth retrying from permanent
 // ones, and the plp_latency expvar publishes sampled latency histograms
@@ -153,16 +153,12 @@
 // a key an earlier, not yet executed phase produces (KeyFn routing; a
 // KeyFn fed only by inline phases that already ran is fine) and closure
 // Actions with a nil routing key; both fall back to the per-phase dispatch
-// path.  Online repartitioning composes with batching the same way it
-// composes with per-action dispatch: the worker re-checks the routing
-// epoch at dequeue, a mis-routed phase batch is split with only the
+// path.  Online repartitioning composes with batching: the worker
+// re-checks the routing epoch at dequeue, a mis-routed phase batch is split with only the
 // mis-routed actions forwarded to their current owner, and a mis-routed
 // single-site batch is re-driven unexecuted phase by phase.  The fast paths are
 // an execution strategy, not a semantics change — the differential trace
-// passes unchanged across all five designs — and Options.NoFastPath
-// restores per-action dispatch as the ablation/benchmark baseline
-// (BenchmarkSingleSiteTxn, BenchmarkMultiSitePhase and the
-// single_site_fastpath BENCH_JSON datapoint track the gap).
+// passes unchanged across all five designs.
 //
 // Beyond the core engine the package exposes the operational subsystems a
 // deployment needs (see extensions.go): Open for a durable, crash-safe
@@ -396,33 +392,8 @@ type Plan = plan.Plan
 // PlanBuilder assembles a Plan fluently.
 type PlanBuilder = plan.Builder
 
-// PlanOp is one typed operation of a Plan.
-type PlanOp = plan.Op
-
-// PlanResult is the outcome of one plan op.
-type PlanResult = plan.Result
-
 // NewPlan returns an empty declarative plan builder.
 func NewPlan() *PlanBuilder { return plan.New() }
-
-// Predicate is a typed filter tree attached to plan scans (see package
-// plan); the engine pushes it into the partition workers.
-type Predicate = plan.Predicate
-
-// CmpOp is a predicate comparison operator (plan.CmpEq, plan.CmpLt, ...).
-type CmpOp = plan.CmpOp
-
-// Predicate constructors, re-exported for convenience; the full set
-// (ValueCmp, KeyCmp, prefixes, Or, Not) lives in package plan.
-func FieldCmpPred(off, length uint32, op CmpOp, arg []byte) *Predicate {
-	return plan.FieldCmp(off, length, op, arg)
-}
-
-// Int64CmpPred compares the big-endian int64 at off against v.
-func Int64CmpPred(off uint32, op CmpOp, v int64) *Predicate { return plan.Int64Cmp(off, op, v) }
-
-// AndPred is the conjunction of the given predicates.
-func AndPred(kids ...*Predicate) *Predicate { return plan.And(kids...) }
 
 // TableDef describes a table to create.
 type TableDef = catalog.TableDef
@@ -441,10 +412,6 @@ func AllDesigns() []Design { return engine.AllDesigns() }
 
 // Uint64Key encodes a uint64 as an order-preserving index key.
 func Uint64Key(v uint64) []byte { return keyenc.Uint64Key(v) }
-
-// CompositeKey encodes a sequence of uint64 components as an
-// order-preserving composite key.
-func CompositeKey(vs ...uint64) []byte { return keyenc.CompositeUint64(vs...) }
 
 // UniformBoundaries splits the key space [1, max] into n contiguous ranges
 // and returns the n-1 internal boundaries, ready to be passed to TableDef.

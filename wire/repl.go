@@ -172,7 +172,7 @@ func DecodeReplSubscribeAck(buf []byte) (epoch, durableLSN uint64, err error) {
 
 // decodeReplFrame parses the body of a REPL-SUBSCRIBE, REPL-RECORDS or
 // REPL-ACK frame; the reader is positioned just past the kind byte.
-func decodeReplFrame(f *Frame, r *reader) (*Frame, error) {
+func decodeReplFrame(f *Frame, r *reader) error {
 	switch f.Kind {
 	case FrameReplSubscribe:
 		f.StartLSN = r.uint64()
@@ -182,44 +182,28 @@ func decodeReplFrame(f *Frame, r *reader) (*Frame, error) {
 			// frames from pre-node subscribers simply end here.
 			f.ReplNode = r.str()
 		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		return f, nil
 	case FrameReplRecords:
 		n := r.uint32()
 		// Hostile-count guard: every blob costs at least its 4-byte length
 		// prefix, so a frame of len(buf) bytes cannot hold more than
 		// len(buf)/4 blobs.
 		if max := uint32(len(r.buf) / 4); n > max {
-			return nil, fmt.Errorf("%w: %d record blobs in a %d-byte frame", ErrShortPayload, n, len(r.buf))
+			return fmt.Errorf("%w: %d record blobs in a %d-byte frame", ErrShortPayload, n, len(r.buf))
 		}
 		blobs := make([][]byte, 0, n)
 		for i := uint32(0); i < n && r.err == nil; i++ {
 			blobs = append(blobs, r.bytes())
 		}
-		if r.err != nil {
-			return nil, r.err
-		}
 		f.ReplRecords = blobs
-		return f, nil
 	case FrameReplAck:
 		f.AppliedLSN = r.uint64()
 		f.DurableLSN = r.uint64()
-		if r.err != nil {
-			return nil, r.err
-		}
-		return f, nil
 	case FrameReplSeedBegin:
 		f.SeedStart = r.uint64()
 		f.SeedTarget = r.uint64()
-		if r.err != nil {
-			return nil, r.err
-		}
-		return f, nil
 	case FrameReplSeedEnd, FrameReplHeartbeat:
-		return f, nil
 	default:
-		return nil, fmt.Errorf("%w: unknown repl frame kind %d", ErrBadOp, f.Kind)
+		return fmt.Errorf("%w: unknown repl frame kind %d", ErrBadOp, f.Kind)
 	}
+	return r.err
 }

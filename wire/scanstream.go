@@ -123,7 +123,7 @@ func EncodeScanAck(id uint64, credit uint32) []byte {
 
 // decodeScanFrame parses the body of a FrameScan or FrameScanAck (the ID
 // and kind are already consumed by r).
-func decodeScanFrame(f *Frame, r *reader) (*Frame, error) {
+func decodeScanFrame(f *Frame, r *reader) error {
 	switch f.Kind {
 	case FrameScan:
 		sc := &ScanRequest{}
@@ -135,28 +135,25 @@ func decodeScanFrame(f *Frame, r *reader) (*Frame, error) {
 		sc.Window = r.uint32()
 		fb := r.bytes()
 		if r.err != nil {
-			return nil, r.err
+			return r.err
 		}
 		if len(fb) > 0 {
 			p, rest, err := plan.DecodePredicate(fb)
 			if err != nil {
-				return nil, fmt.Errorf("wire: scan filter: %w", err)
+				return fmt.Errorf("wire: scan filter: %w", err)
 			}
 			if len(rest) != 0 {
-				return nil, fmt.Errorf("wire: scan filter: %d trailing bytes", len(rest))
+				return fmt.Errorf("wire: scan filter: %d trailing bytes", len(rest))
 			}
 			sc.Filter = p
 		}
 		f.Scan = sc
-		return f, nil
+		return nil
 	case FrameScanAck:
 		f.Credit = r.uint32()
-		if r.err != nil {
-			return nil, r.err
-		}
-		return f, nil
+		return r.err
 	default:
-		return nil, fmt.Errorf("%w: unknown scan frame kind %d", ErrBadOp, f.Kind)
+		return fmt.Errorf("%w: unknown scan frame kind %d", ErrBadOp, f.Kind)
 	}
 }
 

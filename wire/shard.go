@@ -85,36 +85,36 @@ func EncodeDecideRequest(id uint64, gid string, mode DecideMode) []byte {
 
 // decodeShardFrame parses the body of a SHARD-MAP, PREPARE or DECIDE frame;
 // the reader is positioned just past the kind byte.
-func decodeShardFrame(f *Frame, r *reader) (*Frame, error) {
+func decodeShardFrame(f *Frame, r *reader) error {
 	switch f.Kind {
 	case FrameShardMap:
-		return f, nil
+		return nil
 	case FramePrepare:
 		f.GID = r.str()
 		f.MapVersion = r.uint64()
 		p, err := r.plan(f.Plan)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if f.GID == "" {
-			return nil, fmt.Errorf("%w: prepare without gid", ErrShortPayload)
+			return fmt.Errorf("%w: prepare without gid", ErrShortPayload)
 		}
 		f.Plan = p
-		return f, nil
+		return nil
 	case FrameDecide:
 		f.GID = r.str()
 		f.DecideMode = DecideMode(r.byteVal())
 		if r.err != nil {
-			return nil, r.err
+			return r.err
 		}
 		if f.GID == "" {
-			return nil, fmt.Errorf("%w: decide without gid", ErrShortPayload)
+			return fmt.Errorf("%w: decide without gid", ErrShortPayload)
 		}
 		if f.DecideMode > DecideQuery {
-			return nil, fmt.Errorf("%w: decide mode %d", ErrBadOp, f.DecideMode)
+			return fmt.Errorf("%w: decide mode %d", ErrBadOp, f.DecideMode)
 		}
-		return f, nil
+		return nil
 	default:
-		return nil, fmt.Errorf("%w: unknown shard frame kind %d", ErrBadOp, f.Kind)
+		return fmt.Errorf("%w: unknown shard frame kind %d", ErrBadOp, f.Kind)
 	}
 }

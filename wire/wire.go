@@ -683,10 +683,8 @@ func (d *Decoder) Decode(f *Frame, buf []byte) error {
 	var err error
 	switch f.Kind {
 	case FrameCancel:
-		return nil
 	case FramePlan:
 		f.Plan, err = r.plan(pl)
-		return err
 	case FramePing:
 		f.Ping = r.bytes()
 	case FrameControl:
@@ -694,17 +692,17 @@ func (d *Decoder) Decode(f *Frame, buf []byte) error {
 		f.Table = r.str()
 	case FrameShardMap, FramePrepare, FrameDecide:
 		f.Plan = pl
-		_, err = decodeShardFrame(f, r)
-		return err
+		err = decodeShardFrame(f, r)
 	case FrameReplSubscribe, FrameReplRecords, FrameReplAck,
 		FrameReplSeedBegin, FrameReplSeedEnd, FrameReplHeartbeat:
-		_, err = decodeReplFrame(f, r)
-		return err
+		err = decodeReplFrame(f, r)
 	case FrameScan, FrameScanAck:
-		_, err = decodeScanFrame(f, r)
-		return err
+		err = decodeScanFrame(f, r)
 	default:
 		return fmt.Errorf("%w: unknown frame kind %d", ErrBadOp, f.Kind)
+	}
+	if err != nil {
+		return err
 	}
 	return r.end()
 }

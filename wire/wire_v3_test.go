@@ -138,3 +138,44 @@ func TestDecodeFrameV3Hostile(t *testing.T) {
 		t.Fatal("unknown frame kind accepted")
 	}
 }
+
+// TestDecodeRefusesTrailingBytes appends two bytes to a valid frame of
+// every request kind: each must be refused, not half-read, while the frame
+// as encoded decodes — a REPL-SUBSCRIBE without its optional node-id tail
+// included.
+func TestDecodeRefusesTrailingBytes(t *testing.T) {
+	p := samplePlan(t)
+	filtered := &ScanRequest{Table: "sub", Lo: []byte("a"), Limit: 10, Filter: plan.Int64Cmp(0, plan.CmpEq, 7)}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"cancel", EncodeCancelRequest(1)},
+		{"plan", EncodePlanRequest(2, p)},
+		{"ping", EncodePingRequest(3, []byte("x"))},
+		{"control", EncodeControlRequest(4, "status", "t")},
+		{"shard-map", EncodeShardMapRequest(5)},
+		{"prepare", EncodePrepareRequest(6, "s0-1-1", 2, p)},
+		{"decide", EncodeDecideRequest(7, "s0-1-1", DecideCommit)},
+		{"repl-subscribe", EncodeReplSubscribe(8, 100, 3, "n2")},
+		{"repl-subscribe-without-node", EncodeReplSubscribe(9, 100, 3, "")[:8+1+8+8]},
+		{"repl-records", EncodeReplRecords(10, [][]byte{[]byte("r1"), []byte("r2")})},
+		{"repl-ack", EncodeReplAck(11, 7, 6)},
+		{"repl-seed-begin", EncodeReplSeedBegin(12, 1, 9)},
+		{"repl-seed-end", EncodeReplSeedEnd(13)},
+		{"repl-heartbeat", EncodeReplHeartbeat(14)},
+		{"scan", EncodeScanRequest(15, filtered)},
+		{"scan-ack", EncodeScanAck(16, 4)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var d Decoder
+			if err := d.Decode(&Frame{}, tc.frame); err != nil {
+				t.Fatalf("the frame as encoded: %v", err)
+			}
+			long := append(append([]byte(nil), tc.frame...), 0, 0)
+			if err := d.Decode(&Frame{}, long); err == nil {
+				t.Fatal("a frame with two trailing bytes decoded")
+			}
+		})
+	}
+}
