@@ -1,14 +1,16 @@
 // Package btree implements a B+Tree whose nodes are slotted database pages
-// fixed through the buffer pool, with the latching protocol of a
-// conventional shared-everything storage manager:
+// held by the buffer pool, with the latching protocol of a conventional
+// shared-everything storage manager:
 //
 //   - probes latch-crab from the root with shared latches;
 //   - updates latch the leaf exclusively;
 //   - structure modification operations (SMOs: page splits) are serialized
 //     per tree by an SMO mutex, mirroring the ARIES/KVL behaviour the paper
 //     describes ("only one SMO is allowed for a B+tree index at a time");
-//   - a latch-free mode skips all latching and SMO serialization, which is
-//     how PLP accesses the sub-trees owned by a single partition worker.
+//   - a latch-free mode skips all latching and SMO serialization, and
+//     reaches its pages through the buffer pool's lock-free Lookup instead
+//     of Fix, which is how PLP accesses the sub-trees owned by a single
+//     partition worker.
 //
 // The same Tree type is used directly by the conventional design and as the
 // per-partition sub-tree of the MRBTree (package mrbtree).  Slice and Meld —
@@ -101,10 +103,6 @@ func (t *Tree) ID() uint32 { return t.id }
 // Latched reports whether the tree uses the conventional latching protocol.
 func (t *Tree) Latched() bool { return t.cfg.Latched }
 
-// SetLatched switches the latching protocol (used when a loaded database is
-// handed from the loader to a PLP engine).
-func (t *Tree) SetLatched(v bool) { t.cfg.Latched = v }
-
 // latchNode acquires the node latch when latching is enabled, attributing
 // wait time to the transaction's index-latch bucket.
 func (t *Tree) latchNode(tx *txn.Txn, f *bufferpool.Frame, mode latch.Mode) {
@@ -126,10 +124,29 @@ func (t *Tree) unlatchNode(f *bufferpool.Frame, mode latch.Mode) {
 	f.Latch().Release(mode)
 }
 
+// fix returns the frame of page id: through the buffer pool's Fix (pinned,
+// inside its page-table critical section) on a latched tree, through the
+// lock-free Lookup on a latch-free one, whose pages only the owning
+// partition worker touches.
+func (t *Tree) fix(id page.ID) (*bufferpool.Frame, error) {
+	if t.cfg.Latched {
+		return t.bp.Fix(id)
+	}
+	return t.bp.Lookup(id)
+}
+
+// unfix releases a frame fix returned: the pin on a latched tree, nothing
+// on a latch-free one.
+func (t *Tree) unfix(f *bufferpool.Frame) {
+	if t.cfg.Latched {
+		t.bp.Unfix(f)
+	}
+}
+
 // releaseNode unlatches and unfixes a node frame.
 func (t *Tree) releaseNode(f *bufferpool.Frame, mode latch.Mode) {
 	t.unlatchNode(f, mode)
-	t.bp.Unfix(f)
+	t.unfix(f)
 }
 
 // logSMO appends one SMO log record, if logging is configured.
@@ -185,7 +202,7 @@ func (t *Tree) Search(tx *txn.Txn, key []byte) ([]byte, bool, error) {
 // descendRead walks from the root to the leaf covering key with shared
 // latch crabbing and returns the leaf frame latched in shared mode.
 func (t *Tree) descendRead(tx *txn.Txn, key []byte) (*bufferpool.Frame, error) {
-	f, err := t.bp.Fix(t.root)
+	f, err := t.fix(t.root)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +218,7 @@ func (t *Tree) descendRead(tx *txn.Txn, key []byte) (*bufferpool.Frame, error) {
 			t.releaseNode(f, latch.Shared)
 			return nil, eerr
 		}
-		cf, ferr := t.bp.Fix(child)
+		cf, ferr := t.fix(child)
 		if ferr != nil {
 			t.releaseNode(f, latch.Shared)
 			return nil, ferr
@@ -237,7 +254,7 @@ func (t *Tree) descendWriteLeaf(tx *txn.Txn, key []byte) (*bufferpool.Frame, err
 			t.releaseNode(f, latch.Shared)
 			return nil, eerr
 		}
-		cf, ferr := t.bp.Fix(child)
+		cf, ferr := t.fix(child)
 		if ferr != nil {
 			t.releaseNode(f, latch.Shared)
 			return nil, ferr
@@ -260,7 +277,7 @@ func (t *Tree) descendWriteLeaf(tx *txn.Txn, key []byte) (*bufferpool.Frame, err
 // share-latched if it is an interior node.
 func (t *Tree) descendWriteRoot(tx *txn.Txn) (*bufferpool.Frame, error) {
 	for {
-		f, err := t.bp.Fix(t.root)
+		f, err := t.fix(t.root)
 		if err != nil {
 			return nil, err
 		}
@@ -283,19 +300,34 @@ func (t *Tree) descendWriteRoot(tx *txn.Txn) (*bufferpool.Frame, error) {
 // Insert adds key/value.  It returns ErrDuplicateKey if the key is already
 // present.
 func (t *Tree) Insert(tx *txn.Txn, key, value []byte) error {
-	return t.insert(tx, key, value, false)
+	return t.insert(tx, key, value, nil, false)
 }
 
 // Put adds key/value, overwriting the existing value if the key is present.
 func (t *Tree) Put(tx *txn.Txn, key, value []byte) error {
-	return t.insert(tx, key, value, true)
+	return t.insert(tx, key, value, nil, true)
 }
 
-func (t *Tree) insert(tx *txn.Txn, key, value []byte, upsert bool) error {
+// PlaceFunc places a new entry's record once its insert knows the leaf the
+// key belongs on, and returns where the record went.
+type PlaceFunc func(leaf page.ID) (page.RID, error)
+
+// InsertPlaced adds key with the encoded RID place returns as its value,
+// failing with ErrDuplicateKey, without calling place, if the key is
+// already present.  place is called once, with the ID of the leaf the
+// insert's descent reached, while that leaf is held (exclusively latched
+// on a latched tree).  PLP-Leaf uses it to put a new heap record on a page
+// the leaf owns in the same descent that inserts the record's index entry.
+// If InsertPlaced fails after place returned, the caller undoes whatever
+// place did.
+func (t *Tree) InsertPlaced(tx *txn.Txn, key []byte, place PlaceFunc) error {
+	return t.insert(tx, key, nil, place, false)
+}
+
+func (t *Tree) insert(tx *txn.Txn, key, value []byte, place PlaceFunc, upsert bool) error {
 	if err := validateSizes(key, value); err != nil {
 		return err
 	}
-	entry := encodeLeafEntry(key, value)
 
 	// Optimistic attempt: leaf-only exclusive latch.
 	f, err := t.descendWriteLeaf(tx, key)
@@ -326,6 +358,15 @@ func (t *Tree) insert(tx *txn.Txn, key, value []byte, upsert bool) error {
 		t.releaseNode(f, latch.Exclusive)
 		return t.insertPessimistic(tx, key, value, upsert)
 	}
+	if place != nil {
+		rid, err := place(p.ID())
+		if err != nil {
+			t.releaseNode(f, latch.Exclusive)
+			return err
+		}
+		value = page.EncodeRID(rid)
+	}
+	entry := encodeLeafEntry(key, value)
 	if !nodeFull(p, len(entry), t.cfg.MaxSlotsPerNode) {
 		if err := p.InsertAt(pos, entry); err == nil {
 			t.releaseNode(f, latch.Exclusive)
@@ -450,7 +491,7 @@ func (t *Tree) insertPessimistic(tx *txn.Txn, key, value []byte, upsert bool) er
 // retained node to the leaf; every frame is fixed and exclusively latched.
 func (t *Tree) descendPessimistic(tx *txn.Txn, key []byte, leafEntrySize int) ([]*bufferpool.Frame, error) {
 	var path []*bufferpool.Frame
-	f, err := t.bp.Fix(t.root)
+	f, err := t.fix(t.root)
 	if err != nil {
 		return nil, err
 	}
@@ -471,7 +512,7 @@ func (t *Tree) descendPessimistic(tx *txn.Txn, key []byte, leafEntrySize int) ([
 			t.releasePath(path)
 			return nil, eerr
 		}
-		cf, ferr := t.bp.Fix(child)
+		cf, ferr := t.fix(child)
 		if ferr != nil {
 			t.releasePath(path)
 			return nil, ferr
@@ -567,7 +608,7 @@ func (t *Tree) splitLeaf(tx *txn.Txn, leafFrame *bufferpool.Frame, key, value []
 	right.SetPrev(p.ID())
 	p.SetNext(right.ID())
 	if oldNext != page.InvalidID {
-		if nf, ferr := t.bp.Fix(oldNext); ferr == nil {
+		if nf, ferr := t.fix(oldNext); ferr == nil {
 			t.latchNode(tx, nf, latch.Exclusive)
 			nf.Page().SetPrev(right.ID())
 			t.releaseNode(nf, latch.Exclusive)
@@ -703,7 +744,7 @@ func (t *Tree) splitRoot(tx *txn.Txn, rootFrame *bufferpool.Frame, key, value []
 	if err != nil {
 		return err
 	}
-	cf, err := t.bp.Fix(child)
+	cf, err := t.fix(child)
 	if err != nil {
 		return err
 	}
@@ -734,7 +775,7 @@ func (t *Tree) splitRootWithSeparator(tx *txn.Txn, rootFrame *bufferpool.Frame, 
 	if err != nil {
 		return err
 	}
-	cf, err := t.bp.Fix(target)
+	cf, err := t.fix(target)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,8 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -10,6 +12,7 @@ import (
 
 	"plp/internal/bufferpool"
 	"plp/internal/cs"
+	"plp/internal/heap"
 	"plp/internal/keyenc"
 	"plp/internal/latch"
 	"plp/internal/page"
@@ -542,5 +545,141 @@ func TestHeightGrowth(t *testing.T) {
 	}
 	if st.Entries != 100 || st.LeafPages == 0 || st.InteriorPages == 0 {
 		t.Fatalf("unexpected stats: %+v", st)
+	}
+}
+
+// TestInsertPlacedRecordsOnCoveringLeafPages checks PLP-Leaf's placement
+// property: InsertPlaced hands place the leaf that covers the key, so
+// adjacent keys' records land on heap pages owned by the leaf they share,
+// and a distant key's on another leaf's pages.  A duplicate places
+// nothing.
+func TestInsertPlacedRecordsOnCoveringLeafPages(t *testing.T) {
+	bp := bufferpool.New(bufferpool.Config{LatchStats: &latch.Stats{}, CSStats: &cs.Stats{}})
+	tree := Create(bp, 1, Config{MaxSlotsPerNode: 8})
+	hf := heap.New(2, bp, heap.LatchFree, &cs.Stats{})
+	for i := uint64(1); i <= 500; i++ {
+		if err := tree.Insert(nil, keyenc.Uint64Key(i*100), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	covers := func(leaf page.ID, key []byte) bool {
+		t.Helper()
+		f, err := bp.Lookup(leaf)
+		if err != nil || !isLeaf(f.Page()) {
+			t.Fatalf("place was handed page %v, not a leaf (%v)", leaf, err)
+		}
+		_, found, err := leafSearch(f.Page(), key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return found
+	}
+	place := func(id uint64) page.ID {
+		t.Helper()
+		key := keyenc.Uint64Key(id)
+		var leaf page.ID
+		var rid page.RID
+		err := tree.InsertPlaced(nil, key, func(l page.ID) (page.RID, error) {
+			leaf = l
+			var herr error
+			rid, herr = hf.Insert(nil, uint64(l), key)
+			return rid, herr
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owner, err := hf.OwnerOf(rid.Page); err != nil || owner != uint64(leaf) {
+			t.Fatalf("key %d's record is on a page owned by %d (%v), not by its leaf %v", id, owner, err, leaf)
+		}
+		if !covers(leaf, key) {
+			t.Fatalf("key %d's entry is not on the leaf %v its record's page belongs to", id, leaf)
+		}
+		v, found, err := tree.Search(nil, key)
+		if err != nil || !found {
+			t.Fatalf("key %d: found=%v err=%v", id, found, err)
+		}
+		if got, _ := page.DecodeRID(v); got != rid {
+			t.Fatalf("key %d indexes %v, its record is at %v", id, got, rid)
+		}
+		return leaf
+	}
+	a, b := place(101), place(102)
+	if a != b {
+		t.Fatalf("adjacent keys placed on leaves %v and %v", a, b)
+	}
+	if !covers(a, keyenc.Uint64Key(100)) {
+		t.Fatalf("leaf %v does not hold key 100, the neighbour of keys 101 and 102", a)
+	}
+	if far := place(25001); far == a {
+		t.Fatal("distant keys should not share a leaf in a deep tree")
+	}
+	err := tree.InsertPlaced(nil, keyenc.Uint64Key(101), func(page.ID) (page.RID, error) {
+		t.Fatal("place called for a duplicate key")
+		return page.RID{}, nil
+	})
+	if !errors.Is(err, ErrDuplicateKey) {
+		t.Fatalf("duplicate InsertPlaced: %v, want ErrDuplicateKey", err)
+	}
+}
+
+// TestSliceAtSeparatorKey slices at keys that are interior separators, at
+// every level.  The separator's child holds only keys at or above the cut,
+// so it must move to the new tree whole: the old tree may keep no entry
+// whose key equals its new upper bound.
+func TestSliceAtSeparatorKey(t *testing.T) {
+	const n = 400
+	build := func() *Tree {
+		tree := newTestTree(t, Config{MaxSlotsPerNode: 8})
+		for i := uint64(0); i < n; i++ {
+			if err := tree.Insert(nil, keyenc.Uint64Key(i), keyenc.Uint64Key(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tree
+	}
+	var seps [][]byte
+	var collect func(tree *Tree, pid page.ID)
+	collect = func(tree *Tree, pid page.ID) {
+		f, err := tree.bp.Lookup(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if isLeaf(f.Page()) {
+			return
+		}
+		for i := 0; i < f.Page().NumSlots(); i++ {
+			k, child, err := interiorEntryAt(f.Page(), i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(k) > 0 {
+				seps = append(seps, append([]byte(nil), k...))
+			}
+			collect(tree, child)
+		}
+	}
+	probe := build()
+	collect(probe, probe.root)
+	if len(seps) < 10 {
+		t.Fatalf("only %d separators in a tree of %d keys", len(seps), n)
+	}
+	for i := 0; i < len(seps); i += 3 {
+		cut := seps[i]
+		tree := build()
+		right, _, err := tree.SliceAt(cut)
+		if err != nil {
+			t.Fatalf("SliceAt(%x): %v", cut, err)
+		}
+		if err := tree.checkNode(tree.root, nil, cut, -1); err != nil {
+			t.Fatalf("left of %x: %v", cut, err)
+		}
+		if err := right.checkNode(right.root, cut, nil, -1); err != nil {
+			t.Fatalf("right of %x: %v", cut, err)
+		}
+		l, _ := tree.Count(nil)
+		r, _ := right.Count(nil)
+		if at := int(binary.BigEndian.Uint64(cut)); l != at || r != n-at {
+			t.Fatalf("slice at %d left %d and %d entries", at, l, r)
+		}
 	}
 }

@@ -77,7 +77,7 @@ func (t *Tree) AscendRange(tx *txn.Txn, lo, hi []byte, fn ScanFunc) (stopped boo
 			t.releaseNode(f, latch.Shared)
 			return false, nil
 		}
-		nf, ferr := t.bp.Fix(next)
+		nf, ferr := t.fix(next)
 		if ferr != nil {
 			t.releaseNode(f, latch.Shared)
 			return false, ferr
@@ -98,7 +98,7 @@ func (t *Tree) Ascend(tx *txn.Txn, fn ScanFunc) error {
 // leftmostLeaf descends the leftmost path with shared latches and returns
 // the first leaf latched in shared mode.
 func (t *Tree) leftmostLeaf(tx *txn.Txn) (*bufferpool.Frame, error) {
-	f, err := t.bp.Fix(t.root)
+	f, err := t.fix(t.root)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +113,7 @@ func (t *Tree) leftmostLeaf(tx *txn.Txn) (*bufferpool.Frame, error) {
 			t.releaseNode(f, latch.Shared)
 			return nil, err
 		}
-		cf, ferr := t.bp.Fix(child)
+		cf, ferr := t.fix(child)
 		if ferr != nil {
 			t.releaseNode(f, latch.Shared)
 			return nil, ferr
@@ -125,26 +125,35 @@ func (t *Tree) leftmostLeaf(tx *txn.Txn) (*bufferpool.Frame, error) {
 	return f, nil
 }
 
-// LeafPageFor returns the page ID of the leaf that covers key.  PLP-Leaf
-// uses the leaf page as the owner tag of the heap pages its records live on.
-func (t *Tree) LeafPageFor(tx *txn.Txn, key []byte) (page.ID, error) {
-	f, err := t.descendRead(tx, key)
+// LeafPages calls fn with the page ID of every leaf of the tree, in key
+// order.
+func (t *Tree) LeafPages(fn func(page.ID)) error {
+	f, err := t.leftmostLeaf(nil)
 	if err != nil {
-		return page.InvalidID, err
+		return err
 	}
-	pid := f.Page().ID()
-	t.releaseNode(f, latch.Shared)
-	return pid, nil
+	for {
+		fn(f.Page().ID())
+		next := f.Page().Next()
+		t.releaseNode(f, latch.Shared)
+		if next == page.InvalidID {
+			return nil
+		}
+		if f, err = t.fix(next); err != nil {
+			return err
+		}
+		t.latchNode(nil, f, latch.Shared)
+	}
 }
 
 // Height returns the number of levels in the tree (1 for a single leaf).
 func (t *Tree) Height() (int, error) {
-	f, err := t.bp.Fix(t.root)
+	f, err := t.fix(t.root)
 	if err != nil {
 		return 0, err
 	}
 	h := nodeLevel(f.Page()) + 1
-	t.bp.Unfix(f)
+	t.unfix(f)
 	return h, nil
 }
 
@@ -181,7 +190,7 @@ func (t *Tree) Stats() (StructStats, error) {
 
 // walk recursively visits every node under pid.
 func (t *Tree) walk(pid page.ID, st *StructStats) error {
-	f, err := t.bp.Fix(pid)
+	f, err := t.fix(pid)
 	if err != nil {
 		return err
 	}
@@ -189,7 +198,7 @@ func (t *Tree) walk(pid page.ID, st *StructStats) error {
 	if isLeaf(p) {
 		st.LeafPages++
 		st.Entries += p.NumSlots()
-		t.bp.Unfix(f)
+		t.unfix(f)
 		return nil
 	}
 	st.InteriorPages++
@@ -197,12 +206,12 @@ func (t *Tree) walk(pid page.ID, st *StructStats) error {
 	for i := 0; i < p.NumSlots(); i++ {
 		_, child, eerr := interiorEntryAt(p, i)
 		if eerr != nil {
-			t.bp.Unfix(f)
+			t.unfix(f)
 			return eerr
 		}
 		children = append(children, child)
 	}
-	t.bp.Unfix(f)
+	t.unfix(f)
 	for _, c := range children {
 		if err := t.walk(c, st); err != nil {
 			return err
@@ -215,7 +224,12 @@ func (t *Tree) walk(pid page.ID, st *StructStats) error {
 // and across leaves, interior entries route correctly, and levels decrease
 // monotonically from root to leaves.  It returns an error describing the
 // first violation found.
-func (t *Tree) CheckInvariants() error {
+func (t *Tree) CheckInvariants() error { return t.CheckInvariantsWithin(nil, nil) }
+
+// CheckInvariantsWithin is CheckInvariants for a tree whose keys all lie in
+// [lo, hi), such as an MRBTree partition's sub-tree: every key and every
+// interior separator must lie in the range too.  A nil bound is open.
+func (t *Tree) CheckInvariantsWithin(lo, hi []byte) error {
 	// Keys strictly increasing across a full scan.
 	var prev []byte
 	first := true
@@ -234,20 +248,20 @@ func (t *Tree) CheckInvariants() error {
 	if orderErr != nil {
 		return orderErr
 	}
-	return t.checkNode(t.root, nil, nil, -1)
+	return t.checkNode(t.root, lo, hi, -1)
 }
 
 // checkNode verifies that every key under pid lies in [lo, hi) and that the
 // node's level is parentLevel-1 (or any level when parentLevel < 0).
 func (t *Tree) checkNode(pid page.ID, lo, hi []byte, parentLevel int) error {
-	f, err := t.bp.Fix(pid)
+	f, err := t.fix(pid)
 	if err != nil {
 		return err
 	}
 	p := f.Page()
 	level := nodeLevel(p)
 	if parentLevel >= 0 && level != parentLevel-1 {
-		t.bp.Unfix(f)
+		t.unfix(f)
 		return fmt.Errorf("btree: node %v at level %d under parent level %d", pid, level, parentLevel)
 	}
 	inRange := func(k []byte) bool {
@@ -263,15 +277,15 @@ func (t *Tree) checkNode(pid page.ID, lo, hi []byte, parentLevel int) error {
 		for i := 0; i < p.NumSlots(); i++ {
 			k, kerr := leafKeyAt(p, i)
 			if kerr != nil {
-				t.bp.Unfix(f)
+				t.unfix(f)
 				return kerr
 			}
 			if !inRange(k) {
-				t.bp.Unfix(f)
+				t.unfix(f)
 				return fmt.Errorf("btree: leaf %v key %x outside [%x,%x)", pid, k, lo, hi)
 			}
 		}
-		t.bp.Unfix(f)
+		t.unfix(f)
 		return nil
 	}
 	type childRange struct {
@@ -282,11 +296,11 @@ func (t *Tree) checkNode(pid page.ID, lo, hi []byte, parentLevel int) error {
 	for i := 0; i < p.NumSlots(); i++ {
 		k, child, eerr := interiorEntryAt(p, i)
 		if eerr != nil {
-			t.bp.Unfix(f)
+			t.unfix(f)
 			return eerr
 		}
 		if !inRange(k) && i > 0 {
-			t.bp.Unfix(f)
+			t.unfix(f)
 			return fmt.Errorf("btree: interior %v separator %x outside [%x,%x)", pid, k, lo, hi)
 		}
 		cr := childRange{child: child, lo: append([]byte(nil), k...)}
@@ -301,7 +315,7 @@ func (t *Tree) checkNode(pid page.ID, lo, hi []byte, parentLevel int) error {
 	if len(children) > 0 {
 		children[len(children)-1].hi = hi
 	}
-	t.bp.Unfix(f)
+	t.unfix(f)
 	for _, cr := range children {
 		if err := t.checkNode(cr.child, cr.lo, cr.hi, level); err != nil {
 			return err

@@ -69,6 +69,20 @@ func (t *Tree) SliceAt(atKey []byte) (*Tree, SliceStats, error) {
 			t.bp.Unfix(f)
 			return nil, st, err
 		}
+		// An entry whose key equals atKey has a child with only keys >=
+		// atKey, so it moves to the new tree whole: descend left of it, or
+		// this tree would keep a separator equal to its new upper bound.
+		for idx > 0 {
+			sep, _, err := interiorEntryAt(p, idx)
+			if err != nil {
+				t.bp.Unfix(f)
+				return nil, st, err
+			}
+			if !bytes.Equal(sep, atKey) {
+				break
+			}
+			idx--
+		}
 		_, child, err := interiorEntryAt(p, idx)
 		if err != nil {
 			t.bp.Unfix(f)

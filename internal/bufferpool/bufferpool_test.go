@@ -288,3 +288,110 @@ func TestConcurrentAllocFreeUniqueIDs(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestLookupEntersNoCriticalSection checks the partition-owned path: Lookup
+// finds the page without a Bpool critical section and without a pin, and
+// still counts as a fix.
+func TestLookupEntersNoCriticalSection(t *testing.T) {
+	cstats := &cs.Stats{}
+	bp := New(Config{CSStats: cstats, LatchStats: &latch.Stats{}})
+	f := bp.NewPage(page.KindIndexLeaf)
+	bp.Unfix(f)
+	before := cstats.Snapshot().Entered[cs.Bpool]
+	for i := 0; i < 10; i++ {
+		g, err := bp.Lookup(f.Page().ID())
+		if err != nil || g != f {
+			t.Fatalf("Lookup: frame %p err %v, want %p", g, err, f)
+		}
+	}
+	if got := cstats.Snapshot().Entered[cs.Bpool] - before; got != 0 {
+		t.Fatalf("10 Lookups entered %d Bpool critical sections, want 0", got)
+	}
+	if f.PinCount() != 0 {
+		t.Fatalf("Lookup pinned the frame: pin=%d", f.PinCount())
+	}
+	if got := bp.Stats().Fixes; got != 10 {
+		t.Fatalf("fixes = %d, want 10 (Lookups count as fixes)", got)
+	}
+	for _, id := range []page.ID{page.InvalidID, f.Page().ID() + 1, 1 << 40} {
+		if _, err := bp.Lookup(id); !errors.Is(err, ErrNoSuchPage) {
+			t.Fatalf("Lookup(%v): %v, want ErrNoSuchPage", id, err)
+		}
+	}
+	if err := bp.FreePage(f.Page().ID()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bp.Lookup(f.Page().ID()); !errors.Is(err, ErrNoSuchPage) {
+		t.Fatalf("Lookup of a freed page: %v, want ErrNoSuchPage", err)
+	}
+}
+
+// TestLookupDuringAllocAndFree runs NewPage and FreePage on some goroutines
+// while others look their own pages up without the lock, across many
+// page-table growths.  Every owner must always find its own page, with its
+// contents, and never another's.  Run under -race it checks that frames
+// are published safely.
+func TestLookupDuringAllocAndFree(t *testing.T) {
+	bp := newPool()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var held []page.ID
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				f := bp.NewPage(page.KindHeap)
+				held = append(held, f.Page().ID())
+				bp.Unfix(f)
+				if len(held) > 64 || i%2 == 1 {
+					if err := bp.FreePage(held[0]); err != nil {
+						t.Error(err)
+						return
+					}
+					held = held[1:]
+				}
+			}
+		}()
+	}
+	var owners sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		owners.Add(1)
+		go func(g int) {
+			defer owners.Done()
+			var mine []page.ID
+			for i := 0; i < 3000; i++ {
+				f := bp.NewPage(page.KindIndexLeaf)
+				if _, err := f.Page().Add([]byte{byte(g), byte(i)}); err != nil {
+					t.Error(err)
+					return
+				}
+				bp.Unfix(f)
+				mine = append(mine, f.Page().ID())
+				for _, id := range mine[max(0, len(mine)-16):] {
+					h, err := bp.Lookup(id)
+					if err != nil {
+						t.Errorf("Lookup %v: %v", id, err)
+						return
+					}
+					if h.Page().ID() != id {
+						t.Errorf("Lookup %v returned page %v", id, h.Page().ID())
+						return
+					}
+					if rec, err := h.Page().Get(0); err != nil || rec[0] != byte(g) {
+						t.Errorf("page %v of goroutine %d holds %v (%v)", id, g, rec, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	owners.Wait()
+	close(stop)
+	wg.Wait()
+}

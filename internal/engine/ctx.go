@@ -176,21 +176,37 @@ func (c *Ctx) appendLog(t wal.RecordType, m logrec.Modification) {
 	c.tx.SetLastLSN(lsn)
 }
 
-// heapOwner computes the owner tag used when placing a new record in the
-// heap, implementing the three heap policies of Section 3.3.
-func (c *Ctx) heapOwner(tbl *catalog.Table, table string, key []byte) (uint64, error) {
-	switch c.eng.opts.Design {
+// heapOwner computes the owner tag of the heap page a new record under key
+// goes on, implementing the three heap policies of Section 3.3: the
+// shared pool, the owning partition, or leaf, the primary-index leaf the
+// key's entry is inserted into (PLP-Leaf).
+func (e *Engine) heapOwner(table string, key []byte, leaf page.ID) uint64 {
+	switch e.opts.Design {
 	case PLPPartition:
-		return uint64(c.eng.partitionFor(table, key)) + 1, nil
+		return uint64(e.partitionFor(table, key)) + 1
 	case PLPLeaf:
-		leaf, err := tbl.Primary.LeafFor(c.tx, key)
-		if err != nil {
-			return 0, err
-		}
-		return uint64(leaf), nil
+		return uint64(leaf)
 	default:
-		return heap.SharedOwner, nil
+		return heap.SharedOwner
 	}
+}
+
+// insertRecord places rec on a heap page of tbl and indexes it under key,
+// with one primary-index descent: the index insert hands the leaf it
+// reached to the heap placement ("the system must identify the correct
+// MRBTree entry before selecting a heap page", Section 3.3).  A duplicate
+// key places nothing, and a failed insert leaves no heap record behind.
+func (e *Engine) insertRecord(tx *txn.Txn, tbl *catalog.Table, key, rec []byte) (page.RID, error) {
+	var rid page.RID
+	err := tbl.Primary.InsertPlaced(tx, key, func(leaf page.ID) (page.RID, error) {
+		var herr error
+		rid, herr = tbl.Heap.Insert(tx, e.heapOwner(tbl.Def.Name, key, leaf), rec)
+		return rid, herr
+	})
+	if err != nil && rid.Valid() {
+		_ = tbl.Heap.Delete(tx, rid)
+	}
+	return rid, err
 }
 
 // Read returns the record stored under key in table.
@@ -307,7 +323,7 @@ func (c *Ctx) rewrite(r rowRef, next []byte, off, n int) error {
 // another page of the same owner and repoints the primary index entry.
 func (c *Ctx) relocate(r rowRef, next []byte) error {
 	tbl, key, old := r.tbl, r.key, r.cur
-	owner, err := c.heapOwner(tbl, tbl.Def.Name, key)
+	owner, err := tbl.Heap.OwnerOf(r.rid.Page)
 	if err != nil {
 		return err
 	}
@@ -367,17 +383,8 @@ func (c *Ctx) Insert(table string, key, rec []byte) error {
 		})
 		return nil
 	}
-	owner, err := c.heapOwner(tbl, table, key)
+	rid, err := c.eng.insertRecord(c.tx, tbl, key, rec)
 	if err != nil {
-		return err
-	}
-	rid, err := tbl.Heap.Insert(c.tx, owner, rec)
-	if err != nil {
-		return err
-	}
-	if err := tbl.Primary.Insert(c.tx, key, page.EncodeRID(rid)); err != nil {
-		// Undo the orphan heap record immediately.
-		_ = tbl.Heap.Delete(c.tx, rid)
 		return mapBtreeErr(err)
 	}
 	c.logModification(wal.RecInsert, tbl, key, rec)
@@ -477,15 +484,8 @@ func (c *Ctx) Delete(table string, key []byte) error {
 	}
 	c.logModification(wal.RecDelete, tbl, key, nil)
 	c.pushUndo(func() error {
-		owner, oerr := c.heapOwner(tbl, table, key)
-		if oerr != nil {
-			owner = heap.SharedOwner
-		}
-		newRID, ierr := tbl.Heap.Insert(nil, owner, old)
-		if ierr != nil {
-			return ierr
-		}
-		return tbl.Primary.Insert(nil, key, page.EncodeRID(newRID))
+		_, ierr := c.eng.insertRecord(nil, tbl, key, old)
+		return ierr
 	})
 	return nil
 }

@@ -874,7 +874,8 @@ type RebalanceStats struct {
 	RoutingOnly bool
 	// EntriesMoved counts index entries copied between pages.
 	EntriesMoved int
-	// RecordsMoved counts heap records relocated (PLP-Partition only).
+	// RecordsMoved counts heap records relocated (PLP-Partition and
+	// PLP-Leaf).
 	RecordsMoved int
 	// Duration is the wall-clock time the partitions were quiesced.
 	Duration time.Duration
@@ -944,14 +945,19 @@ func (e *Engine) Rebalance(table string, idx int, newBoundary []byte) (Rebalance
 		}
 		rt.setBoundary(idx-1, newBoundary)
 		st.EntriesMoved += rps.EntriesMoved
-		if e.opts.Design == PLPPartition {
-			moved, merr := e.applyRehome(tbl, table, pending)
-			st.RecordsMoved += moved
-			if merr != nil {
-				return merr
+		var moved int
+		switch e.opts.Design {
+		case PLPPartition:
+			moved, err = e.applyRehome(tbl, table, pending)
+		case PLPLeaf:
+			if !tbl.Def.Clustered { // a clustered table has no heap records
+				lo, _ := rt.rangeOf(idx - 1)
+				_, hi := rt.rangeOf(idx)
+				moved, err = e.rehomeLeafPages(tbl, idx, lo, newBoundary, hi)
 			}
 		}
-		return nil
+		st.RecordsMoved += moved
+		return err
 	}
 
 	if e.pool != nil {
@@ -997,13 +1003,11 @@ func (e *Engine) collectRehome(tbl *catalog.Table, table string, lo, hi []byte) 
 			scanErr = fmt.Errorf("engine: rehome %s/%x: decode RID: %w", table, k, derr)
 			return false
 		}
-		frame, ferr := e.bp.Fix(rid.Page)
+		curOwner, ferr := tbl.Heap.OwnerOf(rid.Page)
 		if ferr != nil {
 			scanErr = fmt.Errorf("engine: rehome %s/%x: fix page %d: %w", table, k, rid.Page, ferr)
 			return false
 		}
-		curOwner := frame.Page().Owner()
-		e.bp.Unfix(frame)
 		entries = append(entries, rehomeEntry{key: append([]byte(nil), k...), rid: rid, owner: curOwner})
 		return true
 	})
@@ -1045,6 +1049,114 @@ func (e *Engine) applyRehome(tbl *catalog.Table, table string, entries []rehomeE
 		moved++
 	}
 	return moved, nil
+}
+
+// rehomeLeafPages restores PLP-Leaf's latch-free invariant after the
+// boundary between partitions idx-1 and idx moved to mid: every heap page
+// holds records of one partition only, and a page whose owner tag names a
+// leaf names a leaf of that partition, so only that partition's worker
+// ever touches it.  A boundary move can break it, because a leaf split or
+// a slice moves no heap records: a leaf's pages keep the records of keys
+// its split-off siblings now cover, which may now lie across the boundary.
+// rehomeLeafPages walks the primary entries of the two partitions, which
+// are quiesced, in [lo, hi), once to find the pages whose records straddle
+// mid or whose tag names the other side's leaf, and once more to relocate
+// the records that do not belong with the page's owner.  A relocated record
+// is re-inserted, so it lands on a page of the leaf that covers it now.  A
+// page whose tag names no leaf of either partition is retired, so its tag
+// cannot name a leaf later.  It returns the number of records moved.
+func (e *Engine) rehomeLeafPages(tbl *catalog.Table, idx int, lo, mid, hi []byte) (int, error) {
+	sideOf := func(key []byte) uint8 {
+		if bytes.Compare(key, mid) < 0 {
+			return 0
+		}
+		return 1
+	}
+	leafSide := make(map[uint64]uint8)
+	for side, p := range []int{idx - 1, idx} {
+		sub, err := tbl.Primary.PartitionTree(p)
+		if err != nil {
+			return 0, err
+		}
+		if err := sub.LeafPages(func(id page.ID) { leafSide[uint64(id)] = uint8(side) }); err != nil {
+			return 0, err
+		}
+	}
+	// Pass 1: which sides each page holds records of.
+	sides := make(map[page.ID]uint8)
+	var scanErr error
+	err := tbl.Primary.AscendRange(nil, lo, hi, func(k, v []byte) bool {
+		rid, derr := page.DecodeRID(v)
+		if derr != nil {
+			scanErr = derr
+			return false
+		}
+		sides[rid.Page] |= 1 << sideOf(k)
+		return true
+	})
+	if err == nil {
+		err = scanErr
+	}
+	if err != nil {
+		return 0, err
+	}
+	// The side whose records leave each page that must change.
+	evict := make(map[page.ID]uint8)
+	for pid, mask := range sides {
+		tag, err := tbl.Heap.OwnerOf(pid)
+		if err != nil {
+			return 0, err
+		}
+		keep, live := leafSide[tag]
+		if !live {
+			if err := tbl.Heap.Retire(pid); err != nil {
+				return 0, err
+			}
+			// Keep the left side's records if there are any.
+			keep = 0
+			if mask&1 == 0 {
+				keep = 1
+			}
+		}
+		if mask&^(1<<keep) != 0 {
+			evict[pid] = 1 - keep
+		}
+	}
+	if len(evict) == 0 {
+		return 0, nil
+	}
+	// Pass 2: collect the records to move, then move them.
+	type entry struct {
+		key []byte
+		rid page.RID
+	}
+	var move []entry
+	err = tbl.Primary.AscendRange(nil, lo, hi, func(k, v []byte) bool {
+		rid, _ := page.DecodeRID(v)
+		if side, ok := evict[rid.Page]; ok && sideOf(k) == side {
+			move = append(move, entry{append([]byte(nil), k...), rid})
+		}
+		return true
+	})
+	if err != nil {
+		return 0, err
+	}
+	for i, m := range move {
+		rec, err := tbl.Heap.Get(nil, m.rid)
+		if err != nil {
+			return i, err
+		}
+		if _, err := tbl.Primary.Delete(nil, m.key); err != nil {
+			return i, err
+		}
+		if err := tbl.Heap.Delete(nil, m.rid); err != nil {
+			return i, err
+		}
+		if _, err := e.insertRecord(nil, tbl, m.key, rec); err != nil {
+			return i, err
+		}
+	}
+	return len(move), nil
 }
 
 // lockManagerForTests exposes the centralized lock manager to white-box

@@ -10,6 +10,7 @@ import (
 
 	"plp/internal/catalog"
 	"plp/internal/keyenc"
+	"plp/internal/page"
 )
 
 // TestRebalanceUnderConcurrentTraffic hammers a table from several sessions
@@ -187,4 +188,63 @@ func TestQuiescePairLeavesOthersRunning(t *testing.T) {
 		t.Fatal("action outside the quiesced pair blocked: quiesce is not pair-scoped")
 	}
 	close(release)
+}
+
+// TestRebalanceKeepsLeafPagesInOnePartition checks the invariant that makes
+// PLP-Leaf's heap latch-free: after boundary moves, every heap page holds
+// records of one partition only, so only one worker ever touches it.  A
+// leaf split moves no heap records, so without re-homing a leaf's pages
+// keep records of keys that a moved boundary hands to the next partition.
+func TestRebalanceKeepsLeafPagesInOnePartition(t *testing.T) {
+	const rows = 4000
+	e := New(Options{Design: PLPLeaf, Partitions: 4})
+	defer e.Close()
+	boundaries := [][]byte{keyenc.Uint64Key(1001), keyenc.Uint64Key(2001), keyenc.Uint64Key(3001)}
+	if _, err := e.CreateTable(catalog.TableDef{Name: "t", Boundaries: boundaries}); err != nil {
+		t.Fatal(err)
+	}
+	l := e.NewLoader()
+	for k := uint64(1); k <= rows; k++ {
+		if err := l.Insert("t", keyenc.Uint64Key(k), []byte(fmt.Sprintf("val-%06d", k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := e.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	moves := []struct {
+		idx int
+		to  uint64
+	}{{1, 1500}, {2, 2600}, {1, 900}, {2, 1700}, {1, 1200}, {2, 2300}, {3, 2900}}
+	for i, m := range moves {
+		idx, to := m.idx, m.to
+		st, err := e.Rebalance("t", idx, keyenc.Uint64Key(to))
+		if err != nil {
+			t.Fatalf("move %d of boundary %d to %d: %v", i, idx, to, err)
+		}
+		moved += st.RecordsMoved
+		owners := make(map[uint64]int) // heap page -> partition of its records
+		if err := tbl.Primary.Ascend(nil, func(k, v []byte) bool {
+			rid, _ := page.DecodeRID(v)
+			p := e.PartitionFor("t", k)
+			if prev, ok := owners[uint64(rid.Page)]; ok && prev != p {
+				t.Fatalf("after move %d, heap page %v holds records of partitions %d and %d", i, rid.Page, prev, p)
+			}
+			owners[uint64(rid.Page)] = p
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no record moved; the boundary moves should have split some leaves' pages")
+	}
+	for k := uint64(1); k <= rows; k++ {
+		rec, err := l.Read("t", keyenc.Uint64Key(k))
+		if err != nil || string(rec) != fmt.Sprintf("val-%06d", k) {
+			t.Fatalf("key %d: %q, %v", k, rec, err)
+		}
+	}
 }

@@ -18,9 +18,6 @@
 //     ends, not when the transaction commits, so a multi-site transaction
 //     there is not isolated; its critical-section and latch counts are
 //     the paper's, its isolation is weaker.
-//   - PLP still fixes pages through the shared buffer pool, so its
-//     transactions pay Bpool critical sections that the paper's PLP, with
-//     partition-owned frames, does not; Figure 1 shows them.
 //   - A streaming scan under online repartitioning may miss or repeat
 //     records near a boundary that moves while the stream runs; Figures 8
 //     and 12 and EXT-1 scan no moving boundary.
@@ -240,6 +237,8 @@ type Fig1Row struct {
 	System    string
 	PerTxn    cs.Breakdown
 	Committed uint64
+	// IndexLatches is the index page latches acquired per transaction.
+	IndexLatches float64
 }
 
 // Fig1Result is the full figure.
@@ -260,7 +259,8 @@ func Fig1(s Scale) (*Fig1Result, error) {
 	res := &Fig1Result{}
 	for _, sys := range systems {
 		if err := s.measure("fig1", sys, tatpLoad(tatp.MixStandard), nil, func(_ *engine.Engine, r harness.Result) {
-			res.Rows = append(res.Rows, Fig1Row{System: sys.label, PerTxn: r.CSPerTxn, Committed: r.Committed})
+			res.Rows = append(res.Rows, Fig1Row{System: sys.label, PerTxn: r.CSPerTxn, Committed: r.Committed,
+				IndexLatches: r.LatchesPerTxn[latch.KindIndex]})
 		}); err != nil {
 			return nil, err
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"plp/internal/cs"
 	"plp/internal/latch"
 )
 
@@ -45,6 +46,19 @@ var shapes = map[string]shape{
 		if plpLeaf.PerTxn.Total >= baseline.PerTxn.Total {
 			t.Fatalf("PLP-Leaf (%.1f cs/txn) should enter fewer critical sections than the baseline (%.1f)",
 				plpLeaf.PerTxn.Total, baseline.PerTxn.Total)
+		}
+		// PLP-Leaf's partition-owned pages are looked up without the page
+		// table's lock; only the latched, non-aligned idx_sub_nbr still
+		// fixes pages, one per node it latches.  The latched designs fix
+		// every page they touch.
+		if bpool := plpLeaf.PerTxn.Entered[cs.Bpool]; bpool > plpLeaf.IndexLatches {
+			t.Fatalf("PLP-Leaf enters %.2f Bpool critical sections per transaction, more than its %.2f index latches",
+				bpool, plpLeaf.IndexLatches)
+		}
+		for _, row := range []Fig1Row{baseline, r.Rows[2]} {
+			if row.PerTxn.Entered[cs.Bpool] <= 0 {
+				t.Fatalf("%s enters no Bpool critical section", row.System)
+			}
 		}
 		if !strings.Contains(r.String(), "Figure 1") {
 			t.Fatal("missing report header")

@@ -112,12 +112,16 @@ type Result struct {
 func Run(e *engine.Engine, w Workload, cfg RunConfig) (Result, error) {
 	cfg.normalize()
 
-	// Warmup.
+	// Warmup.  Client i of the measured pass seeds its generator with
+	// Seed + i*7919; the warmup's clients continue that sequence past the
+	// last measured client, so the two passes draw disjoint streams and the
+	// measured pass does not replay the warmup's inserts.
 	if cfg.WarmupTxnsPerClient > 0 {
 		warm := cfg
 		warm.Duration = 0
 		warm.TxnsPerClient = cfg.WarmupTxnsPerClient
 		warm.WarmupTxnsPerClient = 0
+		warm.Seed = cfg.Seed + int64(cfg.Clients)*7919
 		if _, err := runClients(e, w, warm); err != nil {
 			return Result{}, err
 		}

@@ -9,6 +9,7 @@ import (
 	"plp/internal/catalog"
 	"plp/internal/engine"
 	"plp/internal/keyenc"
+	"plp/internal/workload/tpcb"
 	"plp/plan"
 )
 
@@ -192,5 +193,29 @@ func TestRunUsePlansRequiresPlanWorkload(t *testing.T) {
 	t.Cleanup(func() { _ = e.Close() })
 	if _, err := Run(e, &brokenWorkload{}, RunConfig{Clients: 1, TxnsPerClient: 1, UsePlans: true}); err == nil {
 		t.Fatal("UsePlans with a plan-less workload must fail the run")
+	}
+}
+
+// TestRunAfterWarmupAbortsNothing runs TPC-B, whose transactions insert
+// history rows under keys drawn from the client's generator, with a
+// warmup as long as the measured pass.  Were the warmup's generators
+// seeded like the measured pass's, every measured insert would replay a
+// warmup key and abort as a duplicate.
+func TestRunAfterWarmupAbortsNothing(t *testing.T) {
+	e := engine.New(engine.Options{Design: engine.PLPLeaf, Partitions: 4})
+	t.Cleanup(func() { _ = e.Close() })
+	w := tpcb.New(tpcb.Config{Branches: 1, AccountsPerBranch: 1000, Partitions: 4})
+	if err := w.Setup(e); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(e, w, RunConfig{Clients: 4, TxnsPerClient: 100, WarmupTxnsPerClient: 100, UsePlans: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Committed != 400 || res.Aborted != 0 {
+		t.Fatalf("after warmup, committed %d and aborted %d of 400 TPC-B transactions; want all committed", res.Committed, res.Aborted)
+	}
+	if err := w.Verify(e); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -9,10 +9,14 @@
 //     the Conventional, Logical and PLP-Regular designs.
 //   - Partition-owned: each page carries the owning logical partition's ID;
 //     records of a partition are only placed on pages it owns
-//     (PLP-Partition).  Accesses by the owning worker are latch-free.
-//   - Leaf-owned: each page carries the ID of the single MRBTree leaf page
-//     that references it (PLP-Leaf).  Accesses are latch-free and a leaf
-//     split also splits the heap pages it owns.
+//     (PLP-Partition).  Accesses by the owning worker are latch-free, and
+//     reach the page through the buffer pool's lock-free Lookup, with no
+//     Bpool critical section.
+//   - Leaf-owned: each page carries the ID of the MRBTree leaf page whose
+//     insert placed the records on it (PLP-Leaf): the primary-index insert
+//     hands its leaf to the placement.  Accesses are latch-free, like
+//     partition-owned ones.  A leaf split moves no records, so a leaf's
+//     records may sit on pages of the leaf it split from.
 //
 // The free-space directory (which pages have room) is metadata shared by all
 // threads; its mutex is reported under the Metadata critical-section
@@ -24,6 +28,7 @@ package heap
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"plp/internal/bufferpool"
@@ -55,6 +60,10 @@ const (
 // SharedOwner is the owner tag of pages in the shared pool used by the
 // Regular placement policy.
 const SharedOwner uint64 = 0
+
+// RetiredOwner is the owner tag of retired pages: no insert places a record
+// on them again, and the records they hold stay until deleted.
+const RetiredOwner = ^uint64(0)
 
 // File is a heap file.
 type File struct {
@@ -114,7 +123,7 @@ func (f *File) pickPage(owner uint64, need int) (page.ID, error) {
 	for len(free) > 0 {
 		pid := free[len(free)-1]
 		f.mu.Unlock()
-		frame, err := f.bp.Fix(pid)
+		frame, err := f.fix(pid)
 		if err != nil {
 			return page.InvalidID, err
 		}
@@ -124,7 +133,7 @@ func (f *File) pickPage(owner uint64, need int) (page.ID, error) {
 		f.acquire(nil, frame, latch.Shared)
 		ok := frame.Page().HasRoomFor(need)
 		f.release(frame, latch.Shared)
-		f.bp.Unfix(frame)
+		f.unfix(frame)
 		if ok {
 			return pid, nil
 		}
@@ -143,7 +152,7 @@ func (f *File) pickPage(owner uint64, need int) (page.ID, error) {
 	p := frame.Page()
 	p.SetOwner(owner)
 	pid := p.ID()
-	f.bp.Unfix(frame)
+	f.bp.Unfix(frame) // NewPage pins in either mode
 
 	f.lockMeta()
 	f.freeByOwner[owner] = append(f.freeByOwner[owner], pid)
@@ -151,6 +160,25 @@ func (f *File) pickPage(owner uint64, need int) (page.ID, error) {
 	f.allPages = append(f.allPages, pid)
 	f.mu.Unlock()
 	return pid, nil
+}
+
+// fix returns the frame of page pid: through the buffer pool's Fix (pinned,
+// inside its page-table critical section) in Latched mode, through the
+// lock-free Lookup in LatchFree mode, whose pages only their owning
+// partition worker touches.
+func (f *File) fix(pid page.ID) (*bufferpool.Frame, error) {
+	if f.mode == LatchFree {
+		return f.bp.Lookup(pid)
+	}
+	return f.bp.Fix(pid)
+}
+
+// unfix releases a frame fix returned: the pin in Latched mode, nothing in
+// LatchFree mode.
+func (f *File) unfix(frame *bufferpool.Frame) {
+	if f.mode == Latched {
+		f.bp.Unfix(frame)
+	}
 }
 
 // acquire latches the frame if the file is in Latched mode and attributes
@@ -184,7 +212,7 @@ func (f *File) Insert(t *txn.Txn, owner uint64, rec []byte) (page.RID, error) {
 		if err != nil {
 			return page.RID{}, err
 		}
-		frame, err := f.bp.Fix(pid)
+		frame, err := f.fix(pid)
 		if err != nil {
 			return page.RID{}, err
 		}
@@ -192,14 +220,14 @@ func (f *File) Insert(t *txn.Txn, owner uint64, rec []byte) (page.RID, error) {
 		slot, err := frame.Page().Add(rec)
 		if err == nil {
 			f.release(frame, latch.Exclusive)
-			f.bp.Unfix(frame)
+			f.unfix(frame)
 			f.lockMeta()
 			f.nRecords++
 			f.mu.Unlock()
 			return page.RID{Page: pid, Slot: slot}, nil
 		}
 		f.release(frame, latch.Exclusive)
-		f.bp.Unfix(frame)
+		f.unfix(frame)
 		if !errors.Is(err, page.ErrPageFull) {
 			return page.RID{}, err
 		}
@@ -210,7 +238,7 @@ func (f *File) Insert(t *txn.Txn, owner uint64, rec []byte) (page.RID, error) {
 
 // Get returns a copy of the record at rid.
 func (f *File) Get(t *txn.Txn, rid page.RID) ([]byte, error) {
-	frame, err := f.bp.Fix(rid.Page)
+	frame, err := f.fix(rid.Page)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +249,7 @@ func (f *File) Get(t *txn.Txn, rid page.RID) ([]byte, error) {
 		out = append([]byte(nil), rec...)
 	}
 	f.release(frame, latch.Shared)
-	f.bp.Unfix(frame)
+	f.unfix(frame)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoSuchRecord, rid)
 	}
@@ -230,11 +258,13 @@ func (f *File) Get(t *txn.Txn, rid page.RID) ([]byte, error) {
 
 // Reader reads the records of a scan in place.  It keeps the current heap
 // page fixed while consecutive RIDs fall on it, so a scan over records
-// that share pages takes one buffer-pool critical section per page
-// instead of one per record.  In Latched mode Get takes the page's shared
-// latch and Release drops it, once per record exactly like File.Get; the
-// pin alone outlives Release, and a pin blocks nothing but FreePage.  In
-// LatchFree mode Get and Release make no latch calls at all.
+// that share pages fixes each page once per run of records on it instead
+// of once per record (in Latched mode, one buffer-pool critical section
+// per run).  In Latched mode Get takes the page's shared latch and Release
+// drops it, once per record exactly like File.Get; the pin alone outlives
+// Release, and a pin blocks nothing but FreePage.  In LatchFree mode Get
+// and Release make no latch calls at all, and pages are looked up without
+// a pin.
 // A Reader is used by one goroutine and must be closed.
 type Reader struct {
 	f       *File
@@ -254,11 +284,11 @@ func (f *File) NewReader(t *txn.Txn) *Reader {
 // caller latches any other page.
 func (r *Reader) Get(rid page.RID) ([]byte, error) {
 	if r.frame != nil && r.frame.Page().ID() != rid.Page {
-		r.f.bp.Unfix(r.frame)
+		r.f.unfix(r.frame)
 		r.frame = nil
 	}
 	if r.frame == nil {
-		frame, err := r.f.bp.Fix(rid.Page)
+		frame, err := r.f.fix(rid.Page)
 		if err != nil {
 			return nil, err
 		}
@@ -289,7 +319,7 @@ func (r *Reader) Release() {
 func (r *Reader) Close() {
 	r.Release()
 	if r.frame != nil {
-		r.f.bp.Unfix(r.frame)
+		r.f.unfix(r.frame)
 		r.frame = nil
 	}
 }
@@ -298,14 +328,14 @@ func (r *Reader) Close() {
 // its page; growth beyond the page is not supported by the workloads used
 // here).
 func (f *File) Update(t *txn.Txn, rid page.RID, rec []byte) error {
-	frame, err := f.bp.Fix(rid.Page)
+	frame, err := f.fix(rid.Page)
 	if err != nil {
 		return err
 	}
 	f.acquire(t, frame, latch.Exclusive)
 	err = frame.Page().Set(rid.Slot, rec)
 	f.release(frame, latch.Exclusive)
-	f.bp.Unfix(frame)
+	f.unfix(frame)
 	if err != nil {
 		return fmt.Errorf("heap: update %v: %w", rid, err)
 	}
@@ -314,19 +344,19 @@ func (f *File) Update(t *txn.Txn, rid page.RID, rec []byte) error {
 
 // Delete removes the record at rid.
 func (f *File) Delete(t *txn.Txn, rid page.RID) error {
-	frame, err := f.bp.Fix(rid.Page)
+	frame, err := f.fix(rid.Page)
 	if err != nil {
 		return err
 	}
 	f.acquire(t, frame, latch.Exclusive)
 	err = frame.Page().Delete(rid.Slot)
 	f.release(frame, latch.Exclusive)
-	f.bp.Unfix(frame)
+	f.unfix(frame)
 	if err != nil {
 		return fmt.Errorf("heap: delete %v: %w", rid, err)
 	}
 	// The page now has free space again; make it eligible for reuse.
-	owner, _ := f.ownerOf(rid.Page)
+	owner, _ := f.OwnerOf(rid.Page)
 	f.lockMeta()
 	f.nRecords--
 	found := false
@@ -343,15 +373,40 @@ func (f *File) Delete(t *txn.Txn, rid page.RID) error {
 	return nil
 }
 
-// ownerOf returns the owner tag of the given heap page.
-func (f *File) ownerOf(pid page.ID) (uint64, error) {
-	frame, err := f.bp.Fix(pid)
+// OwnerOf returns the owner tag of the given heap page.
+func (f *File) OwnerOf(pid page.ID) (uint64, error) {
+	frame, err := f.fix(pid)
 	if err != nil {
 		return 0, err
 	}
 	owner := frame.Page().Owner()
-	f.bp.Unfix(frame)
+	f.unfix(frame)
 	return owner, nil
+}
+
+// Retire re-tags page pid with RetiredOwner, so that no later insert
+// places a record on it.  PLP-Leaf retires a page whose owner tag no longer
+// names a leaf of the partition its records belong to.
+func (f *File) Retire(pid page.ID) error {
+	frame, err := f.fix(pid)
+	if err != nil {
+		return err
+	}
+	f.acquire(nil, frame, latch.Exclusive)
+	owner := frame.Page().Owner()
+	frame.Page().SetOwner(RetiredOwner)
+	f.release(frame, latch.Exclusive)
+	f.unfix(frame)
+	f.lockMeta()
+	f.freeByOwner[owner] = slices.DeleteFunc(f.freeByOwner[owner], func(id page.ID) bool { return id == pid })
+	f.pagesByOwner[owner] = slices.DeleteFunc(f.pagesByOwner[owner], func(id page.ID) bool { return id == pid })
+	if len(f.pagesByOwner[owner]) == 0 {
+		delete(f.pagesByOwner, owner)
+		delete(f.freeByOwner, owner)
+	}
+	f.pagesByOwner[RetiredOwner] = append(f.pagesByOwner[RetiredOwner], pid)
+	f.mu.Unlock()
+	return nil
 }
 
 // ScanFunc is called for every record during a scan.  Returning false stops
@@ -386,7 +441,7 @@ func (f *File) ScanOwner(t *txn.Txn, owner uint64, fn ScanFunc) error {
 }
 
 func (f *File) scanPage(t *txn.Txn, pid page.ID, fn ScanFunc) error {
-	frame, err := f.bp.Fix(pid)
+	frame, err := f.fix(pid)
 	if err != nil {
 		return err
 	}
@@ -404,7 +459,7 @@ func (f *File) scanPage(t *txn.Txn, pid page.ID, fn ScanFunc) error {
 		}
 	}
 	f.release(frame, latch.Shared)
-	f.bp.Unfix(frame)
+	f.unfix(frame)
 	if stop {
 		return nil
 	}
@@ -455,14 +510,14 @@ func (f *File) Stats() Stats {
 	f.mu.Unlock()
 	st := Stats{Pages: len(pages), Records: records, Owners: owners}
 	for _, pid := range pages {
-		frame, err := f.bp.Fix(pid)
+		frame, err := f.fix(pid)
 		if err != nil {
 			continue
 		}
 		f.acquire(nil, frame, latch.Shared)
 		st.UsedBytes += frame.Page().UsedBytes()
 		f.release(frame, latch.Shared)
-		f.bp.Unfix(frame)
+		f.unfix(frame)
 	}
 	return st
 }

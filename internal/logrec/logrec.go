@@ -320,6 +320,49 @@ func EncodeCheckpointChunk(c CheckpointChunk) []byte {
 	return out
 }
 
+// ChunkEncoder builds a checkpoint chunk payload one entry at a time,
+// copying each key and value once, straight into the payload.  The bytes
+// are those EncodeCheckpointChunk produces for the same chunk.
+type ChunkEncoder struct {
+	buf []byte
+	n   uint32
+	at  int // offset of the entry count
+}
+
+// NewChunkEncoder starts the chunk of table (and of index, for a secondary
+// index's chunk) in a new buffer of capacity size, a guess at the payload's
+// final length.
+func NewChunkEncoder(table, index string, size int) ChunkEncoder {
+	buf := make([]byte, 0, max(size, 2+4+len(table)+4+len(index)+4))
+	buf = append(buf, payloadVersion, checkpointChunkTag)
+	buf = appendString(buf, table)
+	buf = appendString(buf, index)
+	return ChunkEncoder{buf: append(buf, 0, 0, 0, 0), at: len(buf)}
+}
+
+// Add appends one entry.
+func (e *ChunkEncoder) Add(key, value []byte) {
+	e.buf = appendBytes(e.buf, key)
+	e.buf = appendBytes(e.buf, value)
+	e.n++
+}
+
+// Entries returns the number of entries added.
+func (e *ChunkEncoder) Entries() int { return int(e.n) }
+
+// Payload writes the entry count and returns the encoded chunk.  The
+// encoder must not be used afterwards.
+func (e *ChunkEncoder) Payload() []byte {
+	binary.LittleEndian.PutUint32(e.buf[e.at:], e.n)
+	return e.buf
+}
+
+// appendString writes a uint32 length prefix followed by s (version 1).
+func appendString(dst []byte, s string) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
+	return append(dst, s...)
+}
+
 // EncodeCheckpointEnd serializes a checkpoint end marker.
 func EncodeCheckpointEnd(e CheckpointEnd) []byte {
 	out := make([]byte, 2+8+4+4)

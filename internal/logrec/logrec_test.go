@@ -230,6 +230,37 @@ func TestCheckpointChunkRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestChunkEncoderMatchesEncodeCheckpointChunk checks that a chunk built
+// entry by entry is byte for byte the chunk EncodeCheckpointChunk encodes,
+// whatever the size guess, including empty keys, values and index names.
+func TestChunkEncoderMatchesEncodeCheckpointChunk(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for iter := 0; iter < 300; iter++ {
+		c := CheckpointChunk{Table: "tbl"}
+		if iter%3 == 0 {
+			c.Index = "idx_sub_nbr"
+		}
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			k := make([]byte, rng.Intn(32))
+			v := make([]byte, rng.Intn(128))
+			rng.Read(k)
+			rng.Read(v)
+			c.Keys = append(c.Keys, k)
+			c.Values = append(c.Values, v)
+		}
+		enc := NewChunkEncoder(c.Table, c.Index, rng.Intn(4096))
+		for i := range c.Keys {
+			enc.Add(c.Keys[i], c.Values[i])
+		}
+		if enc.Entries() != len(c.Keys) {
+			t.Fatalf("iter %d: %d entries counted, %d added", iter, enc.Entries(), len(c.Keys))
+		}
+		if got, want := enc.Payload(), EncodeCheckpointChunk(c); !bytes.Equal(got, want) {
+			t.Fatalf("iter %d: encoder wrote %x, EncodeCheckpointChunk %x", iter, got, want)
+		}
+	}
+}
+
 func TestDecodeCheckpointErrors(t *testing.T) {
 	if _, _, err := DecodeCheckpointChunk(nil); err == nil {
 		t.Fatal("empty chunk payload should fail")

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"plp/internal/btree"
 	"plp/internal/bufferpool"
@@ -68,10 +69,15 @@ type Tree struct {
 	id  uint32
 	cfg Config
 
-	mu      sync.RWMutex
-	parts   []Partition
+	// parts is the partition table, an immutable snapshot: readers load it
+	// and take no lock, and the repartitioning operations publish a changed
+	// copy.
+	parts   atomic.Pointer[[]Partition]
 	routing page.ID
 
+	// mu serializes the writers of parts (Slice, Meld and MoveBoundary)
+	// and guards repartitions.
+	mu           sync.Mutex
 	repartitions uint64
 }
 
@@ -91,18 +97,19 @@ func Create(bp *bufferpool.Pool, id uint32, cfg Config, boundaries ...[]byte) (*
 	starts := make([][]byte, 0, len(boundaries)+1)
 	starts = append(starts, nil)
 	starts = append(starts, boundaries...)
+	parts := make([]Partition, 0, len(starts))
 	for _, s := range starts {
 		sub := btree.Create(bp, id, t.subConfig())
-		t.parts = append(t.parts, Partition{Start: append([]byte(nil), s...), Tree: sub})
+		parts = append(parts, Partition{Start: append([]byte(nil), s...), Tree: sub})
 	}
 	// The first partition's Start must be nil, not an empty non-nil slice.
-	t.parts[0].Start = nil
+	parts[0].Start = nil
 
 	rf := bp.NewPage(page.KindRouting)
 	t.routing = rf.Page().ID()
 	rf.Page().SetOwner(uint64(id))
 	bp.Unfix(rf)
-	if err := t.writeRoutingPage(); err != nil {
+	if err := t.publish(parts); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -124,47 +131,33 @@ func (t *Tree) ID() uint32 { return t.id }
 // RoutingPage returns the page ID of the durable routing page.
 func (t *Tree) RoutingPage() page.ID { return t.routing }
 
-// SetLatched switches the latching protocol of every sub-tree (used when a
-// database loaded conventionally is handed to a PLP engine).
-func (t *Tree) SetLatched(v bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.cfg.Latched = v
-	for i := range t.parts {
-		t.parts[i].Tree.SetLatched(v)
-	}
-}
+// snapshot returns the current partition table.  It must not be modified.
+func (t *Tree) snapshot() []Partition { return *t.parts.Load() }
 
 // NumPartitions returns the number of partitions.
-func (t *Tree) NumPartitions() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.parts)
-}
+func (t *Tree) NumPartitions() int { return len(t.snapshot()) }
 
 // Repartitions returns the number of Slice/Meld/MoveBoundary operations
 // performed.
 func (t *Tree) Repartitions() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.repartitions
 }
 
 // PartitionIndexFor returns the index of the partition that owns key.
 func (t *Tree) PartitionIndexFor(key []byte) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.partitionIndexLocked(key)
+	return partitionIndex(t.snapshot(), key)
 }
 
-func (t *Tree) partitionIndexLocked(key []byte) int {
+// partitionIndex returns the index of the partition of parts that owns key.
+func partitionIndex(parts []Partition, key []byte) int {
 	// Find the last partition whose Start <= key.
-	n := len(t.parts)
-	idx := sort.Search(n, func(i int) bool {
-		if t.parts[i].Start == nil {
+	idx := sort.Search(len(parts), func(i int) bool {
+		if parts[i].Start == nil {
 			return false // nil start orders before everything
 		}
-		return bytes.Compare(t.parts[i].Start, key) > 0
+		return bytes.Compare(parts[i].Start, key) > 0
 	})
 	if idx == 0 {
 		return 0
@@ -175,28 +168,26 @@ func (t *Tree) partitionIndexLocked(key []byte) int {
 // PartitionTree returns the sub-tree of partition i.  PLP partition workers
 // use it for direct, routing-free access to the data they own.
 func (t *Tree) PartitionTree(i int) (*btree.Tree, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if i < 0 || i >= len(t.parts) {
+	parts := t.snapshot()
+	if i < 0 || i >= len(parts) {
 		return nil, ErrNoSuchPart
 	}
-	return t.parts[i].Tree, nil
+	return parts[i].Tree, nil
 }
 
 // PartitionBounds returns the [start, end) bounds of partition i; a nil
 // start or end means unbounded.
 func (t *Tree) PartitionBounds(i int) (lo, hi []byte, err error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if i < 0 || i >= len(t.parts) {
+	parts := t.snapshot()
+	if i < 0 || i >= len(parts) {
 		return nil, nil, ErrNoSuchPart
 	}
-	lo = append([]byte(nil), t.parts[i].Start...)
+	lo = append([]byte(nil), parts[i].Start...)
 	if i == 0 {
 		lo = nil
 	}
-	if i+1 < len(t.parts) {
-		hi = append([]byte(nil), t.parts[i+1].Start...)
+	if i+1 < len(parts) {
+		hi = append([]byte(nil), parts[i+1].Start...)
 	}
 	return lo, hi, nil
 }
@@ -204,23 +195,21 @@ func (t *Tree) PartitionBounds(i int) (lo, hi []byte, err error) {
 // Boundaries returns the partition start keys (excluding the implicit
 // first partition).
 func (t *Tree) Boundaries() [][]byte {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([][]byte, 0, len(t.parts)-1)
-	for _, p := range t.parts[1:] {
+	parts := t.snapshot()
+	out := make([][]byte, 0, len(parts)-1)
+	for _, p := range parts[1:] {
 		out = append(out, append([]byte(nil), p.Start...))
 	}
 	return out
 }
 
-// treeFor returns the sub-tree owning key.
+// treeFor returns the sub-tree owning key.  It takes no lock.
 func (t *Tree) treeFor(key []byte) *btree.Tree {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if len(t.parts) == 0 {
+	parts := t.snapshot()
+	if len(parts) == 0 {
 		return nil
 	}
-	return t.parts[t.partitionIndexLocked(key)].Tree
+	return parts[partitionIndex(parts, key)].Tree
 }
 
 // Search returns the value stored under key.
@@ -239,6 +228,16 @@ func (t *Tree) Insert(tx *txn.Txn, key, value []byte) error {
 		return ErrNoPartitions
 	}
 	return sub.Insert(tx, key, value)
+}
+
+// InsertPlaced adds key with the value place computes from the leaf the
+// key belongs on; see btree.Tree.InsertPlaced.
+func (t *Tree) InsertPlaced(tx *txn.Txn, key []byte, place btree.PlaceFunc) error {
+	sub := t.treeFor(key)
+	if sub == nil {
+		return ErrNoPartitions
+	}
+	return sub.InsertPlaced(tx, key, place)
 }
 
 // Put adds or overwrites key/value.
@@ -272,9 +271,7 @@ func (t *Tree) Delete(tx *txn.Txn, key []byte) (bool, error) {
 // partition boundaries as needed.  Entries are passed in place; see
 // btree.ScanFunc for how long they stay valid.
 func (t *Tree) AscendRange(tx *txn.Txn, lo, hi []byte, fn btree.ScanFunc) error {
-	t.mu.RLock()
-	parts := append([]Partition(nil), t.parts...)
-	t.mu.RUnlock()
+	parts := t.snapshot()
 	for i, p := range parts {
 		// Skip partitions entirely outside [lo, hi).
 		var partHi []byte
@@ -304,9 +301,7 @@ func (t *Tree) Ascend(tx *txn.Txn, fn btree.ScanFunc) error {
 // shares so an operator can see data volume versus access volume per
 // partition.
 func (t *Tree) PartitionCounts(tx *txn.Txn) ([]int, error) {
-	t.mu.RLock()
-	parts := append([]Partition(nil), t.parts...)
-	t.mu.RUnlock()
+	parts := t.snapshot()
 	out := make([]int, 0, len(parts))
 	for _, p := range parts {
 		n, err := p.Tree.Count(tx)
@@ -321,9 +316,7 @@ func (t *Tree) PartitionCounts(tx *txn.Txn) ([]int, error) {
 // Count returns the total number of entries across all partitions.
 func (t *Tree) Count(tx *txn.Txn) (int, error) {
 	total := 0
-	t.mu.RLock()
-	parts := append([]Partition(nil), t.parts...)
-	t.mu.RUnlock()
+	parts := t.snapshot()
 	for _, p := range parts {
 		n, err := p.Tree.Count(tx)
 		if err != nil {
@@ -338,9 +331,7 @@ func (t *Tree) Count(tx *txn.Txn) (int, error) {
 // small, MRBTree probes are typically one level shallower than a
 // single-rooted tree over the same data (Appendix B).
 func (t *Tree) Height() (int, error) {
-	t.mu.RLock()
-	parts := append([]Partition(nil), t.parts...)
-	t.mu.RUnlock()
+	parts := t.snapshot()
 	max := 0
 	for _, p := range parts {
 		h, err := p.Tree.Height()
@@ -354,26 +345,10 @@ func (t *Tree) Height() (int, error) {
 	return max, nil
 }
 
-// LeafFor returns the page ID of the leaf that covers key.  PLP-Leaf uses it
-// as the heap-page owner tag when placing records ("the system must identify
-// the correct MRBTree entry before selecting a heap page", Section 3.3).
-func (t *Tree) LeafFor(tx *txn.Txn, key []byte) (page.ID, error) {
-	sub := t.treeFor(key)
-	if sub == nil {
-		return page.InvalidID, ErrNoPartitions
-	}
-	return sub.LeafPageFor(tx, key)
-}
-
 // CheckInvariants validates every sub-tree and the partition boundaries.
 func (t *Tree) CheckInvariants() error {
-	t.mu.RLock()
-	parts := append([]Partition(nil), t.parts...)
-	t.mu.RUnlock()
+	parts := t.snapshot()
 	for i, p := range parts {
-		if err := p.Tree.CheckInvariants(); err != nil {
-			return fmt.Errorf("partition %d: %w", i, err)
-		}
 		var hi []byte
 		if i+1 < len(parts) {
 			hi = parts[i+1].Start
@@ -382,12 +357,8 @@ func (t *Tree) CheckInvariants() error {
 		if i == 0 {
 			lo = nil
 		}
-		ok, err := p.Tree.BoundaryCheck(lo, hi)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("partition %d holds keys outside [%x, %x)", i, lo, hi)
+		if err := p.Tree.CheckInvariantsWithin(lo, hi); err != nil {
+			return fmt.Errorf("partition %d: %w", i, err)
 		}
 	}
 	return nil
@@ -404,9 +375,7 @@ type StructStats struct {
 
 // Stats walks every sub-tree and reports the aggregate shape.
 func (t *Tree) Stats() (StructStats, error) {
-	t.mu.RLock()
-	parts := append([]Partition(nil), t.parts...)
-	t.mu.RUnlock()
+	parts := t.snapshot()
 	out := StructStats{Partitions: len(parts)}
 	for _, p := range parts {
 		st, err := p.Tree.Stats()
@@ -423,9 +392,16 @@ func (t *Tree) Stats() (StructStats, error) {
 	return out, nil
 }
 
-// writeRoutingPage persists the partition table onto the routing page as
-// key/root pairs (Appendix A.1).  The caller must hold t.mu.
-func (t *Tree) writeRoutingPage() error {
+// publish makes parts the partition table and persists it onto the
+// routing page.  The caller holds t.mu, or is building the tree.
+func (t *Tree) publish(parts []Partition) error {
+	t.parts.Store(&parts)
+	return t.writeRoutingPage(parts)
+}
+
+// writeRoutingPage persists the partition table parts onto the routing
+// page as key/root pairs (Appendix A.1).
+func (t *Tree) writeRoutingPage(parts []Partition) error {
 	frame, err := t.bp.Fix(t.routing)
 	if err != nil {
 		return err
@@ -433,7 +409,7 @@ func (t *Tree) writeRoutingPage() error {
 	p := frame.Page()
 	p.Reset(t.routing, page.KindRouting)
 	p.SetOwner(uint64(t.id))
-	for i, part := range t.parts {
+	for i, part := range parts {
 		entry := encodeRoutingEntry(part.Start, part.Tree.RootPage())
 		if err := p.InsertAt(i, entry); err != nil {
 			// Several dozen mappings fit easily in 8 KiB (Appendix A.1); an
@@ -479,6 +455,7 @@ func Open(bp *bufferpool.Pool, id uint32, routing page.ID, cfg Config) (*Tree, e
 		return nil, err
 	}
 	p := frame.Page()
+	var parts []Partition
 	for i := 0; i < p.NumSlots(); i++ {
 		buf, gerr := p.GetAt(i)
 		if gerr != nil {
@@ -493,14 +470,15 @@ func Open(bp *bufferpool.Pool, id uint32, routing page.ID, cfg Config) (*Tree, e
 		if i == 0 {
 			start = nil
 		}
-		t.parts = append(t.parts, Partition{
+		parts = append(parts, Partition{
 			Start: start,
 			Tree:  btree.Open(bp, id, root, t.subConfig()),
 		})
 	}
 	bp.Unfix(frame)
-	if len(t.parts) == 0 {
+	if len(parts) == 0 {
 		return nil, ErrNoPartitions
 	}
+	t.parts.Store(&parts)
 	return t, nil
 }

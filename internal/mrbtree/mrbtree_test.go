@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -302,33 +303,6 @@ func TestRoutingPageDurability(t *testing.T) {
 	}
 }
 
-func TestLeafForReturnsCoveringLeaf(t *testing.T) {
-	tree := newTree(t, 2, Config{MaxSlotsPerNode: 8})
-	for i := uint64(1); i <= 500; i++ {
-		if err := tree.Insert(nil, keyenc.Uint64Key(i*100), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	leaf1, err := tree.LeafFor(nil, keyenc.Uint64Key(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf2, err := tree.LeafFor(nil, keyenc.Uint64Key(101))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if leaf1 != leaf2 {
-		t.Fatal("adjacent keys on the same leaf got different leaf IDs")
-	}
-	far, err := tree.LeafFor(nil, keyenc.Uint64Key(49900))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if far == leaf1 {
-		t.Fatal("distant keys should not share a leaf in a deep tree")
-	}
-}
-
 func TestHeightShrinksWithPartitions(t *testing.T) {
 	// The same data in more partitions yields shallower sub-trees — the
 	// effect behind the MRBTree's faster probes (Appendix B).
@@ -445,5 +419,72 @@ func TestStatsAndBoundaries(t *testing.T) {
 	}
 	if got := len(tree.Boundaries()); got != 3 {
 		t.Fatalf("boundaries: %d", got)
+	}
+}
+
+// TestRoutingDuringRepartition runs Search and Insert on the first
+// partition while Slice, Meld and MoveBoundary repartition the others.
+// Routing reads the published partition table without a lock, so under
+// -race this checks that a writer never changes a table a reader holds.
+// Repartitioning quiesces only the partitions it changes, so the readers
+// keep to one it never touches.
+func TestRoutingDuringRepartition(t *testing.T) {
+	tree := newTree(t, 4, Config{Latched: true, MaxSlotsPerNode: 16})
+	for i := uint64(1); i <= 100000; i += 50 {
+		if err := tree.Insert(nil, keyenc.Uint64Key(i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := uint64(0); g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := uint64(0); !stop.Load(); i++ {
+				key := keyenc.Uint64Key(2 + (g*7919+i*2)%24000)
+				if err := tree.Put(nil, key, []byte("w")); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, found, err := tree.Search(nil, keyenc.Uint64Key(1+50*(i%400))); err != nil || !found {
+					t.Errorf("search: found=%v err=%v", found, err)
+					return
+				}
+				if p := tree.PartitionIndexFor(key); p != 0 {
+					t.Errorf("key %x routed to partition %d", key, p)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		idx, _, err := tree.Slice(keyenc.Uint64Key(60000 + uint64(i%50)*100 + 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tree.Meld(idx - 1); err != nil {
+			t.Fatal(err)
+		}
+		to := uint64(49001)
+		if i%2 == 1 {
+			to = 50001
+		}
+		if _, err := tree.MoveBoundary(2, keyenc.Uint64Key(to)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if n := tree.NumPartitions(); n != 4 {
+		t.Fatalf("%d partitions after balanced slices and melds, want 4", n)
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 100000; i += 50 {
+		if _, found, err := tree.Search(nil, keyenc.Uint64Key(i)); err != nil || !found {
+			t.Fatalf("key %d lost across repartitioning: found=%v err=%v", i, found, err)
+		}
 	}
 }

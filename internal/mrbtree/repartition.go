@@ -2,13 +2,15 @@
 //
 // All repartitioning assumes the affected partitions are quiesced (the
 // partition manager stops dispatching work to their owning threads before
-// calling in, as described in Section 3.1); the partition-table mutex only
-// protects the routing metadata itself.
+// calling in, as described in Section 3.1).  The partition-table mutex
+// serializes the three operations; each publishes a changed copy of the
+// partition table, so routing lookups never wait for them.
 package mrbtree
 
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"plp/internal/btree"
 	"plp/internal/wal"
@@ -61,8 +63,9 @@ func (t *Tree) Slice(atKey []byte) (int, RepartitionStats, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	idx := t.partitionIndexLocked(atKey)
-	part := t.parts[idx]
+	parts := t.snapshot()
+	idx := partitionIndex(parts, atKey)
+	part := parts[idx]
 	if part.Start != nil && bytes.Equal(part.Start, atKey) {
 		return 0, stats, fmt.Errorf("%w: partition already starts at the slice key", ErrBadBoundary)
 	}
@@ -73,11 +76,7 @@ func (t *Tree) Slice(atKey []byte) (int, RepartitionStats, error) {
 	stats.addSlice(st)
 
 	newPart := Partition{Start: append([]byte(nil), atKey...), Tree: newTree}
-	t.parts = append(t.parts, Partition{})
-	copy(t.parts[idx+2:], t.parts[idx+1:])
-	t.parts[idx+1] = newPart
-
-	if err := t.writeRoutingPage(); err != nil {
+	if err := t.publish(slices.Insert(slices.Clone(parts), idx+1, newPart)); err != nil {
 		return 0, stats, err
 	}
 	stats.PointerUpdates++
@@ -91,21 +90,20 @@ func (t *Tree) Meld(i int) (RepartitionStats, error) {
 	var stats RepartitionStats
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if i < 0 || i+1 >= len(t.parts) {
+	parts := t.snapshot()
+	if i < 0 || i+1 >= len(parts) {
 		return stats, ErrNoSuchPart
 	}
-	left, right := t.parts[i], t.parts[i+1]
+	left, right := parts[i], parts[i+1]
 	merged, st, err := btree.Meld(left.Tree, right.Tree, right.Start)
 	if err != nil {
 		return stats, err
 	}
 	stats.addMeld(st)
 
-	t.parts[i].Tree = merged
-	copy(t.parts[i+1:], t.parts[i+2:])
-	t.parts = t.parts[:len(t.parts)-1]
-
-	if err := t.writeRoutingPage(); err != nil {
+	next := slices.Delete(slices.Clone(parts), i+1, i+2)
+	next[i].Tree = merged
+	if err := t.publish(next); err != nil {
 		return stats, err
 	}
 	stats.PointerUpdates++
@@ -127,17 +125,18 @@ func (t *Tree) MoveBoundary(i int, newStart []byte) (RepartitionStats, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if i <= 0 || i >= len(t.parts) {
+	next := slices.Clone(t.snapshot())
+	if i <= 0 || i >= len(next) {
 		return stats, ErrNoSuchPart
 	}
-	oldStart := t.parts[i].Start
+	oldStart := next[i].Start
 	if bytes.Equal(oldStart, newStart) {
 		return stats, nil
 	}
-	lo := t.parts[i-1].Start
+	lo := next[i-1].Start
 	var hi []byte
-	if i+1 < len(t.parts) {
-		hi = t.parts[i+1].Start
+	if i+1 < len(next) {
+		hi = next[i+1].Start
 	}
 	if (lo != nil && bytes.Compare(newStart, lo) <= 0) || (hi != nil && bytes.Compare(newStart, hi) >= 0) {
 		return stats, fmt.Errorf("%w: new boundary outside the adjacent partitions", ErrBadBoundary)
@@ -148,38 +147,37 @@ func (t *Tree) MoveBoundary(i int, newStart []byte) (RepartitionStats, error) {
 		// The boundary moves left: a suffix of partition i-1 joins
 		// partition i.  Slice partition i-1 at newStart, then meld the
 		// sliced-off piece with partition i.
-		piece, st, err := t.parts[i-1].Tree.SliceAt(newStart)
+		piece, st, err := next[i-1].Tree.SliceAt(newStart)
 		if err != nil {
 			return stats, err
 		}
 		stats.addSlice(st)
-		merged, mst, err := btree.Meld(piece, t.parts[i].Tree, oldStart)
+		merged, mst, err := btree.Meld(piece, next[i].Tree, oldStart)
 		if err != nil {
 			return stats, err
 		}
 		stats.addMeld(mst)
-		t.parts[i].Tree = merged
+		next[i].Tree = merged
 	case 1:
 		// The boundary moves right: a prefix of partition i joins
 		// partition i-1.  Slice partition i at newStart; the left piece
 		// (starting at oldStart) melds into partition i-1 and the right
 		// piece becomes the new partition i.
-		rightPiece, st, err := t.parts[i].Tree.SliceAt(newStart)
+		rightPiece, st, err := next[i].Tree.SliceAt(newStart)
 		if err != nil {
 			return stats, err
 		}
 		stats.addSlice(st)
-		merged, mst, err := btree.Meld(t.parts[i-1].Tree, t.parts[i].Tree, oldStart)
+		merged, mst, err := btree.Meld(next[i-1].Tree, next[i].Tree, oldStart)
 		if err != nil {
 			return stats, err
 		}
 		stats.addMeld(mst)
-		t.parts[i-1].Tree = merged
-		t.parts[i].Tree = rightPiece
+		next[i-1].Tree = merged
+		next[i].Tree = rightPiece
 	}
-	t.parts[i].Start = append([]byte(nil), newStart...)
-
-	if err := t.writeRoutingPage(); err != nil {
+	next[i].Start = append([]byte(nil), newStart...)
+	if err := t.publish(next); err != nil {
 		return stats, err
 	}
 	stats.PointerUpdates++

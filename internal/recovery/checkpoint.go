@@ -5,9 +5,9 @@ import (
 	"sync"
 	"time"
 
+	"plp/internal/btree"
 	"plp/internal/catalog"
 	"plp/internal/logrec"
-	"plp/internal/mrbtree"
 	"plp/internal/wal"
 )
 
@@ -94,10 +94,10 @@ func Checkpoint(sys System, chunkEntries int) (CheckpointStats, error) {
 			}
 			return lsn
 		}
-		emit := func(chunk logrec.CheckpointChunk) {
-			append1(logrec.EncodeCheckpointChunk(chunk))
+		emit := func(payload []byte, entries int) {
+			append1(payload)
 			st.Chunks++
-			st.Entries += len(chunk.Keys)
+			st.Entries += entries
 		}
 
 		var meta logrec.CheckpointMeta
@@ -106,12 +106,16 @@ func Checkpoint(sys System, chunkEntries int) (CheckpointStats, error) {
 			if bs, berr := sys.Boundaries(tbl.Def.Name); berr == nil {
 				meta.Tables = append(meta.Tables, logrec.TableBoundaries{Table: tbl.Def.Name, Boundaries: bs})
 			}
-			if err := snapshotPrimary(tbl, chunkEntries, emit); err != nil {
+			// A table's logical contents: key → record image.
+			primary := func(fn btree.ScanFunc) error { return tbl.AscendRecords(nil, nil, nil, fn) }
+			if err := snapshot(tbl.Def.Name, "", primary, chunkEntries, emit); err != nil {
 				snapErr = err
 				return
 			}
+			// Each secondary index: secondary key → primary key.
 			for name, idx := range tbl.Secondaries {
-				if err := snapshotIndex(tbl.Def.Name, name, idx, chunkEntries, emit); err != nil {
+				index := func(fn btree.ScanFunc) error { return idx.Ascend(nil, fn) }
+				if err := snapshot(tbl.Def.Name, name, index, chunkEntries, emit); err != nil {
 					snapErr = err
 					return
 				}
@@ -136,46 +140,29 @@ func Checkpoint(sys System, chunkEntries int) (CheckpointStats, error) {
 	return st, err
 }
 
-// snapshotPrimary captures a table's logical contents: key → record image,
-// read through catalog.AscendRecords.
-func snapshotPrimary(tbl *catalog.Table, chunkEntries int, emit func(logrec.CheckpointChunk)) error {
-	chunk := logrec.CheckpointChunk{Table: tbl.Def.Name}
+// snapshot packs the entries ascend visits into checkpoint chunks of
+// chunkEntries entries and hands each chunk's payload to emit.  Every key
+// and value is copied once, straight into the payload, and every chunk gets
+// a buffer of its own, sized from the previous chunk: the log keeps the
+// payload it is handed.
+func snapshot(table, index string, ascend func(btree.ScanFunc) error, chunkEntries int, emit func(payload []byte, entries int)) error {
+	size := chunkEntries * 32   // the first chunk's guess; later ones use the last chunk's length
+	var enc logrec.ChunkEncoder // empty until the chunk's first entry
 	flush := func() {
-		if len(chunk.Keys) == 0 {
+		if enc.Entries() == 0 {
 			return
 		}
-		emit(chunk)
-		chunk = logrec.CheckpointChunk{Table: tbl.Def.Name}
+		payload := enc.Payload()
+		size = len(payload) + len(payload)/32
+		emit(payload, enc.Entries())
+		enc = logrec.ChunkEncoder{}
 	}
-	err := tbl.AscendRecords(nil, nil, nil, func(k, rec []byte) bool {
-		chunk.Keys = append(chunk.Keys, append([]byte(nil), k...))
-		chunk.Values = append(chunk.Values, append([]byte(nil), rec...))
-		if len(chunk.Keys) >= chunkEntries {
-			flush()
+	err := ascend(func(k, v []byte) bool {
+		if enc.Entries() == 0 {
+			enc = logrec.NewChunkEncoder(table, index, size)
 		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	flush()
-	return nil
-}
-
-// snapshotIndex captures a secondary index: secondary key → primary key.
-func snapshotIndex(table, index string, idx *mrbtree.Tree, chunkEntries int, emit func(logrec.CheckpointChunk)) error {
-	chunk := logrec.CheckpointChunk{Table: table, Index: index}
-	flush := func() {
-		if len(chunk.Keys) == 0 {
-			return
-		}
-		emit(chunk)
-		chunk = logrec.CheckpointChunk{Table: table, Index: index}
-	}
-	err := idx.Ascend(nil, func(k, v []byte) bool {
-		chunk.Keys = append(chunk.Keys, append([]byte(nil), k...))
-		chunk.Values = append(chunk.Values, append([]byte(nil), v...))
-		if len(chunk.Keys) >= chunkEntries {
+		enc.Add(k, v)
+		if enc.Entries() >= chunkEntries {
 			flush()
 		}
 		return true

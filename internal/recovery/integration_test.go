@@ -9,7 +9,9 @@ import (
 	"plp/internal/catalog"
 	"plp/internal/engine"
 	"plp/internal/keyenc"
+	"plp/internal/logrec"
 	"plp/internal/recovery"
+	"plp/internal/wal"
 )
 
 // newTestEngine creates an engine with one partitioned table "acct" (with a
@@ -354,4 +356,66 @@ func TestCheckpointBoundsReplayWork(t *testing.T) {
 		t.Fatalf("applied %d ops, checkpoint should have bounded this to the tail", st.Applied)
 	}
 	compareTables(t, e, target, "acct")
+}
+
+// TestCheckpointChunkEncodingAndAllocs is the count gate on checkpointing:
+// a checkpoint of a 10k-row table encodes every chunk once, copying each
+// key and value straight into the chunk's payload, so it allocates a
+// bounded number of objects per chunk, not per row.  The payloads it logs
+// are byte for byte what EncodeCheckpointChunk encodes for the same
+// chunks.  Both are independent of the machine.
+func TestCheckpointChunkEncodingAndAllocs(t *testing.T) {
+	const rows = 10000
+	e := newTestEngine(t, engine.PLPLeaf)
+	defer e.Close()
+	l := e.NewLoader()
+	for i := uint64(1); i <= rows; i++ {
+		row := []byte(fmt.Sprintf("row-%06d-%090d", i, i))
+		if err := l.Insert("acct", keyenc.Uint64Key(i), row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := uint64(1); i <= 300; i++ {
+		if err := l.InsertSecondary("acct", "by_name", []byte(fmt.Sprintf("name-%06d", i)), keyenc.Uint64Key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	from := e.Log().CurrentLSN()
+	st, err := recovery.Checkpoint(e, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Entries != rows+300 {
+		t.Fatalf("checkpoint captured %d entries, want %d", st.Entries, rows+300)
+	}
+	chunks := 0
+	for _, rec := range e.Log().Records() {
+		if rec.LSN < from || rec.Type != wal.RecCheckpoint {
+			continue
+		}
+		c, ok, err := logrec.DecodeCheckpointChunk(rec.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			continue
+		}
+		chunks++
+		if want := logrec.EncodeCheckpointChunk(c); !bytes.Equal(rec.Payload, want) {
+			t.Fatalf("chunk %d of %s.%s (%d entries) differs from EncodeCheckpointChunk's encoding", chunks, c.Table, c.Index, len(c.Keys))
+		}
+	}
+	if chunks != st.Chunks {
+		t.Fatalf("found %d chunk records, checkpoint reported %d", chunks, st.Chunks)
+	}
+
+	allocs := testing.AllocsPerRun(5, func() {
+		if st, err = recovery.Checkpoint(e, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(4 * st.Chunks); allocs > limit {
+		t.Fatalf("checkpoint of %d entries in %d chunks made %.0f allocations, want <= %.0f (4 per chunk)",
+			st.Entries, st.Chunks, allocs, limit)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"plp/internal/cs"
 	"plp/internal/engine"
 	"plp/internal/logrec"
 	"plp/internal/wal"
@@ -233,5 +234,42 @@ func TestAccountUpdateLogBytes(t *testing.T) {
 	}
 	if perTxn > bound {
 		t.Fatalf("AccountUpdate logs %.1f bytes per transaction, want <= %.0f", perTxn, bound)
+	}
+}
+
+// TestAccountUpdateBpoolSections is the count gate on partition-owned page
+// access: a PLP-Leaf AccountUpdate reaches every page it touches through
+// the buffer pool's lock-free lookup and enters no Bpool critical section,
+// while a Conventional one, whose trees and heaps are latched, enters one
+// per page it fixes.  The measured transaction inserts its history row
+// next to the previous transaction's, on a leaf and a heap page that
+// already exist, so it allocates no page.  Both are counts, independent of
+// the machine.
+func TestAccountUpdateBpoolSections(t *testing.T) {
+	for _, design := range []engine.Design{engine.PLPLeaf, engine.Conventional} {
+		t.Run(design.String(), func(t *testing.T) {
+			e, w := setup(t, design)
+			sess := e.NewSession()
+			defer sess.Close()
+			run := func(hist uint64) (fixes, bpool uint64) {
+				t.Helper()
+				f0, b0 := e.BufferPool().Stats().Fixes, e.CSStats().Snapshot().Entered[cs.Bpool]
+				if _, err := sess.ExecutePlan(w.AccountUpdatePlan(7, 3, 1, hist, 5)); err != nil {
+					t.Fatal(err)
+				}
+				return e.BufferPool().Stats().Fixes - f0, e.CSStats().Snapshot().Entered[cs.Bpool] - b0
+			}
+			run(1000) // compile the plan shape and give the history leaf a heap page
+			fixes, bpool := run(1001)
+			if fixes < 8 {
+				t.Fatalf("AccountUpdate made %d page accesses; want at least a leaf and a heap page per row", fixes)
+			}
+			if design == engine.PLPLeaf && bpool != 0 {
+				t.Fatalf("PLP-Leaf AccountUpdate entered %d Bpool critical sections over %d page accesses, want 0", bpool, fixes)
+			}
+			if design == engine.Conventional && bpool != fixes {
+				t.Fatalf("Conventional AccountUpdate entered %d Bpool critical sections over %d page fixes, want one per fix", bpool, fixes)
+			}
+		})
 	}
 }
