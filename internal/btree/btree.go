@@ -385,6 +385,21 @@ func (t *Tree) updateLeafEntry(tx *txn.Txn, f *bufferpool.Frame, pos int, key, v
 // Update overwrites the value of an existing key.  It returns
 // ErrKeyNotFound if the key is absent.
 func (t *Tree) Update(tx *txn.Txn, key, value []byte) error {
+	return t.update(tx, key, value, nil)
+}
+
+// UpdatePlaced overwrites the value of an existing key with the encoded RID
+// place returns, failing with ErrKeyNotFound, without calling place, if the
+// key is absent.  As in InsertPlaced, place is called once, with the ID of
+// the leaf the descent reached, while that leaf is held.  PLP-Leaf uses it
+// to move a record onto a page of the leaf that covers its key and repoint
+// the entry in one descent.  If UpdatePlaced fails after place returned,
+// the caller undoes whatever place did.
+func (t *Tree) UpdatePlaced(tx *txn.Txn, key []byte, place PlaceFunc) error {
+	return t.update(tx, key, nil, place)
+}
+
+func (t *Tree) update(tx *txn.Txn, key, value []byte, place PlaceFunc) error {
 	if err := validateSizes(key, value); err != nil {
 		return err
 	}
@@ -400,6 +415,14 @@ func (t *Tree) Update(tx *txn.Txn, key, value []byte) error {
 			return err
 		}
 		return fmt.Errorf("%w: %x", ErrKeyNotFound, key)
+	}
+	if place != nil {
+		rid, err := place(p.ID())
+		if err != nil {
+			t.releaseNode(f, latch.Exclusive)
+			return err
+		}
+		value = page.EncodeRID(rid)
 	}
 	err = t.updateLeafEntry(tx, f, pos, key, value)
 	if err == nil {

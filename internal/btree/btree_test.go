@@ -552,7 +552,8 @@ func TestHeightGrowth(t *testing.T) {
 // property: InsertPlaced hands place the leaf that covers the key, so
 // adjacent keys' records land on heap pages owned by the leaf they share,
 // and a distant key's on another leaf's pages.  A duplicate places
-// nothing.
+// nothing.  UpdatePlaced, which moves a present key's record, sees the same
+// leaf.
 func TestInsertPlacedRecordsOnCoveringLeafPages(t *testing.T) {
 	bp := bufferpool.New(bufferpool.Config{LatchStats: &latch.Stats{}, CSStats: &cs.Stats{}})
 	tree := Create(bp, 1, Config{MaxSlotsPerNode: 8})
@@ -619,6 +620,30 @@ func TestInsertPlacedRecordsOnCoveringLeafPages(t *testing.T) {
 	})
 	if !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("duplicate InsertPlaced: %v, want ErrDuplicateKey", err)
+	}
+	// UpdatePlaced hands place the same covering leaf for a present key and
+	// repoints the entry; an absent key places nothing.
+	var moved page.RID
+	err = tree.UpdatePlaced(nil, keyenc.Uint64Key(101), func(l page.ID) (page.RID, error) {
+		if l != a {
+			t.Fatalf("UpdatePlaced handed leaf %v for key 101, InsertPlaced %v", l, a)
+		}
+		var herr error
+		moved, herr = hf.Insert(nil, uint64(l), []byte("grown"))
+		return moved, herr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _, _ := tree.Search(nil, keyenc.Uint64Key(101)); !bytes.Equal(v, page.EncodeRID(moved)) {
+		t.Fatalf("key 101 indexes %x after UpdatePlaced, want %v", v, moved)
+	}
+	err = tree.UpdatePlaced(nil, keyenc.Uint64Key(103), func(page.ID) (page.RID, error) {
+		t.Fatal("place called for an absent key")
+		return page.RID{}, nil
+	})
+	if !errors.Is(err, ErrKeyNotFound) {
+		t.Fatalf("UpdatePlaced of an absent key: %v, want ErrKeyNotFound", err)
 	}
 }
 

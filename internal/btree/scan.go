@@ -125,25 +125,10 @@ func (t *Tree) leftmostLeaf(tx *txn.Txn) (*bufferpool.Frame, error) {
 	return f, nil
 }
 
-// LeafPages calls fn with the page ID of every leaf of the tree, in key
-// order.
-func (t *Tree) LeafPages(fn func(page.ID)) error {
-	f, err := t.leftmostLeaf(nil)
-	if err != nil {
-		return err
-	}
-	for {
-		fn(f.Page().ID())
-		next := f.Page().Next()
-		t.releaseNode(f, latch.Shared)
-		if next == page.InvalidID {
-			return nil
-		}
-		if f, err = t.fix(next); err != nil {
-			return err
-		}
-		t.latchNode(nil, f, latch.Shared)
-	}
+// Pages calls fn with the page ID of every node of the tree, interior and
+// leaf.  It is intended for repartitioning and tests, not the hot path.
+func (t *Tree) Pages(fn func(page.ID)) error {
+	return t.walk(t.root, func(p *page.Page) { fn(p.ID()) })
 }
 
 // Height returns the number of levels in the tree (1 for a single leaf).
@@ -184,24 +169,29 @@ func (t *Tree) Stats() (StructStats, error) {
 		return st, err
 	}
 	st.Height = h
-	err = t.walk(t.root, &st)
+	err = t.walk(t.root, func(p *page.Page) {
+		if isLeaf(p) {
+			st.LeafPages++
+			st.Entries += p.NumSlots()
+		} else {
+			st.InteriorPages++
+		}
+	})
 	return st, err
 }
 
-// walk recursively visits every node under pid.
-func (t *Tree) walk(pid page.ID, st *StructStats) error {
+// walk calls visit with every node under pid, parents before children.
+func (t *Tree) walk(pid page.ID, visit func(*page.Page)) error {
 	f, err := t.fix(pid)
 	if err != nil {
 		return err
 	}
 	p := f.Page()
+	visit(p)
 	if isLeaf(p) {
-		st.LeafPages++
-		st.Entries += p.NumSlots()
 		t.unfix(f)
 		return nil
 	}
-	st.InteriorPages++
 	children := make([]page.ID, 0, p.NumSlots())
 	for i := 0; i < p.NumSlots(); i++ {
 		_, child, eerr := interiorEntryAt(p, i)
@@ -213,7 +203,7 @@ func (t *Tree) walk(pid page.ID, st *StructStats) error {
 	}
 	t.unfix(f)
 	for _, c := range children {
-		if err := t.walk(c, st); err != nil {
+		if err := t.walk(c, visit); err != nil {
 			return err
 		}
 	}

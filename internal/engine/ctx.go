@@ -197,12 +197,30 @@ func (e *Engine) heapOwner(table string, key []byte, leaf page.ID) uint64 {
 // MRBTree entry before selecting a heap page", Section 3.3).  A duplicate
 // key places nothing, and a failed insert leaves no heap record behind.
 func (e *Engine) insertRecord(tx *txn.Txn, tbl *catalog.Table, key, rec []byte) (page.RID, error) {
+	return e.placeRecord(tx, tbl, key, rec, false)
+}
+
+// moveRecord places a new copy rec of key's record on a heap page of tbl
+// and repoints key's primary entry at it, in one descent, so that under
+// PLP-Leaf the copy lands on a page of the leaf that covers key now.  The
+// caller deletes the old copy.
+func (e *Engine) moveRecord(tx *txn.Txn, tbl *catalog.Table, key, rec []byte) (page.RID, error) {
+	return e.placeRecord(tx, tbl, key, rec, true)
+}
+
+func (e *Engine) placeRecord(tx *txn.Txn, tbl *catalog.Table, key, rec []byte, existing bool) (page.RID, error) {
 	var rid page.RID
-	err := tbl.Primary.InsertPlaced(tx, key, func(leaf page.ID) (page.RID, error) {
+	place := func(leaf page.ID) (page.RID, error) {
 		var herr error
 		rid, herr = tbl.Heap.Insert(tx, e.heapOwner(tbl.Def.Name, key, leaf), rec)
 		return rid, herr
-	})
+	}
+	var err error
+	if existing {
+		err = tbl.Primary.UpdatePlaced(tx, key, place)
+	} else {
+		err = tbl.Primary.InsertPlaced(tx, key, place)
+	}
 	if err != nil && rid.Valid() {
 		_ = tbl.Heap.Delete(tx, rid)
 	}
@@ -319,33 +337,24 @@ func (c *Ctx) rewrite(r rowRef, next []byte, off, n int) error {
 	return nil
 }
 
-// relocate moves a heap record that grew beyond the room on its page to
-// another page of the same owner and repoints the primary index entry.
+// relocate moves a heap record that grew beyond the room on its page to a
+// page of the owner its key's placement picks now (under PLP-Leaf, the leaf
+// that covers the key) and repoints the primary index entry.
 func (c *Ctx) relocate(r rowRef, next []byte) error {
-	tbl, key, old := r.tbl, r.key, r.cur
-	owner, err := tbl.Heap.OwnerOf(r.rid.Page)
+	tbl, key, old, oldRID := r.tbl, r.key, r.cur, r.rid
+	newRID, err := c.eng.moveRecord(c.tx, tbl, key, next)
 	if err != nil {
 		return err
 	}
-	newRID, err := tbl.Heap.Insert(c.tx, owner, next)
-	if err != nil {
-		return err
-	}
-	if err := tbl.Heap.Delete(c.tx, r.rid); err != nil {
-		return err
-	}
-	if err := tbl.Primary.Update(c.tx, key, page.EncodeRID(newRID)); err != nil {
+	if err := tbl.Heap.Delete(c.tx, oldRID); err != nil {
 		return err
 	}
 	c.pushUndo(func() error {
 		if derr := tbl.Heap.Delete(nil, newRID); derr != nil {
 			return derr
 		}
-		backRID, ierr := tbl.Heap.Insert(nil, owner, old)
-		if ierr != nil {
-			return ierr
-		}
-		return tbl.Primary.Update(nil, key, page.EncodeRID(backRID))
+		_, merr := c.eng.moveRecord(nil, tbl, key, old)
+		return merr
 	})
 	return nil
 }

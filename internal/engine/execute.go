@@ -919,15 +919,25 @@ func (e *Engine) Rebalance(table string, idx int, newBoundary []byte) (Rebalance
 			st.RoutingOnly = true
 			return nil
 		}
-		// PLP-Partition re-homes the heap records whose owner changes, which
-		// is why its repartitioning dip in Figure 8 is much larger.  The
-		// affected range is walked and validated BEFORE anything moves: an
+		// The PLP designs that give heap pages to partitions or leaves
+		// re-home the heap records the move leaves on a page their
+		// partition's worker does not own; PLP-Partition's re-homing is why
+		// its repartitioning dip in Figure 8 is much larger.  The affected
+		// range is walked and validated BEFORE anything moves: an
 		// undecodable RID or unfixable page aborts the rebalance here, with
 		// routing, sub-trees and heap ownership all still consistent.
+		rehome := !tbl.Def.Clustered && (e.opts.Design == PLPPartition || e.opts.Design == PLPLeaf)
 		var pending []rehomeEntry
-		if e.opts.Design == PLPPartition {
+		if rehome {
+			// Under PLP-Partition only the keys between the old and the new
+			// boundary change owner.  Under PLP-Leaf a leaf split moves no
+			// heap records, so a leaf that changes partition may own pages
+			// holding records of keys anywhere in the two partitions.
 			lo, hi := oldBoundary, newBoundary
-			if bytes.Compare(lo, hi) > 0 {
+			if e.opts.Design == PLPLeaf {
+				lo, _ = rt.rangeOf(idx - 1)
+				_, hi = rt.rangeOf(idx)
+			} else if bytes.Compare(lo, hi) > 0 {
 				lo, hi = hi, lo
 			}
 			var cerr error
@@ -945,17 +955,14 @@ func (e *Engine) Rebalance(table string, idx int, newBoundary []byte) (Rebalance
 		}
 		rt.setBoundary(idx-1, newBoundary)
 		st.EntriesMoved += rps.EntriesMoved
-		var moved int
-		switch e.opts.Design {
-		case PLPPartition:
-			moved, err = e.applyRehome(tbl, table, pending)
-		case PLPLeaf:
-			if !tbl.Def.Clustered { // a clustered table has no heap records
-				lo, _ := rt.rangeOf(idx - 1)
-				_, hi := rt.rangeOf(idx)
-				moved, err = e.rehomeLeafPages(tbl, idx, lo, newBoundary, hi)
-			}
+		if !rehome {
+			return nil
 		}
+		misplaced, err := e.misplacedTest(tbl, table, idx)
+		if err != nil {
+			return err
+		}
+		moved, err := e.applyRehome(tbl, pending, misplaced)
 		st.RecordsMoved += moved
 		return err
 	}
@@ -986,9 +993,9 @@ type rehomeEntry struct {
 	owner uint64 // current heap-page owner tag
 }
 
-// collectRehome walks every primary entry in [lo, hi) — the only keys whose
-// owner a boundary move can change — and records its RID and current heap
-// owner.  It runs BEFORE the boundary moves, so an undecodable RID or
+// collectRehome walks every primary entry in [lo, hi) — the keys whose
+// records a boundary move can leave on a page of the wrong owner — and
+// records its RID and current heap owner.  It runs BEFORE the boundary moves, so an undecodable RID or
 // unfixable page aborts the rebalance while routing, sub-trees and heap
 // ownership are still mutually consistent; the old behaviour of silently
 // skipping such entries stranded records on a partition that no longer
@@ -1020,143 +1027,76 @@ func (e *Engine) collectRehome(tbl *catalog.Table, table string, lo, hi []byte) 
 	return entries, nil
 }
 
-// applyRehome relocates every collected record whose heap owner no longer
-// matches the (already moved) routing table onto pages owned by the correct
-// partition and repoints the primary index at the new RIDs (the
-// storage-manager callback of Section 3.3).  Owners cannot have changed
-// since collectRehome ran: both execute inside the same pair-quiesce.
-func (e *Engine) applyRehome(tbl *catalog.Table, table string, entries []rehomeEntry) (int, error) {
+// misplacedTest returns the test of whether a collected record sits on a
+// heap page its partition's worker does not own once the boundary between
+// partitions idx-1 and idx has moved.  Under PLP-Partition that is a page
+// tagged with another partition.  Under PLP-Leaf it is a page whose tag
+// names a node of the other partition's sub-tree (a tag names the leaf
+// whose insert placed the record, which a root split may since have made
+// interior).  A page whose tag names a page the move freed stays with the
+// partition of the first of its records the walk reaches, and is re-tagged
+// with that partition's sub-tree root; its other records are misplaced.
+func (e *Engine) misplacedTest(tbl *catalog.Table, table string, idx int) (func(r rehomeEntry) (bool, error), error) {
+	if e.opts.Design != PLPLeaf {
+		return func(r rehomeEntry) (bool, error) {
+			return r.owner != uint64(e.partitionFor(table, r.key))+1, nil
+		}, nil
+	}
+	nodePart := make(map[uint64]int)
+	roots := make(map[int]page.ID)
+	for _, p := range []int{idx - 1, idx} {
+		sub, err := tbl.Primary.PartitionTree(p)
+		if err != nil {
+			return nil, err
+		}
+		if err := sub.Pages(func(id page.ID) { nodePart[uint64(id)] = p }); err != nil {
+			return nil, err
+		}
+		roots[p] = sub.RootPage()
+	}
+	claimed := make(map[page.ID]int)
+	return func(r rehomeEntry) (bool, error) {
+		p := e.partitionFor(table, r.key)
+		if np, ok := nodePart[r.owner]; ok {
+			return np != p, nil
+		}
+		if cp, ok := claimed[r.rid.Page]; ok {
+			return cp != p, nil
+		}
+		claimed[r.rid.Page] = p
+		return false, tbl.Heap.Retag(r.rid.Page, uint64(roots[p]))
+	}, nil
+}
+
+// applyRehome moves every collected record that misplaced reports onto a
+// page its partition owns under the (already moved) routing table and
+// repoints the primary index at it (the storage-manager callback of
+// Section 3.3).  The new copy is placed and indexed before the old one is
+// deleted, so a failure loses no row.  Owners cannot have changed since
+// collectRehome ran: both execute inside the same pair-quiesce.
+func (e *Engine) applyRehome(tbl *catalog.Table, entries []rehomeEntry, misplaced func(r rehomeEntry) (bool, error)) (int, error) {
 	moved := 0
 	for _, r := range entries {
-		wantOwner := uint64(e.partitionFor(table, r.key)) + 1
-		if r.owner == wantOwner {
+		move, err := misplaced(r)
+		if err != nil {
+			return moved, err
+		}
+		if !move {
 			continue
 		}
-		rec, gerr := tbl.Heap.Get(nil, r.rid)
-		if gerr != nil {
-			return moved, gerr
+		rec, err := tbl.Heap.Get(nil, r.rid)
+		if err != nil {
+			return moved, err
 		}
-		newRID, ierr := tbl.Heap.Insert(nil, wantOwner, rec)
-		if ierr != nil {
-			return moved, ierr
+		if _, err := e.moveRecord(nil, tbl, r.key, rec); err != nil {
+			return moved, err
 		}
-		if derr := tbl.Heap.Delete(nil, r.rid); derr != nil {
-			return moved, derr
-		}
-		if uerr := tbl.Primary.Update(nil, r.key, page.EncodeRID(newRID)); uerr != nil {
-			return moved, uerr
+		if err := tbl.Heap.Delete(nil, r.rid); err != nil {
+			return moved, err
 		}
 		moved++
 	}
 	return moved, nil
-}
-
-// rehomeLeafPages restores PLP-Leaf's latch-free invariant after the
-// boundary between partitions idx-1 and idx moved to mid: every heap page
-// holds records of one partition only, and a page whose owner tag names a
-// leaf names a leaf of that partition, so only that partition's worker
-// ever touches it.  A boundary move can break it, because a leaf split or
-// a slice moves no heap records: a leaf's pages keep the records of keys
-// its split-off siblings now cover, which may now lie across the boundary.
-// rehomeLeafPages walks the primary entries of the two partitions, which
-// are quiesced, in [lo, hi), once to find the pages whose records straddle
-// mid or whose tag names the other side's leaf, and once more to relocate
-// the records that do not belong with the page's owner.  A relocated record
-// is re-inserted, so it lands on a page of the leaf that covers it now.  A
-// page whose tag names no leaf of either partition is retired, so its tag
-// cannot name a leaf later.  It returns the number of records moved.
-func (e *Engine) rehomeLeafPages(tbl *catalog.Table, idx int, lo, mid, hi []byte) (int, error) {
-	sideOf := func(key []byte) uint8 {
-		if bytes.Compare(key, mid) < 0 {
-			return 0
-		}
-		return 1
-	}
-	leafSide := make(map[uint64]uint8)
-	for side, p := range []int{idx - 1, idx} {
-		sub, err := tbl.Primary.PartitionTree(p)
-		if err != nil {
-			return 0, err
-		}
-		if err := sub.LeafPages(func(id page.ID) { leafSide[uint64(id)] = uint8(side) }); err != nil {
-			return 0, err
-		}
-	}
-	// Pass 1: which sides each page holds records of.
-	sides := make(map[page.ID]uint8)
-	var scanErr error
-	err := tbl.Primary.AscendRange(nil, lo, hi, func(k, v []byte) bool {
-		rid, derr := page.DecodeRID(v)
-		if derr != nil {
-			scanErr = derr
-			return false
-		}
-		sides[rid.Page] |= 1 << sideOf(k)
-		return true
-	})
-	if err == nil {
-		err = scanErr
-	}
-	if err != nil {
-		return 0, err
-	}
-	// The side whose records leave each page that must change.
-	evict := make(map[page.ID]uint8)
-	for pid, mask := range sides {
-		tag, err := tbl.Heap.OwnerOf(pid)
-		if err != nil {
-			return 0, err
-		}
-		keep, live := leafSide[tag]
-		if !live {
-			if err := tbl.Heap.Retire(pid); err != nil {
-				return 0, err
-			}
-			// Keep the left side's records if there are any.
-			keep = 0
-			if mask&1 == 0 {
-				keep = 1
-			}
-		}
-		if mask&^(1<<keep) != 0 {
-			evict[pid] = 1 - keep
-		}
-	}
-	if len(evict) == 0 {
-		return 0, nil
-	}
-	// Pass 2: collect the records to move, then move them.
-	type entry struct {
-		key []byte
-		rid page.RID
-	}
-	var move []entry
-	err = tbl.Primary.AscendRange(nil, lo, hi, func(k, v []byte) bool {
-		rid, _ := page.DecodeRID(v)
-		if side, ok := evict[rid.Page]; ok && sideOf(k) == side {
-			move = append(move, entry{append([]byte(nil), k...), rid})
-		}
-		return true
-	})
-	if err != nil {
-		return 0, err
-	}
-	for i, m := range move {
-		rec, err := tbl.Heap.Get(nil, m.rid)
-		if err != nil {
-			return i, err
-		}
-		if _, err := tbl.Primary.Delete(nil, m.key); err != nil {
-			return i, err
-		}
-		if err := tbl.Heap.Delete(nil, m.rid); err != nil {
-			return i, err
-		}
-		if _, err := e.insertRecord(nil, tbl, m.key, rec); err != nil {
-			return i, err
-		}
-	}
-	return len(move), nil
 }
 
 // lockManagerForTests exposes the centralized lock manager to white-box

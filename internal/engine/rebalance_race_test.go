@@ -190,11 +190,53 @@ func TestQuiescePairLeavesOthersRunning(t *testing.T) {
 	close(release)
 }
 
-// TestRebalanceKeepsLeafPagesInOnePartition checks the invariant that makes
-// PLP-Leaf's heap latch-free: after boundary moves, every heap page holds
-// records of one partition only, so only one worker ever touches it.  A
-// leaf split moves no heap records, so without re-homing a leaf's pages
-// keep records of keys that a moved boundary hands to the next partition.
+// checkLeafPages fails t unless every heap page of tbl holds records of one
+// partition only and its owner tag names a node of that partition's
+// sub-tree (the leaf whose insert placed the records, or the interior node
+// a root split made of it): the invariant that makes PLP-Leaf's heap latch-free, since then
+// only that partition's worker reads, writes or inserts on the page.
+func checkLeafPages(t *testing.T, e *Engine, tbl *catalog.Table, when string) {
+	t.Helper()
+	nodePart := make(map[uint64]int)
+	for p := 0; p < tbl.Primary.NumPartitions(); p++ {
+		sub, err := tbl.Primary.PartitionTree(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sub.Pages(func(id page.ID) { nodePart[uint64(id)] = p }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	owners := make(map[page.ID]int) // heap page -> partition of its records
+	if err := tbl.Primary.Ascend(nil, func(k, v []byte) bool {
+		rid, _ := page.DecodeRID(v)
+		p := e.PartitionFor(tbl.Def.Name, k)
+		if prev, ok := owners[rid.Page]; ok && prev != p {
+			t.Fatalf("%s, heap page %v holds records of partitions %d and %d", when, rid.Page, prev, p)
+		}
+		owners[rid.Page] = p
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for pid, p := range owners {
+		tag, err := tbl.Heap.OwnerOf(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lp, ok := nodePart[tag]; !ok || lp != p {
+			t.Fatalf("%s, heap page %v holds records of partition %d but its tag %d names no node of its sub-tree", when, pid, p, tag)
+		}
+	}
+}
+
+// TestRebalanceKeepsLeafPagesInOnePartition checks PLP-Leaf's heap-page
+// invariant (see checkLeafPages) across boundary moves, and after records
+// outgrow their pages and move.  A leaf split moves no heap records, so
+// without re-homing a leaf's pages keep records of keys that a moved
+// boundary hands to the next partition; and a record that outgrows its
+// page must land on a page of the leaf that covers it now, not on one of
+// the tag of the page it left.
 func TestRebalanceKeepsLeafPagesInOnePartition(t *testing.T) {
 	const rows = 4000
 	e := New(Options{Design: PLPLeaf, Partitions: 4})
@@ -219,32 +261,67 @@ func TestRebalanceKeepsLeafPagesInOnePartition(t *testing.T) {
 		to  uint64
 	}{{1, 1500}, {2, 2600}, {1, 900}, {2, 1700}, {1, 1200}, {2, 2300}, {3, 2900}}
 	for i, m := range moves {
-		idx, to := m.idx, m.to
-		st, err := e.Rebalance("t", idx, keyenc.Uint64Key(to))
+		st, err := e.Rebalance("t", m.idx, keyenc.Uint64Key(m.to))
 		if err != nil {
-			t.Fatalf("move %d of boundary %d to %d: %v", i, idx, to, err)
+			t.Fatalf("move %d of boundary %d to %d: %v", i, m.idx, m.to, err)
 		}
 		moved += st.RecordsMoved
-		owners := make(map[uint64]int) // heap page -> partition of its records
-		if err := tbl.Primary.Ascend(nil, func(k, v []byte) bool {
-			rid, _ := page.DecodeRID(v)
-			p := e.PartitionFor("t", k)
-			if prev, ok := owners[uint64(rid.Page)]; ok && prev != p {
-				t.Fatalf("after move %d, heap page %v holds records of partitions %d and %d", i, rid.Page, prev, p)
-			}
-			owners[uint64(rid.Page)] = p
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
+		checkLeafPages(t, e, tbl, fmt.Sprintf("after move %d", i))
 	}
 	if moved == 0 {
 		t.Fatal("no record moved; the boundary moves should have split some leaves' pages")
 	}
+	// Grow every record past the room left on its page, so that most of
+	// them relocate.
+	grown := func(k uint64) string { return fmt.Sprintf("val-%06d-%0120d", k, k) }
+	for k := uint64(1); k <= rows; k++ {
+		if err := l.Update("t", keyenc.Uint64Key(k), []byte(grown(k))); err != nil {
+			t.Fatalf("grow key %d: %v", k, err)
+		}
+	}
+	checkLeafPages(t, e, tbl, "after growing every record")
 	for k := uint64(1); k <= rows; k++ {
 		rec, err := l.Read("t", keyenc.Uint64Key(k))
-		if err != nil || string(rec) != fmt.Sprintf("val-%06d", k) {
+		if err != nil || string(rec) != grown(k) {
 			t.Fatalf("key %d: %q, %v", k, rec, err)
 		}
+	}
+}
+
+// TestRebalanceClusteredTable checks that a boundary move on a clustered
+// table, whose primary values are records and which has no heap, re-homes
+// nothing and loses no row on the designs that re-home heap records.
+func TestRebalanceClusteredTable(t *testing.T) {
+	const rows = 4000
+	for _, design := range []Design{PLPPartition, PLPLeaf} {
+		t.Run(design.String(), func(t *testing.T) {
+			e := New(Options{Design: design, Partitions: 4})
+			defer e.Close()
+			boundaries := [][]byte{keyenc.Uint64Key(1001), keyenc.Uint64Key(2001), keyenc.Uint64Key(3001)}
+			if _, err := e.CreateTable(catalog.TableDef{Name: "c", Clustered: true, Boundaries: boundaries}); err != nil {
+				t.Fatal(err)
+			}
+			l := e.NewLoader()
+			for k := uint64(1); k <= rows; k++ {
+				if err := l.Insert("c", keyenc.Uint64Key(k), []byte(fmt.Sprintf("val-%06d", k))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, to := range []uint64{1500, 700} {
+				st, err := e.Rebalance("c", 1, keyenc.Uint64Key(to))
+				if err != nil {
+					t.Fatalf("move boundary 1 to %d: %v", to, err)
+				}
+				if st.RecordsMoved != 0 {
+					t.Fatalf("move boundary 1 to %d moved %d records of a clustered table", to, st.RecordsMoved)
+				}
+			}
+			for k := uint64(1); k <= rows; k++ {
+				rec, err := l.Read("c", keyenc.Uint64Key(k))
+				if err != nil || string(rec) != fmt.Sprintf("val-%06d", k) {
+					t.Fatalf("key %d: %q, %v", k, rec, err)
+				}
+			}
+		})
 	}
 }

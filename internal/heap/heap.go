@@ -61,10 +61,6 @@ const (
 // Regular placement policy.
 const SharedOwner uint64 = 0
 
-// RetiredOwner is the owner tag of retired pages: no insert places a record
-// on them again, and the records they hold stay until deleted.
-const RetiredOwner = ^uint64(0)
-
 // File is a heap file.
 type File struct {
 	id   uint32
@@ -384,27 +380,29 @@ func (f *File) OwnerOf(pid page.ID) (uint64, error) {
 	return owner, nil
 }
 
-// Retire re-tags page pid with RetiredOwner, so that no later insert
-// places a record on it.  PLP-Leaf retires a page whose owner tag no longer
-// names a leaf of the partition its records belong to.
-func (f *File) Retire(pid page.ID) error {
+// Retag re-tags page pid with owner and moves it to owner's page lists.
+// PLP-Leaf re-tags a page whose tag names a page a boundary move freed, so
+// that the tag names a node of the partition its records belong to again
+// and a later leaf that reuses the freed page's ID places nothing on it.
+func (f *File) Retag(pid page.ID, owner uint64) error {
 	frame, err := f.fix(pid)
 	if err != nil {
 		return err
 	}
 	f.acquire(nil, frame, latch.Exclusive)
-	owner := frame.Page().Owner()
-	frame.Page().SetOwner(RetiredOwner)
+	old := frame.Page().Owner()
+	frame.Page().SetOwner(owner)
 	f.release(frame, latch.Exclusive)
 	f.unfix(frame)
 	f.lockMeta()
-	f.freeByOwner[owner] = slices.DeleteFunc(f.freeByOwner[owner], func(id page.ID) bool { return id == pid })
-	f.pagesByOwner[owner] = slices.DeleteFunc(f.pagesByOwner[owner], func(id page.ID) bool { return id == pid })
-	if len(f.pagesByOwner[owner]) == 0 {
-		delete(f.pagesByOwner, owner)
-		delete(f.freeByOwner, owner)
+	f.freeByOwner[old] = slices.DeleteFunc(f.freeByOwner[old], func(id page.ID) bool { return id == pid })
+	f.pagesByOwner[old] = slices.DeleteFunc(f.pagesByOwner[old], func(id page.ID) bool { return id == pid })
+	if len(f.pagesByOwner[old]) == 0 {
+		delete(f.pagesByOwner, old)
+		delete(f.freeByOwner, old)
 	}
-	f.pagesByOwner[RetiredOwner] = append(f.pagesByOwner[RetiredOwner], pid)
+	f.pagesByOwner[owner] = append(f.pagesByOwner[owner], pid)
+	f.freeByOwner[owner] = append(f.freeByOwner[owner], pid)
 	f.mu.Unlock()
 	return nil
 }

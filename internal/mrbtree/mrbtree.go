@@ -258,6 +258,16 @@ func (t *Tree) Update(tx *txn.Txn, key, value []byte) error {
 	return sub.Update(tx, key, value)
 }
 
+// UpdatePlaced overwrites the value of an existing key with the value place
+// computes from the leaf the key is on; see btree.Tree.UpdatePlaced.
+func (t *Tree) UpdatePlaced(tx *txn.Txn, key []byte, place btree.PlaceFunc) error {
+	sub := t.treeFor(key)
+	if sub == nil {
+		return ErrNoPartitions
+	}
+	return sub.UpdatePlaced(tx, key, place)
+}
+
 // Delete removes key, reporting whether it was present.
 func (t *Tree) Delete(tx *txn.Txn, key []byte) (bool, error) {
 	sub := t.treeFor(key)
