@@ -12,6 +12,17 @@
 //     of Fix, which is how PLP accesses the sub-trees owned by a single
 //     partition worker.
 //
+// A full leaf splits in one of two places, by a fixed rule.  An insert past
+// the last key of a leaf with no right sibling (the rightmost leaf of a
+// tree, or of an MRBTree sub-tree, since slicing cuts the sibling chain)
+// is an append: the leaf keeps 90% of its entries and the new right leaf
+// takes the rest and the new key, so keys inserted in order, as a loader
+// or a checkpoint image does, leave their leaves 90% full.  Every other
+// split, interior nodes' included, moves the upper half.  The 10% left
+// free lets a later random insert into a loaded leaf go in without an
+// immediate split.  PostgreSQL's nbtree splits its rightmost pages the
+// same way.
+//
 // The same Tree type is used directly by the conventional design and as the
 // per-partition sub-tree of the MRBTree (package mrbtree).  Slice and Meld —
 // the sub-tree split/merge operations that make MRBTree repartitioning
@@ -314,12 +325,13 @@ type PlaceFunc func(leaf page.ID) (page.RID, error)
 
 // InsertPlaced adds key with the encoded RID place returns as its value,
 // failing with ErrDuplicateKey, without calling place, if the key is
-// already present.  place is called once, with the ID of the leaf the
-// insert's descent reached, while that leaf is held (exclusively latched
-// on a latched tree).  PLP-Leaf uses it to put a new heap record on a page
-// the leaf owns in the same descent that inserts the record's index entry.
-// If InsertPlaced fails after place returned, the caller undoes whatever
-// place did.
+// already present.  place is called once, with the ID of the leaf that
+// ends up holding the key, while that leaf is held (exclusively latched on
+// a latched tree): when the insert splits a leaf, after the split has
+// decided which half covers the key.  PLP-Leaf uses it to put a new heap
+// record on a page the leaf owns in the same descent that inserts the
+// record's index entry.  If InsertPlaced fails after place returned, the
+// caller undoes whatever place did.
 func (t *Tree) InsertPlaced(tx *txn.Txn, key []byte, place PlaceFunc) error {
 	return t.insert(tx, key, nil, place, false)
 }
@@ -356,25 +368,37 @@ func (t *Tree) insert(tx *txn.Txn, key, value []byte, place PlaceFunc, upsert bo
 		}
 		// Fall through to the pessimistic path: replacing needs a split.
 		t.releaseNode(f, latch.Exclusive)
-		return t.insertPessimistic(tx, key, value, upsert)
+		return t.insertPessimistic(tx, key, value, nil, upsert)
 	}
+	if !nodeFull(p, leafEntrySize(key, value, place), t.cfg.MaxSlotsPerNode) {
+		err := insertLeafEntry(p, pos, key, value, place)
+		t.releaseNode(f, latch.Exclusive)
+		return err
+	}
+	t.releaseNode(f, latch.Exclusive)
+	return t.insertPessimistic(tx, key, value, place, upsert)
+}
+
+// leafEntrySize is the encoded size of the leaf entry key gets: with
+// value, or with the RID place returns.
+func leafEntrySize(key, value []byte, place PlaceFunc) int {
+	if place != nil {
+		return 4 + len(key) + page.RIDSize
+	}
+	return 4 + len(key) + len(value)
+}
+
+// insertLeafEntry inserts key's entry at position pos of leaf p, which has
+// room for it: with value, or with the RID place returns for p.
+func insertLeafEntry(p *page.Page, pos int, key, value []byte, place PlaceFunc) error {
 	if place != nil {
 		rid, err := place(p.ID())
 		if err != nil {
-			t.releaseNode(f, latch.Exclusive)
 			return err
 		}
 		value = page.EncodeRID(rid)
 	}
-	entry := encodeLeafEntry(key, value)
-	if !nodeFull(p, len(entry), t.cfg.MaxSlotsPerNode) {
-		if err := p.InsertAt(pos, entry); err == nil {
-			t.releaseNode(f, latch.Exclusive)
-			return nil
-		}
-	}
-	t.releaseNode(f, latch.Exclusive)
-	return t.insertPessimistic(tx, key, value, upsert)
+	return p.InsertAt(pos, encodeLeafEntry(key, value))
 }
 
 // updateLeafEntry overwrites the value of an existing leaf entry in place.
@@ -431,7 +455,7 @@ func (t *Tree) update(tx *txn.Txn, key, value []byte, place PlaceFunc) error {
 	}
 	t.releaseNode(f, latch.Exclusive)
 	if errors.Is(err, page.ErrPageFull) {
-		return t.insertPessimistic(tx, key, value, true)
+		return t.insertPessimistic(tx, key, value, nil, true)
 	}
 	return err
 }
@@ -465,7 +489,7 @@ func (t *Tree) Delete(tx *txn.Txn, key []byte) (bool, error) {
 
 // insertPessimistic performs the insert while holding the SMO mutex and
 // exclusive latches on every node that may be modified by the split chain.
-func (t *Tree) insertPessimistic(tx *txn.Txn, key, value []byte, upsert bool) error {
+func (t *Tree) insertPessimistic(tx *txn.Txn, key, value []byte, place PlaceFunc, upsert bool) error {
 	if t.cfg.Latched {
 		if !t.smoMu.TryLock() {
 			start := time.Now()
@@ -480,8 +504,7 @@ func (t *Tree) insertPessimistic(tx *txn.Txn, key, value []byte, upsert bool) er
 		defer t.smoMu.Unlock()
 	}
 
-	entry := encodeLeafEntry(key, value)
-	path, err := t.descendPessimistic(tx, key, len(entry))
+	path, err := t.descendPessimistic(tx, key, leafEntrySize(key, value, place))
 	if err != nil {
 		return err
 	}
@@ -503,7 +526,7 @@ func (t *Tree) insertPessimistic(tx *txn.Txn, key, value []byte, upsert bool) er
 			return err
 		}
 	}
-	err = t.insertIntoLeafWithSplit(tx, path, key, value)
+	err = t.insertIntoLeafWithSplit(tx, path, key, value, place)
 	t.releasePath(path)
 	return err
 }
@@ -565,64 +588,107 @@ func (t *Tree) releasePath(path []*bufferpool.Frame) {
 
 // insertIntoLeafWithSplit inserts key/value into the leaf at the end of
 // path, splitting the leaf (and cascading splits upward along path) as
-// needed.  All frames in path are exclusively latched.
-func (t *Tree) insertIntoLeafWithSplit(tx *txn.Txn, path []*bufferpool.Frame, key, value []byte) error {
+// needed.  All frames in path are exclusively latched.  When the leaf
+// splits, the split completes before the entry goes into the half that
+// covers key, so place sees that half, and a failing place leaves a
+// consistent tree without the key.
+func (t *Tree) insertIntoLeafWithSplit(tx *txn.Txn, path []*bufferpool.Frame, key, value []byte, place PlaceFunc) error {
 	leafFrame := path[len(path)-1]
 	p := leafFrame.Page()
-	entry := encodeLeafEntry(key, value)
 
-	if !nodeFull(p, len(entry), t.cfg.MaxSlotsPerNode) {
+	if !nodeFull(p, leafEntrySize(key, value, place), t.cfg.MaxSlotsPerNode) {
 		pos, _, err := leafSearch(p, key)
 		if err != nil {
 			return err
 		}
-		return p.InsertAt(pos, entry)
+		return insertLeafEntry(p, pos, key, value, place)
 	}
 
 	// The leaf must split.
+	mid, err := leafSplitPoint(p, key)
+	if err != nil {
+		return err
+	}
 	if p.ID() == t.root {
-		return t.splitRoot(tx, leafFrame, key, value, page.InvalidID)
+		return t.splitRoot(tx, leafFrame, mid, key, value, place)
 	}
 	if len(path) < 2 {
 		return fmt.Errorf("btree: split of non-root leaf %v without latched parent", p.ID())
 	}
-	sepKey, rightPID, err := t.splitLeaf(tx, leafFrame, key, value)
+	rightFrame, sepKey, err := t.splitLeaf(tx, leafFrame, mid)
 	if err != nil {
 		return err
 	}
-	return t.insertSeparator(tx, path, len(path)-2, sepKey, rightPID)
+	defer t.bp.Unfix(rightFrame)
+	if err := t.insertSeparator(tx, path, len(path)-2, sepKey, rightFrame.Page().ID()); err != nil {
+		return err
+	}
+	target := p
+	if bytes.Compare(key, sepKey) >= 0 {
+		target = rightFrame.Page()
+	}
+	pos, _, err := leafSearch(target, key)
+	if err != nil {
+		return err
+	}
+	return insertLeafEntry(target, pos, key, value, place)
 }
 
-// splitLeaf splits the full leaf in leafFrame, moving the upper half of its
-// entries to a new right sibling, then inserts key/value into whichever half
-// now covers it.  It returns the separator key (the first key of the right
-// sibling) and the right sibling's page ID.
-func (t *Tree) splitLeaf(tx *txn.Txn, leafFrame *bufferpool.Frame, key, value []byte) ([]byte, page.ID, error) {
+// appendSplitPercent is the share of a full leaf's entries, in percent, an
+// append split keeps on the leaf.
+const appendSplitPercent = 90
+
+// leafSplitPoint returns how many of full leaf p's entries stay on p when
+// inserting key splits it.  An insert past the last key of a leaf with no
+// right sibling, the rightmost leaf of its tree, is an append: the split
+// keeps appendSplitPercent of the entries, so keys that arrive in order
+// leave their leaves 90% full rather than half full.  Every other split
+// keeps half.
+func leafSplitPoint(p *page.Page, key []byte) (int, error) {
+	n := p.NumSlots()
+	if n > 1 && p.Next() == page.InvalidID {
+		last, err := leafKeyAt(p, n-1)
+		if err != nil {
+			return 0, err
+		}
+		if bytes.Compare(key, last) > 0 {
+			return n * appendSplitPercent / 100, nil
+		}
+	}
+	return halfSplit(p), nil
+}
+
+// halfSplit returns how many of full node p's entries stay on p when it
+// splits in the middle.
+func halfSplit(p *page.Page) int { return max(p.NumSlots()/2, 1) }
+
+// splitLeaf splits the full leaf in leafFrame, moving its entries from
+// position mid on to a new right sibling.  It returns the right sibling's
+// frame, still fixed, and the separator key (the first key of the right
+// sibling); the caller posts the separator and then inserts its pending
+// entry into whichever half covers it.
+func (t *Tree) splitLeaf(tx *txn.Txn, leafFrame *bufferpool.Frame, mid int) (*bufferpool.Frame, []byte, error) {
 	p := leafFrame.Page()
 	rightFrame := t.bp.NewPage(page.KindIndexLeaf)
 	right := rightFrame.Page()
 	right.SetOwner(p.Owner())
 	setNodeLevel(right, 0)
 
-	mid := p.NumSlots() / 2
-	if mid == 0 {
-		mid = 1
-	}
 	// Copy entries [mid, n) to the right node.
 	for i := mid; i < p.NumSlots(); i++ {
 		buf, gerr := p.GetAt(i)
 		if gerr != nil {
 			t.bp.Unfix(rightFrame)
-			return nil, 0, gerr
+			return nil, nil, gerr
 		}
 		if ierr := right.InsertAt(right.NumSlots(), buf); ierr != nil {
 			t.bp.Unfix(rightFrame)
-			return nil, 0, ierr
+			return nil, nil, ierr
 		}
 	}
 	if err := p.Truncate(mid); err != nil {
 		t.bp.Unfix(rightFrame)
-		return nil, 0, err
+		return nil, nil, err
 	}
 
 	// Fix the leaf sibling chain: p <-> right <-> oldNext.
@@ -641,26 +707,10 @@ func (t *Tree) splitLeaf(tx *txn.Txn, leafFrame *bufferpool.Frame, key, value []
 	sepKey, err := leafKeyAt(right, 0)
 	if err != nil {
 		t.bp.Unfix(rightFrame)
-		return nil, 0, err
+		return nil, nil, err
 	}
-	sepKey = append([]byte(nil), sepKey...)
-
-	// Insert the pending entry into the correct half.
-	target := p
-	if bytes.Compare(key, sepKey) >= 0 {
-		target = right
-	}
-	pos, _, err := leafSearch(target, key)
-	if err == nil {
-		err = target.InsertAt(pos, encodeLeafEntry(key, value))
-	}
-	rightPID := right.ID()
-	t.bp.Unfix(rightFrame)
-	if err != nil {
-		return nil, 0, err
-	}
-	t.logSMO(tx, rightPID)
-	return sepKey, rightPID, nil
+	t.logSMO(tx, right.ID())
+	return rightFrame, append([]byte(nil), sepKey...), nil
 }
 
 // insertSeparator inserts (sepKey -> child) into the interior node at
@@ -701,10 +751,7 @@ func (t *Tree) splitInterior(tx *txn.Txn, f *bufferpool.Frame, sepKey []byte, ch
 	right.SetOwner(p.Owner())
 	setNodeLevel(right, nodeLevel(p))
 
-	mid := p.NumSlots() / 2
-	if mid == 0 {
-		mid = 1
-	}
+	mid := halfSplit(p)
 	for i := mid; i < p.NumSlots(); i++ {
 		buf, gerr := p.GetAt(i)
 		if gerr != nil {
@@ -748,16 +795,17 @@ func (t *Tree) splitInterior(tx *txn.Txn, f *bufferpool.Frame, sepKey []byte, ch
 	return pushKey, rightPID, nil
 }
 
-// splitRoot handles the split of a root page (leaf or interior) that is the
-// target of a pending leaf entry insert.  The root page ID never changes:
-// the root's contents move into two freshly allocated children and the root
-// becomes (or stays) an interior node one level higher.
-func (t *Tree) splitRoot(tx *txn.Txn, rootFrame *bufferpool.Frame, key, value []byte, _ page.ID) error {
-	if err := t.raiseRoot(tx, rootFrame); err != nil {
+// splitRoot handles the split of a leaf root that is the target of a
+// pending leaf entry insert, keeping mid of its entries on the left child.
+// The root page ID never changes: the root's contents move into two
+// freshly allocated children and the root becomes an interior node one
+// level higher.
+func (t *Tree) splitRoot(tx *txn.Txn, rootFrame *bufferpool.Frame, mid int, key, value []byte, place PlaceFunc) error {
+	if err := t.raiseRoot(tx, rootFrame, mid); err != nil {
 		return err
 	}
-	// After raising, the root is an interior node with exactly two
-	// children, each at most half full; descend one level and insert.
+	// After raising, the root is an interior node with exactly two leaf
+	// children, each with room to spare; descend one level and insert.
 	p := rootFrame.Page()
 	idx, err := interiorSearch(p, key)
 	if err != nil {
@@ -773,20 +821,20 @@ func (t *Tree) splitRoot(tx *txn.Txn, rootFrame *bufferpool.Frame, key, value []
 	}
 	t.latchNode(tx, cf, latch.Exclusive)
 	defer t.releaseNode(cf, latch.Exclusive)
-	if isLeaf(cf.Page()) {
-		pos, _, serr := leafSearch(cf.Page(), key)
-		if serr != nil {
-			return serr
-		}
-		return cf.Page().InsertAt(pos, encodeLeafEntry(key, value))
+	if !isLeaf(cf.Page()) {
+		return fmt.Errorf("btree: unexpected interior child right after root raise")
 	}
-	return fmt.Errorf("btree: unexpected interior child right after root raise")
+	pos, _, err := leafSearch(cf.Page(), key)
+	if err != nil {
+		return err
+	}
+	return insertLeafEntry(cf.Page(), pos, key, value, place)
 }
 
 // splitRootWithSeparator handles the split of an interior root when a
 // separator must be inserted into it.
 func (t *Tree) splitRootWithSeparator(tx *txn.Txn, rootFrame *bufferpool.Frame, sepKey []byte, child page.ID) error {
-	if err := t.raiseRoot(tx, rootFrame); err != nil {
+	if err := t.raiseRoot(tx, rootFrame, halfSplit(rootFrame.Page())); err != nil {
 		return err
 	}
 	p := rootFrame.Page()
@@ -811,11 +859,11 @@ func (t *Tree) splitRootWithSeparator(tx *txn.Txn, rootFrame *bufferpool.Frame, 
 	return cf.Page().InsertAt(pos, encodeInteriorEntry(sepKey, child))
 }
 
-// raiseRoot moves the contents of the (full) root into two new children and
-// turns the root into an interior node pointing at them.  The root page ID
-// is preserved so that concurrent descents through a stale root pointer stay
-// correct.
-func (t *Tree) raiseRoot(tx *txn.Txn, rootFrame *bufferpool.Frame) error {
+// raiseRoot moves the contents of the (full) root into two new children,
+// the first mid entries into the left one, and turns the root into an
+// interior node pointing at them.  The root page ID is preserved so that
+// concurrent descents through a stale root pointer stay correct.
+func (t *Tree) raiseRoot(tx *txn.Txn, rootFrame *bufferpool.Frame, mid int) error {
 	p := rootFrame.Page()
 	level := nodeLevel(p)
 	childKind := page.KindIndexInterior
@@ -832,10 +880,6 @@ func (t *Tree) raiseRoot(tx *txn.Txn, rootFrame *bufferpool.Frame) error {
 	setNodeLevel(right, level)
 
 	n := p.NumSlots()
-	mid := n / 2
-	if mid == 0 {
-		mid = 1
-	}
 	copyRange := func(dst *page.Page, from, to int) error {
 		for i := from; i < to; i++ {
 			buf, gerr := p.GetAt(i)

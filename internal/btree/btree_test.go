@@ -551,9 +551,11 @@ func TestHeightGrowth(t *testing.T) {
 // TestInsertPlacedRecordsOnCoveringLeafPages checks PLP-Leaf's placement
 // property: InsertPlaced hands place the leaf that covers the key, so
 // adjacent keys' records land on heap pages owned by the leaf they share,
-// and a distant key's on another leaf's pages.  A duplicate places
-// nothing.  UpdatePlaced, which moves a present key's record, sees the same
-// leaf.
+// and a distant key's on another leaf's pages.  That holds for inserts
+// into full leaves too, whose key lands on whichever half the split gives
+// it: past the end of the rightmost leaf (an append split) and in the
+// middle of the tree (a 50/50 split).  A duplicate places nothing.
+// UpdatePlaced, which moves a present key's record, sees the same leaf.
 func TestInsertPlacedRecordsOnCoveringLeafPages(t *testing.T) {
 	bp := bufferpool.New(bufferpool.Config{LatchStats: &latch.Stats{}, CSStats: &cs.Stats{}})
 	tree := Create(bp, 1, Config{MaxSlotsPerNode: 8})
@@ -613,6 +615,33 @@ func TestInsertPlacedRecordsOnCoveringLeafPages(t *testing.T) {
 	}
 	if far := place(25001); far == a {
 		t.Fatal("distant keys should not share a leaf in a deep tree")
+	}
+	// Full leaves: appends past the largest key split the rightmost leaf,
+	// random keys inside the loaded range split leaves in the middle.
+	leaves := func() int {
+		st, err := tree.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.LeafPages
+	}
+	before := leaves()
+	for id := uint64(50001); id <= 50200; id++ {
+		place(id)
+	}
+	appended := leaves()
+	if appended <= before {
+		t.Fatalf("200 appends left %d leaves, had %d: no append split placed a record", appended, before)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		id := uint64(rng.Int63n(50000)) | 1
+		if _, found, _ := tree.Search(nil, keyenc.Uint64Key(id)); !found {
+			place(id)
+		}
+	}
+	if leaves() <= appended {
+		t.Fatal("random inserts split no leaf")
 	}
 	err := tree.InsertPlaced(nil, keyenc.Uint64Key(101), func(page.ID) (page.RID, error) {
 		t.Fatal("place called for a duplicate key")
@@ -707,4 +736,113 @@ func TestSliceAtSeparatorKey(t *testing.T) {
 			t.Fatalf("slice at %d left %d and %d entries", at, l, r)
 		}
 	}
+}
+
+// leafChain returns the leaves of a latch-free tree from left to right.
+func leafChain(t *testing.T, tree *Tree) []*page.Page {
+	t.Helper()
+	f, err := tree.leftmostLeaf(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*page.Page
+	for {
+		out = append(out, f.Page())
+		next := f.Page().Next()
+		if next == page.InvalidID {
+			return out
+		}
+		if f, err = tree.bp.Lookup(next); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAppendSplitFillsLeaves checks the split rule.  Keys inserted in
+// ascending order split the rightmost leaf 90/10, so every leaf but the
+// last stays at least 85% full, slot directory included; a 50/50 split
+// would leave them half full.  Random-order inserts, whose largest key is
+// already present, never append, so every split is 50/50.  And an insert
+// past the last key of a full leaf that has a right sibling is no append
+// either: that split stays 50/50.
+func TestAppendSplitFillsLeaves(t *testing.T) {
+	t.Run("ascending", func(t *testing.T) {
+		tree := newTestTree(t, Config{})
+		for i := uint64(0); i < 20000; i++ {
+			if err := tree.Insert(nil, keyenc.Uint64Key(i), keyenc.Uint64Key(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		chain := leafChain(t, tree)
+		if len(chain) < 10 {
+			t.Fatalf("only %d leaves", len(chain))
+		}
+		for i, p := range chain[:len(chain)-1] {
+			if fill := 1 - float64(p.FreeSpace())/page.MaxRecordSize; fill < 0.85 {
+				t.Fatalf("leaf %d of %d is %.0f%% full after an ascending load, want at least 85%%", i, len(chain), 100*fill)
+			}
+		}
+		if err := tree.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("random", func(t *testing.T) {
+		const n = 2000
+		tree := newTestTree(t, Config{MaxSlotsPerNode: 8})
+		insert := func(k int) {
+			if err := tree.Insert(nil, keyenc.Uint64Key(uint64(k)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		insert(n)
+		known := map[page.ID]bool{}
+		for _, k := range rand.New(rand.NewSource(3)).Perm(n) {
+			insert(k)
+			for _, p := range leafChain(t, tree) {
+				if known[p.ID()] {
+					continue
+				}
+				known[p.ID()] = true
+				if p.Prev() == page.InvalidID {
+					continue // the leftmost leaf, which a root raise created
+				}
+				left, err := tree.bp.Lookup(p.Prev())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if l, r := left.Page().NumSlots(), p.NumSlots(); l < 4 || r < 4 {
+					t.Fatalf("a random insert split a full leaf %d/%d; want 4/5 or 5/4", l, r)
+				}
+			}
+		}
+	})
+	t.Run("end of inner leaf", func(t *testing.T) {
+		tree := newTestTree(t, Config{MaxSlotsPerNode: 8})
+		for i := uint64(0); i < 100; i++ {
+			if err := tree.Insert(nil, keyenc.Uint64Key(10*i), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		leaf := leafChain(t, tree)[0]
+		if leaf.NumSlots() != 7 || leaf.Next() == page.InvalidID {
+			t.Fatalf("the first leaf holds %d entries, want 7 and a right sibling", leaf.NumSlots())
+		}
+		lastKey, err := leafKeyAt(leaf, leaf.NumSlots()-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last, _ := keyenc.DecodeUint64(lastKey)
+		for _, k := range []uint64{last + 1, last + 2} {
+			if err := tree.Insert(nil, keyenc.Uint64Key(k), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		right, err := tree.bp.Lookup(leaf.Next())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l, r := leaf.NumSlots(), right.Page().NumSlots(); l != 4 || r != 5 {
+			t.Fatalf("an insert at the end of a full inner leaf split it %d/%d, want 4/5", l, r)
+		}
+	})
 }

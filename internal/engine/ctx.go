@@ -14,13 +14,15 @@ import (
 	"plp/internal/logrec"
 	"plp/internal/mrbtree"
 	"plp/internal/page"
+	"plp/internal/recovery"
 	"plp/internal/txn"
 	"plp/internal/wal"
 )
 
-// Errors returned by Ctx operations.
+// Errors returned by Ctx operations.  ErrNotFound wraps
+// recovery.ErrNotFound, so replay recognises a missing key.
 var (
-	ErrNotFound  = errors.New("engine: key not found")
+	ErrNotFound  = fmt.Errorf("engine: %w", recovery.ErrNotFound)
 	ErrDuplicate = errors.New("engine: duplicate key")
 )
 
@@ -406,32 +408,17 @@ func (c *Ctx) Insert(table string, key, rec []byte) error {
 	return nil
 }
 
-// Upsert inserts the record under key, or replaces the existing one.  On
-// clustered tables it attempts the insert first, so the common new-key case
-// costs a single index descent and a duplicate falls back to the update
-// path cheaply.  On heap tables a failed insert would already have placed
-// (and would have to remove) a heap record, so the existing key is probed
-// first instead.
+// Upsert inserts the record under key, or replaces the existing one.  It
+// attempts the insert first, so the common new-key case costs a single
+// index descent, and a duplicate falls back to the update path: a
+// duplicate insert changes nothing, not even the heap, because its record
+// is placed only once the index insert finds no entry for the key.
 func (c *Ctx) Upsert(table string, key, rec []byte) error {
-	tbl, err := c.eng.Table(table)
-	if err != nil {
-		return err
+	err := c.Insert(table, key, rec)
+	if errors.Is(err, ErrDuplicate) {
+		return c.Update(table, key, rec)
 	}
-	if tbl.Def.Clustered {
-		err := c.Insert(table, key, rec)
-		if errors.Is(err, ErrDuplicate) {
-			return c.Update(table, key, rec)
-		}
-		return err
-	}
-	r, err := c.locate(table, key)
-	if err != nil {
-		return err
-	}
-	if r.found {
-		return c.rewrite(r, rec, 0, 0)
-	}
-	return c.Insert(table, key, rec)
+	return err
 }
 
 // Update replaces the record stored under key.

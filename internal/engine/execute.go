@@ -812,6 +812,12 @@ func (l *Loader) DeleteSecondary(table, index string, secKey []byte) error {
 	return l.ctx.DeleteSecondary(table, index, secKey)
 }
 
+// Upsert loads one record, or overwrites the one under key (used by
+// recovery replay).
+func (l *Loader) Upsert(table string, key, rec []byte) error {
+	return l.ctx.Upsert(table, key, rec)
+}
+
 // Update overwrites one record (used by recovery replay and consistency
 // repair tools; like Insert it bypasses locking and logging).
 func (l *Loader) Update(table string, key, rec []byte) error {

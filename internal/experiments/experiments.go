@@ -21,6 +21,13 @@
 //   - A streaming scan under online repartitioning may miss or repeat
 //     records near a boundary that moves while the stream runs; Figures 8
 //     and 12 and EXT-1 scan no moving boundary.
+//   - Figure 11's PLP-Leaf page counts follow this B+Tree's split rule: a
+//     load in key order splits each sub-tree's rightmost leaf 90/10 (see
+//     package btree).  A leaf's heap pages hold the records inserted while
+//     it was the rightmost leaf, about 90% of a full leaf's entries (half
+//     with 50/50 splits), and the overhead is how that count rounds up to
+//     whole pages: 1.12 for 100-byte records and 1.00 for 1000-byte ones,
+//     where 50/50 splits gave 1.01 and 1.03.
 package experiments
 
 import (

@@ -417,76 +417,34 @@ func (f *File) Scan(t *txn.Txn, fn ScanFunc) error {
 	pages := append([]page.ID(nil), f.allPages...)
 	f.mu.Unlock()
 	for _, pid := range pages {
-		if err := f.scanPage(t, pid, fn); err != nil {
+		if more, err := f.scanPage(t, pid, fn); err != nil || !more {
 			return err
 		}
 	}
 	return nil
 }
 
-// ScanOwner visits every live record on pages owned by owner.  PLP designs
-// use it to parallelize heap scans across partition workers.
-func (f *File) ScanOwner(t *txn.Txn, owner uint64, fn ScanFunc) error {
-	f.lockMeta()
-	pages := append([]page.ID(nil), f.pagesByOwner[owner]...)
-	f.mu.Unlock()
-	for _, pid := range pages {
-		if err := f.scanPage(t, pid, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (f *File) scanPage(t *txn.Txn, pid page.ID, fn ScanFunc) error {
+// scanPage visits the live records of page pid and reports whether fn
+// asked for more.
+func (f *File) scanPage(t *txn.Txn, pid page.ID, fn ScanFunc) (bool, error) {
 	frame, err := f.fix(pid)
 	if err != nil {
-		return err
+		return false, err
 	}
 	f.acquire(t, frame, latch.Shared)
+	defer f.unfix(frame)
+	defer f.release(frame, latch.Shared)
 	p := frame.Page()
-	stop := false
 	for _, slot := range p.LiveSlots() {
 		rec, err := p.Get(slot)
 		if err != nil {
 			continue
 		}
 		if !fn(page.RID{Page: pid, Slot: slot}, rec) {
-			stop = true
-			break
+			return false, nil
 		}
 	}
-	f.release(frame, latch.Shared)
-	f.unfix(frame)
-	if stop {
-		return nil
-	}
-	return nil
-}
-
-// Move relocates the records identified by rids onto pages owned by
-// newOwner and returns the mapping from old RID to new RID.  It is used by
-// PLP-Partition and PLP-Leaf when a repartitioning (or a leaf split in
-// PLP-Leaf) requires heap records to change owner; the caller is responsible
-// for updating every index entry that references the moved RIDs (the storage
-// manager exposes that responsibility as a callback, see Section 3.3).
-func (f *File) Move(t *txn.Txn, newOwner uint64, rids []page.RID) (map[page.RID]page.RID, error) {
-	moved := make(map[page.RID]page.RID, len(rids))
-	for _, rid := range rids {
-		rec, err := f.Get(t, rid)
-		if err != nil {
-			return moved, err
-		}
-		newRID, err := f.Insert(t, newOwner, rec)
-		if err != nil {
-			return moved, err
-		}
-		if err := f.Delete(t, rid); err != nil {
-			return moved, err
-		}
-		moved[rid] = newRID
-	}
-	return moved, nil
+	return true, nil
 }
 
 // Stats describes heap file occupancy, used by the fragmentation experiment
@@ -539,16 +497,4 @@ func (f *File) PagesOwnedBy(owner uint64) []page.ID {
 	f.lockMeta()
 	defer f.mu.Unlock()
 	return append([]page.ID(nil), f.pagesByOwner[owner]...)
-}
-
-// RecordsOwnedBy returns the RIDs of the live records on pages owned by the
-// given owner tag (used when a leaf split must relocate the records its
-// pages hold).
-func (f *File) RecordsOwnedBy(owner uint64) ([]page.RID, error) {
-	var out []page.RID
-	err := f.ScanOwner(nil, owner, func(rid page.RID, rec []byte) bool {
-		out = append(out, rid)
-		return true
-	})
-	return out, err
 }

@@ -107,19 +107,18 @@ func TestOwnerSegregation(t *testing.T) {
 			seen[pid] = owner
 		}
 	}
-	// Per-owner scans see only their records.
-	for owner := uint64(1); owner <= 3; owner++ {
-		n := 0
-		err := f.ScanOwner(nil, owner, func(rid page.RID, rec []byte) bool {
-			if rec[0] != byte(owner) {
-				t.Fatalf("foreign record on owner %d's page", owner)
-			}
-			n++
-			return true
-		})
-		if err != nil || n != perOwner {
-			t.Fatalf("owner %d scan: n=%d err=%v", owner, n, err)
+	// Every record sits on a page of its own owner.
+	n := map[uint64]int{}
+	err := f.Scan(nil, func(rid page.RID, rec []byte) bool {
+		owner, err := f.OwnerOf(rid.Page)
+		if err != nil || owner != uint64(rec[0]) {
+			t.Fatalf("owner %d's record on a page owned by %d (%v)", rec[0], owner, err)
 		}
+		n[owner]++
+		return true
+	})
+	if err != nil || len(n) != 3 || n[1] != perOwner || n[2] != perOwner || n[3] != perOwner {
+		t.Fatalf("records per owner %v (%v), want %d each", n, err, perOwner)
 	}
 	// Owner-partitioned placement costs extra pages versus a single shared
 	// pool filling pages completely (this is the Figure 11 effect).
@@ -131,7 +130,7 @@ func TestOwnerSegregation(t *testing.T) {
 func TestScanVisitsEverything(t *testing.T) {
 	f, _ := newFile(Latched)
 	want := map[string]bool{}
-	for i := 0; i < 500; i++ {
+	for i := 0; i < 1000; i++ {
 		rec := fmt.Sprintf("row-%d", i)
 		if _, err := f.Insert(nil, SharedOwner, []byte(rec)); err != nil {
 			t.Fatal(err)
@@ -148,44 +147,19 @@ func TestScanVisitsEverything(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("scan saw %d of %d records", len(got), len(want))
 	}
-	// Early termination.
-	n := 0
-	_ = f.Scan(nil, func(_ page.RID, _ []byte) bool {
-		n++
-		return n < 10
-	})
-	if n != 10 {
-		t.Fatalf("early stop visited %d", n)
+	// Early termination, on the first page and on a later one.
+	if f.NumPages() < 2 {
+		t.Fatalf("%d records fill %d page, want at least 2", len(want), f.NumPages())
 	}
-}
-
-func TestMoveRelocatesRecords(t *testing.T) {
-	f, _ := newFile(LatchFree)
-	var rids []page.RID
-	for i := 0; i < 100; i++ {
-		rid, err := f.Insert(nil, 1, []byte(fmt.Sprintf("m-%d", i)))
-		if err != nil {
-			t.Fatal(err)
+	for _, stopAt := range []int{10, len(want) - 10} {
+		n := 0
+		_ = f.Scan(nil, func(_ page.RID, _ []byte) bool {
+			n++
+			return n < stopAt
+		})
+		if n != stopAt {
+			t.Fatalf("a scan stopping at record %d visited %d", stopAt, n)
 		}
-		rids = append(rids, rid)
-	}
-	moved, err := f.Move(nil, 2, rids[:50])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(moved) != 50 {
-		t.Fatalf("moved %d", len(moved))
-	}
-	for old, nu := range moved {
-		if _, err := f.Get(nil, old); err == nil {
-			t.Fatal("old RID still live after move")
-		}
-		if _, err := f.Get(nil, nu); err != nil {
-			t.Fatalf("new RID unreadable: %v", err)
-		}
-	}
-	if n := len(f.PagesOwnedBy(2)); n == 0 {
-		t.Fatal("no pages owned by the destination partition")
 	}
 }
 
@@ -215,10 +189,6 @@ func TestStats(t *testing.T) {
 	st := f.Stats()
 	if st.Records != 100 || st.Pages == 0 || st.UsedBytes < 100*100 {
 		t.Fatalf("stats wrong: %+v", st)
-	}
-	rids, err := f.RecordsOwnedBy(SharedOwner)
-	if err != nil || len(rids) != 100 {
-		t.Fatalf("RecordsOwnedBy: %d %v", len(rids), err)
 	}
 }
 

@@ -107,9 +107,12 @@ func (r RID) Valid() bool { return r.Page != InvalidID }
 // String formats a RID.
 func (r RID) String() string { return fmt.Sprintf("rid(%d,%d)", uint64(r.Page), r.Slot) }
 
-// EncodeRID encodes a RID into a fixed 10-byte representation.
+// RIDSize is the length of a RID's encoding.
+const RIDSize = 10
+
+// EncodeRID encodes a RID into a fixed RIDSize-byte representation.
 func EncodeRID(r RID) []byte {
-	var buf [10]byte
+	var buf [RIDSize]byte
 	binary.BigEndian.PutUint64(buf[0:8], uint64(r.Page))
 	binary.BigEndian.PutUint16(buf[8:10], r.Slot)
 	return buf[:]
@@ -117,7 +120,7 @@ func EncodeRID(r RID) []byte {
 
 // DecodeRID decodes a RID previously encoded with EncodeRID.
 func DecodeRID(b []byte) (RID, error) {
-	if len(b) < 10 {
+	if len(b) < RIDSize {
 		return RID{}, fmt.Errorf("page: short RID encoding (%d bytes)", len(b))
 	}
 	return RID{
@@ -249,7 +252,11 @@ func (p *Page) ContiguousFreeSpace() int {
 // FreeSpace returns the number of bytes that would be available for a new
 // record after compaction (including the garbage left by deleted records).
 func (p *Page) FreeSpace() int {
-	return p.ContiguousFreeSpace() + int(p.garbage)
+	free := int(p.dataLow) + int(p.garbage) - p.slotDirEnd() - slotSize
+	if free < 0 {
+		return 0
+	}
+	return free
 }
 
 // HasRoomFor reports whether a record of n bytes fits on the page (possibly
@@ -315,21 +322,22 @@ func (p *Page) compact() {
 //
 
 // Add stores rec in the first free stable slot (reusing tombstones) and
-// returns the slot number.
+// returns the slot number.  A page with no tombstone, where every slot
+// holds a live record, appends a slot without scanning the directory.
 func (p *Page) Add(rec []byte) (uint16, error) {
 	if err := p.ensureRoom(len(rec)); err != nil {
 		return 0, err
 	}
-	// Reuse a tombstone slot if one exists.
-	slot := -1
-	for i := 0; i < int(p.nslots); i++ {
-		if off, _ := p.slotRef(i); off == tombstoneOffset {
-			slot = i
-			break
+	slot := int(p.nslots)
+	if p.nrecords < p.nslots {
+		for i := 0; i < int(p.nslots); i++ {
+			if off, _ := p.slotRef(i); off == tombstoneOffset {
+				slot = i
+				break
+			}
 		}
 	}
-	if slot < 0 {
-		slot = int(p.nslots)
+	if slot == int(p.nslots) {
 		p.nslots++
 	}
 	off := p.writeRecordData(rec)

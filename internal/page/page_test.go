@@ -88,6 +88,73 @@ func TestStableSlotAddGetDelete(t *testing.T) {
 	}
 }
 
+// TestAddReusesTombstones checks Add's slot choice on both of its paths:
+// while the page holds tombstones Add reuses the lowest one, and once it
+// holds none, including after a Set that moved a record within the page,
+// Add appends a fresh slot.
+func TestAddReusesTombstones(t *testing.T) {
+	p := New(1, KindHeap)
+	add := func(rec string) uint16 {
+		t.Helper()
+		slot, err := p.Add([]byte(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return slot
+	}
+	for i := 0; i < 10; i++ {
+		add(fmt.Sprintf("rec-%d", i))
+	}
+	for _, s := range []uint16{7, 3} {
+		if err := p.Delete(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []uint16{3, 7, 10} {
+		if got := add("again"); got != want {
+			t.Fatalf("Add took slot %d, want %d", got, want)
+		}
+	}
+	if err := p.Set(5, bytes.Repeat([]byte("g"), 100)); err != nil {
+		t.Fatal(err)
+	}
+	if got := add("after set"); got != 11 {
+		t.Fatalf("Add after a growing Set took slot %d, want 11", got)
+	}
+	if p.NumRecords() != 12 || p.NumSlots() != 12 {
+		t.Fatalf("%d records in %d slots, want 12 in 12", p.NumRecords(), p.NumSlots())
+	}
+}
+
+// TestHasRoomForAgreesWithAdd packs the slot directory and the record data
+// to within 2 bytes of each other, frees a record, and checks that
+// HasRoomFor promises exactly the room Add then finds: the 4-byte slot a
+// new record needs comes out of the freed bytes.
+func TestHasRoomForAgreesWithAdd(t *testing.T) {
+	build := func() *Page {
+		p := New(1, KindHeap)
+		if _, err := p.Add(make([]byte, 100)); err != nil {
+			t.Fatal(err)
+		}
+		// Leave dataLow 2 bytes past the end of a 2-slot directory.
+		if _, err := p.Add(make([]byte, dataSize-100-2*slotSize-2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Delete(0); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, n := range []int{97, 98, 99, 100} {
+		p := build()
+		room := p.HasRoomFor(n)
+		_, err := p.Add(make([]byte, n))
+		if room != (err == nil) {
+			t.Fatalf("%d bytes: HasRoomFor says %v, Add returns %v", n, room, err)
+		}
+	}
+}
+
 func TestSetGrowAndShrink(t *testing.T) {
 	p := New(1, KindHeap)
 	slot, err := p.Add([]byte("aaaa"))

@@ -45,15 +45,11 @@ func (f *fakeTarget) idx(table, index string) map[string][]byte {
 	return t
 }
 
-func (f *fakeTarget) Insert(table string, key, rec []byte) error {
+func (f *fakeTarget) Upsert(table string, key, rec []byte) error {
 	if table == f.failOn {
 		return fmt.Errorf("injected failure on %s", table)
 	}
-	t := f.tbl(table)
-	if _, ok := t[string(key)]; ok {
-		return fmt.Errorf("duplicate key %x", key)
-	}
-	t[string(key)] = append([]byte(nil), rec...)
+	f.tbl(table)[string(key)] = append([]byte(nil), rec...)
 	return nil
 }
 
@@ -75,15 +71,10 @@ func (f *fakeTarget) Delete(table string, key []byte) error {
 	}
 	t := f.tbl(table)
 	if _, ok := t[string(key)]; !ok {
-		return fmt.Errorf("missing key %x", key)
+		return fmt.Errorf("%w: %x", recovery.ErrNotFound, key)
 	}
 	delete(t, string(key))
 	return nil
-}
-
-func (f *fakeTarget) Exists(table string, key []byte) (bool, error) {
-	_, ok := f.tbl(table)[string(key)]
-	return ok, nil
 }
 
 func (f *fakeTarget) Read(table string, key []byte) ([]byte, error) {

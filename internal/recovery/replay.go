@@ -2,23 +2,27 @@
 package recovery
 
 import (
+	"errors"
 	"fmt"
 
 	"plp/internal/wal"
 )
 
+// ErrNotFound is the error, possibly wrapped, a Target returns for an
+// operation on an absent key.  engine.ErrNotFound wraps it.
+var ErrNotFound = errors.New("key not found")
+
 // Target is the interface replay applies recovered operations to.  It is
 // satisfied by *engine.Loader (the unlocked, unlogged bulk-load path of a
 // freshly created engine with the same schema as the crashed one).
 type Target interface {
-	// Insert adds a record under key.
-	Insert(table string, key, rec []byte) error
+	// Upsert adds the record under key, or overwrites the one there.
+	Upsert(table string, key, rec []byte) error
 	// Update overwrites the record under key.
 	Update(table string, key, rec []byte) error
-	// Delete removes the record under key.
+	// Delete removes the record under key; an absent key fails with
+	// ErrNotFound.
 	Delete(table string, key []byte) error
-	// Exists reports whether key is present.
-	Exists(table string, key []byte) (bool, error)
 	// Read returns the record under key; a missing key is an error.
 	Read(table string, key []byte) ([]byte, error)
 	// InsertSecondary adds a secondary-index entry.
@@ -76,29 +80,20 @@ func applyOp(t Target, op Op) error {
 	}
 	switch op.Type {
 	case wal.RecInsert, wal.RecUpdate:
-		exists, err := t.Exists(m.Table, m.Key)
-		if err != nil {
-			return err
-		}
-		if exists {
-			return t.Update(m.Table, m.Key, m.After)
-		}
-		return t.Insert(m.Table, m.Key, m.After)
+		return t.Upsert(m.Table, m.Key, m.After)
 	case wal.RecDelete:
-		exists, err := t.Exists(m.Table, m.Key)
-		if err != nil {
+		if err := t.Delete(m.Table, m.Key); err != nil && !errors.Is(err, ErrNotFound) {
 			return err
 		}
-		if !exists {
-			return nil
-		}
-		return t.Delete(m.Table, m.Key)
+		return nil
 	default:
 		return fmt.Errorf("recovery: unexpected op type %v", op.Type)
 	}
 }
 
-// loadSnapshot applies the checkpoint snapshot to the target.
+// loadSnapshot applies the checkpoint snapshot to the target, one upsert
+// per row: a restart loads into an empty target, so each row costs the
+// target a single insert.
 func loadSnapshot(t Target, s *Snapshot) (int, error) {
 	if s == nil {
 		return 0, nil
@@ -110,15 +105,7 @@ func loadSnapshot(t Target, s *Snapshot) (int, error) {
 			if chunk.Index != "" {
 				err = t.InsertSecondary(chunk.Table, chunk.Index, chunk.Keys[i], chunk.Values[i])
 			} else {
-				exists, xerr := t.Exists(chunk.Table, chunk.Keys[i])
-				if xerr != nil {
-					return n, xerr
-				}
-				if exists {
-					err = t.Update(chunk.Table, chunk.Keys[i], chunk.Values[i])
-				} else {
-					err = t.Insert(chunk.Table, chunk.Keys[i], chunk.Values[i])
-				}
+				err = t.Upsert(chunk.Table, chunk.Keys[i], chunk.Values[i])
 			}
 			if err != nil {
 				return n, fmt.Errorf("recovery: loading snapshot entry %s/%x: %w", chunk.Table, chunk.Keys[i], err)
