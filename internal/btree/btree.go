@@ -165,10 +165,9 @@ func (t *Tree) logSMO(tx *txn.Txn, pid page.ID) {
 	if t.cfg.Log == nil {
 		return
 	}
-	rec := &wal.Record{Type: wal.RecSMO, Page: pid}
+	rec := &wal.Record{Type: wal.RecSMO, Payload: wal.PagePayload(pid)}
 	if tx != nil {
 		rec.Txn = tx.ID()
-		rec.PrevLSN = tx.LastLSN()
 	}
 	lsn := t.cfg.Log.Append(rec)
 	if tx != nil {

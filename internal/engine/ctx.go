@@ -169,7 +169,6 @@ func (c *Ctx) appendLog(t wal.RecordType, m logrec.Modification) {
 	rec := &wal.Record{
 		Txn:     c.tx.ID(),
 		Type:    t,
-		PrevLSN: c.tx.LastLSN(),
 		Payload: logrec.EncodeModification(m),
 	}
 	start := time.Now()

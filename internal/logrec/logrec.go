@@ -1,13 +1,20 @@
 // Package logrec defines the payload format of logical log records.
 //
 // The write-ahead log (package wal) frames records and assigns LSNs but is
-// agnostic about payload contents.  The engine logs data modifications
-// logically — one record per Insert/Update/Delete naming the table, the key
-// and the record image after the change — which is what makes logical
-// restart recovery (package recovery) possible: the log alone is sufficient
-// to rebuild the database contents, in the spirit of the logical logging
-// schemes the paper builds on (Aether [Johnson et al., PVLDB 2010]
-// consolidates the buffer; the record contents stay logical).
+// agnostic about payload contents.  A frame carries a record's type,
+// transaction ID and payload length in a header of a few bytes (a type
+// byte and two uvarints) and closes with a CRC; everything else a record
+// says is in its payload, so the formats below are most of what a log
+// holds.  Structural records (RecSMO, RecRepartition) carry only the page
+// they started at, as a uvarint (wal.PagePayload).
+//
+// The engine logs data modifications logically — one record per
+// Insert/Update/Delete naming the table, the key and the record image
+// after the change — which is what makes logical restart recovery
+// (package recovery) possible: the log alone is sufficient to rebuild the
+// database contents, in the spirit of the logical logging schemes the
+// paper builds on (Aether [Johnson et al., PVLDB 2010] consolidates the
+// buffer; the record contents stay logical).
 //
 // Modification records are redo-only, as in value logging for
 // memory-resident engines (SiloR [Zheng et al., OSDI 2014]).  No reader of
@@ -43,7 +50,9 @@ var (
 
 // Payload versions.  Checkpoint payloads are still written at version 1;
 // modification payloads moved to version 2 when they dropped the
-// before-image and gained patches.  DecodeModification reads both.
+// before-image and gained patches.  No log holds a version 1 modification
+// any more: the logs that did are in a segment format package wal refuses
+// to open, so DecodeModification reads version 2 only.
 const (
 	payloadVersion      = 1
 	modificationVersion = 2
@@ -158,27 +167,17 @@ func EncodeModification(m Modification) []byte {
 	return appendUvarintBytes(out, m.After)
 }
 
-// DecodeModification parses a modification payload: the version 2 layout
-// EncodeModification writes, or the version 1 layout older logs hold, whose
-// before-image it skips.  The result does not alias payload.
+// DecodeModification parses a modification payload in the layout
+// EncodeModification writes.  The result does not alias payload.
 func DecodeModification(payload []byte) (Modification, error) {
-	if len(payload) < 1 {
-		return Modification{}, ErrShort
-	}
-	switch payload[0] {
-	case modificationVersion:
-		return decodeModificationV2(payload[1:])
-	case payloadVersion:
-		return decodeModificationV1(payload[1:])
-	default:
-		return Modification{}, fmt.Errorf("%w: %d", ErrVersion, payload[0])
-	}
-}
-
-// decodeModificationV2 parses the body of a version 2 payload.
-func decodeModificationV2(body []byte) (Modification, error) {
 	var m Modification
-	table, rest, err := readUvarintBytes(body)
+	if len(payload) < 1 {
+		return m, ErrShort
+	}
+	if payload[0] != modificationVersion {
+		return m, fmt.Errorf("%w: %d", ErrVersion, payload[0])
+	}
+	table, rest, err := readUvarintBytes(payload[1:])
 	if err != nil {
 		return m, err
 	}
@@ -211,33 +210,6 @@ func clone(b []byte) []byte {
 		return nil
 	}
 	return append([]byte(nil), b...)
-}
-
-// decodeModificationV1 parses the body of a version 1 payload: Table,
-// Index, Key, Before and After, each behind a little-endian uint32 length.
-// Before is read past and dropped.
-func decodeModificationV1(rest []byte) (Modification, error) {
-	var m Modification
-	var field []byte
-	var err error
-	if field, rest, err = readBytes(rest); err != nil {
-		return m, err
-	}
-	m.Table = string(field)
-	if field, rest, err = readBytes(rest); err != nil {
-		return m, err
-	}
-	m.Index = string(field)
-	if m.Key, rest, err = readBytes(rest); err != nil {
-		return m, err
-	}
-	if _, rest, err = readBytes(rest); err != nil {
-		return m, err
-	}
-	if m.After, _, err = readBytes(rest); err != nil {
-		return m, err
-	}
-	return m, nil
 }
 
 // IsModificationPayload reports whether the payload looks like an encoded

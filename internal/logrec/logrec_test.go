@@ -54,9 +54,6 @@ func TestModificationSizes(t *testing.T) {
 	if want := 1 + 1 + 12 + 1 + 1 + 8 + 1 + 1 + 100; len(whole) != want {
 		t.Fatalf("after-image payload is %d bytes, want %d", len(whole), want)
 	}
-	if v1 := encodeModificationV1(table, "", key, make([]byte, 100), make([]byte, 100)); len(v1) != 241 {
-		t.Fatalf("version 1 payload is %d bytes, want 241", len(v1))
-	}
 }
 
 func TestModificationRoundTripProperty(t *testing.T) {
@@ -71,16 +68,6 @@ func TestModificationRoundTripProperty(t *testing.T) {
 	}
 }
 
-// encodeModificationV1 writes the version 1 layout older logs hold: Table,
-// Index, Key, Before and After, each behind a little-endian uint32 length.
-func encodeModificationV1(table, index string, key, before, after []byte) []byte {
-	out := []byte{payloadVersion}
-	for _, f := range [][]byte{[]byte(table), []byte(index), key, before, after} {
-		out = appendBytes(out, f)
-	}
-	return out
-}
-
 func TestDecodeModificationErrors(t *testing.T) {
 	if _, err := DecodeModification(nil); err == nil {
 		t.Fatal("decoding an empty payload should fail")
@@ -88,12 +75,17 @@ func TestDecodeModificationErrors(t *testing.T) {
 	if _, err := DecodeModification([]byte{99}); !errors.Is(err, ErrVersion) {
 		t.Fatalf("decoding an unknown version: err = %v, want ErrVersion", err)
 	}
-	// Truncate valid payloads of both versions at every length: decoding
-	// must never panic and must fail for every strict prefix.
+	// Version 1, which carried a before-image, is no longer read.
+	v1 := []byte{payloadVersion, 1, 0, 0, 0, 't', 0, 0, 0, 0, 1, 0, 0, 0, 'k', 0, 0, 0, 0, 1, 0, 0, 0, 'a'}
+	if _, err := DecodeModification(v1); !errors.Is(err, ErrVersion) {
+		t.Fatalf("decoding a version 1 payload: err = %v, want ErrVersion", err)
+	}
+	// Truncate valid payloads at every length: decoding must never panic
+	// and must fail for every strict prefix.
 	for _, full := range [][]byte{
 		EncodeModification(Modification{Table: "t", Key: []byte("key"), After: []byte("a")}),
 		EncodeModification(Modification{Table: "t", Key: []byte("key"), At: PatchAt(300), After: []byte("field")}),
-		encodeModificationV1("t", "", []byte("key"), []byte("b"), []byte("a")),
+		EncodeModification(Modification{Table: "t", Index: "by_v", Key: []byte("one"), After: bytes.Repeat([]byte("pk"), 100)}),
 	} {
 		for i := 0; i < len(full); i++ {
 			if _, err := DecodeModification(full[:i]); err == nil {
@@ -323,7 +315,7 @@ func TestCheckpointMetaRoundTrip(t *testing.T) {
 func FuzzDecodeModification(f *testing.F) {
 	f.Add(EncodeModification(Modification{Table: "acct", Key: []byte("k"), At: PatchAt(8), After: make([]byte, 8)}), "t", []byte("k"), uint64(0), []byte("v"))
 	f.Add(EncodeModification(Modification{Table: "t", Index: "i", Key: []byte("s"), After: []byte("pk")}), "", []byte(nil), uint64(9), []byte(nil))
-	f.Add(encodeModificationV1("t", "", []byte("k"), []byte("b"), []byte("a")), "x", []byte{0}, uint64(1), []byte{1, 2})
+	f.Add(EncodeModification(Modification{Table: "t", Key: []byte("k"), At: PatchAt(300), After: []byte("a")}), "x", []byte{0}, uint64(1), []byte{1, 2})
 	f.Add([]byte{modificationVersion, 0x80}, "", []byte(nil), uint64(0), []byte(nil))
 	f.Fuzz(func(t *testing.T, payload []byte, table string, key []byte, at uint64, after []byte) {
 		if m, err := DecodeModification(payload); err == nil {

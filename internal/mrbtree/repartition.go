@@ -49,7 +49,7 @@ func (t *Tree) logRepartition() {
 	if t.cfg.Log == nil {
 		return
 	}
-	t.cfg.Log.Append(&wal.Record{Type: wal.RecRepartition, Page: t.routing})
+	t.cfg.Log.Append(&wal.Record{Type: wal.RecRepartition, Payload: wal.PagePayload(t.routing)})
 }
 
 // Slice splits the partition containing atKey into two partitions at atKey.

@@ -2,7 +2,6 @@ package recovery_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -138,8 +137,8 @@ func TestAnalyzeOutcomes(t *testing.T) {
 
 func TestAnalyzeSkipsStructuralAndLegacyRecords(t *testing.T) {
 	log := wal.NewNaive(nil)
-	log.Append(&wal.Record{Type: wal.RecSMO, Page: 7})
-	log.Append(&wal.Record{Type: wal.RecRepartition, Page: 9})
+	log.Append(&wal.Record{Type: wal.RecSMO, Payload: wal.PagePayload(7)})
+	log.Append(&wal.Record{Type: wal.RecRepartition, Payload: wal.PagePayload(9)})
 	// A legacy bare-key payload that is not a logrec modification.
 	log.Append(&wal.Record{Txn: 5, Type: wal.RecInsert, Payload: []byte("bare-key")})
 	appendCommit(log, 5)
@@ -390,63 +389,6 @@ func TestReplayPatchErrors(t *testing.T) {
 		if _, _, err := recovery.Recover(log, newFakeTarget()); err == nil {
 			t.Fatalf("%s: replay succeeded", name)
 		}
-	}
-}
-
-// encodeModificationV1 hand-encodes the version 1 modification payload
-// that logs written before the redo-only format hold: the version byte,
-// then Table, Index, Key, Before and After, each behind a little-endian
-// uint32 length.
-func encodeModificationV1(table, index string, key, before, after []byte) []byte {
-	out := []byte{1}
-	for _, f := range [][]byte{[]byte(table), []byte(index), key, before, after} {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(f)))
-		out = append(out, f...)
-	}
-	return out
-}
-
-// TestReplayVersion1Log is the upgrade check: a log written in the version
-// 1 format, before-images included, must replay every committed update.
-// Were the records unreadable, Analyze would count them as unparsed and
-// skip them, silently losing committed data.
-func TestReplayVersion1Log(t *testing.T) {
-	log := wal.NewNaive(nil)
-	v1 := func(txn uint64, typ wal.RecordType, payload []byte) {
-		log.Append(&wal.Record{Txn: txn, Type: typ, Payload: payload})
-	}
-	v1(1, wal.RecInsert, encodeModificationV1("t", "", []byte("a"), nil, []byte("one")))
-	v1(1, wal.RecInsert, encodeModificationV1("t", "", []byte("gone"), nil, []byte("x")))
-	v1(1, wal.RecInsert, encodeModificationV1("t", "by_v", []byte("one"), nil, []byte("a")))
-	appendCommit(log, 1)
-	v1(2, wal.RecUpdate, encodeModificationV1("t", "", []byte("a"), []byte("one"), []byte("two")))
-	v1(2, wal.RecDelete, encodeModificationV1("t", "", []byte("gone"), []byte("x"), nil))
-	appendCommit(log, 2)
-	v1(3, wal.RecUpdate, encodeModificationV1("t", "", []byte("a"), []byte("two"), []byte("loser")))
-	appendAbort(log, 3)
-	// A redo-only record after the upgrade patches the v1 after-image.
-	appendMod(log, 4, wal.RecUpdate, logrec.Modification{Table: "t", Key: []byte("a"), At: logrec.PatchAt(2), After: []byte("!")})
-	appendCommit(log, 4)
-
-	a, err := recovery.Analyze(log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.UnparsedRecords != 0 || len(a.Ops) != 7 {
-		t.Fatalf("analysis: %d unparsed, %d ops; want 0 and 7", a.UnparsedRecords, len(a.Ops))
-	}
-	ft := newFakeTarget()
-	if _, err := recovery.Replay(a, ft); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(ft.tbl("t")["a"]); got != "tw!" {
-		t.Fatalf("a = %q, want %q", got, "tw!")
-	}
-	if _, ok := ft.tbl("t")["gone"]; ok {
-		t.Fatal("v1 delete not applied")
-	}
-	if got := string(ft.idx("t", "by_v")["one"]); got != "a" {
-		t.Fatalf("secondary entry = %q, want %q", got, "a")
 	}
 }
 

@@ -437,15 +437,14 @@ func (f *Follower) streamOnce() (refused bool, err error) {
 		f.lastContact.Store(time.Now().UnixNano())
 		switch fr.Kind {
 		case wire.FrameReplRecords:
-			recs := make([]wal.Record, 0, len(fr.ReplRecords))
-			for _, blob := range fr.ReplRecords {
-				rec, err := wal.UnmarshalRecord(blob)
-				if err != nil {
-					return false, fmt.Errorf("repl: corrupt shipped record: %w", err)
-				}
-				recs = append(recs, rec)
+			// The frames are appended as they came, each checked at the
+			// LSN it lands at, and decoded only to feed the applier.
+			first := wal.LSN(fr.StartLSN)
+			if err := f.o.Log.AppendShipped(first, fr.ReplFrames); err != nil {
+				return false, fmt.Errorf("repl: shipped frames refused: %w", err)
 			}
-			if err := f.o.Log.AppendShipped(recs); err != nil {
+			recs, err := wal.DecodeFrames(first, fr.ReplFrames)
+			if err != nil {
 				return false, err
 			}
 			f.o.Log.Flush(f.o.Log.CurrentLSN())

@@ -257,28 +257,36 @@ func (p *Primary) register(start wal.LSN, node, remote string, seed bool) *Subsc
 	return s
 }
 
+// Batch is a run of whole WAL frames read from the primary's log, as they
+// lie on disk: the first was written at First, and End is the LSN after
+// the last.
+type Batch struct {
+	First, End wal.LSN
+	Frames     []byte
+}
+
 // Next blocks until at least one durable record past the cursor exists,
 // then returns the next batch (bounded by the primary's batch size) and
 // advances the cursor.  stop aborts the wait at the next durability
 // wake-up or within one poll interval.
-func (s *Subscription) Next(stop <-chan struct{}) ([]wal.Record, error) {
+func (s *Subscription) Next(stop <-chan struct{}) (Batch, error) {
 	for {
 		if s.closed.Load() {
-			return nil, ErrSubscriptionClosed
+			return Batch{}, ErrSubscriptionClosed
 		}
 		select {
 		case <-stop:
-			return nil, ErrSubscriptionClosed
+			return Batch{}, ErrSubscriptionClosed
 		default:
 		}
-		recs, err := s.reader.ReadDurable(s.cursor, s.p.batchBytes)
+		frames, end, err := s.reader.ReadFrames(s.cursor, s.p.batchBytes)
 		if err != nil {
-			return nil, err
+			return Batch{}, err
 		}
-		if len(recs) > 0 {
-			last := recs[len(recs)-1]
-			s.cursor = last.LSN + wal.LSN(last.EncodedSize())
-			return recs, nil
+		if len(frames) > 0 {
+			b := Batch{First: s.cursor, End: end, Frames: frames}
+			s.cursor = end
+			return b, nil
 		}
 		// Caught up: sleep until the group commit makes the cursor's record
 		// durable, abortable by stop.  The callback stays registered until
@@ -288,14 +296,14 @@ func (s *Subscription) Next(stop <-chan struct{}) ([]wal.Record, error) {
 		s.p.log.OnDurable(cursor, func(error) { close(woke) })
 		select {
 		case <-stop:
-			return nil, ErrSubscriptionClosed
+			return Batch{}, ErrSubscriptionClosed
 		case <-woke:
 			if s.p.log.DurableLSN() <= cursor {
 				// The callback fires without progress only when the log is
 				// closing; the short pause keeps that case from spinning.
 				select {
 				case <-stop:
-					return nil, ErrSubscriptionClosed
+					return Batch{}, ErrSubscriptionClosed
 				case <-time.After(10 * time.Millisecond):
 				}
 			}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -100,12 +102,12 @@ func TestSubscriptionStreamsAndPins(t *testing.T) {
 	defer s.Close()
 
 	stop := make(chan struct{})
-	recs, err := s.Next(stop)
+	b, err := s.Next(stop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || recs[0].LSN != 1 {
-		t.Fatalf("first batch: %d records starting %d", len(recs), recs[0].LSN)
+	if recs, err := wal.DecodeFrames(b.First, b.Frames); err != nil || len(recs) != 2 || b.First != 1 || b.End != log.DurableLSN() {
+		t.Fatalf("first batch: %d records in [%d, %d), %v", len(recs), b.First, b.End, err)
 	}
 
 	// The un-acked subscriber pins the log: truncation keeps its records.
@@ -124,8 +126,9 @@ func TestSubscriptionStreamsAndPins(t *testing.T) {
 	// Next blocks while caught up, wakes on new appends.
 	got := make(chan int, 1)
 	go func() {
-		recs, err := s.Next(stop)
-		if err != nil {
+		b, err := s.Next(stop)
+		recs, derr := wal.DecodeFrames(b.First, b.Frames)
+		if err != nil || derr != nil {
 			got <- -1
 			return
 		}
@@ -485,23 +488,21 @@ func stream(t *testing.T, s *Subscription, plog, flog *wal.Durable, a *Applier) 
 	defer s.Close()
 	stop := make(chan struct{})
 	for flog.DurableLSN() < plog.DurableLSN() {
-		recs, err := s.Next(stop)
+		b, err := s.Next(stop)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Ship the records as bytes, as the wire does.
-		shipped := make([]wal.Record, len(recs))
-		for i := range recs {
-			if shipped[i], err = wal.UnmarshalRecord(recs[i].Marshal()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := flog.AppendShipped(shipped); err != nil {
+		// The frames go over as they are, as the wire carries them.
+		if err := flog.AppendShipped(b.First, b.Frames); err != nil {
 			t.Fatal(err)
 		}
 		durable := flog.Flush(flog.CurrentLSN())
 		if a != nil {
-			if err := a.Feed(shipped); err != nil {
+			recs, err := wal.DecodeFrames(b.First, b.Frames)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Feed(recs); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -512,19 +513,51 @@ func stream(t *testing.T, s *Subscription, plog, flog *wal.Durable, a *Applier) 
 // logBytes concatenates a log directory's segment files in LSN order.
 func logBytes(t *testing.T, dir string) []byte {
 	t.Helper()
+	files := segmentFiles(t, dir)
+	var all []byte
+	for _, name := range slices.Sorted(maps.Keys(files)) {
+		all = append(all, files[name]...)
+	}
+	return all
+}
+
+// segmentFiles returns the contents of a log directory's segment files,
+// by file name.
+func segmentFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var all []byte
+	files := make(map[string][]byte, len(segs))
 	for _, s := range segs {
 		b, err := os.ReadFile(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, b...)
+		files[filepath.Base(s)] = b
 	}
-	return all
+	return files
+}
+
+// sameSegmentFiles fails unless the follower's log directory holds the
+// primary's segment files from first on, byte for byte, and nothing else.
+func sameSegmentFiles(t *testing.T, stage, fdir, pdir string, first wal.LSN) {
+	t.Helper()
+	fsegs, psegs := segmentFiles(t, fdir), segmentFiles(t, pdir)
+	n := 0
+	for name, p := range psegs {
+		if name < fmt.Sprintf("%016x.seg", uint64(first)) {
+			continue
+		}
+		n++
+		if f, ok := fsegs[name]; !ok || !bytes.Equal(f, p) {
+			t.Fatalf("%s: follower segment %s differs from the primary's (present: %v)", stage, name, ok)
+		}
+	}
+	if n != len(fsegs) || n < 2 {
+		t.Fatalf("%s: follower holds %d segments, primary %d from LSN %d; want the same, and a rotation", stage, len(fsegs), n, first)
+	}
 }
 
 // TestFollowerCatchesUpFromClosedSegment: a follower whose durable LSN now
@@ -566,6 +599,93 @@ func TestFollowerCatchesUpFromClosedSegment(t *testing.T) {
 	}
 	if !bytes.Equal(logBytes(t, fdir), logBytes(t, pdir)) {
 		t.Fatal("follower log is not byte-identical to the primary's")
+	}
+}
+
+// TestFollowerSegmentsByteEqual: a follower appends the primary's frames
+// as they are, and rotates where the primary rotated, so its segment files
+// are the primary's, name for name and byte for byte, after rotations and
+// after a re-seed that restarts its log at a segment the primary still
+// holds.  A re-seed from inside a segment leaves the follower's frames a
+// byte-identical suffix of the primary's.
+func TestFollowerSegmentsByteEqual(t *testing.T) {
+	pdir, fdir := t.TempDir(), t.TempDir()
+	opts := wal.DurableOptions{SegmentBytes: 2048}
+	plog, err := wal.OpenDurable(pdir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plog.Close()
+	flog, err := wal.OpenDurable(fdir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer flog.Close()
+	p := NewPrimary(plog, 1)
+	txn := uint64(0)
+	load := func(n int) {
+		for i := 0; i < n; i++ {
+			txn++
+			appendTxn(t, plog, txn, fmt.Sprintf("k%04d", txn), strings.Repeat("v", int(txn%50)))
+		}
+	}
+	load(100)
+	catchUp(t, p, plog, flog)
+	load(100)
+	catchUp(t, p, plog, flog)
+	sameSegmentFiles(t, "after rotations", fdir, pdir, 1)
+
+	// Drop the primary's first two segments and re-seed from the third.
+	names := slices.Sorted(maps.Keys(segmentFiles(t, pdir)))
+	var third uint64
+	if _, err := fmt.Sscanf(names[2], "%016x", &third); err != nil {
+		t.Fatal(err)
+	}
+	plog.Truncate(wal.LSN(third))
+	if plog.OldestLSN() != wal.LSN(third) {
+		t.Fatalf("truncation to a segment start left the horizon at %d, want %d", plog.OldestLSN(), third)
+	}
+	reseed := func(stage string) {
+		t.Helper()
+		start := plog.OldestLSN()
+		if err := flog.ResetForSeed(start); err != nil {
+			t.Fatal(err)
+		}
+		s, err := p.Subscribe(start, 0, "f", "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream(t, s, plog, flog, nil)
+		if flog.DurableLSN() != plog.DurableLSN() {
+			t.Fatalf("%s: follower durable %d, primary %d", stage, flog.DurableLSN(), plog.DurableLSN())
+		}
+	}
+	reseed("re-seed")
+	load(50)
+	catchUp(t, p, plog, flog)
+	sameSegmentFiles(t, "after a re-seed", fdir, pdir, wal.LSN(third))
+
+	// A horizon inside a segment: the follower's log starts there.
+	frames, _, err := plog.NewReader().ReadFrames(plog.OldestLSN(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := wal.DecodeFrames(plog.OldestLSN(), frames)
+	if err != nil || len(recs) < 10 {
+		t.Fatalf("reading the retained log: %d records, %v", len(recs), err)
+	}
+	plog.Truncate(recs[5].LSN)
+	reseed("re-seed inside a segment")
+	segFrames := func(dir string) []byte {
+		files := segmentFiles(t, dir)
+		var all []byte
+		for _, name := range slices.Sorted(maps.Keys(files)) {
+			all = append(all, files[name][len("PLPWAL")+1:]...)
+		}
+		return all
+	}
+	if f := segFrames(fdir); len(f) == 0 || !bytes.HasSuffix(segFrames(pdir), f) {
+		t.Fatal("a follower re-seeded inside a segment holds frames the primary does not end with")
 	}
 }
 

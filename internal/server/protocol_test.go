@@ -62,7 +62,8 @@ func TestHandshakeNegotiatesDownFromFutureVersion(t *testing.T) {
 // whose HELLO offers an older version, are both refused with an erroring
 // HELLO-ACK and closed, and neither counts as a session.  A v3 client, which
 // would send flat statement frames this server no longer reads, is refused
-// at the handshake.
+// at the handshake, as is a v4 follower, which would read WAL frames as
+// the record blobs it shipped.
 func TestHandshakeRequired(t *testing.T) {
 	_, srv, addr := startServer(t, engine.PLPLeaf)
 	for _, tc := range []struct {
@@ -72,7 +73,8 @@ func TestHandshakeRequired(t *testing.T) {
 	}{
 		{"no hello", wire.EncodePingRequest(1, nil), "handshake required"},
 		{"hello offering v2", wire.EncodeHello(&wire.Hello{MaxVersion: 2}), "offers protocol v2"},
-		{"hello offering v3", wire.EncodeHello(&wire.Hello{MaxVersion: 3}), "offers protocol v3, server requires v4"},
+		{"hello offering v3", wire.EncodeHello(&wire.Hello{MaxVersion: 3}), "offers protocol v3, server requires v5"},
+		{"hello offering v4", wire.EncodeHello(&wire.Hello{MaxVersion: 4}), "offers protocol v4, server requires v5"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn, err := net.Dial("tcp", addr)

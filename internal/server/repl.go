@@ -239,15 +239,15 @@ func (s *Server) serveReplication(conn net.Conn, br *bufio.Reader, payload []byt
 		// pump goroutine: the select below keeps heartbeats flowing while
 		// the log is idle.  Next returns on stop, and the pump with it.
 		type batch struct {
-			recs []wal.Record
-			err  error
+			repl.Batch
+			err error
 		}
 		batches := make(chan batch)
 		go func() {
 			for {
-				recs, err := sub.Next(stop)
+				b, err := sub.Next(stop)
 				select {
-				case batches <- batch{recs, err}:
+				case batches <- batch{b, err}:
 					if err != nil {
 						return
 					}
@@ -276,22 +276,15 @@ func (s *Server) serveReplication(conn net.Conn, br *bufio.Reader, payload []byt
 					_ = conn.Close()
 					return
 				}
-				blobs := make([][]byte, len(b.recs))
-				for i := range b.recs {
-					blobs[i] = b.recs[i].Marshal()
-				}
 				seq++
-				if !send(wire.EncodeReplRecords(seq, blobs)) {
+				if !send(wire.EncodeReplRecords(seq, uint64(b.First), b.Frames)) {
 					return
 				}
-				if seeding && len(b.recs) > 0 {
-					last := b.recs[len(b.recs)-1]
-					if last.LSN+wal.LSN(last.EncodedSize()) >= seedTarget {
-						seeding = false
-						seq++
-						if !send(wire.EncodeReplSeedEnd(seq)) {
-							return
-						}
+				if seeding && b.End >= seedTarget {
+					seeding = false
+					seq++
+					if !send(wire.EncodeReplSeedEnd(seq)) {
+						return
 					}
 				}
 			}

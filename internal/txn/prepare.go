@@ -37,7 +37,7 @@ func (m *Manager) PrepareThen(t *Txn, gid string, done func(error)) {
 		done(fmt.Errorf("txn: empty gid"))
 		return
 	}
-	rec := &wal.Record{Txn: t.id, Type: wal.RecPrepare, PrevLSN: t.LastLSN(), Payload: []byte(gid)}
+	rec := &wal.Record{Txn: t.id, Type: wal.RecPrepare, Payload: []byte(gid)}
 	lsn := m.log.Append(rec)
 	t.SetLastLSN(lsn)
 	m.log.OnDurable(lsn, func(err error) {

@@ -388,7 +388,7 @@ func (m *Manager) CommitThen(t *Txn, done func(error)) {
 	if t.readOnly {
 		t.commitLSN = m.log.CurrentLSN() - 1
 	} else {
-		rec := &wal.Record{Txn: t.id, Type: wal.RecCommit, PrevLSN: t.LastLSN()}
+		rec := &wal.Record{Txn: t.id, Type: wal.RecCommit}
 		t.commitLSN = m.log.Append(rec)
 		t.SetLastLSN(t.commitLSN)
 	}
@@ -476,7 +476,7 @@ func (m *Manager) Abort(t *Txn) error {
 	// The abort record is appended but not flushed: recovery treats a
 	// transaction without a durable commit record as a loser either way, so
 	// forcing an fsync here would only add latency to the failure path.
-	rec := &wal.Record{Txn: t.id, Type: wal.RecAbort, PrevLSN: t.LastLSN()}
+	rec := &wal.Record{Txn: t.id, Type: wal.RecAbort}
 	lsn := m.log.Append(rec)
 	t.SetLastLSN(lsn)
 

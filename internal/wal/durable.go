@@ -5,9 +5,10 @@
 // disqualifying for a system that must survive kill -9.  Durable puts a real
 // log file behind the same Log interface, and keeps the log as bytes:
 //
-//   - Append assigns the LSN and encodes the record's on-disk frame (header,
-//     payload, CRC32 trailer) once, onto a pointer-free tail buffer, under a
-//     short mutex.
+//   - Append assigns the LSN and encodes the record's frame (wal.go: type
+//     byte, uvarint transaction ID and payload length, payload, CRC32 over
+//     the LSN and those bytes) once, onto a pointer-free tail buffer, under
+//     a short mutex.
 //   - A background flush daemon swaps the tail out, writes its bytes to the
 //     active segment file in ONE write, fsyncs ONCE, and then advances the
 //     durable LSN and runs, in LSN order, every callback registered at or
@@ -29,19 +30,26 @@
 //
 // The log is segmented: the active segment rotates at SegmentBytes, and
 // Truncate (driven by checkpointing) raises the truncation horizon and
-// unlinks whole segments whose records all precede it.  On open, segments
-// are scanned sequentially with a per-record CRC; a torn tail record (the
-// crash hit mid-write) is cut off at the last valid prefix, which is
-// exactly the prefix the flusher had acknowledged.
+// unlinks whole segments whose records all precede it.  A segment file is
+// named after the LSN of its first record and holds a 7-byte header (the
+// magic "PLPWAL" and the format version, 2) followed by frames back to
+// back.  No frame stores its LSN: the first frame's is the name's, and each
+// later one's is the previous one's plus its size less the CRC.  On open,
+// segments are scanned sequentially, each frame's CRC checked at the LSN
+// so derived; a torn tail record (the crash hit mid-write) is cut off at
+// the last valid prefix, which is exactly the prefix the flusher had
+// acknowledged.  A segment whose header is not this format's — one written
+// by a build that stored a 37-byte header in every record, say — fails the
+// open with ErrFormat: it is never read, and never replaced by an empty
+// log.
 package wal
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -61,10 +69,11 @@ const (
 	// segmentSuffix names log segment files; the prefix is the first LSN in
 	// the segment, in fixed-width hex so lexical order is LSN order.
 	segmentSuffix = ".seg"
-	// recordHeaderSize is the fixed Marshal header preceding the payload.
-	recordHeaderSize = 37
-	// recordTrailerSize is the CRC32 trailer framing each on-disk record.
-	recordTrailerSize = 4
+	// segmentMagic and segmentFormat open every segment file; together
+	// they are the segment header, segHeaderSize bytes.
+	segmentMagic  = "PLPWAL"
+	segmentFormat = 2
+	segHeaderSize = len(segmentMagic) + 1
 	// maxSpareBytes caps the batch buffer a flush keeps for reuse.
 	maxSpareBytes = 1 << 20
 )
@@ -80,6 +89,13 @@ type DurableOptions struct {
 	// CSStats, when set, receives log-manager critical-section reports.
 	CSStats *cs.Stats
 }
+
+// ErrFormat is returned by OpenDurable when a segment in the directory is
+// not in this build's log format.
+var ErrFormat = errors.New("wal: segment is not in log format 2")
+
+// segmentHeader is the header every segment file starts with.
+var segmentHeader = append([]byte(segmentMagic), segmentFormat)
 
 // Durable is the disk-backed segmented log device.
 type Durable struct {
@@ -154,7 +170,8 @@ func NewDurable(dir string) (*Durable, error) {
 // OpenDurable opens (or creates) a disk-backed log in dir.  Existing
 // segments are scanned sequentially: every CRC-valid record counts as
 // durable, and a torn tail (a crash in the middle of a batch write) is
-// truncated away.  Unless SyncEveryCommit is set, the group-commit flush
+// truncated away.  A segment in another format fails the open with
+// ErrFormat.  Unless SyncEveryCommit is set, the group-commit flush
 // daemon is started.
 func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 	if opts.SegmentBytes <= 0 {
@@ -215,11 +232,21 @@ func (d *Durable) load() error {
 		if _, err := fmt.Sscanf(name, "%016x", &first); err != nil || segmentName(LSN(first)) != name {
 			return fmt.Errorf("wal: malformed segment name %q", name)
 		}
-		r, err := openFrames(path, cursor{lsn: LSN(first)})
+		empty, err := checkSegmentHeader(path)
+		if err != nil {
+			return err
+		}
+		if empty {
+			// The crash hit before the header was whole: no record was
+			// ever written here.
+			_ = os.Remove(path)
+			continue
+		}
+		r, err := openFrames(path, startOf(LSN(first)))
 		if err != nil {
 			return fmt.Errorf("wal: read segment: %w", err)
 		}
-		for r.next() != nil {
+		for r.next() {
 		}
 		_ = r.f.Close()
 		if r.off < r.size {
@@ -229,7 +256,7 @@ func (d *Durable) load() error {
 			}
 			torn = true
 		}
-		if r.off == 0 {
+		if r.off == int64(segHeaderSize) {
 			_ = os.Remove(path)
 			continue
 		}
@@ -249,6 +276,30 @@ func (d *Durable) load() error {
 	return nil
 }
 
+// checkSegmentHeader reads the header of the segment file at path.  It
+// reports a file shorter than the header that holds a prefix of it as
+// empty: one a crash caught while it was being created.  Any other header
+// fails with ErrFormat.
+func checkSegmentHeader(path string) (empty bool, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return false, fmt.Errorf("wal: read segment: %w", err)
+	}
+	defer f.Close()
+	hdr := make([]byte, segHeaderSize)
+	n, err := io.ReadFull(f, hdr)
+	switch {
+	case err != nil && err != io.ErrUnexpectedEOF && err != io.EOF:
+		return false, fmt.Errorf("wal: read segment: %w", err)
+	case bytes.Equal(hdr[:n], segmentHeader[:n]):
+		return n < segHeaderSize, nil
+	case n == segHeaderSize && bytes.Equal(hdr[:len(segmentMagic)], []byte(segmentMagic)):
+		return false, fmt.Errorf("%w: %s is in format %d", ErrFormat, path, hdr[len(segmentMagic)])
+	default:
+		return false, fmt.Errorf("%w: %s has no segment header (a log written before format 2, whose records each carry a 37-byte header?)", ErrFormat, path)
+	}
+}
+
 // openSegment creates a fresh segment whose first record will be at lsn and
 // makes it the active segment.  Caller must hold ioMu (or be single-threaded
 // during open).
@@ -257,12 +308,16 @@ func (d *Durable) openSegment(lsn LSN) error {
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
+	if _, err := f.Write(segmentHeader); err != nil {
+		_ = f.Close()
+		return fmt.Errorf("wal: create segment: %w", err)
+	}
 	// fsync the directory so the new segment's name survives a crash.
 	if dirf, derr := os.Open(d.dir); derr == nil {
 		_ = dirf.Sync()
 		_ = dirf.Close()
 	}
-	d.seg, d.segSize = f, 0
+	d.seg, d.segSize = f, int64(segHeaderSize)
 	d.segMu.Lock()
 	d.segs = append(d.segs, lsn)
 	d.segMu.Unlock()
@@ -367,16 +422,22 @@ func (d *Durable) flushOnce(forceSync bool) {
 		return
 	}
 
-	// Write the batch as is, split at the record boundaries where segments rotate.
-	start := 0
-	for off := 0; off < len(batch); off += frameLen(batch[off:]) {
-		if d.segSize > 0 && d.segSize+int64(off-start) >= d.opts.SegmentBytes {
+	// Write the batch as is, split at the record boundaries where segments
+	// rotate.  The batch starts at the durable horizon: every flush before
+	// this one, which ioMu orders, wrote the tail up to it.
+	start, lsn := 0, LSN(d.durable.Load())
+	for off, n := 0, 0; off < len(batch); off, lsn = off+n, lsn+LSN(n-crcSize) {
+		n = frameLen(batch[off:])
+		// A segment rotates before the first frame that finds it holding
+		// SegmentBytes, whatever batches the bytes came in, so a follower
+		// rotates where its primary did.
+		if size := d.segSize + int64(off-start); size > int64(segHeaderSize) && size >= d.opts.SegmentBytes {
 			// Rotate: flush what we have into the old segment first.
 			if err := d.writeAndSync(batch[start:off]); err != nil {
 				d.fail(err)
 			}
 			start = off
-			lsn, first := LSN(binary.LittleEndian.Uint64(batch[off:])), d.segs[len(d.segs)-1]
+			first := d.segs[len(d.segs)-1]
 			_ = d.seg.Close()
 			if hook := d.rotateHook.Load(); hook != nil {
 				(*hook)(d.segPath(first), first, lsn)
@@ -567,8 +628,8 @@ func (d *Durable) Truncate(upto LSN) int {
 
 	upto = d.retentionFloor(min(upto, LSN(d.durable.Load()))) // durable, unpinned only
 	horizon, dropped := d.OldestLSN(), 0
-	if err := d.walk(&cursor{}, horizon, upto, func(body []byte) error {
-		horizon += LSN(len(body))
+	if err := d.walk(&cursor{}, horizon, upto, func(r *Record, _ []byte) error {
+		horizon += LSN(r.encodedSize())
 		dropped++
 		return nil
 	}); err != nil {
@@ -648,8 +709,8 @@ func (d *Durable) Close() error {
 
 // Reading durable history.  An LSN advances by a record's encoded size
 // without its CRC trailer, so an LSN's file offset is found by walking the
-// frame headers from the start of its segment.  Each walk starts from, and
-// leaves behind, a caller-held cursor, so a sequential reader (a Reader)
+// frame headers from the first frame of its segment.  Each walk starts
+// from, and leaves behind, a caller-held cursor, so a sequential reader (a Reader)
 // resumes where it stopped without a rescan.  Readers open segments
 // read-only and take only segMu.  A read that starts below the truncation
 // horizon, or that a truncation or re-seed overtakes, fails with
@@ -664,18 +725,18 @@ type cursor struct {
 	off        int64
 }
 
-// frameLen returns the length of the frame whose header starts b.
-func frameLen(b []byte) int {
-	return recordHeaderSize + int(binary.LittleEndian.Uint32(b[33:])) + recordTrailerSize
-}
+// startOf returns the cursor at the first frame of the segment starting
+// at first.
+func startOf(first LSN) cursor { return cursor{first: first, lsn: first, off: int64(segHeaderSize)} }
 
 // frameReader walks the frames of one segment file from a record boundary.
 type frameReader struct {
 	f         *os.File
 	br        *bufio.Reader
-	buf       []byte
-	off, size int64 // offset of the next frame; file length when opened
-	lsn       LSN   // LSN the next frame must carry
+	frame     []byte // the last frame read
+	rec       Record // its record; the payload aliases frame
+	off, size int64  // offset of the next frame; file length when opened
+	lsn       LSN    // LSN the next frame is checked at
 }
 
 // openFrames opens the segment at path for reading at the boundary c.
@@ -694,38 +755,36 @@ func openFrames(path string, c cursor) (*frameReader, error) {
 	return &frameReader{f: f, br: br, off: c.off, size: st.Size(), lsn: c.lsn}, nil
 }
 
-// next returns the body (header and payload) of the next frame, or nil at
-// the end of the file and at the first torn, corrupt or out-of-sequence
-// frame; off and lsn then still name that frame, and the reader is spent.
-func (r *frameReader) next() []byte {
-	hdr, err := r.br.Peek(recordHeaderSize)
-	if err != nil {
-		return nil
-	}
+// next reads the next frame into frame and rec, which stay valid until
+// the following call.  It returns false at the end of the file and at the
+// first torn or corrupt frame, or one that was not written at this LSN;
+// off and lsn then still name that frame, and the reader is spent.
+func (r *frameReader) next() bool {
+	hdr, _ := r.br.Peek(int(min(int64(maxHeaderSize), r.size-r.off)))
 	n := frameLen(hdr)
-	if int64(n) > r.size-r.off {
-		return nil
+	if n == 0 || int64(n) > r.size-r.off {
+		return false
 	}
-	r.buf = slices.Grow(r.buf[:0], n)[:n]
-	if _, err := io.ReadFull(r.br, r.buf); err != nil {
-		return nil
+	r.frame = slices.Grow(r.frame[:0], n)[:n]
+	if _, err := io.ReadFull(r.br, r.frame); err != nil {
+		return false
 	}
-	body := r.buf[:n-recordTrailerSize]
-	if LSN(binary.LittleEndian.Uint64(body)) != r.lsn ||
-		crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(r.buf[len(body):]) {
-		return nil
+	var m int
+	if r.rec, m = decodeFrame(r.frame, r.lsn); m == 0 {
+		return false
 	}
 	r.off += int64(n)
-	r.lsn += LSN(len(body))
-	return body
+	r.lsn += LSN(n - crcSize)
+	return true
 }
 
-// walk calls fn with the body of every record in [from, limit), which must
-// be durable, until fn returns an error; walk returns it, unless the read
-// was overtaken (ErrLogTruncated).  A body is valid only during its call.
+// walk calls fn with every record in [from, limit), which must be
+// durable, and its frame, until fn returns an error; walk returns it,
+// unless the read was overtaken (ErrLogTruncated).  The record's payload
+// and the frame are valid only during the call.
 // c is where the caller's previous walk stopped; walk resumes from it when
 // it can and leaves it at the record it stops at.
-func (d *Durable) walk(c *cursor, from, limit LSN, fn func(body []byte) error) error {
+func (d *Durable) walk(c *cursor, from, limit LSN, fn func(r *Record, frame []byte) error) error {
 	d.segMu.RLock()
 	gen := d.gen
 	d.segMu.RUnlock()
@@ -748,27 +807,27 @@ func (d *Durable) walk(c *cursor, from, limit LSN, fn func(body []byte) error) e
 // from c when it lies in that segment at or before lsn, then passes fn the
 // records below limit.  It returns the LSN it stopped at: limit, the
 // segment's end, or the record fn refused.
-func (d *Durable) walkSegment(c *cursor, first LSN, gen uint64, lsn, limit LSN, fn func([]byte) error) (LSN, error) {
+func (d *Durable) walkSegment(c *cursor, first LSN, gen uint64, lsn, limit LSN, fn func(*Record, []byte) error) (LSN, error) {
 	if c.gen != gen || c.first != first || c.lsn > lsn {
-		*c = cursor{gen: gen, first: first, lsn: first}
+		*c = startOf(first)
+		c.gen = gen
 	}
 	r, err := openFrames(d.segPath(first), *c)
 	if err != nil {
 		return lsn, err
 	}
 	defer r.f.Close()
-	for r.lsn < lsn && r.next() != nil {
+	for r.lsn < lsn && r.next() {
 	}
 	if r.lsn != lsn {
 		return lsn, fmt.Errorf("wal: LSN %d is not a record boundary in %s", lsn, d.segPath(first))
 	}
 	for err == nil && r.lsn < limit {
 		c.lsn, c.off = r.lsn, r.off
-		body := r.next()
-		if body == nil {
+		if !r.next() {
 			break // the end of this segment
 		}
-		if err = fn(body); err == nil {
+		if err = fn(&r.rec, r.frame); err == nil {
 			c.lsn, c.off = r.lsn, r.off
 		}
 	}

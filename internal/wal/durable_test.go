@@ -2,8 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -145,6 +147,97 @@ func TestDurableTornTailTruncatedOnOpen(t *testing.T) {
 	}
 	if re2.CurrentLSN() != next {
 		t.Fatalf("next LSN %d, want %d", re2.CurrentLSN(), next)
+	}
+}
+
+// TestTornHeaderInsideUvarintTruncated: a crash that cuts a frame inside
+// one of its header's uvarints leaves a tail the open cuts cleanly, at
+// every cut point, back to the frames before it.
+func TestTornHeaderInsideUvarintTruncated(t *testing.T) {
+	dir := t.TempDir()
+	l, err := NewDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendCommitted(l, 1, []byte("intact"))
+	next := l.CurrentLSN()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, segmentName(1))
+	intact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A transaction ID and a payload length that each take three bytes.
+	torn := appendFrame(nil, &Record{LSN: next, Txn: 1 << 20, Type: RecUpdate, Payload: make([]byte, 1<<15)})
+	for _, cut := range []int{2, 3, 5, 6} { // inside the txn, then the length
+		if err := os.WriteFile(path, append(append([]byte(nil), intact...), torn[:cut]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re, err := NewDurable(dir)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		if got := len(re.Records()); got != 2 || re.CurrentLSN() != next {
+			t.Fatalf("cut at %d: %d records, next LSN %d; want 2 and %d", cut, got, re.CurrentLSN(), next)
+		}
+		_ = re.Close()
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, intact) {
+			t.Fatalf("cut at %d: torn bytes left on disk (%v)", cut, err)
+		}
+	}
+}
+
+// oldFormatSegment encodes records the way a log before format 2 held
+// them: no segment header, and per record a 37-byte header (LSN, previous
+// LSN, transaction, type, page, payload length), the payload and a CRC32
+// over both.
+func oldFormatSegment(first LSN, n int) []byte {
+	var out []byte
+	lsn := first
+	for i := 0; i < n; i++ {
+		rec := binary.LittleEndian.AppendUint64(nil, uint64(lsn))
+		rec = binary.LittleEndian.AppendUint64(rec, 0)
+		rec = binary.LittleEndian.AppendUint64(rec, uint64(i+1))
+		rec = append(rec, byte(RecCommit))
+		rec = binary.LittleEndian.AppendUint64(rec, 0)
+		rec = binary.LittleEndian.AppendUint32(rec, 0)
+		out = append(out, rec...)
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(rec))
+		lsn += LSN(len(rec))
+	}
+	return out
+}
+
+// TestOpenRefusesOldFormat: a directory holding segments of the format
+// before the compact frames is refused with an error naming the format,
+// and left as it was — in particular no empty log is started over it.
+func TestOpenRefusesOldFormat(t *testing.T) {
+	for name, contents := range map[string][]byte{
+		"old format":    oldFormatSegment(1, 3),
+		"torn old tail": oldFormatSegment(1, 1)[:3],
+		"newer version": append([]byte(segmentMagic), segmentFormat+1, 0, 0),
+	} {
+		t.Run(name, func(t *testing.T) { requireRefused(t, contents) })
+	}
+	// A later segment in the old format is refused too, after a valid one.
+	dir := t.TempDir()
+	l, err := NewDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendCommitted(l, 1, nil)
+	next := l.CurrentLSN()
+	_ = l.Close()
+	if err := os.WriteFile(filepath.Join(dir, segmentName(next)), oldFormatSegment(next, 2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := NewDurable(dir); !errors.Is(err, ErrFormat) {
+		if err == nil {
+			_ = d.Close()
+		}
+		t.Fatalf("an old-format second segment: err = %v, want ErrFormat", err)
 	}
 }
 

@@ -2,29 +2,49 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// buildSegmentBytes encodes records exactly as the group-commit flusher
-// writes them (Marshal body + CRC32 trailer), assigning contiguous LSNs
+// buildSegmentBytes encodes a segment exactly as the device writes one:
+// the segment header, then one frame per payload, at contiguous LSNs
 // starting at first.
 func buildSegmentBytes(first LSN, payloads [][]byte) []byte {
-	var out []byte
+	out := append([]byte(nil), segmentHeader...)
 	lsn := first
 	for i, p := range payloads {
 		r := Record{LSN: lsn, Txn: uint64(i + 1), Type: RecUpdate, Payload: p}
-		body := r.Marshal()
-		var crc [recordTrailerSize]byte
-		binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
-		out = append(out, body...)
-		out = append(out, crc[:]...)
+		out = appendFrame(out, &r)
 		lsn += LSN(r.encodedSize())
 	}
 	return out
+}
+
+// requireRefused checks that OpenDurable refuses a directory holding a
+// segment with the given contents with an error naming the format it
+// reads, and leaves the directory as it was: an unreadable log is never
+// replaced by an empty one.
+func requireRefused(t *testing.T, contents []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	path := filepath.Join(dir, segmentName(1))
+	if err := os.WriteFile(path, contents, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenDurable(dir, DurableOptions{})
+	if err == nil {
+		_ = d.Close()
+	}
+	if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "log format 2") {
+		t.Fatalf("OpenDurable over a segment in another format: err=%v, want ErrFormat naming the format", err)
+	}
+	entries, _ := os.ReadDir(dir)
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, contents) || len(entries) != 1 {
+		t.Fatalf("the refused directory changed: %d entries, %v", len(entries), err)
+	}
 }
 
 // fuzzPayloads is the fixed record set the corruption fuzzer mutates.
@@ -44,13 +64,15 @@ func fuzzPayloads() [][]byte {
 // never panic, must never regress past the framing invariants
 // (validLen <= fileLen, prefix re-reads identically), and whatever it
 // salvages must be a strict prefix of the original records — bit rot after
-// the corruption point must not resurrect later records (the CRC catches
-// tearing; LSN continuity catches resurrection).  OpenDurable on the same
-// file must also survive, truncate the damage away and accept new appends.
+// the corruption point must not resurrect later records (the CRC, which
+// covers each frame's LSN, catches both tearing and resurrection).
+// OpenDurable on the same file must also survive, truncate the damage away
+// and accept new appends.  Damage to the segment header instead makes the
+// open refuse the directory, leaving the file as it is.
 func FuzzSegmentReaderCorruption(f *testing.F) {
-	f.Add(uint32(0), byte(0xFF), []byte{})
-	f.Add(uint32(40), byte(0x01), []byte{})       // header of record 0
-	f.Add(uint32(60), byte(0x80), []byte("junk")) // payload of record 1
+	f.Add(uint32(0), byte(0xFF), []byte{})        // segment header
+	f.Add(uint32(8), byte(0x01), []byte{})        // header of record 0
+	f.Add(uint32(20), byte(0x80), []byte("junk")) // payload of record 1
 	f.Add(uint32(1<<31), byte(0), []byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, pos uint32, bite byte, tail []byte) {
 		valid := buildSegmentBytes(1, fuzzPayloads())
@@ -63,6 +85,13 @@ func FuzzSegmentReaderCorruption(f *testing.F) {
 		idx := int(pos) % len(corrupt)
 		corrupt[idx] ^= bite
 		corrupt = append(corrupt, tail...)
+		if idx < segHeaderSize && bite != 0 {
+			if _, _, _, err := readSegmentFromBytes(t, corrupt); !errors.Is(err, ErrFormat) {
+				t.Fatalf("damaged segment header: err=%v, want ErrFormat", err)
+			}
+			requireRefused(t, corrupt)
+			return
+		}
 
 		recs, validLen, fileLen, err := readSegmentFromBytes(t, corrupt)
 		if err != nil {
@@ -85,9 +114,9 @@ func FuzzSegmentReaderCorruption(f *testing.F) {
 			}
 		}
 		if bite != 0 {
-			frameEnd := int64(0)
+			frameEnd := int64(segHeaderSize)
 			for i, rec := range origRecs {
-				next := frameEnd + int64(rec.encodedSize()) + recordTrailerSize
+				next := frameEnd + int64(rec.encodedSize()) + crcSize
 				if int64(idx) < next {
 					if len(recs) > i {
 						t.Fatalf("record %d survived a flipped byte inside its frame", i)
@@ -142,27 +171,89 @@ func readSegmentFromBytes(t *testing.T, contents []byte) ([]Record, int64, int64
 	return readSegment(path)
 }
 
-// FuzzSegmentReaderArbitrary feeds entirely arbitrary bytes as a segment
-// file: the reader must never panic and must uphold validLen <= fileLen,
-// and the device must open and stay usable.
+// FuzzSegmentReaderArbitrary feeds arbitrary bytes as a segment file,
+// both as they are and behind a valid segment header: the reader must
+// never panic and must uphold validLen <= fileLen, whatever it accepts
+// must re-read identically, and the device must either open and stay
+// usable or refuse the directory as not in its format.
 func FuzzSegmentReaderArbitrary(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(buildSegmentBytes(1, fuzzPayloads()))
+	f.Add(buildSegmentBytes(1, fuzzPayloads())[segHeaderSize:])
 	f.Add(bytes.Repeat([]byte{0xFF}, 200))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, validLen, fileLen, err := readSegmentFromBytes(t, data)
-		if err != nil {
-			t.Fatalf("readSegment errored on arbitrary bytes: %v", err)
+		for _, contents := range [][]byte{data, append(append([]byte(nil), segmentHeader...), data...)} {
+			recs, validLen, fileLen, err := readSegmentFromBytes(t, contents)
+			if errors.Is(err, ErrFormat) {
+				requireRefused(t, contents)
+				continue
+			}
+			if err != nil {
+				t.Fatalf("readSegment errored on arbitrary bytes: %v", err)
+			}
+			if validLen > fileLen || fileLen != int64(len(contents)) {
+				t.Fatalf("lengths: valid %d, file %d, data %d", validLen, fileLen, len(contents))
+			}
+			// Whatever was accepted must re-read identically from its own
+			// valid prefix (the reader is its own oracle).
+			again, againLen, _, err := readSegmentFromBytes(t, contents[:validLen])
+			if err != nil || againLen != validLen || len(again) != len(recs) {
+				t.Fatalf("valid prefix unstable: %d/%d recs, %d/%d bytes, %v",
+					len(again), len(recs), againLen, validLen, err)
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, segmentName(1)), contents, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			d, err := OpenDurable(dir, DurableOptions{})
+			if err != nil {
+				t.Fatalf("OpenDurable over a segment the reader accepted: %v", err)
+			}
+			if got := len(d.Records()); got != len(recs) {
+				t.Fatalf("device salvaged %d records, reader salvaged %d", got, len(recs))
+			}
+			if lsn := d.Append(&Record{Txn: 1, Type: RecCommit}); d.WaitDurable(lsn) <= lsn {
+				t.Fatal("append after opening did not become durable")
+			}
+			_ = d.Close()
 		}
-		if validLen > fileLen || fileLen != int64(len(data)) {
-			t.Fatalf("lengths: valid %d, file %d, data %d", validLen, fileLen, len(data))
+	})
+}
+
+// FuzzDecodeFrames feeds arbitrary bytes to the decoder a follower runs on
+// a shipment: it must never panic, whatever it accepts must be exactly the
+// frames of the records it returns, written at the LSNs it gives them, and
+// AppendShipped must accept a shipment exactly when it decodes.
+func FuzzDecodeFrames(f *testing.F) {
+	f.Add(uint64(1), buildSegmentBytes(1, fuzzPayloads())[segHeaderSize:])
+	f.Add(uint64(2), buildSegmentBytes(1, fuzzPayloads())[segHeaderSize:])
+	f.Add(uint64(1), []byte{byte(RecCommit), 0x80, 0x80})
+	f.Fuzz(func(t *testing.T, first uint64, frames []byte) {
+		first = first%(1<<40) + 1
+		recs, err := DecodeFrames(LSN(first), frames)
+		if err == nil {
+			var again []byte
+			lsn := LSN(first)
+			for i := range recs {
+				if recs[i].LSN != lsn {
+					t.Fatalf("record %d at LSN %d, want %d", i, recs[i].LSN, lsn)
+				}
+				again = appendFrame(again, &recs[i])
+				lsn += LSN(recs[i].EncodedSize())
+			}
+			if !bytes.Equal(again, frames) {
+				t.Fatal("accepted frames do not re-encode to themselves")
+			}
 		}
-		// Whatever was accepted must re-read identically from its own
-		// valid prefix (the reader is its own oracle).
-		again, againLen, _, err := readSegmentFromBytes(t, data[:validLen])
-		if err != nil || againLen != validLen || len(again) != len(recs) {
-			t.Fatalf("valid prefix unstable: %d/%d recs, %d/%d bytes, %v",
-				len(again), len(recs), againLen, validLen, err)
+		d, derr := OpenDurable(t.TempDir(), DurableOptions{SyncEveryCommit: true})
+		if derr != nil {
+			t.Fatal(derr)
+		}
+		defer d.Close()
+		if err := d.ResetForSeed(LSN(first)); err != nil {
+			t.Fatal(err)
+		}
+		if serr := d.AppendShipped(LSN(first), frames); (serr == nil) != (err == nil) {
+			t.Fatalf("AppendShipped: %v, DecodeFrames: %v", serr, err)
 		}
 	})
 }

@@ -9,28 +9,51 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"plp/internal/page"
 )
 
 // readSegment decodes every valid record of one segment file, named after
-// its first LSN, through the frame walk load() and the readers use.  It
-// returns the records, the length of the valid prefix and the file length.
+// its first LSN, through the header check and the frame walk load() and
+// the readers use.  It returns the records, the length of the valid prefix
+// (0 for a segment whose header is torn) and the file length.
 func readSegment(path string) (recs []Record, validLen, fileLen int64, err error) {
 	var first uint64
 	if _, err := fmt.Sscanf(filepath.Base(path), "%016x", &first); err != nil {
 		return nil, 0, 0, err
 	}
-	r, err := openFrames(path, cursor{lsn: LSN(first)})
+	empty, err := checkSegmentHeader(path)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	r, err := openFrames(path, startOf(LSN(first)))
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	defer r.f.Close()
-	for body := r.next(); body != nil; body = r.next() {
-		rec, _ := UnmarshalRecord(body)
+	if empty {
+		return nil, 0, r.size, nil
+	}
+	for r.next() {
+		rec := r.rec
+		rec.Payload = append([]byte(nil), rec.Payload...)
 		recs = append(recs, rec)
 	}
 	return recs, r.off, r.size, nil
+}
+
+// ReadDurable reads durable records starting exactly at from, bounded by
+// maxBytes of encoded record size (always at least one record), through a
+// fresh Reader: it walks from's segment from the start.
+func (d *Durable) ReadDurable(from LSN, maxBytes int) ([]Record, error) {
+	return d.NewReader().ReadDurable(from, maxBytes)
+}
+
+// ReadDurable is ReadFrames returning the frames decoded.
+func (r *Reader) ReadDurable(from LSN, maxBytes int) ([]Record, error) {
+	frames, _, err := r.ReadFrames(from, maxBytes)
+	if frames == nil {
+		return nil, err
+	}
+	return DecodeFrames(from, frames)
 }
 
 // appendVaried appends n records whose fields and payload sizes vary with
@@ -39,8 +62,8 @@ func appendVaried(t testing.TB, d *Durable, n int) []Record {
 	t.Helper()
 	var out []Record
 	for i := 0; i < n; i++ {
-		r := Record{PrevLSN: LSN(i), Txn: uint64(i + 1), Type: RecordType(1 + i%10), Page: page.ID(3 * i),
-			Payload: bytes.Repeat([]byte{byte(i)}, 8+i%90)}
+		r := Record{Txn: uint64(i+1) << (7 * (i % 9)), Type: RecordType(1 + i%10),
+			Payload: bytes.Repeat([]byte{byte(i)}, 8+i%150)}
 		if i%7 == 0 {
 			r.Payload = nil
 		}
@@ -53,8 +76,8 @@ func appendVaried(t testing.TB, d *Durable, n int) []Record {
 
 // sameRecord reports whether got equals want field for field.
 func sameRecord(got, want Record) bool {
-	return got.LSN == want.LSN && got.PrevLSN == want.PrevLSN && got.Txn == want.Txn &&
-		got.Type == want.Type && got.Page == want.Page && bytes.Equal(got.Payload, want.Payload)
+	return got.LSN == want.LSN && got.Txn == want.Txn && got.Type == want.Type &&
+		bytes.Equal(got.Payload, want.Payload)
 }
 
 // readAll streams the log from from to the durable horizon in batches of

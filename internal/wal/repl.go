@@ -3,10 +3,14 @@
 // the retention machinery that keeps truncation from deleting a slow
 // reader's segments out from under it.
 //
-// The log IS the replication stream: a follower's log is a byte-identical
-// prefix of its primary's, so LSNs agree on both sides, resubscription is
-// "start from my durable LSN", and a promoted follower recovers with the
-// exact same torn-tail truncation code path as a restarted primary.
+// The log IS the replication stream: the primary ships its frames as they
+// lie on disk (ReadFrames), and a follower checks each frame's CRC at its
+// own append LSN and appends the bytes unchanged (AppendShipped).  Since a
+// frame's CRC covers the LSN it was written at, a frame that lands at any
+// other LSN is refused, so a follower's log is a byte-identical prefix of
+// its primary's by construction: LSNs agree on both sides, resubscription
+// is "start from my durable LSN", and a promoted follower recovers with
+// the exact same torn-tail truncation code path as a restarted primary.
 package wal
 
 import (
@@ -15,7 +19,7 @@ import (
 	"os"
 )
 
-// ErrLogTruncated is returned by ReadDurable when the requested start LSN
+// ErrLogTruncated is returned by ReadFrames when the requested start LSN
 // precedes the oldest retained record, or a truncation overtook the read:
 // the prefix a subscriber needs has been truncated away, so it must be
 // re-seeded (fresh copy) instead of streamed to.
@@ -31,17 +35,6 @@ func (d *Durable) OldestLSN() LSN {
 	return d.oldest
 }
 
-// ReadDurable reads durable records from the segment files, starting
-// exactly at from, bounded by maxBytes of encoded record size (always at
-// least one record).  A nil result with a nil error means the reader is
-// caught up: from is the durable horizon.  from must be a record boundary
-// — a follower's durable LSN always is, because durability only ever
-// advances whole records.  Each call finds from by walking its segment
-// from the start; a sequential reader uses a Reader instead.
-func (d *Durable) ReadDurable(from LSN, maxBytes int) ([]Record, error) {
-	return d.NewReader().ReadDurable(from, maxBytes)
-}
-
 // Reader reads a Durable's history from the segment files.  It remembers
 // where its last read stopped, so a sequential reader such as a
 // replication streamer resumes there instead of rescanning its segment.
@@ -54,41 +47,57 @@ type Reader struct {
 // NewReader returns a reader of the log's durable history.
 func (d *Durable) NewReader() *Reader { return &Reader{d: d} }
 
-// ReadDurable is Durable.ReadDurable, resuming from where this reader's
-// previous read stopped when from lies at or past it in the same segment.
-func (r *Reader) ReadDurable(from LSN, maxBytes int) ([]Record, error) {
+// ReadFrames reads durable frames from the segment files, as they lie
+// there, starting exactly at from and bounded by maxBytes of encoded
+// record size (always at least one record).  It returns a copy of the
+// frames, which the caller owns, and the LSN after the last of them.  A
+// nil result with a nil error means the reader is caught up: from is the
+// durable horizon.  from must be a record boundary — a follower's durable
+// LSN always is, because durability only ever advances whole records.
+// The read resumes from where this reader's previous read stopped when
+// from lies at or past it in the same segment, and walks from's segment
+// from its start otherwise.
+func (r *Reader) ReadFrames(from LSN, maxBytes int) ([]byte, LSN, error) {
 	durable := LSN(r.d.durable.Load())
 	if from >= durable {
-		return nil, nil
+		return nil, from, nil
 	}
-	var out []Record
-	bytes := 0
-	err := r.d.walk(&r.pos, from, durable, func(body []byte) error {
-		if len(out) > 0 && bytes+len(body) > maxBytes {
+	var out []byte
+	end := from
+	err := r.d.walk(&r.pos, from, durable, func(rec *Record, frame []byte) error {
+		if end > from && int(end-from)+rec.encodedSize() > maxBytes {
 			return errBatchFull
 		}
-		rec, _ := UnmarshalRecord(body)
-		out = append(out, rec)
-		bytes += len(body)
+		out = append(out, frame...)
+		end += LSN(rec.encodedSize())
 		return nil
 	})
 	if err != nil && err != errBatchFull {
-		return nil, err
+		return nil, from, err
 	}
-	return out, nil
+	return out, end, nil
 }
 
-// errBatchFull stops a ReadDurable walk at its byte budget.
+// errBatchFull stops a ReadFrames walk at its byte budget.
 var errBatchFull = errors.New("wal: batch full")
 
-// AppendShipped appends records shipped from a primary, keeping their
-// pre-assigned LSNs.  The batch must start exactly at the local append
-// horizon and be internally contiguous — a follower's log is a prefix of
-// its primary's, byte for byte, or it is corrupt.  The records become
-// durable through the same group-commit flush as local appends; the caller
-// flushes (or waits) before acknowledging its durable LSN upstream.
-func (d *Durable) AppendShipped(recs []Record) error {
-	if len(recs) == 0 {
+// AppendShipped appends frames shipped from a primary, the first written
+// there at LSN first.  first must be the local append horizon, and every
+// frame must pass its CRC check at the LSN it lands at here, so the
+// follower's log is a prefix of its primary's, byte for byte, or nothing
+// is appended.  The bytes are appended as they are and become durable
+// through the same group-commit flush as local appends; the caller flushes
+// (or waits) before acknowledging its durable LSN upstream.
+func (d *Durable) AppendShipped(first LSN, frames []byte) error {
+	end, n := first, 0
+	for off := 0; off < len(frames); n++ {
+		_, m := decodeFrame(frames[off:], end)
+		if m == 0 {
+			return fmt.Errorf("wal: shipped frame %d fails its check at LSN %d", n, end)
+		}
+		off, end = off+m, end+LSN(m-crcSize)
+	}
+	if n == 0 {
 		return nil
 	}
 	d.mu.Lock()
@@ -96,22 +105,17 @@ func (d *Durable) AppendShipped(recs []Record) error {
 		d.mu.Unlock()
 		return errors.New("wal: log closed")
 	}
-	mark, want := len(d.tail), d.next
-	for i := range recs {
-		if recs[i].LSN != want {
-			d.tail = d.tail[:mark]
-			d.mu.Unlock()
-			return fmt.Errorf("wal: shipped record %d has LSN %d, want %d (stream not contiguous)", i, recs[i].LSN, want)
-		}
-		want += LSN(recs[i].encodedSize())
-		d.tail = appendFrame(d.tail, &recs[i])
+	if first != d.next {
+		next := d.next
+		d.mu.Unlock()
+		return fmt.Errorf("wal: shipped frames start at LSN %d, want %d (stream not contiguous)", first, next)
 	}
-	total := uint64(want - d.next)
-	d.next = want
+	d.tail = append(d.tail, frames...)
+	d.next = end
 	d.mu.Unlock()
 
-	d.appends.Add(uint64(len(recs)))
-	d.bytes.Add(total)
+	d.appends.Add(uint64(n))
+	d.bytes.Add(uint64(end - first))
 	d.kick()
 	return nil
 }

@@ -153,11 +153,14 @@ func TestAppendShippedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := src.ReadDurable(1, 1<<20)
+	frames, end, err := src.NewReader().ReadFrames(1, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.AppendShipped(recs); err != nil {
+	if end != src.DurableLSN() {
+		t.Fatalf("read ended at %d, want the durable horizon %d", end, src.DurableLSN())
+	}
+	if err := dst.AppendShipped(1, frames); err != nil {
 		t.Fatal(err)
 	}
 	dst.Flush(dst.CurrentLSN())
@@ -165,10 +168,17 @@ func TestAppendShippedRoundTrip(t *testing.T) {
 		t.Fatalf("durable mismatch: dst %d src %d", dst.DurableLSN(), src.DurableLSN())
 	}
 
-	// A gap is refused.
-	gap := Record{LSN: dst.CurrentLSN() + 100, Type: RecInsert}
-	if err := dst.AppendShipped([]Record{gap}); err == nil {
+	// A gap is refused, whether the frames were written at the LSN they
+	// claim to start at or not.
+	gap := appendFrame(nil, &Record{LSN: dst.CurrentLSN() + 100, Type: RecInsert})
+	if err := dst.AppendShipped(dst.CurrentLSN()+100, gap); err == nil {
 		t.Fatal("non-contiguous shipped batch accepted")
+	}
+	if err := dst.AppendShipped(dst.CurrentLSN(), gap); err == nil {
+		t.Fatal("a frame written at another LSN accepted")
+	}
+	if got := dst.CurrentLSN(); got != src.CurrentLSN() {
+		t.Fatalf("refused batches moved the append horizon to %d", got)
 	}
 
 	// Reopen: the shipped copy survives restart byte for byte.

@@ -14,6 +14,15 @@
 //
 // Both keep the log in memory, as the paper's experiments do; Durable
 // (durable.go) is the disk-backed device a server runs on.
+//
+// All three give a record the same compact encoding (see "Frame layout"
+// below): a type byte, the transaction ID and the payload length as
+// uvarints, the payload, and a CRC32 trailer.  A record's LSN advances by
+// the frame less its CRC, so a TPC-B balance update, whose payload is
+// about 35 bytes, costs about 40 bytes of log.  The LSN itself is not
+// stored but covered by the CRC, which is how a frame read at the wrong
+// position is caught.  Durable writes the frames to disk as they are, and
+// replication ships them as they lie on disk.
 package wal
 
 import (
@@ -21,6 +30,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -90,68 +101,131 @@ func (t RecordType) isData() bool {
 // Record is a single log record.
 type Record struct {
 	LSN     LSN
-	PrevLSN LSN // previous record of the same transaction
 	Txn     uint64
 	Type    RecordType
-	Page    page.ID
 	Payload []byte
 }
 
-// encodedSize returns the number of log bytes the record occupies.
+// Frame layout.  Every log encodes a record the same way:
+//
+//	type     1 byte
+//	txn      uvarint
+//	length   uvarint, the payload's byte count
+//	payload  length bytes
+//	crc      4 bytes, little-endian CRC32 (IEEE) over the record's LSN
+//	         (8 bytes, little-endian) followed by the bytes above
+//
+// The LSN is not stored: it advances by each record's encoded size (every
+// field but the CRC), so a reader derives it from where the frame lies.
+// The CRC covers it all the same, so a frame read at any LSN other than
+// the one it was written at fails its check.  Both uvarints must be
+// canonical (shortest form), so a frame's length is a function of its
+// record.
+const (
+	// crcSize is the CRC32 trailer closing each frame.
+	crcSize = 4
+	// maxHeaderSize bounds the header: the type byte and two uvarints.
+	maxHeaderSize = 1 + 2*binary.MaxVarintLen64
+	// maxPayload bounds a frame's payload length.
+	maxPayload = math.MaxInt32
+)
+
+// uvarintLen returns the length of the canonical uvarint encoding of v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// encodedSize returns the number of log bytes the record occupies: its
+// LSN advance, the frame without its CRC.
 func (r *Record) encodedSize() int {
-	return 8 + 8 + 8 + 1 + 8 + 4 + len(r.Payload)
+	return 1 + uvarintLen(r.Txn) + uvarintLen(uint64(len(r.Payload))) + len(r.Payload)
 }
 
 // EncodedSize returns the number of log bytes the record occupies; a
-// record's exclusive end LSN is r.LSN + EncodedSize().  Replication uses
-// it to advance stream cursors.
+// record's exclusive end LSN is r.LSN + EncodedSize().
 func (r *Record) EncodedSize() int { return r.encodedSize() }
 
-// Marshal encodes the record: its header (LSN included) and payload.
-func (r *Record) Marshal() []byte {
-	buf := make([]byte, r.encodedSize())
-	r.put(buf)
-	return buf
-}
+// PagePayload is the payload of a RecSMO or RecRepartition record: the
+// page the structure modification started at, as a uvarint.
+func PagePayload(id page.ID) []byte { return binary.AppendUvarint(nil, uint64(id)) }
 
-// appendFrame appends the record's on-disk frame to buf: its encoding
-// followed by a CRC32 trailer over that encoding.
+// appendFrame appends the frame of r, which carries its LSN, to buf.
 func appendFrame(buf []byte, r *Record) []byte {
 	n := len(buf)
-	buf = slices.Grow(buf, r.encodedSize()+recordTrailerSize)[:n+r.encodedSize()]
-	r.put(buf[n:])
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[n:]))
+	buf = slices.Grow(buf, r.encodedSize()+crcSize)
+	buf = append(buf, byte(r.Type))
+	buf = binary.AppendUvarint(buf, r.Txn)
+	buf = binary.AppendUvarint(buf, uint64(len(r.Payload)))
+	buf = append(buf, r.Payload...)
+	return binary.LittleEndian.AppendUint32(buf, frameCRC(r.LSN, buf[n:]))
 }
 
-// put writes the record's encoding into buf[:r.encodedSize()].
-func (r *Record) put(buf []byte) {
-	binary.LittleEndian.PutUint64(buf[0:], uint64(r.LSN))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(r.PrevLSN))
-	binary.LittleEndian.PutUint64(buf[16:], r.Txn)
-	buf[24] = byte(r.Type)
-	binary.LittleEndian.PutUint64(buf[25:], uint64(r.Page))
-	binary.LittleEndian.PutUint32(buf[33:], uint32(len(r.Payload)))
-	copy(buf[37:], r.Payload)
+// frameCRC returns the CRC of a frame body written at lsn: the CRC32 of
+// the LSN's 8 little-endian bytes followed by the body.  The LSN's bytes
+// go through the table a byte at a time rather than through a slice,
+// which would escape to the heap on every frame.
+func frameCRC(lsn LSN, body []byte) uint32 {
+	crc := ^uint32(0)
+	for i := 0; i < 8; i++ {
+		crc = crc32.IEEETable[byte(crc)^byte(lsn>>(8*i))] ^ crc>>8
+	}
+	return crc32.Update(^crc, crc32.IEEETable, body)
 }
 
-// UnmarshalRecord decodes a record previously produced by Marshal.
-func UnmarshalRecord(buf []byte) (Record, error) {
-	if len(buf) < 37 {
-		return Record{}, errors.New("wal: short record")
+// header parses the frame header at the start of b: the transaction ID,
+// the payload length and the header's own length, which is 0 when b holds
+// no whole, canonical header.
+func header(b []byte) (txn uint64, size, n int) {
+	if len(b) < 3 {
+		return 0, 0, 0
 	}
-	r := Record{
-		LSN:     LSN(binary.LittleEndian.Uint64(buf[0:])),
-		PrevLSN: LSN(binary.LittleEndian.Uint64(buf[8:])),
-		Txn:     binary.LittleEndian.Uint64(buf[16:]),
-		Type:    RecordType(buf[24]),
-		Page:    page.ID(binary.LittleEndian.Uint64(buf[25:])),
+	txn, n1 := binary.Uvarint(b[1:])
+	if n1 <= 0 || n1 != uvarintLen(txn) {
+		return 0, 0, 0
 	}
-	n := binary.LittleEndian.Uint32(buf[33:])
-	if len(buf) < 37+int(n) {
-		return Record{}, errors.New("wal: truncated payload")
+	sz, n2 := binary.Uvarint(b[1+n1:])
+	if n2 <= 0 || n2 != uvarintLen(sz) || sz > maxPayload {
+		return 0, 0, 0
 	}
-	r.Payload = append([]byte(nil), buf[37:37+int(n)]...)
-	return r, nil
+	return txn, int(sz), 1 + n1 + n2
+}
+
+// frameLen returns the length, CRC included, of the frame whose header
+// starts b, or 0 when b holds no whole, canonical header.
+func frameLen(b []byte) int {
+	_, size, n := header(b)
+	if n == 0 {
+		return 0
+	}
+	return n + size + crcSize
+}
+
+// decodeFrame decodes the frame at the start of b as the record at lsn.
+// It returns the record, whose payload aliases b, and the frame's length;
+// the length is 0 when b does not start with a whole frame that was
+// written at lsn: a torn or corrupt frame, or one moved from elsewhere.
+func decodeFrame(b []byte, lsn LSN) (Record, int) {
+	txn, size, n := header(b)
+	end := n + size // the CRC's offset
+	if n == 0 || end+crcSize > len(b) ||
+		frameCRC(lsn, b[:end]) != binary.LittleEndian.Uint32(b[end:]) {
+		return Record{}, 0
+	}
+	return Record{LSN: lsn, Txn: txn, Type: RecordType(b[0]), Payload: b[n:end:end]}, end + crcSize
+}
+
+// DecodeFrames decodes a run of frames whose first was written at first,
+// checking each frame's CRC at the LSN it lies at.  The records' payloads
+// alias frames.
+func DecodeFrames(first LSN, frames []byte) ([]Record, error) {
+	var out []Record
+	for lsn := first; len(frames) > 0; {
+		r, n := decodeFrame(frames, lsn)
+		if n == 0 {
+			return nil, fmt.Errorf("wal: no valid frame at LSN %d", lsn)
+		}
+		out = append(out, r)
+		frames, lsn = frames[n:], lsn+LSN(n-crcSize)
+	}
+	return out, nil
 }
 
 // ErrNotDurable is passed to an OnDurable callback whose record the log
@@ -200,9 +274,10 @@ type Log interface {
 // time from the segment files; the in-memory devices walk Records.
 func Scan(l Log, fn func(*Record) error) error {
 	if d, ok := l.(*Durable); ok {
-		return d.walk(&cursor{}, d.OldestLSN(), d.DurableLSN(), func(body []byte) error {
-			r, _ := UnmarshalRecord(body)
-			return fn(&r)
+		return d.walk(&cursor{}, d.OldestLSN(), d.DurableLSN(), func(r *Record, _ []byte) error {
+			rec := *r
+			rec.Payload = append([]byte(nil), r.Payload...)
+			return fn(&rec)
 		})
 	}
 	rs := l.Records()

@@ -1,11 +1,11 @@
 package wal
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
 	"plp/internal/cs"
-	"plp/internal/page"
 )
 
 func testLogs(cstats *cs.Stats) map[string]Log {
@@ -20,7 +20,7 @@ func TestAppendAssignsIncreasingLSNs(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var prev LSN
 			for i := 0; i < 100; i++ {
-				rec := &Record{Txn: uint64(i), Type: RecUpdate, Page: page.ID(i), Payload: []byte("p")}
+				rec := &Record{Txn: uint64(i), Type: RecUpdate, Payload: []byte("p")}
 				lsn := l.Append(rec)
 				if lsn <= prev {
 					t.Fatalf("LSN not increasing: %d after %d", lsn, prev)
@@ -110,18 +110,68 @@ func TestConcurrentAppendsNoLostRecords(t *testing.T) {
 	}
 }
 
+// TestMarshalRoundTrip: a frame decodes, at the LSN it was written at, to
+// the record it encodes; its size is the 1-byte type, the two uvarints,
+// the payload and the CRC; and every strict prefix of it is refused.
 func TestMarshalRoundTrip(t *testing.T) {
-	r := Record{LSN: 100, PrevLSN: 50, Txn: 7, Type: RecDelete, Page: 42, Payload: []byte("payload")}
-	got, err := UnmarshalRecord(r.Marshal())
+	for _, r := range []Record{
+		{LSN: 100, Txn: 7, Type: RecDelete, Payload: []byte("payload")},
+		{LSN: 1, Type: RecCommit},
+		{LSN: 1 << 40, Txn: 1<<63 + 5, Type: RecCheckpoint, Payload: make([]byte, 300)},
+		{LSN: 9, Txn: 200, Type: RecSMO, Payload: PagePayload(77)},
+	} {
+		frame := appendFrame([]byte("prefix"), &r)[len("prefix"):]
+		want := 1 + uvarintLen(r.Txn) + uvarintLen(uint64(len(r.Payload))) + len(r.Payload)
+		if r.EncodedSize() != want || len(frame) != want+crcSize {
+			t.Fatalf("%+v: encoded size %d, frame %d bytes, want %d and %d", r, r.EncodedSize(), len(frame), want, want+crcSize)
+		}
+		got, n := decodeFrame(frame, r.LSN)
+		if n != len(frame) || got.LSN != r.LSN || got.Txn != r.Txn || got.Type != r.Type || !bytes.Equal(got.Payload, r.Payload) {
+			t.Fatalf("round trip of %+v gave %+v (%d bytes)", r, got, n)
+		}
+		for i := 0; i < len(frame); i++ {
+			if _, n := decodeFrame(frame[:i], r.LSN); n != 0 {
+				t.Fatalf("%+v: a %d-byte prefix of the frame decoded", r, i)
+			}
+		}
+	}
+	// A commit of transaction 1000: one type byte, a 2-byte transaction ID
+	// and an empty payload's 1-byte length.
+	if n := (&Record{Txn: 1000, Type: RecCommit}).EncodedSize(); n != 4 {
+		t.Fatalf("a commit record takes %d log bytes, want 4", n)
+	}
+}
+
+// TestFrameAtAnotherLSNRejected: a frame's CRC covers the LSN it was
+// written at, so the same bytes found at any other LSN fail their check —
+// read from a segment, decoded from a shipment, or appended by a
+// follower.
+func TestFrameAtAnotherLSNRejected(t *testing.T) {
+	r := Record{LSN: 4096, Txn: 3, Type: RecUpdate, Payload: []byte("balance")}
+	frame := appendFrame(nil, &r)
+	for _, at := range []LSN{0, 1, 4095, 4097, 4096 + LSN(len(frame)), 1<<32 + 4096} {
+		if _, n := decodeFrame(frame, at); n != 0 {
+			t.Fatalf("frame written at 4096 decoded at %d", at)
+		}
+		if _, err := DecodeFrames(at, frame); err == nil {
+			t.Fatalf("DecodeFrames accepted the frame at %d", at)
+		}
+	}
+	if recs, err := DecodeFrames(4096, frame); err != nil || len(recs) != 1 {
+		t.Fatalf("DecodeFrames at the right LSN: %d records, %v", len(recs), err)
+	}
+
+	d, err := NewDurable(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.LSN != r.LSN || got.PrevLSN != r.PrevLSN || got.Txn != r.Txn ||
-		got.Type != r.Type || got.Page != r.Page || string(got.Payload) != "payload" {
-		t.Fatalf("round trip mismatch: %+v", got)
+	defer d.Close()
+	moved := appendFrame(nil, &Record{LSN: d.CurrentLSN() + 1, Txn: 3, Type: RecCommit})
+	if err := d.AppendShipped(d.CurrentLSN(), moved); err == nil {
+		t.Fatal("a follower appended a frame written at another LSN")
 	}
-	if _, err := UnmarshalRecord([]byte{1, 2, 3}); err == nil {
-		t.Fatal("short record accepted")
+	if d.CurrentLSN() != 1 || d.Stats().Appends != 0 {
+		t.Fatalf("a refused shipment moved the log: next %d, %d appends", d.CurrentLSN(), d.Stats().Appends)
 	}
 }
 

@@ -223,6 +223,34 @@ func TestUpdateLocationPlanPatchesOnlyVLR(t *testing.T) {
 	}
 }
 
+// TestUpdateLocationLogBytes is the log-volume gate on TATP: an
+// UpdateLocation logs its 4-byte VLR location as a patch and commits, two
+// records whose frames carry a type byte and two uvarints each, so it logs
+// at most 48 bytes.  A fixed 37-byte header per record takes it to about
+// 107 bytes.
+func TestUpdateLocationLogBytes(t *testing.T) {
+	const txns, bound = 200, 48.0
+	e, w := setupEngine(t, engine.PLPLeaf, 1000)
+	sess := e.NewSession()
+	defer sess.Close()
+	rng := rand.New(rand.NewSource(1))
+	bytes0, appends0 := e.Log().Stats().BytesLogged, e.Log().Stats().Appends
+	for i := 0; i < txns; i++ {
+		if _, err := sess.ExecutePlan(w.UpdateLocationPlan(uint64(1+rng.Intn(1000)), rng.Uint32())); err != nil {
+			t.Fatalf("txn %d: %v", i, err)
+		}
+	}
+	st := e.Log().Stats()
+	if appends := st.Appends - appends0; appends != 2*txns {
+		t.Fatalf("%d log records for %d UpdateLocations, want an update and a commit each", appends, txns)
+	}
+	perTxn := float64(st.BytesLogged-bytes0) / txns
+	t.Logf("UpdateLocation logs %.1f bytes per transaction", perTxn)
+	if perTxn > bound {
+		t.Fatalf("UpdateLocation logs %.1f bytes per transaction, want <= %.0f", perTxn, bound)
+	}
+}
+
 func TestGetSubscriberDataPlanFindsRow(t *testing.T) {
 	e, w := setupEngine(t, engine.Conventional, 50)
 	sess := e.NewSession()

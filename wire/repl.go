@@ -9,10 +9,11 @@
 // primary durable LSN, EncodeReplSubscribeAck); a refusal is a response
 // whose Err starts with ReplRefusedPrefix.  After a successful subscribe
 // the connection leaves request/response mode: the primary pushes
-// REPL-RECORDS frames (batches of opaque marshaled WAL records) and the
-// follower sends REPL-ACK frames carrying its applied and durable LSNs.
+// REPL-RECORDS frames (runs of WAL frames, as they lie in the primary's
+// log) and the follower sends REPL-ACK frames carrying its applied and
+// durable LSNs.
 //
-// The record blobs are opaque to this package on purpose: wire frames the
+// The WAL frames are opaque to this package on purpose: wire frames the
 // stream, the wal package owns the record encoding, and the two only meet
 // in internal/repl.
 package wire
@@ -23,8 +24,8 @@ import "fmt"
 const (
 	// FrameReplSubscribe asks the server to start streaming WAL records.
 	FrameReplSubscribe FrameKind = 6
-	// FrameReplRecords carries a batch of marshaled WAL records
-	// (primary → follower).
+	// FrameReplRecords carries a run of WAL frames and the LSN of the
+	// first (primary → follower).
 	FrameReplRecords FrameKind = 7
 	// FrameReplAck reports the follower's applied and durable LSNs
 	// (follower → primary).
@@ -82,22 +83,15 @@ func EncodeReplSubscribe(id uint64, startLSN, epoch uint64, node string) []byte 
 	return appendBytes(out, []byte(node))
 }
 
-// EncodeReplRecords serializes a REPL-RECORDS payload from marshaled
-// record blobs.  id is a stream sequence number (monotonic per
-// connection); the follower echoes nothing — acks are by LSN, not by
-// frame.
-func EncodeReplRecords(id uint64, blobs [][]byte) []byte {
-	size := 8 + 1 + 4
-	for _, b := range blobs {
-		size += 4 + len(b)
-	}
-	out := appendUint64(make([]byte, 0, size), id)
+// EncodeReplRecords serializes a REPL-RECORDS payload: the LSN of the
+// first WAL frame, then the frames behind a length.  id is a stream
+// sequence number (monotonic per connection); the follower echoes nothing
+// — acks are by LSN, not by frame.
+func EncodeReplRecords(id uint64, first uint64, frames []byte) []byte {
+	out := appendUint64(make([]byte, 0, 8+1+8+4+len(frames)), id)
 	out = append(out, byte(FrameReplRecords))
-	out = appendUint32(out, uint32(len(blobs)))
-	for _, b := range blobs {
-		out = appendBytes(out, b)
-	}
-	return out
+	out = appendUint64(out, first)
+	return appendBytes(out, frames)
 }
 
 // EncodeReplAck serializes a REPL-ACK payload: the follower's applied LSN
@@ -183,18 +177,8 @@ func decodeReplFrame(f *Frame, r *reader) error {
 			f.ReplNode = r.str()
 		}
 	case FrameReplRecords:
-		n := r.uint32()
-		// Hostile-count guard: every blob costs at least its 4-byte length
-		// prefix, so a frame of len(buf) bytes cannot hold more than
-		// len(buf)/4 blobs.
-		if max := uint32(len(r.buf) / 4); n > max {
-			return fmt.Errorf("%w: %d record blobs in a %d-byte frame", ErrShortPayload, n, len(r.buf))
-		}
-		blobs := make([][]byte, 0, n)
-		for i := uint32(0); i < n && r.err == nil; i++ {
-			blobs = append(blobs, r.bytes())
-		}
-		f.ReplRecords = blobs
+		f.StartLSN = r.uint64()
+		f.ReplFrames = r.bytes()
 	case FrameReplAck:
 		f.AppliedLSN = r.uint64()
 		f.DurableLSN = r.uint64()

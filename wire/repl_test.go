@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 )
 
@@ -26,18 +28,21 @@ func TestReplSubscribeRoundTrip(t *testing.T) {
 }
 
 func TestReplRecordsRoundTrip(t *testing.T) {
-	blobs := [][]byte{[]byte("rec-one"), {}, []byte("rec-three")}
-	payload := EncodeReplRecords(9, blobs)
+	frames := []byte("frame-one|frame-two")
+	payload := EncodeReplRecords(9, 4242, frames)
+	if len(payload) != 8+1+8+4+len(frames) {
+		t.Fatalf("a REPL-RECORDS payload of %d frame bytes is %d bytes", len(frames), len(payload))
+	}
 	f, err := DecodeFrameV3(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.ID != 9 || f.Kind != FrameReplRecords || len(f.ReplRecords) != 3 {
+	if f.ID != 9 || f.Kind != FrameReplRecords || f.StartLSN != 4242 || !bytes.Equal(f.ReplFrames, frames) {
 		t.Fatalf("decoded %+v", f)
 	}
-	for i := range blobs {
-		if !bytes.Equal(f.ReplRecords[i], blobs[i]) {
-			t.Fatalf("blob %d: %q != %q", i, f.ReplRecords[i], blobs[i])
+	for i := 8 + 1; i < len(payload); i++ {
+		if _, err := DecodeFrameV3(payload[:i]); err == nil {
+			t.Fatalf("a REPL-RECORDS payload cut to %d bytes decoded", i)
 		}
 	}
 }
@@ -65,10 +70,11 @@ func TestReplSubscribeAckRoundTrip(t *testing.T) {
 }
 
 func TestReplRecordsHostileCount(t *testing.T) {
-	// Frame header (id + kind) then a blob count of ~4 billion.
-	payload := append(EncodeReplRecords(1, nil)[:9], 0xFF, 0xFF, 0xFF, 0xFF)
+	// Frame header (id + kind), first LSN, then a frame length of ~4
+	// billion bytes.
+	payload := append(EncodeReplRecords(1, 1, nil)[:17], 0xFF, 0xFF, 0xFF, 0xFF)
 	if _, err := DecodeFrameV3(payload); err == nil {
-		t.Fatal("hostile record count accepted")
+		t.Fatal("hostile frame length accepted")
 	}
 }
 
@@ -81,16 +87,28 @@ func TestReplRefusalPrefixes(t *testing.T) {
 	}
 }
 
+// walFrame encodes one WAL frame as package wal lays it out: type byte,
+// uvarint transaction ID and payload length, payload, and a CRC32 over the
+// LSN the frame is written at followed by those bytes.
+func walFrame(lsn uint64, typ byte, txn uint64, payload []byte) []byte {
+	body := binary.AppendUvarint([]byte{typ}, txn)
+	body = binary.AppendUvarint(body, uint64(len(payload)))
+	body = append(body, payload...)
+	crc := crc32.Update(crc32.ChecksumIEEE(binary.LittleEndian.AppendUint64(nil, lsn)), crc32.IEEETable, body)
+	return binary.LittleEndian.AppendUint32(body, crc)
+}
+
 // FuzzDecodeReplFrame feeds hostile replication frames through the V3
-// decoder: it must never panic, never over-allocate on hostile counts, and
-// whatever it accepts must survive a re-encode/re-decode round trip.
+// decoder: it must never panic, never over-allocate on hostile lengths,
+// and whatever it accepts must survive a re-encode/re-decode round trip.
 func FuzzDecodeReplFrame(f *testing.F) {
 	f.Add(EncodeReplSubscribe(1, 42, 0, ""))
 	f.Add(EncodeReplSubscribe(2, 0, 7, "node-2"))
-	f.Add(EncodeReplRecords(3, [][]byte{[]byte("abc"), []byte("")}))
+	update := walFrame(77, 3, 1000, []byte("patch"))
+	f.Add(EncodeReplRecords(3, 77, append(update, walFrame(77+uint64(len(update))-4, 4, 1000, nil)...)))
 	f.Add(EncodeReplAck(4, 10, 20))
-	// Hostile blob count.
-	f.Add(append(EncodeReplRecords(5, nil)[:9], 0xFF, 0xFF, 0xFF, 0xFF))
+	// Hostile frame length.
+	f.Add(append(EncodeReplRecords(5, 1, nil)[:17], 0xFF, 0xFF, 0xFF, 0xFF))
 	// Truncated subscribe.
 	f.Add(EncodeReplSubscribe(6, 1, 1, "n")[:12])
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -103,7 +121,7 @@ func FuzzDecodeReplFrame(f *testing.F) {
 		case FrameReplSubscribe:
 			back, err = DecodeFrameV3(EncodeReplSubscribe(fr.ID, fr.StartLSN, fr.ReplEpoch, fr.ReplNode))
 		case FrameReplRecords:
-			back, err = DecodeFrameV3(EncodeReplRecords(fr.ID, fr.ReplRecords))
+			back, err = DecodeFrameV3(EncodeReplRecords(fr.ID, fr.StartLSN, fr.ReplFrames))
 		case FrameReplAck:
 			back, err = DecodeFrameV3(EncodeReplAck(fr.ID, fr.AppliedLSN, fr.DurableLSN))
 		default:
@@ -116,13 +134,8 @@ func FuzzDecodeReplFrame(f *testing.F) {
 			back.StartLSN != fr.StartLSN || back.ReplEpoch != fr.ReplEpoch ||
 			back.ReplNode != fr.ReplNode ||
 			back.AppliedLSN != fr.AppliedLSN || back.DurableLSN != fr.DurableLSN ||
-			len(back.ReplRecords) != len(fr.ReplRecords) {
+			!bytes.Equal(back.ReplFrames, fr.ReplFrames) {
 			t.Fatalf("round trip changed the frame: %+v != %+v", back, fr)
-		}
-		for i := range fr.ReplRecords {
-			if !bytes.Equal(back.ReplRecords[i], fr.ReplRecords[i]) {
-				t.Fatalf("blob %d changed", i)
-			}
 		}
 	})
 }

@@ -89,8 +89,9 @@ var (
 const MaxFrameSize = 16 << 20
 
 // Version is the protocol version this build speaks, and the lowest it
-// accepts.
-const Version uint32 = 4
+// accepts.  Version 5 ships WAL frames in REPL-RECORDS, so a cluster that
+// mixes builds from before it is refused at the handshake.
+const Version uint32 = 5
 
 // FrameKind tags a request frame's body.
 type FrameKind uint8
@@ -436,7 +437,8 @@ type Frame struct {
 	// DecideMode is the decide verb (FrameDecide): DecideAbort,
 	// DecideCommit or DecideQuery.
 	DecideMode DecideMode
-	// StartLSN is the requested stream start (FrameReplSubscribe).
+	// StartLSN is the requested stream start (FrameReplSubscribe), or the
+	// LSN of the first WAL frame in ReplFrames (FrameReplRecords).
 	StartLSN uint64
 	// ReplEpoch is the follower's last-known replication epoch
 	// (FrameReplSubscribe; 0 = never followed).
@@ -446,10 +448,9 @@ type Frame struct {
 	// counts replica-ack quorums per node, not per connection, and evicts a
 	// node's previous subscription when it resubscribes.
 	ReplNode string
-	// ReplRecords holds the marshaled WAL record blobs of a
-	// FrameReplRecords batch (opaque to this package; aliases the frame
-	// buffer).
-	ReplRecords [][]byte
+	// ReplFrames holds the WAL frames of a FrameReplRecords batch (opaque
+	// to this package; aliases the frame buffer).
+	ReplFrames []byte
 	// AppliedLSN and DurableLSN are the follower's progress report
 	// (FrameReplAck).
 	AppliedLSN uint64

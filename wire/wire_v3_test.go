@@ -159,7 +159,7 @@ func TestDecodeRefusesTrailingBytes(t *testing.T) {
 		{"decide", EncodeDecideRequest(7, "s0-1-1", DecideCommit)},
 		{"repl-subscribe", EncodeReplSubscribe(8, 100, 3, "n2")},
 		{"repl-subscribe-without-node", EncodeReplSubscribe(9, 100, 3, "")[:8+1+8+8]},
-		{"repl-records", EncodeReplRecords(10, [][]byte{[]byte("r1"), []byte("r2")})},
+		{"repl-records", EncodeReplRecords(10, 1, []byte("r1r2"))},
 		{"repl-ack", EncodeReplAck(11, 7, 6)},
 		{"repl-seed-begin", EncodeReplSeedBegin(12, 1, 9)},
 		{"repl-seed-end", EncodeReplSeedEnd(13)},
