@@ -23,6 +23,22 @@
 // immediate split.  PostgreSQL's nbtree splits its rightmost pages the
 // same way.
 //
+// A latch-free tree also takes an append case.  It remembers its rightmost
+// leaf and a copy of that leaf's last key.  An insert whose key orders
+// after the copy looks that leaf up once and, if the leaf still ends the
+// tree (a leaf with no right sibling, not empty, ending below the key) and
+// has room, appends the entry at its end: the leaf and slot a descent
+// would have reached, so the tree is page for page the one a descent
+// builds.  Any other insert descends as before; a miss touches no page.
+// An ordered load, a checkpoint image and a re-seed insert in key order,
+// so each row costs one leaf lookup instead of a descent and a binary
+// search.  Latched trees always descend: their writers run concurrently,
+// and reading a shared tail would need the leaf latch anyway.
+//
+// Page splits are not logged.  Recovery is logical (package recovery), so
+// it rebuilds the trees from the logged records and reads no structural
+// history.
+//
 // The same Tree type is used directly by the conventional design and as the
 // per-partition sub-tree of the MRBTree (package mrbtree).  Slice and Meld —
 // the sub-tree split/merge operations that make MRBTree repartitioning
@@ -41,7 +57,6 @@ import (
 	"plp/internal/latch"
 	"plp/internal/page"
 	"plp/internal/txn"
-	"plp/internal/wal"
 )
 
 // Errors returned by tree operations.
@@ -64,8 +79,6 @@ type Config struct {
 	MaxSlotsPerNode int
 	// CSStats receives critical-section accounting (may be nil).
 	CSStats *cs.Stats
-	// Log, when non-nil, receives one SMO record per page split.
-	Log wal.Log
 }
 
 // Tree is a B+Tree over buffer-pool pages.
@@ -79,6 +92,13 @@ type Tree struct {
 	// tree, as ARIES/KVL does.  MRBTrees give every sub-tree its own Tree
 	// and therefore its own SMO mutex, which is what enables parallel SMOs.
 	smoMu sync.Mutex
+
+	// tail and tailKey are the append case's hint on a latch-free tree:
+	// the last leaf an insert went into that had no right sibling, and a
+	// copy of its last key then (see noteTail and appendTail).  The page is
+	// checked before it is trusted; InvalidID means no hint.
+	tail    page.ID
+	tailKey []byte
 }
 
 // Create allocates an empty tree (a single empty leaf that permanently
@@ -158,21 +178,6 @@ func (t *Tree) unfix(f *bufferpool.Frame) {
 func (t *Tree) releaseNode(f *bufferpool.Frame, mode latch.Mode) {
 	t.unlatchNode(f, mode)
 	t.unfix(f)
-}
-
-// logSMO appends one SMO log record, if logging is configured.
-func (t *Tree) logSMO(tx *txn.Txn, pid page.ID) {
-	if t.cfg.Log == nil {
-		return
-	}
-	rec := &wal.Record{Type: wal.RecSMO, Payload: wal.PagePayload(pid)}
-	if tx != nil {
-		rec.Txn = tx.ID()
-	}
-	lsn := t.cfg.Log.Append(rec)
-	if tx != nil {
-		tx.SetLastLSN(lsn)
-	}
 }
 
 // validateSizes rejects oversized keys/values up front.
@@ -339,6 +344,9 @@ func (t *Tree) insert(tx *txn.Txn, key, value []byte, place PlaceFunc, upsert bo
 	if err := validateSizes(key, value); err != nil {
 		return err
 	}
+	if done, err := t.appendTail(key, value, place); done {
+		return err
+	}
 
 	// Optimistic attempt: leaf-only exclusive latch.
 	f, err := t.descendWriteLeaf(tx, key)
@@ -370,13 +378,61 @@ func (t *Tree) insert(tx *txn.Txn, key, value []byte, place PlaceFunc, upsert bo
 		return t.insertPessimistic(tx, key, value, nil, upsert)
 	}
 	if !nodeFull(p, leafEntrySize(key, value, place), t.cfg.MaxSlotsPerNode) {
-		err := insertLeafEntry(p, pos, key, value, place)
+		err := t.insertLeafEntry(p, pos, key, value, place)
 		t.releaseNode(f, latch.Exclusive)
 		return err
 	}
 	t.releaseNode(f, latch.Exclusive)
 	return t.insertPessimistic(tx, key, value, place, upsert)
 }
+
+// appendTail is the append case of a latch-free tree's insert: when key
+// orders after the hint's last key, and the hinted leaf still ends the
+// tree below key and has room, it appends key's entry to that leaf and
+// reports done.  Otherwise it touches nothing (beyond looking the leaf up)
+// and the insert descends.  The leaf is the one a descent would reach: a
+// leaf with no right sibling is the tree's rightmost (slicing cuts the
+// chain, and SliceAt and Meld drop the hint), and key orders after every
+// key in it, so after every separator on the way down too.
+func (t *Tree) appendTail(key, value []byte, place PlaceFunc) (bool, error) {
+	if t.cfg.Latched || t.tail == page.InvalidID || bytes.Compare(key, t.tailKey) <= 0 {
+		return false, nil
+	}
+	f, err := t.bp.Lookup(t.tail)
+	if err != nil {
+		return false, nil
+	}
+	p := f.Page()
+	n := p.NumSlots()
+	if !isLeaf(p) || p.Next() != page.InvalidID || n == 0 ||
+		nodeFull(p, leafEntrySize(key, value, place), t.cfg.MaxSlotsPerNode) {
+		return false, nil
+	}
+	last, err := leafKeyAt(p, n-1)
+	if err != nil || bytes.Compare(last, key) >= 0 {
+		return false, nil
+	}
+	return true, t.insertLeafEntry(p, n, key, value, place)
+}
+
+// noteTail makes leaf p the append case's hint if it has no right sibling,
+// with a copy of its last key.  Every insert into a leaf calls it, once
+// the entry is in.
+func (t *Tree) noteTail(p *page.Page) {
+	if t.cfg.Latched || p.Next() != page.InvalidID {
+		return
+	}
+	last, err := leafKeyAt(p, p.NumSlots()-1)
+	if err != nil {
+		return
+	}
+	t.tail = p.ID()
+	t.tailKey = append(t.tailKey[:0], last...)
+}
+
+// dropTail forgets the append case's hint.  SliceAt and Meld call it: they
+// move leaves between trees, so the hinted leaf may end another tree.
+func (t *Tree) dropTail() { t.tail = page.InvalidID }
 
 // leafEntrySize is the encoded size of the leaf entry key gets: with
 // value, or with the RID place returns.
@@ -388,16 +444,27 @@ func leafEntrySize(key, value []byte, place PlaceFunc) int {
 }
 
 // insertLeafEntry inserts key's entry at position pos of leaf p, which has
-// room for it: with value, or with the RID place returns for p.
-func insertLeafEntry(p *page.Page, pos int, key, value []byte, place PlaceFunc) error {
+// room for it: with value, or with the RID place returns for p.  The entry
+// is written straight into the page.
+func (t *Tree) insertLeafEntry(p *page.Page, pos int, key, value []byte, place PlaceFunc) error {
+	var rid page.RID
 	if place != nil {
-		rid, err := place(p.ID())
-		if err != nil {
+		var err error
+		if rid, err = place(p.ID()); err != nil {
 			return err
 		}
-		value = page.EncodeRID(rid)
 	}
-	return p.InsertAt(pos, encodeLeafEntry(key, value))
+	buf, err := p.InsertSpace(pos, leafEntrySize(key, value, place))
+	if err != nil {
+		return err
+	}
+	if place != nil {
+		page.PutRID(putLeafKey(buf, key, page.RIDSize), rid)
+	} else {
+		copy(putLeafKey(buf, key, len(value)), value)
+	}
+	t.noteTail(p)
+	return nil
 }
 
 // updateLeafEntry overwrites the value of an existing leaf entry in place.
@@ -600,7 +667,7 @@ func (t *Tree) insertIntoLeafWithSplit(tx *txn.Txn, path []*bufferpool.Frame, ke
 		if err != nil {
 			return err
 		}
-		return insertLeafEntry(p, pos, key, value, place)
+		return t.insertLeafEntry(p, pos, key, value, place)
 	}
 
 	// The leaf must split.
@@ -630,7 +697,7 @@ func (t *Tree) insertIntoLeafWithSplit(tx *txn.Txn, path []*bufferpool.Frame, ke
 	if err != nil {
 		return err
 	}
-	return insertLeafEntry(target, pos, key, value, place)
+	return t.insertLeafEntry(target, pos, key, value, place)
 }
 
 // appendSplitPercent is the share of a full leaf's entries, in percent, an
@@ -708,7 +775,6 @@ func (t *Tree) splitLeaf(tx *txn.Txn, leafFrame *bufferpool.Frame, mid int) (*bu
 		t.bp.Unfix(rightFrame)
 		return nil, nil, err
 	}
-	t.logSMO(tx, right.ID())
 	return rightFrame, append([]byte(nil), sepKey...), nil
 }
 
@@ -790,7 +856,6 @@ func (t *Tree) splitInterior(tx *txn.Txn, f *bufferpool.Frame, sepKey []byte, ch
 	if err != nil {
 		return nil, 0, err
 	}
-	t.logSMO(tx, rightPID)
 	return pushKey, rightPID, nil
 }
 
@@ -827,7 +892,7 @@ func (t *Tree) splitRoot(tx *txn.Txn, rootFrame *bufferpool.Frame, mid int, key,
 	if err != nil {
 		return err
 	}
-	return insertLeafEntry(cf.Page(), pos, key, value, place)
+	return t.insertLeafEntry(cf.Page(), pos, key, value, place)
 }
 
 // splitRootWithSeparator handles the split of an interior root when a
@@ -942,6 +1007,5 @@ func (t *Tree) raiseRoot(tx *txn.Txn, rootFrame *bufferpool.Frame, mid int) erro
 	}
 	t.bp.Unfix(leftFrame)
 	t.bp.Unfix(rightFrame)
-	t.logSMO(tx, rootID)
 	return nil
 }

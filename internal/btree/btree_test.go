@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -845,4 +847,203 @@ func TestAppendSplitFillsLeaves(t *testing.T) {
 			t.Fatalf("an insert at the end of a full inner leaf split it %d/%d, want 4/5", l, r)
 		}
 	})
+}
+
+// TestAppendCaseAgainstMapModel drives latch-free sub-trees, as an MRBTree
+// holds them, through a random mix of appends (a key past the largest one
+// its sub-tree holds), random inserts, deletes of a sub-tree's last keys,
+// overwrites, and SliceAt and Meld of the sub-trees, and checks them
+// against a sorted model.  A stale append hint must never put a key
+// anywhere but where a descent would: every sub-tree keeps exactly the
+// model's keys of its range, in order, with valid separators.  Eight
+// slots per node force splits and root raises throughout.  The test also
+// checks that the append case is taken: most appends into a tree at
+// least two levels high cost one buffer-pool fix, the leaf, where a
+// descent costs the height.
+func TestAppendCaseAgainstMapModel(t *testing.T) {
+	const space = 1 << 16
+	type part struct {
+		lo   uint64 // inclusive lower bound; the next part's lo is the upper
+		tree *Tree
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		bp := bufferpool.New(bufferpool.Config{LatchStats: &latch.Stats{}, CSStats: &cs.Stats{}})
+		cfg := Config{MaxSlotsPerNode: 8}
+		parts := []part{{0, Create(bp, 1, cfg)}}
+		var keys []uint64 // the model: every key present, ascending
+		vals := map[uint64][]byte{}
+		rng := rand.New(rand.NewSource(seed))
+		hi := func(i int) uint64 {
+			if i+1 < len(parts) {
+				return parts[i+1].lo
+			}
+			return space
+		}
+		covering := func(k uint64) int {
+			return sort.Search(len(parts), func(i int) bool { return parts[i].lo > k }) - 1
+		}
+		// last returns the position in keys of part i's largest key, or -1.
+		last := func(i int) int {
+			j := sort.Search(len(keys), func(j int) bool { return keys[j] >= hi(i) }) - 1
+			if j < 0 || keys[j] < parts[i].lo {
+				return -1
+			}
+			return j
+		}
+		insert := func(k uint64, step int) {
+			t.Helper()
+			v := []byte(fmt.Sprintf("v%d-%d", k, step))
+			err := parts[covering(k)].tree.Insert(nil, keyenc.Uint64Key(k), v)
+			if _, dup := vals[k]; dup {
+				if !errors.Is(err, ErrDuplicateKey) {
+					t.Fatalf("seed %d step %d: duplicate insert of %d returned %v", seed, step, k, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("seed %d step %d: insert %d: %v", seed, step, k, err)
+			}
+			keys = slices.Insert(keys, sort.Search(len(keys), func(j int) bool { return keys[j] > k }), k)
+			vals[k] = v
+		}
+		check := func(step int) {
+			t.Helper()
+			for i, p := range parts {
+				lo, hiKey := keyenc.Uint64Key(p.lo), keyenc.Uint64Key(hi(i))
+				if err := p.tree.CheckInvariantsWithin(lo, hiKey); err != nil {
+					t.Fatalf("seed %d step %d: part %d: %v", seed, step, i, err)
+				}
+				var got []uint64
+				if err := p.tree.Ascend(nil, func(k, v []byte) bool {
+					kv, _ := keyenc.DecodeUint64(k)
+					if !bytes.Equal(v, vals[kv]) {
+						t.Fatalf("seed %d step %d: key %d holds %q, want %q", seed, step, kv, v, vals[kv])
+					}
+					got = append(got, kv)
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				from := sort.Search(len(keys), func(j int) bool { return keys[j] >= p.lo })
+				to := sort.Search(len(keys), func(j int) bool { return keys[j] >= hi(i) })
+				if want := keys[from:to]; !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: part [%d, %d) holds %d keys, the model %d", seed, step, p.lo, hi(i), len(got), len(want))
+				}
+			}
+		}
+		appends, oneFix := 0, 0
+		for step := 0; step < 3000; step++ {
+			switch r := rng.Intn(100); {
+			case r < 60: // append past the largest key of a part
+				i := rng.Intn(len(parts))
+				k := parts[i].lo
+				if j := last(i); j >= 0 {
+					k = keys[j] + 1 + uint64(rng.Intn(3))
+				}
+				if k >= hi(i) {
+					continue
+				}
+				h, err := parts[i].tree.Height()
+				if err != nil {
+					t.Fatal(err)
+				}
+				f0 := bp.Stats().Fixes
+				insert(k, step)
+				if h >= 2 {
+					appends++
+					if bp.Stats().Fixes-f0 == 1 {
+						oneFix++
+					}
+				}
+			case r < 80: // a random insert, a duplicate now and then
+				insert(uint64(rng.Intn(space)), step)
+			case r < 85: // overwrite a present key
+				if len(keys) == 0 {
+					continue
+				}
+				k := keys[rng.Intn(len(keys))]
+				v := []byte(fmt.Sprintf("put%d-%d", k, step))
+				if err := parts[covering(k)].tree.Put(nil, keyenc.Uint64Key(k), v); err != nil {
+					t.Fatal(err)
+				}
+				vals[k] = v
+			case r < 95: // delete the last keys of a part
+				i := rng.Intn(len(parts))
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					j := last(i)
+					if j < 0 {
+						break
+					}
+					k := keys[j]
+					if ok, err := parts[i].tree.Delete(nil, keyenc.Uint64Key(k)); err != nil || !ok {
+						t.Fatalf("seed %d step %d: delete %d: %v %v", seed, step, k, ok, err)
+					}
+					keys = slices.Delete(keys, j, j+1)
+					delete(vals, k)
+				}
+			case r < 98: // slice a part
+				k := uint64(1 + rng.Intn(space-1))
+				i := covering(k)
+				if parts[i].lo == k {
+					continue
+				}
+				right, _, err := parts[i].tree.SliceAt(keyenc.Uint64Key(k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				parts = slices.Insert(parts, i+1, part{k, right})
+			default: // meld two neighbours
+				if len(parts) < 2 {
+					continue
+				}
+				i := rng.Intn(len(parts) - 1)
+				merged, _, err := Meld(parts[i].tree, parts[i+1].tree, keyenc.Uint64Key(parts[i+1].lo))
+				if err != nil {
+					t.Fatal(err)
+				}
+				parts[i].tree = merged
+				parts = slices.Delete(parts, i+1, i+2)
+			}
+			if step%250 == 0 {
+				check(step)
+			}
+		}
+		check(3000)
+		if appends == 0 || 2*oneFix < appends {
+			t.Fatalf("seed %d: %d of %d appends into trees of height 2 or more made one fix; want most", seed, oneFix, appends)
+		}
+	}
+}
+
+// TestSliceDropsAppendHint checks that SliceAt forgets the append case's
+// hint.  After a slice the hinted leaf, the old rightmost, belongs to the
+// sliced-off tree; a key past it inserted into the remaining tree (which
+// the tree accepts mechanically, see TestSliceAt) must go where a descent
+// puts it, the remaining tree's own rightmost leaf.
+func TestSliceDropsAppendHint(t *testing.T) {
+	tree := newTestTree(t, Config{MaxSlotsPerNode: 8})
+	for i := uint64(0); i < 100; i++ {
+		if err := tree.Insert(nil, keyenc.Uint64Key(i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	right, _, err := tree.SliceAt(keyenc.Uint64Key(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	past := keyenc.Uint64Key(1000)
+	if err := tree.Insert(nil, past, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, found, _ := tree.Search(nil, past); !found {
+		t.Fatal("the key inserted into the remaining tree is not found there")
+	}
+	if n, _ := right.Count(nil); n != 50 {
+		t.Fatalf("the sliced-off tree holds %d keys, want its 50", n)
+	}
+	for _, tr := range []*Tree{tree, right} {
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

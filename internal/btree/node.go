@@ -37,11 +37,18 @@ const maxInteriorEntry = 2 + MaxKeySize + 8
 // encodeLeafEntry builds a leaf entry.
 func encodeLeafEntry(key, value []byte) []byte {
 	buf := make([]byte, 2+len(key)+2+len(value))
+	copy(putLeafKey(buf, key, len(value)), value)
+	return buf
+}
+
+// putLeafKey writes the key and both lengths of a leaf entry whose value is
+// vlen bytes into buf, which holds exactly the entry, and returns the
+// value's bytes for the caller to fill.
+func putLeafKey(buf, key []byte, vlen int) []byte {
 	binary.LittleEndian.PutUint16(buf[0:], uint16(len(key)))
 	copy(buf[2:], key)
-	binary.LittleEndian.PutUint16(buf[2+len(key):], uint16(len(value)))
-	copy(buf[4+len(key):], value)
-	return buf
+	binary.LittleEndian.PutUint16(buf[2+len(key):], uint16(vlen))
+	return buf[4+len(key):]
 }
 
 // decodeLeafEntry splits a leaf entry into key and value.  The returned

@@ -44,6 +44,7 @@ func (t *Tree) SliceAt(atKey []byte) (*Tree, SliceStats, error) {
 	if len(atKey) == 0 {
 		return nil, st, fmt.Errorf("btree: slice key must not be empty")
 	}
+	t.dropTail()
 
 	// Walk from the root to the boundary leaf, recording the path.
 	type pathNode struct {
@@ -208,6 +209,8 @@ func Meld(left, right *Tree, rightStart []byte) (*Tree, MeldStats, error) {
 	if left.bp != right.bp {
 		return nil, st, fmt.Errorf("btree: meld across buffer pools")
 	}
+	left.dropTail()
+	right.dropTail()
 	hl, err := left.Height()
 	if err != nil {
 		return nil, st, err

@@ -21,7 +21,6 @@ import (
 	"plp/internal/mrbtree"
 	"plp/internal/page"
 	"plp/internal/txn"
-	"plp/internal/wal"
 )
 
 // Errors returned by the catalog.
@@ -62,7 +61,6 @@ type TableDef struct {
 // Resources are the storage-manager services a table is built on.
 type Resources struct {
 	BufferPool *bufferpool.Pool
-	Log        wal.Log
 	CSStats    *cs.Stats
 	// IndexLatched selects the latching protocol of the primary index and
 	// of partition-aligned secondary indexes.
@@ -173,7 +171,6 @@ func (c *Catalog) CreateTable(def TableDef, res Resources) (*Table, error) {
 		Latched:         res.IndexLatched,
 		MaxSlotsPerNode: res.MaxSlotsPerNode,
 		CSStats:         res.CSStats,
-		Log:             res.Log,
 	}
 	primary, err := mrbtree.Create(res.BufferPool, id, cfg, def.Boundaries...)
 	if err != nil {
@@ -229,7 +226,6 @@ func (c *Catalog) ResetStorage(res Resources) error {
 		Latched:         res.IndexLatched,
 		MaxSlotsPerNode: res.MaxSlotsPerNode,
 		CSStats:         res.CSStats,
-		Log:             res.Log,
 	}
 	for _, tbl := range *c.tables.Load() {
 		primary, err := mrbtree.Create(res.BufferPool, tbl.ID, cfg, tbl.Primary.Boundaries()...)

@@ -13,14 +13,12 @@ import (
 	"plp/internal/keyenc"
 	"plp/internal/latch"
 	"plp/internal/page"
-	"plp/internal/wal"
 )
 
 func testResources() Resources {
 	cstats := &cs.Stats{}
 	return Resources{
 		BufferPool:   bufferpool.New(bufferpool.Config{LatchStats: &latch.Stats{}, CSStats: cstats}),
-		Log:          wal.NewConsolidated(cstats),
 		CSStats:      cstats,
 		IndexLatched: true,
 		HeapMode:     heap.Latched,

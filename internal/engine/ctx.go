@@ -148,8 +148,8 @@ func (c *Ctx) lockKey(tbl *catalog.Table, key []byte, mode lock.Mode) error {
 // recovery (package recovery) needs to rebuild the database from the log.
 // No before-image is logged because nothing would read it: the no-steal,
 // memory-resident buffer pool never exposes an uncommitted change to
-// stable storage, an abort undoes through the closures pushUndo keeps, and
-// replay skips the records of transactions that did not commit.
+// stable storage, an abort undoes through the closures the transaction
+// keeps, and replay skips the records of transactions that did not commit.
 func (c *Ctx) logModification(t wal.RecordType, tbl *catalog.Table, key, after []byte) {
 	c.appendLog(t, logrec.Modification{Table: tbl.Def.Name, Key: key, After: after})
 }
@@ -321,10 +321,14 @@ func (c *Ctx) rewrite(r rowRef, next []byte, off, n int) error {
 		if err := tbl.Primary.Update(c.tx, key, next); err != nil {
 			return mapBtreeErr(err)
 		}
-		c.pushUndo(func() error { return tbl.Primary.Update(nil, key, old) })
+		if c.undoing() {
+			c.tx.PushUndo(func() error { return tbl.Primary.Update(nil, key, old) })
+		}
 	} else if err := tbl.Heap.Update(c.tx, r.rid, next); err == nil {
 		rid := r.rid
-		c.pushUndo(func() error { return tbl.Heap.Update(nil, rid, old) })
+		if c.undoing() {
+			c.tx.PushUndo(func() error { return tbl.Heap.Update(nil, rid, old) })
+		}
 	} else if !errors.Is(err, page.ErrPageFull) {
 		return err
 	} else if err := c.relocate(r, next); err != nil {
@@ -350,13 +354,15 @@ func (c *Ctx) relocate(r rowRef, next []byte) error {
 	if err := tbl.Heap.Delete(c.tx, oldRID); err != nil {
 		return err
 	}
-	c.pushUndo(func() error {
-		if derr := tbl.Heap.Delete(nil, newRID); derr != nil {
-			return derr
-		}
-		_, merr := c.eng.moveRecord(nil, tbl, key, old)
-		return merr
-	})
+	if c.undoing() {
+		c.tx.PushUndo(func() error {
+			if derr := tbl.Heap.Delete(nil, newRID); derr != nil {
+				return derr
+			}
+			_, merr := c.eng.moveRecord(nil, tbl, key, old)
+			return merr
+		})
+	}
 	return nil
 }
 
@@ -387,10 +393,12 @@ func (c *Ctx) Insert(table string, key, rec []byte) error {
 			return mapBtreeErr(err)
 		}
 		c.logModification(wal.RecInsert, tbl, key, rec)
-		c.pushUndo(func() error {
-			_, derr := tbl.Primary.Delete(nil, key)
-			return derr
-		})
+		if c.undoing() {
+			c.tx.PushUndo(func() error {
+				_, derr := tbl.Primary.Delete(nil, key)
+				return derr
+			})
+		}
 		return nil
 	}
 	rid, err := c.eng.insertRecord(c.tx, tbl, key, rec)
@@ -398,12 +406,14 @@ func (c *Ctx) Insert(table string, key, rec []byte) error {
 		return mapBtreeErr(err)
 	}
 	c.logModification(wal.RecInsert, tbl, key, rec)
-	c.pushUndo(func() error {
-		if _, derr := tbl.Primary.Delete(nil, key); derr != nil {
-			return derr
-		}
-		return tbl.Heap.Delete(nil, rid)
-	})
+	if c.undoing() {
+		c.tx.PushUndo(func() error {
+			if _, derr := tbl.Primary.Delete(nil, key); derr != nil {
+				return derr
+			}
+			return tbl.Heap.Delete(nil, rid)
+		})
+	}
 	return nil
 }
 
@@ -453,7 +463,9 @@ func (c *Ctx) Delete(table string, key []byte) error {
 			return err
 		}
 		c.logModification(wal.RecDelete, tbl, key, nil)
-		c.pushUndo(func() error { return tbl.Primary.Insert(nil, key, old) })
+		if c.undoing() {
+			c.tx.PushUndo(func() error { return tbl.Primary.Insert(nil, key, old) })
+		}
 		return nil
 	}
 	val, found, err := tbl.Primary.Search(c.tx, key)
@@ -478,10 +490,12 @@ func (c *Ctx) Delete(table string, key []byte) error {
 		return err
 	}
 	c.logModification(wal.RecDelete, tbl, key, nil)
-	c.pushUndo(func() error {
-		_, ierr := c.eng.insertRecord(nil, tbl, key, old)
-		return ierr
-	})
+	if c.undoing() {
+		c.tx.PushUndo(func() error {
+			_, ierr := c.eng.insertRecord(nil, tbl, key, old)
+			return ierr
+		})
+	}
 	return nil
 }
 
@@ -529,10 +543,12 @@ func (c *Ctx) InsertSecondary(table, index string, secKey, primaryKey []byte) er
 		return mapBtreeErr(err)
 	}
 	c.logSecondary(wal.RecInsert, table, index, secKey, primaryKey)
-	c.pushUndo(func() error {
-		_, derr := idx.Delete(nil, secKey)
-		return derr
-	})
+	if c.undoing() {
+		c.tx.PushUndo(func() error {
+			_, derr := idx.Delete(nil, secKey)
+			return derr
+		})
+	}
 	return nil
 }
 
@@ -553,7 +569,9 @@ func (c *Ctx) DeleteSecondary(table, index string, secKey []byte) error {
 		return err
 	}
 	c.logSecondary(wal.RecDelete, table, index, secKey, nil)
-	c.pushUndo(func() error { return idx.Put(nil, secKey, old) })
+	if c.undoing() {
+		c.tx.PushUndo(func() error { return idx.Put(nil, secKey, old) })
+	}
 	return nil
 }
 
@@ -584,13 +602,10 @@ func (c *Ctx) ReadBySecondary(table, index string, secKey []byte) ([]byte, error
 	return c.Read(table, pk)
 }
 
-// pushUndo registers an undo action when running inside a transaction.
-func (c *Ctx) pushUndo(f txn.UndoFunc) {
-	if c.loading || c.tx == nil {
-		return
-	}
-	c.tx.PushUndo(f)
-}
+// undoing reports whether the context keeps undo actions: a transaction's
+// contexts do, a loader's do not.  Callers check it before building the
+// undo closure, so a load builds none.
+func (c *Ctx) undoing() bool { return !c.loading && c.tx != nil }
 
 // mapBtreeErr converts btree sentinel errors to engine sentinel errors.
 func mapBtreeErr(err error) error {

@@ -63,12 +63,6 @@ func (e *Engine) Checkpoint() (recovery.CheckpointStats, error) {
 // checkpoint are re-applied before the contents are replayed so MRBTree
 // sub-tree ownership and heap placement match the pre-crash state.
 func (e *Engine) Recover() (RecoverInfo, error) {
-	// Replay rebuilds this node's physical organization (page splits,
-	// boundary moves) from logical history; those reorganizations must not
-	// append new structural records — on a follower they would break the
-	// byte-identical-prefix invariant with the primary's log.
-	e.replaying.Store(true)
-	defer e.replaying.Store(false)
 	var info RecoverInfo
 	a, err := recovery.Analyze(e.log)
 	if err != nil {

@@ -207,43 +207,10 @@ type Engine struct {
 
 	nextSession atomic.Uint64
 
-	// treeLog is the gated log device handed to index components; replaying
-	// flips its suppression of structural records (see structuralLogGate).
-	treeLog   wal.Log
-	replaying atomic.Bool
-
 	// planShapes caches compiled plan shapes so repeated executions of the
 	// same plan structure skip validation and filter compilation (see
 	// plancache.go).
 	planShapes *planCache
-}
-
-// structuralLogGate is the log device handed to index components, which
-// append only structural records: B+Tree SMO records on page splits and
-// MRBTree repartition markers.  While the engine replays recovered or
-// replicated operations the gate drops those appends — a replay-driven
-// page split is the replaying node's own physical reorganization, not new
-// log history, and analysis only ever counts structural records, it never
-// replays them.  On a replication follower this is a correctness
-// invariant: the follower's log must stay a byte-identical prefix of the
-// primary's, and a single locally appended SMO record would shift its
-// append horizon off the shipped stream for good.
-type structuralLogGate struct {
-	wal.Log
-	suppress *atomic.Bool
-}
-
-// Append drops structural records while suppression is on.  The returned
-// LSN (the unchanged append horizon) is only ever consumed via
-// txn.SetLastLSN, and replay paths carry no transaction.
-func (g *structuralLogGate) Append(r *wal.Record) wal.LSN {
-	if g.suppress.Load() {
-		switch r.Type {
-		case wal.RecSMO, wal.RecRepartition:
-			return g.Log.CurrentLSN()
-		}
-	}
-	return g.Log.Append(r)
 }
 
 // New creates an in-memory engine with the given options.  Options.DataDir
@@ -306,7 +273,6 @@ func build(opts Options, csStats *cs.Stats, log wal.Log) *Engine {
 		routing:    make(map[string]*routingTable),
 		planShapes: newPlanCache(),
 	}
-	e.treeLog = &structuralLogGate{Log: log, suppress: &e.replaying}
 	if opts.Design.Partitioned() {
 		e.pool = dora.NewPool(opts.Partitions, opts.QueueDepth, csStats)
 		e.pool.Start()
@@ -441,6 +407,17 @@ func (e *Engine) indexLatched() bool {
 	return !e.opts.Design.LatchFreeIndex()
 }
 
+// storage returns the storage resources the design builds its tables on.
+func (e *Engine) storage() catalog.Resources {
+	return catalog.Resources{
+		BufferPool:      e.bp,
+		CSStats:         e.csStats,
+		IndexLatched:    e.indexLatched(),
+		HeapMode:        e.heapMode(),
+		MaxSlotsPerNode: e.opts.MaxSlotsPerNode,
+	}
+}
+
 // heapMode returns the heap access mode for this design.
 func (e *Engine) heapMode() heap.AccessMode {
 	if e.opts.Design.LatchFreeHeap() {
@@ -460,14 +437,7 @@ func (e *Engine) CreateTable(def catalog.TableDef) (*catalog.Table, error) {
 		// Single-rooted indexes for the baseline designs.
 		def.Boundaries = nil
 	}
-	tbl, err := e.cat.CreateTable(def, catalog.Resources{
-		BufferPool:      e.bp,
-		Log:             e.treeLog,
-		CSStats:         e.csStats,
-		IndexLatched:    e.indexLatched(),
-		HeapMode:        e.heapMode(),
-		MaxSlotsPerNode: e.opts.MaxSlotsPerNode,
-	})
+	tbl, err := e.cat.CreateTable(def, e.storage())
 	if err != nil {
 		return nil, err
 	}

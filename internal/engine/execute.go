@@ -786,7 +786,10 @@ func (t *actionTask) RunTask(w *dora.Worker) {
 func (t *actionTask) fail(err error) { t.st.actionDone(t.slot, err, false) }
 
 // Loader provides direct, unlocked, unlogged access for bulk-loading a
-// database before measurements start.  It must be used single-threaded.
+// database before measurements start: it takes no locks, writes no log
+// record (page splits are not logged either) and keeps no undo actions.
+// Keys loaded in ascending order take each latch-free sub-tree's append
+// case (see package btree).  It must be used single-threaded.
 type Loader struct {
 	ctx *Ctx
 }

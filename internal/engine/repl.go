@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"time"
 
-	"plp/internal/catalog"
 	"plp/internal/recovery"
 	"plp/internal/wal"
 )
@@ -21,13 +20,9 @@ import (
 // parks, so concurrently executing read-only sessions can never observe a
 // half-applied transaction (follower reads are transaction-consistent).
 // The loader path takes no locks and writes no log — the shipped log IS
-// this transaction's log.  That includes structural records: page splits
-// triggered by the apply must not append local SMO records, or the
-// follower's log stops being a byte-identical prefix of the primary's and
-// the stream can never resume past them (see structuralLogGate).
+// this transaction's log, and the follower's log stays a byte-identical
+// prefix of the primary's.
 func (e *Engine) ApplyReplicated(ops []recovery.Op) error {
-	e.replaying.Store(true)
-	defer e.replaying.Store(false)
 	var applyErr error
 	if err := e.Quiesce(func() {
 		applyErr = recovery.ApplyOps(e.NewLoader(), ops)
@@ -46,16 +41,12 @@ func (e *Engine) ApplyReplicated(ops []recovery.Op) error {
 //
 // The reset runs under quiesce and refuses while transactions are active
 // (a follower being re-seeded serves no writes, so only read-only sessions
-// can race; they drain within the retry window).  Structural logging is
-// suppressed throughout: the rebuilt trees' splits must not reach the local
-// log, which becomes a byte-identical prefix of the primary's.
+// can race; they drain within the retry window).
 func (e *Engine) ResetForSeed(start wal.LSN) error {
 	d := e.DurableLog()
 	if d == nil {
 		return errors.New("engine: re-seed requires a durable log")
 	}
-	e.replaying.Store(true)
-	defer e.replaying.Store(false)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var busy bool
@@ -65,14 +56,7 @@ func (e *Engine) ResetForSeed(start wal.LSN) error {
 				busy = true
 				return
 			}
-			resetErr = e.cat.ResetStorage(catalog.Resources{
-				BufferPool:      e.bp,
-				Log:             e.treeLog,
-				CSStats:         e.csStats,
-				IndexLatched:    e.indexLatched(),
-				HeapMode:        e.heapMode(),
-				MaxSlotsPerNode: e.opts.MaxSlotsPerNode,
-			})
+			resetErr = e.cat.ResetStorage(e.storage())
 			if resetErr != nil {
 				return
 			}

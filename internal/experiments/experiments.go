@@ -28,6 +28,13 @@
 //     with 50/50 splits), and the overhead is how that count rounds up to
 //     whole pages: 1.12 for 100-byte records and 1.00 for 1000-byte ones,
 //     where 50/50 splits gave 1.01 and 1.03.
+//   - Figure 1's Metadata row counts one free-space-directory critical
+//     section per heap insert, the page pick; the live-record count is an
+//     atomic outside it.  At plpbench defaults the row reads 0.03 per
+//     transaction (PLP-Leaf 0.02) where a second section per insert read
+//     0.04 (0.03).  Page splits write no log record, so the Log mgr row
+//     counts only the transactions' own records (0.37 either way, as TATP
+//     splits rarely).
 package experiments
 
 import (

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"plp/internal/bufferpool"
 	"plp/internal/cs"
@@ -75,7 +76,10 @@ type File struct {
 	// order (used for scans and fragmentation accounting).
 	pagesByOwner map[uint64][]page.ID
 	allPages     []page.ID
-	nRecords     int
+
+	// nRecords counts live records; it is kept outside mu, so an insert or
+	// a delete enters the directory only to pick or free a page.
+	nRecords atomic.Int64
 }
 
 // New creates an empty heap file with the given space id.
@@ -111,9 +115,11 @@ func (f *File) lockMeta() {
 	f.metadataCS(contended)
 }
 
-// pickPage returns a page owned by owner with at least need bytes free,
-// allocating a new one if necessary.
-func (f *File) pickPage(owner uint64, need int) (page.ID, error) {
+// pickPage returns the frame of a page owned by owner with at least need
+// bytes free, allocating a new page if necessary: fixed (pinned in Latched
+// mode), so Insert writes to it without fixing it again.  The caller
+// unfixes it.
+func (f *File) pickPage(owner uint64, need int) (*bufferpool.Frame, error) {
 	f.lockMeta()
 	free := f.freeByOwner[owner]
 	for len(free) > 0 {
@@ -121,7 +127,7 @@ func (f *File) pickPage(owner uint64, need int) (page.ID, error) {
 		f.mu.Unlock()
 		frame, err := f.fix(pid)
 		if err != nil {
-			return page.InvalidID, err
+			return nil, err
 		}
 		// The room check is advisory (Insert re-checks under the exclusive
 		// latch and retries), but in Latched mode concurrent writers may be
@@ -129,10 +135,10 @@ func (f *File) pickPage(owner uint64, need int) (page.ID, error) {
 		f.acquire(nil, frame, latch.Shared)
 		ok := frame.Page().HasRoomFor(need)
 		f.release(frame, latch.Shared)
-		f.unfix(frame)
 		if ok {
-			return pid, nil
+			return frame, nil
 		}
+		f.unfix(frame)
 		// Page is full: drop it from the free list and try the next one.
 		f.lockMeta()
 		free = f.freeByOwner[owner]
@@ -143,19 +149,22 @@ func (f *File) pickPage(owner uint64, need int) (page.ID, error) {
 	}
 	f.mu.Unlock()
 
-	// Allocate a fresh page for this owner.
+	// Allocate a fresh page for this owner.  NewPage pins in either mode;
+	// the pin is the caller's in Latched mode.
 	frame := f.bp.NewPage(page.KindHeap)
 	p := frame.Page()
 	p.SetOwner(owner)
 	pid := p.ID()
-	f.bp.Unfix(frame) // NewPage pins in either mode
+	if f.mode == LatchFree {
+		f.bp.Unfix(frame)
+	}
 
 	f.lockMeta()
 	f.freeByOwner[owner] = append(f.freeByOwner[owner], pid)
 	f.pagesByOwner[owner] = append(f.pagesByOwner[owner], pid)
 	f.allPages = append(f.allPages, pid)
 	f.mu.Unlock()
-	return pid, nil
+	return frame, nil
 }
 
 // fix returns the frame of page pid: through the buffer pool's Fix (pinned,
@@ -204,22 +213,17 @@ func (f *File) Insert(t *txn.Txn, owner uint64, rec []byte) (page.RID, error) {
 		return page.RID{}, fmt.Errorf("%w: %d bytes", ErrRecordSize, len(rec))
 	}
 	for attempt := 0; attempt < 16; attempt++ {
-		pid, err := f.pickPage(owner, len(rec))
-		if err != nil {
-			return page.RID{}, err
-		}
-		frame, err := f.fix(pid)
+		frame, err := f.pickPage(owner, len(rec))
 		if err != nil {
 			return page.RID{}, err
 		}
 		f.acquire(t, frame, latch.Exclusive)
 		slot, err := frame.Page().Add(rec)
 		if err == nil {
+			pid := frame.Page().ID()
 			f.release(frame, latch.Exclusive)
 			f.unfix(frame)
-			f.lockMeta()
-			f.nRecords++
-			f.mu.Unlock()
+			f.nRecords.Add(1)
 			return page.RID{Page: pid, Slot: slot}, nil
 		}
 		f.release(frame, latch.Exclusive)
@@ -353,8 +357,8 @@ func (f *File) Delete(t *txn.Txn, rid page.RID) error {
 	}
 	// The page now has free space again; make it eligible for reuse.
 	owner, _ := f.OwnerOf(rid.Page)
+	f.nRecords.Add(-1)
 	f.lockMeta()
-	f.nRecords--
 	found := false
 	for _, pid := range f.freeByOwner[owner] {
 		if pid == rid.Page {
@@ -462,8 +466,8 @@ func (f *File) Stats() Stats {
 	f.lockMeta()
 	pages := append([]page.ID(nil), f.allPages...)
 	owners := len(f.pagesByOwner)
-	records := f.nRecords
 	f.mu.Unlock()
+	records := int(f.nRecords.Load())
 	st := Stats{Pages: len(pages), Records: records, Owners: owners}
 	for _, pid := range pages {
 		frame, err := f.fix(pid)
@@ -486,11 +490,7 @@ func (f *File) NumPages() int {
 }
 
 // NumRecords returns the number of live records in the file.
-func (f *File) NumRecords() int {
-	f.lockMeta()
-	defer f.mu.Unlock()
-	return f.nRecords
-}
+func (f *File) NumRecords() int { return int(f.nRecords.Load()) }
 
 // PagesOwnedBy returns the page IDs owned by the given owner tag.
 func (f *File) PagesOwnedBy(owner uint64) []page.ID {

@@ -366,3 +366,36 @@ func TestReaderMissingRecord(t *testing.T) {
 	}
 	frame.Latch().Release(latch.Exclusive)
 }
+
+// TestInsertVisitsDirectoryOnce is the count gate on a heap insert into a
+// page with room: one free-space-directory critical section (picking the
+// page) and one buffer-pool fix (the page it picked, checked and then
+// written), in both access modes.  Counting the live records outside the
+// directory, and writing to the frame the pick already fixed, is what
+// makes it one of each instead of two.
+func TestInsertVisitsDirectoryOnce(t *testing.T) {
+	for _, mode := range []AccessMode{Latched, LatchFree} {
+		bp := bufferpool.New(bufferpool.Config{LatchStats: &latch.Stats{}, CSStats: &cs.Stats{}})
+		cst := &cs.Stats{}
+		f := New(1, bp, mode, cst)
+		if _, err := f.Insert(nil, 1, []byte("first")); err != nil { // allocates the page
+			t.Fatal(err)
+		}
+		const n = 50
+		cs0, fix0 := cst.Snapshot(), bp.Stats().Fixes
+		for i := 0; i < n; i++ {
+			if _, err := f.Insert(nil, 1, []byte(fmt.Sprintf("record-%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		meta := cst.Snapshot().Sub(cs0).Entered[cs.Metadata]
+		fixes := bp.Stats().Fixes - fix0
+		if f.NumPages() != 1 || f.NumRecords() != n+1 {
+			t.Fatalf("mode %d: %d pages and %d records, want 1 and %d", mode, f.NumPages(), f.NumRecords(), n+1)
+		}
+		if meta != n || fixes != n {
+			t.Fatalf("mode %d: %d inserts entered the directory %d times and fixed %d pages, want %d of each",
+				mode, n, meta, fixes, n)
+		}
+	}
+}

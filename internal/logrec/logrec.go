@@ -5,8 +5,9 @@
 // transaction ID and payload length in a header of a few bytes (a type
 // byte and two uvarints) and closes with a CRC; everything else a record
 // says is in its payload, so the formats below are most of what a log
-// holds.  Structural records (RecSMO, RecRepartition) carry only the page
-// they started at, as a uvarint (wal.PagePayload).
+// holds.  Structural records (RecSMO, RecRepartition) are no longer
+// written; logs of earlier builds carry them, with the page a split or
+// repartition started at as a uvarint payload, and analysis skips them.
 //
 // The engine logs data modifications logically — one record per
 // Insert/Update/Delete naming the table, the key and the record image

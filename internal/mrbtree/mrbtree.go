@@ -29,7 +29,6 @@ import (
 	"plp/internal/cs"
 	"plp/internal/page"
 	"plp/internal/txn"
-	"plp/internal/wal"
 )
 
 // Errors returned by MRBTree operations.
@@ -50,8 +49,6 @@ type Config struct {
 	MaxSlotsPerNode int
 	// CSStats receives critical-section accounting (may be nil).
 	CSStats *cs.Stats
-	// Log receives SMO and repartition records (may be nil).
-	Log wal.Log
 }
 
 // Partition is one key range of the MRBTree together with its sub-tree.
@@ -121,7 +118,6 @@ func (t *Tree) subConfig() btree.Config {
 		Latched:         t.cfg.Latched,
 		MaxSlotsPerNode: t.cfg.MaxSlotsPerNode,
 		CSStats:         t.cfg.CSStats,
-		Log:             t.cfg.Log,
 	}
 }
 

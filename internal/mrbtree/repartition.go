@@ -13,7 +13,6 @@ import (
 	"slices"
 
 	"plp/internal/btree"
-	"plp/internal/wal"
 )
 
 // RepartitionStats aggregates the cost of one repartitioning operation, in
@@ -42,14 +41,6 @@ func (r *RepartitionStats) addMeld(s btree.MeldStats) {
 	r.PagesRead += s.PagesRead
 	r.PagesFreed += s.PagesFreed
 	r.PointerUpdates += s.PointerUpdates
-}
-
-// logRepartition writes a repartition log record, if logging is configured.
-func (t *Tree) logRepartition() {
-	if t.cfg.Log == nil {
-		return
-	}
-	t.cfg.Log.Append(&wal.Record{Type: wal.RecRepartition, Payload: wal.PagePayload(t.routing)})
 }
 
 // Slice splits the partition containing atKey into two partitions at atKey.
@@ -81,7 +72,6 @@ func (t *Tree) Slice(atKey []byte) (int, RepartitionStats, error) {
 	}
 	stats.PointerUpdates++
 	t.repartitions++
-	t.logRepartition()
 	return idx + 1, stats, nil
 }
 
@@ -108,7 +98,6 @@ func (t *Tree) Meld(i int) (RepartitionStats, error) {
 	}
 	stats.PointerUpdates++
 	t.repartitions++
-	t.logRepartition()
 	return stats, nil
 }
 
@@ -182,6 +171,5 @@ func (t *Tree) MoveBoundary(i int, newStart []byte) (RepartitionStats, error) {
 	}
 	stats.PointerUpdates++
 	t.repartitions++
-	t.logRepartition()
 	return stats, nil
 }

@@ -112,10 +112,15 @@ const RIDSize = 10
 
 // EncodeRID encodes a RID into a fixed RIDSize-byte representation.
 func EncodeRID(r RID) []byte {
-	var buf [RIDSize]byte
-	binary.BigEndian.PutUint64(buf[0:8], uint64(r.Page))
-	binary.BigEndian.PutUint16(buf[8:10], r.Slot)
-	return buf[:]
+	buf := make([]byte, RIDSize)
+	PutRID(buf, r)
+	return buf
+}
+
+// PutRID writes r's RIDSize-byte encoding into the start of b.
+func PutRID(b []byte, r RID) {
+	binary.BigEndian.PutUint64(b[0:8], uint64(r.Page))
+	binary.BigEndian.PutUint16(b[8:10], r.Slot)
 }
 
 // DecodeRID decodes a RID previously encoded with EncodeRID.
@@ -430,21 +435,35 @@ func (p *Page) LiveSlots() []uint16 {
 // InsertAt inserts rec at position pos, shifting later slots up by one.
 // pos may equal NumSlots to append.
 func (p *Page) InsertAt(pos int, rec []byte) error {
-	if pos < 0 || pos > int(p.nslots) {
-		return ErrNoSuchSlot
-	}
-	if err := p.ensureRoom(len(rec)); err != nil {
+	buf, err := p.InsertSpace(pos, len(rec))
+	if err != nil {
 		return err
+	}
+	copy(buf, rec)
+	return nil
+}
+
+// InsertSpace inserts an n-byte record at position pos, as InsertAt does,
+// and returns its bytes for the caller to fill in place, so a caller that
+// builds a record from parts writes it into the page without building it
+// elsewhere first.  The slice aliases the page buffer.
+func (p *Page) InsertSpace(pos, n int) ([]byte, error) {
+	if pos < 0 || pos > int(p.nslots) {
+		return nil, ErrNoSuchSlot
+	}
+	if err := p.ensureRoom(n); err != nil {
+		return nil, err
 	}
 	// Shift slot entries [pos, nslots) up by one.
 	end := p.slotDirEnd()
 	base := pos * slotSize
 	copy(p.buf[base+slotSize:end+slotSize], p.buf[base:end])
-	off := p.writeRecordData(rec)
+	off := int(p.dataLow) - n
+	p.dataLow = uint16(off)
 	p.nslots++
-	p.setSlotRef(pos, off, uint16(len(rec)))
+	p.setSlotRef(pos, uint16(off), uint16(n))
 	p.nrecords++
-	return nil
+	return p.buf[off : off+n : off+n], nil
 }
 
 // RemoveAt removes the record at position pos, shifting later slots down.

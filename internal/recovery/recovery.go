@@ -22,6 +22,12 @@
 //     table (and secondary index) into the log while the partition workers
 //     are quiesced, bounding the length of the log tail Replay has to scan.
 //
+// Page splits and MRBTree repartitions write no log records: replay
+// rebuilds the trees from the logical records, so nothing would read them.
+// Logs of earlier builds hold such structural records (RecSMO,
+// RecRepartition); Analyze counts and skips them, so those logs still
+// recover.
+//
 // The scheme is deliberately logical rather than page-oriented: the paper's
 // experiments run memory-resident databases, and the partitioned designs
 // rebuild their MRBTrees on restart anyway (partition boundaries are part of
@@ -126,8 +132,9 @@ type Analysis struct {
 	Meta *logrec.CheckpointMeta
 	// TotalRecords is the number of log records scanned.
 	TotalRecords int
-	// StructuralRecords counts SMO/repartition records (not replayed: the
-	// physical tree shape is rebuilt by the logical re-inserts).
+	// StructuralRecords counts SMO/repartition records, which only logs of
+	// earlier builds hold (not replayed: the physical tree shape is rebuilt
+	// by the logical re-inserts).
 	StructuralRecords int
 	// UnparsedRecords counts modification records whose payload could not be
 	// decoded (foreign records, or versions this build does not know); they

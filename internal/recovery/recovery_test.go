@@ -137,8 +137,8 @@ func TestAnalyzeOutcomes(t *testing.T) {
 
 func TestAnalyzeSkipsStructuralAndLegacyRecords(t *testing.T) {
 	log := wal.NewNaive(nil)
-	log.Append(&wal.Record{Type: wal.RecSMO, Payload: wal.PagePayload(7)})
-	log.Append(&wal.Record{Type: wal.RecRepartition, Payload: wal.PagePayload(9)})
+	log.Append(&wal.Record{Type: wal.RecSMO, Payload: []byte{7}})
+	log.Append(&wal.Record{Type: wal.RecRepartition, Payload: []byte{9}})
 	// A legacy bare-key payload that is not a logrec modification.
 	log.Append(&wal.Record{Txn: 5, Type: wal.RecInsert, Payload: []byte("bare-key")})
 	appendCommit(log, 5)

@@ -38,7 +38,6 @@ import (
 	"sync/atomic"
 
 	"plp/internal/cs"
-	"plp/internal/page"
 )
 
 // LSN is a log sequence number: a byte offset into the conceptual log file.
@@ -57,8 +56,8 @@ const (
 	RecUpdate
 	RecCommit
 	RecAbort
-	RecSMO         // B+Tree structure modification (split/merge)
-	RecRepartition // MRBTree slice/meld
+	RecSMO         // B+Tree page split; no longer written, skipped by analysis
+	RecRepartition // MRBTree slice/meld; no longer written, skipped by analysis
 	RecCheckpoint
 	RecPrepare // txn prepared for a cross-shard commit; payload = gid
 	RecDecide  // coordinator's durable commit decision; payload = gid
@@ -142,10 +141,6 @@ func (r *Record) encodedSize() int {
 // EncodedSize returns the number of log bytes the record occupies; a
 // record's exclusive end LSN is r.LSN + EncodedSize().
 func (r *Record) EncodedSize() int { return r.encodedSize() }
-
-// PagePayload is the payload of a RecSMO or RecRepartition record: the
-// page the structure modification started at, as a uvarint.
-func PagePayload(id page.ID) []byte { return binary.AppendUvarint(nil, uint64(id)) }
 
 // appendFrame appends the frame of r, which carries its LSN, to buf.
 func appendFrame(buf []byte, r *Record) []byte {

@@ -118,7 +118,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 		{LSN: 100, Txn: 7, Type: RecDelete, Payload: []byte("payload")},
 		{LSN: 1, Type: RecCommit},
 		{LSN: 1 << 40, Txn: 1<<63 + 5, Type: RecCheckpoint, Payload: make([]byte, 300)},
-		{LSN: 9, Txn: 200, Type: RecSMO, Payload: PagePayload(77)},
+		{LSN: 9, Txn: 200, Type: RecSMO, Payload: []byte{77}},
 	} {
 		frame := appendFrame([]byte("prefix"), &r)[len("prefix"):]
 		want := 1 + uvarintLen(r.Txn) + uvarintLen(uint64(len(r.Payload))) + len(r.Payload)

@@ -271,9 +271,8 @@
 // transactions through the restart-recovery path — whole transactions
 // only, under a partition-worker quiesce, so its reads (gets, secondary
 // lookups, scans, read-only plans — writes are refused) are always
-// transaction-consistent.  Application never writes the follower's log:
-// even the page-split SMO records its own B+Trees would emit are
-// suppressed during replay, preserving the byte-identical prefix.
+// transaction-consistent.  Application never writes the follower's log
+// (page splits are not logged), preserving the byte-identical prefix.
 // Retention pins trail each subscriber so checkpoint-driven log truncation
 // cannot unlink a segment a lagging follower still needs.
 //
