@@ -1047,3 +1047,58 @@ func TestSliceDropsAppendHint(t *testing.T) {
 		}
 	}
 }
+
+// TestSliceMeldRoundTripsLeakNoPages slices a tree and melds the piece back
+// 1,000 times, at keys that start leaves once the first round trip made
+// them separators.  A slice that moves no leaf entry must allocate no leaf,
+// or every round trip leaves an empty leaf behind and the tree grows
+// without bound under a rebalancer that keeps moving one boundary.  The
+// first round trips at each key may split a node per level of its path;
+// after that the page count must not move.
+func TestSliceMeldRoundTripsLeakNoPages(t *testing.T) {
+	const n = 2000
+	tree := newTestTree(t, Config{MaxSlotsPerNode: 8})
+	for i := uint64(0); i < n; i++ {
+		if err := tree.Insert(nil, keyenc.Uint64Key(i), keyenc.Uint64Key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := tree.bp.Stats().Resident
+	height, err := tree.Height()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts := []uint64{900, 1100, 1000, 901}
+	settled := 0
+	for i := 0; i < 1000; i++ {
+		if i == 100 {
+			settled = tree.bp.Stats().Resident
+		}
+		cut := keyenc.Uint64Key(cuts[i%len(cuts)])
+		right, _, err := tree.SliceAt(cut)
+		if err != nil {
+			t.Fatalf("round trip %d: SliceAt: %v", i, err)
+		}
+		if tree, _, err = Meld(tree, right, cut); err != nil {
+			t.Fatalf("round trip %d: Meld: %v", i, err)
+		}
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := tree.Count(nil); got != n {
+		t.Fatalf("%d entries after the round trips, want %d", got, n)
+	}
+	empty := 0
+	for _, leaf := range leafChain(t, tree) {
+		if leaf.NumSlots() == 0 {
+			empty++
+		}
+	}
+	if empty != 0 {
+		t.Fatalf("%d empty leaves after 1,000 slice/meld round trips", empty)
+	}
+	if end := tree.bp.Stats().Resident; end > settled || end > start+len(cuts)*height {
+		t.Fatalf("round trips grew the tree from %d pages to %d after 100 and %d after 1,000", start, settled, end)
+	}
+}

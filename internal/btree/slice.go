@@ -36,7 +36,10 @@ type MeldStats struct {
 // newly created tree which is returned.  Only the entries on the boundary
 // path are physically copied ("the pages to the right of the slot's page do
 // not need to be moved because the entries on the new pages will have
-// pointers to them"), which is what makes MRBTree repartitioning cheap.
+// pointers to them"), which is what makes MRBTree repartitioning cheap.  A
+// level of the path from which nothing moves gets no new page: slicing at
+// a key that starts a leaf allocates no leaf, so slice/meld round trips
+// leave no empty leaves behind.
 //
 // The caller must guarantee that no other thread is accessing the tree.
 func (t *Tree) SliceAt(atKey []byte) (*Tree, SliceStats, error) {
@@ -94,8 +97,10 @@ func (t *Tree) SliceAt(atKey []byte) (*Tree, SliceStats, error) {
 		pid = child
 	}
 
-	// Process the path bottom-up, creating one new page per level.
-	var lowerNew page.ID // the new page created at the level below
+	// Process the path bottom-up, creating one new page per level from
+	// which something moves.
+	var lowerNew page.ID // the new page created at the level below, if any
+	var leafOwner uint64
 	for i := len(path) - 1; i >= 0; i-- {
 		node := path[i]
 		f, err := t.bp.Fix(node.pid)
@@ -110,6 +115,23 @@ func (t *Tree) SliceAt(atKey []byte) (*Tree, SliceStats, error) {
 			if serr != nil {
 				t.bp.Unfix(f)
 				return nil, st, serr
+			}
+			leafOwner = p.Owner()
+			if pos == p.NumSlots() {
+				// Nothing moves: the next leaf, if any, is the new tree's
+				// first.  Split the leaf sibling chain between the two.
+				if oldNext := p.Next(); oldNext != page.InvalidID {
+					p.SetNext(page.InvalidID)
+					st.PointerUpdates++
+					if nf, ferr := t.bp.Fix(oldNext); ferr == nil {
+						nf.Page().SetPrev(page.InvalidID)
+						t.bp.Unfix(nf)
+						st.PointerUpdates++
+						st.PagesRead++
+					}
+				}
+				t.bp.Unfix(f)
+				continue
 			}
 			nl := t.bp.NewPage(page.KindIndexLeaf)
 			st.PagesAllocated++
@@ -157,19 +179,34 @@ func (t *Tree) SliceAt(atKey []byte) (*Tree, SliceStats, error) {
 
 		// Interior node on the boundary path: entries to the right of the
 		// descent slot move to a new interior node whose first entry points
-		// to the new page created at the level below.
+		// to the new page created at the level below.  When there is none,
+		// the first moved entry comes first, and its child's leftmost path
+		// is re-keyed (clearLeftKeys): they all start the new tree now.
+		if lowerNew == page.InvalidID && node.slot+1 == p.NumSlots() {
+			t.bp.Unfix(f)
+			continue
+		}
 		ni := t.bp.NewPage(page.KindIndexInterior)
 		st.PagesAllocated++
 		newNode := ni.Page()
 		newNode.SetOwner(p.Owner())
 		setNodeLevel(newNode, nodeLevel(p))
-		if err := newNode.InsertAt(0, encodeInteriorEntry(nil, lowerNew)); err != nil {
-			t.bp.Unfix(ni)
-			t.bp.Unfix(f)
-			return nil, st, err
+		if lowerNew != page.InvalidID {
+			if err := newNode.InsertAt(0, encodeInteriorEntry(nil, lowerNew)); err != nil {
+				t.bp.Unfix(ni)
+				t.bp.Unfix(f)
+				return nil, st, err
+			}
 		}
 		for j := node.slot + 1; j < p.NumSlots(); j++ {
 			buf, gerr := p.GetAt(j)
+			if gerr == nil && newNode.NumSlots() == 0 {
+				var child page.ID
+				if _, child, gerr = decodeInteriorEntry(buf); gerr == nil {
+					buf = encodeInteriorEntry(nil, child)
+					gerr = t.clearLeftKeys(child, &st)
+				}
+			}
 			if gerr != nil {
 				t.bp.Unfix(ni)
 				t.bp.Unfix(f)
@@ -192,9 +229,46 @@ func (t *Tree) SliceAt(atKey []byte) (*Tree, SliceStats, error) {
 		t.bp.Unfix(f)
 	}
 
+	if lowerNew == page.InvalidID {
+		// No entry is at or above atKey: the new tree is one empty leaf.
+		nl := t.bp.NewPage(page.KindIndexLeaf)
+		st.PagesAllocated++
+		nl.Page().SetOwner(leafOwner)
+		setNodeLevel(nl.Page(), 0)
+		lowerNew = nl.Page().ID()
+		t.bp.Unfix(nl)
+	}
 	st.PointerUpdates++ // the routing-table entry the caller will add
 	newTree := Open(t.bp, t.id, lowerNew, t.cfg)
 	return newTree, st, nil
+}
+
+// clearLeftKeys empties the first key of every interior node on the
+// leftmost path from pid down: the first entry of a tree's leftmost node at
+// each level carries the empty key, its lower bound being the tree's.
+func (t *Tree) clearLeftKeys(pid page.ID, st *SliceStats) error {
+	for {
+		f, err := t.bp.Fix(pid)
+		if err != nil {
+			return err
+		}
+		st.PagesRead++
+		p := f.Page()
+		if isLeaf(p) {
+			t.bp.Unfix(f)
+			return nil
+		}
+		k, child, err := interiorEntryAt(p, 0)
+		if err == nil && len(k) > 0 {
+			err = p.SetAt(0, encodeInteriorEntry(nil, child))
+			st.PointerUpdates++
+		}
+		t.bp.Unfix(f)
+		if err != nil {
+			return err
+		}
+		pid = child
+	}
 }
 
 // Meld merges right into left.  rightStart is the first key of right's key
@@ -332,8 +406,14 @@ func meldEqualHeight(left, right *Tree, rightStart []byte, st *MeldStats) (*Tree
 	lp, rp := lf.Page(), rf.Page()
 	st.PagesRead += 2
 
-	// Compute the bytes needed to absorb rp into lp.
+	// Compute the bytes needed to absorb rp into lp: its entries, their
+	// slots, and, for interior roots, the boundary key the first entry
+	// gains.  An understated need makes the copy below fail halfway and
+	// leave part of right's entries in left.
 	need := rp.UsedBytes() + rp.NumSlots()*4
+	if !isLeaf(rp) {
+		need += len(rightStart)
+	}
 	fits := lp.FreeSpace() >= need
 	if left.cfg.MaxSlotsPerNode > 0 && lp.NumSlots()+rp.NumSlots() > left.cfg.MaxSlotsPerNode {
 		fits = false
@@ -344,7 +424,7 @@ func meldEqualHeight(left, right *Tree, rightStart []byte, st *MeldStats) (*Tree
 			if gerr != nil {
 				left.bp.Unfix(lf)
 				right.bp.Unfix(rf)
-				return nil, *st, gerrWrap(gerr)
+				return nil, *st, gerr
 			}
 			entry := buf
 			if !isLeaf(rp) && i == 0 {
@@ -394,9 +474,6 @@ func meldEqualHeight(left, right *Tree, rightStart []byte, st *MeldStats) (*Tree
 	right.bp.Unfix(rf)
 	return newRootAbove(left, right, rightStart, st)
 }
-
-// gerrWrap exists to keep error wrapping uniform in meldEqualHeight.
-func gerrWrap(err error) error { return err }
 
 // newRootAbove allocates a new interior root pointing at the two existing
 // roots.  It is the fallback used when the cheap in-place meld would

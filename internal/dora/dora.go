@@ -10,11 +10,14 @@
 // and (for PLP) latch-free page access safe.  Queue operations are the
 // fixed-contention "message passing" critical sections of Figure 1.
 //
-// The input queue carries batches: Submit enqueues one task per channel
-// operation, SubmitBatch enqueues a whole slice of tasks with a single
-// channel operation, which is how the partition manager ships one phase's
-// per-partition action group (or a whole single-site transaction) at the
-// fixed cost of ONE message instead of one per action.
+// A task is a Runner.  The input queue carries batches: SubmitBatch
+// enqueues a whole slice of runners with a single channel operation, which
+// is how the partition manager ships one phase's per-partition action group
+// (or a whole single-site transaction) at the fixed cost of ONE message
+// instead of one per action.  Which worker a task goes to, and what it does
+// when a boundary move took its data elsewhere while it was queued, is the
+// partition manager's business: package engine routes every task and
+// re-checks its ownership on the worker.
 package dora
 
 import (
@@ -30,64 +33,53 @@ import (
 // ErrStopped is returned when work is submitted to a stopped worker pool.
 var ErrStopped = errors.New("dora: worker pool is stopped")
 
-// ErrQueueFull is returned by TrySubmit and TrySubmitBatch when the
-// worker's input queue has no room.
+// ErrQueueFull is returned by TrySubmitBatch when the worker's input queue
+// has no room.
 var ErrQueueFull = errors.New("dora: worker input queue is full")
 
-// Runner is the allocation-free alternative to Task.Do: a pre-built (and
+// Runner is a unit of work executed by a partition worker: a pre-built (and
 // typically pooled) object whose RunTask method executes on the worker
-// goroutine.  Storing a pointer in an interface field does not allocate,
-// whereas building a fresh closure for every task does — hot paths submit
-// runners, everything else keeps using closures.
+// goroutine and receives the worker, so it can use the worker-local lock
+// table.  Storing a pointer in an interface does not allocate, whereas
+// building a fresh closure for every task does.
 type Runner interface {
 	RunTask(w *Worker)
 }
 
-// Task is a unit of work executed by a partition worker.  Exactly one of Do
-// and Run must be set; Do wins when both are.
-type Task struct {
-	// Do is the work to perform; it runs on the worker goroutine and
-	// receives the worker so it can use the worker-local lock table.
-	Do func(w *Worker)
-	// Run is executed when Do is nil.  It exists so hot submit paths can
-	// reuse pooled runner objects instead of allocating a closure per task.
-	Run Runner
-}
-
-// batch is one input-queue element: either a single inline task or a slice
-// of tasks that rode one channel operation.  enqueuedAt is non-zero only on
-// sampled batches (see timingSampleEvery).
+// batch is one input-queue element: a slice of tasks that rode one channel
+// operation.  enqueuedAt is non-zero only on sampled batches (see
+// timingSampleEvery).
 type batch struct {
-	one        Task
-	many       *[]Task
+	tasks      *[]Runner
 	enqueuedAt time.Time
 }
 
 // timingSampleEvery is the queue-wait/busy sampling period: one batch in
 // every timingSampleEvery is timestamped at submit and measured on the
 // worker, and its durations are scaled back up by the same factor, so
-// Stats' QueueWait and Busy stay unbiased estimates while time.Now leaves
-// the per-task hot path entirely.
-const timingSampleEvery = 64
+// Stats' QueueWait and Busy, and the BatchWait every task of the batch
+// reads, stay unbiased estimates while time.Now leaves the per-task hot
+// path entirely.
+const timingSampleEvery = 16
 
 // taskSlicePool recycles the task slices that SubmitBatch hands to workers.
 var taskSlicePool = sync.Pool{New: func() any {
-	ts := make([]Task, 0, 8)
+	ts := make([]Runner, 0, 8)
 	return &ts
 }}
 
 // GetTasks returns an empty pooled task slice for SubmitBatch.  Ownership
 // passes to the worker on a successful SubmitBatch; on error the caller
 // keeps it and should return it with PutTasks.
-func GetTasks() *[]Task {
-	ts := taskSlicePool.Get().(*[]Task)
+func GetTasks() *[]Runner {
+	ts := taskSlicePool.Get().(*[]Runner)
 	*ts = (*ts)[:0]
 	return ts
 }
 
 // PutTasks returns a task slice to the pool.  Callers use it only for
 // slices a failed (or never attempted) SubmitBatch left in their hands.
-func PutTasks(ts *[]Task) {
+func PutTasks(ts *[]Runner) {
 	clear(*ts)
 	*ts = (*ts)[:0]
 	taskSlicePool.Put(ts)
@@ -97,7 +89,7 @@ func PutTasks(ts *[]Task) {
 type Worker struct {
 	id      int
 	input   chan batch
-	system  chan Task
+	system  chan Runner
 	quit    chan struct{}
 	stopped atomic.Bool
 	done    sync.WaitGroup
@@ -106,6 +98,7 @@ type Worker struct {
 	cst   *cs.Stats
 
 	submitSeq atomic.Uint64 // counts input submissions for timing samples
+	batchWait time.Duration // the running batch's scaled queue wait; worker goroutine only
 
 	executed  atomic.Uint64
 	sysTasks  atomic.Uint64
@@ -118,7 +111,7 @@ func newWorker(id, queueDepth int, cstats *cs.Stats) *Worker {
 	return &Worker{
 		id:     id,
 		input:  make(chan batch, queueDepth),
-		system: make(chan Task, 16),
+		system: make(chan Runner, 16),
 		quit:   make(chan struct{}),
 		locks:  lock.NewLocal(),
 		cst:    cstats,
@@ -136,6 +129,13 @@ func (w *Worker) Locks() *lock.Local { return w.locks }
 // queue (diagnostics: the plpd -pprof endpoint publishes it via expvar).
 func (w *Worker) QueueDepth() int { return len(w.input) }
 
+// BatchWait returns the queue wait of the batch the worker is running,
+// scaled by the sampling period: zero for an unsampled batch, so that the
+// sum over every task of every batch stays an unbiased estimate of the
+// tasks' total queue wait (each task of a batch waited the batch's wait).
+// Only a task running on the worker goroutine may call it.
+func (w *Worker) BatchWait() time.Duration { return w.batchWait }
+
 // AddExecuted credits extra execution units to the worker's Executed
 // counter.  A task that stands in for several units of work — the
 // single-site fast path's whole-transaction task — calls it from its own
@@ -146,6 +146,8 @@ func (w *Worker) AddExecuted(units uint64) { w.executed.Add(units) }
 
 // stamp samples the queue-wait clock: one submission in every
 // timingSampleEvery gets a timestamp, the rest stay on the zero value.
+// The first submission is sampled, so short runs never report a
+// degenerate all-zero queue wait.
 func (w *Worker) stamp() time.Time {
 	if w.submitSeq.Add(1)%timingSampleEvery == 1 {
 		return time.Now()
@@ -153,28 +155,36 @@ func (w *Worker) stamp() time.Time {
 	return time.Time{}
 }
 
-// Submit enqueues a task on the worker's input queue.  The channel operation
-// is the fixed-contention message-passing critical section of the paper's
-// communication taxonomy.
-func (w *Worker) Submit(t Task) error {
-	return w.enqueue(batch{one: t}, true)
+// SubmitBatch enqueues every task of ts on the worker's input queue with a
+// single channel operation — the whole batch pays the fixed message-passing
+// cost once, and it waits for queue room.  The tasks execute in slice
+// order, serially, like any other input tasks.  On success, ownership of ts
+// transfers to the worker, which recycles it after the last task runs;
+// obtain slices from GetTasks.  On error the caller keeps ownership (and
+// can PutTasks it after inspecting the tasks).
+func (w *Worker) SubmitBatch(ts *[]Runner) error {
+	return w.enqueue(ts, true)
 }
 
-// TrySubmit is Submit without the wait: it returns ErrQueueFull when the
-// input queue has no room.  A partition worker that hands work to another
-// worker uses it, so that it never blocks on a bounded queue another
-// worker drains: two workers feeding each other's full queues would
-// deadlock.
-func (w *Worker) TrySubmit(t Task) error {
-	return w.enqueue(batch{one: t}, false)
+// TrySubmitBatch is SubmitBatch without the wait: it returns ErrQueueFull,
+// and the caller keeps ts, when the input queue has no room.  A partition
+// worker that hands work to another worker uses it, so that it never
+// blocks on a bounded queue another worker drains: two workers feeding
+// each other's full queues would deadlock.
+func (w *Worker) TrySubmitBatch(ts *[]Runner) error {
+	return w.enqueue(ts, false)
 }
 
-// enqueue puts b on the input queue, waiting for room when block is set.
-func (w *Worker) enqueue(b batch, block bool) error {
+// enqueue puts ts on the input queue, waiting for room when block is set.
+func (w *Worker) enqueue(ts *[]Runner, block bool) error {
+	if len(*ts) == 0 {
+		PutTasks(ts)
+		return nil
+	}
 	if w.stopped.Load() {
 		return ErrStopped
 	}
-	b.enqueuedAt = w.stamp()
+	b := batch{tasks: ts, enqueuedAt: w.stamp()}
 	// Counted before the send: the task may complete, and its submitter
 	// read the counters, before this goroutine runs again.
 	w.cst.RecordClass(cs.MessagePassing, cs.Fixed, false)
@@ -194,35 +204,9 @@ func (w *Worker) enqueue(b batch, block bool) error {
 	}
 }
 
-// SubmitBatch enqueues every task of ts on the worker's input queue with a
-// single channel operation — the whole batch pays the fixed message-passing
-// cost once.  The tasks execute in slice order, serially, like any other
-// input tasks.  On success, ownership of ts transfers to the worker, which
-// recycles it after the last task runs; obtain slices from GetTasks.  On
-// error the caller keeps ownership (and can PutTasks it after inspecting
-// the tasks).
-func (w *Worker) SubmitBatch(ts *[]Task) error {
-	if len(*ts) == 0 {
-		PutTasks(ts)
-		return nil
-	}
-	return w.enqueue(batch{many: ts}, true)
-}
-
-// TrySubmitBatch is SubmitBatch without the wait: it returns ErrQueueFull,
-// and the caller keeps ts, when the input queue has no room (see
-// TrySubmit).
-func (w *Worker) TrySubmitBatch(ts *[]Task) error {
-	if len(*ts) == 0 {
-		PutTasks(ts)
-		return nil
-	}
-	return w.enqueue(batch{many: ts}, false)
-}
-
 // SubmitSystem enqueues a high-priority system task; repartitioning barriers
 // use this queue.
-func (w *Worker) SubmitSystem(t Task) error {
+func (w *Worker) SubmitSystem(r Runner) error {
 	if w.stopped.Load() {
 		return ErrStopped
 	}
@@ -230,7 +214,7 @@ func (w *Worker) SubmitSystem(t Task) error {
 	select {
 	case <-w.quit:
 		return ErrStopped
-	case w.system <- t:
+	case w.system <- r:
 		return nil
 	}
 }
@@ -241,8 +225,8 @@ func (w *Worker) loop() {
 	for {
 		// System tasks have priority over the input queue.
 		select {
-		case t := <-w.system:
-			w.runSystem(t)
+		case r := <-w.system:
+			w.runSystem(r)
 			continue
 		default:
 		}
@@ -255,8 +239,8 @@ func (w *Worker) loop() {
 		default:
 		}
 		select {
-		case t := <-w.system:
-			w.runSystem(t)
+		case r := <-w.system:
+			w.runSystem(r)
 		case b := <-w.input:
 			w.run(b)
 		case <-w.quit:
@@ -265,22 +249,13 @@ func (w *Worker) loop() {
 				select {
 				case b := <-w.input:
 					w.run(b)
-				case t := <-w.system:
-					w.runSystem(t)
+				case r := <-w.system:
+					w.runSystem(r)
 				default:
 					return
 				}
 			}
 		}
-	}
-}
-
-// exec runs one task.
-func (w *Worker) exec(t *Task) {
-	if t.Do != nil {
-		t.Do(w)
-	} else if t.Run != nil {
-		t.Run.RunTask(w)
 	}
 }
 
@@ -292,29 +267,26 @@ func (w *Worker) run(b batch) {
 	var start time.Time
 	if !b.enqueuedAt.IsZero() {
 		start = time.Now()
-		w.queueWait.Add(int64(start.Sub(b.enqueuedAt)) * timingSampleEvery)
+		w.batchWait = start.Sub(b.enqueuedAt) * timingSampleEvery
+		w.queueWait.Add(int64(w.batchWait))
 	}
+	ts := *b.tasks
 	// Tasks are credited before they run: a task typically signals its
-	// completion from inside exec, and a caller woken by that signal must
-	// already see the task counted.
-	if b.many == nil {
-		w.executed.Add(1)
-		w.exec(&b.one)
-	} else {
-		ts := *b.many
-		w.executed.Add(uint64(len(ts)))
-		for i := range ts {
-			w.exec(&ts[i])
-		}
-		PutTasks(b.many)
+	// completion from inside RunTask, and a caller woken by that signal
+	// must already see the task counted.
+	w.executed.Add(uint64(len(ts)))
+	for _, r := range ts {
+		r.RunTask(w)
 	}
+	PutTasks(b.tasks)
 	if !start.IsZero() {
 		w.busy.Add(int64(time.Since(start)) * timingSampleEvery)
+		w.batchWait = 0
 	}
 }
 
-func (w *Worker) runSystem(t Task) {
-	w.exec(&t)
+func (w *Worker) runSystem(r Runner) {
+	r.RunTask(w)
 	w.sysTasks.Add(1)
 }
 
@@ -442,28 +414,34 @@ func (p *Pool) QuiesceWorkers(ids []int, fn func()) error {
 		return nil
 	}
 
-	var reached, release sync.WaitGroup
-	reached.Add(len(targets))
-	release.Add(1)
+	b := &barrier{}
+	b.reached.Add(len(targets))
+	b.release.Add(1)
 	submitted := 0
 	for _, w := range targets {
-		err := w.SubmitSystem(Task{Do: func(_ *Worker) {
-			reached.Done()
-			release.Wait()
-		}})
-		if err != nil {
+		if err := w.SubmitSystem(b); err != nil {
 			// Unblock any workers already parked at the barrier and account
 			// for the barriers that never made it into a queue.
-			reached.Add(submitted - len(targets))
-			release.Done()
+			b.reached.Add(submitted - len(targets))
+			b.release.Done()
 			return err
 		}
 		submitted++
 	}
-	reached.Wait()
+	b.reached.Wait()
 	fn()
-	release.Done()
+	b.release.Done()
 	return nil
+}
+
+// barrier is the quiesce task: it parks each worker that runs it until the
+// quiesce releases them all.
+type barrier struct{ reached, release sync.WaitGroup }
+
+// RunTask reports the worker parked and waits for the release.
+func (b *barrier) RunTask(*Worker) {
+	b.reached.Done()
+	b.release.Wait()
 }
 
 // TotalStats sums the workers' activity counters.

@@ -10,6 +10,22 @@ import (
 	"plp/internal/lock"
 )
 
+// fn adapts a closure to Runner for these tests.
+type fn func(w *Worker)
+
+func (f fn) RunTask(w *Worker) { f(w) }
+
+// submit enqueues one task on w as a batch of one.
+func submit(w *Worker, r Runner) error {
+	ts := GetTasks()
+	*ts = append(*ts, r)
+	err := w.SubmitBatch(ts)
+	if err != nil {
+		PutTasks(ts)
+	}
+	return err
+}
+
 func TestTasksExecuteOnOwningWorker(t *testing.T) {
 	p := NewPool(4, 16, &cs.Stats{})
 	p.Start()
@@ -20,12 +36,12 @@ func TestTasksExecuteOnOwningWorker(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		target := i % 4
 		wg.Add(1)
-		if err := p.Worker(target).Submit(Task{Do: func(w *Worker) {
+		if err := submit(p.Worker(target), fn(func(w *Worker) {
 			if w.ID() != target {
 				wrongWorker.Add(1)
 			}
 			wg.Done()
-		}}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -48,10 +64,10 @@ func TestWorkerSerializesItsTasks(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 1000; i++ {
 		wg.Add(1)
-		if err := w.Submit(Task{Do: func(_ *Worker) {
+		if err := submit(w, fn(func(_ *Worker) {
 			counter++
 			wg.Done()
-		}}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,20 +88,20 @@ func TestSystemQueueHasPriority(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 50; i++ {
 		wg.Add(1)
-		_ = w.Submit(Task{Do: func(_ *Worker) {
+		_ = submit(w, fn(func(_ *Worker) {
 			mu.Lock()
 			order = append(order, "input")
 			mu.Unlock()
 			wg.Done()
-		}})
+		}))
 	}
 	wg.Add(1)
-	_ = w.SubmitSystem(Task{Do: func(_ *Worker) {
+	_ = w.SubmitSystem(fn(func(_ *Worker) {
 		mu.Lock()
 		order = append(order, "system")
 		mu.Unlock()
 		wg.Done()
-	}})
+	}))
 	p.Start()
 	defer p.Stop()
 	wg.Wait()
@@ -123,12 +139,12 @@ func TestQuiesceStopsAllWorkers(t *testing.T) {
 				default:
 				}
 				done := make(chan struct{})
-				if err := p.Worker(i).Submit(Task{Do: func(_ *Worker) {
+				if err := submit(p.Worker(i), fn(func(_ *Worker) {
 					running.Add(1)
 					time.Sleep(100 * time.Microsecond)
 					running.Add(-1)
 					close(done)
-				}}); err != nil {
+				})); err != nil {
 					return
 				}
 				<-done
@@ -157,7 +173,7 @@ func TestStopDrainsQueues(t *testing.T) {
 	p.Start()
 	var executed atomic.Int32
 	for i := 0; i < 200; i++ {
-		if err := p.Worker(i).Submit(Task{Do: func(_ *Worker) { executed.Add(1) }}); err != nil {
+		if err := submit(p.Worker(i), fn(func(_ *Worker) { executed.Add(1) })); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,7 +182,7 @@ func TestStopDrainsQueues(t *testing.T) {
 		t.Fatalf("stop lost tasks: %d", executed.Load())
 	}
 	// Submitting after stop fails rather than hanging.
-	if err := p.Worker(0).Submit(Task{Do: func(_ *Worker) {}}); err == nil {
+	if err := submit(p.Worker(0), fn(func(_ *Worker) {})); err == nil {
 		t.Fatal("submit after stop should fail")
 	}
 	p.Stop() // idempotent
@@ -179,12 +195,12 @@ func TestWorkerLocalLocks(t *testing.T) {
 	var ok bool
 	var wg sync.WaitGroup
 	wg.Add(1)
-	_ = p.Worker(0).Submit(Task{Do: func(w *Worker) {
+	_ = submit(p.Worker(0), fn(func(w *Worker) {
 		defer wg.Done()
 		n := lock.KeyName(1, 5)
 		ok = w.Locks().TryAcquire(1, n, lock.X)
 		w.Locks().ReleaseTxn(1)
-	}})
+	}))
 	wg.Wait()
 	if !ok {
 		t.Fatal("worker-local lock acquisition failed")
@@ -199,7 +215,7 @@ func TestMessagePassingCSRecorded(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 10; i++ {
 		wg.Add(1)
-		_ = p.Worker(i).Submit(Task{Do: func(_ *Worker) { wg.Done() }})
+		_ = submit(p.Worker(i), fn(func(_ *Worker) { wg.Done() }))
 	}
 	wg.Wait()
 	snap := cstats.Snapshot()
@@ -216,12 +232,12 @@ func TestQueueWaitAccounted(t *testing.T) {
 	w := p.Worker(0)
 	var wg sync.WaitGroup
 	wg.Add(1)
-	_ = w.Submit(Task{Do: func(_ *Worker) {
+	_ = submit(w, fn(func(_ *Worker) {
 		time.Sleep(5 * time.Millisecond)
 		wg.Done()
-	}})
+	}))
 	wg.Add(1)
-	_ = w.Submit(Task{Do: func(_ *Worker) { wg.Done() }})
+	_ = submit(w, fn(func(_ *Worker) { wg.Done() }))
 	p.Start()
 	defer p.Stop()
 	wg.Wait()
@@ -266,11 +282,11 @@ func TestSubmitBatchRunsInOrder(t *testing.T) {
 	}
 	for i := range runners {
 		runners[i] = countingRunner{order: &order, mu: &mu, id: i}
-		*ts = append(*ts, Task{Run: &runners[i]})
+		*ts = append(*ts, &runners[i])
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
-	*ts = append(*ts, Task{Do: func(_ *Worker) { wg.Done() }})
+	*ts = append(*ts, fn(func(_ *Worker) { wg.Done() }))
 	if err := w.SubmitBatch(ts); err != nil {
 		t.Fatal(err)
 	}
@@ -305,12 +321,12 @@ func TestSubmitBatchAfterStopKeepsOwnership(t *testing.T) {
 	p.Start()
 	p.Stop()
 	ts := GetTasks()
-	*ts = append(*ts, Task{Do: func(_ *Worker) { t.Error("task ran after stop") }})
+	*ts = append(*ts, fn(func(_ *Worker) { t.Error("task ran after stop") }))
 	if err := p.Worker(0).SubmitBatch(ts); err == nil {
 		t.Fatal("SubmitBatch after stop should fail")
 	}
 	// Ownership stayed with us: the tasks are still inspectable.
-	if len(*ts) != 1 || (*ts)[0].Do == nil {
+	if len(*ts) != 1 || (*ts)[0] == nil {
 		t.Fatal("failed SubmitBatch mutated the caller's slice")
 	}
 	PutTasks(ts)
@@ -326,8 +342,8 @@ func TestAddExecutedCreditsExtraUnits(t *testing.T) {
 	// A multi-unit task (a whole single-site transaction) credits the
 	// actions it ran beyond the one the worker counts per task; a plain
 	// task counts 1.
-	_ = w.Submit(Task{Do: func(w *Worker) { w.AddExecuted(4); wg.Done() }})
-	_ = w.Submit(Task{Do: func(_ *Worker) { wg.Done() }})
+	_ = submit(w, fn(func(w *Worker) { w.AddExecuted(4); wg.Done() }))
+	_ = submit(w, fn(func(_ *Worker) { wg.Done() }))
 	wg.Wait()
 	if got := w.Stats().Executed; got != 6 {
 		t.Fatalf("Executed=%d, want 6 (1+4 credited, plus 1 plain)", got)
@@ -354,10 +370,10 @@ func TestQuiesceWorkersPartial(t *testing.T) {
 		var wg sync.WaitGroup
 		for _, id := range []int{2, 3} {
 			wg.Add(1)
-			if err := p.Worker(id).Submit(Task{Do: func(w *Worker) {
+			if err := submit(p.Worker(id), fn(func(w *Worker) {
 				executed <- w.ID()
 				wg.Done()
-			}}); err != nil {
+			})); err != nil {
 				t.Errorf("submit to unquiesced worker %d: %v", id, err)
 				wg.Done()
 			}
@@ -427,11 +443,11 @@ func TestExecutedCountedBeforeCompletionSignal(t *testing.T) {
 	// Registered after the deferred Stop, so it runs first: a failing
 	// check must not leave the worker parked on hold while Stop waits.
 	defer close(hold)
-	task := Task{Do: func(_ *Worker) {
+	task := fn(func(_ *Worker) {
 		done <- struct{}{}
 		<-hold
-	}}
-	if err := w.Submit(task); err != nil {
+	})
+	if err := submit(w, task); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -441,7 +457,7 @@ func TestExecutedCountedBeforeCompletionSignal(t *testing.T) {
 	hold <- struct{}{}
 
 	ts := GetTasks()
-	*ts = append(*ts, task, Task{Do: func(_ *Worker) {}})
+	*ts = append(*ts, task, fn(func(_ *Worker) {}))
 	if err := w.SubmitBatch(ts); err != nil {
 		t.Fatal(err)
 	}

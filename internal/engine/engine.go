@@ -194,10 +194,6 @@ type Engine struct {
 	recoveredMu    sync.Mutex
 	recoveredState []byte
 
-	// waitSampleSeq counts dispatches for the sampled WaitQueue breakdown
-	// (see waitSampleEvery in execute.go).
-	waitSampleSeq atomic.Uint64
-
 	// Cross-shard two-phase commit state (see twopc.go): branches recovered
 	// in doubt awaiting the coordinator's verdict, and the gids this node
 	// durably decided to commit as a coordinator.
@@ -367,19 +363,6 @@ func (e *Engine) WorkerQueueDepths() []int {
 		out = append(out, w.QueueDepth())
 	}
 	return out
-}
-
-// sampleEnqueue returns a dispatch timestamp for one dispatch in every
-// waitSampleEvery and the zero time for the rest, keeping time.Now off the
-// per-action hot path while the WaitQueue breakdown stays an unbiased
-// (scaled) estimate.  The very first dispatch is sampled (== 1, like
-// dora's stamp) so short runs and unit tests never report a degenerate
-// all-zero queue wait.
-func (e *Engine) sampleEnqueue() time.Time {
-	if e.waitSampleSeq.Add(1)%waitSampleEvery == 1 {
-		return time.Now()
-	}
-	return time.Time{}
 }
 
 // PartitionStats returns per-partition worker counters (nil for the

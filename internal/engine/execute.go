@@ -144,18 +144,6 @@ func (s *Session) releaseTableLocks(ctx *Ctx, tx *txn.Txn, commit bool) {
 	ctx.tableLocks = nil
 }
 
-// waitSampleEvery is the WaitQueue-breakdown sampling period: one dispatch
-// in every waitSampleEvery is timestamped and its measured queue wait is
-// scaled back up by the same factor, keeping the per-transaction breakdown
-// an unbiased estimate while the per-action hot path never reads the clock.
-const waitSampleEvery = 16
-
-// tableEpoch is one table's routing epoch captured at submit time.
-type tableEpoch struct {
-	rt    *routingTable
-	epoch uint64
-}
-
 // execState is one request in flight, recycled through a sync.Pool: the
 // transaction and its continuation, the phase in flight with its countdown
 // and error slots, the worker Ctx of the single-site fast path, and the
@@ -176,16 +164,15 @@ type execState struct {
 	// commit allocates no closure.
 	onCommit func(error)
 
-	start      time.Time
-	phase      int          // the phase in flight on the phased path
-	first      int          // the first phase the single-site task runs
-	phased     bool         // a phase went to the workers, or a re-drive
-	pending    atomic.Int32 // actions of the phase in flight still running
-	errs       []error
-	tabs       []tableEpoch
-	items      []batchItem
-	ctx        Ctx       // the single-site (and conventional) request Ctx
-	enqueuedAt time.Time // sampled queue-wait stamp for the single-site task
+	start   time.Time
+	phase   int          // the phase in flight on the phased path
+	first   int          // the first phase the single-site task runs
+	phased  bool         // a phase went to the workers, or a re-drive
+	pending atomic.Int32 // actions of the phase in flight still running
+	errs    []error
+	routes  []route // the single-site task's routes, one per worker action
+	items   []batchItem
+	ctx     Ctx // the single-site (and conventional) request Ctx
 }
 
 var execStatePool = sync.Pool{New: func() any { return new(execState) }}
@@ -207,12 +194,12 @@ func putExecState(st *execState) {
 	st.e, st.tx, st.req, st.sess, st.done = nil, nil, nil, nil, nil
 	st.gid, st.keep = "", false
 	st.phase, st.first, st.phased = 0, 0, false
-	st.tabs = st.tabs[:0]
+	clear(st.routes)
+	st.routes = st.routes[:0]
 	clear(st.errs)
 	clear(st.items)
 	st.items = st.items[:0]
 	st.ctx = Ctx{}
-	st.enqueuedAt = time.Time{}
 	execStatePool.Put(st)
 }
 
@@ -332,15 +319,13 @@ func (st *execState) runInline(phase []Action) error {
 // and expanders disqualify.  Inline actions route nowhere.  A closure
 // action with a nil routing key disqualifies too: it default-routes to
 // partition 0 like always, but conservatively through the phased path.
-// analyze also captures each touched table's routing epoch — before that
-// table's first routing lookup, so a boundary move between the two makes
-// the worker-side re-check fire, never the reverse.
+// analyze keeps each worker action's route for the worker-side check.
 func (st *execState) analyze(first int) (int, bool) {
 	e := st.e
 	if st.req.Expand != nil {
 		return 0, false
 	}
-	st.tabs = st.tabs[:0]
+	st.routes = st.routes[:0]
 	pidx := -1
 	for pi := first; pi < len(st.req.Phases); pi++ {
 		phase := st.req.Phases[pi]
@@ -356,11 +341,9 @@ func (st *execState) analyze(first int) (int, bool) {
 			if key == nil {
 				return 0, false
 			}
-			if rt := e.routing[a.Table]; rt != nil && !st.hasTable(rt) {
-				st.tabs = append(st.tabs, tableEpoch{rt: rt, epoch: rt.epoch.Load()})
-			}
-			p := e.partitionFor(a.Table, key)
-			if pidx == -1 {
+			r := e.routeOf(a.Table, key)
+			st.routes = append(st.routes, r)
+			if p := e.pool.Worker(r.part).ID(); pidx == -1 {
 				pidx = p
 			} else if p != pidx {
 				return 0, false
@@ -370,24 +353,11 @@ func (st *execState) analyze(first int) (int, bool) {
 	return pidx, pidx >= 0
 }
 
-// hasTable reports whether the routing table's epoch was already captured.
-func (st *execState) hasTable(rt *routingTable) bool {
-	for i := range st.tabs {
-		if st.tabs[i].rt == rt {
-			return true
-		}
-	}
-	return false
-}
-
-// stillOwned re-routes every action of the single-site task with the
-// current boundaries and reports whether they all still land on worker w.
-func (st *execState) stillOwned(w *dora.Worker) bool {
-	for _, phase := range st.req.Phases[st.first:] {
-		for i := range phase {
-			if a := &phase[i]; !a.Inline && st.e.partitionFor(a.Table, a.routingKey()) != w.ID() {
-				return false
-			}
+// owned runs the ownership check for every action of the single-site task.
+func (st *execState) owned() bool {
+	for _, r := range st.routes {
+		if !r.owns() {
+			return false
 		}
 	}
 	return true
@@ -406,40 +376,24 @@ func (st *execState) submitSingleSite(first, pidx int) {
 			}
 		}
 	}
-	st.enqueuedAt = e.sampleEnqueue()
-	if err := e.pool.Worker(pidx).Submit(dora.Task{Run: st}); err != nil {
-		st.finish(err)
-	}
+	enqueue(e.pool.Worker(pidx), one(st), false)
 }
 
 // RunTask executes the whole single-site transaction on the owning worker:
 // phases run serially in submission order — on one worker, serial execution
 // IS the phase ordering — with no per-phase countdown and no hop back to
 // the submitter; the worker then commits, and the commit's completion
-// replies.  Before touching any data the worker re-checks ownership against
-// the captured routing epochs: a boundary move that landed while the task
-// sat in the queue means some action may now belong to another partition,
-// and a worker must never touch a latch-free sub-tree it does not own.
-// Nothing has executed at that point, so the request is re-driven through
-// the phased path, which routes every action to its current owner — from a
-// fresh goroutine, since a worker must not block on another worker's
-// queue.  Once execution starts, ownership is stable: any move affecting
-// this worker's ranges must quiesce this worker first, and the worker is
-// busy right here until the task completes.
+// replies.  Before touching any data every action passes the ownership
+// check (route.owns).  When one fails, nothing has executed yet, so the
+// request is re-driven through the phased path, which routes every action
+// to its current owner.
 func (st *execState) RunTask(w *dora.Worker) {
-	for i := range st.tabs {
-		if st.tabs[i].rt.epoch.Load() != st.tabs[i].epoch {
-			if !st.stillOwned(w) {
-				st.phased = true
-				go st.dispatch(st.first, false)
-				return
-			}
-			break
-		}
+	if !st.owned() {
+		st.phased = true
+		st.dispatch(st.first, true)
+		return
 	}
-	if !st.enqueuedAt.IsZero() {
-		st.tx.Breakdown.AddWait(txn.WaitQueue, time.Since(st.enqueuedAt)*waitSampleEvery)
-	}
+	st.tx.Breakdown.AddWait(txn.WaitQueue, w.BatchWait())
 	ctx := &st.ctx
 	*ctx = Ctx{eng: st.e, tx: st.tx, worker: w, partition: w.ID()}
 	var firstErr error
@@ -468,6 +422,9 @@ func (st *execState) RunTask(w *dora.Worker) {
 	st.finish(firstErr) // st may be recycled from here on
 }
 
+// fail reports the single-site task as not executed.
+func (st *execState) fail(err error) { st.finish(err) }
+
 // dispatchPhase hands one phase to the partition workers.  Inline actions
 // run first, right here; the others are grouped by owning partition and
 // every group rides to its worker as one batch (k channel operations for a
@@ -476,7 +433,7 @@ func (st *execState) RunTask(w *dora.Worker) {
 // phaseDone.
 //
 // On a worker, the phase is submitted without waiting for queue room
-// (submit), and a phase routed at dispatch time is handed to a fresh
+// (enqueue), and a phase routed at dispatch time is handed to a fresh
 // goroutine when an access observer is attached, so the observer never
 // runs on a worker.
 func (st *execState) dispatchPhase(pi int, phase []Action, onWorker bool) {
@@ -566,66 +523,105 @@ func (st *execState) complete(err error) {
 	}
 }
 
-// failer is a task that can report itself as not executed.
-type failer interface{ fail(error) }
+// route is where a task was sent: key routed to logical partition part of
+// routing table rt under routing epoch epoch.  A nil rt (a table with no
+// routing table) always routes to partition 0.
+type route struct {
+	rt    *routingTable
+	epoch uint64
+	part  int
+	key   []byte
+}
 
-// submit enqueues t, whose Run must be a failer, on w.  Off the workers it
+// routeOf routes key of table.  The epoch is loaded before the lookup, so
+// a boundary move between the two makes owns re-check, never the reverse.
+func (e *Engine) routeOf(table string, key []byte) route {
+	rt := e.routing[table]
+	if rt == nil {
+		return route{key: key}
+	}
+	epoch := rt.epoch.Load()
+	return route{rt: rt, epoch: epoch, part: rt.partitionFor(key), key: key}
+}
+
+// owns is the ownership check every routed task runs on its worker before
+// it touches data: online repartitioning can move a boundary between the
+// moment a task was routed and the moment the worker dequeues it, and a
+// worker must never touch a latch-free sub-tree it no longer owns.  While
+// no boundary of the table moved (one atomic load) the key is still owned;
+// otherwise its routing lookup is repeated.  Any boundary move affecting
+// the worker's ranges quiesces the worker first, so ownership cannot change
+// between the check and the data access.  A task whose check fails has run
+// nothing and goes to its current owner: a phase action or a scan chunk
+// forwards itself, the single-site task re-drives through the phased path.
+// A task can only keep moving while moves keep landing in its
+// submit-to-dequeue window, so no hop cap is needed.
+func (r route) owns() bool {
+	return r.rt == nil || r.rt.epoch.Load() == r.epoch || r.rt.partitionFor(r.key) == r.part
+}
+
+// task is an engine task on a partition worker: it runs there, or reports
+// itself not run.
+type task interface {
+	dora.Runner
+	fail(error)
+}
+
+// one returns a batch holding just t.
+func one(t task) *[]dora.Runner {
+	ts := dora.GetTasks()
+	*ts = append(*ts, t)
+	return ts
+}
+
+// enqueue puts the batch ts, whose every element is a task, on w's input
+// queue: all engine work reaches a worker through it.  Off the workers it
 // waits for queue room.  On a worker it must not — a worker blocked on a
 // full queue of a worker that is blocked on its own full queue would
-// deadlock both — so when the queue is full, a fresh goroutine does the
-// waiting and reports a submission that fails there.
-func submit(w *dora.Worker, t dora.Task, onWorker bool) error {
+// deadlock both, and a worker parked at a quiesce barrier would stall the
+// worker feeding it — so when the queue is full, a fresh goroutine does the
+// waiting.  A batch that cannot be enqueued reports each task not run.
+func enqueue(w *dora.Worker, ts *[]dora.Runner, onWorker bool) {
+	var err error
 	if !onWorker {
-		return w.Submit(t)
+		err = w.SubmitBatch(ts)
+	} else if err = w.TrySubmitBatch(ts); err == dora.ErrQueueFull {
+		go enqueue(w, ts, false)
+		return
 	}
-	err := w.TrySubmit(t)
-	if err == dora.ErrQueueFull {
-		go func() {
-			if err := w.Submit(t); err != nil {
-				t.Run.(failer).fail(err)
-			}
-		}()
-		return nil
+	if err != nil {
+		for _, t := range *ts {
+			t.(task).fail(err)
+		}
+		dora.PutTasks(ts)
 	}
-	return err
 }
 
 // batchItem is one action of a per-partition phase batch, pooled inside the
 // request's execState.  It implements dora.Runner so a batch submission
 // allocates no closures — each task is a pointer into the items slice.
 type batchItem struct {
-	st         *execState
-	a          Action
-	rt         *routingTable
-	epoch      uint64
-	slot       int
-	pidx       int
-	grouped    bool
-	enqueuedAt time.Time
-	ctx        Ctx
+	st      *execState
+	a       Action
+	r       route
+	slot    int
+	grouped bool
+	ctx     Ctx
 }
 
-// RunTask executes one batched action on the worker, re-checking routing
-// first: when a boundary moved while the batch was queued and this action's
-// key now belongs to another partition, only this action is forwarded to
-// its current owner — the batch is split, the correctly-routed remainder
-// keeps executing here.
+// RunTask executes one batched action on the worker, after the ownership
+// check: an action whose key now belongs to another partition forwards
+// itself to its current owner, and the rest of the batch keeps executing
+// here.
 func (it *batchItem) RunTask(w *dora.Worker) {
 	st := it.st
 	e := st.e
-	if it.rt != nil {
-		if cur := it.rt.epoch.Load(); cur != it.epoch {
-			if curP := e.partitionFor(it.a.Table, it.a.routingKey()); curP != w.ID() {
-				// Forward from a fresh goroutine: a worker parked at a
-				// quiesce barrier must never block this worker.
-				go e.dispatchAction(&actionTask{st: st, a: it.a, rt: it.rt, epoch: cur, slot: it.slot, enqueued: time.Now()}, curP)
-				return
-			}
-		}
+	if !it.r.owns() {
+		it.r = e.routeOf(it.a.Table, it.r.key)
+		enqueue(e.pool.Worker(it.r.part), one(it), true)
+		return
 	}
-	if !it.enqueuedAt.IsZero() {
-		st.tx.Breakdown.AddWait(txn.WaitQueue, time.Since(it.enqueuedAt)*waitSampleEvery)
-	}
+	st.tx.Breakdown.AddWait(txn.WaitQueue, w.BatchWait())
 	it.ctx = Ctx{eng: e, tx: st.tx, worker: w, partition: w.ID()}
 	err := it.a.Exec(&it.ctx)
 	// Thread-local locks are released when the action finishes; isolation
@@ -639,7 +635,7 @@ func (it *batchItem) fail(err error) { it.st.actionDone(it.slot, err, false) }
 
 // dispatchGrouped submits one phase with per-partition batching: the
 // phase's actions are grouped by owning worker and each group ships as one
-// SubmitBatch — one channel operation per partition touched.
+// batch — one channel operation per partition touched.
 func (st *execState) dispatchGrouped(phase []Action, observe, onWorker bool) {
 	e := st.e
 	if cap(st.items) < len(phase) {
@@ -651,139 +647,36 @@ func (st *execState) dispatchGrouped(phase []Action, observe, onWorker bool) {
 		if a.Inline {
 			continue
 		}
-		rt := e.routing[a.Table]
-		var epoch uint64
-		if rt != nil {
-			epoch = rt.epoch.Load()
-		}
-		pidx := e.partitionFor(a.Table, a.routingKey())
+		key := a.routingKey()
+		r := e.routeOf(a.Table, key)
 		if observe {
-			e.observeAccess(a.Table, pidx, a.routingKey())
+			e.observeAccess(a.Table, e.pool.Worker(r.part).ID(), key)
 		}
-		st.items = append(st.items, batchItem{
-			st: st, a: a, rt: rt, epoch: epoch, slot: i, pidx: pidx,
-			enqueuedAt: e.sampleEnqueue(),
-		})
+		st.items = append(st.items, batchItem{st: st, a: a, r: r, slot: i})
 	}
-	// Emit one batch per distinct partition, in first-seen order.  The
-	// items slice is fully built before any pointer into it is taken, so
-	// the pointers stay valid for the whole phase.  A batch's last action
-	// may finish the phase and start the next before this loop ends, so
-	// the loop reads only its own copy of the slice header and the items
-	// it has not handed over yet.
+	// Emit one batch per distinct worker, in first-seen order.  The items
+	// slice is fully built before any pointer into it is taken, so the
+	// pointers stay valid for the whole phase.  A batch's last action may
+	// finish the phase and start the next before this loop ends, so the
+	// loop reads only its own copy of the slice header and the items it
+	// has not handed over yet.
 	items, left := st.items, len(st.items)
 	for i := 0; left > 0; i++ {
 		if items[i].grouped {
 			continue
 		}
-		pidx := items[i].pidx
+		w := e.pool.Worker(items[i].r.part)
 		ts := dora.GetTasks()
 		for j := i; j < len(items); j++ {
-			if !items[j].grouped && items[j].pidx == pidx {
+			if !items[j].grouped && e.pool.Worker(items[j].r.part) == w {
 				items[j].grouped = true
-				*ts = append(*ts, dora.Task{Run: &items[j]})
+				*ts = append(*ts, &items[j])
 			}
 		}
 		left -= len(*ts)
-		w := e.pool.Worker(pidx)
-		if len(*ts) == 1 {
-			t := (*ts)[0]
-			dora.PutTasks(ts)
-			if err := submit(w, t, onWorker); err != nil {
-				t.Run.(*batchItem).fail(err)
-			}
-			continue
-		}
-		var err error
-		if !onWorker {
-			err = w.SubmitBatch(ts)
-		} else if err = w.TrySubmitBatch(ts); err == dora.ErrQueueFull {
-			go func() {
-				if err := w.SubmitBatch(ts); err != nil {
-					failBatch(ts, err)
-				}
-			}()
-			continue
-		}
-		if err != nil {
-			failBatch(ts, err)
-		}
+		enqueue(w, ts, onWorker)
 	}
 }
-
-// failBatch reports every action of a batch that could not be submitted.
-func failBatch(ts *[]dora.Task, err error) {
-	for _, t := range *ts {
-		t.Run.(failer).fail(err)
-	}
-	dora.PutTasks(ts)
-}
-
-// actionTask is one action dispatched on its own: a mis-routed action of
-// a phase batch, forwarded to its current owner.  NOTE: the ownership
-// protocol below is implemented in three places that must stay in sync —
-// this task, batchItem.RunTask (split a phase batch, forward only the
-// mis-routed actions), and execState.RunTask (re-drive a mis-routed
-// single-site task unexecuted).
-type actionTask struct {
-	st       *execState
-	a        Action
-	rt       *routingTable
-	epoch    uint64
-	slot     int
-	enqueued time.Time
-}
-
-// dispatchAction submits one action to the worker owning partition pidx.
-//
-// Before executing, the worker re-checks ownership against the routing
-// table: online repartitioning can move the boundary between the moment the
-// submitter routed the action and the moment the worker dequeues it, and a
-// worker must never touch a latch-free sub-tree it no longer owns.  The
-// check is a single atomic load of the table's routing epoch (captured at
-// submit time); only when a boundary actually moved in between — rare
-// relative to actions — is the read-locked routing lookup repeated.  A
-// mis-routed action is forwarded to the current owner (from a fresh
-// goroutine, so a worker parked at a quiesce barrier can never block the
-// forwarding worker and deadlock the quiesce), and keeps being forwarded
-// until it dequeues on the worker that owns it — there is no hop cap that
-// would let it execute mis-routed, because a boundary move is quiesced and
-// each hop re-reads the then-current routing, so an action can only keep
-// hopping while moves keep landing in its submit-to-dequeue window.  The
-// re-check runs on the worker goroutine, and any boundary move affecting
-// the worker's ranges quiesces that worker first, so ownership cannot
-// change between the check and the data access.
-func (e *Engine) dispatchAction(t *actionTask, pidx int) {
-	if err := e.pool.Worker(pidx).Submit(dora.Task{Run: t}); err != nil {
-		t.fail(err)
-	}
-}
-
-// RunTask executes the action on the worker, or forwards it (see
-// dispatchAction).
-func (t *actionTask) RunTask(w *dora.Worker) {
-	st := t.st
-	e := st.e
-	if t.rt != nil {
-		if cur := t.rt.epoch.Load(); cur != t.epoch {
-			if curP := e.partitionFor(t.a.Table, t.a.routingKey()); curP != w.ID() {
-				t.epoch, t.enqueued = cur, time.Now()
-				go e.dispatchAction(t, curP)
-				return
-			}
-		}
-	}
-	st.tx.Breakdown.AddWait(txn.WaitQueue, time.Since(t.enqueued))
-	ctx := &Ctx{eng: e, tx: st.tx, worker: w, partition: w.ID()}
-	err := t.a.Exec(ctx)
-	// Thread-local locks are released when the action finishes; isolation
-	// within the partition is guaranteed by the worker's serial execution.
-	w.Locks().ReleaseTxn(st.tx.ID())
-	st.actionDone(t.slot, err, true)
-}
-
-// fail reports the action as not executed.
-func (t *actionTask) fail(err error) { t.st.actionDone(t.slot, err, false) }
 
 // Loader provides direct, unlocked, unlogged access for bulk-loading a
 // database before measurements start: it takes no locks, writes no log

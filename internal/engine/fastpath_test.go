@@ -13,6 +13,7 @@ import (
 	"plp/internal/catalog"
 	"plp/internal/cs"
 	"plp/internal/keyenc"
+	"plp/internal/txn"
 )
 
 // fastpathEngine builds a 4-partition engine over keys [1, 4000] with rows
@@ -600,5 +601,67 @@ func TestRebalanceDuringContinuations(t *testing.T) {
 				t.Fatal("no traffic executed during the moves")
 			}
 		})
+	}
+}
+
+// TestQueueWaitReachesTheTransaction holds partition 0's worker busy and
+// queues transactions behind it, single-site ones and multi-site ones whose
+// phase also touches partition 1.  Each task adds its batch's sampled,
+// scaled queue wait to its transaction's WaitQueue, so both kinds must
+// report some.
+func TestQueueWaitReachesTheTransaction(t *testing.T) {
+	const queued = 64 // per kind: a few sampled batches each
+	e := fastpathEngine(t, PLPLeaf)
+	sess := e.NewSession()
+	defer sess.Close()
+	running, release := make(chan struct{}), make(chan struct{})
+	held := make(chan error, 1)
+	hold := keyenc.Uint64Key(1)
+	sess.Submit(NewRequest(Action{Table: "t", Key: hold, Exec: func(c *Ctx) error {
+		close(running)
+		<-release
+		return nil
+	}}), func(_ Result, err error) { held <- err })
+	<-running
+
+	read := func(k uint64) Action {
+		key := keyenc.Uint64Key(k)
+		return Action{Table: "t", Key: key, Exec: func(c *Ctx) error {
+			_, err := c.Read("t", key)
+			return err
+		}}
+	}
+	type outcome struct {
+		multi bool
+		res   Result
+		err   error
+	}
+	done := make(chan outcome, 2*queued)
+	for i := 0; i < 2*queued; i++ {
+		multi := i >= queued
+		req := NewRequest(read(uint64(2 + i)))
+		if multi {
+			req = NewRequest(read(uint64(2+i)), read(uint64(1500+i)))
+		}
+		sess.Submit(req, func(res Result, err error) { done <- outcome{multi, res, err} })
+	}
+	close(release)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	var wait [2]time.Duration
+	for i := 0; i < 2*queued; i++ {
+		o := <-done
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if o.multi {
+			wait[1] += o.res.Breakdown.Waits[txn.WaitQueue]
+		} else {
+			wait[0] += o.res.Breakdown.Waits[txn.WaitQueue]
+		}
+	}
+	if wait[0] <= 0 || wait[1] <= 0 {
+		t.Fatalf("transactions queued behind a busy worker report WaitQueue %v (single-site) and %v (multi-site), want both > 0", wait[0], wait[1])
 	}
 }

@@ -325,3 +325,113 @@ func TestRebalanceClusteredTable(t *testing.T) {
 		})
 	}
 }
+
+// TestBoundaryOscillationKeepsRows moves one boundary back and forth 2,000
+// times on the PLP designs, whose moves slice and meld sub-trees.  Every
+// move must succeed and every row must stay readable: a meld that runs out
+// of room on a root page halfway through its copy, after the slice, would
+// orphan part of a sub-tree.
+func TestBoundaryOscillationKeepsRows(t *testing.T) {
+	const moves = 2000
+	for _, design := range []Design{PLPRegular, PLPPartition, PLPLeaf} {
+		t.Run(design.String(), func(t *testing.T) {
+			e := fastpathEngine(t, design)
+			for i := 0; i < moves; i++ {
+				to := uint64(900)
+				if i%2 == 1 {
+					to = 1100
+				}
+				if _, err := e.Rebalance("t", 1, keyenc.Uint64Key(to)); err != nil {
+					t.Fatalf("move %d (boundary 1 to %d): %v", i, to, err)
+				}
+			}
+			l := e.NewLoader()
+			n := 0
+			if err := l.ReadRange("t", nil, nil, func(_, _ []byte) bool { n++; return true }); err != nil {
+				t.Fatal(err)
+			}
+			if n != 4000 {
+				t.Fatalf("%d of 4000 rows reachable after %d moves", n, moves)
+			}
+			for k := uint64(1); k <= 4000; k++ {
+				if rec, err := l.Read("t", keyenc.Uint64Key(k)); err != nil || string(rec) != fmt.Sprintf("val-%06d", k) {
+					t.Fatalf("key %d after %d moves: %q, %v", k, moves, rec, err)
+				}
+			}
+			tbl, err := e.Table("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.Primary.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestScanChunkStreamsDuringRebalance streams the whole table in small
+// chunks, over and over, while another goroutine keeps moving all three
+// boundaries, on every partitioned design; nothing writes.  A chunk queued
+// on a worker that a move then takes its cursor from forwards itself to the
+// cursor's new owner, so every stream must return every row exactly once,
+// in key order, and no chunk may fail.
+func TestScanChunkStreamsDuringRebalance(t *testing.T) {
+	const (
+		rows       = 4000
+		minStreams = 32      // streams that must overlap the moves
+		maxMoves   = 1 << 20 // the mover's bound
+	)
+	for _, design := range []Design{Logical, PLPRegular, PLPPartition, PLPLeaf} {
+		t.Run(design.String(), func(t *testing.T) {
+			e := fastpathEngine(t, design)
+			var stop atomic.Bool
+			moved := make(chan error, 1)
+			moves := 0
+			go func() {
+				rng := rand.New(rand.NewSource(7))
+				for ; moves < maxMoves && !stop.Load(); moves++ {
+					idx := 1 + moves%3
+					lo := uint64(idx*1000 - 400)
+					if _, err := e.Rebalance("t", idx, keyenc.Uint64Key(lo+uint64(rng.Intn(800)))); err != nil {
+						moved <- fmt.Errorf("move %d: %w", moves, err)
+						return
+					}
+				}
+				moved <- nil
+			}()
+			streams := 0
+			for ; streams < minStreams; streams++ {
+				var cursor []byte
+				next := uint64(1)
+				for {
+					res, err := e.ScanChunk("t", cursor, nil, nil, 64, nil)
+					if err != nil {
+						t.Fatalf("stream %d: chunk at %x: %v", streams, cursor, err)
+					}
+					for _, en := range res.Entries {
+						k, derr := keyenc.DecodeUint64(en.Key)
+						if derr != nil || k != next || string(en.Value) != fmt.Sprintf("val-%06d", k) {
+							t.Fatalf("stream %d: got key %d (%q), want %d: a row was missed or repeated", streams, k, en.Value, next)
+						}
+						next++
+					}
+					if res.Done {
+						break
+					}
+					cursor = res.Next
+				}
+				if next != rows+1 {
+					t.Fatalf("stream %d returned %d of %d rows", streams, next-1, rows)
+				}
+			}
+			stop.Store(true)
+			if err := <-moved; err != nil {
+				t.Fatal(err)
+			}
+			if moves >= maxMoves {
+				t.Fatalf("the mover ran out of moves before %d streams finished", minStreams)
+			}
+			t.Logf("%d streams overlapped %d moves", streams, moves)
+		})
+	}
+}

@@ -89,7 +89,7 @@ func (e *Engine) ScanRange(table string, lo, hi []byte, limit int, visit ScanVis
 	// return immediately.
 	//
 	// When a worker owns several partitions (parts > pool size), its scan
-	// tasks ride in one SubmitBatch — the same per-worker batching phase
+	// tasks ride in one batch — the same per-worker batching phase
 	// dispatch uses — so a wide scan costs one channel operation per worker
 	// instead of one per partition.
 	parts := rt.numPartitions()
@@ -108,24 +108,10 @@ func (e *Engine) ScanRange(table string, lo, hi []byte, limit int, visit ScanVis
 	for widx := 0; widx < workers && widx < parts; widx++ {
 		ts := dora.GetTasks()
 		for p := widx; p < parts; p += workers {
-			*ts = append(*ts, dora.Task{Run: &items[p]})
+			*ts = append(*ts, &items[p])
 		}
 		wg.Add(len(*ts))
-		w := e.pool.Worker(widx)
-		if len(*ts) == 1 {
-			t := (*ts)[0]
-			dora.PutTasks(ts)
-			if err := w.Submit(t); err != nil {
-				errs[t.Run.(*scanItem).slot] = err
-				wg.Done()
-			}
-		} else if err := w.SubmitBatch(ts); err != nil {
-			for _, t := range *ts {
-				errs[t.Run.(*scanItem).slot] = err
-				wg.Done()
-			}
-			dora.PutTasks(ts)
-		}
+		enqueue(e.pool.Worker(widx), ts, false)
 	}
 	wg.Wait()
 	st.Records = int(total.Load())
@@ -174,6 +160,12 @@ func (it *scanItem) RunTask(worker *dora.Worker) {
 	it.total.Add(int64(n))
 }
 
+// fail reports the partition's scan as not run.
+func (it *scanItem) fail(err error) {
+	it.errs[it.slot] = err
+	it.wg.Done()
+}
+
 // Chunked-scan bounds.  A chunk visits at most scanChunkExamineBudget
 // records even when a selective filter matches few of them, so a single
 // chunk call bounds its occupancy of the owning worker regardless of
@@ -216,17 +208,16 @@ type ScanChunkResult struct {
 // a record that matches; the resume key is copied once, when the chunk
 // stops early.
 //
-// Chunks run outside any transaction (like ScanRange): a stream observes
-// each record at most once per chunk but the table may change between
-// chunks, and records adjacent to a partition boundary that moves mid-
-// stream may be missed or seen twice — the same fuzziness ScanRange
-// documents for scans concurrent with repartitioning.
+// Chunks run outside any transaction (like ScanRange), so the table may
+// change between chunks.  A boundary move does not disturb a stream: each
+// chunk resumes at its cursor, on whichever worker owns the cursor when
+// the chunk runs, so a stream over a table nobody writes returns every
+// record exactly once, in key order, while boundaries move.
 func (e *Engine) ScanChunk(table string, cursor, hi []byte, flt *plan.Filter, maxEntries int, canceled func() bool) (ScanChunkResult, error) {
 	if _, err := e.Table(table); err != nil {
 		return ScanChunkResult{}, err
 	}
-	rt, ok := e.routing[table]
-	if !ok {
+	if _, ok := e.routing[table]; !ok {
 		return ScanChunkResult{}, fmt.Errorf("engine: no routing table for %q", table)
 	}
 	if maxEntries <= 0 {
@@ -244,54 +235,50 @@ func (e *Engine) ScanChunk(table string, cursor, hi []byte, flt *plan.Filter, ma
 		return scanChunkRange(ctx, table, nil, nil, cursor, hi, flt, maxEntries, canceled)
 	}
 
-	// Route the chunk to the worker owning the cursor's partition.  The
-	// worker re-checks ownership before scanning: if a boundary moved while
-	// the task sat in its queue, it bounces the chunk back and the loop
-	// re-routes against the updated table.
-	for attempt := 0; attempt < 8; attempt++ {
-		it := &chunkItem{
-			e: e, rt: rt, table: table, part: rt.partitionFor(cursor),
-			cursor: cursor, hi: hi, flt: flt, max: maxEntries,
-			canceled: canceled, done: make(chan struct{}),
-		}
-		if err := e.pool.Worker(it.part).Submit(dora.Task{Run: it}); err != nil {
-			return ScanChunkResult{}, err
-		}
-		<-it.done
-		if it.moved {
-			continue
-		}
-		return it.res, it.err
+	// Route the chunk to the worker owning the cursor's partition.
+	it := &chunkItem{
+		e: e, table: table, r: e.routeOf(table, cursor), hi: hi, flt: flt,
+		max: maxEntries, canceled: canceled, done: make(chan struct{}),
 	}
-	return ScanChunkResult{}, fmt.Errorf("engine: scan chunk on %q kept losing its partition to rebalancing", table)
+	enqueue(e.pool.Worker(it.r.part), one(it), false)
+	<-it.done
+	return it.res, it.err
 }
 
-// chunkItem is one streaming-scan chunk dispatched to a partition worker.
+// chunkItem is one streaming-scan chunk dispatched to a partition worker;
+// its route's key is the cursor.
 type chunkItem struct {
-	e          *Engine
-	rt         *routingTable
-	table      string
-	part       int
-	cursor, hi []byte
-	flt        *plan.Filter
-	max        int
-	canceled   func() bool
-	res        ScanChunkResult
-	err        error
-	moved      bool // ownership changed while queued; caller must re-route
-	done       chan struct{}
+	e        *Engine
+	table    string
+	r        route
+	hi       []byte
+	flt      *plan.Filter
+	max      int
+	canceled func() bool
+	res      ScanChunkResult
+	err      error
+	done     chan struct{}
 }
 
-// RunTask scans the chunk on the owning worker.
+// RunTask scans the chunk on the owning worker, after the ownership check:
+// a chunk whose cursor now belongs to another partition forwards itself to
+// its current owner.
 func (it *chunkItem) RunTask(worker *dora.Worker) {
-	defer close(it.done)
-	if it.rt.partitionFor(it.cursor) != it.part {
-		it.moved = true
+	if !it.r.owns() {
+		it.r = it.e.routeOf(it.table, it.r.key)
+		enqueue(it.e.pool.Worker(it.r.part), one(it), true)
 		return
 	}
-	plo, phi := it.rt.rangeOf(it.part)
+	defer close(it.done)
+	plo, phi := it.r.rt.rangeOf(it.r.part)
 	ctx := &Ctx{eng: it.e, worker: worker, partition: worker.ID(), loading: true}
-	it.res, it.err = scanChunkRange(ctx, it.table, plo, phi, it.cursor, it.hi, it.flt, it.max, it.canceled)
+	it.res, it.err = scanChunkRange(ctx, it.table, plo, phi, it.r.key, it.hi, it.flt, it.max, it.canceled)
+}
+
+// fail reports the chunk as not run.
+func (it *chunkItem) fail(err error) {
+	it.err = err
+	close(it.done)
 }
 
 // scanChunkRange scans one chunk within the partition range [plo, phi)

@@ -18,9 +18,11 @@
 //     ends, not when the transaction commits, so a multi-site transaction
 //     there is not isolated; its critical-section and latch counts are
 //     the paper's, its isolation is weaker.
-//   - A streaming scan under online repartitioning may miss or repeat
-//     records near a boundary that moves while the stream runs; Figures 8
-//     and 12 and EXT-1 scan no moving boundary.
+//   - Figure 1's Xct mgr row reads 0 for every design, where the paper's
+//     systems enter a few transaction-manager critical sections per
+//     transaction: the transaction manager counts active transactions with
+//     one atomic counter instead of a mutex-guarded table, and nothing
+//     else enters that category.
 //   - Figure 11's PLP-Leaf page counts follow this B+Tree's split rule: a
 //     load in key order splits each sub-tree's rightmost leaf 90/10 (see
 //     package btree).  A leaf's heap pages hold the records inserted while

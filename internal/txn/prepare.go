@@ -22,7 +22,7 @@ var (
 // Unlike a commit, a prepare always waits for durability — lazy commit
 // cannot apply, because the vote is a promise to the coordinator that the
 // branch can survive a crash.  The transaction stays Active: its locks are
-// held, its undo chain is retained, and it remains in the active table, so
+// held, its undo chain is retained, and it remains counted as active, so
 // every conflicting request keeps blocking (or aborting) until Decide runs.
 // On a durability failure the branch is aborted locally and done gets
 // ErrNotDurable, which the caller must translate into a no vote.  done runs

@@ -5,10 +5,9 @@
 // latches, heap latches, database locks, structure modifications and the
 // log), which is what the paper's Figures 6, 7 and 10 report.
 //
-// The transaction manager keeps the active-transaction table.  Entering and
-// leaving it are fixed-contention critical sections (threads only serialize
-// on the transaction object's own state), reported under the XctMgr
-// category.
+// The transaction manager counts the active transactions with one atomic
+// counter, so beginning and retiring a transaction enters no critical
+// section: the XctMgr category of Figure 1 stays at zero.
 //
 // Commit is continuation-driven.  CommitThen appends the commit record,
 // releases the locks and retires the transaction on the calling goroutine,
@@ -265,13 +264,14 @@ type Manager struct {
 	// a Txn that escaped to a caller is never reused underneath it.
 	pool sync.Pool
 
-	mu     sync.Mutex
-	active map[uint64]*Txn
+	// active counts the transactions begun and not yet retired.
+	active atomic.Int64
 
 	// prepared maps cross-shard global transaction IDs to local branches
 	// that voted yes and now await the coordinator's decision.  A prepared
-	// transaction stays Active (and in the active table) so checkpoints and
+	// transaction stays Active (and counted in active) so checkpoints and
 	// shutdown correctly see it as unfinished business.
+	mu       sync.Mutex
 	prepared map[string]*preparedTxn
 
 	committed atomic.Uint64
@@ -297,7 +297,6 @@ func NewManager(log wal.Log, locks *lock.Manager, cstats *cs.Stats) *Manager {
 		log:    log,
 		locks:  locks,
 		cstats: cstats,
-		active: make(map[uint64]*Txn),
 	}
 }
 
@@ -311,14 +310,7 @@ func (m *Manager) Begin() *Txn {
 	t.id = m.nextID.Add(1)
 	t.start = time.Now()
 	t.state.Store(int32(Active))
-
-	contended := !m.mu.TryLock()
-	if contended {
-		m.mu.Lock()
-	}
-	m.active[t.id] = t
-	m.mu.Unlock()
-	m.cstats.RecordClass(cs.XctMgr, cs.Fixed, contended)
+	m.active.Add(1)
 	return t
 }
 
@@ -395,7 +387,7 @@ func (m *Manager) CommitThen(t *Txn, done func(error)) {
 	if m.locks != nil {
 		m.locks.ReleaseAll(t.id, t.LockNames())
 	}
-	m.retire(t)
+	m.retire()
 
 	t.done = done
 	if m.lazy.Load() || (t.readOnly && t.commitLSN == wal.InvalidLSN) {
@@ -483,21 +475,14 @@ func (m *Manager) Abort(t *Txn) error {
 	if m.locks != nil {
 		m.locks.ReleaseAll(t.id, t.LockNames())
 	}
-	m.retire(t)
+	m.retire()
 	m.aborted.Add(1)
 	return firstErr
 }
 
-// retire removes the transaction from the active table.
-func (m *Manager) retire(t *Txn) {
-	contended := !m.mu.TryLock()
-	if contended {
-		m.mu.Lock()
-	}
-	delete(m.active, t.id)
-	m.mu.Unlock()
-	m.cstats.RecordClass(cs.XctMgr, cs.Fixed, contended)
-}
+// retire stops counting the transaction as active.  The state transition
+// out of Active guards it, so it runs once per transaction.
+func (m *Manager) retire() { m.active.Add(-1) }
 
 // Recycle returns a finished (committed or aborted) transaction to the
 // manager's pool so the next Begin reuses the object instead of allocating.
@@ -524,11 +509,7 @@ func (m *Manager) Recycle(t *Txn) {
 }
 
 // NumActive returns the number of in-flight transactions.
-func (m *Manager) NumActive() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.active)
-}
+func (m *Manager) NumActive() int { return int(m.active.Load()) }
 
 // Stats reports commit/abort counts.
 type Stats struct {

@@ -319,13 +319,22 @@ func TestWaitKindAndStateLabels(t *testing.T) {
 	}
 }
 
+// TestXctMgrCriticalSections pins that beginning and retiring a transaction
+// enter no transaction-manager critical section: the active count is one
+// atomic counter.
 func TestXctMgrCriticalSections(t *testing.T) {
 	cstats := &cs.Stats{}
 	m := NewManager(wal.NewConsolidated(cstats), nil, cstats)
 	tx := m.Begin()
+	if n := m.NumActive(); n != 1 {
+		t.Fatalf("NumActive=%d after Begin, want 1", n)
+	}
 	_ = m.Commit(tx)
-	if cstats.Snapshot().Entered[cs.XctMgr] < 2 {
-		t.Fatal("transaction manager critical sections not recorded")
+	if n := cstats.Snapshot().Entered[cs.XctMgr]; n != 0 {
+		t.Fatalf("Begin and Commit entered %d transaction-manager critical sections, want 0", n)
+	}
+	if n := m.NumActive(); n != 0 {
+		t.Fatalf("NumActive=%d after Commit, want 0", n)
 	}
 }
 

@@ -153,12 +153,13 @@
 // a key an earlier, not yet executed phase produces (KeyFn routing; a
 // KeyFn fed only by inline phases that already ran is fine) and closure
 // Actions with a nil routing key; both fall back to the per-phase dispatch
-// path.  Online repartitioning composes with batching: the worker
-// re-checks the routing epoch at dequeue, a mis-routed phase batch is split with only the
-// mis-routed actions forwarded to their current owner, and a mis-routed
-// single-site batch is re-driven unexecuted phase by phase.  The fast paths are
-// an execution strategy, not a semantics change — the differential trace
-// passes unchanged across all five designs.
+// path.  Online repartitioning composes with batching: every task re-checks
+// its routing epoch on the worker before touching data, a mis-routed phase
+// action or scan chunk forwards itself to its current owner while the rest
+// of its batch runs, and a mis-routed single-site task is re-driven
+// unexecuted phase by phase.  The fast paths are an execution strategy,
+// not a semantics change — the differential trace passes unchanged across
+// all five designs.
 //
 // Beyond the core engine the package exposes the operational subsystems a
 // deployment needs (see extensions.go): Open for a durable, crash-safe
